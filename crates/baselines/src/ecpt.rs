@@ -15,9 +15,8 @@
 use crate::BaselineError;
 use dmt_cache::hierarchy::MemoryHierarchy;
 use dmt_cache::set_assoc::SetAssoc;
-use std::collections::HashMap;
 use dmt_mem::buddy::FrameKind;
-use dmt_mem::{MemoryOps, PageSize, PhysAddr, PhysMemory, VirtAddr};
+use dmt_mem::{FastMap, MemoryOps, PageSize, PhysAddr, PhysMemory, VirtAddr};
 use dmt_pgtable::pte::Pte;
 
 /// Number of cuckoo ways per table (the paper's d = 3).
@@ -173,7 +172,7 @@ pub struct Ecpt {
     /// CWC tags, keyed at 2 MiB region granularity; 64 entries, 4-way.
     cwc: SetAssoc,
     /// CWC payloads: region -> table index (the page size to probe).
-    cwc_payload: HashMap<u64, usize>,
+    cwc_payload: FastMap<u64, usize>,
 }
 
 impl Ecpt {
@@ -226,7 +225,7 @@ impl Ecpt {
             ],
             resizes: 0,
             cwc: SetAssoc::with_capacity(64, 4),
-            cwc_payload: HashMap::new(),
+            cwc_payload: FastMap::default(),
         })
     }
 

@@ -17,9 +17,8 @@ use crate::BaselineError;
 use dmt_cache::hierarchy::MemoryHierarchy;
 use dmt_cache::set_assoc::SetAssoc;
 use dmt_mem::buddy::FrameKind;
-use dmt_mem::{MemoryOps, PageSize, PhysAddr, PhysMemory, VirtAddr};
+use dmt_mem::{FastMap, MemoryOps, PageSize, PhysAddr, PhysMemory, VirtAddr};
 use dmt_pgtable::pte::{Pte, PteFlags};
-use std::collections::HashMap;
 
 /// Entries per flattened table (18 index bits).
 const FLAT_ENTRIES: u64 = 1 << 18;
@@ -74,11 +73,11 @@ pub struct FlatPageTable {
     /// The upper (L4·L3) table's base.
     root: PhysAddr,
     /// Lower tables by upper index.
-    lowers: HashMap<u64, PhysAddr>,
+    lowers: FastMap<u64, PhysAddr>,
     /// Upper-entry cache tags (32 entries, like the L2-level PWC).
     upper_cache: SetAssoc,
     /// Cached upper entries by index.
-    upper_payload: HashMap<u64, Pte>,
+    upper_payload: FastMap<u64, Pte>,
     /// Whether the upper-entry cache is consulted (disabled for
     /// worst-case Table 6 analysis).
     cache_enabled: bool,
@@ -94,9 +93,9 @@ impl FlatPageTable {
         let root = alloc(pm, FLAT_FRAMES)?;
         Ok(FlatPageTable {
             root: PhysAddr::from_pfn(root),
-            lowers: HashMap::new(),
+            lowers: FastMap::default(),
             upper_cache: SetAssoc::new(1, 32),
-            upper_payload: HashMap::new(),
+            upper_payload: FastMap::default(),
             cache_enabled: true,
         })
     }
@@ -110,9 +109,9 @@ impl FlatPageTable {
         let root = pm.alloc_contig(FLAT_FRAMES, FrameKind::PageTable)?;
         Ok(FlatPageTable {
             root: PhysAddr::from_pfn(root),
-            lowers: HashMap::new(),
+            lowers: FastMap::default(),
             upper_cache: SetAssoc::new(1, 32),
-            upper_payload: HashMap::new(),
+            upper_payload: FastMap::default(),
             cache_enabled: true,
         })
     }

@@ -191,8 +191,9 @@ impl MemoryHierarchy {
         // (miss) — the inclusive fill of all upper levels — so each
         // level is one fused lookup-or-insert scan. Fusing reorders
         // the fills relative to deeper lookups, but each `SetAssoc`
-        // keeps its own LRU clock and counters, so per-structure state
-        // (and every observable result) is unchanged.
+        // keeps its own per-set recency order and counters, so
+        // per-structure state (and every observable result) is
+        // unchanged.
         let line = paddr >> LINE_SHIFT;
         if self.l1.lookup_or_insert(line) {
             self.stats.l1_hits += 1;

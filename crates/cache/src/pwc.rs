@@ -12,8 +12,7 @@
 
 use crate::set_assoc::SetAssoc;
 use dmt_mem::addr::{LEVEL_BITS, PAGE_SHIFT};
-use dmt_mem::{PhysAddr, VirtAddr};
-use std::collections::HashMap;
+use dmt_mem::{FastMap, PhysAddr, VirtAddr};
 
 /// PWC geometry: entries for the L4, L3 and L2 arrays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,7 +82,7 @@ const KEY_MASK: u64 = (1 << ASID_SHIFT) - 1;
 pub struct PageWalkCache {
     /// Index 0 → level 2 array, 1 → level 3, 2 → level 4.
     arrays: [SetAssoc; 3],
-    payloads: [HashMap<u64, PhysAddr>; 3],
+    payloads: [FastMap<u64, PhysAddr>; 3],
     latency: u64,
     stats: PwcStats,
     asid: u16,
@@ -100,7 +99,7 @@ impl PageWalkCache {
                 arr(config.l3_entries),
                 arr(config.l4_entries),
             ],
-            payloads: [HashMap::new(), HashMap::new(), HashMap::new()],
+            payloads: Default::default(),
             latency: config.latency,
             stats: PwcStats::default(),
             asid: 0,

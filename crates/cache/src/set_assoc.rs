@@ -6,6 +6,10 @@
 
 /// A set-associative, true-LRU array of `u64` keys.
 ///
+/// Each set keeps its live keys in recency order, most recently used
+/// first: a hit or a fill moves its key to rank 0 and the victim is the
+/// last rank, which is exactly true LRU without a per-way stamp.
+///
 /// # Examples
 ///
 /// ```
@@ -19,12 +23,13 @@
 pub struct SetAssoc {
     sets: u64,
     ways: usize,
-    /// `(key, last-use stamp)` flattened as `set * ways + way`, so one
-    /// set's ways share cache lines (this sits on the hot path of every
-    /// simulated memory reference). Stamp 0 marks an empty way: the
-    /// clock pre-increments, so live entries always carry a stamp ≥ 1.
-    lines: Vec<(u64, u64)>,
-    stamp: u64,
+    /// Keys flattened as `set * ways + rank`, so one set's ways share
+    /// cache lines (this sits on the hot path of every simulated memory
+    /// reference). Within a set, ranks `0..lens[set]` hold the live
+    /// keys most-recently-used first; higher ranks are dead.
+    keys: Vec<u64>,
+    /// Live-key count per set.
+    lens: Vec<u32>,
     /// Live-entry count, maintained on every fill/invalidate so the
     /// read-only probes can skip scanning structures that are empty.
     occupied: u64,
@@ -39,12 +44,12 @@ pub struct SetAssoc {
 /// touch. Pure host-level hint — simulated behavior is unaffected.
 /// Issued as a raw `madvise(MADV_HUGEPAGE)` syscall to avoid a libc
 /// dependency; failures (or non-Linux-x86-64 hosts) are ignored.
-fn advise_hugepages(lines: &[(u64, u64)]) {
+fn advise_hugepages(buf: &[u64]) {
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
     {
         const HUGE: usize = 2 << 20;
-        let ptr = lines.as_ptr() as usize;
-        let len = std::mem::size_of_val(lines);
+        let ptr = buf.as_ptr() as usize;
+        let len = std::mem::size_of_val(buf);
         if len < HUGE {
             return;
         }
@@ -53,6 +58,9 @@ fn advise_hugepages(lines: &[(u64, u64)]) {
         if end <= start {
             return;
         }
+        // SAFETY: madvise only changes paging advice for
+        // `[start, end)`, a range inside `buf`'s allocation; it reads
+        // and writes no memory and clobbers only the registers listed.
         unsafe {
             let ret: isize;
             std::arch::asm!(
@@ -70,7 +78,7 @@ fn advise_hugepages(lines: &[(u64, u64)]) {
         }
     }
     #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-    let _ = lines;
+    let _ = buf;
 }
 
 impl SetAssoc {
@@ -81,13 +89,14 @@ impl SetAssoc {
     /// Panics if `sets` or `ways` is zero.
     pub fn new(sets: u64, ways: usize) -> Self {
         assert!(sets > 0 && ways > 0, "cache geometry must be non-zero");
-        let lines = vec![(0, 0); sets as usize * ways];
-        advise_hugepages(&lines);
+        assert!(u32::try_from(ways).is_ok(), "associativity must fit in u32");
+        let keys = vec![0; sets as usize * ways];
+        advise_hugepages(&keys);
         SetAssoc {
             sets,
             ways,
-            lines,
-            stamp: 0,
+            keys,
+            lens: vec![0; sets as usize],
             occupied: 0,
             hits: 0,
             misses: 0,
@@ -123,82 +132,75 @@ impl SetAssoc {
         self.sets * self.ways as u64
     }
 
-    fn set_range(&self, key: u64) -> std::ops::Range<usize> {
+    #[inline]
+    fn set_of(&self, key: u64) -> usize {
         // Every simulated memory reference lands here; dodge the 64-bit
         // divide for the (ubiquitous) power-of-two set counts.
-        let set = if self.sets.is_power_of_two() {
+        (if self.sets.is_power_of_two() {
             key & (self.sets - 1)
         } else {
             key % self.sets
-        };
-        let base = set as usize * self.ways;
-        base..base + self.ways
+        }) as usize
+    }
+
+    /// The live keys of `key`'s set, most recently used first.
+    #[inline]
+    fn live(&self, key: u64) -> &[u64] {
+        let set = self.set_of(key);
+        let base = set * self.ways;
+        &self.keys[base..base + self.lens[set] as usize]
+    }
+
+    /// Move `key` to rank 0 of its set if it is resident (`Ok`);
+    /// otherwise change nothing and return its set index (`Err`).
+    #[inline]
+    fn touch(&mut self, key: u64) -> Result<(), usize> {
+        let set = self.set_of(key);
+        let base = set * self.ways;
+        let live = &mut self.keys[base..base + self.lens[set] as usize];
+        let rank = live.iter().position(|&k| k == key).ok_or(set)?;
+        live.copy_within(..rank, 1);
+        live[0] = key;
+        Ok(())
     }
 
     /// Look up a key, updating LRU state and hit/miss counters.
     pub fn lookup(&mut self, key: u64) -> bool {
-        self.stamp += 1;
-        let stamp = self.stamp;
-        let range = self.set_range(key);
-        for way in &mut self.lines[range] {
-            if way.1 != 0 && way.0 == key {
-                way.1 = stamp;
-                self.hits += 1;
-                return true;
-            }
+        let hit = self.touch(key).is_ok();
+        if hit {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
         }
-        self.misses += 1;
-        false
+        hit
     }
 
     /// [`lookup`](Self::lookup) fused with the miss-path
     /// [`insert`](Self::insert): one scan of the set serves both. On a
-    /// hit this is exactly `lookup` (stamp refresh, hit counter); on a
-    /// miss it performs the insert a caller would issue next — same two
-    /// clock ticks, same empty-way/LRU-victim choice — without
-    /// rescanning. Returns whether the key hit. The evicted key (if
-    /// any) is discarded, so this suits callers that ignore
-    /// `insert`'s return value, like the inclusive hierarchy.
+    /// hit this is exactly `lookup`; on a miss it performs the insert a
+    /// caller would issue next without rescanning. Returns whether the
+    /// key hit. The evicted key (if any) is discarded, so this suits
+    /// callers that ignore `insert`'s return value, like the inclusive
+    /// hierarchy.
     pub fn lookup_or_insert(&mut self, key: u64) -> bool {
-        self.stamp += 1;
-        let stamp = self.stamp;
-        let range = self.set_range(key);
-        let set = &mut self.lines[range];
-        let mut empty = None;
-        let mut victim = 0;
-        let mut victim_stamp = u64::MAX;
-        for (i, way) in set.iter_mut().enumerate() {
-            if way.1 == 0 {
-                if empty.is_none() {
-                    empty = Some(i);
-                }
-            } else if way.0 == key {
-                way.1 = stamp;
+        match self.touch(key) {
+            Ok(()) => {
                 self.hits += 1;
-                return true;
-            } else if way.1 < victim_stamp {
-                victim_stamp = way.1;
-                victim = i;
+                true
+            }
+            Err(set) => {
+                self.misses += 1;
+                self.fill(set, key);
+                false
             }
         }
-        self.misses += 1;
-        // The fill gets its own clock tick, exactly as a separate
-        // `insert` call after the failed `lookup` would.
-        self.stamp += 1;
-        let slot = empty.unwrap_or(victim);
-        set[slot] = (key, self.stamp);
-        if empty.is_some() {
-            self.occupied += 1;
-        }
-        false
     }
 
     /// Account a lookup that is already known to miss (the caller
-    /// proved absence with [`contains`](Self::contains)): advances the
-    /// LRU clock and the miss counter exactly as a failed
-    /// [`lookup`](Self::lookup) would, without rescanning the set.
+    /// proved absence with [`contains`](Self::contains)): counts the
+    /// miss exactly as a failed [`lookup`](Self::lookup) would, which
+    /// leaves the recency order untouched.
     pub fn record_miss(&mut self) {
-        self.stamp += 1;
         self.misses += 1;
     }
 
@@ -209,85 +211,78 @@ impl SetAssoc {
     /// cache misses that an element-at-a-time walk would serialize.
     #[inline]
     pub fn prefetch(&self, key: u64) {
-        let range = self.set_range(key);
+        let set = self.set_of(key);
         #[cfg(target_arch = "x86_64")]
         {
-            // A set spans `ways * 16` bytes; touch each 64-byte line.
-            let base = self.lines[range].as_ptr();
-            for line in 0..(self.ways * 16).div_ceil(64) {
-                unsafe {
-                    core::arch::x86_64::_mm_prefetch(
-                        base.byte_add(line * 64) as *const i8,
-                        core::arch::x86_64::_MM_HINT_T0,
-                    );
+            use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            // A set spans `ways * 8` bytes; touch each 64-byte line,
+            // plus the set's length word.
+            let base = self.keys[set * self.ways..].as_ptr();
+            // SAFETY: `set < sets`, so the length word is in `lens`, and
+            // every line offset is below `ways * 8`, inside the set's
+            // slice of `keys`. A prefetch never faults or writes.
+            unsafe {
+                _mm_prefetch(self.lens.as_ptr().add(set) as *const i8, _MM_HINT_T0);
+                for line in 0..(self.ways * 8).div_ceil(64) {
+                    _mm_prefetch(base.byte_add(line * 64) as *const i8, _MM_HINT_T0);
                 }
             }
         }
         #[cfg(not(target_arch = "x86_64"))]
-        let _ = range;
+        let _ = set;
     }
 
     /// Probe for a key without touching LRU state or counters.
     pub fn contains(&self, key: u64) -> bool {
-        if self.occupied == 0 {
-            return false;
-        }
-        self.lines[self.set_range(key)]
-            .iter()
-            .any(|w| w.1 != 0 && w.0 == key)
+        self.occupied != 0 && self.live(key).contains(&key)
     }
 
-    /// Insert a key (no-op if already present; refreshes its LRU stamp).
+    /// Insert a key (no-op if already present; refreshes its LRU rank).
     /// Returns the evicted key, if any.
     pub fn insert(&mut self, key: u64) -> Option<u64> {
-        self.stamp += 1;
-        let stamp = self.stamp;
-        let range = self.set_range(key);
-        let set = &mut self.lines[range];
-        // One scan: refresh if present, otherwise remember the first
-        // empty way and the least-recently-used victim.
-        let mut empty = None;
-        let mut victim = 0;
-        let mut victim_stamp = u64::MAX;
-        for (i, way) in set.iter_mut().enumerate() {
-            if way.1 == 0 {
-                if empty.is_none() {
-                    empty = Some(i);
-                }
-            } else if way.0 == key {
-                way.1 = stamp;
-                return None;
-            } else if way.1 < victim_stamp {
-                victim_stamp = way.1;
-                victim = i;
-            }
-        }
-        if let Some(i) = empty {
-            set[i] = (key, stamp);
+        self.touch(key).err().and_then(|set| self.fill(set, key))
+    }
+
+    /// Put a key known to be absent at rank 0 of `set`, evicting the
+    /// last rank if the set is full. Returns the evicted key, if any.
+    #[inline]
+    fn fill(&mut self, set: usize, key: u64) -> Option<u64> {
+        let base = set * self.ways;
+        let len = self.lens[set] as usize;
+        let ways = &mut self.keys[base..base + self.ways];
+        let evicted = if len == ways.len() {
+            Some(ways[len - 1])
+        } else {
+            self.lens[set] += 1;
             self.occupied += 1;
-            return None;
-        }
-        let evicted = set[victim].0;
-        set[victim] = (key, stamp);
-        Some(evicted)
+            None
+        };
+        let keep = len.min(ways.len() - 1);
+        ways.copy_within(..keep, 1);
+        ways[0] = key;
+        evicted
     }
 
     /// Remove a key if present. Returns whether it was present.
     pub fn invalidate(&mut self, key: u64) -> bool {
-        let range = self.set_range(key);
-        for way in &mut self.lines[range] {
-            if way.1 != 0 && way.0 == key {
-                *way = (0, 0);
+        let set = self.set_of(key);
+        let base = set * self.ways;
+        let len = self.lens[set] as usize;
+        let live = &mut self.keys[base..base + len];
+        match live.iter().position(|&k| k == key) {
+            Some(rank) => {
+                live.copy_within(rank + 1.., rank);
+                self.lens[set] -= 1;
                 self.occupied -= 1;
-                return true;
+                true
             }
+            None => false,
         }
-        false
     }
 
     /// Drop every entry (e.g. a full TLB flush on context switch).
     pub fn flush(&mut self) {
-        self.lines.fill((0, 0));
+        self.lens.fill(0);
         self.occupied = 0;
     }
 
@@ -310,14 +305,17 @@ impl SetAssoc {
     /// Iterate over all resident keys (any order). Does not touch LRU
     /// state or counters — this is the oracle's coherence-audit view.
     pub fn keys(&self) -> impl Iterator<Item = u64> + '_ {
-        self.lines.iter().filter(|w| w.1 != 0).map(|(k, _)| *k)
+        self.keys
+            .chunks_exact(self.ways)
+            .zip(&self.lens)
+            .flat_map(|(set, &len)| set[..len as usize].iter().copied())
     }
 
     /// Number of occupied entries.
     pub fn occupancy(&self) -> u64 {
         debug_assert_eq!(
             self.occupied,
-            self.lines.iter().filter(|w| w.1 != 0).count() as u64
+            self.lens.iter().map(|&n| n as u64).sum::<u64>()
         );
         self.occupied
     }
@@ -428,8 +426,8 @@ mod tests {
         b.record_miss();
         assert_eq!(a.misses(), b.misses());
         assert_eq!(a.hits(), b.hits());
-        // The advanced LRU clock must leave both caches evicting the
-        // same victim next.
+        // Neither miss may disturb the recency order: both caches must
+        // evict the same victim next.
         assert_eq!(a.insert(2), b.insert(2));
     }
 }

@@ -452,9 +452,8 @@ impl Tlb {
 
     /// Account a full-miss [`lookup_any`](Self::lookup_any) whose
     /// absence was already proven via [`probe_any`](Self::probe_any):
-    /// each per-size array takes exactly the LRU-clock advance and
-    /// miss count a failed probe sequence charges, without rescanning
-    /// the sets.
+    /// each per-size array takes exactly the miss count a failed probe
+    /// sequence charges, without rescanning the sets.
     pub fn record_miss(&mut self, va: VirtAddr) {
         debug_assert!(!self.probe_any(va), "record_miss on a resident VA");
         let _ = va;
@@ -987,8 +986,8 @@ mod tests {
         assert!(!b.probe_any(missing));
         b.record_miss(missing);
         assert_eq!(a.stats(), b.stats());
-        // The LRU clocks advanced identically: filling a conflicting
-        // set evicts the same victims on both sides.
+        // Recency order is identical: filling a conflicting set evicts
+        // the same victims on both sides.
         for t in [&mut a, &mut b] {
             for i in 4..12u64 {
                 t.fill(VirtAddr(i * 4096), PageSize::Size4K);

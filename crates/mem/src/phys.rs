@@ -10,7 +10,6 @@
 use crate::addr::{Pfn, PhysAddr, ENTRIES_PER_TABLE, PAGE_SHIFT};
 use crate::buddy::{BuddyAllocator, FrameKind};
 use crate::Result;
-use std::collections::HashMap;
 
 /// Word-level access plus frame allocation: the interface page tables are
 /// built against.
@@ -95,8 +94,8 @@ impl MemoryOps for PhysMemory {
 #[derive(Debug, Clone)]
 pub struct PhysMemory {
     buddy: BuddyAllocator,
-    /// pfn -> 512 words of frame content, materialized on first write.
-    words: HashMap<u64, Box<[u64; ENTRIES_PER_TABLE as usize]>>,
+    /// Frame contents, materialized on first write.
+    words: FrameTable,
 }
 
 impl PhysMemory {
@@ -104,7 +103,7 @@ impl PhysMemory {
     pub fn new_frames(frames: u64) -> Self {
         PhysMemory {
             buddy: BuddyAllocator::new(frames),
-            words: HashMap::new(),
+            words: FrameTable::new(frames),
         }
     }
 
@@ -140,7 +139,7 @@ impl PhysMemory {
     /// Propagates [`crate::MemError::OutOfMemory`].
     pub fn alloc_zeroed_frame(&mut self, kind: FrameKind) -> Result<Pfn> {
         let pfn = self.buddy.alloc_order(0, kind)?;
-        self.words.remove(&pfn.0);
+        self.words.clear(pfn.0);
         Ok(pfn)
     }
 
@@ -160,7 +159,7 @@ impl PhysMemory {
     /// Propagates [`crate::MemError::InvalidFree`].
     pub fn free_frame(&mut self, pfn: Pfn) -> Result<()> {
         self.buddy.free_order(pfn, 0)?;
-        self.words.remove(&pfn.0);
+        self.words.clear(pfn.0);
         Ok(())
     }
 
@@ -172,7 +171,7 @@ impl PhysMemory {
     pub fn free_contig(&mut self, pfn: Pfn, n: u64) -> Result<()> {
         self.buddy.free_contig(pfn, n)?;
         for f in pfn.0..pfn.0 + n {
-            self.words.remove(&f);
+            self.words.clear(f);
         }
         Ok(())
     }
@@ -186,9 +185,8 @@ impl PhysMemory {
     /// Panics if `addr` is not 8-byte aligned.
     pub fn read_word(&self, addr: PhysAddr) -> u64 {
         assert_eq!(addr.0 % 8, 0, "unaligned word read at {addr}");
-        let pfn = addr.pfn().0;
         let idx = (addr.page_offset() / 8) as usize;
-        self.words.get(&pfn).map_or(0, |w| w[idx])
+        self.words.get(addr.pfn().0).map_or(0, |w| w[idx])
     }
 
     /// Write the 8-byte word at a physical address (must be 8-byte aligned).
@@ -198,16 +196,12 @@ impl PhysMemory {
     /// Panics if `addr` is not 8-byte aligned.
     pub fn write_word(&mut self, addr: PhysAddr, value: u64) {
         assert_eq!(addr.0 % 8, 0, "unaligned word write at {addr}");
-        let pfn = addr.pfn().0;
         let idx = (addr.page_offset() / 8) as usize;
-        self.words
-            .entry(pfn)
-            .or_insert_with(|| Box::new([0u64; ENTRIES_PER_TABLE as usize]))[idx] = value;
+        self.words.get_or_insert(addr.pfn().0)[idx] = value;
     }
 
-    /// Fused read-modify-write: one page lookup serves both the read
-    /// and (when the closure asks for it) the write-back — half the
-    /// hashing of a `read_word` + `write_word` pair on the same slot.
+    /// Fused read-modify-write: one frame lookup serves both the read
+    /// and (when the closure asks for it) the write-back.
     /// Returns the value read; unwritten words read as zero.
     ///
     /// # Panics
@@ -217,7 +211,7 @@ impl PhysMemory {
         assert_eq!(addr.0 % 8, 0, "unaligned word rmw at {addr}");
         let pfn = addr.pfn().0;
         let idx = (addr.page_offset() / 8) as usize;
-        match self.words.get_mut(&pfn) {
+        match self.words.get_mut(pfn) {
             Some(w) => {
                 let old = w[idx];
                 if let Some(new) = f(old) {
@@ -227,9 +221,7 @@ impl PhysMemory {
             }
             None => {
                 if let Some(new) = f(0) {
-                    self.words
-                        .entry(pfn)
-                        .or_insert_with(|| Box::new([0u64; ENTRIES_PER_TABLE as usize]))[idx] = new;
+                    self.words.get_or_insert(pfn)[idx] = new;
                 }
                 0
             }
@@ -239,25 +231,84 @@ impl PhysMemory {
     /// Zero a frame's contents (e.g. when recycling a guest frame whose
     /// backing host frame stays allocated).
     pub fn zero_frame(&mut self, pfn: Pfn) {
-        self.words.remove(&pfn.0);
+        self.words.clear(pfn.0);
     }
 
     /// Copy the full contents of one frame to another (TEA migration,
     /// compaction).
     pub fn copy_frame(&mut self, src: Pfn, dst: Pfn) {
-        match self.words.get(&src.0).cloned() {
-            Some(content) => {
-                self.words.insert(dst.0, content);
-            }
-            None => {
-                self.words.remove(&dst.0);
-            }
+        match self.words.get(src.0).copied() {
+            Some(content) => *self.words.get_or_insert(dst.0) = content,
+            None => self.words.clear(dst.0),
         }
     }
 
     /// Bytes of physical memory currently allocated for the given kind.
     pub fn bytes_of_kind(&self, kind: FrameKind) -> u64 {
         self.buddy.allocated_of_kind(kind) << PAGE_SHIFT
+    }
+}
+
+/// One frame's content: 512 words.
+type Frame = [u64; ENTRIES_PER_TABLE as usize];
+
+/// Frames per directory of the [`FrameTable`].
+const DIR_BITS: u32 = 9;
+const DIR_LEN: usize = 1 << DIR_BITS;
+
+/// One directory: a slot per frame, `None` until the frame is written.
+type Dir = [Option<Box<Frame>>; DIR_LEN];
+
+/// Sparse frame contents as a two-level table: a directory indexed by
+/// `pfn >> 9`, then a frame slot indexed by `pfn & 511`. Directories and
+/// frames are allocated on first write, so a lookup is two array loads
+/// and no hash — this sits under every PTE read of every page walk.
+/// Frames without content read as zero, for any frame number.
+#[derive(Debug, Clone)]
+struct FrameTable {
+    dirs: Vec<Option<Box<Dir>>>,
+}
+
+impl FrameTable {
+    fn new(frames: u64) -> Self {
+        FrameTable {
+            dirs: vec![None; frames.div_ceil(DIR_LEN as u64) as usize],
+        }
+    }
+
+    #[inline]
+    fn split(pfn: u64) -> (usize, usize) {
+        ((pfn >> DIR_BITS) as usize, (pfn as usize) & (DIR_LEN - 1))
+    }
+
+    #[inline]
+    fn get(&self, pfn: u64) -> Option<&Frame> {
+        let (d, f) = Self::split(pfn);
+        self.dirs.get(d)?.as_ref()?[f].as_deref()
+    }
+
+    #[inline]
+    fn get_mut(&mut self, pfn: u64) -> Option<&mut Frame> {
+        let (d, f) = Self::split(pfn);
+        self.dirs.get_mut(d)?.as_mut()?[f].as_deref_mut()
+    }
+
+    /// The frame's content, materialized as zeros if absent.
+    fn get_or_insert(&mut self, pfn: u64) -> &mut Frame {
+        let (d, f) = Self::split(pfn);
+        if d >= self.dirs.len() {
+            self.dirs.resize(d + 1, None);
+        }
+        let dir = self.dirs[d].get_or_insert_with(|| Box::new([const { None }; DIR_LEN]));
+        dir[f].get_or_insert_with(|| Box::new([0; ENTRIES_PER_TABLE as usize]))
+    }
+
+    /// Drop the frame's content, so it reads as zero again.
+    fn clear(&mut self, pfn: u64) {
+        let (d, f) = Self::split(pfn);
+        if let Some(Some(dir)) = self.dirs.get_mut(d) {
+            dir[f] = None;
+        }
     }
 }
 

@@ -9,7 +9,7 @@ use crate::OsError;
 use dmt_core::regfile::DmtRegisterFile;
 use dmt_mem::buddy::FrameKind;
 use dmt_mem::compact::Migration;
-use dmt_mem::{PageSize, Pfn, PhysAddr, PhysMemory, VirtAddr};
+use dmt_mem::{FastMap, PageSize, Pfn, PhysAddr, PhysMemory, VirtAddr};
 use dmt_pgtable::pte::{Pte, PteFlags};
 use dmt_pgtable::RadixPageTable;
 use std::collections::HashMap;
@@ -52,7 +52,7 @@ pub struct Process {
     dmt_enabled: bool,
     /// Reverse map of data frames -> (page base VA, size) for compaction
     /// fix-ups.
-    reverse: HashMap<u64, (VirtAddr, PageSize)>,
+    reverse: FastMap<u64, (VirtAddr, PageSize)>,
     /// Page faults served (first-touch populations).
     faults: u64,
     /// Gradual TEA migration steps that moved a page (§4.3).
@@ -105,7 +105,7 @@ impl Process {
             teas: TeaManager::new(),
             thp,
             dmt_enabled,
-            reverse: HashMap::new(),
+            reverse: FastMap::default(),
             faults: 0,
             tea_migrations: 0,
             shootdowns: 0,

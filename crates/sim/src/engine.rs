@@ -298,10 +298,11 @@ pub(crate) fn run_block<P: Probe>(
                     // Stale block-probe hint: the entry was evicted
                     // after the hints were taken. The failed lookup_any
                     // just charged the miss exactly as the deferred
-                    // record_miss would have (same clock advances, same
-                    // counter) — start a new run with the charge marked
-                    // taken. No flush intervened since the hint check,
-                    // so this element necessarily *starts* its run.
+                    // record_miss would have (same counters, recency
+                    // order untouched) — start a new run with the
+                    // charge marked taken. No flush intervened since
+                    // the hint check, so this element necessarily
+                    // *starts* its run.
                     pending = Some((i, true));
                     st.pending_regions.insert(region);
                     st.recs.push(Rec::Miss);

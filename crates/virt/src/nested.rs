@@ -28,7 +28,6 @@ use dmt_pgtable::nested::{nested_walk, NestedCaches, NestedWalkOutcome};
 use dmt_pgtable::pte::{Pte, PteFlags};
 use dmt_pgtable::shadow::ShadowPageTable;
 use dmt_pgtable::RadixPageTable;
-use std::collections::HashMap;
 
 /// A three-level (L0/L1/L2) machine.
 #[derive(Debug)]
@@ -39,7 +38,7 @@ pub struct NestedMachine {
     /// the L0 TEA).
     vm1: Vm,
     /// L2 physical frame → L1 physical frame (4 KiB granularity).
-    backing2: HashMap<u64, u64>,
+    backing2: dmt_mem::FastMap<u64, u64>,
     /// L2 physical-frame allocator.
     l2_buddy: dmt_mem::BuddyAllocator,
     l2_frames: u64,
@@ -119,7 +118,7 @@ impl NestedMachine {
         let mut machine = NestedMachine {
             pm,
             vm1,
-            backing2: HashMap::new(),
+            backing2: dmt_mem::FastMap::default(),
             l2_buddy,
             l2_frames,
             l2pt: RadixPageTable::from_root(root_g, 4),

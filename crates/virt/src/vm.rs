@@ -12,10 +12,9 @@
 use crate::VirtError;
 use dmt_core::vtmap::VmaTeaMapping;
 use dmt_mem::buddy::FrameKind;
-use dmt_mem::{MemoryOps, PageSize, Pfn, PhysAddr, PhysMemory, VirtAddr};
+use dmt_mem::{FastMap, MemoryOps, PageSize, Pfn, PhysAddr, PhysMemory, VirtAddr};
 use dmt_pgtable::pte::PteFlags;
 use dmt_pgtable::RadixPageTable;
-use std::collections::HashMap;
 
 /// One guest: its physical-memory backing, host page table, and host TEA.
 #[derive(Debug)]
@@ -25,7 +24,7 @@ pub struct Vm {
     /// The hVMA-to-hTEA mapping covering guest physical memory.
     host_mapping: VmaTeaMapping,
     /// gframe → hframe (4 KiB granularity), for the software view.
-    backing: HashMap<u64, u64>,
+    backing: FastMap<u64, u64>,
     /// Guest-frame allocator (guest physical address space).
     guest_buddy: dmt_mem::BuddyAllocator,
     guest_frames: u64,
@@ -82,7 +81,7 @@ impl Vm {
         Ok(Vm {
             hpt,
             host_mapping,
-            backing: HashMap::new(),
+            backing: FastMap::default(),
             guest_buddy: dmt_mem::BuddyAllocator::new(guest_bytes >> 12),
             guest_frames: guest_bytes >> 12,
             host_page_size,
