@@ -48,7 +48,7 @@ pub use stats::{NodeStats, TenantStats};
 use crate::engine::{run_block, step_access, BLOCK_SIZE};
 use crate::error::SimError;
 use crate::rig::Rig;
-use crate::runner::Runner;
+use crate::runner::{Engine, Runner};
 use dmt_cache::hierarchy::MemoryHierarchy;
 use dmt_cache::pwc::PageWalkCache;
 use dmt_cache::tlb::Tlb;
@@ -214,7 +214,7 @@ fn run_node_probed<P: Probe>(
         // block boundaries as the single-rig engine — bit-identity by
         // construction either way).
         let t = &mut tenants[i];
-        if runner.scalar {
+        if runner.engine == Engine::Scalar {
             for _ in 0..len {
                 let a = t.trace[t.pos];
                 let measured = t.pos >= warmup;

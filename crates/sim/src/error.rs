@@ -55,6 +55,9 @@ pub enum SimError {
     /// Shard workers disagreed on replay-invariant state (allocator
     /// hash) — a broken epoch-barrier or a non-deterministic rig.
     ShardDiverged(String),
+    /// An epoch-barrier replay or sharded sweep was configured with a
+    /// zero epoch length, which cuts no epoch grid.
+    EpochLen,
 }
 
 impl fmt::Display for SimError {
@@ -88,6 +91,7 @@ impl fmt::Display for SimError {
             SimError::ShardDiverged(msg) => {
                 write!(f, "shard replay diverged: {msg}")
             }
+            SimError::EpochLen => write!(f, "epoch length must be positive"),
         }
     }
 }

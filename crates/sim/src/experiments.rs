@@ -1,8 +1,9 @@
 //! One runner per table/figure of the paper's evaluation (§6).
 //!
 //! Each function builds the rigs, drives the engine, applies the §5
-//! performance model, and returns structured rows; `dmt-bench` and the
-//! examples print them via [`crate::report`].
+//! performance model, and returns structured rows; the examples
+//! (`paper_figures` prints all of them) render them via
+//! [`crate::report`].
 
 use crate::engine::RunStats;
 use crate::error::SimError;
@@ -101,17 +102,6 @@ pub struct Measurement {
 /// A function wrapping a boxed rig in another (e.g. the oracle's
 /// `Checked` adapter).
 pub type RigWrapper = fn(Box<dyn Rig>) -> Box<dyn Rig>;
-
-// The process-wide wrapper registry lives with the rest of the ambient
-// configuration in `runner`; re-exported here for source compatibility.
-pub use crate::runner::install_rig_wrapper;
-
-/// Whether `DMT_TELEMETRY=1` opted this process into telemetry capture
-/// (resolved once by [`crate::runner::env_config`], the workspace's one
-/// environment-read site).
-pub fn telemetry_enabled() -> bool {
-    crate::runner::env_config().telemetry
-}
 
 /// Run one (env, design, thp, workload) configuration with the
 /// environment-configured [`Runner`] — the figure runners' shorthand

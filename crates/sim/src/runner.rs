@@ -104,7 +104,7 @@ pub struct Runner {
     pub(crate) telemetry: bool,
     pub(crate) results_dir: PathBuf,
     pub(crate) spill_dir: Option<PathBuf>,
-    pub(crate) scalar: bool,
+    pub(crate) engine: Engine,
     pub(crate) tiered: bool,
     pub(crate) shards: usize,
     pub(crate) epoch_len: usize,
@@ -127,7 +127,7 @@ pub const SPILL_CHUNK_LEN: u64 = 4_096;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Engine {
     /// The scalar reference: one `step_access` per trace element. The
-    /// baseline the bench harness measures the batched path against.
+    /// baseline `perfbench` measures the batched path against.
     Scalar,
     /// The batched fast path: block-probed TLB scan, region-disjoint
     /// miss runs through `Rig::translate_batch`, column-wise
@@ -151,7 +151,7 @@ impl Default for RunnerBuilder {
                 telemetry: false,
                 results_dir: PathBuf::from("results"),
                 spill_dir: None,
-                scalar: false,
+                engine: Engine::Batched,
                 tiered: false,
                 shards: 1,
                 epoch_len: DEFAULT_EPOCH_LEN,
@@ -191,7 +191,7 @@ impl RunnerBuilder {
     /// fast path (the default). Both are bit-identical by contract
     /// (DESIGN.md §13).
     pub fn engine(mut self, engine: Engine) -> Self {
-        self.runner.scalar = engine == Engine::Scalar;
+        self.runner.engine = engine;
         self
     }
 
@@ -217,13 +217,10 @@ impl RunnerBuilder {
 
     /// Epoch length (accesses) of the barrier schedule shards are cut
     /// on. Serial epoch-barrier replay uses the same grid, so results
-    /// do not depend on the shard count — only on this.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
+    /// do not depend on the shard count — only on this. Zero is stored
+    /// as given; the epoch-barrier replays and sharded sweeps reject it
+    /// with [`SimError::EpochLen`].
     pub fn epoch_len(mut self, n: usize) -> Self {
-        assert!(n > 0, "epoch length must be positive");
         self.runner.epoch_len = n;
         self
     }
@@ -251,7 +248,7 @@ impl Runner {
             telemetry: cfg.telemetry,
             results_dir: cfg.results_dir.clone(),
             spill_dir: None,
-            scalar: false,
+            engine: Engine::Batched,
             tiered: false,
             shards: 1,
             epoch_len: DEFAULT_EPOCH_LEN,
@@ -270,17 +267,7 @@ impl Runner {
 
     /// The engine this runner drives.
     pub fn engine(&self) -> Engine {
-        if self.scalar {
-            Engine::Scalar
-        } else {
-            Engine::Batched
-        }
-    }
-
-    /// Whether this runner drives the scalar reference engine instead
-    /// of the batched fast path.
-    pub fn scalar_engine_enabled(&self) -> bool {
-        self.scalar
+        self.engine
     }
 
     /// Whether replays run over tiered DRAM for tier-registered
@@ -368,19 +355,22 @@ impl Runner {
         I::Item: Borrow<Access>,
     {
         let hier = self.hierarchy_for(rig.design());
-        match (self.telemetry, self.scalar) {
-            (true, false) => {
+        match (self.telemetry, self.engine) {
+            (true, Engine::Batched) => {
                 let mut t = Telemetry::with_interval(interval);
                 let stats = run_probed_in(rig, trace, warmup, &mut t, hier);
                 (stats, Some(t))
             }
-            (true, true) => {
+            (true, Engine::Scalar) => {
                 let mut t = Telemetry::with_interval(interval);
                 let stats = run_probed_scalar_in(rig, trace, warmup, &mut t, hier);
                 (stats, Some(t))
             }
-            (false, false) => (run_probed_in(rig, trace, warmup, &mut NoopProbe, hier), None),
-            (false, true) => (
+            (false, Engine::Batched) => (
+                run_probed_in(rig, trace, warmup, &mut NoopProbe, hier),
+                None,
+            ),
+            (false, Engine::Scalar) => (
                 run_probed_scalar_in(rig, trace, warmup, &mut NoopProbe, hier),
                 None,
             ),

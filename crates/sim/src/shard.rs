@@ -37,7 +37,7 @@
 use crate::engine::{ratio, run_block, step_access, BlockState, RunStats, BLOCK_SIZE};
 use crate::error::SimError;
 use crate::rig::{Design, Env, Rig, Setup};
-use crate::runner::Runner;
+use crate::runner::{Engine, Runner};
 use dmt_cache::hierarchy::MemoryHierarchy;
 use dmt_cache::tlb::Tlb;
 use dmt_telemetry::{ComponentCounters, NoopProbe, Probe, Telemetry};
@@ -97,13 +97,13 @@ impl ShardSource<'_> {
 /// count collapse. An empty trace yields one empty shard so the
 /// setup-only counters (exits, faults) are still reported once.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `epoch_len` is zero.
-pub fn plan_shards(n: usize, epoch_len: usize, k: usize) -> Vec<ShardSpec> {
-    assert!(epoch_len > 0, "epoch length must be positive");
+/// [`SimError::EpochLen`] if `epoch_len` is zero.
+pub fn plan_shards(n: usize, epoch_len: usize, k: usize) -> Result<Vec<ShardSpec>, SimError> {
+    check_epoch_len(epoch_len)?;
     if n == 0 {
-        return vec![ShardSpec { start: 0, end: 0 }];
+        return Ok(vec![ShardSpec { start: 0, end: 0 }]);
     }
     let epochs = n.div_ceil(epoch_len);
     let k = k.clamp(1, epochs);
@@ -119,7 +119,7 @@ pub fn plan_shards(n: usize, epoch_len: usize, k: usize) -> Vec<ShardSpec> {
         });
         epoch += take;
     }
-    plan
+    Ok(plan)
 }
 
 /// The merged result of a sharded replay.
@@ -150,10 +150,20 @@ impl ShardedOutcome {
     }
 }
 
-/// Epoch-alignment gate for file-backed sharding: shard boundaries are
-/// epoch multiples and every worker decodes whole chunks, so the epoch
-/// grid must land on the chunk grid.
-fn check_alignment(epoch_len: usize, src: &ShardSource<'_>) -> Result<(), SimError> {
+/// The epoch grid needs a positive epoch length.
+pub(crate) fn check_epoch_len(epoch_len: usize) -> Result<(), SimError> {
+    if epoch_len == 0 {
+        return Err(SimError::EpochLen);
+    }
+    Ok(())
+}
+
+/// Epoch gate for the barrier replays: a positive epoch length and,
+/// for file-backed sharding, an epoch grid that lands on the chunk grid
+/// (shard boundaries are epoch multiples and every worker decodes
+/// whole chunks).
+fn check_epochs(epoch_len: usize, src: &ShardSource<'_>) -> Result<(), SimError> {
+    check_epoch_len(epoch_len)?;
     if let ShardSource::File(f) = src {
         if !(epoch_len as u64).is_multiple_of(f.chunk_len()) {
             return Err(SimError::ShardAlign {
@@ -174,7 +184,7 @@ fn run_epoch<P: Probe>(
     slice: &[Access],
     base: usize,
     warmup: usize,
-    scalar: bool,
+    engine: Engine,
     tlb: &mut Tlb,
     hier: &mut MemoryHierarchy,
     stats: &mut RunStats,
@@ -183,7 +193,7 @@ fn run_epoch<P: Probe>(
     sample_every: u64,
     offset: u64,
 ) {
-    if scalar {
+    if engine == Engine::Scalar {
         for (j, a) in slice.iter().enumerate() {
             let measured = base + j >= warmup;
             step_access(rig, a, measured, tlb, hier, stats, probe);
@@ -241,7 +251,7 @@ fn replay_segment<P: Probe>(
     spec: ShardSpec,
     warmup: usize,
     epoch_len: usize,
-    scalar: bool,
+    engine: Engine,
     stats: &mut RunStats,
     probe: &mut P,
 ) -> Result<(), SimError> {
@@ -269,7 +279,7 @@ fn replay_segment<P: Probe>(
                 &t[e_start..e_end],
                 e_start,
                 warmup,
-                scalar,
+                engine,
                 &mut tlb,
                 &mut hier,
                 stats,
@@ -290,7 +300,7 @@ fn replay_segment<P: Probe>(
                     &scratch[..e_end - e_start],
                     e_start,
                     warmup,
-                    scalar,
+                    engine,
                     &mut tlb,
                     &mut hier,
                     stats,
@@ -373,7 +383,7 @@ fn run_shard(
             spec,
             warmup,
             runner.epoch_len,
-            runner.scalar,
+            runner.engine,
             &mut stats,
             &mut t,
         )?;
@@ -386,7 +396,7 @@ fn run_shard(
             spec,
             warmup,
             runner.epoch_len,
-            runner.scalar,
+            runner.engine,
             &mut stats,
             &mut NoopProbe,
         )?;
@@ -410,6 +420,7 @@ impl Runner {
     ///
     /// # Errors
     ///
+    /// [`SimError::EpochLen`] for a zero epoch length,
     /// [`SimError::ShardAlign`] for a file source whose chunk grid the
     /// epoch length misses; trace decode failures.
     pub fn replay_epochs_serial(
@@ -419,7 +430,7 @@ impl Runner {
         warmup: usize,
         interval: u64,
     ) -> Result<(RunStats, Option<Telemetry>), SimError> {
-        check_alignment(self.epoch_len, &src)?;
+        check_epochs(self.epoch_len, &src)?;
         let spec = ShardSpec {
             start: 0,
             end: src.len(),
@@ -433,7 +444,7 @@ impl Runner {
                 spec,
                 warmup,
                 self.epoch_len,
-                self.scalar,
+                self.engine,
                 &mut stats,
                 &mut t,
             )?;
@@ -446,7 +457,7 @@ impl Runner {
                 spec,
                 warmup,
                 self.epoch_len,
-                self.scalar,
+                self.engine,
                 &mut stats,
                 &mut NoopProbe,
             )?;
@@ -471,8 +482,9 @@ impl Runner {
     ///
     /// # Errors
     ///
-    /// Rig construction failures, [`SimError::ShardAlign`],
-    /// [`SimError::ShardDiverged`], trace decode failures.
+    /// Rig construction failures, [`SimError::EpochLen`],
+    /// [`SimError::ShardAlign`], [`SimError::ShardDiverged`], trace
+    /// decode failures.
     #[allow(clippy::too_many_arguments)]
     pub fn replay_sharded(
         &self,
@@ -484,8 +496,8 @@ impl Runner {
         warmup: usize,
         interval: u64,
     ) -> Result<ShardedOutcome, SimError> {
-        check_alignment(self.epoch_len, &src)?;
-        let plan = plan_shards(src.len(), self.epoch_len, self.shards);
+        check_epochs(self.epoch_len, &src)?;
+        let plan = plan_shards(src.len(), self.epoch_len, self.shards)?;
         let results: Vec<Result<ShardRun, SimError>> = std::thread::scope(|scope| {
             let handles: Vec<_> = plan
                 .iter()
@@ -544,7 +556,7 @@ mod tests {
             (5_000, 256, 16),
             (1, 1, 5),
         ] {
-            let plan = plan_shards(n, epoch, k);
+            let plan = plan_shards(n, epoch, k).unwrap();
             assert!(!plan.is_empty());
             assert!(plan.len() <= k.max(1));
             assert_eq!(plan[0].start, 0);
@@ -561,7 +573,7 @@ mod tests {
 
     #[test]
     fn plan_of_empty_trace_is_one_empty_shard() {
-        let plan = plan_shards(0, 512, 8);
+        let plan = plan_shards(0, 512, 8).unwrap();
         assert_eq!(plan, vec![ShardSpec { start: 0, end: 0 }]);
         assert!(plan[0].is_empty());
     }
@@ -569,7 +581,7 @@ mod tests {
     #[test]
     fn plan_balances_epochs() {
         // 10 epochs over 4 shards: 3,3,2,2.
-        let plan = plan_shards(10_000, 1_000, 4);
+        let plan = plan_shards(10_000, 1_000, 4).unwrap();
         let lens: Vec<usize> = plan.iter().map(|s| s.len()).collect();
         assert_eq!(lens, vec![3_000, 3_000, 2_000, 2_000]);
     }

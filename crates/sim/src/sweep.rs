@@ -347,6 +347,16 @@ impl Runner {
         })
     }
 
+    /// Reject a config, or a sharded runner's epoch grid, before any
+    /// trace is materialized.
+    fn validate_sweep(&self, cfg: &SweepConfig) -> Result<(), SimError> {
+        cfg.validate()?;
+        if self.shards > 1 {
+            crate::shard::check_epoch_len(self.epoch_len)?;
+        }
+        Ok(())
+    }
+
     fn finish_report(
         rows: Vec<SweepRow>,
         threads: usize,
@@ -373,10 +383,11 @@ impl Runner {
     ///
     /// # Errors
     ///
-    /// Config validation failures, then the first job failure (by
-    /// matrix order).
+    /// Config validation failures ([`SimError::EpochLen`] for a
+    /// sharded runner with a zero epoch length), then the first job
+    /// failure (by matrix order).
     pub fn sweep(&self, cfg: &SweepConfig) -> Result<SweepReport, SimError> {
-        cfg.validate()?;
+        self.validate_sweep(cfg)?;
         let jobs = matrix(cfg);
         let threads = if cfg.threads == 0 {
             std::thread::available_parallelism().map_or(1, |n| n.get())
@@ -424,7 +435,7 @@ impl Runner {
     ///
     /// Config validation failures, then the first job failure.
     pub fn sweep_serial(&self, cfg: &SweepConfig) -> Result<SweepReport, SimError> {
-        cfg.validate()?;
+        self.validate_sweep(cfg)?;
         let started = Instant::now();
         let jobs = matrix(cfg);
         let traces = TraceSet::new(

@@ -284,6 +284,43 @@ fn misaligned_file_epochs_are_a_typed_error() {
     assert!(err.to_string().contains("not a multiple"));
 }
 
+#[test]
+fn zero_epoch_length_is_a_typed_error() {
+    use dmt::sim::{SimError, SweepConfig};
+    let cell = gups_cell(2_000, 100);
+    let runner = Runner::builder().epoch_len(0).shards(2).build();
+    let sharded = runner.replay_sharded(
+        Env::Native,
+        Design::Vanilla,
+        false,
+        &cell.setup,
+        ShardSource::Memory(&cell.trace),
+        cell.warmup,
+        0,
+    );
+    let err = sharded.unwrap_err();
+    assert_eq!(err, SimError::EpochLen);
+    assert_eq!(err.to_string(), "epoch length must be positive");
+    let mut rig = runner
+        .build_rig(Env::Native, Design::Vanilla, false, &cell.setup)
+        .unwrap();
+    let serial = runner.replay_epochs_serial(
+        rig.as_mut(),
+        ShardSource::Memory(&cell.trace),
+        cell.warmup,
+        0,
+    );
+    assert_eq!(serial.unwrap_err(), SimError::EpochLen);
+    assert_eq!(
+        runner.sweep_serial(&SweepConfig::test()).unwrap_err(),
+        SimError::EpochLen
+    );
+    assert_eq!(
+        dmt::sim::plan_shards(2_000, 0, 2).unwrap_err(),
+        SimError::EpochLen
+    );
+}
+
 /// The CI `shards` job's payload (run with `--include-ignored`): every
 /// environment × available design × THP mode × K, telemetry on, against
 /// the telemetry serial reference.
