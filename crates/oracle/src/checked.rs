@@ -26,8 +26,9 @@ use crate::divergence::{Divergence, DivergenceKind};
 /// * **Fault agreement** — translating a populated page never faults.
 ///
 /// Violations become [`Divergence`] records: by default the wrapper
-/// panics with the rendered divergence (tests and the `DMT_ORACLE=1`
-/// sweep path); [`Checked::collecting`] accumulates instead, for tests
+/// panics with the rendered divergence (tests and runners built with
+/// `rig_wrapper(dmt_oracle::wrapper())`); [`Checked::collecting`]
+/// accumulates instead, for tests
 /// that assert on the records themselves.
 ///
 /// An optional structural audit (buddy allocator, VMA tree, TEA map)

@@ -22,16 +22,18 @@
 //!
 //! # Opting in
 //!
-//! The oracle is off by default. Tests wrap rigs explicitly; sweeps and
-//! experiment runners opt in for a whole process with `DMT_ORACLE=1`:
+//! The oracle is off by default. Tests wrap rigs explicitly; sweeps,
+//! sharded replays, cloud nodes and experiment runners opt in through
+//! the runner they are given:
 //!
 //! ```no_run
-//! dmt_oracle::install_from_env(); // honors DMT_ORACLE=1
+//! let runner = dmt_sim::Runner::builder()
+//!     .rig_wrapper(dmt_oracle::wrapper())
+//!     .build();
 //! ```
 //!
-//! after which every rig the experiment layer builds is wrapped in a
-//! panicking [`Checked`] — any divergence aborts the run naming the
-//! access.
+//! after which every rig that runner builds is wrapped in a panicking
+//! [`Checked`] — any divergence aborts the run naming the access.
 
 pub mod audit;
 pub mod checked;
@@ -45,31 +47,13 @@ pub use divergence::{Divergence, DivergenceKind};
 
 use dmt_sim::Rig;
 
-/// The wrapper [`install_from_env`] registers: a panicking [`Checked`]
-/// around whatever rig the experiment layer built.
+/// A panicking [`Checked`] around whatever rig the runner built.
 fn checked_boxed(rig: Box<dyn Rig>) -> Box<dyn Rig> {
     Box::new(Checked::new(rig))
 }
 
-/// The oracle as an explicit rig wrapper, for
-/// `Runner::builder().rig_wrapper(dmt_oracle::wrapper())` — the
-/// constructor-input path that needs no process-wide registry and no
-/// environment variable.
+/// The oracle as a rig wrapper, for
+/// `Runner::builder().rig_wrapper(dmt_oracle::wrapper())`.
 pub fn wrapper() -> dmt_sim::experiments::RigWrapper {
     checked_boxed
-}
-
-/// When `DMT_ORACLE=1` is set (per [`dmt_sim::env_config`], the
-/// workspace's single environment-read site), install the oracle as the
-/// process-wide rig wrapper (see [`dmt_sim::install_rig_wrapper`]):
-/// every rig built by the experiment runners and sweeps is then checked
-/// on every translation. Returns `true` if the wrapper was installed by
-/// this call; `false` when the variable is unset/other or a wrapper was
-/// already installed.
-pub fn install_from_env() -> bool {
-    if dmt_sim::env_config().oracle {
-        dmt_sim::install_rig_wrapper(checked_boxed)
-    } else {
-        false
-    }
 }

@@ -2,6 +2,9 @@
 //! clustering bubble threshold, register-selection policy, and eager TEA
 //! allocation (covered in [`crate::overheads::memory_overhead`]).
 
+use crate::error::SimError;
+use crate::rig::{Design, Env, Setup};
+use crate::runner::Runner;
 use dmt_core::regfile::DMT_REGISTER_COUNT;
 use dmt_core::vtmap::VmaTeaMapping;
 use dmt_mem::{PageSize, Pfn, VirtAddr};
@@ -297,69 +300,41 @@ pub struct PwcPoint {
     pub avg_walk_cycles: f64,
 }
 
-/// Sweep the PWC's L2-entry capacity for a GUPS-style native workload.
+/// Sweep the PWC's L2-entry capacity for a GUPS-style native workload:
+/// one vanilla rig, replayed by `runner` once per size with a fresh
+/// page-walk cache of that size swapped in (all accesses measured).
 ///
 /// # Errors
 ///
 /// Propagates setup failures.
-pub fn pwc_sweep(footprint: u64, entries: &[u64], trace_len: usize) -> Result<Vec<PwcPoint>, crate::error::SimError> {
-    use dmt_cache::hierarchy::MemoryHierarchy;
+pub fn pwc_sweep(
+    runner: &Runner,
+    footprint: u64,
+    entries: &[u64],
+    trace_len: usize,
+) -> Result<Vec<PwcPoint>, SimError> {
     use dmt_cache::pwc::{PageWalkCache, PwcConfig};
-    use dmt_cache::tlb::Tlb;
-    use dmt_mem::PhysMemory;
-    use dmt_os::proc::{Process, ThpMode};
-    use dmt_os::vma::VmaKind;
-    use dmt_pgtable::walk::{walk_dimension, WalkDim};
     use dmt_workloads::bench7::Gups;
-    use dmt_workloads::gen::Workload as _;
 
     let w = Gups {
         table_bytes: footprint,
     };
     let trace = w.trace(trace_len, 0x9c5);
-    let pages = crate::rig::touched_pages(&trace);
-    let mut pm = PhysMemory::new_bytes(((pages.len() as u64) << 13) + (512 << 20));
-    let mut p = Process::new_vanilla(&mut pm, ThpMode::Never).map_err(|e| e.to_string())?;
-    for r in w.regions() {
-        p.mmap(&mut pm, r.base, r.len, VmaKind::Heap)
-            .map_err(|e| e.to_string())?;
-    }
-    for &va in &pages {
-        p.populate(&mut pm, va).map_err(|e| e.to_string())?;
-    }
-    let mut out = Vec::new();
-    for &n in entries {
-        let mut tlb = Tlb::default();
-        let mut hier = MemoryHierarchy::default();
-        let mut pwc = PageWalkCache::new(PwcConfig {
-            l4_entries: 2,
-            l3_entries: 4,
-            l2_entries: n,
-            latency: 1,
-        });
-        let (mut walks, mut cycles) = (0u64, 0u64);
-        for a in &trace {
-            if tlb.lookup_any(a.va).is_none() {
-                let o = walk_dimension(
-                    p.page_table(),
-                    &mut pm,
-                    a.va,
-                    WalkDim::Native,
-                    &mut hier,
-                    Some(&mut pwc),
-                )
-                .map_err(|e| e.to_string())?;
-                tlb.fill(a.va, o.size);
-                walks += 1;
-                cycles += o.cycles;
-            }
-            let pa = p.page_table().translate(&pm, a.va).expect("populated").0;
-            hier.access(pa.raw());
-        }
-        out.push(PwcPoint {
-            l2_entries: n,
-            avg_walk_cycles: cycles as f64 / walks.max(1) as f64,
-        });
-    }
-    Ok(out)
+    let setup = Setup::of_workload(&w, &trace);
+    let mut rig = runner.build_rig(Env::Native, Design::Vanilla, false, &setup)?;
+    entries
+        .iter()
+        .map(|&n| {
+            let mut pwc = PageWalkCache::new(PwcConfig {
+                l2_entries: n,
+                ..PwcConfig::default()
+            });
+            rig.swap_pwc(&mut pwc);
+            let (stats, _) = runner.replay(rig.as_mut(), &trace, 0);
+            Ok(PwcPoint {
+                l2_entries: n,
+                avg_walk_cycles: stats.avg_walk_latency(),
+            })
+        })
+        .collect()
 }

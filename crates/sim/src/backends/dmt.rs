@@ -47,20 +47,7 @@ fn build_native(
     _m: &mut NativeMachine,
     _setup: &Setup,
 ) -> Result<NativeBackend, SimError> {
-    Ok(NativeBackend::Dmt(NativeDmt::new(true)))
-}
-
-/// The DESIGN.md §11 worked example: a DMT variant whose fallback walks
-/// bypass the PWC, isolating how much of DMT's win survives without
-/// walk-cache assistance on the uncovered tail. Plugged in through
-/// [`NativeRig::with_translator`](crate::native_rig::NativeRig::with_translator)
-/// instead of a registry row, since it is an ablation of [`Design::Dmt`]
-/// rather than a new design.
-pub fn build_native_no_fallback_pwc(
-    _m: &mut NativeMachine,
-    _setup: &Setup,
-) -> Result<Box<dyn NativeTranslator>, SimError> {
-    Ok(Box::new(NativeDmt::new(false)))
+    Ok(NativeBackend::Dmt(NativeDmt::default()))
 }
 
 fn build_virt(
@@ -84,26 +71,15 @@ fn coverage(fetch_hits: u64, fallbacks: u64) -> f64 {
 }
 
 /// Register-file fetch with hardware-walk fallback.
+#[derive(Default)]
 pub struct NativeDmt {
     fetch_hits: u64,
     fallbacks: u64,
-    /// Whether fallback walks get the PWC (false only in the
-    /// no-fallback-PWC ablation).
-    fallback_pwc: bool,
     /// Reusable per-run scratch for the batched path's resolve phase.
     resolved: Vec<fetcher::Resolve>,
 }
 
 impl NativeDmt {
-    pub(crate) fn new(fallback_pwc: bool) -> Self {
-        NativeDmt {
-            fetch_hits: 0,
-            fallbacks: 0,
-            fallback_pwc,
-            resolved: Vec::new(),
-        }
-    }
-
     /// The fallback radix walk, shared by the scalar and batched paths.
     fn fallback_walk(
         &mut self,
@@ -112,13 +88,15 @@ impl NativeDmt {
         hier: &mut MemoryHierarchy,
     ) -> Translation {
         self.fallbacks += 1;
-        let pwc = if self.fallback_pwc {
-            Some(&mut m.pwc)
-        } else {
-            None
-        };
-        let out = walk_dimension(m.proc_.page_table(), &mut m.pm, va, WalkDim::Native, hier, pwc)
-            .expect("populated");
+        let out = walk_dimension(
+            m.proc_.page_table(),
+            &mut m.pm,
+            va,
+            WalkDim::Native,
+            hier,
+            Some(&mut m.pwc),
+        )
+        .expect("populated");
         Translation {
             pa: out.pa,
             size: out.size,

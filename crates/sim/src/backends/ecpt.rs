@@ -12,8 +12,9 @@ use crate::rig::{Design, Setup, Translation};
 use dmt_baselines::ecpt::{Ecpt, NestedEcpt};
 use dmt_cache::hierarchy::MemoryHierarchy;
 use dmt_mem::buddy::FrameKind;
-use dmt_mem::{PageSize, Pfn, VirtAddr};
+use dmt_mem::{MemError, PageSize, Pfn, VirtAddr};
 use dmt_virt::machine::{GuestTeaMode, VirtMachine};
+use dmt_virt::vm::GuestView;
 
 pub(crate) const REGISTRATION: Registration = Registration {
     design: Design::Ecpt,
@@ -81,10 +82,11 @@ fn build_ecpts(
     let guest_pages = mappings.len() as u64;
     let mut bump = arena.0;
     let mut take = move |frames: u64| {
-        let p = bump;
+        if bump + frames > arena.0 + arena_frames {
+            return Err(MemError::NoContiguousRun { frames });
+        }
         bump += frames;
-        assert!(bump <= arena.0 + arena_frames, "ECPT arena exhausted");
-        dmt_mem::Result::Ok(Pfn(p))
+        Ok(Pfn(bump - frames))
     };
     // Size per page size: all mappings are one size per mode.
     let n2m = mappings
@@ -101,8 +103,15 @@ fn build_ecpts(
             (n2m * 3).max(8),
         )
         .map_err(SimError::setup)?;
+        // The initial tables must fit the boot-time arena. An elastic
+        // resize that no longer fits there (each one leaks the old ways
+        // into the arena) takes a fresh contiguous run at run time, the
+        // way a guest kernel would: free guest memory, else hot-added
+        // host frames.
+        let mut grow =
+            |v: &mut GuestView<'_>, f| take(f).or_else(|_| v.alloc_contig(f, FrameKind::PageTable));
         for (va, gpa, size) in &mappings {
-            g.map_in(&mut view, &mut |_v, f| take(f), *va, *gpa, *size)
+            g.map_in(&mut view, &mut grow, *va, *gpa, *size)
                 .map_err(SimError::setup)?;
         }
         g
@@ -176,5 +185,35 @@ impl VirtTranslator for VirtEcpt {
     fn flush_caches(&mut self) {
         self.necpt.guest.flush_walk_cache();
         self.necpt.host.flush_walk_cache();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::experiments::{scaled_benchmark, Scale};
+    use crate::virt_rig::VirtRig;
+
+    #[test]
+    fn xsbench_guest_table_outgrows_its_arena_and_still_builds() {
+        // XSBench's 4 KiB guest table resizes past the boot-time arena;
+        // the overflow comes from `GuestView::alloc_contig`.
+        let scale = Scale::test();
+        let w = scaled_benchmark(5, scale, false).expect("XSBench");
+        let trace = w.trace(scale.total(), 0xD317 ^ Design::Ecpt as u64);
+        let setup = Setup::of_workload(w.as_ref(), &trace);
+        if let Err(e) = VirtRig::with_setup(Design::Ecpt, false, &setup) {
+            panic!("virt-ECPT XSBench: {e}");
+        }
+    }
+
+    #[test]
+    fn an_arena_too_small_for_the_table_is_a_typed_error() {
+        let (mut m, setup) = super::super::populated_virt_machine();
+        let base =
+            m.vm.alloc_guest_contig(&mut m.pm, 1, FrameKind::PageTable)
+                .unwrap();
+        let err = build_ecpts(&mut m, &setup.pages, base, 1).err();
+        assert!(matches!(err, Some(SimError::Setup(_))), "{err:?}");
     }
 }

@@ -13,7 +13,7 @@ use crate::rig::{Design, Setup, Translation};
 use dmt_baselines::fpt::{nested_translate as fpt_nested, FlatPageTable};
 use dmt_cache::hierarchy::MemoryHierarchy;
 use dmt_mem::buddy::FrameKind;
-use dmt_mem::{Pfn, VirtAddr};
+use dmt_mem::{MemError, Pfn, VirtAddr};
 use dmt_virt::machine::{GuestTeaMode, VirtMachine};
 
 pub(crate) const REGISTRATION: Registration = Registration {
@@ -73,10 +73,11 @@ fn build_fpts(
     let mappings = collect_guest_mappings(m, pages)?;
     let mut bump = arena.0;
     let mut take = move |frames: u64| {
-        let p = bump;
+        if bump + frames > arena.0 + arena_frames {
+            return Err(MemError::NoContiguousRun { frames });
+        }
         bump += frames;
-        assert!(bump <= arena.0 + arena_frames, "FPT arena exhausted");
-        dmt_mem::Result::Ok(Pfn(p))
+        Ok(Pfn(bump - frames))
     };
     let gfpt = {
         let mut view = m.vm.guest_view(&mut m.pm);
@@ -158,5 +159,20 @@ impl VirtTranslator for VirtFpt {
     fn flush_caches(&mut self) {
         self.gfpt.flush_upper_cache();
         self.hfpt.flush_upper_cache();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_arena_too_small_for_the_table_is_a_typed_error() {
+        let (mut m, setup) = super::super::populated_virt_machine();
+        let base =
+            m.vm.alloc_guest_contig(&mut m.pm, 1, FrameKind::PageTable)
+                .unwrap();
+        let err = build_fpts(&mut m, &setup.pages, base, 1).err();
+        assert!(matches!(err, Some(SimError::Setup(_))), "{err:?}");
     }
 }

@@ -44,7 +44,7 @@ fn build_native(
     _m: &mut NativeMachine,
     _setup: &Setup,
 ) -> Result<NativeBackend, SimError> {
-    Ok(NativeBackend::PvDmt(super::dmt::NativeDmt::new(true)))
+    Ok(NativeBackend::PvDmt(super::dmt::NativeDmt::default()))
 }
 
 fn build_virt(

@@ -29,8 +29,9 @@
 //!   an IPI on all *other* tenants and is counted
 //!   ([`NodeStats::cross_tenant_shootdowns`]).
 //!
-//! The per-access pipeline is [`crate::engine::step_access`] — the
-//! same code the single-rig engine runs — so a one-tenant node is
+//! Each scheduler quantum is one [`crate::engine::run_span`] call — the
+//! same span runner the single-rig engine uses, over the runner's
+//! hierarchy ([`Runner::hierarchy_for`]) — so a one-tenant node is
 //! bit-identical to [`Runner::run_one`] by construction.
 //!
 //! [`Rig::swap_phys`]: crate::rig::Rig::swap_phys
@@ -45,13 +46,11 @@ mod tenant;
 pub use config::{ChurnConfig, NodeConfig, Tagging, TenantSpec};
 pub use stats::{NodeStats, TenantStats};
 
-use crate::engine::{run_block, step_access, BLOCK_SIZE};
+use crate::engine::{run_span, sampler, Hw, OnMeasured};
 use crate::error::SimError;
 use crate::rig::Rig;
-use crate::runner::{Engine, Runner};
-use dmt_cache::hierarchy::MemoryHierarchy;
+use crate::runner::Runner;
 use dmt_cache::pwc::PageWalkCache;
-use dmt_cache::tlb::Tlb;
 use dmt_mem::PhysMemory;
 use dmt_telemetry::{ComponentCounters, NodeEvent, NoopProbe, Probe, Telemetry};
 use sched::{Scheduler, VictimPicker};
@@ -140,21 +139,23 @@ fn run_node_probed<P: Probe>(
     let mut next_asid = tenants.len() as u16;
 
     // The node's shared translation hardware.
-    let mut tlb = Tlb::default();
+    let mut hw = Hw::new(runner.hierarchy_for(cfg.design));
     let mut pwc = PageWalkCache::default();
-    let mut hier = MemoryHierarchy::default();
 
     let mut sched = Scheduler::new(cfg.quantum, cfg.tenants.iter().map(|t| t.weight).collect());
     let mut picker = VictimPicker::new(cfg.seed);
     let mut remaining: Vec<usize> = tenants.iter().map(|t| t.trace.len()).collect();
 
-    let sample_every = if P::ACTIVE {
-        probe.sample_interval().unwrap_or(0)
-    } else {
-        0
-    };
-    let warmup = cfg.scale.warmup;
+    // The node's series is stamped at a node-wide measured count, so
+    // the sampler sees that count rather than the tenant's own.
     let mut node_accesses: u64 = 0;
+    let mut sample = sampler(probe, 0).map(|mut f| {
+        move |p: &mut P, r: &dyn Rig, _tenant_accesses: u64| {
+            node_accesses += 1;
+            f(p, r, node_accesses)
+        }
+    });
+    let warmup = cfg.scale.warmup;
     let mut context_switches: u64 = 0;
     let mut tagged_flushes: u64 = 0;
     let mut cross_tenant_shootdowns: u64 = 0;
@@ -188,7 +189,7 @@ fn run_node_probed<P: Probe>(
                     // the incoming tenant's private walk caches (its
                     // vCPU last ran someone else's translations) are
                     // flushed outright.
-                    tlb.flush();
+                    hw.tlb.flush();
                     pwc.flush();
                     tenants[i].rig.flush_translation_caches();
                 }
@@ -196,7 +197,7 @@ fn run_node_probed<P: Probe>(
             last_run = Some(i);
         }
         if tagged {
-            tlb.set_asid(tenants[i].asid);
+            hw.tlb.set_asid(tenants[i].asid);
             pwc.set_asid(tenants[i].asid);
         }
 
@@ -208,65 +209,24 @@ fn run_node_probed<P: Probe>(
             active = Some(i);
         }
 
-        // Run the quantum through the shared engine: the scalar step or
-        // the batched block path (chunks aligned to absolute trace
-        // position, so a one-tenant node cuts its quanta at the same
-        // block boundaries as the single-rig engine — bit-identity by
-        // construction either way).
+        // Run the quantum through the shared span runner. Block cuts
+        // follow absolute trace position, so a one-tenant node replays
+        // exactly the blocks the single-rig engine does.
         let t = &mut tenants[i];
-        if runner.engine == Engine::Scalar {
-            for _ in 0..len {
-                let a = t.trace[t.pos];
-                let measured = t.pos >= warmup;
-                t.pos += 1;
-                step_access(t.rig.as_mut(), &a, measured, &mut tlb, &mut hier, &mut t.stats, probe);
-                if measured {
-                    node_accesses += 1;
-                    if P::ACTIVE && sample_every > 0 && node_accesses.is_multiple_of(sample_every) {
-                        if let Some((frag, rss)) = t.rig.frag_sample() {
-                            probe.sample(node_accesses, frag, rss);
-                        }
-                    }
-                }
-            }
-        } else {
-            // The node-wide access counter only feeds the sampling hook,
-            // so the hook (and the counter) is skipped entirely when
-            // nothing samples — run_block's column-wise reconcile fast
-            // path then engages.
-            let sampling = P::ACTIVE && sample_every > 0;
-            let mut on_measured = |p: &mut P, r: &dyn Rig, _accesses: u64| {
-                node_accesses += 1;
-                if node_accesses.is_multiple_of(sample_every) {
-                    if let Some((frag, rss)) = r.frag_sample() {
-                        p.sample(node_accesses, frag, rss);
-                    }
-                }
-            };
-            let mut done = 0;
-            while done < len {
-                let chunk = (len - done).min(BLOCK_SIZE - (t.pos % BLOCK_SIZE));
-                let start = t.pos;
-                t.pos += chunk;
-                let cb: Option<crate::engine::OnMeasured<'_, P>> = if sampling {
-                    Some(&mut on_measured)
-                } else {
-                    None
-                };
-                run_block(
-                    t.rig.as_mut(),
-                    &t.trace[start..start + chunk],
-                    warmup.saturating_sub(start),
-                    &mut tlb,
-                    &mut hier,
-                    &mut t.stats,
-                    probe,
-                    &mut t.block,
-                    cb,
-                );
-                done += chunk;
-            }
-        }
+        let hook = sample.as_mut().map(|f| f as OnMeasured<'_, P>);
+        let span = &t.trace[t.pos..t.pos + len];
+        run_span(
+            runner.engine,
+            t.rig.as_mut(),
+            span,
+            t.pos,
+            warmup,
+            &mut hw,
+            &mut t.stats,
+            probe,
+            hook,
+        );
+        t.pos += len;
         remaining[i] = t.trace.len() - t.pos;
         turns += 1;
 
@@ -306,14 +266,14 @@ fn run_node_probed<P: Probe>(
                 }
                 // Reclaim the dead incarnation's translations.
                 if tagged {
-                    tlb.flush_asid(t.asid);
+                    hw.tlb.flush_asid(t.asid);
                     pwc.flush_asid(t.asid);
                     tagged_flushes += 2;
                     if P::ACTIVE {
                         probe.node_event(NodeEvent::TaggedFlush, 2);
                     }
                 } else {
-                    tlb.flush();
+                    hw.tlb.flush();
                     pwc.flush();
                 }
                 // Rebuild from the aged buddy under a fresh tag.

@@ -3,7 +3,7 @@
 //! thread the node's shared physical memory through construction.
 
 use crate::cloudnode::config::TenantSpec;
-use crate::engine::{BlockState, RunStats};
+use crate::engine::RunStats;
 use crate::error::SimError;
 use crate::experiments::{scaled_benchmark, RigWrapper, Scale};
 use crate::native_rig::NativeRig;
@@ -105,8 +105,6 @@ pub(crate) struct Tenant {
     pub coverage: f64,
     /// Whether the node's shared PWC is currently swapped into the rig.
     pub pwc_lent: bool,
-    /// Per-tenant scratch for the batched engine path.
-    pub block: BlockState,
 }
 
 impl Tenant {
@@ -133,7 +131,6 @@ impl Tenant {
             incarnations: 1,
             coverage: 1.0,
             pwc_lent: false,
-            block: BlockState::default(),
         })
     }
 

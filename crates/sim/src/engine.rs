@@ -16,10 +16,14 @@
 //! are identical either way, which `tests/determinism.rs` pins by
 //! comparing `RunStats` bit-for-bit.
 //!
-//! Both engines are driven through [`crate::runner::Runner`]; the
-//! entry points here are crate-internal.
+//! Every replay in the crate — [`crate::runner::Runner::replay`], the
+//! sharded epoch barrier and the cloud node's scheduler quanta — goes
+//! through [`run_span`], the one place that picks between the scalar
+//! reference and the batched fast path. The entry points here are
+//! crate-internal.
 
 use crate::rig::{OutcomeBlock, Rig};
+use crate::runner::Engine;
 use dmt_cache::hierarchy::{HitLevel, MemoryHierarchy};
 use dmt_cache::tlb::{Tlb, TlbHit};
 use dmt_mem::{FastSet, TransUnit, VirtAddr};
@@ -113,11 +117,11 @@ enum Rec {
     Miss,
 }
 
-/// Reusable per-block scratch for [`run_block`], held by the caller
-/// (engine loop or a cloud-node tenant) so the allocations amortize
-/// across blocks. Holds no cross-block simulation state.
+/// Reusable per-block scratch for [`run_block`], held in [`Hw`] so the
+/// allocations amortize across blocks. Holds no cross-block simulation
+/// state.
 #[derive(Default)]
-pub(crate) struct BlockState {
+struct BlockState {
     outcomes: OutcomeBlock,
     recs: Vec<Rec>,
     pending_regions: FastSet<u64>,
@@ -135,8 +139,8 @@ pub(crate) struct BlockState {
     miss_idx: Vec<u32>,
 }
 
-/// The sampling callback [`run_block`] fires after a block's measured
-/// accesses are reconciled — the shard/cloudnode periodic-series hook.
+/// The sampling callback [`run_span`] fires after each measured access
+/// with the running access count — the periodic-series hook.
 pub(crate) type OnMeasured<'a, P> = &'a mut dyn FnMut(&mut P, &dyn Rig, u64);
 
 /// Flush a pending miss run: one `translate_batch` over the run's row
@@ -229,7 +233,7 @@ fn flush_run(
 /// `measured_from` is the block-local index of the first measured
 /// element (`warmup - block_base`, saturating).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_block<P: Probe>(
+fn run_block<P: Probe>(
     rig: &mut dyn Rig,
     block: &[Access],
     measured_from: usize,
@@ -414,141 +418,148 @@ pub(crate) fn run_block<P: Probe>(
     }
 }
 
-/// The batched engine with an observation probe threaded through the
-/// loop (driven via [`crate::runner::Runner::replay`] /
-/// [`replay_sampled`](crate::runner::Runner::replay_sampled)).
-///
-/// Every probe call site is gated on `P::ACTIVE`, a const the compiler
-/// folds, so `run_probed::<_, NoopProbe>` monomorphizes to exactly the
-/// uninstrumented loop. With a live probe, per-walk latency/refs and
-/// per-access data latency feed histograms, PTE fetches are attributed
-/// to cache levels by the backend's per-element charge columns, and
-/// every `sample_interval` measured accesses the rig's
-/// fragmentation/RSS snapshot is appended to a time-series.
-///
-/// Accesses are fed to [`run_block`] in [`BLOCK_SIZE`] chunks, which
-/// hands miss runs to [`Rig::translate_batch`] and defers accounting to
-/// one reconciliation pass per block. It is bit-identical to
-/// [`run_probed_scalar_in`] — the contract `tests/batch_equivalence.rs`
-/// and the backend goldens pin.
-///
-/// The caller builds the hierarchy — how the runner's tiered-DRAM mode
-/// injects a fast/slow split without disturbing the default (flat,
-/// bit-identical) path.
-pub(crate) fn run_probed_in<I, P>(
-    rig: &mut dyn Rig,
-    trace: I,
-    warmup: usize,
-    probe: &mut P,
-    mut hier: MemoryHierarchy,
-) -> RunStats
-where
-    I: IntoIterator,
-    I::Item: Borrow<Access>,
-    P: Probe,
-{
-    let mut tlb = Tlb::default();
-    let mut stats = RunStats::default();
-    let sample_every = if P::ACTIVE {
-        probe.sample_interval().unwrap_or(0)
-    } else {
-        0
-    };
-    let mut on_measured = |p: &mut P, r: &dyn Rig, accesses: u64| {
-        if sample_every > 0 && accesses.is_multiple_of(sample_every) {
-            if let Some((frag, rss)) = r.frag_sample() {
-                p.sample(accesses, frag, rss);
-            }
-        }
-    };
-    let mut st = BlockState::default();
-    let mut buf: Vec<Access> = Vec::with_capacity(BLOCK_SIZE);
-    let mut base = 0usize;
-    for a in trace.into_iter() {
-        buf.push(*a.borrow());
-        if buf.len() == BLOCK_SIZE {
-            let cb: Option<OnMeasured<'_, P>> = if sample_every > 0 {
-                Some(&mut on_measured)
-            } else {
-                None
-            };
-            run_block(
-                rig,
-                &buf,
-                warmup.saturating_sub(base),
-                &mut tlb,
-                &mut hier,
-                &mut stats,
-                probe,
-                &mut st,
-                cb,
-            );
-            base += BLOCK_SIZE;
-            buf.clear();
-        }
-    }
-    if !buf.is_empty() {
-        let cb: Option<OnMeasured<'_, P>> = if sample_every > 0 {
-            Some(&mut on_measured)
-        } else {
-            None
-        };
-        run_block(
-            rig,
-            &buf,
-            warmup.saturating_sub(base),
-            &mut tlb,
-            &mut hier,
-            &mut stats,
-            probe,
-            &mut st,
-            cb,
-        );
-    }
-    stats.exits = rig.exits();
-    stats.faults = rig.faults();
-    if P::ACTIVE {
-        probe.absorb_components(rig.component_counters());
-    }
-    stats
+/// What a replay carries from one span to the next: the TLB, the cache
+/// hierarchy, and the batched engine's block scratch. The caller owns
+/// its lifetime — the runner keeps one per replay, the shard barrier
+/// starts a fresh one per epoch, and a cloud node shares one across all
+/// its tenants.
+pub(crate) struct Hw {
+    pub(crate) tlb: Tlb,
+    pub(crate) hier: MemoryHierarchy,
+    block: BlockState,
 }
 
-/// The pre-batching engine: one [`step_access`] per trace element, over
-/// a caller-built hierarchy (the tiered-DRAM injection point, mirroring
-/// [`run_probed_in`]).
+impl Hw {
+    /// Power-on state over `hier` (flat or tiered, per
+    /// [`Runner::hierarchy_for`](crate::runner::Runner)).
+    pub(crate) fn new(hier: MemoryHierarchy) -> Hw {
+        Hw {
+            tlb: Tlb::default(),
+            hier,
+            block: BlockState::default(),
+        }
+    }
+}
+
+/// Replay `span` — the accesses at absolute trace positions
+/// `base..base + span.len()` — under `engine`. The only place in the
+/// crate that chooses between the two engines:
 ///
-/// Kept as the reference implementation the batched path is measured
-/// and equivalence-tested against; select it with
-/// [`RunnerBuilder::engine`](crate::runner::RunnerBuilder::engine)
-/// (`Engine::Scalar`).
-pub(crate) fn run_probed_scalar_in<I, P>(
+/// - [`Engine::Scalar`] runs [`step_access`] per element;
+/// - [`Engine::Batched`] runs [`run_block`] per [`BLOCK_SIZE`] chunk,
+///   cut at multiples of `BLOCK_SIZE` in *absolute* position, so a
+///   trace replayed in one span, in epochs, or in scheduler quanta sees
+///   the same block boundaries.
+///
+/// Positions below `warmup` are replayed but not measured. The
+/// optional `on_measured` hook fires after every measured element with
+/// the running `stats.accesses`, in both engines; passing `None` when
+/// nothing samples keeps the batched engine on its column-wise
+/// reconcile. The two engines are bit-identical by contract
+/// (DESIGN.md §13).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_span<P: Probe>(
+    engine: Engine,
+    rig: &mut dyn Rig,
+    span: &[Access],
+    base: usize,
+    warmup: usize,
+    hw: &mut Hw,
+    stats: &mut RunStats,
+    probe: &mut P,
+    mut on_measured: Option<OnMeasured<'_, P>>,
+) {
+    match engine {
+        Engine::Scalar => {
+            for (j, a) in span.iter().enumerate() {
+                let measured = base + j >= warmup;
+                step_access(rig, a, measured, &mut hw.tlb, &mut hw.hier, stats, probe);
+                if let (true, Some(cb)) = (measured, on_measured.as_mut()) {
+                    cb(probe, rig, stats.accesses);
+                }
+            }
+        }
+        Engine::Batched => {
+            let mut done = 0;
+            while done < span.len() {
+                let pos = base + done;
+                let len = (span.len() - done).min(BLOCK_SIZE - pos % BLOCK_SIZE);
+                run_block(
+                    rig,
+                    &span[done..done + len],
+                    warmup.saturating_sub(pos),
+                    &mut hw.tlb,
+                    &mut hw.hier,
+                    stats,
+                    probe,
+                    &mut hw.block,
+                    on_measured.as_mut().map(|f| &mut **f as OnMeasured<'_, P>),
+                );
+                done += len;
+            }
+        }
+    }
+}
+
+/// The periodic fragmentation/RSS sampler for a probe: after every
+/// measured access whose count (shifted by `offset`, the global
+/// ordinal of the caller's first measured access) is a multiple of the
+/// probe's interval, record the rig's snapshot. `None` when the probe
+/// does not sample.
+pub(crate) fn sampler<P: Probe>(
+    probe: &P,
+    offset: u64,
+) -> Option<impl FnMut(&mut P, &dyn Rig, u64)> {
+    let every = if P::ACTIVE {
+        probe.sample_interval().unwrap_or(0)
+    } else {
+        0
+    };
+    (every > 0).then_some(move |p: &mut P, r: &dyn Rig, accesses: u64| {
+        let at = accesses + offset;
+        if at.is_multiple_of(every) {
+            if let Some((frag, rss)) = r.frag_sample() {
+                p.sample(at, frag, rss);
+            }
+        }
+    })
+}
+
+/// Replay a whole trace through one rig over `hier`: the trace is
+/// buffered into [`BLOCK_SIZE`] spans for [`run_span`], sampled every
+/// `probe.sample_interval()` measured accesses, and the rig's
+/// setup-accumulated counters (exits, faults, component counters) are
+/// read once at the end.
+pub(crate) fn replay<I, P>(
+    engine: Engine,
     rig: &mut dyn Rig,
     trace: I,
     warmup: usize,
     probe: &mut P,
-    mut hier: MemoryHierarchy,
+    hier: MemoryHierarchy,
 ) -> RunStats
 where
     I: IntoIterator,
     I::Item: Borrow<Access>,
     P: Probe,
 {
-    let mut tlb = Tlb::default();
+    let mut hw = Hw::new(hier);
     let mut stats = RunStats::default();
-    let sample_every = if P::ACTIVE {
-        probe.sample_interval().unwrap_or(0)
-    } else {
-        0
-    };
-    for (i, a) in trace.into_iter().enumerate() {
-        let a = a.borrow();
-        let measured = i >= warmup;
-        step_access(rig, a, measured, &mut tlb, &mut hier, &mut stats, probe);
-        if P::ACTIVE && measured && sample_every > 0 && stats.accesses % sample_every == 0 {
-            if let Some((frag, rss)) = rig.frag_sample() {
-                probe.sample(stats.accesses, frag, rss);
-            }
+    let mut sample = sampler(probe, 0);
+    let mut buf: Vec<Access> = Vec::with_capacity(BLOCK_SIZE);
+    let mut base = 0usize;
+    let mut trace = trace.into_iter();
+    loop {
+        buf.clear();
+        buf.extend(trace.by_ref().take(BLOCK_SIZE).map(|a| *a.borrow()));
+        if buf.is_empty() {
+            break;
         }
+        let hook = sample.as_mut().map(|f| f as OnMeasured<'_, P>);
+        run_span(
+            engine, rig, &buf, base, warmup, &mut hw, &mut stats, probe, hook,
+        );
+        base += buf.len();
     }
     stats.exits = rig.exits();
     stats.faults = rig.faults();
@@ -559,14 +570,9 @@ where
 }
 
 /// One access through the TLB → translate → data-access pipeline: the
-/// loop body both [`run_probed_in`] and the cloud-node scheduler
-/// ([`crate::cloudnode`]) execute, factored out so a one-tenant node is
-/// bit-identical to the single-rig engine *by construction*.
-///
-/// Periodic fragmentation sampling stays with the caller: the single-rig
-/// loop samples on `stats.accesses`, the node on its node-wide access
-/// count, and sampling only reads rig state either way.
-pub(crate) fn step_access<P: Probe>(
+/// scalar engine's loop body, and the pinned semantics the batched
+/// [`run_block`] reproduces.
+fn step_access<P: Probe>(
     rig: &mut dyn Rig,
     a: &Access,
     measured: bool,
@@ -674,7 +680,9 @@ mod tests {
 
     #[test]
     fn engine_counts_are_consistent() {
-        let w = Gups { table_bytes: 32 << 20 };
+        let w = Gups {
+            table_bytes: 32 << 20,
+        };
         let trace = w.trace(3_000, 5);
         let mut rig = NativeRig::new(Design::Vanilla, false, &w, &trace).unwrap();
         let s = run(&mut rig, &trace, 500);
@@ -686,7 +694,9 @@ mod tests {
 
     #[test]
     fn thp_cuts_tlb_misses() {
-        let w = Gups { table_bytes: 32 << 20 };
+        let w = Gups {
+            table_bytes: 32 << 20,
+        };
         let trace = w.trace(6_000, 7);
         let mut small = NativeRig::new(Design::Vanilla, false, &w, &trace).unwrap();
         let s4 = run(&mut small, &trace, 1_000);
@@ -716,11 +726,14 @@ mod tests {
 
     #[test]
     fn probe_counts_reconcile_with_runstats() {
-        let w = Gups { table_bytes: 32 << 20 };
+        let w = Gups {
+            table_bytes: 32 << 20,
+        };
         let trace = w.trace(3_000, 5);
         let mut rig = NativeRig::new(Design::Vanilla, false, &w, &trace).unwrap();
         let mut t = Telemetry::with_interval(500);
-        let s = super::run_probed_in(
+        let s = super::replay(
+            crate::runner::Engine::Batched,
             &mut rig,
             &trace,
             500,

@@ -7,8 +7,9 @@
 
 use crate::engine::RunStats;
 use crate::error::SimError;
+use crate::native_rig::NativeRig;
 use crate::perfmodel::{app_speedup, calib_for, exit_ratio, geomean};
-use crate::rig::{Design, Env, Rig};
+use crate::rig::{Design, Env, Rig, Setup};
 use crate::runner::Runner;
 use crate::virt_rig::VirtRig;
 use dmt_workloads::bench7::Redis;
@@ -630,21 +631,15 @@ pub fn table7_with(runner: &Runner, scale: Scale, n: usize) -> Result<Vec<Table7
 /// §2.1.1 extension: five-level page tables. Returns
 /// `(vanilla_4lvl, vanilla_5lvl, dmt_5lvl)` average walk latencies for a
 /// GUPS-style uniform workload — the radix baseline gets *slower* with
-/// the fifth level while DMT's single fetch is depth-independent.
+/// the fifth level while DMT's single fetch is depth-independent. Each
+/// cell is a registry rig built at the given radix depth and replayed
+/// by `runner` (its wrapper, telemetry and engine apply).
 ///
 /// # Errors
 ///
 /// Propagates setup failures.
-pub fn ext_5level(scale: Scale) -> Result<(f64, f64, f64), SimError> {
-    use dmt_cache::hierarchy::MemoryHierarchy;
-    use dmt_cache::pwc::PageWalkCache;
-    use dmt_cache::tlb::Tlb;
-    use dmt_core::regfile::DmtRegisterFile;
-    use dmt_mem::{PhysMemory, VirtAddr};
-    use dmt_os::mapping::MappingPolicy;
-    use dmt_os::proc::{Process, ThpMode};
-    use dmt_os::vma::VmaKind;
-    use dmt_pgtable::walk::{walk_dimension, WalkDim};
+pub fn ext_5level(runner: &Runner, scale: Scale) -> Result<(f64, f64, f64), SimError> {
+    use dmt_mem::VirtAddr;
     use dmt_workloads::gen::{Access, Region};
 
     /// GUPS spread over eight 512 GiB-apart regions — the terabyte-scale
@@ -682,76 +677,24 @@ pub fn ext_5level(scale: Scale) -> Result<(f64, f64, f64), SimError> {
         bytes_per_region: (32 << 20) * scale.mult4k,
     };
     let trace = w.trace(scale.total(), 0x5135);
-    let pages = crate::rig::touched_pages(&trace);
-
-    let run = |levels: u8, dmt: bool| -> Result<f64, SimError> {
-        let touched = (pages.len() as u64) << 12;
-        let mut pm = PhysMemory::new_bytes(touched * 2 + (512 << 20));
-        let mut proc_ = Process::custom(
-            &mut pm,
-            ThpMode::Never,
-            MappingPolicy::default(),
-            dmt,
-            levels,
-        )
-        .map_err(SimError::setup)?;
-        for r in w.regions() {
-            proc_
-                .mmap(&mut pm, r.base, r.len, VmaKind::Heap)
-                .map_err(SimError::setup)?;
-        }
-        for &va in &pages {
-            proc_.populate(&mut pm, va).map_err(SimError::setup)?;
-        }
-        let mut regs = DmtRegisterFile::new();
-        if dmt {
-            proc_.load_registers(&mut regs);
-        }
-        let mut tlb = Tlb::default();
-        let mut hier = MemoryHierarchy::default();
-        let mut pwc = PageWalkCache::default();
-        let (mut walks, mut cycles) = (0u64, 0u64);
-        for (i, a) in trace.iter().enumerate() {
-            if tlb.lookup_any(a.va).is_none() {
-                let (cyc, size) = if dmt {
-                    let out =
-                        dmt_core::fetcher::fetch_native(&regs, &mut pm, &mut hier, a.va)
-                            .map_err(SimError::setup)?;
-                    (out.cycles, out.size)
-                } else {
-                    let out = walk_dimension(
-                        proc_.page_table(),
-                        &mut pm,
-                        a.va,
-                        WalkDim::Native,
-                        &mut hier,
-                        Some(&mut pwc),
-                    )
-                    .map_err(SimError::setup)?;
-                    (out.cycles, out.size)
-                };
-                tlb.fill(a.va, size);
-                if i >= scale.warmup {
-                    walks += 1;
-                    cycles += cyc;
-                }
-            }
-            let pa = proc_
-                .page_table()
-                .translate(&pm, a.va)
-                .expect("populated")
-                .0;
-            hier.access(pa.raw());
-        }
-        Ok(cycles as f64 / walks.max(1) as f64)
+    let setup = Setup::of_workload(&w, &trace);
+    let run = |design: Design, levels: u8| -> Result<f64, SimError> {
+        let rig = NativeRig::with_levels(design, &setup, levels)?;
+        let mut rig = runner.wrap(Box::new(rig));
+        let (stats, _) = runner.replay(rig.as_mut(), &trace, scale.warmup);
+        Ok(stats.avg_walk_latency())
     };
-
-    Ok((run(4, false)?, run(5, false)?, run(5, true)?))
+    Ok((
+        run(Design::Vanilla, 4)?,
+        run(Design::Vanilla, 5)?,
+        run(Design::Dmt, 5)?,
+    ))
 }
 
-/// Extension: frequent context switches. Two processes alternate every
-/// `quantum` accesses; each switch reloads the DMT registers (§4.1's
-/// task-state reload) and flushes the TLB. Returns
+/// Extension: frequent context switches. Two native GUPS tenants share
+/// one node on untagged hardware, alternating every `quantum` accesses;
+/// each switch flushes the TLB and page-walk cache and reloads the
+/// incoming tenant's DMT registers (§4.1's task-state reload). Returns
 /// `(vanilla_walk_cycles, dmt_walk_cycles, dmt_coverage)` — DMT's
 /// register reload is pure state, so its advantage survives switching.
 ///
@@ -759,126 +702,28 @@ pub fn ext_5level(scale: Scale) -> Result<(f64, f64, f64), SimError> {
 ///
 /// Propagates setup failures.
 pub fn ext_context_switch(
+    runner: &Runner,
     scale: Scale,
     quantum: usize,
 ) -> Result<(u64, u64, f64), SimError> {
-    use dmt_cache::hierarchy::MemoryHierarchy;
-    use dmt_cache::pwc::PageWalkCache;
-    use dmt_cache::tlb::Tlb;
-    use dmt_core::regfile::DmtRegisterFile;
-    use dmt_core::DmtError;
-    use dmt_mem::{PhysMemory, VirtAddr};
-    use dmt_os::proc::{Process, ThpMode};
-    use dmt_os::vma::VmaKind;
-    use dmt_pgtable::walk::{walk_dimension, WalkDim};
-    use dmt_workloads::bench7::Gups;
-
-    // Two GUPS processes over disjoint address ranges, one physical
-    // machine.
-    let w = Gups {
-        table_bytes: (64 << 20) * scale.mult4k,
+    use crate::cloudnode::{NodeConfig, Tagging, TenantSpec};
+    /// GUPS's index in the bench7 suite.
+    const GUPS: usize = 2;
+    let gups = TenantSpec {
+        bench: GUPS,
+        env: Env::Native,
+        weight: 1,
     };
-    let t0 = w.trace(scale.total(), 0xC0);
-    let t1: Vec<dmt_workloads::gen::Access> = w
-        .trace(scale.total(), 0xC1)
-        .into_iter()
-        .map(|a| dmt_workloads::gen::Access {
-            va: VirtAddr(a.va.raw() + (1 << 42)),
-            write: a.write,
-        })
-        .collect();
-    let pages0 = crate::rig::touched_pages(&t0);
-    let pages1 = crate::rig::touched_pages(&t1);
-    let touched = ((pages0.len() + pages1.len()) as u64) << 12;
-    let mut pm = PhysMemory::new_bytes(touched * 2 + (512 << 20));
-
-    let mut build = |pages: &[VirtAddr], base: u64| -> Result<Process, SimError> {
-        let mut p = Process::new(&mut pm, ThpMode::Never).map_err(SimError::setup)?;
-        for r in w.regions() {
-            p.mmap(&mut pm, VirtAddr(r.base.raw() + base), r.len, VmaKind::Heap)
-                .map_err(SimError::setup)?;
-        }
-        for &va in pages {
-            p.populate(&mut pm, va).map_err(SimError::setup)?;
-        }
-        Ok(p)
+    let node = |design| {
+        NodeConfig::new(design, false, scale, vec![gups; 2])
+            .quantum(quantum)
+            .tagging(Tagging::Untagged)
     };
-    let procs = [build(&pages0, 0)?, build(&pages1, 1 << 42)?];
-    let traces = [&t0, &t1];
-
-    #[allow(clippy::needless_range_loop)] // `i` drives both the quantum and per-process trace indexing
-    let mut run = |dmt: bool| -> Result<(u64, f64), SimError> {
-        let mut tlb = Tlb::default();
-        let mut hier = MemoryHierarchy::default();
-        let mut pwc = PageWalkCache::default();
-        let mut regs = DmtRegisterFile::new();
-        let (mut cycles, mut hits, mut falls) = (0u64, 0u64, 0u64);
-        let mut cur = 0usize;
-        procs[cur].load_registers(&mut regs);
-        for i in 0..scale.total() {
-            if i % quantum == 0 && i > 0 {
-                // Context switch: register reload + TLB flush (+ PWC
-                // flush: it is virtually tagged).
-                cur ^= 1;
-                procs[cur].load_registers(&mut regs);
-                tlb.flush();
-                pwc.flush();
-            }
-            let a = &traces[cur][i];
-            if tlb.lookup_any(a.va).is_none() {
-                let (cyc, size) = if dmt {
-                    match dmt_core::fetcher::fetch_native(&regs, &mut pm, &mut hier, a.va) {
-                        Ok(out) => {
-                            hits += 1;
-                            (out.cycles, out.size)
-                        }
-                        Err(DmtError::NotCovered { .. }) => {
-                            falls += 1;
-                            let out = walk_dimension(
-                                procs[cur].page_table(),
-                                &mut pm,
-                                a.va,
-                                WalkDim::Native,
-                                &mut hier,
-                                Some(&mut pwc),
-                            )
-                            .map_err(SimError::setup)?;
-                            (out.cycles, out.size)
-                        }
-                        Err(e) => return Err(SimError::setup(e)),
-                    }
-                } else {
-                    let out = walk_dimension(
-                        procs[cur].page_table(),
-                        &mut pm,
-                        a.va,
-                        WalkDim::Native,
-                        &mut hier,
-                        Some(&mut pwc),
-                    )
-                    .map_err(SimError::setup)?;
-                    (out.cycles, out.size)
-                };
-                tlb.fill(a.va, size);
-                if i >= scale.warmup {
-                    cycles += cyc;
-                }
-            }
-            let pa = procs[cur]
-                .page_table()
-                .translate(&pm, a.va)
-                .expect("populated")
-                .0;
-            hier.access(pa.raw());
-        }
-        let cov = if hits + falls == 0 {
-            1.0
-        } else {
-            hits as f64 / (hits + falls) as f64
-        };
-        Ok((cycles, cov))
-    };
-    let (vanilla, _) = run(false)?;
-    let (dmt, cov) = run(true)?;
-    Ok((vanilla, dmt, cov))
+    let (vanilla, _) = runner.run_node(&node(Design::Vanilla))?;
+    let (dmt, _) = runner.run_node(&node(Design::Dmt))?;
+    Ok((
+        vanilla.node.walk_cycles,
+        dmt.node.walk_cycles,
+        dmt.mean_coverage(),
+    ))
 }

@@ -71,8 +71,8 @@ pub use error::SimError;
 pub use experiments::{fig14, fig15, fig16, fig17, table5, table6, table7, Scale, Table7Row};
 pub use rig::{Design, Env, Outcome, OutcomeBlock, OutcomeRows, RefEntry, Rig, Setup, Translation};
 pub use runner::{
-    env_config, install_rig_wrapper, Engine, EnvConfig, Runner, RunnerBuilder, TraceSet,
-    DEFAULT_EPOCH_LEN, SPILL_CHUNK_LEN,
+    env_config, Engine, EnvConfig, Runner, RunnerBuilder, TraceSet, DEFAULT_EPOCH_LEN,
+    SPILL_CHUNK_LEN,
 };
 pub use shard::{plan_shards, ShardSource, ShardSpec, ShardedOutcome};
 pub use sweep::{sweep, sweep_serial, SweepConfig, SweepReport, SweepRow};

@@ -1,9 +1,9 @@
 //! The native-environment shell: owns a [`NativeMachine`] (physical
 //! memory, process, register file, PWC) and delegates every
 //! design-specific decision to the registry-built [`NativeBackend`]
-//! enum (monomorphic dispatch; `Custom` boxes ablation translators).
+//! enum (monomorphic dispatch).
 
-use crate::backends::{NativeBackend, NativeMachine, NativeTranslator};
+use crate::backends::{NativeBackend, NativeMachine};
 use crate::error::SimError;
 use crate::rig::{Design, Env, OutcomeRows, RefEntry, Rig, Setup, Translation};
 use dmt_cache::hierarchy::MemoryHierarchy;
@@ -48,15 +48,8 @@ impl NativeRig {
     /// [`SimError::Unavailable`] if the registry has no native backend
     /// for `design`.
     pub fn with_setup(design: Design, thp: bool, setup: &Setup) -> Result<Self, SimError> {
-        let spec = crate::registry::native_spec(design)?;
-        let mut m = NativeMachine::build(spec.dmt_managed, thp, setup)?;
-        let backend = (spec.build)(&mut m, setup)?;
-        Ok(NativeRig {
-            m,
-            backend,
-            design,
-            thp,
-        })
+        let pm = PhysMemory::new_bytes(Self::host_bytes(thp, setup));
+        Self::with_setup_in(pm, design, thp, setup)
     }
 
     /// Build the machine inside an existing physical memory — the
@@ -76,15 +69,7 @@ impl NativeRig {
         thp: bool,
         setup: &Setup,
     ) -> Result<Self, SimError> {
-        let spec = crate::registry::native_spec(design)?;
-        let mut m = NativeMachine::build_in(pm, spec.dmt_managed, thp, setup)?;
-        let backend = (spec.build)(&mut m, setup)?;
-        Ok(NativeRig {
-            m,
-            backend,
-            design,
-            thp,
-        })
+        Self::build(pm, design, thp, setup, 4)
     }
 
     /// Bytes of host physical memory [`with_setup`](Self::with_setup)
@@ -93,27 +78,24 @@ impl NativeRig {
         NativeMachine::host_bytes(thp, setup)
     }
 
-    /// Build the machine with an explicit translator factory instead of
-    /// the registered one — the extension point for design *ablations*
-    /// that keep their parent's registry row (e.g. the DESIGN.md §11
-    /// no-fallback-PWC DMT variant). The boxed translator rides in the
-    /// backend enum's `Custom` variant (dynamic dispatch — ablations
-    /// pay the vtable, the registry path stays monomorphic), and the
-    /// reported [`Rig::design`] stays `design`, so downstream reporting
-    /// needs no new enum variant.
-    ///
-    /// # Errors
-    ///
-    /// Propagates setup failures as typed [`SimError`]s.
-    pub fn with_translator(
+    /// [`with_setup`](Self::with_setup) over a `levels`-deep radix
+    /// table: the five-level extension replays the registry's own
+    /// backends at depth 4 and 5.
+    pub(crate) fn with_levels(design: Design, setup: &Setup, levels: u8) -> Result<Self, SimError> {
+        let pm = PhysMemory::new_bytes(Self::host_bytes(false, setup));
+        Self::build(pm, design, false, setup, levels)
+    }
+
+    fn build(
+        pm: PhysMemory,
         design: Design,
         thp: bool,
-        dmt_managed: bool,
         setup: &Setup,
-        build: impl FnOnce(&mut NativeMachine, &Setup) -> Result<Box<dyn NativeTranslator>, SimError>,
+        levels: u8,
     ) -> Result<Self, SimError> {
-        let mut m = NativeMachine::build(dmt_managed, thp, setup)?;
-        let backend = NativeBackend::Custom(build(&mut m, setup)?);
+        let spec = crate::registry::native_spec(design)?;
+        let mut m = NativeMachine::build_in(pm, spec.dmt_managed, thp, setup, levels)?;
+        let backend = (spec.build)(&mut m, setup)?;
         Ok(NativeRig {
             m,
             backend,

@@ -300,10 +300,11 @@ mod tests {
         };
         for d in Design::ALL {
             if let Ok(spec) = native_spec(d) {
-                let mut m =
-                    NativeMachine::build(spec.dmt_managed, false, &setup).expect("machine");
+                let pm = dmt_mem::PhysMemory::new_bytes(NativeMachine::host_bytes(false, &setup));
+                let mut m = NativeMachine::build_in(pm, spec.dmt_managed, false, &setup, 4)
+                    .expect("machine");
                 let b = (spec.build)(&mut m, &setup).expect("backend");
-                assert_eq!(b.design(), Some(d), "{d:?} native variant");
+                assert_eq!(b.design(), d, "{d:?} native variant");
             }
         }
     }

@@ -6,7 +6,7 @@
 //! exactly once.
 //!
 //! Environment coupling lives only here: [`env_config`] is the single
-//! place in the workspace that reads `DMT_ORACLE` / `DMT_TELEMETRY` /
+//! place in the workspace that reads `DMT_TELEMETRY` /
 //! `DMT_RESULTS_DIR` (a grep test enforces this). Everything downstream
 //! takes the resolved values as explicit inputs — [`Runner::from_env`]
 //! is the edge where ambient configuration becomes constructor
@@ -28,7 +28,7 @@
 //! need a trace generates it while other workers replay already-ready
 //! keys; a materialization counter proves each key was generated once.
 
-use crate::engine::{run_probed_in, run_probed_scalar_in, RunStats};
+use crate::engine::{replay, RunStats};
 use crate::error::SimError;
 use crate::experiments::{scaled_benchmark, Measurement, RigWrapper, Scale};
 use crate::native_rig::NativeRig;
@@ -48,8 +48,6 @@ use std::time::Instant;
 /// Ambient configuration, resolved once per process.
 #[derive(Debug, Clone)]
 pub struct EnvConfig {
-    /// `DMT_ORACLE=1`: wrap every rig in the differential oracle.
-    pub oracle: bool,
     /// `DMT_TELEMETRY=1`: capture telemetry per run.
     pub telemetry: bool,
     /// `DMT_RESULTS_DIR` (default `results/`): where JSON reports land.
@@ -58,14 +56,13 @@ pub struct EnvConfig {
 
 /// The process-wide [`EnvConfig`], read from the environment on first
 /// use. This is the **only** call site in the workspace that reads the
-/// `DMT_ORACLE` / `DMT_TELEMETRY` / `DMT_RESULTS_DIR` variables;
+/// `DMT_TELEMETRY` / `DMT_RESULTS_DIR` variables;
 /// `tests/env_read_sites.rs` and the CI lint enforce that.
 pub fn env_config() -> &'static EnvConfig {
     static CONFIG: OnceLock<EnvConfig> = OnceLock::new();
     CONFIG.get_or_init(|| {
         let flag = |name: &str| std::env::var(name).map(|v| v == "1").unwrap_or(false);
         EnvConfig {
-            oracle: flag("DMT_ORACLE"),
             telemetry: flag("DMT_TELEMETRY"),
             results_dir: match std::env::var_os("DMT_RESULTS_DIR") {
                 Some(dir) if !dir.is_empty() => PathBuf::from(dir),
@@ -73,24 +70,6 @@ pub fn env_config() -> &'static EnvConfig {
             },
         }
     })
-}
-
-/// A hook wrapping every rig before it runs — the oracle's entry point
-/// into the drivers. Installed at most once per process; `None` means
-/// rigs run unwrapped, with zero added work on the hot path.
-static RIG_WRAPPER: OnceLock<RigWrapper> = OnceLock::new();
-
-/// Install a process-wide rig wrapper (e.g. the differential oracle's
-/// `Checked` adapter). Returns `false` if a wrapper was already
-/// installed (the first one wins). [`Runner::from_env`] picks it up;
-/// explicit [`RunnerBuilder::rig_wrapper`] calls bypass the registry.
-pub fn install_rig_wrapper(wrapper: RigWrapper) -> bool {
-    RIG_WRAPPER.set(wrapper).is_ok()
-}
-
-/// The wrapper installed via [`install_rig_wrapper`], if any.
-pub fn installed_rig_wrapper() -> Option<RigWrapper> {
-    RIG_WRAPPER.get().copied()
 }
 
 /// One simulation driver with all hooks resolved up front: how rigs are
@@ -161,7 +140,9 @@ impl Default for RunnerBuilder {
 }
 
 impl RunnerBuilder {
-    /// Wrap every rig the runner builds (e.g. the oracle's adapter).
+    /// Wrap every rig the runner builds (e.g. the oracle's adapter,
+    /// `dmt_oracle::wrapper()`) — the one way a wrapper reaches the
+    /// drivers.
     pub fn rig_wrapper(mut self, wrapper: RigWrapper) -> Self {
         self.runner.wrapper = Some(wrapper);
         self
@@ -239,12 +220,13 @@ impl Runner {
     }
 
     /// The environment-configured runner: telemetry and results dir
-    /// from [`env_config`], rig wrapper from the process registry
-    /// ([`install_rig_wrapper`]) if one is installed.
+    /// from [`env_config`], everything else at the builder defaults
+    /// (no rig wrapper — the oracle enters through
+    /// [`RunnerBuilder::rig_wrapper`] only).
     pub fn from_env() -> Runner {
         let cfg = env_config();
         Runner {
-            wrapper: installed_rig_wrapper(),
+            wrapper: None,
             telemetry: cfg.telemetry,
             results_dir: cfg.results_dir.clone(),
             spill_dir: None,
@@ -278,8 +260,10 @@ impl Runner {
 
     /// The memory hierarchy a replay of `design` runs over: tiered
     /// DRAM iff the runner opted in *and* the design's registry row
-    /// carries a tier spec; the flat default otherwise.
-    fn hierarchy_for(&self, design: Design) -> MemoryHierarchy {
+    /// carries a tier spec; the flat default otherwise. Every replay
+    /// path — single-rig, sharded epochs, cloud-node quanta — takes its
+    /// hierarchy from here.
+    pub(crate) fn hierarchy_for(&self, design: Design) -> MemoryHierarchy {
         let spec = crate::registry::tier_spec(design).filter(|_| self.tiered);
         match spec {
             Some(t) => MemoryHierarchy::new(HierarchyConfig::default().with_tiers(DramTiers {
@@ -318,10 +302,16 @@ impl Runner {
             Env::Virt => Box::new(VirtRig::with_setup(design, thp, setup)?),
             Env::Nested => Box::new(NestedRig::with_setup(design, thp, setup)?),
         };
-        Ok(match self.wrapper {
+        Ok(self.wrap(rig))
+    }
+
+    /// Apply the configured wrapper (the oracle's entry point) to a rig
+    /// built outside [`Runner::build_rig`].
+    pub(crate) fn wrap(&self, rig: Box<dyn Rig>) -> Box<dyn Rig> {
+        match self.wrapper {
             Some(w) => w(rig),
             None => rig,
-        })
+        }
     }
 
     /// Replay a trace through a rig: the engine loop, with telemetry
@@ -355,25 +345,15 @@ impl Runner {
         I::Item: Borrow<Access>,
     {
         let hier = self.hierarchy_for(rig.design());
-        match (self.telemetry, self.engine) {
-            (true, Engine::Batched) => {
-                let mut t = Telemetry::with_interval(interval);
-                let stats = run_probed_in(rig, trace, warmup, &mut t, hier);
-                (stats, Some(t))
-            }
-            (true, Engine::Scalar) => {
-                let mut t = Telemetry::with_interval(interval);
-                let stats = run_probed_scalar_in(rig, trace, warmup, &mut t, hier);
-                (stats, Some(t))
-            }
-            (false, Engine::Batched) => (
-                run_probed_in(rig, trace, warmup, &mut NoopProbe, hier),
+        if self.telemetry {
+            let mut t = Telemetry::with_interval(interval);
+            let stats = replay(self.engine, rig, trace, warmup, &mut t, hier);
+            (stats, Some(t))
+        } else {
+            (
+                replay(self.engine, rig, trace, warmup, &mut NoopProbe, hier),
                 None,
-            ),
-            (false, Engine::Scalar) => (
-                run_probed_scalar_in(rig, trace, warmup, &mut NoopProbe, hier),
-                None,
-            ),
+            )
         }
     }
 

@@ -34,12 +34,10 @@
 //! serial recorder. `tests/shard_equivalence.rs` pins all of this for
 //! every environment × design × THP × K.
 
-use crate::engine::{ratio, run_block, step_access, BlockState, RunStats, BLOCK_SIZE};
+use crate::engine::{ratio, run_span, sampler, Hw, OnMeasured, RunStats};
 use crate::error::SimError;
 use crate::rig::{Design, Env, Rig, Setup};
-use crate::runner::{Engine, Runner};
-use dmt_cache::hierarchy::MemoryHierarchy;
-use dmt_cache::tlb::Tlb;
+use crate::runner::Runner;
 use dmt_telemetry::{ComponentCounters, NoopProbe, Probe, Telemetry};
 use dmt_trace::TraceFile;
 use dmt_workloads::gen::Access;
@@ -175,119 +173,34 @@ fn check_epochs(epoch_len: usize, src: &ShardSource<'_>) -> Result<(), SimError>
     Ok(())
 }
 
-/// Replay one epoch's slice. `base` is the global ordinal of
-/// `slice[0]`; `offset` maps the segment-local measured count onto the
-/// global one for sampling (`spec.start.saturating_sub(warmup)`).
-#[allow(clippy::too_many_arguments)]
-fn run_epoch<P: Probe>(
-    rig: &mut dyn Rig,
-    slice: &[Access],
-    base: usize,
-    warmup: usize,
-    engine: Engine,
-    tlb: &mut Tlb,
-    hier: &mut MemoryHierarchy,
-    stats: &mut RunStats,
-    probe: &mut P,
-    st: &mut BlockState,
-    sample_every: u64,
-    offset: u64,
-) {
-    if engine == Engine::Scalar {
-        for (j, a) in slice.iter().enumerate() {
-            let measured = base + j >= warmup;
-            step_access(rig, a, measured, tlb, hier, stats, probe);
-            if P::ACTIVE
-                && measured
-                && sample_every > 0
-                && (stats.accesses + offset).is_multiple_of(sample_every)
-            {
-                if let Some((frag, rss)) = rig.frag_sample() {
-                    probe.sample(stats.accesses + offset, frag, rss);
-                }
-            }
-        }
-    } else {
-        let mut on_measured = |p: &mut P, r: &dyn Rig, accesses: u64| {
-            if (accesses + offset).is_multiple_of(sample_every) {
-                if let Some((frag, rss)) = r.frag_sample() {
-                    p.sample(accesses + offset, frag, rss);
-                }
-            }
-        };
-        let mut b = 0usize;
-        while b < slice.len() {
-            let block = &slice[b..(b + BLOCK_SIZE).min(slice.len())];
-            let cb: Option<crate::engine::OnMeasured<'_, P>> = if sample_every > 0 {
-                Some(&mut on_measured)
-            } else {
-                None
-            };
-            run_block(
-                rig,
-                block,
-                warmup.saturating_sub(base + b),
-                tlb,
-                hier,
-                stats,
-                probe,
-                st,
-                cb,
-            );
-            b += BLOCK_SIZE;
-        }
-    }
-}
-
 /// Replay a segment (one shard, or the whole trace for the serial
 /// reference) under the epoch-barrier schedule: fresh TLB + hierarchy
 /// per epoch, rig translation caches flushed at every interior epoch
 /// boundary. The caller performs the boundary flush for `spec.start`
 /// itself (shard 0 / the reference's own start performs none).
-#[allow(clippy::too_many_arguments)]
 fn replay_segment<P: Probe>(
+    runner: &Runner,
     rig: &mut dyn Rig,
     src: ShardSource<'_>,
     spec: ShardSpec,
     warmup: usize,
-    epoch_len: usize,
-    engine: Engine,
     stats: &mut RunStats,
     probe: &mut P,
 ) -> Result<(), SimError> {
-    let sample_every = if P::ACTIVE {
-        probe.sample_interval().unwrap_or(0)
-    } else {
-        0
-    };
-    let offset = spec.start.saturating_sub(warmup) as u64;
-    let mut st = BlockState::default();
+    // Sampling is stamped at global measured ordinals.
+    let mut sample = sampler(probe, spec.start.saturating_sub(warmup) as u64);
     let mut scratch: Vec<Access> = Vec::new();
-    let mut first = true;
     let mut e_start = spec.start;
     while e_start < spec.end {
-        let e_end = (e_start + epoch_len).min(spec.end);
-        if !first {
+        let e_end = (e_start + runner.epoch_len).min(spec.end);
+        if e_start > spec.start {
             rig.flush_translation_caches();
         }
-        first = false;
-        let mut tlb = Tlb::default();
-        let mut hier = MemoryHierarchy::default();
-        match src {
-            ShardSource::Memory(t) => run_epoch(
-                rig,
-                &t[e_start..e_end],
-                e_start,
-                warmup,
-                engine,
-                &mut tlb,
-                &mut hier,
-                stats,
-                probe,
-                &mut st,
-                sample_every,
-                offset,
-            ),
+        // Power-on TLB and hierarchy; the tier split depends only on
+        // the address, so a fresh tiered hierarchy keeps the contract.
+        let mut hw = Hw::new(runner.hierarchy_for(rig.design()));
+        let slice = match src {
+            ShardSource::Memory(t) => &t[e_start..e_end],
             ShardSource::File(f) => {
                 let cl = f.chunk_len() as usize;
                 debug_assert_eq!(e_start % cl, 0, "epoch start off the chunk grid");
@@ -295,22 +208,21 @@ fn replay_segment<P: Probe>(
                 for c in e_start / cl..e_end.div_ceil(cl) {
                     f.decode_chunk(c, &mut scratch)?;
                 }
-                run_epoch(
-                    rig,
-                    &scratch[..e_end - e_start],
-                    e_start,
-                    warmup,
-                    engine,
-                    &mut tlb,
-                    &mut hier,
-                    stats,
-                    probe,
-                    &mut st,
-                    sample_every,
-                    offset,
-                );
+                &scratch[..e_end - e_start]
             }
-        }
+        };
+        let hook = sample.as_mut().map(|f| f as OnMeasured<'_, P>);
+        run_span(
+            runner.engine,
+            rig,
+            slice,
+            e_start,
+            warmup,
+            &mut hw,
+            stats,
+            probe,
+            hook,
+        );
         e_start = e_end;
     }
     Ok(())
@@ -377,26 +289,16 @@ fn run_shard(
     let mut stats = RunStats::default();
     let telemetry = if runner.telemetry {
         let mut t = Telemetry::with_interval(interval);
-        replay_segment(
-            rig.as_mut(),
-            src,
-            spec,
-            warmup,
-            runner.epoch_len,
-            runner.engine,
-            &mut stats,
-            &mut t,
-        )?;
+        replay_segment(runner, rig.as_mut(), src, spec, warmup, &mut stats, &mut t)?;
         t.absorb_components(sub_components(rig.component_counters(), comp0));
         Some(t)
     } else {
         replay_segment(
+            runner,
             rig.as_mut(),
             src,
             spec,
             warmup,
-            runner.epoch_len,
-            runner.engine,
             &mut stats,
             &mut NoopProbe,
         )?;
@@ -438,29 +340,11 @@ impl Runner {
         let mut stats = RunStats::default();
         let telemetry = if self.telemetry {
             let mut t = Telemetry::with_interval(interval);
-            replay_segment(
-                rig,
-                src,
-                spec,
-                warmup,
-                self.epoch_len,
-                self.engine,
-                &mut stats,
-                &mut t,
-            )?;
+            replay_segment(self, rig, src, spec, warmup, &mut stats, &mut t)?;
             t.absorb_components(rig.component_counters());
             Some(t)
         } else {
-            replay_segment(
-                rig,
-                src,
-                spec,
-                warmup,
-                self.epoch_len,
-                self.engine,
-                &mut stats,
-                &mut NoopProbe,
-            )?;
+            replay_segment(self, rig, src, spec, warmup, &mut stats, &mut NoopProbe)?;
             None
         };
         stats.exits = rig.exits();

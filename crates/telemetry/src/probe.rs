@@ -1,6 +1,6 @@
 //! The zero-cost observation hook.
 //!
-//! `engine::run_probed` is generic over `P: Probe`. The default build
+//! `engine::run_span` is generic over `P: Probe`. The default build
 //! path goes through [`NoopProbe`], whose `ACTIVE = false` lets the
 //! compiler constant-fold away every `if P::ACTIVE { ... }` block —
 //! the instrumented engine monomorphizes to exactly the uninstrumented
@@ -94,7 +94,7 @@ pub trait Probe {
 }
 
 /// The disabled probe: `ACTIVE = false`, every method inherits the
-/// no-op default, and `run_probed::<_, NoopProbe>` monomorphizes to
+/// no-op default, and `run_span::<NoopProbe>` monomorphizes to
 /// the uninstrumented engine.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NoopProbe;

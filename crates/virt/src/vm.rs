@@ -291,6 +291,32 @@ pub struct GuestView<'a> {
 }
 
 impl GuestView<'_> {
+    /// Allocate guest-physically contiguous frames for a guest
+    /// structure that outgrew the arena it was built in: a free run of
+    /// the guest's own memory when one exists, else a fresh block of
+    /// contiguous host frames hot-added above guest RAM (the
+    /// `vm_insert_pages` path of [`Vm::insert_host_pages`]). The frames
+    /// read as zero either way.
+    ///
+    /// # Errors
+    ///
+    /// [`dmt_mem::MemError::NoContiguousRun`] when neither the guest nor
+    /// the host has a free run of `frames`.
+    pub fn alloc_contig(&mut self, frames: u64, kind: FrameKind) -> dmt_mem::Result<Pfn> {
+        if let Ok(g) = self.vm.alloc_guest_contig(self.pm, frames, kind) {
+            return Ok(g);
+        }
+        let host = self.pm.alloc_contig(frames, kind)?;
+        for i in 0..frames {
+            self.pm.zero_frame(Pfn(host.0 + i));
+        }
+        let gpa = self
+            .vm
+            .insert_host_pages(self.pm, host, frames)
+            .map_err(|_| dmt_mem::MemError::NoContiguousRun { frames })?;
+        Ok(gpa.pfn())
+    }
+
     fn redirect(&self, addr: PhysAddr) -> PhysAddr {
         self.vm
             .gpa_to_hpa(addr)
@@ -331,6 +357,26 @@ impl MemoryOps for GuestView<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn alloc_contig_hot_adds_host_frames_when_the_guest_has_no_run() {
+        let mut pm = PhysMemory::new_bytes(64 << 20);
+        let mut vm = Vm::new(&mut pm, 8 << 20, PageSize::Size4K).unwrap();
+        let ram = vm.guest_frames();
+        // More frames than the guest owns: only a hot-added block fits.
+        let frames = ram + 16;
+        let g = vm
+            .guest_view(&mut pm)
+            .alloc_contig(frames, FrameKind::PageTable)
+            .unwrap();
+        assert!(g.0 >= ram, "block must sit above guest RAM");
+        let view = vm.guest_view_ref(&pm);
+        for i in 0..frames {
+            let gpa = PhysAddr::from_pfn(Pfn(g.0 + i));
+            assert!(vm.gpa_to_hpa(gpa).is_some(), "unbacked hot-added frame");
+            assert_eq!(view.read_word(gpa), 0);
+        }
+    }
 
     #[test]
     fn backing_is_lazy_but_consistent() {

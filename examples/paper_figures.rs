@@ -244,7 +244,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // ---- Extension: 5-level page tables -------------------------------
-    let (v4, v5, dmt5) = dmt::sim::experiments::ext_5level(scale).map_err(anyhow)?;
+    let runner = dmt::sim::Runner::from_env();
+    let (v4, v5, dmt5) = dmt::sim::experiments::ext_5level(&runner, scale).map_err(anyhow)?;
     println!(
         "Extension — 5-level tables (sparse GUPS): radix 4-level {v4:.1} cyc/walk, \
          radix 5-level {v5:.1} ({:+.1}%), DMT on 5-level {dmt5:.1} ({:.2}x vs 5-level radix)",
@@ -254,7 +255,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ---- Extension: frequent context switches --------------------------
     let (van_cs, dmt_cs, cov_cs) =
-        dmt::sim::experiments::ext_context_switch(scale, 2_000).map_err(anyhow)?;
+        dmt::sim::experiments::ext_context_switch(&runner, scale, 2_000).map_err(anyhow)?;
     println!(
         "Extension — context switches every 2k accesses: vanilla {van_cs} walk cycles, \
          DMT {dmt_cs} ({:.2}x), coverage {}",
@@ -264,6 +265,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ---- Extension: PWC sensitivity ------------------------------------
     let pts = dmt::sim::ablation::pwc_sweep(
+        &runner,
         (64 << 20) * scale.mult4k,
         &[8, 32, 128, 512],
         scale.trace / 4,

@@ -210,41 +210,3 @@ fn registry_cells_construct_iff_available() {
         }
     }
 }
-
-/// The DESIGN.md §11 worked example end-to-end: a DMT ablation backend
-/// (fallback walks without PWC assistance) plugged in through
-/// `NativeRig::with_translator`, no new `Design` variant or registry row
-/// needed. The ablation must never beat stock DMT on walk cycles (it
-/// only ever loses the walk cache).
-#[test]
-fn with_translator_runs_the_no_fallback_pwc_ablation() {
-    use dmt::sim::backends::dmt::build_native_no_fallback_pwc;
-    use dmt::sim::native_rig::NativeRig;
-
-    // A sparse multi-region setup so DMT actually falls back sometimes
-    // is overkill here; the tiny setup exercises the wiring.
-    let setup = tiny_setup();
-    let trace: Vec<dmt::workloads::gen::Access> = setup
-        .pages
-        .iter()
-        .map(|&va| dmt::workloads::gen::Access::read(va))
-        .collect();
-
-    let mut stock = NativeRig::with_setup(Design::Dmt, false, &setup).unwrap();
-    let mut ablated =
-        NativeRig::with_translator(Design::Dmt, false, true, &setup, build_native_no_fallback_pwc)
-            .unwrap();
-    use dmt::sim::Rig;
-    assert_eq!(ablated.design(), Design::Dmt, "ablations keep the parent design");
-
-    let runner = Runner::builder().build();
-    let s_stock = runner.replay(&mut stock, &trace, 0).0;
-    let s_ablated = runner.replay(&mut ablated, &trace, 0).0;
-    assert_eq!(s_stock.accesses, s_ablated.accesses);
-    assert!(
-        s_ablated.walk_cycles >= s_stock.walk_cycles,
-        "losing the fallback PWC cannot speed walks up: ablated {} < stock {}",
-        s_ablated.walk_cycles,
-        s_stock.walk_cycles
-    );
-}

@@ -3,9 +3,9 @@
 //! differential oracle ([`dmt::oracle::Checked`]), with the structural
 //! audits (buddy, VMA tree, TEA map, gTEA tables) riding along.
 //!
-//! The `DMT_ORACLE=1` CI job runs this same binary with the process-wide
-//! oracle hook installed, so the experiment-layer path is exercised too
-//! (see `oracle_env_hook_wraps_experiment_rigs`).
+//! The engine-driven path is exercised too: a runner built with the
+//! oracle as its rig wrapper replays one cell per environment (see
+//! `oracle_wrapper_wraps_runner_rigs`).
 
 use dmt::cache::hierarchy::MemoryHierarchy;
 use dmt::mem::{PageSize, VirtAddr};
@@ -142,16 +142,15 @@ proptest! {
     }
 }
 
-/// The `DMT_ORACLE=1` opt-in path: installing the process-wide hook
-/// wraps every rig the experiment layer builds in a panicking oracle —
-/// a full `run_one` then proves the engine-driven path is conformant.
+/// The oracle's one entry point into the drivers: a runner built with
+/// `rig_wrapper(oracle::wrapper())` wraps every rig it builds in a
+/// panicking oracle — a full `run_one` per environment then proves the
+/// engine-driven path is conformant.
 #[test]
-fn oracle_env_hook_wraps_experiment_rigs() {
-    std::env::set_var("DMT_ORACLE", "1");
-    assert!(dmt::oracle::install_from_env(), "hook should install");
-    // Second install is a no-op: the wrapper slot is write-once.
-    assert!(!dmt::oracle::install_from_env());
-
+fn oracle_wrapper_wraps_runner_rigs() {
+    let runner = dmt::sim::Runner::builder()
+        .rig_wrapper(dmt::oracle::wrapper())
+        .build();
     let scale = dmt::sim::Scale::test();
     let w = dmt::workloads::bench7::Gups {
         table_bytes: 32 << 20,
@@ -161,9 +160,44 @@ fn oracle_env_hook_wraps_experiment_rigs() {
         (Env::Virt, Design::PvDmt),
         (Env::Nested, Design::Vanilla),
     ] {
-        let m = dmt::sim::Runner::from_env()
+        let m = runner
             .run_one(env, design, false, &w, scale)
             .unwrap_or_else(|e| panic!("{env:?}/{design:?}: {e}"));
         assert!(m.stats.accesses > 0);
     }
+}
+
+/// The experiments that used to run private replay loops now replay
+/// through the runner they are given, so the oracle and telemetry
+/// reach them: under an oracle-wrapped, telemetry-capturing runner the
+/// PWC sweep, the 5-level tables and the context-switch node run clean
+/// and return exactly what a plain runner returns.
+#[test]
+fn moved_experiments_run_under_the_oracle() {
+    use dmt::sim::ablation::pwc_sweep;
+    use dmt::sim::experiments::{ext_5level, ext_context_switch};
+    use dmt::sim::{Runner, Scale};
+
+    let plain = Runner::builder().build();
+    let checked = Runner::builder()
+        .rig_wrapper(dmt::oracle::wrapper())
+        .telemetry(true)
+        .build();
+    let scale = Scale::test();
+    let sweep = |r: &Runner| -> Vec<f64> {
+        pwc_sweep(r, 64 << 20, &[8, 32, 128, 512], scale.trace / 4)
+            .unwrap()
+            .iter()
+            .map(|p| p.avg_walk_cycles)
+            .collect()
+    };
+    assert_eq!(sweep(&checked), sweep(&plain));
+    assert_eq!(
+        ext_5level(&checked, scale).unwrap(),
+        ext_5level(&plain, scale).unwrap()
+    );
+    assert_eq!(
+        ext_context_switch(&checked, scale, 2_000).unwrap(),
+        ext_context_switch(&plain, scale, 2_000).unwrap()
+    );
 }

@@ -14,7 +14,7 @@ fn prefix() -> String {
 
 /// The variables `env_config` resolves, each read exactly once.
 fn runner_knobs() -> Vec<String> {
-    ["ORACLE", "TELEMETRY", "RESULTS_DIR"]
+    ["TELEMETRY", "RESULTS_DIR"]
         .iter()
         .map(|suffix| format!("{}_{suffix}", "DMT"))
         .collect()

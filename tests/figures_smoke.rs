@@ -120,7 +120,7 @@ fn thp_reduces_walk_latency_for_vanilla() {
 
 #[test]
 fn five_level_tables_hurt_radix_not_dmt() {
-    let (v4, v5, dmt5) = dmt::sim::experiments::ext_5level(small()).unwrap();
+    let (v4, v5, dmt5) = dmt::sim::experiments::ext_5level(&Runner::from_env(), small()).unwrap();
     // The fifth level lengthens radix walks; DMT stays a single fetch.
     assert!(v5 > v4, "5-level {v5} !> 4-level {v4}");
     assert!(dmt5 < v5, "DMT {dmt5} !< 5-level radix {v5}");
@@ -129,7 +129,7 @@ fn five_level_tables_hurt_radix_not_dmt() {
 #[test]
 fn context_switching_preserves_dmt_advantage() {
     let (vanilla, dmt, cov) =
-        dmt::sim::experiments::ext_context_switch(small(), 500).unwrap();
+        dmt::sim::experiments::ext_context_switch(&Runner::from_env(), small(), 500).unwrap();
     assert!(dmt < vanilla, "DMT {dmt} !< vanilla {vanilla} under switching");
     assert!(cov > 0.999, "register reload keeps full coverage: {cov}");
 }
@@ -137,7 +137,8 @@ fn context_switching_preserves_dmt_advantage() {
 #[test]
 fn pwc_capacity_cannot_save_the_radix_walk() {
     let pts =
-        dmt::sim::ablation::pwc_sweep(256 << 20, &[8, 32, 128, 512], 6_000).unwrap();
+        dmt::sim::ablation::pwc_sweep(&Runner::from_env(), 256 << 20, &[8, 32, 128, 512], 6_000)
+            .unwrap();
     // Bigger PWCs help monotonically-ish...
     assert!(pts[0].avg_walk_cycles >= pts[3].avg_walk_cycles * 0.95);
     // ...but even a 16x PWC keeps walks above a single DRAM fetch,

@@ -142,7 +142,7 @@ fn empty_matrix_is_a_typed_error_not_zero_rows() {
 
 /// The CI `sweep` job's payload (run with `--include-ignored`): the
 /// full Table-6 matrix at test scale through the shared pipeline, with
-/// whatever hooks `DMT_TELEMETRY`/`DMT_ORACLE` enabled, failing on any
+/// telemetry on when `DMT_TELEMETRY` asks for it, failing on any
 /// duplicate trace materialization and recording the report (wall
 /// clock, per-trace generation time, counters) in the results JSON.
 #[test]

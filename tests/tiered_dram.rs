@@ -111,3 +111,90 @@ fn tiered_pvdmt_changes_virtualized_outcomes_too() {
         "pvDMT never touched the slow tier"
     );
 }
+
+#[test]
+fn tiered_dram_reaches_sharded_and_node_replays() {
+    use dmt::sim::experiments::scaled_benchmark;
+    use dmt::sim::{Env, NodeConfig, Scale, Setup, ShardSource, TenantSpec};
+
+    // Sharded replay: the serial epoch-barrier reference and K=2 shards
+    // both run tiered, so they agree with each other and differ from
+    // the flat run in the data cycles the slow tier charges.
+    let (w, trace) = cell();
+    let setup = Setup::of_workload(&w, &trace);
+    let epochs = |tiered: bool, shards: usize| {
+        Runner::builder()
+            .tiered(tiered)
+            .shards(shards)
+            .epoch_len(2_048)
+            .build()
+    };
+    let serial = |tiered: bool| {
+        let runner = epochs(tiered, 1);
+        let mut rig = runner
+            .build_rig(Env::Native, Design::Dmt, false, &setup)
+            .unwrap();
+        runner
+            .replay_epochs_serial(rig.as_mut(), ShardSource::Memory(&trace), 1_000, 0)
+            .unwrap()
+            .0
+    };
+    let sharded = epochs(true, 2)
+        .replay_sharded(
+            Env::Native,
+            Design::Dmt,
+            false,
+            &setup,
+            ShardSource::Memory(&trace),
+            1_000,
+            0,
+        )
+        .unwrap();
+    assert_eq!(sharded.shards, 2);
+    let (tiered, flat) = (serial(true), serial(false));
+    assert_eq!(sharded.stats, tiered, "tiered K=2 != tiered serial epochs");
+    assert!(
+        tiered.data_cycles > flat.data_cycles,
+        "sharded path ignored tiering: tiered {} vs flat {}",
+        tiered.data_cycles,
+        flat.data_cycles
+    );
+
+    // Cloud node: a one-tenant DMT node under tiering is the tiered
+    // single-rig run.
+    let scale = Scale::test();
+    let runner = Runner::builder().tiered(true).build();
+    let single = runner
+        .run_one(
+            Env::Native,
+            Design::Dmt,
+            false,
+            scaled_benchmark(2, scale, false).unwrap().as_ref(),
+            scale,
+        )
+        .unwrap();
+    let tenant = TenantSpec {
+        bench: 2,
+        env: Env::Native,
+        weight: 1,
+    };
+    let node = runner
+        .run_node(&NodeConfig::new(Design::Dmt, false, scale, vec![tenant]))
+        .unwrap()
+        .0;
+    assert_eq!(
+        node.node, single.stats,
+        "tiered 1-tenant node != tiered run_one"
+    );
+    let flat = Runner::builder()
+        .build()
+        .run_one(
+            Env::Native,
+            Design::Dmt,
+            false,
+            scaled_benchmark(2, scale, false).unwrap().as_ref(),
+            scale,
+        )
+        .unwrap();
+    assert_ne!(single.stats.data_cycles, flat.stats.data_cycles);
+}
