@@ -2,9 +2,20 @@
 //!
 //! Every hardware structure in the simulated memory system — data caches,
 //! TLBs, the page-walk caches — is an instance of [`SetAssoc`] keyed by an
-//! appropriate `u64` (cache-line address, VPN, VA prefix).
+//! appropriate `u64` (cache-line address, VPN, VA prefix). A way may
+//! carry an inline payload next to its key: the TLB arrays store each
+//! entry's frame there, while the data caches, the PWC tags and FPT use
+//! the zero-sized default, so their layout is a plain `u64` per way.
 
-/// A set-associative, true-LRU array of `u64` keys.
+/// One way: `(key, payload)`, side by side so a hit finds its payload
+/// on the line the tag compare already touched. A tuple rather than a
+/// struct so `vec![]` of all-zero ways takes the zeroed-allocation path:
+/// the multi-MiB cache arrays then fault their pages in lazily, on
+/// first touch, instead of all at construction.
+type Way<V> = (u64, V);
+
+/// A set-associative, true-LRU array of `u64` keys, each carrying a
+/// payload `V` (zero-sized by default).
 ///
 /// Each set keeps its live keys in recency order, most recently used
 /// first: a hit or a fill moves its key to rank 0 and the victim is the
@@ -20,14 +31,14 @@
 /// assert!(c.lookup(0));
 /// ```
 #[derive(Debug, Clone)]
-pub struct SetAssoc {
+pub struct SetAssoc<V = ()> {
     sets: u64,
     ways: usize,
-    /// Keys flattened as `set * ways + rank`, so one set's ways share
+    /// Ways flattened as `set * ways + rank`, so one set's ways share
     /// cache lines (this sits on the hot path of every simulated memory
     /// reference). Within a set, ranks `0..lens[set]` hold the live
-    /// keys most-recently-used first; higher ranks are dead.
-    keys: Vec<u64>,
+    /// ways most-recently-used first; higher ranks are dead.
+    slots: Vec<Way<V>>,
     /// Live-key count per set.
     lens: Vec<u32>,
     /// Live-entry count, maintained on every fill/invalidate so the
@@ -44,7 +55,7 @@ pub struct SetAssoc {
 /// touch. Pure host-level hint — simulated behavior is unaffected.
 /// Issued as a raw `madvise(MADV_HUGEPAGE)` syscall to avoid a libc
 /// dependency; failures (or non-Linux-x86-64 hosts) are ignored.
-fn advise_hugepages(buf: &[u64]) {
+fn advise_hugepages<T>(buf: &[T]) {
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
     {
         const HUGE: usize = 2 << 20;
@@ -81,7 +92,7 @@ fn advise_hugepages(buf: &[u64]) {
     let _ = buf;
 }
 
-impl SetAssoc {
+impl<V: Copy + Default> SetAssoc<V> {
     /// Create an array with `sets` sets of `ways` ways.
     ///
     /// # Panics
@@ -90,12 +101,12 @@ impl SetAssoc {
     pub fn new(sets: u64, ways: usize) -> Self {
         assert!(sets > 0 && ways > 0, "cache geometry must be non-zero");
         assert!(u32::try_from(ways).is_ok(), "associativity must fit in u32");
-        let keys = vec![0; sets as usize * ways];
-        advise_hugepages(&keys);
+        let slots = vec![(0, V::default()); sets as usize * ways];
+        advise_hugepages(&slots);
         SetAssoc {
             sets,
             ways,
-            keys,
+            slots,
             lens: vec![0; sets as usize],
             occupied: 0,
             hits: 0,
@@ -143,65 +154,47 @@ impl SetAssoc {
         }) as usize
     }
 
-    /// The live keys of `key`'s set, most recently used first.
+    /// The live ways of `key`'s set, most recently used first.
     #[inline]
-    fn live(&self, key: u64) -> &[u64] {
+    fn live(&self, key: u64) -> &[Way<V>] {
         let set = self.set_of(key);
         let base = set * self.ways;
-        &self.keys[base..base + self.lens[set] as usize]
+        &self.slots[base..base + self.lens[set] as usize]
     }
 
-    /// Move `key` to rank 0 of its set if it is resident (`Ok`);
-    /// otherwise change nothing and return its set index (`Err`).
+    /// Move `key` to rank 0 of its set if it is resident (`Ok` with its
+    /// payload); otherwise change nothing and return its set index
+    /// (`Err`).
     #[inline]
-    fn touch(&mut self, key: u64) -> Result<(), usize> {
+    fn touch(&mut self, key: u64) -> Result<V, usize> {
         let set = self.set_of(key);
         let base = set * self.ways;
-        let live = &mut self.keys[base..base + self.lens[set] as usize];
-        let rank = live.iter().position(|&k| k == key).ok_or(set)?;
+        let live = &mut self.slots[base..base + self.lens[set] as usize];
+        let rank = live.iter().position(|w| w.0 == key).ok_or(set)?;
+        let way = live[rank];
         live.copy_within(..rank, 1);
-        live[0] = key;
-        Ok(())
+        live[0] = way;
+        Ok(way.1)
     }
 
     /// Look up a key, updating LRU state and hit/miss counters.
     pub fn lookup(&mut self, key: u64) -> bool {
-        let hit = self.touch(key).is_ok();
-        if hit {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-        }
-        hit
+        self.lookup_value(key).is_some()
     }
 
-    /// [`lookup`](Self::lookup) fused with the miss-path
-    /// [`insert`](Self::insert): one scan of the set serves both. On a
-    /// hit this is exactly `lookup`; on a miss it performs the insert a
-    /// caller would issue next without rescanning. Returns whether the
-    /// key hit. The evicted key (if any) is discarded, so this suits
-    /// callers that ignore `insert`'s return value, like the inclusive
-    /// hierarchy.
-    pub fn lookup_or_insert(&mut self, key: u64) -> bool {
+    /// [`lookup`](Self::lookup) that also returns the hit's payload.
+    #[inline]
+    pub fn lookup_value(&mut self, key: u64) -> Option<V> {
         match self.touch(key) {
-            Ok(()) => {
+            Ok(val) => {
                 self.hits += 1;
-                true
+                Some(val)
             }
-            Err(set) => {
+            Err(_) => {
                 self.misses += 1;
-                self.fill(set, key);
-                false
+                None
             }
         }
-    }
-
-    /// Account a lookup that is already known to miss (the caller
-    /// proved absence with [`contains`](Self::contains)): counts the
-    /// miss exactly as a failed [`lookup`](Self::lookup) would, which
-    /// leaves the recency order untouched.
-    pub fn record_miss(&mut self) {
-        self.misses += 1;
     }
 
     /// Hint the host CPU to pull the storage behind `key`'s set into
@@ -215,15 +208,16 @@ impl SetAssoc {
         #[cfg(target_arch = "x86_64")]
         {
             use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            // A set spans `ways * 8` bytes; touch each 64-byte line,
-            // plus the set's length word.
-            let base = self.keys[set * self.ways..].as_ptr();
+            // A set spans `ways * size_of::<Way<V>>()` bytes; touch each
+            // 64-byte line, plus the set's length word.
+            let base = self.slots[set * self.ways..].as_ptr();
+            let bytes = self.ways * std::mem::size_of::<Way<V>>();
             // SAFETY: `set < sets`, so the length word is in `lens`, and
-            // every line offset is below `ways * 8`, inside the set's
-            // slice of `keys`. A prefetch never faults or writes.
+            // every line offset is below `bytes`, inside the set's
+            // slice of `slots`. A prefetch never faults or writes.
             unsafe {
                 _mm_prefetch(self.lens.as_ptr().add(set) as *const i8, _MM_HINT_T0);
-                for line in 0..(self.ways * 8).div_ceil(64) {
+                for line in 0..bytes.div_ceil(64) {
                     _mm_prefetch(base.byte_add(line * 64) as *const i8, _MM_HINT_T0);
                 }
             }
@@ -234,24 +228,34 @@ impl SetAssoc {
 
     /// Probe for a key without touching LRU state or counters.
     pub fn contains(&self, key: u64) -> bool {
-        self.occupied != 0 && self.live(key).contains(&key)
+        self.occupied != 0 && self.live(key).iter().any(|w| w.0 == key)
     }
 
-    /// Insert a key (no-op if already present; refreshes its LRU rank).
-    /// Returns the evicted key, if any.
-    pub fn insert(&mut self, key: u64) -> Option<u64> {
-        self.touch(key).err().and_then(|set| self.fill(set, key))
+    /// Insert a key with its payload. A resident key keeps its way:
+    /// its LRU rank is refreshed and its payload replaced (the newer
+    /// value wins). Returns the evicted key, if any.
+    pub fn insert_value(&mut self, key: u64, val: V) -> Option<u64> {
+        match self.touch(key) {
+            Ok(_) => {
+                // `touch` moved the way to rank 0 of its set.
+                let rank0 = self.set_of(key) * self.ways;
+                self.slots[rank0].1 = val;
+                None
+            }
+            Err(set) => self.fill(set, (key, val)),
+        }
     }
 
-    /// Put a key known to be absent at rank 0 of `set`, evicting the
-    /// last rank if the set is full. Returns the evicted key, if any.
+    /// Put a way whose key is known to be absent at rank 0 of `set`,
+    /// evicting the last rank if the set is full. Returns the evicted
+    /// key, if any.
     #[inline]
-    fn fill(&mut self, set: usize, key: u64) -> Option<u64> {
+    fn fill(&mut self, set: usize, way: Way<V>) -> Option<u64> {
         let base = set * self.ways;
         let len = self.lens[set] as usize;
-        let ways = &mut self.keys[base..base + self.ways];
+        let ways = &mut self.slots[base..base + self.ways];
         let evicted = if len == ways.len() {
-            Some(ways[len - 1])
+            Some(ways[len - 1].0)
         } else {
             self.lens[set] += 1;
             self.occupied += 1;
@@ -259,7 +263,7 @@ impl SetAssoc {
         };
         let keep = len.min(ways.len() - 1);
         ways.copy_within(..keep, 1);
-        ways[0] = key;
+        ways[0] = way;
         evicted
     }
 
@@ -268,8 +272,8 @@ impl SetAssoc {
         let set = self.set_of(key);
         let base = set * self.ways;
         let len = self.lens[set] as usize;
-        let live = &mut self.keys[base..base + len];
-        match live.iter().position(|&k| k == key) {
+        let live = &mut self.slots[base..base + len];
+        match live.iter().position(|w| w.0 == key) {
             Some(rank) => {
                 live.copy_within(rank + 1.., rank);
                 self.lens[set] -= 1;
@@ -305,7 +309,13 @@ impl SetAssoc {
     /// Iterate over all resident keys (any order). Does not touch LRU
     /// state or counters — this is the oracle's coherence-audit view.
     pub fn keys(&self) -> impl Iterator<Item = u64> + '_ {
-        self.keys
+        self.entries().map(|(key, _)| key)
+    }
+
+    /// Iterate over all resident `(key, payload)` pairs (any order),
+    /// read-only like [`keys`](Self::keys).
+    pub fn entries(&self) -> impl Iterator<Item = (u64, V)> + '_ {
+        self.slots
             .chunks_exact(self.ways)
             .zip(&self.lens)
             .flat_map(|(set, &len)| set[..len as usize].iter().copied())
@@ -318,6 +328,35 @@ impl SetAssoc {
             self.lens.iter().map(|&n| n as u64).sum::<u64>()
         );
         self.occupied
+    }
+}
+
+impl SetAssoc {
+    /// Insert a key (no-op if already present; refreshes its LRU rank).
+    /// Returns the evicted key, if any.
+    pub fn insert(&mut self, key: u64) -> Option<u64> {
+        self.insert_value(key, ())
+    }
+
+    /// [`lookup`](Self::lookup) fused with the miss-path
+    /// [`insert`](Self::insert): one scan of the set serves both. On a
+    /// hit this is exactly `lookup`; on a miss it performs the insert a
+    /// caller would issue next without rescanning. Returns whether the
+    /// key hit. The evicted key (if any) is discarded, so this suits
+    /// callers that ignore `insert`'s return value, like the inclusive
+    /// hierarchy.
+    pub fn lookup_or_insert(&mut self, key: u64) -> bool {
+        match self.touch(key) {
+            Ok(_) => {
+                self.hits += 1;
+                true
+            }
+            Err(set) => {
+                self.misses += 1;
+                self.fill(set, (key, ()));
+                false
+            }
+        }
     }
 }
 
@@ -386,7 +425,7 @@ mod tests {
 
     #[test]
     fn with_capacity_geometry() {
-        let c = SetAssoc::with_capacity(1536, 12);
+        let c: SetAssoc = SetAssoc::with_capacity(1536, 12);
         assert_eq!(c.sets(), 128);
         assert_eq!(c.ways(), 12);
         assert_eq!(c.capacity(), 1536);
@@ -395,7 +434,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "multiple of associativity")]
     fn with_capacity_rejects_bad_geometry() {
-        SetAssoc::with_capacity(100, 3);
+        SetAssoc::<()>::with_capacity(100, 3);
     }
 
     #[test]
@@ -411,23 +450,20 @@ mod tests {
     }
 
     #[test]
-    fn record_miss_matches_a_proven_absent_lookup() {
-        // Two caches, same history: one takes a failed `lookup(99)`,
-        // the other a `contains`-proven `record_miss`. Stats, LRU
-        // order, and subsequent eviction behaviour must be identical.
-        let mut a = SetAssoc::new(1, 2);
-        let mut b = SetAssoc::new(1, 2);
-        for c in [&mut a, &mut b] {
-            c.insert(0);
-            c.insert(1);
-        }
-        assert!(!a.lookup(99));
-        assert!(!b.contains(99));
-        b.record_miss();
-        assert_eq!(a.misses(), b.misses());
-        assert_eq!(a.hits(), b.hits());
-        // Neither miss may disturb the recency order: both caches must
-        // evict the same victim next.
-        assert_eq!(a.insert(2), b.insert(2));
+    fn payloads_travel_with_their_keys() {
+        let mut c: SetAssoc<u64> = SetAssoc::new(1, 2);
+        c.insert_value(0, 100);
+        c.insert_value(1, 101);
+        assert_eq!(c.lookup_value(0), Some(100));
+        // A refill of a resident key replaces its payload in place.
+        assert_eq!(c.insert_value(1, 201), None);
+        assert_eq!(c.occupancy(), 2);
+        // 1 was refreshed last, so 0 is the victim, payload and all.
+        assert_eq!(c.insert_value(2, 102), Some(0));
+        let mut resident: Vec<(u64, u64)> = c.entries().collect();
+        resident.sort_unstable();
+        assert_eq!(resident, vec![(1, 201), (2, 102)]);
+        assert_eq!(c.lookup_value(0), None);
+        assert_eq!((c.hits(), c.misses()), (1, 1));
     }
 }

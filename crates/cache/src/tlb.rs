@@ -4,19 +4,26 @@
 //! STLB. Entries are tagged by `(VPN at the page's own granularity, page
 //! size)` so 4 KiB, 2 MiB and 1 GiB translations coexist, which is what
 //! makes THP improve TLB reach in the experiments.
+//!
+//! As in hardware, an entry carries its frame: the physical address of
+//! the page (or [`TransUnit`]) base, taken from the completed walk at
+//! fill time ([`Tlb::fill_pa`], [`Tlb::fill_unit_pa`]) and stored inline
+//! next to the tag. A hit returns `frame + offset` ([`Tlb::lookup_pa`]),
+//! so the engine charges a hit's data access without any page walk. The
+//! residency-only entry points ([`Tlb::fill`], [`Tlb::fill_unit`],
+//! [`Tlb::lookup_any`], the probes) keep their meaning for callers that
+//! never read a frame.
 
 use crate::set_assoc::SetAssoc;
-use dmt_mem::{PageSize, TransUnit, VirtAddr};
+use dmt_mem::{PageSize, PhysAddr, TransUnit, VirtAddr};
 
-/// Where a TLB lookup hit.
+/// Where a TLB lookup hit (a miss is `None`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TlbHit {
     /// L1 data TLB.
     L1,
     /// Shared second-level TLB.
     Stlb,
-    /// Not present — a page walk is required.
-    Miss,
 }
 
 /// TLB geometry.
@@ -100,6 +107,9 @@ const KEY_MASK: u64 = (1 << ASID_SHIFT) - 1;
 /// VMA, so a handful give the same reach as thousands of page entries.
 const UNIT_ENTRIES: usize = 16;
 
+/// The page sizes in lookup order, largest reach first.
+const SIZES: [PageSize; 3] = [PageSize::Size1G, PageSize::Size2M, PageSize::Size4K];
+
 /// One variable-reach entry: a [`TransUnit`] tagged with its address
 /// space, LRU-stamped for replacement within the unit array.
 #[derive(Debug, Clone, Copy)]
@@ -108,11 +118,21 @@ struct UnitEntry {
     tag: u64,
     /// The covered virtual reach.
     unit: TransUnit,
+    /// Physical address of `unit.base` (the reach is PA-contiguous).
+    frame: u64,
     /// LRU stamp (larger = more recently used).
     stamp: u64,
 }
 
-/// A two-level TLB: per-page-size L1 arrays backed by a shared STLB.
+/// The physical address of `va` inside a `size` page whose frame (page
+/// base PA) is `frame`.
+#[inline]
+fn page_pa(frame: u64, va: VirtAddr, size: PageSize) -> PhysAddr {
+    PhysAddr(frame.wrapping_add(va.offset_in(size)))
+}
+
+/// A two-level TLB: per-page-size L1 arrays backed by a shared STLB,
+/// each way holding its entry's frame next to its tag.
 ///
 /// Entries are tagged with the current address-space id (ASID in native,
 /// VMID in virtualized runs): a context switch on tagged hardware is
@@ -122,10 +142,10 @@ struct UnitEntry {
 /// TLB.
 #[derive(Debug, Clone)]
 pub struct Tlb {
-    l1_4k: SetAssoc,
-    l1_2m: SetAssoc,
-    l1_1g: SetAssoc,
-    stlb: SetAssoc,
+    l1_4k: SetAssoc<u64>,
+    l1_2m: SetAssoc<u64>,
+    l1_1g: SetAssoc<u64>,
+    stlb: SetAssoc<u64>,
     /// Resident STLB entries per page size (indexed by
     /// [`PageSize::encode`]). The L1 arrays are size-segregated so their
     /// `occupied` counters already answer "any entry of this size?"; the
@@ -162,7 +182,7 @@ impl Tlb {
         }
     }
 
-    fn l1_for(&mut self, size: PageSize) -> &mut SetAssoc {
+    fn l1_for(&mut self, size: PageSize) -> &mut SetAssoc<u64> {
         match size {
             PageSize::Size4K => &mut self.l1_4k,
             PageSize::Size2M => &mut self.l1_2m,
@@ -170,7 +190,7 @@ impl Tlb {
         }
     }
 
-    fn l1_ref(&self, size: PageSize) -> &SetAssoc {
+    fn l1_ref(&self, size: PageSize) -> &SetAssoc<u64> {
         match size {
             PageSize::Size4K => &self.l1_4k,
             PageSize::Size2M => &self.l1_2m,
@@ -205,7 +225,21 @@ impl Tlb {
     }
 
     /// Install a variable-reach translation unit (a VBI block or a
-    /// segmentation VMA) in the current address space.
+    /// segmentation VMA) in the current address space, with no frame
+    /// known: the entry records the identity frame (`unit.base`). For
+    /// residency-only callers — the unit tests and the outside-in
+    /// traced run in `perfbench/`, which charges data accesses through
+    /// the rig's ground truth itself. The engine fills through
+    /// [`fill_unit_pa`](Self::fill_unit_pa).
+    pub fn fill_unit(&mut self, unit: TransUnit) {
+        self.fill_unit_pa(unit, unit.base, PhysAddr(unit.base.raw()));
+    }
+
+    /// Install a variable-reach translation unit (a VBI block or a
+    /// segmentation VMA) in the current address space. The walk put
+    /// `va`, an address inside the reach, at `pa`; the reach is
+    /// PA-contiguous (the emitting design's contract), so the entry's
+    /// frame is `pa - (va - unit.base)`.
     ///
     /// Newer mappings win: any same-tag entry overlapping the new reach
     /// — including page-granular entries whose 4 KiB pages fall inside
@@ -214,7 +248,9 @@ impl Tlb {
     /// *unit* entry is evicted first, so a stale wide reach can never
     /// shadow a newer shorter one. When the array is full, the LRU
     /// entry is replaced.
-    pub fn fill_unit(&mut self, unit: TransUnit) {
+    pub fn fill_unit_pa(&mut self, unit: TransUnit, va: VirtAddr, pa: PhysAddr) {
+        debug_assert!(unit.contains(va), "the walked VA lies inside its unit");
+        let frame = pa.raw().wrapping_sub(va - unit.base);
         let tag = self.tag();
         self.units
             .retain(|e| !(e.tag == tag && e.unit.overlaps(unit)));
@@ -232,6 +268,7 @@ impl Tlb {
         self.units.push(UnitEntry {
             tag,
             unit,
+            frame,
             stamp: self.unit_clock,
         });
     }
@@ -297,30 +334,27 @@ impl Tlb {
         n
     }
 
-    /// Look up the translation for `va` assuming it is mapped at `size`.
-    ///
-    /// On an STLB hit, the entry is promoted into the L1 array. Misses do
-    /// *not* fill the TLB — call [`fill`](Self::fill) once the walk
+    /// Probe all page sizes at once, as hardware does when the mapping
+    /// size is unknown. Counts a single lookup in the stats. On an STLB
+    /// hit, the entry is promoted into the L1 array. Misses do *not*
+    /// fill the TLB — call [`fill_pa`](Self::fill_pa) once the walk
     /// completes, as hardware does.
-    pub fn lookup(&mut self, va: VirtAddr, size: PageSize) -> TlbHit {
-        let key = self.l1_key(va, size);
-        if self.l1_for(size).lookup(key) {
-            self.stats.l1_hits += 1;
-            return TlbHit::L1;
-        }
-        let skey = self.stlb_key(va, size);
-        if self.stlb.lookup(skey) {
-            self.l1_for(size).insert(key);
-            self.stats.stlb_hits += 1;
-            return TlbHit::Stlb;
-        }
-        self.stats.misses += 1;
-        TlbHit::Miss
+    pub fn lookup_any(&mut self, va: VirtAddr) -> Option<(TlbHit, PageSize)> {
+        self.lookup_entry(va).map(|(hit, size, _)| (hit, size))
     }
 
-    /// Probe all page sizes at once, as hardware does when the mapping
-    /// size is unknown. Counts a single lookup in the stats.
-    pub fn lookup_any(&mut self, va: VirtAddr) -> Option<(TlbHit, PageSize)> {
+    /// [`lookup_any`](Self::lookup_any) that returns the hit's physical
+    /// address — the entry's frame plus `va`'s offset — instead of the
+    /// page size: a hit needs no page walk. Same state transitions and
+    /// stats as `lookup_any`.
+    pub fn lookup_pa(&mut self, va: VirtAddr) -> Option<(TlbHit, PhysAddr)> {
+        self.lookup_entry(va).map(|(hit, _, pa)| (hit, pa))
+    }
+
+    /// The one stateful lookup behind [`lookup_any`](Self::lookup_any)
+    /// and [`lookup_pa`](Self::lookup_pa).
+    #[inline]
+    fn lookup_entry(&mut self, va: VirtAddr) -> Option<(TlbHit, PageSize, PhysAddr)> {
         // Variable-reach unit entries first (fully associative, so they
         // answer before any set scan — and the guard keeps fixed-page
         // designs, which never fill units, bit-identical). A unit hit
@@ -329,26 +363,34 @@ impl Tlb {
         if !self.units.is_empty() {
             if let Some(i) = self.unit_index(va) {
                 self.unit_clock += 1;
-                self.units[i].stamp = self.unit_clock;
+                let e = &mut self.units[i];
+                e.stamp = self.unit_clock;
                 self.stats.l1_hits += 1;
-                return Some((TlbHit::L1, PageSize::Size4K));
+                let pa = PhysAddr(e.frame.wrapping_add(va - e.unit.base));
+                return Some((TlbHit::L1, PageSize::Size4K, pa));
             }
         }
         // L1 arrays first (all sizes), then the STLB.
-        for size in [PageSize::Size1G, PageSize::Size2M, PageSize::Size4K] {
+        for size in SIZES {
             let key = self.l1_key(va, size);
-            if self.l1_for(size).lookup(key) {
+            if let Some(frame) = self.l1_for(size).lookup_value(key) {
                 self.stats.l1_hits += 1;
-                return Some((TlbHit::L1, size));
+                return Some((TlbHit::L1, size, page_pa(frame, va, size)));
             }
         }
-        for size in [PageSize::Size1G, PageSize::Size2M, PageSize::Size4K] {
+        // A size with no resident STLB entry cannot hit; skipping its
+        // set scan changes only the shared array's internal counters,
+        // which nothing reads.
+        for size in SIZES {
+            if self.stlb_residency[size.encode() as usize] == 0 {
+                continue;
+            }
             let skey = self.stlb_key(va, size);
-            if self.stlb.lookup(skey) {
+            if let Some(frame) = self.stlb.lookup_value(skey) {
                 let key = self.l1_key(va, size);
-                self.l1_for(size).insert(key);
+                self.l1_for(size).insert_value(key, frame);
                 self.stats.stlb_hits += 1;
-                return Some((TlbHit::Stlb, size));
+                return Some((TlbHit::Stlb, size, page_pa(frame, va, size)));
             }
         }
         self.stats.misses += 1;
@@ -357,18 +399,18 @@ impl Tlb {
 
     /// Probe every page size without touching LRU state or counters —
     /// the read-only twin of [`lookup_any`](Self::lookup_any). The
-    /// batched engine uses it to classify a block's accesses up front,
-    /// then replays the stateful lookups in scalar order.
+    /// batched engine uses it to decide whether an access may join a
+    /// pending miss run without taking its lookup yet.
     pub fn probe_any(&self, va: VirtAddr) -> bool {
         if !self.units.is_empty() && self.unit_index(va).is_some() {
             return true;
         }
-        for size in [PageSize::Size1G, PageSize::Size2M, PageSize::Size4K] {
+        for size in SIZES {
             if self.l1_ref(size).contains(self.l1_key(va, size)) {
                 return true;
             }
         }
-        for size in [PageSize::Size1G, PageSize::Size2M, PageSize::Size4K] {
+        for size in SIZES {
             if self.stlb_residency[size.encode() as usize] == 0 {
                 continue;
             }
@@ -385,9 +427,11 @@ impl Tlb {
     /// [`probe_any`](Self::probe_any) calls, but structured
     /// structure-major so each per-size pass is skipped outright when the
     /// array holds no entry of that size (`occupied` masks for the L1
-    /// arrays, the per-size residency breakdown for the shared STLB) —
-    /// the batched engine's block scan spends most of its probes in
-    /// passes this eliminates.
+    /// arrays, the per-size residency breakdown for the shared STLB).
+    ///
+    /// The engine no longer calls this; it stays because the outside-in
+    /// traced run in `perfbench/` times it per block
+    /// (`cache.tlb.probe_block_ns`), and the TLB reference model pins it.
     ///
     /// # Panics
     ///
@@ -410,7 +454,7 @@ impl Tlb {
                 }
             }
         }
-        for size in [PageSize::Size1G, PageSize::Size2M, PageSize::Size4K] {
+        for size in SIZES {
             let arr = self.l1_ref(size);
             if arr.occupancy() == 0 {
                 continue;
@@ -424,7 +468,7 @@ impl Tlb {
         if self.stlb.occupancy() == 0 {
             return;
         }
-        for size in [PageSize::Size1G, PageSize::Size2M, PageSize::Size4K] {
+        for size in SIZES {
             if self.stlb_residency[size.encode() as usize] == 0 {
                 continue;
             }
@@ -436,38 +480,30 @@ impl Tlb {
         }
     }
 
-    /// Hint the host CPU to pull the set storage every probe of `va`
-    /// would touch (all page sizes, both levels) into its own caches.
-    /// Pure hardware hint — no simulated state, LRU, or counter
-    /// changes. The batched engine issues this a few elements ahead of
-    /// its scan loop, overlapping host cache misses the scalar engine
-    /// pays serially.
-    #[inline]
-    pub fn prefetch(&self, va: VirtAddr) {
-        for size in [PageSize::Size1G, PageSize::Size2M, PageSize::Size4K] {
-            self.l1_ref(size).prefetch(self.l1_key(va, size));
-            self.stlb.prefetch(self.stlb_key(va, size));
-        }
-    }
-
     /// Account a full-miss [`lookup_any`](Self::lookup_any) whose
-    /// absence was already proven via [`probe_any`](Self::probe_any):
-    /// each per-size array takes exactly the miss count a failed probe
-    /// sequence charges, without rescanning the sets.
+    /// absence was already proven via [`probe_any`](Self::probe_any),
+    /// without rescanning the sets: a failed lookup moves no recency
+    /// state, so it leaves exactly the miss count behind.
     pub fn record_miss(&mut self, va: VirtAddr) {
         debug_assert!(!self.probe_any(va), "record_miss on a resident VA");
-        let _ = va;
-        self.l1_1g.record_miss();
-        self.l1_2m.record_miss();
-        self.l1_4k.record_miss();
-        for _ in 0..3 {
-            self.stlb.record_miss();
-        }
         self.stats.misses += 1;
     }
 
-    /// Install a translation after a completed page walk.
+    /// Install a translation with no frame known: the entry records the
+    /// identity frame (the page's own base VA). For residency-only
+    /// callers — the unit tests, the private walk loops of the
+    /// experiments, and the outside-in traced run in `perfbench/`,
+    /// which charge data accesses through the rig's ground truth
+    /// themselves. The engine fills through [`fill_pa`](Self::fill_pa).
     pub fn fill(&mut self, va: VirtAddr, size: PageSize) {
+        self.fill_pa(va, size, PhysAddr(va.raw()));
+    }
+
+    /// Install a translation after a completed page walk that put `va`
+    /// at `pa` in a `size` page: the entry's frame is `pa` minus `va`'s
+    /// offset in the page. Refilling a resident translation refreshes
+    /// it and replaces its frame (newer mappings win).
+    pub fn fill_pa(&mut self, va: VirtAddr, size: PageSize, pa: PhysAddr) {
         // Newer mappings win: a page-granular fill inside a resident
         // unit reach means the wide mapping was split or replaced, so
         // the stale unit must not keep shadowing the new entry.
@@ -477,14 +513,15 @@ impl Tlb {
             self.units
                 .retain(|e| !(e.tag == tag && e.unit.overlaps_range(base, size.bytes())));
         }
+        let frame = pa.raw().wrapping_sub(va.offset_in(size));
         let key = self.l1_key(va, size);
         let skey = self.stlb_key(va, size);
-        self.l1_for(size).insert(key);
-        // `insert` returns None both on a refresh and on a fill into an
-        // empty way; a read-only pre-probe disambiguates the two so the
-        // per-size residency stays exact.
+        self.l1_for(size).insert_value(key, frame);
+        // `insert_value` returns None both on a refresh and on a fill
+        // into an empty way; a read-only pre-probe disambiguates the two
+        // so the per-size residency stays exact.
         let new_entry = !self.stlb.contains(skey);
-        if let Some(victim) = self.stlb.insert(skey) {
+        if let Some(victim) = self.stlb.insert_value(skey, frame) {
             let vsize =
                 PageSize::decode((victim & 3) as u8).expect("STLB keys carry a valid size tag");
             self.stlb_residency[vsize.encode() as usize] -= 1;
@@ -524,44 +561,58 @@ impl Tlb {
         self.unit_clock = 0;
     }
 
-    /// Every resident translation as `(page base VA, size)`, deduplicated
-    /// across the L1 arrays and the STLB. Read-only (no LRU or counter
-    /// effects) — used by the oracle's shootdown-coherence audit: after an
-    /// `munmap` + `invalidate`, no entry for the unmapped range may remain.
-    pub fn entries(&self) -> Vec<(VirtAddr, PageSize)> {
-        self.entries_tagged()
-            .into_iter()
-            .map(|(_, va, size)| (va, size))
-            .collect()
+    /// Every resident translation as `(page base VA, size, frame)`,
+    /// deduplicated across the L1 arrays and the STLB (copies whose
+    /// frames disagree are both reported). Read-only (no LRU or counter
+    /// effects) — used by the oracle's shootdown-coherence audit: after
+    /// an `munmap` + `invalidate`, no entry for the unmapped range may
+    /// remain, and every survivor's frame must match the page table.
+    pub fn entries(&self) -> Vec<(VirtAddr, PageSize, PhysAddr)> {
+        let mut out = Vec::new();
+        for (_, va, size, frame) in self.resident() {
+            if !out.contains(&(va, size, frame)) {
+                out.push((va, size, frame));
+            }
+        }
+        out
     }
 
     /// Every resident translation with its address-space tag, as
-    /// `(asid, page base VA, size)` — [`entries`](Self::entries) plus the
-    /// tag, for per-tenant coherence audits on a shared TLB.
+    /// `(asid, page base VA, size)`, deduplicated across the L1 arrays
+    /// and the STLB — for per-tenant coherence audits on a shared TLB.
     pub fn entries_tagged(&self) -> Vec<(u16, VirtAddr, PageSize)> {
-        let mut out: Vec<(u16, VirtAddr, PageSize)> = Vec::new();
-        let mut push = |asid: u16, va: VirtAddr, size: PageSize| {
+        let mut out = Vec::new();
+        for (asid, va, size, _) in self.resident() {
             if !out.contains(&(asid, va, size)) {
                 out.push((asid, va, size));
             }
-        };
-        for (arr, size) in [
+        }
+        out
+    }
+
+    /// Every resident page entry of both levels, one item per array
+    /// copy, as `(asid, page base VA, size, frame)`.
+    fn resident(&self) -> impl Iterator<Item = (u16, VirtAddr, PageSize, PhysAddr)> + '_ {
+        let l1 = [
             (&self.l1_4k, PageSize::Size4K),
             (&self.l1_2m, PageSize::Size2M),
             (&self.l1_1g, PageSize::Size1G),
-        ] {
-            for key in arr.keys() {
-                let asid = (key >> ASID_SHIFT) as u16;
-                push(asid, VirtAddr((key & KEY_MASK) << size.shift()), size);
-            }
-        }
-        for key in self.stlb.keys() {
+        ]
+        .into_iter()
+        .flat_map(|(arr, size)| {
+            arr.entries().map(move |(key, frame)| {
+                let va = VirtAddr((key & KEY_MASK) << size.shift());
+                ((key >> ASID_SHIFT) as u16, va, size, PhysAddr(frame))
+            })
+        });
+        let stlb = self.stlb.entries().map(|(key, frame)| {
             let asid = (key >> ASID_SHIFT) as u16;
             let key = key & KEY_MASK;
             let size = PageSize::decode((key & 3) as u8).expect("STLB keys carry a valid size tag");
-            push(asid, VirtAddr((key >> 2) << size.shift()), size);
-        }
-        out
+            let va = VirtAddr((key >> 2) << size.shift());
+            (asid, va, size, PhysAddr(frame))
+        });
+        l1.chain(stlb)
     }
 
     /// Counters.
@@ -585,40 +636,81 @@ impl Default for Tlb {
 mod tests {
     use super::*;
 
+    const L1_4K: Option<(TlbHit, PageSize)> = Some((TlbHit::L1, PageSize::Size4K));
+
     #[test]
     fn miss_then_fill_then_hit() {
         let mut t = Tlb::new(TlbConfig::tiny());
         let va = VirtAddr(0x7f00_0000_1000);
-        assert_eq!(t.lookup(va, PageSize::Size4K), TlbHit::Miss);
+        assert_eq!(t.lookup_any(va), None);
         t.fill(va, PageSize::Size4K);
-        assert_eq!(t.lookup(va, PageSize::Size4K), TlbHit::L1);
+        assert_eq!(t.lookup_any(va), L1_4K);
         // Same 4 KiB page, different offset: still a hit.
-        assert_eq!(t.lookup(va + 0xfff, PageSize::Size4K), TlbHit::L1);
+        assert_eq!(t.lookup_any(va + 0xfff), L1_4K);
     }
 
     #[test]
-    fn stlb_catches_l1_evictions_and_promotes() {
-        let cfg = TlbConfig::tiny(); // L1: 4 entries (2 sets x 2 ways)
-        let mut t = Tlb::new(cfg);
-        // Fill 4 pages in the same L1 set (stride of 2 pages = set 0); the
-        // STLB set has 4 ways so all 4 stay resident there.
+    fn hits_return_the_filled_frame_plus_offset() {
+        let mut t = Tlb::new(TlbConfig::tiny());
+        // The walk put 0x7f00_0000_1234 at 0x5_6000_0234 (4 KiB page).
+        let (va, pa) = (VirtAddr(0x7f00_0000_1234), PhysAddr(0x5_6000_0234));
+        t.fill_pa(va, PageSize::Size4K, pa);
+        assert_eq!(
+            t.lookup_pa(VirtAddr(0x7f00_0000_1ff8)),
+            Some((TlbHit::L1, PhysAddr(0x5_6000_0ff8)))
+        );
+        // A refill replaces the frame (newer mappings win).
+        t.fill_pa(va, PageSize::Size4K, PhysAddr(0x9234));
+        assert_eq!(
+            t.lookup_pa(VirtAddr(0x7f00_0000_1010)),
+            Some((TlbHit::L1, PhysAddr(0x9010)))
+        );
+        // 2 MiB page: the frame is the huge page's base.
+        let (va, pa) = (VirtAddr(0x4012_3456), PhysAddr(0x80_0012_3456));
+        t.fill_pa(va, PageSize::Size2M, pa);
+        assert_eq!(
+            t.lookup_pa(VirtAddr(0x4000_0008)),
+            Some((TlbHit::L1, PhysAddr(0x80_0000_0008)))
+        );
+        // A unit's frame is its base's PA, whichever VA the walk hit.
+        let u = TransUnit {
+            base: VirtAddr(0x100_0000),
+            len: 0x5000,
+        };
+        t.fill_unit_pa(u, VirtAddr(0x100_3008), PhysAddr(0x2_0000_3008));
+        assert_eq!(
+            t.lookup_pa(VirtAddr(0x100_4ff0)),
+            Some((TlbHit::L1, PhysAddr(0x2_0000_4ff0)))
+        );
+    }
+
+    #[test]
+    fn stlb_hits_promote_the_frame_into_l1() {
+        // L1: 2 sets x 2 ways. Four pages in L1 set 0; the 4-way STLB
+        // keeps all of them.
+        let mut t = Tlb::new(TlbConfig::tiny());
         for i in 0..4u64 {
-            t.fill(VirtAddr(i * 2 * 4096), PageSize::Size4K);
+            let frame = PhysAddr((i + 1) << 20);
+            t.fill_pa(VirtAddr(i * 2 * 4096), PageSize::Size4K, frame);
         }
-        // The oldest fills were evicted from L1 but live in the STLB.
-        assert_eq!(t.lookup(VirtAddr(0), PageSize::Size4K), TlbHit::Stlb);
-        // Promotion: second lookup hits L1.
-        assert_eq!(t.lookup(VirtAddr(0), PageSize::Size4K), TlbHit::L1);
+        assert_eq!(
+            t.lookup_pa(VirtAddr(0x10)),
+            Some((TlbHit::Stlb, PhysAddr((1 << 20) + 0x10)))
+        );
+        assert_eq!(
+            t.lookup_pa(VirtAddr(0x20)),
+            Some((TlbHit::L1, PhysAddr((1 << 20) + 0x20)))
+        );
     }
 
     #[test]
     fn page_sizes_do_not_alias() {
         let mut t = Tlb::new(TlbConfig::tiny());
-        let va = VirtAddr(0);
-        t.fill(va, PageSize::Size4K);
-        assert_eq!(t.lookup(va, PageSize::Size2M), TlbHit::Miss);
-        assert_eq!(t.lookup(va, PageSize::Size1G), TlbHit::Miss);
-        assert_eq!(t.lookup(va, PageSize::Size4K), TlbHit::L1);
+        t.fill(VirtAddr(0), PageSize::Size4K);
+        // Another 4 KiB page of the same 2 MiB and 1 GiB regions misses:
+        // the 4 KiB entry claims no wider reach.
+        assert_eq!(t.lookup_any(VirtAddr(0x1000)), None);
+        assert_eq!(t.lookup_any(VirtAddr(0)), L1_4K);
     }
 
     #[test]
@@ -627,13 +719,10 @@ mod tests {
         t.fill(VirtAddr(0), PageSize::Size2M);
         // Any address within the 2 MiB page hits.
         assert_eq!(
-            t.lookup(VirtAddr(2 * 1024 * 1024 - 1), PageSize::Size2M),
-            TlbHit::L1
+            t.lookup_any(VirtAddr(2 * 1024 * 1024 - 1)),
+            Some((TlbHit::L1, PageSize::Size2M))
         );
-        assert_eq!(
-            t.lookup(VirtAddr(2 * 1024 * 1024), PageSize::Size2M),
-            TlbHit::Miss
-        );
+        assert_eq!(t.lookup_any(VirtAddr(2 * 1024 * 1024)), None);
     }
 
     #[test]
@@ -642,16 +731,16 @@ mod tests {
         let va = VirtAddr(0x1000);
         t.fill(va, PageSize::Size4K);
         t.invalidate(va, PageSize::Size4K);
-        assert_eq!(t.lookup(va, PageSize::Size4K), TlbHit::Miss);
+        assert_eq!(t.lookup_any(va), None);
     }
 
     #[test]
     fn stats_track_levels() {
         let mut t = Tlb::new(TlbConfig::tiny());
         let va = VirtAddr(0x1000);
-        t.lookup(va, PageSize::Size4K); // miss
+        t.lookup_any(va); // miss
         t.fill(va, PageSize::Size4K);
-        t.lookup(va, PageSize::Size4K); // L1 hit
+        t.lookup_any(va); // L1 hit
         let s = t.stats();
         assert_eq!(s.misses, 1);
         assert_eq!(s.l1_hits, 1);
@@ -692,13 +781,12 @@ mod tests {
         t.fill(VirtAddr(0x1000), PageSize::Size4K);
         t.fill(VirtAddr(0x20_0000), PageSize::Size2M);
         let e = t.entries();
-        assert!(e.contains(&(VirtAddr(0x1000), PageSize::Size4K)));
-        assert!(e.contains(&(VirtAddr(0x20_0000), PageSize::Size2M)));
+        let page = (VirtAddr(0x1000), PageSize::Size4K, PhysAddr(0x1000));
+        assert!(e.contains(&page));
+        assert!(e.contains(&(VirtAddr(0x20_0000), PageSize::Size2M, PhysAddr(0x20_0000))));
         assert_eq!(e.len(), 2, "L1 and STLB copies deduplicated");
         t.invalidate(VirtAddr(0x1000), PageSize::Size4K);
-        assert!(!t
-            .entries()
-            .contains(&(VirtAddr(0x1000), PageSize::Size4K)));
+        assert!(!t.entries().contains(&page));
     }
 
     #[test]
@@ -706,7 +794,7 @@ mod tests {
         let mut t = Tlb::new(TlbConfig::tiny());
         t.fill(VirtAddr(0x1000), PageSize::Size4K);
         t.flush();
-        assert_eq!(t.lookup(VirtAddr(0x1000), PageSize::Size4K), TlbHit::Miss);
+        assert_eq!(t.lookup_any(VirtAddr(0x1000)), None);
     }
 
     #[test]
@@ -716,12 +804,12 @@ mod tests {
         t.fill(va, PageSize::Size4K);
         // Same VA in another address space misses without any flush.
         t.set_asid(7);
-        assert_eq!(t.lookup(va, PageSize::Size4K), TlbHit::Miss);
+        assert_eq!(t.lookup_any(va), None);
         t.fill(va, PageSize::Size4K);
-        assert_eq!(t.lookup(va, PageSize::Size4K), TlbHit::L1);
+        assert_eq!(t.lookup_any(va), L1_4K);
         // Switching back finds the original entry still resident.
         t.set_asid(0);
-        assert_eq!(t.lookup(va, PageSize::Size4K), TlbHit::L1);
+        assert_eq!(t.lookup_any(va), L1_4K);
     }
 
     #[test]
@@ -733,9 +821,9 @@ mod tests {
         t.fill(VirtAddr(0x20_0000), PageSize::Size2M);
         // Two tagged translations, each resident in L1 + STLB = 4 entries.
         assert_eq!(t.flush_asid(3), 4);
-        assert_eq!(t.lookup(VirtAddr(0x1000), PageSize::Size4K), TlbHit::Miss);
+        assert_eq!(t.lookup_any(VirtAddr(0x1000)), None);
         t.set_asid(0);
-        assert_eq!(t.lookup(VirtAddr(0x1000), PageSize::Size4K), TlbHit::L1);
+        assert_eq!(t.lookup_any(VirtAddr(0x1000)), L1_4K);
         assert_eq!(t.flush_asid(9), 0, "unknown tag flushes nothing");
     }
 
@@ -750,8 +838,9 @@ mod tests {
         assert!(e.contains(&(5, VirtAddr(0x2000), PageSize::Size4K)));
         // The untagged view decodes the same VAs regardless of tag.
         let plain = t.entries();
-        assert!(plain.contains(&(VirtAddr(0x1000), PageSize::Size4K)));
-        assert!(plain.contains(&(VirtAddr(0x2000), PageSize::Size4K)));
+        for va in [VirtAddr(0x1000), VirtAddr(0x2000)] {
+            assert!(plain.contains(&(va, PageSize::Size4K, PhysAddr(va.raw()))));
+        }
     }
 
     #[test]

@@ -96,11 +96,6 @@ impl Model {
         }
     }
 
-    fn record_miss(&mut self) {
-        self.clock += 1;
-        self.misses += 1;
-    }
-
     fn keys(&self) -> Vec<u64> {
         let mut keys: Vec<u64> = self
             .sets
@@ -155,15 +150,7 @@ fn check(sets: u64, ways: usize, ops: &[(u16, u64)]) {
                 assert_eq!(real.invalidate(key), model.invalidate(key), "step {step}");
                 "invalidate"
             }
-            // `record_miss` is only legal once absence is proven.
-            950..=989 => {
-                if !model.contains(key) {
-                    real.record_miss();
-                    model.record_miss();
-                }
-                "record_miss"
-            }
-            990..=999 => {
+            950..=999 => {
                 real.reset_stats();
                 model.hits = 0;
                 model.misses = 0;

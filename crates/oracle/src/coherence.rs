@@ -12,12 +12,14 @@ use dmt_os::proc::{Process, ThpMode};
 use dmt_os::vma::{VmaId, VmaKind};
 
 /// Check every resident TLB entry against the live page table: the page
-/// must still be mapped, and the cached reach must not exceed the
-/// mapping's leaf size (a residual 4 KiB entry under a promoted 2 MiB
-/// leaf is merely conservative; the reverse over-claims).
+/// must still be mapped, the cached reach must not exceed the mapping's
+/// leaf size (a 4 KiB entry inside a 2 MiB leaf is merely conservative;
+/// the reverse over-claims), and the entry's frame must be where the
+/// page table puts the entry's base now — a TLB hit charges its data
+/// access at that frame.
 pub fn audit_tlb(tlb: &Tlb, pm: &PhysMemory, proc_: &Process) -> Vec<String> {
     let mut out = Vec::new();
-    for (va, size) in tlb.entries() {
+    for (va, size, frame) in tlb.entries() {
         match proc_.page_table().translate(pm, va) {
             None => out.push(format!(
                 "TLB: stale {size:?} entry for {:#x}: page no longer mapped",
@@ -26,6 +28,12 @@ pub fn audit_tlb(tlb: &Tlb, pm: &PhysMemory, proc_: &Process) -> Vec<String> {
             Some((_, got)) if got.bytes() < size.bytes() => out.push(format!(
                 "TLB: entry for {:#x} claims {size:?} reach over a {got:?} mapping",
                 va.raw()
+            )),
+            Some((pa, _)) if pa != frame => out.push(format!(
+                "TLB: stale frame in {size:?} entry for {:#x}: cached {:#x}, page table maps {:#x}",
+                va.raw(),
+                frame.raw(),
+                pa.raw()
             )),
             Some(_) => {}
         }
@@ -95,8 +103,8 @@ impl ShootdownHarness {
     }
 
     /// Touch `va`: demand-populate it, then model the hardware walk the
-    /// access would do — fill the TLB with the leaf and the PWC with
-    /// every upper-level table on the path.
+    /// access would do — fill the TLB with the leaf and its frame, and
+    /// the PWC with every upper-level table on the path.
     ///
     /// # Errors
     ///
@@ -105,12 +113,12 @@ impl ShootdownHarness {
         self.proc_
             .populate(&mut self.pm, va)
             .map_err(|e| e.to_string())?;
-        let (_, size) = self
+        let (pa, size) = self
             .proc_
             .page_table()
             .translate(&self.pm, va)
             .ok_or_else(|| format!("{:#x} not mapped after populate", va.raw()))?;
-        self.tlb.fill(va.align_down(size), size);
+        self.tlb.fill_pa(va, size, pa);
         for level in 2..=4u8 {
             if let Some(pfn) = self.proc_.page_table().table_frame(&self.pm, va, level - 1) {
                 self.pwc.fill(va, level, PhysAddr::from_pfn(pfn));
@@ -124,7 +132,7 @@ impl ShootdownHarness {
     /// CR3-write analog — coarse but always sufficient).
     pub fn shootdown(&mut self, base: VirtAddr, len: u64) {
         let end = base.raw() + len;
-        for (va, size) in self.tlb.entries() {
+        for (va, size, _) in self.tlb.entries() {
             if va.raw() < end && va.raw() + size.bytes() > base.raw() {
                 self.tlb.invalidate(va, size);
             }
@@ -227,15 +235,58 @@ mod tests {
     }
 
     #[test]
-    fn thp_promotion_leaves_only_conservative_tlb_entries() {
-        let mut h = ShootdownHarness::new(256 * MIB, ThpMode::Always).unwrap();
+    fn remap_without_shootdown_leaves_a_stale_frame() {
+        let (mut h, id, base, len) = touched_harness();
+        h.munmap_skipping_shootdown(id).unwrap();
+        // Map the range again and populate it behind the TLB's back:
+        // every page is mapped at its old size, but to a new frame (the
+        // old data frames leak on unmap, so none is reused).
+        h.mmap(base, len).unwrap();
+        for i in 0..64 {
+            let va = VirtAddr(base.raw() + i * PageSize::Size4K.bytes());
+            h.proc_.populate(&mut h.pm, va).unwrap();
+        }
+        let violations = h.audit();
+        assert!(
+            violations.iter().any(|v| v.starts_with("TLB: stale frame")),
+            "{violations:?}"
+        );
+        assert!(
+            violations.iter().all(|v| !v.contains("no longer mapped")),
+            "only the frame check can see this: {violations:?}"
+        );
+        h.shootdown(base, len);
+        assert_eq!(h.audit(), Vec::<String>::new());
+    }
+
+    #[test]
+    fn thp_promotion_leaves_stale_frames_until_shot_down() {
+        let mut h = ShootdownHarness::new(256 * MIB, ThpMode::Never).unwrap();
         let base = VirtAddr(1 << 30);
         h.mmap(base, 4 * MIB).unwrap();
-        for i in 0..8 {
+        for i in 0..512 {
             h.touch(VirtAddr(base.raw() + i * PageSize::Size4K.bytes()))
                 .unwrap();
         }
-        // Residual smaller-than-mapping entries never trip the audit.
+        assert_eq!(h.audit(), Vec::<String>::new());
+        // Promotion copies the data into a new 2 MiB block: a residual
+        // 4 KiB entry no longer over-claims, but it still points at the
+        // old 4 KiB frame, so it must be shot down.
+        h.proc_.promote(&mut h.pm, base).unwrap();
+        let violations = h.audit();
+        assert!(
+            violations.iter().any(|v| v.starts_with("TLB: stale frame")),
+            "{violations:?}"
+        );
+        h.shootdown(base, PageSize::Size2M.bytes());
+        assert_eq!(h.audit(), Vec::<String>::new());
+        // A fresh touch caches the huge leaf, coherently.
+        h.touch(base + 0x1234).unwrap();
+        assert!(h
+            .tlb
+            .entries()
+            .iter()
+            .any(|&(va, size, _)| va == base && size == PageSize::Size2M));
         assert_eq!(h.audit(), Vec::<String>::new());
     }
 

@@ -2,10 +2,15 @@
 //!
 //! For each access: probe the TLB; on a miss, invoke the rig's
 //! translation path (which charges the cache hierarchy for each PTE
-//! fetch) and refill the TLB; finally charge the data access itself
-//! through the same hierarchy — the contention between data lines and
-//! PTE lines is what makes last-level PTEs expensive for big-footprint
-//! workloads.
+//! fetch) and refill the TLB with the walk's frame; finally charge the
+//! data access itself through the same hierarchy — the contention
+//! between data lines and PTE lines is what makes last-level PTEs
+//! expensive for big-footprint workloads.
+//!
+//! A hit's data access goes to the frame the TLB entry carries, so hits
+//! do no page walk at all: [`Rig::data_pa`], the software ground truth,
+//! runs only on misses, and a `debug_assert_eq!` checks every hit's
+//! frame against it.
 //!
 //! The loop is generic over a [`Probe`]: the no-op probe's
 //! `ACTIVE = false` compiles every instrumentation branch away, so the
@@ -26,7 +31,7 @@ use crate::rig::{OutcomeBlock, Rig};
 use crate::runner::Engine;
 use dmt_cache::hierarchy::{HitLevel, MemoryHierarchy};
 use dmt_cache::tlb::{Tlb, TlbHit};
-use dmt_mem::{FastSet, TransUnit, VirtAddr};
+use dmt_mem::{FastSet, PhysAddr, TransUnit, VirtAddr};
 use dmt_telemetry::{MemLevel, Probe, TlbPath};
 use dmt_workloads::gen::Access;
 use std::borrow::Borrow;
@@ -81,6 +86,13 @@ impl RunStats {
     }
 }
 
+fn tlb_path(h: TlbHit) -> TlbPath {
+    match h {
+        TlbHit::L1 => TlbPath::L1,
+        TlbHit::Stlb => TlbPath::Stlb,
+    }
+}
+
 fn mem_level(l: HitLevel) -> MemLevel {
     match l {
         HitLevel::L1 => MemLevel::L1,
@@ -125,16 +137,6 @@ struct BlockState {
     outcomes: OutcomeBlock,
     recs: Vec<Rec>,
     pending_regions: FastSet<u64>,
-    /// Regions that received a TLB fill earlier in this block — the only
-    /// places where the block-start residency hints can have gone stale
-    /// in the absent→resident direction (a fill never exceeds the
-    /// region granularity, see `region_shift`).
-    filled_regions: FastSet<u64>,
-    /// Block-start residency hints from [`Tlb::probe_block`], one per
-    /// element.
-    hints: Vec<bool>,
-    /// The block's VAs, contiguous for the vectorized probe.
-    vas: Vec<VirtAddr>,
     /// Indices of miss elements, for the column-wise reconcile pass.
     miss_idx: Vec<u32>,
 }
@@ -146,24 +148,18 @@ pub(crate) type OnMeasured<'a, P> = &'a mut dyn FnMut(&mut P, &dyn Rig, u64);
 /// Flush a pending miss run: one `translate_batch` over the run's row
 /// window, then the per-element TLB replay (miss charge + fill) in
 /// element order — the same per-component op sequence the scalar loop
-/// would have issued. When `first_pre_counted`, the run's first element
-/// already took its miss charge through a failed `lookup_any` (a stale
-/// block-probe hint), so only the fill remains for it.
-#[allow(clippy::too_many_arguments)]
+/// would have issued. The run's first element already took its miss
+/// charge through the failed `lookup_pa` that started the run, so only
+/// the fill remains for it.
 fn flush_run(
     rig: &mut dyn Rig,
     block: &[Access],
     range: std::ops::Range<usize>,
-    first_pre_counted: bool,
     tlb: &mut Tlb,
     hier: &mut MemoryHierarchy,
     outcomes: &mut OutcomeBlock,
-    filled_regions: &mut FastSet<u64>,
     region_shift: u32,
 ) {
-    if range.is_empty() {
-        return;
-    }
     let (s, e) = (range.start, range.end);
     rig.translate_batch(&block[s..e], hier, &mut outcomes.rows(s..e));
     for (j, a) in block.iter().enumerate().take(e).skip(s) {
@@ -182,18 +178,19 @@ fn flush_run(
             },
             "a fill exceeds the {region_shift}-bit pending-region granularity"
         );
-        if !(first_pre_counted && j == s) {
+        if j != s {
             tlb.record_miss(a.va);
         }
+        let pa = PhysAddr(outcomes.pa[j]);
         if unit_len != 0 {
-            tlb.fill_unit(TransUnit {
+            let unit = TransUnit {
                 base: VirtAddr(outcomes.unit_base[j]),
                 len: unit_len,
-            });
+            };
+            tlb.fill_unit_pa(unit, a.va, pa);
         } else {
-            tlb.fill(a.va, size);
+            tlb.fill_pa(a.va, size, pa);
         }
-        filled_regions.insert(a.va.raw() >> region_shift);
     }
 }
 
@@ -203,23 +200,22 @@ fn flush_run(
 /// scalar [`step_access`] loop would perform happens here in the same
 /// per-component order —
 ///
-/// - the TLB residency of the whole block is probed up front with one
-///   structure-major [`Tlb::probe_block`] pass (read-only, so the
-///   hints observe exactly the block-entry state); a hint can go stale
-///   during the block only (a) absent→resident via a fill, confined to
-///   `filled_regions` and re-checked with an exact `probe_any`, or (b)
-///   resident→absent via an eviction, caught because the stateful
-///   `lookup_any` is the authority — when it misses, its failed probe
-///   sequence IS the miss charge the scalar loop would take
-///   (`record_miss`'s contract), and the element starts a new pending
-///   run with the charge marked as already taken;
-/// - misses accumulate into a *pending run* of region-disjoint VAs; a
-///   TLB hit or a region conflict flushes the run first (so a fill
-///   from an earlier miss can still produce the hit the scalar loop
-///   would have seen), then re-probes exactly;
-/// - hit elements do their data access immediately (cache charges stay
-///   in trace order); miss elements' data accesses happen inside
-///   `translate_batch`, interleaved per element with the PTE fetches;
+/// - with no miss run pending, an element takes its stateful
+///   [`Tlb::lookup_pa`] exactly as the scalar loop does. A hit does its
+///   data access at once, at the entry's frame (cache charges stay in
+///   trace order); a miss has just taken its miss charge, and starts a
+///   *pending run*;
+/// - with a run pending, an exact read-only [`Tlb::probe_any`] decides:
+///   an access that misses, in a region no pending element occupies,
+///   joins the run with its lookup deferred (`record_miss` at flush
+///   time charges exactly what the failed lookup would have, and a
+///   fill never reaches past its region, so no fill of the run can
+///   turn it into a hit). A hit or a region conflict flushes the run
+///   first — so a fill from an earlier miss can still produce the hit
+///   the scalar loop would have seen — and then takes the stateful
+///   lookup as above;
+/// - miss elements' data accesses happen inside `translate_batch`,
+///   interleaved per element with the PTE fetches;
 /// - `measured`-gated accounting (RunStats + probe) is deferred to one
 ///   reconciliation pass per block over the outcome columns. With no
 ///   probe and no sampling hook the pass is column-wise (dense u64
@@ -253,89 +249,42 @@ fn run_block<P: Probe>(
     st.outcomes.reset(block.len());
     st.recs.clear();
     st.pending_regions.clear();
-    st.filled_regions.clear();
     st.miss_idx.clear();
-    st.vas.clear();
-    st.vas.extend(block.iter().map(|a| a.va));
-    st.hints.resize(block.len(), false);
-    tlb.probe_block(&st.vas, &mut st.hints);
-    // (run start, whether its first element's miss charge was already
-    // taken by a failed lookup_any on a stale hint).
-    let mut pending: Option<(usize, bool)> = None;
+    // Start of the pending miss run, if any.
+    let mut pending: Option<usize> = None;
 
     for (i, a) in block.iter().enumerate() {
         let region = a.va.raw() >> region_shift;
-        let mut hit =
-            st.hints[i] || (st.filled_regions.contains(&region) && tlb.probe_any(a.va));
-        if let Some((s, pre)) = pending {
-            if hit || st.pending_regions.contains(&region) {
-                flush_run(
-                    rig,
-                    block,
-                    s..i,
-                    pre,
-                    tlb,
-                    hier,
-                    &mut st.outcomes,
-                    &mut st.filled_regions,
-                    region_shift,
-                );
-                st.pending_regions.clear();
-                pending = None;
-                hit = tlb.probe_any(a.va);
+        if let Some(s) = pending {
+            if !st.pending_regions.contains(&region) && !tlb.probe_any(a.va) {
+                st.pending_regions.insert(region);
+                st.recs.push(Rec::Miss);
+                st.miss_idx.push(i as u32);
+                continue;
             }
+            flush_run(rig, block, s..i, tlb, hier, &mut st.outcomes, region_shift);
+            st.pending_regions.clear();
+            pending = None;
         }
-        if hit {
-            match tlb.lookup_any(a.va) {
-                Some((h, _)) => {
-                    let path = match h {
-                        TlbHit::L1 => TlbPath::L1,
-                        _ => TlbPath::Stlb,
-                    };
-                    let pa = rig.data_pa(a.va);
-                    let (level, cycles) = hier.access(pa.raw());
-                    st.outcomes.data_level[i] = level;
-                    st.outcomes.data_cycles[i] = cycles;
-                    st.recs.push(Rec::Hit { path });
-                }
-                None => {
-                    // Stale block-probe hint: the entry was evicted
-                    // after the hints were taken. The failed lookup_any
-                    // just charged the miss exactly as the deferred
-                    // record_miss would have (same counters, recency
-                    // order untouched) — start a new run with the
-                    // charge marked taken. No flush intervened since
-                    // the hint check, so this element necessarily
-                    // *starts* its run.
-                    pending = Some((i, true));
-                    st.pending_regions.insert(region);
-                    st.recs.push(Rec::Miss);
-                    st.miss_idx.push(i as u32);
-                }
+        match tlb.lookup_pa(a.va) {
+            Some((h, pa)) => {
+                debug_assert_eq!(pa, rig.data_pa(a.va), "TLB frame at {}", a.va);
+                let (level, cycles) = hier.access(pa.raw());
+                st.outcomes.data_level[i] = level;
+                st.outcomes.data_cycles[i] = cycles;
+                st.recs.push(Rec::Hit { path: tlb_path(h) });
             }
-        } else {
-            if pending.is_none() {
-                pending = Some((i, false));
+            None => {
+                pending = Some(i);
+                st.pending_regions.insert(region);
+                st.recs.push(Rec::Miss);
+                st.miss_idx.push(i as u32);
             }
-            st.pending_regions.insert(region);
-            st.recs.push(Rec::Miss);
-            st.miss_idx.push(i as u32);
         }
     }
-    if let Some((s, pre)) = pending {
-        let e = block.len();
-        flush_run(
-            rig,
-            block,
-            s..e,
-            pre,
-            tlb,
-            hier,
-            &mut st.outcomes,
-            &mut st.filled_regions,
-            region_shift,
-        );
-        st.pending_regions.clear();
+    if let Some(s) = pending {
+        let run = s..block.len();
+        flush_run(rig, block, run, tlb, hier, &mut st.outcomes, region_shift);
     }
 
     // Deferred accounting. Fast path: no probe, no sampling hook —
@@ -581,14 +530,13 @@ fn step_access<P: Probe>(
     stats: &mut RunStats,
     probe: &mut P,
 ) {
-    match tlb.lookup_any(a.va) {
-        Some((hit, _)) => {
+    let pa = match tlb.lookup_pa(a.va) {
+        Some((hit, pa)) => {
+            debug_assert_eq!(pa, rig.data_pa(a.va), "TLB frame at {}", a.va);
             if P::ACTIVE && measured {
-                probe.tlb_lookup(match hit {
-                    TlbHit::L1 => TlbPath::L1,
-                    _ => TlbPath::Stlb,
-                });
+                probe.tlb_lookup(tlb_path(hit));
             }
+            pa
         }
         None => {
             let before = if P::ACTIVE && measured {
@@ -598,8 +546,8 @@ fn step_access<P: Probe>(
             };
             let tr = rig.translate(a.va, hier);
             match tr.unit {
-                Some(u) => tlb.fill_unit(u),
-                None => tlb.fill(a.va, tr.size),
+                Some(u) => tlb.fill_unit_pa(u, a.va, tr.pa),
+                None => tlb.fill_pa(a.va, tr.size, tr.pa),
             }
             if measured {
                 stats.walks += 1;
@@ -624,9 +572,9 @@ fn step_access<P: Probe>(
                     }
                 }
             }
+            rig.data_pa(a.va)
         }
-    }
-    let pa = rig.data_pa(a.va);
+    };
     let (level, cyc) = hier.access(pa.raw());
     if measured {
         stats.accesses += 1;
