@@ -54,6 +54,6 @@ fn checked_boxed(rig: Box<dyn Rig>) -> Box<dyn Rig> {
 
 /// The oracle as a rig wrapper, for
 /// `Runner::builder().rig_wrapper(dmt_oracle::wrapper())`.
-pub fn wrapper() -> dmt_sim::experiments::RigWrapper {
+pub fn wrapper() -> dmt_sim::runner::RigWrapper {
     checked_boxed
 }

@@ -31,12 +31,13 @@
 //!
 //! Each scheduler quantum is one [`crate::engine::run_span`] call — the
 //! same span runner the single-rig engine uses, over the runner's
-//! hierarchy ([`Runner::hierarchy_for`]) — so a one-tenant node is
-//! bit-identical to [`Runner::run_one`] by construction.
+//! hierarchy ([`Runner::hierarchy_for`]) — and tenant 0 replays the
+//! sweep's trace of its (benchmark, THP), so a one-tenant node is
+//! bit-identical to the one-cell [`Runner::sweep`] row of its (env,
+//! design, benchmark) by construction.
 //!
 //! [`Rig::swap_phys`]: crate::rig::Rig::swap_phys
 //! [`Rig::swap_pwc`]: crate::rig::Rig::swap_pwc
-//! [`Runner::run_one`]: crate::runner::Runner::run_one
 
 mod config;
 mod sched;
@@ -118,7 +119,7 @@ fn run_node_probed<P: Probe>(
     // rebuilt incarnations allocate from a genuinely aged buddy).
     let mut seeds = Vec::with_capacity(cfg.tenants.len());
     for (i, &spec) in cfg.tenants.iter().enumerate() {
-        seeds.push(TenantSeed::materialize(spec, i, cfg.design, cfg.thp, cfg.scale)?);
+        seeds.push(TenantSeed::materialize(spec, i, cfg.thp, cfg.scale)?);
     }
     let per_tenant: Vec<u64> = seeds.iter().map(|s| s.host_bytes(cfg.thp)).collect();
     let base: u64 = per_tenant.iter().sum();

@@ -5,10 +5,11 @@
 use crate::cloudnode::config::TenantSpec;
 use crate::engine::RunStats;
 use crate::error::SimError;
-use crate::experiments::{scaled_benchmark, RigWrapper, Scale};
+use crate::experiments::Scale;
 use crate::native_rig::NativeRig;
 use crate::nested_rig::NestedRig;
 use crate::rig::{Design, Env, Rig, Setup};
+use crate::runner::{bench_trace, RigWrapper};
 use crate::virt_rig::VirtRig;
 use dmt_mem::PhysMemory;
 use dmt_workloads::gen::Access;
@@ -23,29 +24,23 @@ pub(crate) struct TenantSeed {
 }
 
 impl TenantSeed {
-    /// Generate tenant `index`'s trace and setup. The seed folds the
-    /// tenant index into the high bits so tenant 0 replays exactly the
-    /// stream [`Runner::run_one`](crate::runner::Runner::run_one)
-    /// would — the one-tenant equivalence the test suite pins.
+    /// Generate tenant `index`'s trace and setup. The seed
+    /// ([`trace_seed`](crate::runner::trace_seed)) folds the tenant
+    /// index into the high bits, so tenant 0 replays exactly the trace
+    /// a sweep row of the same (benchmark, THP) replays — the one-tenant
+    /// equivalence the test suite pins.
     pub(crate) fn materialize(
         spec: TenantSpec,
         index: usize,
-        design: Design,
         thp: bool,
         scale: Scale,
     ) -> Result<TenantSeed, SimError> {
-        let w = scaled_benchmark(spec.bench, scale, thp).ok_or(SimError::BenchIndex {
-            index: spec.bench,
-            count: dmt_workloads::bench7::BENCH7_COUNT,
-        })?;
-        let seed = 0xD317 ^ design as u64 ^ ((index as u64) << 32);
-        let trace = w.trace(scale.total(), seed);
-        let setup = Setup::of_workload(w.as_ref(), &trace);
+        let b = bench_trace(spec.bench, index, scale, thp)?;
         Ok(TenantSeed {
             spec,
-            workload: w.name().to_string(),
-            setup,
-            trace,
+            workload: b.workload.name().to_string(),
+            setup: b.setup,
+            trace: b.trace,
         })
     }
 

@@ -1,16 +1,20 @@
 //! One runner per table/figure of the paper's evaluation (§6).
 //!
-//! Each function builds the rigs, drives the engine, applies the §5
-//! performance model, and returns structured rows; the examples
+//! Each function takes the [`Runner`] it replays through (so its
+//! wrapper, telemetry, engine and tiering reach every cell), applies
+//! the §5 performance model, and returns structured rows; the examples
 //! (`paper_figures` prints all of them) render them via
-//! [`crate::report`].
+//! [`crate::report`]. Figures 4, 14, 15 and 17 are one
+//! [`Runner::sweep`] each: every design row is paired with the vanilla
+//! row of the same (benchmark, THP), which replayed the same trace.
 
-use crate::engine::RunStats;
+use crate::cloudnode::{NodeConfig, NodeStats};
 use crate::error::SimError;
 use crate::native_rig::NativeRig;
 use crate::perfmodel::{app_speedup, calib_for, exit_ratio, geomean};
 use crate::rig::{Design, Env, Rig, Setup};
 use crate::runner::Runner;
+use crate::sweep::{run_ordered, worker_count, SweepConfig, SweepReport, SweepRow};
 use crate::virt_rig::VirtRig;
 use dmt_workloads::bench7::Redis;
 use dmt_workloads::gen::Workload;
@@ -72,55 +76,6 @@ pub fn scaled_benchmark(i: usize, scale: Scale, thp: bool) -> Option<Box<dyn Wor
     dmt_workloads::bench7::nth_benchmark(i, f)
 }
 
-/// The seven benchmarks at the given scale and page-size mode, in the
-/// paper's order.
-pub fn scaled_benchmarks(scale: Scale, thp: bool) -> Vec<Box<dyn Workload>> {
-    (0..dmt_workloads::bench7::BENCH7_COUNT)
-        .map(|i| scaled_benchmark(i, scale, thp).expect("suite indices are in range"))
-        .collect()
-}
-
-/// One (workload, design) measurement.
-#[derive(Debug, Clone)]
-pub struct Measurement {
-    /// Workload name.
-    pub workload: String,
-    /// Design.
-    pub design: Design,
-    /// Environment.
-    pub env: Env,
-    /// THP active.
-    pub thp: bool,
-    /// Engine statistics.
-    pub stats: RunStats,
-    /// DMT fetcher coverage (1.0 for non-DMT designs).
-    pub coverage: f64,
-    /// Telemetry recorded during the run (`DMT_TELEMETRY=1` or an
-    /// explicit `RunnerBuilder::telemetry(true)`; `None` otherwise).
-    pub telemetry: Option<dmt_telemetry::Telemetry>,
-}
-
-/// A function wrapping a boxed rig in another (e.g. the oracle's
-/// `Checked` adapter).
-pub type RigWrapper = fn(Box<dyn Rig>) -> Box<dyn Rig>;
-
-/// Run one (env, design, thp, workload) configuration with the
-/// environment-configured [`Runner`] — the figure runners' shorthand
-/// for `Runner::from_env().run_one(...)`.
-///
-/// # Errors
-///
-/// Propagates rig construction failures.
-pub(crate) fn run_one(
-    env: Env,
-    design: Design,
-    thp: bool,
-    w: &dyn Workload,
-    scale: Scale,
-) -> Result<Measurement, SimError> {
-    Runner::from_env().run_one(env, design, thp, w, scale)
-}
-
 /// One speedup row of Figures 14/15/17.
 #[derive(Debug, Clone)]
 pub struct SpeedupRow {
@@ -136,9 +91,9 @@ pub struct SpeedupRow {
     pub coverage: f64,
 }
 
-/// Compare a design measurement against the vanilla baseline of the same
-/// (workload, env, thp), applying the exit model.
-pub fn speedup_row(base: &Measurement, m: &Measurement) -> SpeedupRow {
+/// Compare a design's sweep row against the vanilla row of the same
+/// (workload, env, thp) — the same trace — applying the exit model.
+pub fn speedup_row(base: &SweepRow, m: &SweepRow) -> SpeedupRow {
     let calib = calib_for(&m.workload);
     let pw = if m.stats.avg_walk_latency() > 0.0 {
         base.stats.avg_walk_latency() / m.stats.avg_walk_latency()
@@ -196,77 +151,127 @@ impl FigureData {
     }
 }
 
-fn figure(
-    label: &'static str,
-    env: Env,
-    designs: &[Design],
-    scale: Scale,
-) -> Result<FigureData, SimError> {
-    let mut modes = Vec::new();
-    for thp in [false, true] {
-        let mut rows = Vec::new();
-        for w in scaled_benchmarks(scale, thp) {
-            let base = run_one(env, Design::Vanilla, thp, w.as_ref(), scale)?;
-            for &d in designs {
-                let m = run_one(env, d, thp, w.as_ref(), scale)?;
-                rows.push(speedup_row(&base, &m));
-            }
-        }
-        modes.push((thp, rows));
+/// Every design row of `report` paired with the vanilla row of its
+/// (env, THP, workload), in matrix order. Both replayed one trace.
+fn vanilla_pairs(report: &SweepReport) -> impl Iterator<Item = (&SweepRow, &SweepRow)> {
+    let rows = &report.rows;
+    rows.iter()
+        .filter(|m| m.design != Design::Vanilla)
+        .map(move |m| {
+            let cell = (m.env, m.thp, &m.workload);
+            let base = rows
+                .iter()
+                .find(|b| b.design == Design::Vanilla && (b.env, b.thp, &b.workload) == cell)
+                .expect("every figure sweep includes vanilla");
+            (base, m)
+        })
+}
+
+/// The sweep behind a figure: vanilla plus `designs` in `env`, all
+/// seven benchmarks, the given THP modes, on every core.
+fn figure_sweep(env: Env, designs: &[Design], thp: &[bool], scale: Scale) -> SweepConfig {
+    SweepConfig {
+        envs: vec![env],
+        designs: std::iter::once(Design::Vanilla)
+            .chain(designs.iter().copied())
+            .collect(),
+        thp: thp.to_vec(),
+        benchmarks: (0..dmt_workloads::bench7::BENCH7_COUNT).collect(),
+        scale,
+        threads: 0,
     }
-    Ok(FigureData { label, env, modes })
+}
+
+/// A speedup figure of §6: the designs it compares against vanilla in
+/// one environment, over both page-size modes.
+#[derive(Debug, Clone, Copy)]
+pub struct Figure {
+    /// Figure label ("Figure 14 (native)" etc).
+    pub label: &'static str,
+    /// Environment.
+    pub env: Env,
+    /// Designs compared against the environment's vanilla baseline.
+    pub designs: &'static [Design],
 }
 
 /// Figure 14: native speedups of FPT / ECPT / ASAP / DMT over vanilla
 /// Linux, 4 KiB and THP.
-///
-/// # Errors
-///
-/// Propagates rig failures.
-pub fn fig14(scale: Scale) -> Result<FigureData, SimError> {
-    figure(
-        "Figure 14 (native)",
-        Env::Native,
-        &[Design::Fpt, Design::Ecpt, Design::Asap, Design::Dmt],
-        scale,
-    )
-}
+pub const FIG14: Figure = Figure {
+    label: "Figure 14 (native)",
+    env: Env::Native,
+    designs: &[Design::Fpt, Design::Ecpt, Design::Asap, Design::Dmt],
+};
 
 /// Figure 15: virtualized speedups of FPT / ECPT / Agile / ASAP / DMT /
 /// pvDMT over vanilla KVM.
-///
-/// # Errors
-///
-/// Propagates rig failures.
-pub fn fig15(scale: Scale) -> Result<FigureData, SimError> {
-    figure(
-        "Figure 15 (virtualized)",
-        Env::Virt,
-        &[
-            Design::Fpt,
-            Design::Ecpt,
-            Design::Agile,
-            Design::Asap,
-            Design::Dmt,
-            Design::PvDmt,
-        ],
-        scale,
-    )
-}
+pub const FIG15: Figure = Figure {
+    label: "Figure 15 (virtualized)",
+    env: Env::Virt,
+    designs: &[
+        Design::Fpt,
+        Design::Ecpt,
+        Design::Agile,
+        Design::Asap,
+        Design::Dmt,
+        Design::PvDmt,
+    ],
+};
 
 /// Figure 17: nested-virtualization speedups of pvDMT over the shadow
 /// baseline.
+pub const FIG17: Figure = Figure {
+    label: "Figure 17 (nested virtualization)",
+    env: Env::Nested,
+    designs: &[Design::PvDmt],
+};
+
+impl Figure {
+    /// The figure's sweep: vanilla plus its designs, all seven
+    /// benchmarks, 4 KiB and THP.
+    pub fn sweep_config(&self, scale: Scale) -> SweepConfig {
+        figure_sweep(self.env, self.designs, &[false, true], scale)
+    }
+
+    /// The figure from a completed sweep of
+    /// [`Figure::sweep_config`].
+    pub fn data(&self, report: &SweepReport) -> FigureData {
+        let mode = |thp: bool| {
+            let pairs = vanilla_pairs(report).filter(|(_, m)| m.thp == thp);
+            (thp, pairs.map(|(base, m)| speedup_row(base, m)).collect())
+        };
+        FigureData {
+            label: self.label,
+            env: self.env,
+            modes: vec![mode(false), mode(true)],
+        }
+    }
+}
+
+/// Compute [`FIG14`] through one sweep on `runner`.
 ///
 /// # Errors
 ///
-/// Propagates rig failures.
-pub fn fig17(scale: Scale) -> Result<FigureData, SimError> {
-    figure(
-        "Figure 17 (nested virtualization)",
-        Env::Nested,
-        &[Design::PvDmt],
-        scale,
-    )
+/// Propagates sweep failures.
+pub fn fig14(runner: &Runner, scale: Scale) -> Result<FigureData, SimError> {
+    Ok(FIG14.data(&runner.sweep(&FIG14.sweep_config(scale))?))
+}
+
+/// Compute [`FIG15`] through one sweep on `runner`.
+///
+/// # Errors
+///
+/// Propagates sweep failures.
+pub fn fig15(runner: &Runner, scale: Scale) -> Result<FigureData, SimError> {
+    Ok(FIG15.data(&runner.sweep(&FIG15.sweep_config(scale))?))
+}
+
+/// Compute [`FIG17`] through one sweep on `runner`.
+///
+/// # Errors
+///
+/// Propagates sweep failures.
+pub fn fig17(runner: &Runner, scale: Scale) -> Result<FigureData, SimError> {
+    Ok(FIG17.data(&runner.sweep(&FIG17.sweep_config(scale))?))
 }
 
 /// Figure 4: normalized execution time of the four environments, with
@@ -289,38 +294,36 @@ pub struct Fig4Row {
     pub nested: (f64, f64),
 }
 
-/// Compute Figure 4.
+/// Compute Figure 4 from one sweep of virtualized vanilla and shadow
+/// paging at 4 KiB.
 ///
 /// # Errors
 ///
-/// Propagates rig failures.
-pub fn fig4(scale: Scale) -> Result<Vec<Fig4Row>, SimError> {
-    let mut rows = Vec::new();
-    for w in scaled_benchmarks(scale, false) {
-        let calib = calib_for(w.name());
-        let base = run_one(Env::Virt, Design::Vanilla, false, w.as_ref(), scale)?;
-        let spt = run_one(Env::Virt, Design::Shadow, false, w.as_ref(), scale)?;
-        let spt_ratio = if base.stats.walk_cycles > 0 {
-            spt.stats.walk_cycles as f64 / base.stats.walk_cycles as f64
-        } else {
-            1.0
-        };
-        let ideal = 1.0 - calib.pw_native;
-        let t_virt = ideal / (1.0 - calib.pw_virt);
-        let t_spt = t_virt
-            * crate::perfmodel::normalized_time(&calib, Env::Virt, spt_ratio, 1.0);
-        let t_nested = ideal / (1.0 - calib.pw_nested - calib.shadow_exit_nested);
-        rows.push(Fig4Row {
-            workload: w.name().to_string(),
-            native: (1.0, calib.pw_native),
-            virt_npt: (t_virt, calib.pw_virt),
-            virt_spt: (
-                t_spt,
-                calib.pw_virt * spt_ratio * t_virt / t_spt,
-            ),
-            nested: (t_nested, calib.pw_nested),
-        });
-    }
+/// Propagates sweep failures.
+pub fn fig4(runner: &Runner, scale: Scale) -> Result<Vec<Fig4Row>, SimError> {
+    let report = runner.sweep(&figure_sweep(Env::Virt, &[Design::Shadow], &[false], scale))?;
+    let rows = vanilla_pairs(&report)
+        .map(|(base, spt)| {
+            let calib = calib_for(&spt.workload);
+            let spt_ratio = if base.stats.walk_cycles > 0 {
+                spt.stats.walk_cycles as f64 / base.stats.walk_cycles as f64
+            } else {
+                1.0
+            };
+            let ideal = 1.0 - calib.pw_native;
+            let t_virt = ideal / (1.0 - calib.pw_virt);
+            let t_spt =
+                t_virt * crate::perfmodel::normalized_time(&calib, Env::Virt, spt_ratio, 1.0);
+            let t_nested = ideal / (1.0 - calib.pw_nested - calib.shadow_exit_nested);
+            Fig4Row {
+                workload: spt.workload.clone(),
+                native: (1.0, calib.pw_native),
+                virt_npt: (t_virt, calib.pw_virt),
+                virt_spt: (t_spt, calib.pw_virt * spt_ratio * t_virt / t_spt),
+                nested: (t_nested, calib.pw_nested),
+            }
+        })
+        .collect();
     Ok(rows)
 }
 
@@ -535,95 +538,63 @@ pub fn table6() -> Vec<Table6Row> {
 pub struct Table7Row {
     /// Environment every tenant of the node ran in.
     pub env: Env,
-    /// Design under test.
-    pub design: Design,
-    /// Number of tenants on the node.
-    pub tenants: usize,
-    /// Node-level engine statistics (sum over tenants).
-    pub node: RunStats,
-    /// Node-wide average page-walk latency in cycles.
-    pub avg_walk_latency: f64,
+    /// The node's outcome: design, summed engine statistics, the
+    /// multi-tenant event counters and the shared buddy's end state.
+    pub stats: NodeStats,
     /// Node-level page-walk speedup over the same-environment vanilla
     /// node (1.0 for the vanilla rows themselves).
     pub pw_speedup: f64,
-    /// Scheduler switches between distinct tenants.
-    pub context_switches: u64,
-    /// Per-ASID flushes of the shared TLB/PWC on tenant churn.
-    pub tagged_flushes: u64,
-    /// Shootdown IPIs received by tenants that did not cause them.
-    pub cross_tenant_shootdowns: u64,
-    /// Fragmentation index of the shared buddy at end of run.
-    pub frag_final: f64,
-    /// Mean DMT fetcher coverage across tenants.
-    pub coverage: f64,
     /// Node-level telemetry, when the runner captures it.
     pub telemetry: Option<dmt_telemetry::Telemetry>,
 }
 
-/// Table 7: the multi-tenant cloud-node comparison. For each
-/// environment, every registry-available design runs an `n`-tenant
-/// node (tenants cycle through the bench7 suite with skewed weights,
-/// tagged translation caches, mild kill/restart churn) and is compared
-/// against the same environment's vanilla node.
-///
-/// Row order: environments in `Native, Virt, Nested` order, designs in
-/// registry presentation order ([`crate::registry::designs`]) with
-/// unavailable cells skipped — vanilla first in each environment, so
-/// the baseline row precedes the rows it normalizes.
-///
-/// # Errors
-///
-/// Propagates rig construction failures and shared-buddy audit
-/// failures.
-pub fn table7(scale: Scale, n: usize) -> Result<Vec<Table7Row>, SimError> {
-    table7_with(&Runner::from_env(), scale, n)
-}
-
-/// [`table7`] against an explicit runner (tests inject telemetry and
-/// oracle wrappers this way; `table7` itself uses the env-configured
-/// runner).
-///
-/// # Errors
-///
-/// Propagates rig construction failures and shared-buddy audit
-/// failures.
-pub fn table7_with(runner: &Runner, scale: Scale, n: usize) -> Result<Vec<Table7Row>, SimError> {
-    use crate::cloudnode::NodeConfig;
+/// The nodes Table 7 runs, in row order: environments in `Native,
+/// Virt, Nested` order, designs in registry presentation order
+/// ([`crate::registry::designs`]) with unavailable cells skipped —
+/// vanilla first in each environment, so the baseline row precedes the
+/// rows it normalizes. Every node is `n` tenants cycling through the
+/// bench7 suite with skewed weights, tagged translation caches and mild
+/// kill/restart churn.
+pub fn table7_nodes(scale: Scale, n: usize) -> Vec<NodeConfig> {
     // Every node sees the same churn: one kill per bench7 lap of
     // tenants, capped so restarted-trace replay stays bounded.
     let kills = n.div_ceil(2).min(4);
-    let cfg = |design, env| {
-        NodeConfig::uniform(design, env, false, scale, n).churn(2 * n.max(2), kills)
-    };
-    let mut rows = Vec::new();
+    let mut nodes = Vec::new();
     for env in [Env::Native, Env::Virt, Env::Nested] {
-        let (base, base_t) = runner.run_node(&cfg(Design::Vanilla, env))?;
-        let base_lat = base.node.avg_walk_latency();
-        let row = |stats: crate::cloudnode::NodeStats, telemetry| {
-            let lat = stats.node.avg_walk_latency();
-            Table7Row {
-                env,
-                design: stats.design,
-                tenants: n,
-                avg_walk_latency: lat,
-                pw_speedup: if lat > 0.0 { base_lat / lat } else { 1.0 },
-                context_switches: stats.context_switches,
-                tagged_flushes: stats.tagged_flushes,
-                cross_tenant_shootdowns: stats.cross_tenant_shootdowns,
-                frag_final: stats.frag_final,
-                coverage: stats.mean_coverage(),
-                node: stats.node,
-                telemetry,
-            }
-        };
-        rows.push(row(base, base_t));
-        for design in crate::registry::designs() {
-            if design == Design::Vanilla || !design.available_in(env) {
-                continue;
-            }
-            let (stats, t) = runner.run_node(&cfg(design, env))?;
-            rows.push(row(stats, t));
+        for design in crate::registry::designs().filter(|d| d.available_in(env)) {
+            nodes
+                .push(NodeConfig::uniform(design, env, false, scale, n).churn(2 * n.max(2), kills));
         }
+    }
+    nodes
+}
+
+/// Table 7: the multi-tenant cloud-node comparison. Runs every node of
+/// [`table7_nodes`] — independent nodes in parallel on every core —
+/// and compares each against the same environment's vanilla node.
+///
+/// # Errors
+///
+/// Propagates rig construction failures and shared-buddy audit
+/// failures (the first by row order).
+pub fn table7(runner: &Runner, scale: Scale, n: usize) -> Result<Vec<Table7Row>, SimError> {
+    let nodes = table7_nodes(scale, n);
+    let runs = run_ordered(&nodes, worker_count(0, nodes.len()), |cfg| {
+        runner.run_node(cfg)
+    })?;
+    let mut rows = Vec::with_capacity(nodes.len());
+    let mut base_lat = 0.0;
+    for (cfg, (stats, telemetry)) in nodes.iter().zip(runs) {
+        let lat = stats.node.avg_walk_latency();
+        if stats.design == Design::Vanilla {
+            base_lat = lat;
+        }
+        rows.push(Table7Row {
+            env: cfg.tenants[0].env,
+            pw_speedup: if lat > 0.0 { base_lat / lat } else { 1.0 },
+            stats,
+            telemetry,
+        });
     }
     Ok(rows)
 }
@@ -706,7 +677,7 @@ pub fn ext_context_switch(
     scale: Scale,
     quantum: usize,
 ) -> Result<(u64, u64, f64), SimError> {
-    use crate::cloudnode::{NodeConfig, Tagging, TenantSpec};
+    use crate::cloudnode::{Tagging, TenantSpec};
     /// GUPS's index in the bench7 suite.
     const GUPS: usize = 2;
     let gups = TenantSpec {

@@ -16,7 +16,8 @@
 //!   driven through [`runner::Runner::replay`].
 //! * [`perfmodel`] — the calibrated execution-time model (see DESIGN.md
 //!   for the substitution rationale).
-//! * [`experiments`] — Figure 4/14/15/16/17 and Table 5/6 runners.
+//! * [`experiments`] — Figure 4/14/15/16/17 and Table 5/6/7 runners;
+//!   Figures 4/14/15/17 are paired-row sweeps on a [`runner::Runner`].
 //! * [`overheads`] — the §6.3 management/hypercall/memory overheads.
 //! * [`ablation`] — design-choice sweeps (register count, bubble
 //!   threshold, register policy, eager allocation).
@@ -38,7 +39,8 @@
 //!
 //! ```no_run
 //! use dmt_sim::experiments::{fig15, Scale};
-//! let data = fig15(Scale::test()).unwrap();
+//! use dmt_sim::Runner;
+//! let data = fig15(&Runner::from_env(), Scale::test()).unwrap();
 //! for (thp, rows) in &data.modes {
 //!     for r in rows {
 //!         println!("{} {:?} thp={} pw={:.2}x app={:.2}x",
@@ -75,4 +77,4 @@ pub use runner::{
     SPILL_CHUNK_LEN,
 };
 pub use shard::{plan_shards, ShardSource, ShardSpec, ShardedOutcome};
-pub use sweep::{sweep, sweep_serial, SweepConfig, SweepReport, SweepRow};
+pub use sweep::{SweepConfig, SweepReport, SweepRow};

@@ -368,23 +368,24 @@ pub fn table7_json(rows: &[crate::experiments::Table7Row]) -> Json {
             Json::Arr(
                 rows.iter()
                     .map(|r| {
+                        let s = &r.stats;
                         let mut row = Json::obj()
                             .set("env", Json::Str(r.env.name().into()))
-                            .set("design", Json::Str(r.design.name().into()))
-                            .set("tenants", Json::U64(r.tenants as u64))
-                            .set("accesses", Json::U64(r.node.accesses))
-                            .set("walks", Json::U64(r.node.walks))
-                            .set("walk_cycles", Json::U64(r.node.walk_cycles))
-                            .set("avg_walk_latency", Json::F64(r.avg_walk_latency))
+                            .set("design", Json::Str(s.design.name().into()))
+                            .set("tenants", Json::U64(s.tenants.len() as u64))
+                            .set("accesses", Json::U64(s.node.accesses))
+                            .set("walks", Json::U64(s.node.walks))
+                            .set("walk_cycles", Json::U64(s.node.walk_cycles))
+                            .set("avg_walk_latency", Json::F64(s.node.avg_walk_latency()))
                             .set("pw_speedup", Json::F64(r.pw_speedup))
-                            .set("context_switches", Json::U64(r.context_switches))
-                            .set("tagged_flushes", Json::U64(r.tagged_flushes))
+                            .set("context_switches", Json::U64(s.context_switches))
+                            .set("tagged_flushes", Json::U64(s.tagged_flushes))
                             .set(
                                 "cross_tenant_shootdowns",
-                                Json::U64(r.cross_tenant_shootdowns),
+                                Json::U64(s.cross_tenant_shootdowns),
                             )
-                            .set("frag_final", Json::F64(r.frag_final))
-                            .set("coverage", Json::F64(r.coverage));
+                            .set("frag_final", Json::F64(s.frag_final))
+                            .set("coverage", Json::F64(s.mean_coverage()));
                         if let Some(t) = &r.telemetry {
                             row = row.set("telemetry", telemetry_json(t));
                         }
@@ -402,7 +403,7 @@ pub fn table7_table(rows: &[crate::experiments::Table7Row]) -> Table {
     let mut t = Table::new(
         format!(
             "Table 7 — multi-tenant node ({} tenants): page-walk speedup over vanilla",
-            rows.first().map_or(0, |r| r.tenants)
+            rows.first().map_or(0, |r| r.stats.tenants.len())
         ),
         &[
             "env", "design", "walk lat", "pw", "switches", "tag flushes", "xt shootdowns",
@@ -410,16 +411,17 @@ pub fn table7_table(rows: &[crate::experiments::Table7Row]) -> Table {
         ],
     );
     for r in rows {
+        let s = &r.stats;
         t.row(vec![
             r.env.name().to_string(),
-            r.design.name().to_string(),
-            f2(r.avg_walk_latency),
+            s.design.name().to_string(),
+            f2(s.node.avg_walk_latency()),
             speedup(r.pw_speedup),
-            r.context_switches.to_string(),
-            r.tagged_flushes.to_string(),
-            r.cross_tenant_shootdowns.to_string(),
-            f2(r.frag_final),
-            pct(r.coverage),
+            s.context_switches.to_string(),
+            s.tagged_flushes.to_string(),
+            s.cross_tenant_shootdowns.to_string(),
+            f2(s.frag_final),
+            pct(s.mean_coverage()),
         ]);
     }
     t

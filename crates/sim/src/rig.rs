@@ -49,8 +49,7 @@ pub enum Design {
     /// [`Design::Dmt`].
     PvDmt,
     /// Virtual Block Interface-style variable-size block table (beyond
-    /// the paper; Hajinazar et al.). New variants append at the end:
-    /// the discriminant feeds per-design trace seeds.
+    /// the paper; Hajinazar et al.).
     Vbi,
     /// Per-VMA base+bound segmentation with a small segment cache
     /// (beyond the paper; Teabe et al.).

@@ -1,9 +1,7 @@
 //! The unified entry point for running simulations: one
-//! builder-constructed [`Runner`] subsumes what used to be four
-//! overlapping free functions (`engine::run`, `engine::run_probed`,
-//! `experiments::run_one`, `run_one_with_telemetry`), and the shared
-//! [`TraceSet`] it sweeps over materializes each (benchmark, THP) trace
-//! exactly once.
+//! builder-constructed [`Runner`] drives every replay, sweep, cloud
+//! node and paper experiment, and the shared [`TraceSet`] it sweeps
+//! over materializes each (benchmark, THP) trace exactly once.
 //!
 //! Environment coupling lives only here: [`env_config`] is the single
 //! place in the workspace that reads `DMT_TELEMETRY` /
@@ -30,7 +28,7 @@
 
 use crate::engine::{replay, RunStats};
 use crate::error::SimError;
-use crate::experiments::{scaled_benchmark, Measurement, RigWrapper, Scale};
+use crate::experiments::{scaled_benchmark, Scale};
 use crate::native_rig::NativeRig;
 use crate::nested_rig::NestedRig;
 use crate::rig::{Design, Env, Rig, Setup};
@@ -71,6 +69,10 @@ pub fn env_config() -> &'static EnvConfig {
         }
     })
 }
+
+/// A function wrapping a boxed rig in another (e.g. the oracle's
+/// `Checked` adapter).
+pub type RigWrapper = fn(Box<dyn Rig>) -> Box<dyn Rig>;
 
 /// One simulation driver with all hooks resolved up front: how rigs are
 /// wrapped (oracle), whether runs capture telemetry, where reports go,
@@ -225,16 +227,10 @@ impl Runner {
     /// [`RunnerBuilder::rig_wrapper`] only).
     pub fn from_env() -> Runner {
         let cfg = env_config();
-        Runner {
-            wrapper: None,
-            telemetry: cfg.telemetry,
-            results_dir: cfg.results_dir.clone(),
-            spill_dir: None,
-            engine: Engine::Batched,
-            tiered: false,
-            shards: 1,
-            epoch_len: DEFAULT_EPOCH_LEN,
-        }
+        Runner::builder()
+            .telemetry(cfg.telemetry)
+            .results_dir(&cfg.results_dir)
+            .build()
     }
 
     /// How many shard workers sweeps replay each trace across.
@@ -356,40 +352,48 @@ impl Runner {
             )
         }
     }
+}
 
-    /// Run one (env, design, thp, workload) configuration end to end:
-    /// generate the trace (per-design seed, matching the historical
-    /// `run_one`), build and wrap the rig, replay with ~32 telemetry
-    /// samples across the trace.
-    ///
-    /// # Errors
-    ///
-    /// Propagates rig construction failures.
-    pub fn run_one(
-        &self,
-        env: Env,
-        design: Design,
-        thp: bool,
-        w: &dyn Workload,
-        scale: Scale,
-    ) -> Result<Measurement, SimError> {
-        let trace = w.trace(scale.total(), 0xD317 ^ design as u64);
-        let setup = Setup::of_workload(w, &trace);
-        let mut rig = self.build_rig(env, design, thp, &setup)?;
-        let interval = (scale.total() as u64 / 32).max(1);
-        let (stats, telemetry) =
-            self.replay_sampled(rig.as_mut(), &trace, scale.warmup, interval);
-        let coverage = rig.coverage();
-        Ok(Measurement {
-            workload: w.name().to_string(),
-            design,
-            env,
-            thp,
-            stats,
-            coverage,
-            telemetry,
-        })
-    }
+/// The seed of every bench7 trace: benchmark `bench` as replayed by
+/// cloud-node tenant `tenant`. A sweep's traces are tenant 0's, so
+/// every design of a (benchmark, THP) cell replays the same stream and
+/// a one-tenant node replays exactly the sweep's trace.
+pub(crate) fn trace_seed(bench: usize, tenant: usize) -> u64 {
+    0xD317 ^ bench as u64 ^ ((tenant as u64) << 32)
+}
+
+/// A generated bench7 trace: the scaled workload, its rig `Setup`, and
+/// the access stream (warmup included).
+pub(crate) struct BenchTrace {
+    pub workload: Box<dyn Workload>,
+    pub setup: Setup,
+    pub trace: Vec<Access>,
+}
+
+/// Generate benchmark `bench`'s trace for `tenant` (0 outside a cloud
+/// node) at `scale`: the one materialization step the sweep and the
+/// cloud node share.
+///
+/// # Errors
+///
+/// [`SimError::BenchIndex`] when `bench` is outside the suite.
+pub(crate) fn bench_trace(
+    bench: usize,
+    tenant: usize,
+    scale: Scale,
+    thp: bool,
+) -> Result<BenchTrace, SimError> {
+    let workload = scaled_benchmark(bench, scale, thp).ok_or(SimError::BenchIndex {
+        index: bench,
+        count: dmt_workloads::bench7::BENCH7_COUNT,
+    })?;
+    let trace = workload.trace(scale.total(), trace_seed(bench, tenant));
+    let setup = Setup::of_workload(workload.as_ref(), &trace);
+    Ok(BenchTrace {
+        workload,
+        setup,
+        trace,
+    })
 }
 
 /// Key of one unique trace in a sweep: the (benchmark, THP) pair. Every
@@ -507,17 +511,11 @@ impl TraceSet {
     /// optionally spilled to disk through the `dmt-trace` codec.
     fn materialize(&self, key: TraceKey) -> Result<Arc<TraceEntry>, SimError> {
         let started = Instant::now();
-        let w = scaled_benchmark(key.bench, self.scale, key.thp).ok_or(
-            SimError::BenchIndex {
-                index: key.bench,
-                count: dmt_workloads::bench7::BENCH7_COUNT,
-            },
-        )?;
-        // Seed depends on the benchmark only — every (env, design) job
-        // over this key replays the identical stream. (The historical
-        // single-run path seeds per design; see `Runner::run_one`.)
-        let trace = w.trace(self.scale.total(), 0xD317 ^ key.bench as u64);
-        let setup = Setup::of_workload(w.as_ref(), &trace);
+        let BenchTrace {
+            workload: w,
+            setup,
+            trace,
+        } = bench_trace(key.bench, 0, self.scale, key.thp)?;
         let store = match &self.spill_dir {
             Some(dir) => {
                 std::fs::create_dir_all(dir)?;

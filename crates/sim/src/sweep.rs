@@ -272,6 +272,45 @@ pub fn matrix(cfg: &SweepConfig) -> Vec<SweepJob> {
     jobs
 }
 
+/// Workers for `jobs` jobs: `requested` (`0` = every core), at most one per job.
+pub(crate) fn worker_count(requested: usize, jobs: usize) -> usize {
+    let threads = if requested == 0 {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    } else {
+        requested
+    };
+    threads.min(jobs.max(1))
+}
+
+/// Run `f` over `jobs` on `threads` scoped workers that claim jobs off
+/// one atomic cursor. Results come back in input order, and the error
+/// returned is the first by input order, whichever a worker hit first.
+pub(crate) fn run_ordered<J: Sync, T: Send>(
+    jobs: &[J],
+    threads: usize,
+    f: impl Fn(&J) -> Result<T, SimError> + Sync,
+) -> Result<Vec<T>, SimError> {
+    let cursor = AtomicUsize::new(0);
+    let slots: Mutex<Vec<Option<Result<T, SimError>>>> =
+        Mutex::new((0..jobs.len()).map(|_| None).collect());
+    std::thread::scope(|s| {
+        for _ in 0..threads {
+            s.spawn(|| loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(job) = jobs.get(i) else { break };
+                let out = f(job);
+                slots.lock().expect("no poisoned workers")[i] = Some(out);
+            });
+        }
+    });
+    slots
+        .into_inner()
+        .expect("workers joined")
+        .into_iter()
+        .map(|slot| slot.expect("every job claimed"))
+        .collect()
+}
+
 impl Runner {
     /// One replay-stage job over the shared trace pool.
     fn run_shared_job(
@@ -357,6 +396,19 @@ impl Runner {
         Ok(())
     }
 
+    /// The shared trace pool for a job list: one lazy slot per unique
+    /// (benchmark, THP) key.
+    fn trace_set(&self, scale: Scale, jobs: &[SweepJob]) -> TraceSet {
+        let keys = jobs
+            .iter()
+            .map(|j| TraceKey {
+                bench: j.bench,
+                thp: j.thp,
+            })
+            .collect();
+        TraceSet::new(scale, keys, self.spill_dir.clone())
+    }
+
     fn finish_report(
         rows: Vec<SweepRow>,
         threads: usize,
@@ -389,40 +441,12 @@ impl Runner {
     pub fn sweep(&self, cfg: &SweepConfig) -> Result<SweepReport, SimError> {
         self.validate_sweep(cfg)?;
         let jobs = matrix(cfg);
-        let threads = if cfg.threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            cfg.threads
-        }
-        .min(jobs.len().max(1));
+        let threads = worker_count(cfg.threads, jobs.len());
         let started = Instant::now();
-        let traces = TraceSet::new(
-            cfg.scale,
-            jobs.iter()
-                .map(|j| TraceKey { bench: j.bench, thp: j.thp })
-                .collect(),
-            self.spill_dir.clone(),
-        );
-
-        let cursor = AtomicUsize::new(0);
-        let slots: Mutex<Vec<Option<Result<SweepRow, SimError>>>> =
-            Mutex::new((0..jobs.len()).map(|_| None).collect());
-        let scale = cfg.scale;
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(&job) = jobs.get(i) else { break };
-                    let out = self.run_shared_job(job, &traces, scale);
-                    slots.lock().expect("no poisoned workers")[i] = Some(out);
-                });
-            }
-        });
-
-        let mut rows = Vec::with_capacity(jobs.len());
-        for slot in slots.into_inner().expect("workers joined") {
-            rows.push(slot.expect("every job claimed")?);
-        }
+        let traces = self.trace_set(cfg.scale, &jobs);
+        let rows = run_ordered(&jobs, threads, |&job| {
+            self.run_shared_job(job, &traces, cfg.scale)
+        })?;
         Ok(Self::finish_report(rows, threads, &traces, started))
     }
 
@@ -438,38 +462,13 @@ impl Runner {
         self.validate_sweep(cfg)?;
         let started = Instant::now();
         let jobs = matrix(cfg);
-        let traces = TraceSet::new(
-            cfg.scale,
-            jobs.iter()
-                .map(|j| TraceKey { bench: j.bench, thp: j.thp })
-                .collect(),
-            self.spill_dir.clone(),
-        );
+        let traces = self.trace_set(cfg.scale, &jobs);
         let mut rows = Vec::new();
         for job in jobs {
             rows.push(self.run_shared_job(job, &traces, cfg.scale)?);
         }
         Ok(Self::finish_report(rows, 1, &traces, started))
     }
-}
-
-/// Run a sweep with the environment-configured [`Runner`] (see
-/// [`Runner::from_env`]). Equivalent to `Runner::from_env().sweep(cfg)`.
-///
-/// # Errors
-///
-/// See [`Runner::sweep`].
-pub fn sweep(cfg: &SweepConfig) -> Result<SweepReport, SimError> {
-    Runner::from_env().sweep(cfg)
-}
-
-/// Serial reference with the environment-configured [`Runner`].
-///
-/// # Errors
-///
-/// See [`Runner::sweep_serial`].
-pub fn sweep_serial(cfg: &SweepConfig) -> Result<SweepReport, SimError> {
-    Runner::from_env().sweep_serial(cfg)
 }
 
 impl SweepReport {
@@ -592,8 +591,9 @@ mod tests {
     fn parallel_sweep_matches_serial_exactly() {
         let mut cfg = SweepConfig::test();
         cfg.threads = 4;
-        let par = sweep(&cfg).unwrap();
-        let ser = sweep_serial(&cfg).unwrap();
+        let runner = Runner::from_env();
+        let par = runner.sweep(&cfg).unwrap();
+        let ser = runner.sweep_serial(&cfg).unwrap();
         assert_eq!(par.rows.len(), ser.rows.len());
         assert_eq!(par.rows.len(), matrix(&cfg).len());
         for (p, s) in par.rows.iter().zip(&ser.rows) {
@@ -614,7 +614,7 @@ mod tests {
     fn report_round_trips_to_results_dir() {
         let mut cfg = SweepConfig::test();
         cfg.benchmarks = vec![2]; // GUPS only: keep the test quick.
-        let report = sweep(&cfg).unwrap();
+        let report = Runner::from_env().sweep(&cfg).unwrap();
         let json = report.to_json().to_string();
         assert!(json.contains("\"schema\": \"dmt-sweep-v1\""));
         assert!(json.contains("\"workload\": \"GUPS\""));

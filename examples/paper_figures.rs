@@ -2,13 +2,14 @@
 //!
 //! Run with: `cargo run --release --example paper_figures [--full]`
 //!
-//! The default uses the reduced test scale (a couple of minutes); with
-//! `--full` it uses the paper-regime scale (multi-GiB footprints, ~30
-//! minutes) — the numbers recorded in EXPERIMENTS.md.
+//! The default uses the reduced test scale (~12 s on two cores); with
+//! `--full` it uses the paper-regime scale (multi-GiB footprints) — the
+//! numbers recorded in EXPERIMENTS.md. Figures 4/14/15/17 and Table 7
+//! spread their cells over every core.
 
 use dmt::sim::experiments::{
-    fig14, fig15, fig16, fig17, scaled_benchmark, table5, table6, table7, Fig4Row, FigureData,
-    Scale,
+    fig14, fig15, fig16, fig17, fig4, scaled_benchmark, table5, table6, table7, Fig4Row,
+    FigureData, Scale, FIG14, FIG15, FIG17,
 };
 use dmt::sim::ablation::{policy_comparison, register_sweep, threshold_sweep};
 use dmt::sim::overheads::{hypercall_overhead, management_overhead, memory_overhead};
@@ -84,6 +85,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         scale.warmup,
         if full { "FULL" } else { "test" }
     );
+    // One runner for every experiment: the DMT_* environment is read
+    // once, here, and reaches every figure, table and extension.
+    let runner = dmt::sim::Runner::from_env();
     let t0 = std::time::Instant::now();
 
     // ---- Table 1 + Figure 5 ------------------------------------------
@@ -95,7 +99,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{t}");
 
     // ---- Figure 4 -----------------------------------------------------
-    let rows: Vec<Fig4Row> = dmt::sim::experiments::fig4(scale).map_err(anyhow)?;
+    let rows: Vec<Fig4Row> = fig4(&runner, scale).map_err(anyhow)?;
     let mut t = Table::new(
         "Figure 4 — normalized execution time (PW fraction) per environment",
         &["workload", "native", "virt nPT", "virt sPT", "nested"],
@@ -115,19 +119,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("[{:?} elapsed]\n", t0.elapsed());
 
     // ---- Figures 14, 15, 17 ------------------------------------------
-    let f14 = fig14(scale).map_err(anyhow)?;
-    print_figure(&f14, &[Design::Fpt, Design::Ecpt, Design::Asap, Design::Dmt]);
+    let f14 = fig14(&runner, scale).map_err(anyhow)?;
+    print_figure(&f14, FIG14.designs);
     println!("[{:?} elapsed]\n", t0.elapsed());
 
-    let f15 = fig15(scale).map_err(anyhow)?;
-    print_figure(
-        &f15,
-        &[Design::Fpt, Design::Ecpt, Design::Agile, Design::Asap, Design::Dmt, Design::PvDmt],
-    );
+    let f15 = fig15(&runner, scale).map_err(anyhow)?;
+    print_figure(&f15, FIG15.designs);
     println!("[{:?} elapsed]\n", t0.elapsed());
 
-    let f17 = fig17(scale).map_err(anyhow)?;
-    print_figure(&f17, &[Design::PvDmt]);
+    let f17 = fig17(&runner, scale).map_err(anyhow)?;
+    print_figure(&f17, FIG17.designs);
     println!("[{:?} elapsed]\n", t0.elapsed());
 
     // ---- Figure 16 ----------------------------------------------------
@@ -175,7 +176,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- Table 7 ------------------------------------------------------
     // Multi-tenant cloud node: every available design per environment
     // over a shared-machine node with tagged caches and churn.
-    let t7 = table7(scale, if full { 8 } else { 4 }).map_err(anyhow)?;
+    let t7 = table7(&runner, scale, if full { 8 } else { 4 }).map_err(anyhow)?;
     println!("{}", table7_table(&t7));
     if let Ok(path) = table7_json(&t7).write_json("table7") {
         println!("[json: {}]", path.display());
@@ -244,7 +245,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // ---- Extension: 5-level page tables -------------------------------
-    let runner = dmt::sim::Runner::from_env();
     let (v4, v5, dmt5) = dmt::sim::experiments::ext_5level(&runner, scale).map_err(anyhow)?;
     println!(
         "Extension — 5-level tables (sparse GUPS): radix 4-level {v4:.1} cyc/walk, \

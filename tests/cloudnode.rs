@@ -1,13 +1,13 @@
 //! The cloudnode contract: deterministic multi-tenant interleaving,
 //! observation hooks that never perturb simulation state, single-tenant
-//! degeneration to the existing single-rig engine (transitively pinned
-//! by `tests/backend_refactor.rs`'s golden cells), and oracle audits
-//! that hold under cross-tenant kill/restart churn.
+//! degeneration to the one-cell sweep row of the same trace
+//! (transitively pinned by `tests/backend_refactor.rs`'s golden cells),
+//! and oracle audits that hold under cross-tenant kill/restart churn.
 
 use dmt::sim::cloudnode::{NodeConfig, Tagging, TenantSpec};
-use dmt::sim::experiments::{scaled_benchmark, Scale};
+use dmt::sim::experiments::Scale;
 use dmt::sim::rig::{Design, Env};
-use dmt::sim::{Engine, Runner};
+use dmt::sim::{Engine, Runner, SweepConfig, SweepRow};
 use dmt::telemetry::Counter;
 
 /// Small enough for the suite, big enough that the TLB/PWC see real
@@ -19,6 +19,24 @@ fn scale() -> Scale {
         trace: 2500,
         warmup: 600,
     }
+}
+
+/// The one-cell sweep row of (env, design, bench 0) at 4 KiB: the
+/// single-rig replay of the trace a 1-tenant node's tenant 0 replays.
+fn sweep_row(runner: &Runner, env: Env, design: Design) -> SweepRow {
+    let cfg = SweepConfig::builder()
+        .envs([env])
+        .designs([design])
+        .thp([false])
+        .benchmarks([0])
+        .scale(scale())
+        .build()
+        .expect("one-cell matrix is valid");
+    runner
+        .sweep(&cfg)
+        .expect("one-cell sweep runs")
+        .rows
+        .remove(0)
 }
 
 /// A mixed-environment node exercising every moving part: weights,
@@ -82,20 +100,18 @@ fn observation_hooks_do_not_perturb_the_node() {
 
 #[test]
 fn one_tenant_node_degenerates_to_the_single_rig_engine() {
-    // A 1-tenant node must be *bit-identical* to Runner::run_one for
-    // every environment: same trace seed, same warmup, same shared
-    // components. run_one's cells are pinned against the pre-refactor
-    // golden snapshot, so this transitively pins cloudnode's engine.
+    // A 1-tenant node must be *bit-identical* to the one-cell sweep row
+    // of its (env, design, bench) for every environment: tenant 0
+    // replays the sweep's trace, same warmup, same shared components.
+    // Sweep rows are pinned against the golden snapshot, so this
+    // transitively pins cloudnode's engine.
     let runner = Runner::builder().build();
     for env in [Env::Native, Env::Virt, Env::Nested] {
         for design in [Design::Vanilla, Design::Dmt, Design::PvDmt] {
             if !design.available_in(env) {
                 continue;
             }
-            let w = scaled_benchmark(0, scale(), false).expect("bench 0");
-            let single = runner
-                .run_one(env, design, false, w.as_ref(), scale())
-                .expect("single rig runs");
+            let single = sweep_row(&runner, env, design);
             let cfg = NodeConfig::new(
                 design,
                 false,
@@ -108,7 +124,10 @@ fn one_tenant_node_degenerates_to_the_single_rig_engine() {
                 "1-tenant node != single rig for {env:?}/{design:?}"
             );
             assert_eq!(node.tenants[0].stats, single.stats);
-            assert_eq!(node.tenants[0].coverage, single.coverage);
+            assert_eq!(
+                node.tenants[0].coverage.to_bits(),
+                single.coverage.to_bits()
+            );
             assert_eq!(node.context_switches, 0, "one tenant never switches");
             assert_eq!(node.tagged_flushes, 0, "no churn, no tag reclaim");
             assert_eq!(node.cross_tenant_shootdowns, 0);
@@ -122,10 +141,7 @@ fn one_tenant_telemetry_matches_the_single_rig_engine() {
     // PWC/buddy) must sum to exactly what the single-rig replay
     // absorbs — counters included.
     let runner = Runner::builder().telemetry(true).build();
-    let w = scaled_benchmark(0, scale(), false).expect("bench 0");
-    let single = runner
-        .run_one(Env::Native, Design::Dmt, false, w.as_ref(), scale())
-        .expect("single rig runs");
+    let single = sweep_row(&runner, Env::Native, Design::Dmt);
     let cfg = NodeConfig::new(
         Design::Dmt,
         false,
@@ -184,10 +200,7 @@ fn one_tenant_node_block_path_matches_the_single_rig_engine() {
     // block: quanta smaller than, equal to, and larger than one block
     // must all degenerate to the same bit-identical replay.
     let runner = Runner::builder().build();
-    let w = scaled_benchmark(0, scale(), false).expect("bench 0");
-    let single = runner
-        .run_one(Env::Native, Design::Dmt, false, w.as_ref(), scale())
-        .expect("single rig runs");
+    let single = sweep_row(&runner, Env::Native, Design::Dmt);
     for quantum in [64, 255, 256, 257, 1024] {
         let cfg = NodeConfig::new(
             Design::Dmt,
@@ -200,6 +213,10 @@ fn one_tenant_node_block_path_matches_the_single_rig_engine() {
         assert_eq!(
             node.node, single.stats,
             "1-tenant block path != single rig at quantum {quantum}"
+        );
+        assert_eq!(
+            node.tenants[0].coverage.to_bits(),
+            single.coverage.to_bits()
         );
     }
 }

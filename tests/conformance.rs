@@ -144,7 +144,7 @@ proptest! {
 
 /// The oracle's one entry point into the drivers: a runner built with
 /// `rig_wrapper(oracle::wrapper())` wraps every rig it builds in a
-/// panicking oracle — a full `run_one` per environment then proves the
+/// panicking oracle — a one-cell sweep per environment then proves the
 /// engine-driven path is conformant.
 #[test]
 fn oracle_wrapper_wraps_runner_rigs() {
@@ -152,18 +152,23 @@ fn oracle_wrapper_wraps_runner_rigs() {
         .rig_wrapper(dmt::oracle::wrapper())
         .build();
     let scale = dmt::sim::Scale::test();
-    let w = dmt::workloads::bench7::Gups {
-        table_bytes: 32 << 20,
-    };
     for (env, design) in [
         (Env::Native, Design::Dmt),
         (Env::Virt, Design::PvDmt),
         (Env::Nested, Design::Vanilla),
     ] {
-        let m = runner
-            .run_one(env, design, false, &w, scale)
+        let cfg = dmt::sim::SweepConfig::builder()
+            .envs([env])
+            .designs([design])
+            .thp([false])
+            .benchmarks([2]) // GUPS
+            .scale(scale)
+            .build()
+            .unwrap();
+        let report = runner
+            .sweep(&cfg)
             .unwrap_or_else(|e| panic!("{env:?}/{design:?}: {e}"));
-        assert!(m.stats.accesses > 0);
+        assert!(report.rows[0].stats.accesses > 0);
     }
 }
 

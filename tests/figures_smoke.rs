@@ -2,22 +2,24 @@
 //! qualitative shapes the paper reports. Absolute factors need the full
 //! scale (see EXPERIMENTS.md); these tests pin the *orderings*.
 
-use dmt::sim::experiments::{fig16, fig4, scaled_benchmark, Measurement, Scale};
+use dmt::sim::experiments::{fig16, fig4, Scale};
 use dmt::sim::perfmodel::geomean;
 use dmt::sim::rig::{Design, Env};
-use dmt::sim::{Runner, SimError};
-use dmt::workloads::gen::Workload;
+use dmt::sim::{Runner, SweepConfig, SweepRow};
 
-/// One sweep cell through the unified entry point (what the retired
-/// `experiments::run_one` shim used to forward to).
-fn run_one(
-    env: Env,
-    design: Design,
-    thp: bool,
-    w: &dyn Workload,
-    scale: Scale,
-) -> Result<Measurement, SimError> {
-    Runner::from_env().run_one(env, design, thp, w, scale)
+/// GUPS (benchmark 2) under `designs` in `env` for each THP mode: one
+/// sweep, so every row replays the same trace per mode. Rows come back
+/// in matrix order (THP mode, then design).
+fn gups_rows(env: Env, designs: &[Design], thp: &[bool]) -> Vec<SweepRow> {
+    let cfg = SweepConfig {
+        envs: vec![env],
+        designs: designs.to_vec(),
+        thp: thp.to_vec(),
+        benchmarks: vec![2],
+        scale: small(),
+        threads: 0,
+    };
+    Runner::from_env().sweep(&cfg).unwrap().rows
 }
 
 fn small() -> Scale {
@@ -31,7 +33,7 @@ fn small() -> Scale {
 
 #[test]
 fn fig4_environment_ordering() {
-    let rows = fig4(small()).unwrap();
+    let rows = fig4(&Runner::from_env(), small()).unwrap();
     for r in &rows {
         assert!(r.native.0 <= r.virt_npt.0, "{}: virt >= native", r.workload);
         assert!(
@@ -58,11 +60,14 @@ fn fig4_environment_ordering() {
 #[test]
 fn virtualized_walks_beat_native_designs_shape() {
     // pvDMT must never lose to plain DMT, and both must cover everything.
-    let scale = small();
-    let w = scaled_benchmark(2, scale, false).unwrap(); // GUPS
-    let base = run_one(Env::Virt, Design::Vanilla, false, w.as_ref(), scale).unwrap();
-    let dmt = run_one(Env::Virt, Design::Dmt, false, w.as_ref(), scale).unwrap();
-    let pv = run_one(Env::Virt, Design::PvDmt, false, w.as_ref(), scale).unwrap();
+    let rows = gups_rows(
+        Env::Virt,
+        &[Design::Vanilla, Design::Dmt, Design::PvDmt],
+        &[false],
+    );
+    let [base, dmt, pv] = &rows[..] else {
+        panic!("three designs")
+    };
     assert!(pv.stats.avg_refs() < dmt.stats.avg_refs());
     assert!(dmt.stats.avg_refs() < base.stats.avg_refs());
     assert!(
@@ -76,10 +81,10 @@ fn virtualized_walks_beat_native_designs_shape() {
 
 #[test]
 fn nested_pvdmt_beats_baseline_end_to_end() {
-    let scale = small();
-    let w = scaled_benchmark(2, scale, false).unwrap(); // GUPS
-    let base = run_one(Env::Nested, Design::Vanilla, false, w.as_ref(), scale).unwrap();
-    let pv = run_one(Env::Nested, Design::PvDmt, false, w.as_ref(), scale).unwrap();
+    let rows = gups_rows(Env::Nested, &[Design::Vanilla, Design::PvDmt], &[false]);
+    let [base, pv] = &rows[..] else {
+        panic!("two designs")
+    };
     // pvDMT: 3 refs; the baseline 2D walk averages more.
     assert!((pv.stats.avg_refs() - 3.0).abs() < 0.01);
     assert!(base.stats.avg_refs() > 3.0);
@@ -105,11 +110,10 @@ fn fig16_breakdown_shape() {
 
 #[test]
 fn thp_reduces_walk_latency_for_vanilla() {
-    let scale = small();
-    let w4 = scaled_benchmark(2, scale, false).unwrap();
-    let wt = scaled_benchmark(2, scale, true).unwrap();
-    let b4 = run_one(Env::Virt, Design::Vanilla, false, w4.as_ref(), scale).unwrap();
-    let bt = run_one(Env::Virt, Design::Vanilla, true, wt.as_ref(), scale).unwrap();
+    let rows = gups_rows(Env::Virt, &[Design::Vanilla], &[false, true]);
+    let [b4, bt] = &rows[..] else {
+        panic!("two THP modes")
+    };
     assert!(
         bt.stats.avg_walk_latency() < b4.stats.avg_walk_latency(),
         "THP {} !< 4K {}",

@@ -6,7 +6,7 @@
 
 use dmt::sim::native_rig::NativeRig;
 use dmt::sim::sweep::SweepConfig;
-use dmt::sim::{Design, Engine, Env, Runner, RunStats, Scale, SimError};
+use dmt::sim::{Design, Engine, Env, Runner, RunStats, Scale, Setup, SimError};
 use dmt::workloads::bench7::Gups;
 use dmt::workloads::gen::Workload;
 
@@ -83,41 +83,45 @@ fn tiered_dram_is_off_by_default_and_flat_runs_ignore_the_knob() {
 }
 
 #[test]
-fn run_one_is_seed_deterministic_across_runner_instances() {
-    let w = cell_workload();
-    let scale = Scale::test();
+fn sweep_cell_is_seed_deterministic_across_runner_instances() {
     for (env, design) in [(Env::Native, Design::Dmt), (Env::Virt, Design::PvDmt)] {
-        let a = Runner::builder()
+        let cfg = SweepConfig::builder()
+            .envs([env])
+            .designs([design])
+            .thp([false])
+            .benchmarks([2]) // GUPS
+            .scale(Scale::test())
             .build()
-            .run_one(env, design, false, &w, scale)
             .unwrap();
-        let b = Runner::builder()
-            .build()
-            .run_one(env, design, false, &w, scale)
-            .unwrap();
-        assert_eq!(a.stats, b.stats, "{env:?}/{design:?}");
-        assert_eq!(a.coverage.to_bits(), b.coverage.to_bits());
-        assert_eq!(a.workload, b.workload);
+        let a = Runner::builder().build().sweep(&cfg).unwrap();
+        let b = Runner::builder().build().sweep(&cfg).unwrap();
+        assert_eq!(a.rows.len(), 1);
+        assert_eq!(
+            a.rows[0].outcome(),
+            b.rows[0].outcome(),
+            "{env:?}/{design:?}"
+        );
     }
 }
 
 #[test]
 fn telemetry_toggle_does_not_change_stats() {
     let w = cell_workload();
-    let scale = Scale::test();
-    let off = Runner::builder()
-        .build()
-        .run_one(Env::Native, Design::Dmt, false, &w, scale)
-        .unwrap();
-    let on = Runner::builder()
-        .telemetry(true)
-        .build()
-        .run_one(Env::Native, Design::Dmt, false, &w, scale)
-        .unwrap();
-    assert_eq!(off.stats, on.stats, "telemetry must be a pure observer");
-    assert!(off.telemetry.is_none());
-    let t = on.telemetry.expect("telemetry-on runner must capture");
-    assert_eq!(t.walk_latency.count(), on.stats.walks);
+    let trace = w.trace(Scale::test().total(), 0xD317);
+    let setup = Setup::of_workload(&w, &trace);
+    let interval = (trace.len() as u64 / 32).max(1);
+    let run = |runner: Runner| {
+        let mut rig = runner
+            .build_rig(Env::Native, Design::Dmt, false, &setup)
+            .unwrap();
+        runner.replay_sampled(rig.as_mut(), &trace, Scale::test().warmup, interval)
+    };
+    let (off, off_t) = run(Runner::builder().build());
+    let (on, on_t) = run(Runner::builder().telemetry(true).build());
+    assert_eq!(off, on, "telemetry must be a pure observer");
+    assert!(off_t.is_none());
+    let t = on_t.expect("telemetry-on runner must capture");
+    assert_eq!(t.walk_latency.count(), on.walks);
     assert!(!t.series.is_empty(), "~32 periodic samples over the trace");
 }
 

@@ -149,7 +149,7 @@ fn empty_matrix_is_a_typed_error_not_zero_rows() {
 #[ignore = "full test-scale matrix; run explicitly (CI sweep job)"]
 fn full_matrix_materializes_each_trace_once() {
     let cfg = SweepConfig::builder().scale(Scale::test()).build().unwrap();
-    let report = dmt::sim::sweep(&cfg).unwrap();
+    let report = Runner::from_env().sweep(&cfg).unwrap();
     assert_eq!(report.rows.len(), matrix(&cfg).len());
     assert_eq!(
         report.unique_traces,

@@ -114,8 +114,7 @@ fn tiered_pvdmt_changes_virtualized_outcomes_too() {
 
 #[test]
 fn tiered_dram_reaches_sharded_and_node_replays() {
-    use dmt::sim::experiments::scaled_benchmark;
-    use dmt::sim::{Env, NodeConfig, Scale, Setup, ShardSource, TenantSpec};
+    use dmt::sim::{Env, NodeConfig, Scale, Setup, ShardSource, SweepConfig, TenantSpec};
 
     // Sharded replay: the serial epoch-barrier reference and K=2 shards
     // both run tiered, so they agree with each other and differ from
@@ -161,18 +160,18 @@ fn tiered_dram_reaches_sharded_and_node_replays() {
     );
 
     // Cloud node: a one-tenant DMT node under tiering is the tiered
-    // single-rig run.
+    // one-cell sweep row of the same trace.
     let scale = Scale::test();
-    let runner = Runner::builder().tiered(true).build();
-    let single = runner
-        .run_one(
-            Env::Native,
-            Design::Dmt,
-            false,
-            scaled_benchmark(2, scale, false).unwrap().as_ref(),
-            scale,
-        )
+    let one_cell = SweepConfig::builder()
+        .envs([Env::Native])
+        .designs([Design::Dmt])
+        .thp([false])
+        .benchmarks([2]) // GUPS
+        .scale(scale)
+        .build()
         .unwrap();
+    let runner = Runner::builder().tiered(true).build();
+    let single = runner.sweep(&one_cell).unwrap().rows.remove(0);
     let tenant = TenantSpec {
         bench: 2,
         env: Env::Native,
@@ -184,17 +183,13 @@ fn tiered_dram_reaches_sharded_and_node_replays() {
         .0;
     assert_eq!(
         node.node, single.stats,
-        "tiered 1-tenant node != tiered run_one"
+        "tiered 1-tenant node != tiered one-cell sweep"
     );
     let flat = Runner::builder()
         .build()
-        .run_one(
-            Env::Native,
-            Design::Dmt,
-            false,
-            scaled_benchmark(2, scale, false).unwrap().as_ref(),
-            scale,
-        )
-        .unwrap();
+        .sweep(&one_cell)
+        .unwrap()
+        .rows
+        .remove(0);
     assert_ne!(single.stats.data_cycles, flat.stats.data_cycles);
 }
