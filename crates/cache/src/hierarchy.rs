@@ -5,8 +5,16 @@
 //! what makes last-level PTEs "hard to cache" for big-footprint workloads:
 //! data lines and PTE lines contend for the same L2/LLC capacity, exactly
 //! as in the paper's DynamoRIO-based model.
-
-use crate::set_assoc::SetAssoc;
+//!
+//! Each level is a private array of 32-bit set-relative tags (`line /
+//! sets + 1`; the set index is implied by the tag's position, so nothing
+//! is lost). Table 3's 22 MiB LLC then needs 1.375 MiB of host memory
+//! where a [`SetAssoc`](crate::set_assoc::SetAssoc) (a `u64` per way plus
+//! a length per set) needed 2.875 MiB, and all three levels fit in a
+//! 2 MiB per-core host L2. The TLB and the walk caches keep `SetAssoc`:
+//! their keys carry ASID and page-size bits that do not fit in 32 bits,
+//! and the fully associative PWC arrays have no set index to imply. A
+//! line whose tag would not fit panics (see [`MemoryHierarchy::access`]).
 
 /// Log2 of the cache-line size (64 B).
 pub const LINE_SHIFT: u32 = 6;
@@ -152,12 +160,127 @@ impl HierarchyStats {
     }
 }
 
+/// One cache level's true-LRU tag array: `sets × ways` tags flattened
+/// as `set * ways + rank`, rank 0 the most recently used.
+///
+/// A hit moves its tag to rank 0. A miss shifts the whole set down one
+/// rank and writes rank 0, which drops the last rank: the LRU victim
+/// when the set is full, an empty way while it is not. Live tags are
+/// never 0, so empty ways never match and no per-set length is kept.
+#[derive(Debug, Clone)]
+struct TagArray {
+    sets: u64,
+    ways: usize,
+    tags: Vec<u32>,
+}
+
+impl TagArray {
+    fn new(c: LevelConfig) -> Self {
+        assert!(c.ways > 0, "cache geometry must be non-zero");
+        let sets = (c.bytes >> LINE_SHIFT) / c.ways as u64;
+        assert!(sets > 0, "cache geometry must be non-zero");
+        TagArray {
+            sets,
+            ways: c.ways,
+            // Zeroed, so the allocation's pages fault in on first touch.
+            tags: vec![0; sets as usize * c.ways],
+        }
+    }
+
+    /// The largest line whose tag fits in 32 bits.
+    fn max_line(&self) -> u64 {
+        u64::from(u32::MAX) * self.sets - 1
+    }
+
+    /// `line`'s set index and stored tag.
+    #[inline]
+    fn locate(&self, line: u64) -> (usize, u32) {
+        // Every simulated memory reference lands here; dodge the 64-bit
+        // divide for the (ubiquitous) power-of-two set counts.
+        let (set, quot) = if self.sets.is_power_of_two() {
+            (line & (self.sets - 1), line >> self.sets.trailing_zeros())
+        } else {
+            (line % self.sets, line / self.sets)
+        };
+        if quot >= u64::from(u32::MAX) {
+            tag_range_exceeded(line, self.max_line());
+        }
+        (set as usize, quot as u32 + 1)
+    }
+
+    #[inline]
+    fn set(&self, set: usize) -> &[u32] {
+        &self.tags[set * self.ways..][..self.ways]
+    }
+
+    /// Refresh `line` to rank 0 if it is resident (returns `true`);
+    /// otherwise fill it at rank 0, dropping the last rank.
+    #[inline]
+    fn access(&mut self, line: u64) -> bool {
+        let (set, tag) = self.locate(line);
+        // One pass: `line` goes to rank 0 and each way moves down one
+        // rank until the pass meets `line`'s old rank (a hit) or drops
+        // off the end (a miss, which evicts the last rank).
+        let mut carry = tag;
+        for way in &mut self.tags[set * self.ways..][..self.ways] {
+            let old = std::mem::replace(way, carry);
+            if old == tag {
+                return true;
+            }
+            carry = old;
+        }
+        false
+    }
+
+    /// Whether `line` is resident (no LRU change).
+    fn contains(&self, line: u64) -> bool {
+        let (set, tag) = self.locate(line);
+        self.set(set).contains(&tag)
+    }
+
+    /// Hint the host CPU to pull `line`'s set into its own caches.
+    #[inline]
+    fn prefetch(&self, line: u64) {
+        #[cfg(target_arch = "x86_64")]
+        {
+            use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            let (set, _) = self.locate(line);
+            let ways = self.set(set).as_ptr_range();
+            // A set may straddle host lines: touch every 64 bytes of it,
+            // then its last tag.
+            // SAFETY: `_mm_prefetch` needs only SSE, which every x86-64
+            // CPU has; a prefetch never faults, reads into the program
+            // or writes, whatever the address.
+            unsafe {
+                let mut p = ways.start;
+                while p < ways.end {
+                    _mm_prefetch::<_MM_HINT_T0>(p.cast());
+                    p = p.wrapping_add(16);
+                }
+                _mm_prefetch::<_MM_HINT_T0>(ways.end.wrapping_sub(1).cast());
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = line;
+    }
+
+    fn flush(&mut self) {
+        self.tags.fill(0);
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn tag_range_exceeded(line: u64, max_line: u64) -> ! {
+    panic!("physical address beyond the cache model's tag range: line {line:#x} > {max_line:#x}")
+}
+
 /// Inclusive three-level cache hierarchy plus DRAM.
 #[derive(Debug, Clone)]
 pub struct MemoryHierarchy {
-    l1: SetAssoc,
-    l2: SetAssoc,
-    llc: SetAssoc,
+    l1: TagArray,
+    l2: TagArray,
+    llc: TagArray,
     config: HierarchyConfig,
     stats: HierarchyStats,
 }
@@ -165,14 +288,10 @@ pub struct MemoryHierarchy {
 impl MemoryHierarchy {
     /// Build the hierarchy from a configuration.
     pub fn new(config: HierarchyConfig) -> Self {
-        let geometry = |c: LevelConfig| {
-            let lines = c.bytes >> LINE_SHIFT;
-            SetAssoc::with_capacity(lines - lines % c.ways as u64, c.ways)
-        };
         MemoryHierarchy {
-            l1: geometry(config.l1),
-            l2: geometry(config.l2),
-            llc: geometry(config.llc),
+            l1: TagArray::new(config.l1),
+            l2: TagArray::new(config.l2),
+            llc: TagArray::new(config.llc),
             config,
             stats: HierarchyStats::default(),
         }
@@ -186,24 +305,29 @@ impl MemoryHierarchy {
     /// Access the cache line containing `paddr`; returns `(level, cycles)`.
     ///
     /// Misses fill all upper levels (inclusive hierarchy).
+    ///
+    /// # Panics
+    ///
+    /// Panics with "physical address beyond the cache model's tag
+    /// range" if `paddr`'s line is too large for some level's 32-bit
+    /// tags (from 16 TiB − 4 KiB on, under Table 3's geometry). The
+    /// same holds for every other method taking a `paddr`.
     pub fn access(&mut self, paddr: u64) -> (HitLevel, u64) {
         // Every level either refreshes the line (hit) or fills it
         // (miss) — the inclusive fill of all upper levels — so each
-        // level is one fused lookup-or-insert scan. Fusing reorders
-        // the fills relative to deeper lookups, but each `SetAssoc`
-        // keeps its own per-set recency order and counters, so
-        // per-structure state (and every observable result) is
-        // unchanged.
+        // level is one fused lookup-or-fill pass. Each level keeps its
+        // own per-set recency order, so filling a level before probing
+        // the next changes no observable result.
         let line = paddr >> LINE_SHIFT;
-        if self.l1.lookup_or_insert(line) {
+        if self.l1.access(line) {
             self.stats.l1_hits += 1;
             return (HitLevel::L1, self.config.l1.latency);
         }
-        if self.l2.lookup_or_insert(line) {
+        if self.l2.access(line) {
             self.stats.l2_hits += 1;
             return (HitLevel::L2, self.config.l2.latency);
         }
-        if self.llc.lookup_or_insert(line) {
+        if self.llc.access(line) {
             self.stats.llc_hits += 1;
             return (HitLevel::Llc, self.config.llc.latency);
         }
@@ -217,22 +341,19 @@ impl MemoryHierarchy {
         (HitLevel::Dram, self.config.dram_latency)
     }
 
-    /// Latency-only convenience wrapper around [`access`](Self::access).
-    pub fn access_cycles(&mut self, paddr: u64) -> u64 {
-        self.access(paddr).1
-    }
-
     /// Install the line containing `paddr` into L2 (and LLC) without
     /// charging latency — the ASAP prefetcher's injection path.
     pub fn prefetch_into_l2(&mut self, paddr: u64) {
         let line = paddr >> LINE_SHIFT;
-        self.llc.insert(line);
-        self.l2.insert(line);
+        self.llc.access(line);
+        self.l2.access(line);
     }
 
-    /// Hint the host CPU to pull every level's set storage for `paddr`
-    /// into its own caches (see [`SetAssoc::prefetch`]). No simulated
-    /// state change.
+    /// Hint the host CPU to pull every level's set of `paddr` into its
+    /// own caches. No simulated state change: the batched engine calls
+    /// this for upcoming accesses whose addresses it already knows,
+    /// overlapping the host cache misses that an element-at-a-time walk
+    /// would serialize.
     #[inline]
     pub fn prefetch(&self, paddr: u64) {
         let line = paddr >> LINE_SHIFT;
@@ -263,9 +384,6 @@ impl MemoryHierarchy {
     /// Reset counters (contents are kept, useful after warmup).
     pub fn reset_stats(&mut self) {
         self.stats = HierarchyStats::default();
-        self.l1.reset_stats();
-        self.l2.reset_stats();
-        self.llc.reset_stats();
     }
 
     /// Drop all cached lines and reset counters.
@@ -385,6 +503,44 @@ mod tests {
         }
         assert_eq!(flat.stats(), also_flat.stats());
         assert_eq!(flat.stats().dram_slow_accesses, 0);
+    }
+
+    #[test]
+    fn largest_tag_fits_and_the_next_line_panics() {
+        for cfg in [HierarchyConfig::xeon_gold_6138(), HierarchyConfig::tiny()] {
+            for level in [cfg.l1, cfg.l2, cfg.llc] {
+                let mut t = TagArray::new(level);
+                let max = t.max_line();
+                assert_eq!(max / t.sets, u64::from(u32::MAX) - 1, "{level:?}");
+                assert!(!t.access(max), "{level:?}: empty level hit");
+                assert!(t.access(max), "{level:?}: largest line missed");
+                assert!(t.contains(max));
+                let past = std::panic::catch_unwind(move || t.access(max + 1))
+                    .expect_err("the line past the tag range must panic");
+                let msg = past.downcast_ref::<String>().expect("formatted message");
+                assert!(
+                    msg.starts_with("physical address beyond the cache model's tag range"),
+                    "{msg}"
+                );
+            }
+        }
+        // Table 3's 64-set L1 sets the whole hierarchy's limit.
+        let mut h = MemoryHierarchy::default();
+        let limit = (u64::from(u32::MAX) * 64) << LINE_SHIFT;
+        assert_eq!(limit, (16 << 40) - (4 << 10));
+        assert_eq!(h.access(limit - 1).0, HitLevel::Dram);
+        assert_eq!(h.access(limit - 1).0, HitLevel::L1);
+        let past = std::panic::catch_unwind(move || h.access(limit));
+        assert!(past.is_err());
+    }
+
+    #[test]
+    fn tag_arrays_take_four_bytes_per_way() {
+        let h = MemoryHierarchy::default();
+        assert_eq!(h.llc.sets, 32_768);
+        assert_eq!(std::mem::size_of_val(h.llc.tags.as_slice()), 1_441_792);
+        assert_eq!(std::mem::size_of_val(h.l2.tags.as_slice()), 64 << 10);
+        assert_eq!(std::mem::size_of_val(h.l1.tags.as_slice()), 2 << 10);
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Hardware memory-system models for the DMT reproduction: the data-cache
 //! hierarchy, TLBs, and page-walk caches of Table 3 in the paper.
 //!
-//! All structures are instances of one generic set-associative LRU array
-//! ([`set_assoc::SetAssoc`]); the composite models are
+//! The translation structures are instances of one generic
+//! set-associative LRU array ([`set_assoc::SetAssoc`]): [`tlb::Tlb`]
+//! (per-page-size L1 D-TLB + shared STLB) and [`pwc::PageWalkCache`]
+//! (2-4-32-entry upper-level PTE caches, also used as the nested PWC).
 //! [`hierarchy::MemoryHierarchy`] (L1/L2/LLC/DRAM with round-trip
-//! latencies), [`tlb::Tlb`] (per-page-size L1 D-TLB + shared STLB), and
-//! [`pwc::PageWalkCache`] (2-4-32-entry upper-level PTE caches, also used
-//! as the nested PWC).
+//! latencies) keeps its own 32-bit tag array per level.
 //!
 //! # Example
 //!

@@ -1,17 +1,21 @@
 //! A generic set-associative array with true-LRU replacement.
 //!
-//! Every hardware structure in the simulated memory system — data caches,
-//! TLBs, the page-walk caches — is an instance of [`SetAssoc`] keyed by an
-//! appropriate `u64` (cache-line address, VPN, VA prefix). A way may
-//! carry an inline payload next to its key: the TLB arrays store each
-//! entry's frame there, while the data caches, the PWC tags and FPT use
-//! the zero-sized default, so their layout is a plain `u64` per way.
+//! The translation structures of the simulated memory system — the TLBs,
+//! the page-walk caches, FPT's and ECPT's walk caches — are instances of
+//! [`SetAssoc`] keyed by an appropriate `u64` (VPN or VA prefix, with
+//! ASID and page-size bits). A way may carry an inline payload next to
+//! its key: the TLB arrays store each entry's frame there, while the PWC
+//! tags and FPT use the zero-sized default, so their layout is a plain
+//! `u64` per way. The data-cache levels do not use it: their line tags
+//! fit in 32 bits once the set index is implied, so
+//! [`MemoryHierarchy`](crate::hierarchy::MemoryHierarchy) keeps a
+//! tag array of its own.
 
 /// One way: `(key, payload)`, side by side so a hit finds its payload
 /// on the line the tag compare already touched. A tuple rather than a
 /// struct so `vec![]` of all-zero ways takes the zeroed-allocation path:
-/// the multi-MiB cache arrays then fault their pages in lazily, on
-/// first touch, instead of all at construction.
+/// large arrays then fault their pages in lazily, on first touch,
+/// instead of all at construction.
 type Way<V> = (u64, V);
 
 /// A set-associative, true-LRU array of `u64` keys, each carrying a
@@ -35,8 +39,8 @@ pub struct SetAssoc<V = ()> {
     sets: u64,
     ways: usize,
     /// Ways flattened as `set * ways + rank`, so one set's ways share
-    /// cache lines (this sits on the hot path of every simulated memory
-    /// reference). Within a set, ranks `0..lens[set]` hold the live
+    /// cache lines (this sits on the hot path of every TLB lookup).
+    /// Within a set, ranks `0..lens[set]` hold the live
     /// ways most-recently-used first; higher ranks are dead.
     slots: Vec<Way<V>>,
     /// Live-key count per set.
@@ -48,50 +52,6 @@ pub struct SetAssoc<V = ()> {
     misses: u64,
 }
 
-/// Ask the kernel to back a large allocation with transparent huge
-/// pages. The multi-MiB arrays modelling L2/LLC are touched at random
-/// sets on every simulated reference; on `madvise`-mode THP hosts they
-/// would otherwise sit on 4 KiB pages and pay a host dTLB walk per
-/// touch. Pure host-level hint — simulated behavior is unaffected.
-/// Issued as a raw `madvise(MADV_HUGEPAGE)` syscall to avoid a libc
-/// dependency; failures (or non-Linux-x86-64 hosts) are ignored.
-fn advise_hugepages<T>(buf: &[T]) {
-    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-    {
-        const HUGE: usize = 2 << 20;
-        let ptr = buf.as_ptr() as usize;
-        let len = std::mem::size_of_val(buf);
-        if len < HUGE {
-            return;
-        }
-        let start = (ptr + HUGE - 1) & !(HUGE - 1);
-        let end = (ptr + len) & !(HUGE - 1);
-        if end <= start {
-            return;
-        }
-        // SAFETY: madvise only changes paging advice for
-        // `[start, end)`, a range inside `buf`'s allocation; it reads
-        // and writes no memory and clobbers only the registers listed.
-        unsafe {
-            let ret: isize;
-            std::arch::asm!(
-                "syscall",
-                in("rax") 28usize,      // __NR_madvise
-                in("rdi") start,
-                in("rsi") end - start,
-                in("rdx") 14usize,      // MADV_HUGEPAGE
-                out("rcx") _,
-                out("r11") _,
-                lateout("rax") ret,
-                options(nostack),
-            );
-            let _ = ret;
-        }
-    }
-    #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-    let _ = buf;
-}
-
 impl<V: Copy + Default> SetAssoc<V> {
     /// Create an array with `sets` sets of `ways` ways.
     ///
@@ -101,12 +61,10 @@ impl<V: Copy + Default> SetAssoc<V> {
     pub fn new(sets: u64, ways: usize) -> Self {
         assert!(sets > 0 && ways > 0, "cache geometry must be non-zero");
         assert!(u32::try_from(ways).is_ok(), "associativity must fit in u32");
-        let slots = vec![(0, V::default()); sets as usize * ways];
-        advise_hugepages(&slots);
         SetAssoc {
             sets,
             ways,
-            slots,
+            slots: vec![(0, V::default()); sets as usize * ways],
             lens: vec![0; sets as usize],
             occupied: 0,
             hits: 0,
@@ -145,8 +103,8 @@ impl<V: Copy + Default> SetAssoc<V> {
 
     #[inline]
     fn set_of(&self, key: u64) -> usize {
-        // Every simulated memory reference lands here; dodge the 64-bit
-        // divide for the (ubiquitous) power-of-two set counts.
+        // Every TLB lookup lands here; dodge the 64-bit divide for the
+        // (ubiquitous) power-of-two set counts.
         (if self.sets.is_power_of_two() {
             key & (self.sets - 1)
         } else {
@@ -195,35 +153,6 @@ impl<V: Copy + Default> SetAssoc<V> {
                 None
             }
         }
-    }
-
-    /// Hint the host CPU to pull the storage behind `key`'s set into
-    /// its own caches. Pure hardware hint: no simulated state, LRU, or
-    /// counter changes. The batched engine calls this for upcoming
-    /// accesses whose addresses it already knows, overlapping the host
-    /// cache misses that an element-at-a-time walk would serialize.
-    #[inline]
-    pub fn prefetch(&self, key: u64) {
-        let set = self.set_of(key);
-        #[cfg(target_arch = "x86_64")]
-        {
-            use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            // A set spans `ways * size_of::<Way<V>>()` bytes; touch each
-            // 64-byte line, plus the set's length word.
-            let base = self.slots[set * self.ways..].as_ptr();
-            let bytes = self.ways * std::mem::size_of::<Way<V>>();
-            // SAFETY: `set < sets`, so the length word is in `lens`, and
-            // every line offset is below `bytes`, inside the set's
-            // slice of `slots`. A prefetch never faults or writes.
-            unsafe {
-                _mm_prefetch(self.lens.as_ptr().add(set) as *const i8, _MM_HINT_T0);
-                for line in 0..bytes.div_ceil(64) {
-                    _mm_prefetch(base.byte_add(line * 64) as *const i8, _MM_HINT_T0);
-                }
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = set;
     }
 
     /// Probe for a key without touching LRU state or counters.
@@ -336,27 +265,6 @@ impl SetAssoc {
     /// Returns the evicted key, if any.
     pub fn insert(&mut self, key: u64) -> Option<u64> {
         self.insert_value(key, ())
-    }
-
-    /// [`lookup`](Self::lookup) fused with the miss-path
-    /// [`insert`](Self::insert): one scan of the set serves both. On a
-    /// hit this is exactly `lookup`; on a miss it performs the insert a
-    /// caller would issue next without rescanning. Returns whether the
-    /// key hit. The evicted key (if any) is discarded, so this suits
-    /// callers that ignore `insert`'s return value, like the inclusive
-    /// hierarchy.
-    pub fn lookup_or_insert(&mut self, key: u64) -> bool {
-        match self.touch(key) {
-            Ok(_) => {
-                self.hits += 1;
-                true
-            }
-            Err(set) => {
-                self.misses += 1;
-                self.fill(set, (key, ()));
-                false
-            }
-        }
     }
 }
 

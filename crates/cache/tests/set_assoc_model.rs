@@ -66,13 +66,6 @@ impl Model {
         Some(evicted)
     }
 
-    fn lookup_or_insert(&mut self, key: u64) -> bool {
-        self.lookup(key) || {
-            self.insert(key);
-            false
-        }
-    }
-
     fn contains(&self, key: u64) -> bool {
         let n = self.sets.len() as u64;
         self.sets[(key % n) as usize]
@@ -129,16 +122,11 @@ fn check(sets: u64, ways: usize, ops: &[(u16, u64)]) {
             op
         };
         let what = match op {
-            0..=249 => {
+            0..=374 => {
                 assert_eq!(real.lookup(key), model.lookup(key), "step {step}");
                 "lookup"
             }
-            250..=499 => {
-                let (r, m) = (real.lookup_or_insert(key), model.lookup_or_insert(key));
-                assert_eq!(r, m, "step {step}");
-                "lookup_or_insert"
-            }
-            500..=749 => {
+            375..=749 => {
                 assert_eq!(real.insert(key), model.insert(key), "step {step}");
                 "insert"
             }
