@@ -12,10 +12,12 @@
 //! outcomes and counters stay bit-identical to the scalar path
 //! (DESIGN.md §13).
 
-use super::{NativeBackend, NativeMachine, NativeTranslator, VirtBackend, VirtTranslator};
+use super::{
+    batch_each, NativeBackend, NativeMachine, NativeTranslator, VirtBackend, VirtTranslator,
+};
 use crate::error::SimError;
 use crate::registry::{Arena, NativeSpec, Registration, TierSpec, VirtSpec};
-use crate::rig::{pte_delta, Design, OutcomeRows, Setup, Translation};
+use crate::rig::{pte_delta, Design, Outcome, Setup, Translation};
 use dmt_cache::hierarchy::MemoryHierarchy;
 use dmt_core::{fetcher, DmtError};
 use dmt_mem::{PhysAddr, VirtAddr};
@@ -137,7 +139,7 @@ impl NativeTranslator for NativeDmt {
         m: &mut NativeMachine,
         accesses: &[Access],
         hier: &mut MemoryHierarchy,
-        out: &mut OutcomeRows<'_>,
+        out: &mut [Outcome],
     ) {
         // The run is processed in two phases per chunk.
         //
@@ -171,30 +173,29 @@ impl NativeTranslator for NativeDmt {
                 resolved.push(r);
             }
             for (k, (a, r)) in accesses.iter().zip(resolved.iter()).enumerate() {
-                let i = base + k;
-                let tr = match *r {
+                let (tr, pte_fetches) = match *r {
                     fetcher::Resolve::Hit { slot, pte, size } => {
                         self.fetch_hits += 1;
                         // The fetch's only charge is this one slot
-                        // access, so the PTE-charge matrix gets a
-                        // one-hot write at its hit level (the block
-                        // starts zeroed) — no stats diff needed.
+                        // access: one fetch at its hit level, no stats
+                        // diff needed.
                         let (level, cycles) = hier.access(slot.raw());
-                        out.set_pte_onehot(i, level as usize);
-                        Translation {
+                        let mut pte_fetches = [0; 4];
+                        pte_fetches[level as usize] = 1;
+                        let tr = Translation {
                             pa: PhysAddr(pte.phys_addr().raw() + a.va.offset_in(size)),
                             size,
                             cycles,
                             refs: 1,
                             fallback: false,
                             unit: None,
-                        }
+                        };
+                        (tr, pte_fetches)
                     }
                     fetcher::Resolve::NotCovered => {
                         let before = hier.stats();
                         let tr = self.fallback_walk(m, a.va, hier);
-                        out.set_pte(i, pte_delta(before, hier.stats()));
-                        tr
+                        (tr, pte_delta(before, hier.stats()))
                     }
                     fetcher::Resolve::NotPresent { .. } => {
                         panic!(
@@ -205,9 +206,13 @@ impl NativeTranslator for NativeDmt {
                 };
                 // The translation *is* the data mapping: reuse its PA
                 // instead of scalar's redundant software radix walk.
-                let (level, cycles) = hier.access(tr.pa.raw());
-                out.set_translation(i, &tr);
-                out.set_data(i, level, cycles);
+                let (data_level, data_cycles) = hier.access(tr.pa.raw());
+                out[base + k] = Outcome {
+                    tr,
+                    data_level,
+                    data_cycles,
+                    pte: pte_fetches,
+                };
             }
         }
         self.resolved = resolved;
@@ -276,20 +281,16 @@ impl VirtTranslator for VirtDmt {
         m: &mut VirtMachine,
         accesses: &[Access],
         hier: &mut MemoryHierarchy,
-        out: &mut OutcomeRows<'_>,
+        out: &mut [Outcome],
     ) {
         // The unparavirtualized fetch allocates internally either way;
         // the batched win here is reusing the translated host PA for
         // the data access instead of scalar's full 2D software
         // translation per element.
-        for (i, a) in accesses.iter().enumerate() {
-            let before = hier.stats();
-            let tr = self.translate_one(m, a.va, hier);
-            out.set_pte(i, pte_delta(before, hier.stats()));
-            let (level, cycles) = hier.access(tr.pa.raw());
-            out.set_translation(i, &tr);
-            out.set_data(i, level, cycles);
-        }
+        batch_each(accesses, hier, out, |va, hier| {
+            let tr = self.translate_one(m, va, hier);
+            (tr, tr.pa)
+        });
     }
 
     fn coverage(&self) -> f64 {

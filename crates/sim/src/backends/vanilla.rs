@@ -9,11 +9,11 @@
 //! op sequence is bit-identical to the scalar path (DESIGN.md §13).
 
 use super::{
-    NativeBackend, NativeMachine, NativeTranslator, NestedBackend, NestedTranslator, VirtBackend,
-    VirtTranslator,
+    batch_each, NativeBackend, NativeMachine, NativeTranslator, NestedBackend, NestedTranslator,
+    VirtBackend, VirtTranslator,
 };
 use crate::registry::{NativeSpec, NestedSpec, Registration, VirtSpec};
-use crate::rig::{pte_delta, Design, OutcomeRows, Setup, Translation};
+use crate::rig::{Design, Outcome, Setup, Translation};
 use dmt_cache::hierarchy::MemoryHierarchy;
 use dmt_mem::VirtAddr;
 use dmt_pgtable::walk::{walk_dimension, walk_dimension_cached, PteMemo, WalkDim};
@@ -102,36 +102,30 @@ impl NativeTranslator for NativeVanilla {
         m: &mut NativeMachine,
         accesses: &[Access],
         hier: &mut MemoryHierarchy,
-        out: &mut OutcomeRows<'_>,
+        out: &mut [Outcome],
     ) {
-        for (i, a) in accesses.iter().enumerate() {
-            let before = hier.stats();
+        // The walk's result *is* the data mapping: reuse its PA
+        // instead of scalar's redundant software radix walk.
+        batch_each(accesses, hier, out, |va, hier| {
             let w = walk_dimension_cached(
                 m.proc_.page_table(),
                 &mut m.pm,
-                a.va,
+                va,
                 hier,
                 Some(&mut m.pwc),
                 &mut self.memo,
             )
             .expect("populated");
-            out.set_pte(i, pte_delta(before, hier.stats()));
-            // The walk's result *is* the data mapping: reuse its PA
-            // instead of scalar's redundant software radix walk.
-            let (level, cycles) = hier.access(w.pa.raw());
-            out.set_translation(
-                i,
-                &Translation {
-                    pa: w.pa,
-                    size: w.size,
-                    cycles: w.cycles,
-                    refs: w.refs,
-                    fallback: false,
-                    unit: None,
-                },
-            );
-            out.set_data(i, level, cycles);
-        }
+            let tr = Translation {
+                pa: w.pa,
+                size: w.size,
+                cycles: w.cycles,
+                refs: w.refs,
+                fallback: false,
+                unit: None,
+            };
+            (tr, tr.pa)
+        });
     }
 }
 
@@ -162,20 +156,16 @@ impl VirtTranslator for VirtVanilla {
         m: &mut VirtMachine,
         accesses: &[Access],
         hier: &mut MemoryHierarchy,
-        out: &mut OutcomeRows<'_>,
+        out: &mut [Outcome],
     ) {
         // The 2D walk itself stays scalar (its PWC interleavings are
         // design-specific); the win here is reusing the walk's host PA
         // for the data access, skipping the two-dimensional software
         // resolve scalar performs per element.
-        for (i, a) in accesses.iter().enumerate() {
-            let before = hier.stats();
-            let tr = self.translate(m, a.va, hier);
-            out.set_pte(i, pte_delta(before, hier.stats()));
-            let (level, cycles) = hier.access(tr.pa.raw());
-            out.set_translation(i, &tr);
-            out.set_data(i, level, cycles);
-        }
+        batch_each(accesses, hier, out, |va, hier| {
+            let tr = self.translate(m, va, hier);
+            (tr, tr.pa)
+        });
     }
 }
 

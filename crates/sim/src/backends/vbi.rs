@@ -17,12 +17,12 @@
 //! trivially bit-identical to scalar.
 
 use super::{
-    find_run, merge_contiguous_runs, ContigRun, NativeBackend, NativeMachine, NativeTranslator,
-    VirtBackend, VirtTranslator,
+    batch_each, find_run, merge_contiguous_runs, ContigRun, NativeBackend, NativeMachine,
+    NativeTranslator, VirtBackend, VirtTranslator,
 };
 use crate::error::SimError;
 use crate::registry::{Arena, NativeSpec, Registration, VirtSpec};
-use crate::rig::{pte_delta, Design, OutcomeRows, Setup, Translation};
+use crate::rig::{Design, Outcome, Setup, Translation};
 use dmt_cache::hierarchy::MemoryHierarchy;
 use dmt_mem::buddy::FrameKind;
 use dmt_mem::{PhysAddr, PhysMemory, VirtAddr};
@@ -158,18 +158,14 @@ impl NativeTranslator for NativeVbi {
         m: &mut NativeMachine,
         accesses: &[Access],
         hier: &mut MemoryHierarchy,
-        out: &mut OutcomeRows<'_>,
+        out: &mut [Outcome],
     ) {
         // The descriptor's answer *is* the data mapping: reuse its PA
         // instead of scalar's redundant software radix walk.
-        for (i, a) in accesses.iter().enumerate() {
-            let before = hier.stats();
-            let tr = self.translate(m, a.va, hier);
-            out.set_pte(i, pte_delta(before, hier.stats()));
-            let (level, cycles) = hier.access(tr.pa.raw());
-            out.set_translation(i, &tr);
-            out.set_data(i, level, cycles);
-        }
+        batch_each(accesses, hier, out, |va, hier| {
+            let tr = self.translate(m, va, hier);
+            (tr, tr.pa)
+        });
     }
 
     fn fill_shift(&self, _thp: bool) -> u32 {
@@ -209,18 +205,14 @@ impl VirtTranslator for VirtVbi {
         m: &mut VirtMachine,
         accesses: &[Access],
         hier: &mut MemoryHierarchy,
-        out: &mut OutcomeRows<'_>,
+        out: &mut [Outcome],
     ) {
         // Reuse the descriptors' host PA for the data access, skipping
         // scalar's two-dimensional software resolve per element.
-        for (i, a) in accesses.iter().enumerate() {
-            let before = hier.stats();
-            let tr = self.translate(m, a.va, hier);
-            out.set_pte(i, pte_delta(before, hier.stats()));
-            let (level, cycles) = hier.access(tr.pa.raw());
-            out.set_translation(i, &tr);
-            out.set_data(i, level, cycles);
-        }
+        batch_each(accesses, hier, out, |va, hier| {
+            let tr = self.translate(m, va, hier);
+            (tr, tr.pa)
+        });
     }
 
     fn fill_shift(&self, _thp: bool) -> u32 {

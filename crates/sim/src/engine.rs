@@ -24,14 +24,15 @@
 //! Every replay in the crate — [`crate::runner::Runner::replay`], the
 //! sharded epoch barrier and the cloud node's scheduler quanta — goes
 //! through [`run_span`], the one place that picks between the scalar
-//! reference and the batched fast path. The entry points here are
-//! crate-internal.
+//! reference and the batched fast path. Both engines charge `RunStats`
+//! and the probe through the same two helpers, in trace order. The
+//! entry points here are crate-internal.
 
-use crate::rig::{OutcomeBlock, Rig};
+use crate::rig::{pte_delta, Outcome, Rig, Translation};
 use crate::runner::Engine;
 use dmt_cache::hierarchy::{HitLevel, MemoryHierarchy};
 use dmt_cache::tlb::{Tlb, TlbHit};
-use dmt_mem::{FastSet, PhysAddr, TransUnit, VirtAddr};
+use dmt_mem::FastSet;
 use dmt_telemetry::{MemLevel, Probe, TlbPath};
 use dmt_workloads::gen::Access;
 use std::borrow::Borrow;
@@ -107,89 +108,100 @@ fn mem_level(l: HitLevel) -> MemLevel {
 /// Misses inside a block are accumulated into region-disjoint runs and
 /// handed to [`Rig::translate_batch`] in one call, so backends can hoist
 /// register-file and PWC lookup work across the run. 256 keeps the
-/// per-block scratch (outcomes, records, pending-region set) inside L1
-/// while amortizing the dispatch overhead; correctness never depends on
-/// the exact value, which `tests/batch_equivalence.rs` pins by sweeping
-/// traces whose length is not a multiple of it.
+/// engine's scratch (one run's outcomes, the pending-region set) inside
+/// L1 while amortizing the dispatch overhead; correctness never depends
+/// on the exact value, which `tests/batch_equivalence.rs` pins by
+/// sweeping traces whose length is not a multiple of it.
 pub(crate) const BLOCK_SIZE: usize = 256;
-
-/// What the block scan recorded for one element, in trace order.
-///
-/// The scan performs all *state* transitions (TLB probes/fills, cache
-/// charges) immediately; accounting is deferred to one reconciliation
-/// pass per block. Per-element data now lives column-wise in
-/// `BlockState::outcomes`; the record only keeps what the columns do
-/// not carry (hit path, hit/miss kind).
-enum Rec {
-    /// TLB hit: which TLB path hit (data level/cycles are in the
-    /// outcome columns at the same index).
-    Hit { path: TlbPath },
-    /// TLB miss: the whole outcome lives in `BlockState::outcomes` at
-    /// the same index.
-    Miss,
-}
-
-/// Reusable per-block scratch for [`run_block`], held in [`Hw`] so the
-/// allocations amortize across blocks. Holds no cross-block simulation
-/// state.
-#[derive(Default)]
-struct BlockState {
-    outcomes: OutcomeBlock,
-    recs: Vec<Rec>,
-    pending_regions: FastSet<u64>,
-    /// Indices of miss elements, for the column-wise reconcile pass.
-    miss_idx: Vec<u32>,
-}
 
 /// The sampling callback [`run_span`] fires after each measured access
 /// with the running access count — the periodic-series hook.
 pub(crate) type OnMeasured<'a, P> = &'a mut dyn FnMut(&mut P, &dyn Rig, u64);
 
-/// Flush a pending miss run: one `translate_batch` over the run's row
-/// window, then the per-element TLB replay (miss charge + fill) in
-/// element order — the same per-component op sequence the scalar loop
+/// Charge one measured page walk to `stats` and the probe; `pte` is the
+/// walk's per-level PTE-fetch count (read only when the probe is live).
+/// With [`account_data`], the only copy of the engine's accounting: both
+/// engines call it.
+fn account_walk<P: Probe>(stats: &mut RunStats, probe: &mut P, tr: &Translation, pte: [u64; 4]) {
+    stats.walks += 1;
+    stats.walk_cycles += tr.cycles;
+    stats.walk_refs += tr.refs;
+    if tr.fallback {
+        stats.fallbacks += 1;
+    }
+    if P::ACTIVE {
+        probe.tlb_lookup(TlbPath::Miss);
+        probe.walk(tr.cycles, tr.refs, tr.fallback);
+        let levels = [MemLevel::L1, MemLevel::L2, MemLevel::Llc, MemLevel::Dram];
+        for (level, n) in levels.into_iter().zip(pte) {
+            if n > 0 {
+                probe.pte_fetches(level, n);
+            }
+        }
+    }
+}
+
+/// Charge one measured data access to `stats` and the probe.
+fn account_data<P: Probe>(stats: &mut RunStats, probe: &mut P, level: HitLevel, cycles: u64) {
+    stats.accesses += 1;
+    stats.data_cycles += cycles;
+    if P::ACTIVE {
+        probe.data_access(mem_level(level), cycles);
+    }
+}
+
+/// Flush a pending miss run: one `translate_batch` over the run, then,
+/// per element in order, the TLB replay (miss charge + fill) and the
+/// accounting — the same per-component op sequence the scalar loop
 /// would have issued. The run's first element already took its miss
 /// charge through the failed `lookup_pa` that started the run, so only
-/// the fill remains for it.
-fn flush_run(
+/// the fill remains for it. Empties the pending-region set, which is
+/// therefore empty whenever no run is pending.
+#[allow(clippy::too_many_arguments)]
+fn flush_run<P: Probe>(
     rig: &mut dyn Rig,
     block: &[Access],
     range: std::ops::Range<usize>,
-    tlb: &mut Tlb,
-    hier: &mut MemoryHierarchy,
-    outcomes: &mut OutcomeBlock,
+    measured_from: usize,
+    hw: &mut Hw,
     region_shift: u32,
+    stats: &mut RunStats,
+    probe: &mut P,
+    on_measured: &mut Option<OnMeasured<'_, P>>,
 ) {
-    let (s, e) = (range.start, range.end);
-    rig.translate_batch(&block[s..e], hier, &mut outcomes.rows(s..e));
-    for (j, a) in block.iter().enumerate().take(e).skip(s) {
-        let size = outcomes.size[j];
-        let unit_len = outcomes.unit_len[j];
+    let run = &block[range.clone()];
+    hw.outcomes.clear();
+    hw.outcomes.resize(run.len(), Outcome::default());
+    rig.translate_batch(run, &mut hw.hier, &mut hw.outcomes);
+    hw.pending_regions.clear();
+    for ((j, a), o) in range.clone().zip(run).zip(&hw.outcomes) {
         // Whatever gets filled — a fixed page or a variable reach —
         // must stay inside one pending region, or the fill could
         // create a hit for a VA already scanned as a miss.
         debug_assert!(
-            if unit_len == 0 {
-                size.shift() <= region_shift
-            } else {
-                region_shift >= 63
-                    || outcomes.unit_base[j] >> region_shift
-                        == (outcomes.unit_base[j] + unit_len - 1) >> region_shift
+            match o.tr.unit {
+                None => o.tr.size.shift() <= region_shift,
+                Some(u) => {
+                    region_shift >= 63
+                        || u.base.raw() >> region_shift
+                            == (u.base.raw() + u.len - 1) >> region_shift
+                }
             },
             "a fill exceeds the {region_shift}-bit pending-region granularity"
         );
-        if j != s {
-            tlb.record_miss(a.va);
+        if j != range.start {
+            hw.tlb.record_miss(a.va);
         }
-        let pa = PhysAddr(outcomes.pa[j]);
-        if unit_len != 0 {
-            let unit = TransUnit {
-                base: VirtAddr(outcomes.unit_base[j]),
-                len: unit_len,
-            };
-            tlb.fill_unit_pa(unit, a.va, pa);
-        } else {
-            tlb.fill_pa(a.va, size, pa);
+        match o.tr.unit {
+            Some(u) => hw.tlb.fill_unit_pa(u, a.va, o.tr.pa),
+            None => hw.tlb.fill_pa(a.va, o.tr.size, o.tr.pa),
+        }
+        if j >= measured_from {
+            account_walk(stats, probe, &o.tr, o.pte);
+            account_data(stats, probe, o.data_level, o.data_cycles);
+            if let Some(cb) = on_measured.as_mut() {
+                cb(probe, rig, stats.accesses);
+            }
         }
     }
 }
@@ -215,16 +227,13 @@ fn flush_run(
 ///   the scalar loop would have seen — and then takes the stateful
 ///   lookup as above;
 /// - miss elements' data accesses happen inside `translate_batch`,
-///   interleaved per element with the PTE fetches;
-/// - `measured`-gated accounting (RunStats + probe) is deferred to one
-///   reconciliation pass per block over the outcome columns. With no
-///   probe and no sampling hook the pass is column-wise (dense u64
-///   sums over `data_cycles` plus a gather over the miss indices) —
-///   bit-identical to the element-order replay because every RunStats
-///   field is a commutative u64 sum. Otherwise the records replay in
-///   element order with exactly the `measured`/`P::ACTIVE` gating of
-///   [`step_access`], and `on_measured` fires after each measured
-///   element with the running access count.
+///   interleaved per element with the PTE fetches.
+///
+/// `measured`-gated accounting (RunStats + probe) and the `on_measured`
+/// hook stay in element order too: a hit is charged when its lookup
+/// returns, and each miss when its run flushes. A pending run is an
+/// unbroken stretch of misses — anything else flushes it first — so no
+/// element is ever charged ahead of an earlier one.
 ///
 /// `measured_from` is the block-local index of the first measured
 /// element (`warmup - block_base`, saturating).
@@ -233,11 +242,9 @@ fn run_block<P: Probe>(
     rig: &mut dyn Rig,
     block: &[Access],
     measured_from: usize,
-    tlb: &mut Tlb,
-    hier: &mut MemoryHierarchy,
+    hw: &mut Hw,
     stats: &mut RunStats,
     probe: &mut P,
-    st: &mut BlockState,
     mut on_measured: Option<OnMeasured<'_, P>>,
 ) {
     // Pending-region granularity must be at least the largest possible
@@ -246,136 +253,77 @@ fn run_block<P: Probe>(
     // shift, 21 under THP; variable-reach designs: 63, collapsing every
     // miss run to a single element); the flush asserts.
     let region_shift: u32 = rig.fill_shift();
-    st.outcomes.reset(block.len());
-    st.recs.clear();
-    st.pending_regions.clear();
-    st.miss_idx.clear();
     // Start of the pending miss run, if any.
     let mut pending: Option<usize> = None;
 
     for (i, a) in block.iter().enumerate() {
         let region = a.va.raw() >> region_shift;
         if let Some(s) = pending {
-            if !st.pending_regions.contains(&region) && !tlb.probe_any(a.va) {
-                st.pending_regions.insert(region);
-                st.recs.push(Rec::Miss);
-                st.miss_idx.push(i as u32);
+            if !hw.pending_regions.contains(&region) && !hw.tlb.probe_any(a.va) {
+                hw.pending_regions.insert(region);
                 continue;
             }
-            flush_run(rig, block, s..i, tlb, hier, &mut st.outcomes, region_shift);
-            st.pending_regions.clear();
+            flush_run(
+                rig,
+                block,
+                s..i,
+                measured_from,
+                hw,
+                region_shift,
+                stats,
+                probe,
+                &mut on_measured,
+            );
             pending = None;
         }
-        match tlb.lookup_pa(a.va) {
+        match hw.tlb.lookup_pa(a.va) {
             Some((h, pa)) => {
                 debug_assert_eq!(pa, rig.data_pa(a.va), "TLB frame at {}", a.va);
-                let (level, cycles) = hier.access(pa.raw());
-                st.outcomes.data_level[i] = level;
-                st.outcomes.data_cycles[i] = cycles;
-                st.recs.push(Rec::Hit { path: tlb_path(h) });
+                let (level, cycles) = hw.hier.access(pa.raw());
+                if i >= measured_from {
+                    if P::ACTIVE {
+                        probe.tlb_lookup(tlb_path(h));
+                    }
+                    account_data(stats, probe, level, cycles);
+                    if let Some(cb) = on_measured.as_mut() {
+                        cb(probe, rig, stats.accesses);
+                    }
+                }
             }
             None => {
                 pending = Some(i);
-                st.pending_regions.insert(region);
-                st.recs.push(Rec::Miss);
-                st.miss_idx.push(i as u32);
+                hw.pending_regions.insert(region);
             }
         }
     }
     if let Some(s) = pending {
-        let run = s..block.len();
-        flush_run(rig, block, run, tlb, hier, &mut st.outcomes, region_shift);
-    }
-
-    // Deferred accounting. Fast path: no probe, no sampling hook —
-    // column-wise sums, same u64 additions in a different order.
-    if !P::ACTIVE && on_measured.is_none() {
-        if measured_from < block.len() {
-            stats.accesses += (block.len() - measured_from) as u64;
-            stats.data_cycles += st.outcomes.data_cycles[measured_from..]
-                .iter()
-                .sum::<u64>();
-            for &j in &st.miss_idx {
-                let j = j as usize;
-                if j < measured_from {
-                    continue;
-                }
-                stats.walks += 1;
-                stats.walk_cycles += st.outcomes.cycles[j];
-                stats.walk_refs += st.outcomes.refs[j];
-                if st.outcomes.fault[j] {
-                    stats.fallbacks += 1;
-                }
-            }
-        }
-        return;
-    }
-
-    // Slow path: replay the records in element order with the exact
-    // measured/ACTIVE gating of step_access.
-    for (j, rec) in st.recs.iter().enumerate() {
-        if j < measured_from {
-            continue;
-        }
-        let data_cycles = st.outcomes.data_cycles[j];
-        match rec {
-            Rec::Miss => {
-                stats.walks += 1;
-                stats.walk_cycles += st.outcomes.cycles[j];
-                stats.walk_refs += st.outcomes.refs[j];
-                if st.outcomes.fault[j] {
-                    stats.fallbacks += 1;
-                }
-                if P::ACTIVE {
-                    probe.tlb_lookup(TlbPath::Miss);
-                    probe.walk(
-                        st.outcomes.cycles[j],
-                        st.outcomes.refs[j],
-                        st.outcomes.fault[j],
-                    );
-                    for (level, n) in [
-                        (MemLevel::L1, st.outcomes.pte[0][j]),
-                        (MemLevel::L2, st.outcomes.pte[1][j]),
-                        (MemLevel::Llc, st.outcomes.pte[2][j]),
-                        (MemLevel::Dram, st.outcomes.pte[3][j]),
-                    ] {
-                        if n > 0 {
-                            probe.pte_fetches(level, n);
-                        }
-                    }
-                }
-                stats.accesses += 1;
-                stats.data_cycles += data_cycles;
-                if P::ACTIVE {
-                    probe.data_access(mem_level(st.outcomes.data_level[j]), data_cycles);
-                }
-            }
-            Rec::Hit { path } => {
-                if P::ACTIVE {
-                    probe.tlb_lookup(*path);
-                }
-                stats.accesses += 1;
-                stats.data_cycles += data_cycles;
-                if P::ACTIVE {
-                    probe.data_access(mem_level(st.outcomes.data_level[j]), data_cycles);
-                }
-            }
-        }
-        if let Some(cb) = on_measured.as_mut() {
-            cb(probe, rig, stats.accesses);
-        }
+        flush_run(
+            rig,
+            block,
+            s..block.len(),
+            measured_from,
+            hw,
+            region_shift,
+            stats,
+            probe,
+            &mut on_measured,
+        );
     }
 }
 
 /// What a replay carries from one span to the next: the TLB, the cache
-/// hierarchy, and the batched engine's block scratch. The caller owns
-/// its lifetime — the runner keeps one per replay, the shard barrier
-/// starts a fresh one per epoch, and a cloud node shares one across all
-/// its tenants.
+/// hierarchy, and the batched engine's scratch. The caller owns its
+/// lifetime — the runner keeps one per replay, the shard barrier starts
+/// a fresh one per epoch, and a cloud node shares one across all its
+/// tenants.
 pub(crate) struct Hw {
     pub(crate) tlb: Tlb,
     pub(crate) hier: MemoryHierarchy,
-    block: BlockState,
+    /// One miss run's outcomes, reused across flushes. Holds no
+    /// cross-flush simulation state.
+    outcomes: Vec<Outcome>,
+    /// Regions (`va >> fill_shift`) the pending miss run occupies.
+    pending_regions: FastSet<u64>,
 }
 
 impl Hw {
@@ -385,7 +333,8 @@ impl Hw {
         Hw {
             tlb: Tlb::default(),
             hier,
-            block: BlockState::default(),
+            outcomes: Vec::with_capacity(BLOCK_SIZE),
+            pending_regions: FastSet::default(),
         }
     }
 }
@@ -402,10 +351,8 @@ impl Hw {
 ///
 /// Positions below `warmup` are replayed but not measured. The
 /// optional `on_measured` hook fires after every measured element with
-/// the running `stats.accesses`, in both engines; passing `None` when
-/// nothing samples keeps the batched engine on its column-wise
-/// reconcile. The two engines are bit-identical by contract
-/// (DESIGN.md §13).
+/// the running `stats.accesses`, in both engines. The two engines are
+/// bit-identical by contract (DESIGN.md §13).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_span<P: Probe>(
     engine: Engine,
@@ -437,11 +384,9 @@ pub(crate) fn run_span<P: Probe>(
                     rig,
                     &span[done..done + len],
                     warmup.saturating_sub(pos),
-                    &mut hw.tlb,
-                    &mut hw.hier,
+                    hw,
                     stats,
                     probe,
-                    &mut hw.block,
                     on_measured.as_mut().map(|f| &mut **f as OnMeasured<'_, P>),
                 );
                 done += len;
@@ -550,38 +495,19 @@ fn step_access<P: Probe>(
                 None => tlb.fill_pa(a.va, tr.size, tr.pa),
             }
             if measured {
-                stats.walks += 1;
-                stats.walk_cycles += tr.cycles;
-                stats.walk_refs += tr.refs;
-                if tr.fallback {
-                    stats.fallbacks += 1;
-                }
-                if P::ACTIVE {
-                    probe.tlb_lookup(TlbPath::Miss);
-                    probe.walk(tr.cycles, tr.refs, tr.fallback);
-                    let after = hier.stats();
-                    for (level, n) in [
-                        (MemLevel::L1, after.l1_hits - before.l1_hits),
-                        (MemLevel::L2, after.l2_hits - before.l2_hits),
-                        (MemLevel::Llc, after.llc_hits - before.llc_hits),
-                        (MemLevel::Dram, after.dram_accesses - before.dram_accesses),
-                    ] {
-                        if n > 0 {
-                            probe.pte_fetches(level, n);
-                        }
-                    }
-                }
+                let pte = if P::ACTIVE {
+                    pte_delta(before, hier.stats())
+                } else {
+                    [0; 4]
+                };
+                account_walk(stats, probe, &tr, pte);
             }
             rig.data_pa(a.va)
         }
     };
-    let (level, cyc) = hier.access(pa.raw());
+    let (level, cycles) = hier.access(pa.raw());
     if measured {
-        stats.accesses += 1;
-        stats.data_cycles += cyc;
-        if P::ACTIVE {
-            probe.data_access(mem_level(level), cyc);
-        }
+        account_data(stats, probe, level, cycles);
     }
 }
 

@@ -5,7 +5,7 @@
 
 use crate::backends::{NativeBackend, NativeMachine};
 use crate::error::SimError;
-use crate::rig::{Design, Env, OutcomeRows, RefEntry, Rig, Setup, Translation};
+use crate::rig::{Design, Env, Outcome, RefEntry, Rig, Setup, Translation};
 use dmt_cache::hierarchy::MemoryHierarchy;
 use dmt_mem::{PhysAddr, PhysMemory, VirtAddr};
 use dmt_os::proc::Process;
@@ -145,7 +145,7 @@ impl Rig for NativeRig {
         &mut self,
         accesses: &[Access],
         hier: &mut MemoryHierarchy,
-        out: &mut OutcomeRows<'_>,
+        out: &mut [Outcome],
     ) {
         self.backend.translate_batch(&mut self.m, accesses, hier, out)
     }

@@ -4,7 +4,7 @@
 
 use crate::backends::NestedBackend;
 use crate::error::SimError;
-use crate::rig::{Design, Env, OutcomeRows, RefEntry, Rig, Setup, Translation};
+use crate::rig::{Design, Env, Outcome, RefEntry, Rig, Setup, Translation};
 use dmt_cache::hierarchy::MemoryHierarchy;
 use dmt_mem::buddy::FrameKind;
 use dmt_mem::{PhysAddr, VirtAddr};
@@ -134,7 +134,7 @@ impl Rig for NestedRig {
         &mut self,
         accesses: &[Access],
         hier: &mut MemoryHierarchy,
-        out: &mut OutcomeRows<'_>,
+        out: &mut [Outcome],
     ) {
         self.backend.translate_batch(&mut self.m, accesses, hier, out)
     }

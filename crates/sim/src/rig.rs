@@ -121,8 +121,9 @@ pub struct Translation {
 /// Everything the block engine needs back from one batched element:
 /// the translation itself plus the data access and per-level PTE-fetch
 /// attribution the scalar path would have derived inline. Produced by
-/// [`Rig::translate_batch`] so the engine can reconcile statistics and
-/// telemetry once per block instead of once per access.
+/// [`Rig::translate_batch`], one row per element of a miss run; the
+/// engine fills the TLB and charges statistics and telemetry from each
+/// row in element order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Outcome {
     /// The completed translation.
@@ -156,229 +157,9 @@ impl Default for Outcome {
     }
 }
 
-/// Structure-of-arrays buffer for one engine block's outcomes: every
-/// [`Outcome`] field stored as its own parallel column, plus the PTE
-/// charges as a `[level][element]` matrix (DMT's one-hot per-level
-/// charge writes one cell; radix walks write a short column run). The
-/// engine reconciles statistics column-wise — dense `u64` sums the
-/// compiler can vectorize — which is bit-identical to per-element
-/// reconciliation because every aggregated counter is a commutative
-/// `u64` sum (DESIGN.md §13).
-///
-/// Backends never see the whole block: [`Rig::translate_batch`] hands
-/// them an [`OutcomeRows`] window over the run they are translating,
-/// and the scalar reference path writes whole rows through the same
-/// view, so the bit-identity proofs stay one code path.
-#[derive(Debug, Clone, Default)]
-pub struct OutcomeBlock {
-    /// Final physical address per element ([`Translation::pa`]).
-    pub pa: Vec<u64>,
-    /// Installed page size per element ([`Translation::size`]).
-    pub size: Vec<PageSize>,
-    /// Translation cycles per element ([`Translation::cycles`]).
-    pub cycles: Vec<u64>,
-    /// Sequential references per element ([`Translation::refs`]).
-    pub refs: Vec<u64>,
-    /// Hardware-walker fallback flag per element
-    /// ([`Translation::fallback`]).
-    pub fault: Vec<bool>,
-    /// Data-access hit level per element ([`Outcome::data_level`]).
-    pub data_level: Vec<dmt_cache::hierarchy::HitLevel>,
-    /// Data-access cycles per element ([`Outcome::data_cycles`]).
-    pub data_cycles: Vec<u64>,
-    /// PTE-fetch charge matrix, `pte[mem_level][element]` in
-    /// `[L1, L2, LLC, DRAM]` order ([`Outcome::pte`] transposed).
-    pub pte: [Vec<u64>; 4],
-    /// Variable-reach base VA per element ([`Translation::unit`]);
-    /// meaningful only where `unit_len` is non-zero.
-    pub unit_base: Vec<u64>,
-    /// Variable-reach length per element; `0` encodes `None` (a length
-    /// of zero is not a valid [`TransUnit`]).
-    pub unit_len: Vec<u64>,
-}
-
-impl OutcomeBlock {
-    /// Clear and resize every column to `n` default rows.
-    pub fn reset(&mut self, n: usize) {
-        self.pa.clear();
-        self.pa.resize(n, 0);
-        self.size.clear();
-        self.size.resize(n, PageSize::Size4K);
-        self.cycles.clear();
-        self.cycles.resize(n, 0);
-        self.refs.clear();
-        self.refs.resize(n, 0);
-        self.fault.clear();
-        self.fault.resize(n, false);
-        self.data_level.clear();
-        self.data_level
-            .resize(n, dmt_cache::hierarchy::HitLevel::L1);
-        self.data_cycles.clear();
-        self.data_cycles.resize(n, 0);
-        for col in &mut self.pte {
-            col.clear();
-            col.resize(n, 0);
-        }
-        self.unit_base.clear();
-        self.unit_base.resize(n, 0);
-        self.unit_len.clear();
-        self.unit_len.resize(n, 0);
-    }
-
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.pa.len()
-    }
-
-    /// Whether the block holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.pa.is_empty()
-    }
-
-    /// Write a whole row from an [`Outcome`].
-    pub fn set(&mut self, i: usize, o: &Outcome) {
-        self.pa[i] = o.tr.pa.raw();
-        self.size[i] = o.tr.size;
-        self.cycles[i] = o.tr.cycles;
-        self.refs[i] = o.tr.refs;
-        self.fault[i] = o.tr.fallback;
-        self.data_level[i] = o.data_level;
-        self.data_cycles[i] = o.data_cycles;
-        for (level, col) in self.pte.iter_mut().enumerate() {
-            col[i] = o.pte[level];
-        }
-        let (ub, ul) = match o.tr.unit {
-            Some(u) => (u.base.raw(), u.len),
-            None => (0, 0),
-        };
-        self.unit_base[i] = ub;
-        self.unit_len[i] = ul;
-    }
-
-    /// Reassemble row `i` as an [`Outcome`].
-    pub fn get(&self, i: usize) -> Outcome {
-        Outcome {
-            tr: Translation {
-                pa: PhysAddr(self.pa[i]),
-                size: self.size[i],
-                cycles: self.cycles[i],
-                refs: self.refs[i],
-                fallback: self.fault[i],
-                unit: (self.unit_len[i] != 0).then(|| TransUnit {
-                    base: VirtAddr(self.unit_base[i]),
-                    len: self.unit_len[i],
-                }),
-            },
-            data_level: self.data_level[i],
-            data_cycles: self.data_cycles[i],
-            pte: [
-                self.pte[0][i],
-                self.pte[1][i],
-                self.pte[2][i],
-                self.pte[3][i],
-            ],
-        }
-    }
-
-    /// A mutable window over rows `range`, for handing a pending run to
-    /// [`Rig::translate_batch`]. Indices inside the view are
-    /// run-relative (`0..range.len()`).
-    pub fn rows(&mut self, range: std::ops::Range<usize>) -> OutcomeRows<'_> {
-        debug_assert!(range.end <= self.len());
-        OutcomeRows {
-            start: range.start,
-            len: range.end - range.start,
-            block: self,
-        }
-    }
-}
-
-/// A mutable row window into an [`OutcomeBlock`] — what
-/// [`Rig::translate_batch`] fills. Backends either write whole rows
-/// ([`set`](Self::set), the scalar reference path) or individual
-/// columns ([`set_translation`](Self::set_translation),
-/// [`set_pte_onehot`](Self::set_pte_onehot), …) when they already have
-/// the data column-shaped.
-pub struct OutcomeRows<'a> {
-    block: &'a mut OutcomeBlock,
-    start: usize,
-    len: usize,
-}
-
-impl OutcomeRows<'_> {
-    /// Rows in the window.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the window is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Write a whole row.
-    pub fn set(&mut self, i: usize, o: &Outcome) {
-        debug_assert!(i < self.len);
-        self.block.set(self.start + i, o);
-    }
-
-    /// Reassemble row `i` as an [`Outcome`].
-    pub fn get(&self, i: usize) -> Outcome {
-        debug_assert!(i < self.len);
-        self.block.get(self.start + i)
-    }
-
-    /// Write the translation columns of row `i`.
-    pub fn set_translation(&mut self, i: usize, tr: &Translation) {
-        debug_assert!(i < self.len);
-        let j = self.start + i;
-        self.block.pa[j] = tr.pa.raw();
-        self.block.size[j] = tr.size;
-        self.block.cycles[j] = tr.cycles;
-        self.block.refs[j] = tr.refs;
-        self.block.fault[j] = tr.fallback;
-        let (ub, ul) = match tr.unit {
-            Some(u) => (u.base.raw(), u.len),
-            None => (0, 0),
-        };
-        self.block.unit_base[j] = ub;
-        self.block.unit_len[j] = ul;
-    }
-
-    /// Write the data-access columns of row `i`.
-    pub fn set_data(
-        &mut self,
-        i: usize,
-        level: dmt_cache::hierarchy::HitLevel,
-        cycles: u64,
-    ) {
-        debug_assert!(i < self.len);
-        let j = self.start + i;
-        self.block.data_level[j] = level;
-        self.block.data_cycles[j] = cycles;
-    }
-
-    /// Write the full PTE-charge row of element `i`.
-    pub fn set_pte(&mut self, i: usize, pte: [u64; 4]) {
-        debug_assert!(i < self.len);
-        let j = self.start + i;
-        for (level, col) in self.block.pte.iter_mut().enumerate() {
-            col[j] = pte[level];
-        }
-    }
-
-    /// Charge exactly one PTE fetch at `level` for element `i` — the
-    /// one-hot write DMT's fetcher path uses (the block was reset to
-    /// zero, so no other cell needs touching).
-    pub fn set_pte_onehot(&mut self, i: usize, level: usize) {
-        debug_assert!(i < self.len);
-        self.block.pte[level][self.start + i] = 1;
-    }
-}
-
 /// Per-level PTE-fetch deltas between two hierarchy snapshots, in
-/// `[L1, L2, LLC, DRAM]` order — the batched twin of the scalar
-/// engine's diff around `translate`.
+/// `[L1, L2, LLC, DRAM]` order — the diff both engines take around a
+/// translation.
 pub fn pte_delta(
     before: dmt_cache::hierarchy::HierarchyStats,
     after: dmt_cache::hierarchy::HierarchyStats,
@@ -424,13 +205,7 @@ pub trait Rig {
     /// THP, 12 otherwise); variable-reach designs (VBI, segmentation)
     /// return 63 — any two VAs may share a unit, so every miss run is a
     /// single element and batching degenerates to scalar order exactly.
-    fn fill_shift(&self) -> u32 {
-        if self.thp() {
-            21
-        } else {
-            12
-        }
-    }
+    fn fill_shift(&self) -> u32;
 
     /// Serve a translation for `va`, charging `hier`.
     ///
@@ -446,14 +221,13 @@ pub trait Rig {
 
     /// Translate a run of TLB-missing accesses in one call, charging
     /// `hier` for each element's walk *and* data access in scalar
-    /// order, and filling row `i` of `out` for `accesses[i]`.
+    /// order, and assigning `out[i]` for `accesses[i]`.
     ///
     /// The contract is bit-identity with the scalar path: the sequence
     /// of memory-hierarchy and walk-cache operations must be exactly
     /// what per-element `translate` + data `hier.access` would issue
-    /// (DESIGN.md §13). The default does literally that, writing whole
-    /// rows through the SoA view; backends override it to hoist lookup
-    /// machinery once per run and write columns directly.
+    /// (DESIGN.md §13). The default does literally that; backends
+    /// override it to hoist lookup machinery once per run.
     ///
     /// # Panics
     ///
@@ -463,17 +237,11 @@ pub trait Rig {
         &mut self,
         accesses: &[Access],
         hier: &mut MemoryHierarchy,
-        out: &mut OutcomeRows<'_>,
+        out: &mut [Outcome],
     ) {
-        for (i, a) in accesses.iter().enumerate() {
-            let before = hier.stats();
-            let tr = self.translate(a.va, hier);
-            out.set_pte(i, pte_delta(before, hier.stats()));
-            out.set_translation(i, &tr);
-            let pa = self.data_pa(a.va);
-            let (level, cycles) = hier.access(pa.raw());
-            out.set_data(i, level, cycles);
-        }
+        crate::backends::batch_each(accesses, hier, out, |va, hier| {
+            (self.translate(va, hier), self.data_pa(va))
+        });
     }
 
     /// Full reference entry (PA + size + permissions) from the rig's own
@@ -589,7 +357,7 @@ impl Rig for Box<dyn Rig> {
         &mut self,
         accesses: &[Access],
         hier: &mut MemoryHierarchy,
-        out: &mut OutcomeRows<'_>,
+        out: &mut [Outcome],
     ) {
         (**self).translate_batch(accesses, hier, out)
     }

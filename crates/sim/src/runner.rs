@@ -111,8 +111,8 @@ pub enum Engine {
     /// baseline `perfbench` measures the batched path against.
     Scalar,
     /// The batched fast path: block-probed TLB scan, region-disjoint
-    /// miss runs through `Rig::translate_batch`, column-wise
-    /// reconciliation. The default.
+    /// miss runs through `Rig::translate_batch`, each access charged in
+    /// trace order as the scan resolves it. The default.
     #[default]
     Batched,
 }

@@ -2,12 +2,15 @@
 //! the batched translation fast path (DESIGN.md §13).
 //!
 //! The batched engine restructures *when* work happens — fixed-size
-//! blocks, hoisted register-file/page-map resolution, one telemetry
-//! reconciliation per block — but must never change *what* happens: for
-//! any trace, every design, every environment, both THP modes, the
-//! scalar reference engine (`step_access` per element) and the batched
-//! engine must produce bit-identical `RunStats` and bit-identical
-//! telemetry (histograms, counters, series).
+//! blocks, region-disjoint miss runs, hoisted register-file/page-map
+//! resolution, accounting at run flushes — but must never change *what*
+//! happens: for any trace, every design, every environment, both THP
+//! modes, the scalar reference engine (`step_access` per element) and
+//! the batched engine must produce bit-identical `RunStats` and
+//! bit-identical telemetry (histograms, counters, series). Every replay samples the
+//! fragmentation series every [`SAMPLE_EVERY`] measured accesses, so the
+//! `on_measured` hook — whose firing order the batched accounting must
+//! keep — is compared at mid-block, mid-run and post-warmup positions.
 //!
 //! Property inputs are random multi-region access sequences whose
 //! lengths deliberately straddle the engine's 256-access block boundary
@@ -35,6 +38,10 @@ const ALL_DESIGNS: [Design; 10] = [
 ];
 
 const ENVS: [Env; 3] = [Env::Native, Env::Virt, Env::Nested];
+
+/// Series sampling interval: prime and far below the 256-access block,
+/// so samples land at every offset inside blocks and miss runs.
+const SAMPLE_EVERY: u64 = 7;
 
 /// Table-span-aligned VMA slots (same layout discipline as
 /// `tests/conformance.rs`): inputs pick a region and a page, so every
@@ -67,7 +74,8 @@ fn build(ops: &[(u8, u16, u16)]) -> (Setup, Vec<Access>) {
 }
 
 /// Replay `trace` through one (env, design, thp) cell with both
-/// engines (telemetry on) and fail on the first field that differs.
+/// engines (telemetry on, series sampled) and fail on the first field
+/// that differs.
 fn assert_cell_equivalent(
     env: Env,
     design: Design,
@@ -83,7 +91,7 @@ fn assert_cell_equivalent(
         let mut rig = runner
             .build_rig(env, design, thp, setup)
             .map_err(|e| format!("{env:?}/{design:?} thp={thp}: build: {e}"))?;
-        let (stats, telemetry) = runner.replay(rig.as_mut(), trace, warmup);
+        let (stats, telemetry) = runner.replay_sampled(rig.as_mut(), trace, warmup, SAMPLE_EVERY);
         let t = telemetry.ok_or_else(|| format!("{label}: telemetry runner must capture"))?;
         runs.push((label, stats, telemetry_json(&t).to_string()));
     }
