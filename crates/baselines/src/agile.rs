@@ -82,7 +82,10 @@ pub fn agile_walk<M: MemoryOps>(
     mut npwc: Option<&mut PageWalkCache>,
     shadow_levels: u8,
 ) -> Result<AgileOutcome, BaselineError> {
-    assert!((1..=3).contains(&shadow_levels), "switch point must be 1..=3");
+    assert!(
+        (1..=3).contains(&shadow_levels),
+        "switch point must be 1..=3"
+    );
     let mut cycles = 0u64;
     let mut steps = Vec::new();
 
@@ -141,22 +144,12 @@ pub fn agile_walk<M: MemoryOps>(
                 3 => PageSize::Size1G,
                 _ => return Err(BaselineError::NotMapped { va: gva.raw() }),
             };
-            break (
-                PhysAddr(gpte.phys_addr().raw() + gva.offset_in(size)),
-                size,
-            );
+            break (PhysAddr(gpte.phys_addr().raw() + gva.offset_in(size)), size);
         }
     };
 
     // Final host walk for the data gPA.
-    let host = walk_dimension(
-        hpt,
-        pm,
-        VirtAddr(data_gpa.raw()),
-        WalkDim::Host,
-        hier,
-        npwc,
-    )?;
+    let host = walk_dimension(hpt, pm, VirtAddr(data_gpa.raw()), WalkDim::Host, hier, npwc)?;
     cycles += host.cycles;
     let pa = host.pa;
     steps.extend(host.steps);

@@ -29,7 +29,11 @@ const MAX_LOAD: f64 = 0.6;
 const MAX_KICKS: usize = 32;
 
 /// Hash seeds per way.
-const SEEDS: [u64; WAYS] = [0x9e37_79b9_7f4a_7c15, 0xc2b2_ae3d_27d4_eb4f, 0x1656_67b1_9e37_79f9];
+const SEEDS: [u64; WAYS] = [
+    0x9e37_79b9_7f4a_7c15,
+    0xc2b2_ae3d_27d4_eb4f,
+    0x1656_67b1_9e37_79f9,
+];
 
 fn hash(way: usize, vpn: u64, slots: u64) -> u64 {
     (vpn ^ SEEDS[way]).wrapping_mul(SEEDS[(way + 1) % WAYS]) % slots
@@ -665,13 +669,20 @@ mod tests {
         let mut nested = NestedEcpt { guest, host };
         let mut hier = MemoryHierarchy::default();
         let out = nested
-            .translate(&pm, &mut hier, VirtAddr(0x7f00_0000_0000 + 7 * 4096), |gpa| {
-                Some(PhysAddr(gpa.raw() + OFF))
-            })
+            .translate(
+                &pm,
+                &mut hier,
+                VirtAddr(0x7f00_0000_0000 + 7 * 4096),
+                |gpa| Some(PhysAddr(gpa.raw() + OFF)),
+            )
             .unwrap();
         assert_eq!(out.seq_refs(), 3, "Nested ECPT: three sequential steps");
         assert!(out.parallel_refs() <= 81 + 9 + 9);
-        assert!(out.parallel_refs() >= 27, "parallel: {}", out.parallel_refs());
+        assert!(
+            out.parallel_refs() >= 27,
+            "parallel: {}",
+            out.parallel_refs()
+        );
         assert_eq!(out.pa, PhysAddr(((100 + 7) << 12) + OFF));
     }
 }

@@ -89,7 +89,10 @@ impl FlatPageTable {
     /// # Errors
     ///
     /// Propagates contiguous-allocation failure.
-    pub fn new<M: MemoryOps>(pm: &mut M, alloc: &mut impl FnMut(&mut M, u64) -> dmt_mem::Result<dmt_mem::Pfn>) -> Result<Self, BaselineError> {
+    pub fn new<M: MemoryOps>(
+        pm: &mut M,
+        alloc: &mut impl FnMut(&mut M, u64) -> dmt_mem::Result<dmt_mem::Pfn>,
+    ) -> Result<Self, BaselineError> {
         let root = alloc(pm, FLAT_FRAMES)?;
         Ok(FlatPageTable {
             root: PhysAddr::from_pfn(root),
@@ -220,7 +223,10 @@ impl FlatPageTable {
             let up = self.upper_slot(va);
             let (_, c1) = hier.access(up.raw());
             cycles += c1;
-            steps.push(FptStep { slot: up, cycles: c1 });
+            steps.push(FptStep {
+                slot: up,
+                cycles: c1,
+            });
             let pte = Pte(pm.read_word(up));
             if self.cache_enabled && pte.present() {
                 if let Some(evicted) = self.upper_cache.insert(ui) {
@@ -240,7 +246,10 @@ impl FlatPageTable {
             let coarse = Self::lower_slot_huge(upper.phys_addr(), va);
             let (_, c2) = hier.access(coarse.raw());
             cycles += c2;
-            steps.push(FptStep { slot: coarse, cycles: c2 });
+            steps.push(FptStep {
+                slot: coarse,
+                cycles: c2,
+            });
             let pte = Pte(pm.read_word(coarse));
             if pte.present() && pte.huge() {
                 pte
@@ -248,20 +257,30 @@ impl FlatPageTable {
                 let fine = Self::lower_slot(upper.phys_addr(), va);
                 let (_, c3) = hier.access(fine.raw());
                 cycles += c3;
-                steps.push(FptStep { slot: fine, cycles: c3 });
+                steps.push(FptStep {
+                    slot: fine,
+                    cycles: c3,
+                });
                 Pte(pm.read_word(fine))
             }
         } else {
             let fine = Self::lower_slot(upper.phys_addr(), va);
             let (_, c2) = hier.access(fine.raw());
             cycles += c2;
-            steps.push(FptStep { slot: fine, cycles: c2 });
+            steps.push(FptStep {
+                slot: fine,
+                cycles: c2,
+            });
             Pte(pm.read_word(fine))
         };
         if !leaf.present() {
             return Err(BaselineError::NotMapped { va: va.raw() });
         }
-        let size = if leaf.huge() { PageSize::Size2M } else { PageSize::Size4K };
+        let size = if leaf.huge() {
+            PageSize::Size2M
+        } else {
+            PageSize::Size4K
+        };
         Ok(FptOutcome {
             pa: PhysAddr(leaf.phys_addr().raw() + va.offset_in(size)),
             size,
@@ -304,9 +323,8 @@ pub fn nested_translate(
         let host = hfpt.translate(pm, hier, VirtAddr(slot_gpa.raw()))?;
         let mut c = host.cycles;
         steps.extend(host.steps);
-        let slot_hpa = gpa_to_hpa(slot_gpa).ok_or(BaselineError::NotMapped {
-            va: slot_gpa.raw(),
-        })?;
+        let slot_hpa =
+            gpa_to_hpa(slot_gpa).ok_or(BaselineError::NotMapped { va: slot_gpa.raw() })?;
         let (_, cyc) = hier.access(slot_hpa.raw());
         c += cyc;
         steps.push(FptStep {
@@ -317,8 +335,14 @@ pub fn nested_translate(
     }
 
     // Guest upper entry.
-    let (gupper, c) =
-        fetch_guest_slot(hfpt, pm, &gpa_to_hpa, gfpt.upper_slot(gva), &mut steps, hier)?;
+    let (gupper, c) = fetch_guest_slot(
+        hfpt,
+        pm,
+        &gpa_to_hpa,
+        gfpt.upper_slot(gva),
+        &mut steps,
+        hier,
+    )?;
     cycles += c;
     if !gupper.present() {
         return Err(BaselineError::NotMapped { va: gva.raw() });
@@ -346,7 +370,11 @@ pub fn nested_translate(
     if !gleaf.present() {
         return Err(BaselineError::NotMapped { va: gva.raw() });
     }
-    let gsize = if gleaf.huge() { PageSize::Size2M } else { PageSize::Size4K };
+    let gsize = if gleaf.huge() {
+        PageSize::Size2M
+    } else {
+        PageSize::Size4K
+    };
     let data_gpa = PhysAddr(gleaf.phys_addr().raw() + gva.offset_in(gsize));
 
     // Final host translation of the data gPA.
@@ -390,8 +418,14 @@ mod tests {
         let mut pm = PhysMemory::new_bytes(64 << 20);
         let mut fpt = FlatPageTable::new_host(&mut pm).unwrap();
         let va = VirtAddr(0x4000_0000);
-        fpt.map(&mut pm, va, PhysAddr(0x20_0000), PageSize::Size2M, host_alloc)
-            .unwrap();
+        fpt.map(
+            &mut pm,
+            va,
+            PhysAddr(0x20_0000),
+            PageSize::Size2M,
+            host_alloc,
+        )
+        .unwrap();
         let mut hier = MemoryHierarchy::default();
         let out = fpt.translate(&pm, &mut hier, va + 0x12_3456).unwrap();
         assert_eq!(out.refs(), 2);
@@ -454,8 +488,14 @@ mod tests {
         let mut gview = GuestShift { pm };
         let mut gfpt = FlatPageTable::new(&mut gview, &mut galloc).unwrap();
         let gva = VirtAddr(0x7f00_0000_0000);
-        gfpt.map(&mut gview, gva, PhysAddr(0x50_0000), PageSize::Size4K, galloc)
-            .unwrap();
+        gfpt.map(
+            &mut gview,
+            gva,
+            PhysAddr(0x50_0000),
+            PageSize::Size4K,
+            galloc,
+        )
+        .unwrap();
         let pm = gview.pm;
         let mut hier = MemoryHierarchy::default();
         // Worst case (Table 6) is measured with the upper caches off.

@@ -546,7 +546,7 @@ mod tests {
     #[test]
     fn working_set_larger_than_llc_thrashes() {
         let mut h = MemoryHierarchy::new(HierarchyConfig::tiny()); // LLC 16 KiB
-        // Stream 64 KiB twice: second pass still misses everywhere.
+                                                                   // Stream 64 KiB twice: second pass still misses everywhere.
         for pass in 0..2 {
             let mut dram = 0;
             for line in 0..1024u64 {

@@ -306,10 +306,7 @@ impl Tlb {
             n += (before - self.units.len()) as u64;
         }
         for arr in [&mut self.l1_4k, &mut self.l1_2m, &mut self.l1_1g] {
-            let victims: Vec<u64> = arr
-                .keys()
-                .filter(|k| k & !KEY_MASK == tag)
-                .collect();
+            let victims: Vec<u64> = arr.keys().filter(|k| k & !KEY_MASK == tag).collect();
             for key in victims {
                 if arr.invalidate(key) {
                     n += 1;
@@ -318,11 +315,7 @@ impl Tlb {
         }
         // The STLB pass additionally retires each victim's size from the
         // residency breakdown (the size tag travels in the key's low bits).
-        let victims: Vec<u64> = self
-            .stlb
-            .keys()
-            .filter(|k| k & !KEY_MASK == tag)
-            .collect();
+        let victims: Vec<u64> = self.stlb.keys().filter(|k| k & !KEY_MASK == tag).collect();
         for key in victims {
             if self.stlb.invalidate(key) {
                 let size =

@@ -91,9 +91,7 @@ fn slot_for(
 ) -> Result<PhysAddr, DmtError> {
     match (mapping.gtea_id(), gtea) {
         (Some(id), Some(table)) => {
-            let offset = mapping
-                .pte_offset(addr)
-                .expect("caller checked coverage");
+            let offset = mapping.pte_offset(addr).expect("caller checked coverage");
             table.resolve(id, offset)
         }
         (None, _) => Ok(mapping.pte_addr(addr).expect("caller checked coverage")),
@@ -313,9 +311,8 @@ pub fn fetch_virt_unpv<M: MemoryOps>(
     let (hpte1, hm1, slot1, cyc1) =
         parallel_probe(host_regs, None, pm, hier, VirtAddr(gpte_gpa.raw()))?;
     // Step 2 (charged): the gPTE itself.
-    let gpte_hpa = PhysAddr(
-        hpte1.phys_addr().raw() + VirtAddr(gpte_gpa.raw()).offset_in(hm1.page_size()),
-    );
+    let gpte_hpa =
+        PhysAddr(hpte1.phys_addr().raw() + VirtAddr(gpte_gpa.raw()).offset_in(hm1.page_size()));
     let (_, cyc2) = hier.access(gpte_hpa.raw());
     let gpte = Pte(pm.read_word(gpte_hpa));
     pm.write_word(gpte_hpa, gpte.with_accessed().raw());
@@ -324,9 +321,8 @@ pub fn fetch_virt_unpv<M: MemoryOps>(
     // Step 3: hPTE translating the data gPA.
     let (hpte2, hm2, slot3, cyc3) =
         parallel_probe(host_regs, None, pm, hier, VirtAddr(data_gpa.raw()))?;
-    let pa = PhysAddr(
-        hpte2.phys_addr().raw() + VirtAddr(data_gpa.raw()).offset_in(hm2.page_size()),
-    );
+    let pa =
+        PhysAddr(hpte2.phys_addr().raw() + VirtAddr(data_gpa.raw()).offset_in(hm2.page_size()));
 
     Ok(FetchOutcome {
         pa,
@@ -538,8 +534,13 @@ mod tests {
     fn native_fetch_is_one_reference() {
         let (mut pm, regs, _) = native_setup(0x40_0000, 64);
         let mut hier = MemoryHierarchy::default();
-        let out = fetch_native(&regs, &mut pm, &mut hier, VirtAddr(0x40_0000 + 5 * 4096 + 7))
-            .unwrap();
+        let out = fetch_native(
+            &regs,
+            &mut pm,
+            &mut hier,
+            VirtAddr(0x40_0000 + 5 * 4096 + 7),
+        )
+        .unwrap();
         assert_eq!(out.refs(), 1);
         assert_eq!(out.pa, PhysAddr(((1000 + 5) << 12) + 7));
         assert_eq!(out.size, PageSize::Size4K);
@@ -594,7 +595,10 @@ mod tests {
         // Only the 2 MiB TEA has a present PTE for this region.
         let va = base + (2 << 20) + 0x123;
         let slot2 = m2.pte_addr(va).unwrap();
-        pm.write_word(slot2, Pte::huge_leaf(Pfn(512 * 9), PteFlags::WRITABLE).raw());
+        pm.write_word(
+            slot2,
+            Pte::huge_leaf(Pfn(512 * 9), PteFlags::WRITABLE).raw(),
+        );
         let mut regs = DmtRegisterFile::new();
         regs.load(&[m4, m2]);
         let mut hier = MemoryHierarchy::default();
@@ -633,14 +637,17 @@ mod tests {
         let mut pm = PhysMemory::new_bytes(64 << 20);
         // Guest VMA at gVA 0x40_0000, 16 pages; gTEA in host memory.
         let gbase = VirtAddr(0x40_0000);
-        let gtea_frames = VmaTeaMapping::new(gbase, 16 * 4096, PageSize::Size4K, Pfn(0)).tea_frames();
+        let gtea_frames =
+            VmaTeaMapping::new(gbase, 16 * 4096, PageSize::Size4K, Pfn(0)).tea_frames();
         let gtea_pfn = pm.alloc_contig(gtea_frames, FrameKind::Tea).unwrap();
         let mut gtea_table = GteaTable::new();
         let gid = gtea_table.register(gtea_pfn, gtea_frames);
         let gm = VmaTeaMapping::new(gbase, 16 * 4096, PageSize::Size4K, Pfn(0)).with_gtea_id(gid);
         // Host VMA covering guest physical [0, 32 MiB) with hTEA.
         let hm_proto = VmaTeaMapping::new(VirtAddr(0), 32 << 20, PageSize::Size4K, Pfn(0));
-        let htea_pfn = pm.alloc_contig(hm_proto.tea_frames(), FrameKind::Tea).unwrap();
+        let htea_pfn = pm
+            .alloc_contig(hm_proto.tea_frames(), FrameKind::Tea)
+            .unwrap();
         let hm = VmaTeaMapping::new(VirtAddr(0), 32 << 20, PageSize::Size4K, htea_pfn);
         // Populate: gVA page p -> gPA frame 100+p -> hPA frame 5000+.
         for p in 0..16u64 {
@@ -657,8 +664,8 @@ mod tests {
         host_regs.load(&[hm]);
         let mut hier = MemoryHierarchy::default();
         let va = VirtAddr(gbase.raw() + 3 * 4096 + 0x21);
-        let out = fetch_virt_pv(&guest_regs, &gtea_table, &host_regs, &mut pm, &mut hier, va)
-            .unwrap();
+        let out =
+            fetch_virt_pv(&guest_regs, &gtea_table, &host_regs, &mut pm, &mut hier, va).unwrap();
         assert_eq!(out.refs(), 2, "pvDMT: gPTE + hPTE");
         assert_eq!(out.pa, PhysAddr(((5000 + 3) << 12) + 0x21));
         assert_eq!(out.steps[0].stage, FetchStage::Guest);
@@ -666,8 +673,8 @@ mod tests {
 
         // Isolation: a forged gTEA ID faults instead of reading host
         // memory.
-        let forged = VmaTeaMapping::new(gbase, 16 * 4096, PageSize::Size4K, Pfn(0))
-            .with_gtea_id(gid + 7);
+        let forged =
+            VmaTeaMapping::new(gbase, 16 * 4096, PageSize::Size4K, Pfn(0)).with_gtea_id(gid + 7);
         guest_regs.load(&[forged]);
         assert!(matches!(
             fetch_virt_pv(&guest_regs, &gtea_table, &host_regs, &mut pm, &mut hier, va),
@@ -685,11 +692,16 @@ mod tests {
         const HOST_OFF: u64 = 2048;
         let gm = VmaTeaMapping::new(gbase, 16 * 4096, PageSize::Size4K, Pfn(0x100));
         let hm_proto = VmaTeaMapping::new(VirtAddr(0), 32 << 20, PageSize::Size4K, Pfn(0));
-        let htea = pm.alloc_contig(hm_proto.tea_frames(), FrameKind::Tea).unwrap();
+        let htea = pm
+            .alloc_contig(hm_proto.tea_frames(), FrameKind::Tea)
+            .unwrap();
         let hm = VmaTeaMapping::new(VirtAddr(0), 32 << 20, PageSize::Size4K, htea);
         for g in 0..4096u64 {
             let hslot = hm.pte_addr(VirtAddr(g << 12)).unwrap();
-            pm.write_word(hslot, Pte::leaf(Pfn(g + HOST_OFF), PteFlags::WRITABLE).raw());
+            pm.write_word(
+                hslot,
+                Pte::leaf(Pfn(g + HOST_OFF), PteFlags::WRITABLE).raw(),
+            );
         }
         // Write guest PTEs at their *host* locations (gPA + offset).
         for p in 0..16u64 {
@@ -716,19 +728,25 @@ mod tests {
         let l2base = VirtAddr(0x40_0000);
         // L2 TEA (in L0 phys, via L2's gTEA table).
         let l2m_proto = VmaTeaMapping::new(l2base, 8 * 4096, PageSize::Size4K, Pfn(0));
-        let l2tea = pm.alloc_contig(l2m_proto.tea_frames(), FrameKind::Tea).unwrap();
+        let l2tea = pm
+            .alloc_contig(l2m_proto.tea_frames(), FrameKind::Tea)
+            .unwrap();
         let mut l2_gtea = GteaTable::new();
         let l2id = l2_gtea.register(l2tea, l2m_proto.tea_frames());
         let l2m = l2m_proto.with_gtea_id(l2id);
         // L1 TEA translating L2PA -> L1PA.
         let l1m_proto = VmaTeaMapping::new(VirtAddr(0), 16 << 20, PageSize::Size4K, Pfn(0));
-        let l1tea = pm.alloc_contig(l1m_proto.tea_frames(), FrameKind::Tea).unwrap();
+        let l1tea = pm
+            .alloc_contig(l1m_proto.tea_frames(), FrameKind::Tea)
+            .unwrap();
         let mut l1_gtea = GteaTable::new();
         let l1id = l1_gtea.register(l1tea, l1m_proto.tea_frames());
         let l1m = l1m_proto.with_gtea_id(l1id);
         // L0 TEA translating L1PA -> L0PA.
         let l0m_proto = VmaTeaMapping::new(VirtAddr(0), 16 << 20, PageSize::Size4K, Pfn(0));
-        let l0tea = pm.alloc_contig(l0m_proto.tea_frames(), FrameKind::Tea).unwrap();
+        let l0tea = pm
+            .alloc_contig(l0m_proto.tea_frames(), FrameKind::Tea)
+            .unwrap();
         let l0m = VmaTeaMapping::new(VirtAddr(0), 16 << 20, PageSize::Size4K, l0tea);
         // Populate the three levels: L2VA page p -> L2PA 10+p -> L1PA
         // 20+p -> L0PA 30+p.
@@ -781,7 +799,10 @@ mod tests {
         for va in vas {
             let a = fetch_native(&regs_a, &mut pm_a, &mut hier_a, va).unwrap();
             let b = fetch_native_lean(&regs_b, &mut pm_b, &mut hier_b, va).unwrap();
-            assert_eq!((a.pa, a.size, a.cycles, a.refs()), (b.pa, b.size, b.cycles, b.refs));
+            assert_eq!(
+                (a.pa, a.size, a.cycles, a.refs()),
+                (b.pa, b.size, b.cycles, b.refs)
+            );
         }
         assert_eq!(hier_a.stats(), hier_b.stats());
         assert!(matches!(
@@ -792,7 +813,12 @@ mod tests {
         // probe, like the allocating path.
         let before = hier_b.stats().total();
         assert!(matches!(
-            fetch_native_lean(&regs_b, &mut pm_b, &mut hier_b, VirtAddr(0x40_0000 + 100 * 4096)),
+            fetch_native_lean(
+                &regs_b,
+                &mut pm_b,
+                &mut hier_b,
+                VirtAddr(0x40_0000 + 100 * 4096)
+            ),
             Err(DmtError::PteNotPresent { .. })
         ));
         assert_eq!(hier_b.stats().total(), before + 1);

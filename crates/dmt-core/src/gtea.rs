@@ -153,7 +153,10 @@ mod tests {
         ));
         let id = t.register(Pfn(1), 1);
         t.remove(id).unwrap();
-        assert!(matches!(t.resolve(id, 0), Err(DmtError::InvalidGteaId { .. })));
+        assert!(matches!(
+            t.resolve(id, 0),
+            Err(DmtError::InvalidGteaId { .. })
+        ));
     }
 
     #[test]
@@ -173,7 +176,10 @@ mod tests {
         let mut t = GteaTable::new();
         let id = t.register(Pfn(1), 1);
         t.update(id, Pfn(50), 4).unwrap();
-        assert_eq!(t.resolve(id, 3 * 4096).unwrap(), PhysAddr((50 << 12) + 3 * 4096));
+        assert_eq!(
+            t.resolve(id, 3 * 4096).unwrap(),
+            PhysAddr((50 << 12) + 3 * 4096)
+        );
         assert!(t.update(99, Pfn(0), 1).is_err());
     }
 

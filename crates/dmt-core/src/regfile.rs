@@ -88,10 +88,7 @@ impl DmtRegisterFile {
     /// All present mappings covering `va` (at most one per page size —
     /// the parallel probes of Figure 12).
     pub fn lookup(&self, va: VirtAddr) -> impl Iterator<Item = &VmaTeaMapping> {
-        self.mappings
-            .iter()
-            .flatten()
-            .filter(move |m| m.covers(va))
+        self.mappings.iter().flatten().filter(move |m| m.covers(va))
     }
 
     /// The covering mapping for a specific page size, if any.
@@ -160,7 +157,9 @@ mod tests {
         let hits: Vec<_> = rf.lookup(VirtAddr(0x1000)).collect();
         assert_eq!(hits.len(), 2, "one probe per page size (Figure 12)");
         assert_eq!(
-            rf.lookup_size(VirtAddr(0x1000), PageSize::Size2M).unwrap().tea_base(),
+            rf.lookup_size(VirtAddr(0x1000), PageSize::Size2M)
+                .unwrap()
+                .tea_base(),
             Pfn(2)
         );
     }

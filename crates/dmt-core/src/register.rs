@@ -118,8 +118,7 @@ mod tests {
 
     #[test]
     fn pack_unpack_roundtrips_with_gtea() {
-        let m = VmaTeaMapping::new(VirtAddr(0), 2 << 20, PageSize::Size4K, Pfn(77))
-            .with_gtea_id(3);
+        let m = VmaTeaMapping::new(VirtAddr(0), 2 << 20, PageSize::Size4K, Pfn(77)).with_gtea_id(3);
         let reg = DmtRegister::pack(&m);
         let back = reg.unpack().unwrap();
         assert_eq!(back.gtea_id(), Some(3));

@@ -384,9 +384,7 @@ mod tests {
     #[test]
     fn level_index_matches_x86_layout() {
         // VA[47:39]=0x1ff, VA[38:30]=0x0aa, VA[29:21]=0x055, VA[20:12]=0x123
-        let va = VirtAddr(
-            (0x1ffu64 << 39) | (0x0aa << 30) | (0x055 << 21) | (0x123 << 12) | 0xabc,
-        );
+        let va = VirtAddr((0x1ffu64 << 39) | (0x0aa << 30) | (0x055 << 21) | (0x123 << 12) | 0xabc);
         assert_eq!(va.level_index(4), 0x1ff);
         assert_eq!(va.level_index(3), 0x0aa);
         assert_eq!(va.level_index(2), 0x055);
@@ -414,7 +412,10 @@ mod tests {
         assert_eq!(va.align_down(PageSize::Size2M), VirtAddr(0x2000000));
         assert!(VirtAddr(0x2000000).is_aligned(PageSize::Size2M));
         assert!(!va.is_aligned(PageSize::Size4K));
-        assert_eq!(VirtAddr(0x2000000).align_up(PageSize::Size2M), VirtAddr(0x2000000));
+        assert_eq!(
+            VirtAddr(0x2000000).align_up(PageSize::Size2M),
+            VirtAddr(0x2000000)
+        );
     }
 
     #[test]

@@ -435,7 +435,12 @@ impl BuddyAllocator {
     /// # Errors
     ///
     /// Returns [`MemError::OutOfMemory`] when no block is free.
-    pub fn alloc_block_spread(&mut self, order: u8, kind: FrameKind, cursor: &mut u64) -> Result<Pfn> {
+    pub fn alloc_block_spread(
+        &mut self,
+        order: u8,
+        kind: FrameKind,
+        cursor: &mut u64,
+    ) -> Result<Pfn> {
         let n = 1u64 << order;
         let total = self.total_frames();
         if total >= n {
@@ -727,7 +732,10 @@ mod tests {
         let mut a = BuddyAllocator::new(64);
         let p = a.alloc_order(0, FrameKind::Data).unwrap();
         a.free_order(p, 0).unwrap();
-        assert!(matches!(a.free_order(p, 0), Err(MemError::InvalidFree { .. })));
+        assert!(matches!(
+            a.free_order(p, 0),
+            Err(MemError::InvalidFree { .. })
+        ));
     }
 
     #[test]
@@ -925,9 +933,6 @@ mod tests {
             a.alloc_contig(0, FrameKind::Tea),
             Err(MemError::ZeroSized)
         ));
-        assert!(matches!(
-            a.free_contig(Pfn(0), 0),
-            Err(MemError::ZeroSized)
-        ));
+        assert!(matches!(a.free_contig(Pfn(0), 0), Err(MemError::ZeroSized)));
     }
 }

@@ -90,7 +90,9 @@ pub fn audit_nested(m: &NestedMachine) -> Vec<String> {
     }
     for (i, g) in m.l2_mappings().iter().enumerate() {
         let Some(id) = g.gtea_id() else {
-            out.push(format!("L2 mapping #{i}: nested TEAs are paravirtual but no gTEA id"));
+            out.push(format!(
+                "L2 mapping #{i}: nested TEAs are paravirtual but no gTEA id"
+            ));
             continue;
         };
         let Some(entry) = m.l2_gtea.entry(id) else {
@@ -165,10 +167,16 @@ mod tests {
 
         // Tamper: shift a registered gTEA entry's base by one frame.
         let m = rig.machine_mut();
-        let tampered: Vec<u16> = m.guest_mappings().iter().filter_map(|g| g.gtea_id()).collect();
+        let tampered: Vec<u16> = m
+            .guest_mappings()
+            .iter()
+            .filter_map(|g| g.gtea_id())
+            .collect();
         if let Some(&id) = tampered.first() {
             let e = m.gtea_table.entry(id).unwrap();
-            m.gtea_table.update(id, Pfn(e.base.0 + 1), e.frames).unwrap();
+            m.gtea_table
+                .update(id, Pfn(e.base.0 + 1), e.frames)
+                .unwrap();
             let violations = audit_virt(rig.machine());
             assert!(
                 violations.iter().any(|v| v.contains("gTEA")),

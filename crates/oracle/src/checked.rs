@@ -150,7 +150,14 @@ impl<R: Rig> Checked<R> {
         }
     }
 
-    fn check_ref(&mut self, idx: u64, va: VirtAddr, tr: &Translation, truth: PhysAddr, re: RefEntry) {
+    fn check_ref(
+        &mut self,
+        idx: u64,
+        va: VirtAddr,
+        tr: &Translation,
+        truth: PhysAddr,
+        re: RefEntry,
+    ) {
         if re.pa != truth {
             self.report(
                 idx,
@@ -471,8 +478,8 @@ mod tests {
     fn audit_hook_reports_invariant_divergences() {
         let (setup, vas) = tiny_setup(8);
         let rig = NativeRig::with_setup(Design::Dmt, false, &setup).unwrap();
-        let mut checked = Checked::collecting(rig)
-            .with_audit(4, |_r| vec!["synthetic violation".to_string()]);
+        let mut checked =
+            Checked::collecting(rig).with_audit(4, |_r| vec!["synthetic violation".to_string()]);
         let mut hier = MemoryHierarchy::default();
         for &va in &vas {
             checked.translate(va, &mut hier);
@@ -481,8 +488,10 @@ mod tests {
         let invariants: Vec<_> = checked
             .divergences()
             .iter()
-            .filter(|d| matches!(&d.kind, DivergenceKind::Invariant { detail }
-                if detail == "synthetic violation"))
+            .filter(|d| {
+                matches!(&d.kind, DivergenceKind::Invariant { detail }
+                if detail == "synthetic violation")
+            })
             .collect();
         assert_eq!(invariants.len(), 2, "{:?}", checked.divergences());
         assert_eq!(invariants[0].access, 0);
@@ -500,7 +509,10 @@ mod tests {
         for &va in &vas {
             let a = bare.translate(va, &mut h1);
             let b = checked.translate(va, &mut h2);
-            assert_eq!((a.pa, a.size, a.cycles, a.refs), (b.pa, b.size, b.cycles, b.refs));
+            assert_eq!(
+                (a.pa, a.size, a.cycles, a.refs),
+                (b.pa, b.size, b.cycles, b.refs)
+            );
         }
         assert_eq!(bare.coverage(), checked.coverage());
     }

@@ -294,7 +294,8 @@ mod tests {
     fn overclaiming_tlb_entry_is_caught() {
         let (mut h, _, base, _) = touched_harness();
         // Plant a 2 MiB entry over what is really a 4 KiB mapping.
-        h.tlb.fill(base.align_down(PageSize::Size2M), PageSize::Size2M);
+        h.tlb
+            .fill(base.align_down(PageSize::Size2M), PageSize::Size2M);
         let violations = h.audit();
         assert!(
             violations.iter().any(|v| v.contains("claims")),

@@ -11,7 +11,7 @@ use crate::tea::{Tea, TeaManager, TeaMigration};
 use crate::OsError;
 use dmt_core::vtmap::VmaTeaMapping;
 use dmt_mem::compact::Migration;
-use dmt_mem::{PageSize, PhysMemory, Pfn, VirtAddr};
+use dmt_mem::{PageSize, Pfn, PhysMemory, VirtAddr};
 use dmt_pgtable::RadixPageTable;
 
 /// Policy knobs for mapping management.
@@ -121,7 +121,9 @@ impl MappingManager {
         // cluster's padding): nothing to do.
         if let Some(owner) = self.find_containing(&proto) {
             let mm = &mut self.mappings[owner];
-            mm.bubble_bytes = mm.bubble_bytes.saturating_sub(proto.covered_bytes().min(len));
+            mm.bubble_bytes = mm
+                .bubble_bytes
+                .saturating_sub(proto.covered_bytes().min(len));
             return Ok(Vec::new());
         }
 
@@ -194,7 +196,10 @@ impl MappingManager {
         new_frames: u64,
     ) -> Result<(), OsError> {
         if self.migrating.is_some() {
-            return Err(OsError::BadRange { base: va.raw(), len: 0 });
+            return Err(OsError::BadRange {
+                base: va.raw(),
+                len: 0,
+            });
         }
         let idx = self
             .mappings
@@ -266,8 +271,7 @@ impl MappingManager {
         key: F,
     ) -> Vec<VmaTeaMapping> {
         let migrating_idx = self.migrating.as_ref().map(|(i, _)| *i);
-        let mut sorted: Vec<(usize, &ManagedMapping)> =
-            self.mappings.iter().enumerate().collect();
+        let mut sorted: Vec<(usize, &ManagedMapping)> = self.mappings.iter().enumerate().collect();
         sorted.sort_by_key(|(_, m)| std::cmp::Reverse(key(m)));
         sorted
             .into_iter()
@@ -283,9 +287,8 @@ impl MappingManager {
         self.mappings.iter().position(|m| {
             m.mapping.page_size() == proto.page_size()
                 && m.mapping.covers(proto.base())
-                && m.mapping.covers(VirtAddr(
-                    proto.base().raw() + proto.covered_bytes() - 1,
-                ))
+                && m.mapping
+                    .covers(VirtAddr(proto.base().raw() + proto.covered_bytes() - 1))
         })
     }
 
@@ -334,14 +337,17 @@ impl MappingManager {
         let merged_end = (old.mapping.base().raw() + old.mapping.covered_bytes())
             .max(proto.base().raw() + proto.covered_bytes());
         let size = proto.page_size();
-        let merged_proto =
-            VmaTeaMapping::new(VirtAddr(merged_start), merged_end - merged_start, size, Pfn(0));
+        let merged_proto = VmaTeaMapping::new(
+            VirtAddr(merged_start),
+            merged_end - merged_start,
+            size,
+            Pfn(0),
+        );
         let merged_frames = merged_proto.tea_frames();
         let gap = merged_proto
             .covered_bytes()
             .saturating_sub(old.mapping.covered_bytes() + proto.covered_bytes());
-        let bubbles =
-            old.bubble_bytes + gap + proto.covered_bytes().saturating_sub(new_vma_len);
+        let bubbles = old.bubble_bytes + gap + proto.covered_bytes().saturating_sub(new_vma_len);
 
         let extends_up_only = merged_start == old.mapping.base().raw();
         let mut migrations = Vec::new();
@@ -438,17 +444,15 @@ impl MappingManager {
                 });
                 Ok(())
             }
-            Err(OsError::TeaAllocFailed { .. }) => {
-                match proto.split(Pfn(0)) {
-                    Some((lo, hi)) => {
-                        self.alloc_and_install(pm, teas, pt, lo, lo.covered_bytes(), migrations)?;
-                        self.alloc_and_install(pm, teas, pt, hi, hi.covered_bytes(), migrations)
-                    }
-                    None => Err(OsError::TeaAllocFailed {
-                        frames: proto.tea_frames(),
-                    }),
+            Err(OsError::TeaAllocFailed { .. }) => match proto.split(Pfn(0)) {
+                Some((lo, hi)) => {
+                    self.alloc_and_install(pm, teas, pt, lo, lo.covered_bytes(), migrations)?;
+                    self.alloc_and_install(pm, teas, pt, hi, hi.covered_bytes(), migrations)
                 }
-            }
+                None => Err(OsError::TeaAllocFailed {
+                    frames: proto.tea_frames(),
+                }),
+            },
             Err(e) => Err(e),
         }
     }
@@ -562,8 +566,15 @@ mod tests {
     #[test]
     fn add_region_installs_tea_pages_as_tables() {
         let (mut pm, mut teas, mut pt, mut mgr) = setup();
-        mgr.add_region(&mut pm, &mut teas, &mut pt, VirtAddr(0x40_0000), 8 << 20, PageSize::Size4K)
-            .unwrap();
+        mgr.add_region(
+            &mut pm,
+            &mut teas,
+            &mut pt,
+            VirtAddr(0x40_0000),
+            8 << 20,
+            PageSize::Size4K,
+        )
+        .unwrap();
         assert_eq!(mgr.len(), 1);
         let mm = mgr.lookup(VirtAddr(0x40_0000), PageSize::Size4K).unwrap();
         // Every table page in the coverage is a TEA frame.
@@ -585,8 +596,14 @@ mod tests {
         mgr.add_region(&mut pm, &mut teas, &mut pt, base, 4 << 20, PageSize::Size4K)
             .unwrap();
         // Map a page through the ordinary radix path.
-        pt.map(&mut pm, base, dmt_mem::PhysAddr(0x123000), PageSize::Size4K, PteFlags::WRITABLE)
-            .unwrap();
+        pt.map(
+            &mut pm,
+            base,
+            dmt_mem::PhysAddr(0x123000),
+            PageSize::Size4K,
+            PteFlags::WRITABLE,
+        )
+        .unwrap();
         // The DMT slot arithmetic sees the same PTE.
         let mm = mgr.lookup(base, PageSize::Size4K).unwrap();
         let slot = mm.mapping.pte_addr(base).unwrap();
@@ -599,8 +616,15 @@ mod tests {
     fn adjacent_regions_merge_under_threshold() {
         let (mut pm, mut teas, mut pt, mut mgr) = setup();
         // Two VMAs 2 MiB apart within a 100 MiB+ span: gap is < 2%.
-        mgr.add_region(&mut pm, &mut teas, &mut pt, VirtAddr(0), 100 << 20, PageSize::Size4K)
-            .unwrap();
+        mgr.add_region(
+            &mut pm,
+            &mut teas,
+            &mut pt,
+            VirtAddr(0),
+            100 << 20,
+            PageSize::Size4K,
+        )
+        .unwrap();
         mgr.add_region(
             &mut pm,
             &mut teas,
@@ -619,8 +643,15 @@ mod tests {
     #[test]
     fn distant_regions_stay_separate() {
         let (mut pm, mut teas, mut pt, mut mgr) = setup();
-        mgr.add_region(&mut pm, &mut teas, &mut pt, VirtAddr(0), 4 << 20, PageSize::Size4K)
-            .unwrap();
+        mgr.add_region(
+            &mut pm,
+            &mut teas,
+            &mut pt,
+            VirtAddr(0),
+            4 << 20,
+            PageSize::Size4K,
+        )
+        .unwrap();
         mgr.add_region(
             &mut pm,
             &mut teas,
@@ -646,16 +677,20 @@ mod tests {
         let mut teas = TeaManager::new();
         let mut mgr = MappingManager::new(MappingPolicy::default());
         // 16 MiB needs 8 TEA frames contiguously — impossible now.
-        mgr.add_region(&mut pm, &mut teas, &mut pt, VirtAddr(0), 16 << 20, PageSize::Size4K)
-            .unwrap();
+        mgr.add_region(
+            &mut pm,
+            &mut teas,
+            &mut pt,
+            VirtAddr(0),
+            16 << 20,
+            PageSize::Size4K,
+        )
+        .unwrap();
         assert!(mgr.len() > 1, "mapping split into {} pieces", mgr.len());
         // Every 2 MiB span is still covered by exactly one mapping.
         for span in 0..8u64 {
             let va = VirtAddr(span * (2 << 20));
-            let covering = mgr
-                .iter()
-                .filter(|m| m.mapping.covers(va))
-                .count();
+            let covering = mgr.iter().filter(|m| m.mapping.covers(va)).count();
             assert_eq!(covering, 1, "span {span}");
         }
     }
@@ -663,8 +698,15 @@ mod tests {
     #[test]
     fn remove_region_frees_teas() {
         let (mut pm, mut teas, mut pt, mut mgr) = setup();
-        mgr.add_region(&mut pm, &mut teas, &mut pt, VirtAddr(0), 4 << 20, PageSize::Size4K)
-            .unwrap();
+        mgr.add_region(
+            &mut pm,
+            &mut teas,
+            &mut pt,
+            VirtAddr(0),
+            4 << 20,
+            PageSize::Size4K,
+        )
+        .unwrap();
         let tea_bytes = pm.bytes_of_kind(FrameKind::Tea);
         assert!(tea_bytes > 0);
         let removed = mgr
@@ -706,7 +748,11 @@ mod tests {
     #[test]
     fn cluster_analysis_matches_paper_rule() {
         // Three spans: two nearby, one distant.
-        let spans = [(0u64, 100 << 20), (101 << 20, 50 << 20), (10 << 30, 1 << 20)];
+        let spans = [
+            (0u64, 100 << 20),
+            (101 << 20, 50 << 20),
+            (10 << 30, 1 << 20),
+        ];
         let clusters = cluster_spans(&spans, 0.02);
         assert_eq!(clusters.len(), 2);
         assert_eq!(clusters[0].bubbles, 1 << 20);

@@ -184,9 +184,14 @@ impl Process {
         if !self.dmt_enabled {
             return Ok(id);
         }
-        let migs = self
-            .mappings
-            .add_region(pm, &mut self.teas, &mut self.pt, base, len, PageSize::Size4K)?;
+        let migs = self.mappings.add_region(
+            pm,
+            &mut self.teas,
+            &mut self.pt,
+            base,
+            len,
+            PageSize::Size4K,
+        )?;
         self.apply_migrations(pm, &migs)?;
         if self.thp == ThpMode::Always && len >= PageSize::Size2M.bytes() {
             let migs = self.mappings.add_region(
@@ -280,8 +285,7 @@ impl Process {
         }
         let use_huge = self.thp == ThpMode::Always && {
             let hbase = va.align_down(PageSize::Size2M);
-            hbase >= vma.base
-                && hbase.raw() + PageSize::Size2M.bytes() <= vma.end().raw()
+            hbase >= vma.base && hbase.raw() + PageSize::Size2M.bytes() <= vma.end().raw()
         };
         if use_huge {
             let hbase = va.align_down(PageSize::Size2M);
@@ -431,8 +435,10 @@ impl Process {
         }
         self.reverse.remove(&head.0);
         for i in 0..512u64 {
-            self.reverse
-                .insert(head.0 + i, (VirtAddr(hbase.raw() + i * 4096), PageSize::Size4K));
+            self.reverse.insert(
+                head.0 + i,
+                (VirtAddr(hbase.raw() + i * 4096), PageSize::Size4K),
+            );
         }
         self.shootdowns += 1;
         Ok(())
@@ -532,7 +538,9 @@ impl Process {
     ///
     /// See [`MappingManager::migration_step`].
     pub fn migration_step(&mut self, pm: &mut PhysMemory) -> Result<bool, OsError> {
-        let moved = self.mappings.migration_step(pm, &mut self.teas, &mut self.pt)?;
+        let moved = self
+            .mappings
+            .migration_step(pm, &mut self.teas, &mut self.pt)?;
         if moved {
             self.tea_migrations += 1;
         }
@@ -672,7 +680,10 @@ mod tests {
         let base = VirtAddr(0x4000_0000);
         p.mmap(&mut pm, base, 4 << 20, VmaKind::Heap).unwrap();
         assert!(p.populate(&mut pm, base + 0x3000).unwrap());
-        assert!(!p.populate(&mut pm, base + 0x3000).unwrap(), "second touch: no fault");
+        assert!(
+            !p.populate(&mut pm, base + 0x3000).unwrap(),
+            "second touch: no fault"
+        );
         assert_eq!(p.faults(), 1);
         let (pa, size) = p.page_table().translate(&pm, base + 0x3123).unwrap();
         assert_eq!(size, PageSize::Size4K);
@@ -772,7 +783,8 @@ mod tests {
         p.load_registers(&mut rf);
         // An address in the grown tail is covered.
         assert!(rf.covers(VirtAddr(base.raw() + (6 << 20))));
-        p.populate(&mut pm, VirtAddr(base.raw() + (6 << 20))).unwrap();
+        p.populate(&mut pm, VirtAddr(base.raw() + (6 << 20)))
+            .unwrap();
         let mut hier = MemoryHierarchy::default();
         let out = fetcher::fetch_native(&rf, &mut pm, &mut hier, VirtAddr(base.raw() + (6 << 20)))
             .unwrap();
@@ -884,10 +896,7 @@ mod tests {
             .base;
         // Free one TEA frame behind the OS's back.
         pm.buddy_mut().free_contig(tea_base, 1).unwrap();
-        assert!(p
-            .audit(&pm)
-            .iter()
-            .any(|e| e.contains("not a Tea frame")));
+        assert!(p.audit(&pm).iter().any(|e| e.contains("not a Tea frame")));
     }
 
     #[test]

@@ -114,7 +114,15 @@ impl AddressSpace {
         }
         let id = VmaId(self.next_id);
         self.next_id += 1;
-        self.vmas.insert(base.raw(), Vma { id, base, len, kind });
+        self.vmas.insert(
+            base.raw(),
+            Vma {
+                id,
+                base,
+                len,
+                kind,
+            },
+        );
         self.change_events += 1;
         Ok(id)
     }
@@ -145,7 +153,10 @@ impl AddressSpace {
     /// [`OsError::BadRange`] for unaligned deltas.
     pub fn grow(&mut self, id: VmaId, delta: u64) -> Result<Vma, OsError> {
         if delta == 0 || !delta.is_multiple_of(4096) {
-            return Err(OsError::BadRange { base: 0, len: delta });
+            return Err(OsError::BadRange {
+                base: 0,
+                len: delta,
+            });
         }
         let base = self
             .vmas
@@ -159,7 +170,9 @@ impl AddressSpace {
         };
         if let Some((_, next)) = self.vmas.range(base + 1..).next() {
             if next.base.raw() < new_end {
-                return Err(OsError::VmaOverlap { base: next.base.raw() });
+                return Err(OsError::VmaOverlap {
+                    base: next.base.raw(),
+                });
             }
         }
         let v = self.vmas.get_mut(&base).expect("located above");
@@ -183,7 +196,10 @@ impl AddressSpace {
             .ok_or(OsError::NoSuchVma { id: id.0 })?;
         let v = self.vmas.get_mut(&base).expect("located above");
         if delta == 0 || !delta.is_multiple_of(4096) || delta >= v.len {
-            return Err(OsError::BadRange { base: v.base.raw(), len: delta });
+            return Err(OsError::BadRange {
+                base: v.base.raw(),
+                len: delta,
+            });
         }
         v.len -= delta;
         self.change_events += 1;
@@ -249,7 +265,8 @@ mod tests {
     #[test]
     fn overlap_rejected_on_both_sides() {
         let mut a = AddressSpace::new();
-        a.mmap(VirtAddr(0x10_0000), 0x10_0000, VmaKind::Mmap).unwrap();
+        a.mmap(VirtAddr(0x10_0000), 0x10_0000, VmaKind::Mmap)
+            .unwrap();
         // Overlapping from below.
         assert!(matches!(
             a.mmap(VirtAddr(0x0f_0000), 0x2_0000, VmaKind::Mmap),
@@ -280,7 +297,10 @@ mod tests {
         // Growing by one page fits the hole.
         a.grow(low, 0x1000).unwrap();
         // Growing further collides.
-        assert!(matches!(a.grow(low, 0x2000), Err(OsError::VmaOverlap { .. })));
+        assert!(matches!(
+            a.grow(low, 0x2000),
+            Err(OsError::VmaOverlap { .. })
+        ));
         assert_eq!(a.get(low).unwrap().len, 0x2000);
     }
 

@@ -80,7 +80,10 @@ impl fmt::Display for PtError {
             PtError::AlreadyMapped { va } => write!(f, "virtual address {va:#x} already mapped"),
             PtError::NotMapped { va } => write!(f, "virtual address {va:#x} not mapped"),
             PtError::HugeConflict { va } => {
-                write!(f, "huge-page leaf conflicts with table operation at {va:#x}")
+                write!(
+                    f,
+                    "huge-page leaf conflicts with table operation at {va:#x}"
+                )
             }
             PtError::Mem(e) => write!(f, "memory error: {e}"),
         }

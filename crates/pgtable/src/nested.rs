@@ -214,7 +214,8 @@ mod tests {
             self.pm.read_word(PhysAddr(addr.raw() + self.offset))
         }
         fn write_word(&mut self, addr: PhysAddr, value: u64) {
-            self.pm.write_word(PhysAddr(addr.raw() + self.offset), value);
+            self.pm
+                .write_word(PhysAddr(addr.raw() + self.offset), value);
         }
         fn alloc_zeroed_frame(&mut self, _kind: FrameKind) -> dmt_mem::Result<dmt_mem::Pfn> {
             let g = *self.next_gframe;
@@ -321,7 +322,11 @@ mod tests {
         let cold = nested_walk(&h.gpt, &h.hpt, &mut h.pm, gva, &mut hier, &mut caches).unwrap();
         // Even the first walk is below 24: the nested PWC warms up across
         // the four host sub-walks because guest tables share gPA prefixes.
-        assert!(cold.refs() > 8 && cold.refs() <= 24, "cold refs = {}", cold.refs());
+        assert!(
+            cold.refs() > 8 && cold.refs() <= 24,
+            "cold refs = {}",
+            cold.refs()
+        );
         let warm = nested_walk(&h.gpt, &h.hpt, &mut h.pm, gva, &mut hier, &mut caches).unwrap();
         // gPWC hit at gL2 leaves: 1 guest fetch (gL1, no host walk thanks
         // to table contiguity) + nested-PWC-shortened final host walk.

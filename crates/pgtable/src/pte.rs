@@ -163,9 +163,21 @@ impl fmt::Debug for Pte {
             "Pte(pfn={:#x}{}{}{}{})",
             self.pfn().0,
             if self.huge() { ", huge" } else { "" },
-            if self.flags().contains(PteFlags::WRITABLE) { ", w" } else { "" },
-            if self.flags().contains(PteFlags::ACCESSED) { ", a" } else { "" },
-            if self.flags().contains(PteFlags::DIRTY) { ", d" } else { "" },
+            if self.flags().contains(PteFlags::WRITABLE) {
+                ", w"
+            } else {
+                ""
+            },
+            if self.flags().contains(PteFlags::ACCESSED) {
+                ", a"
+            } else {
+                ""
+            },
+            if self.flags().contains(PteFlags::DIRTY) {
+                ", d"
+            } else {
+                ""
+            },
         )
     }
 }

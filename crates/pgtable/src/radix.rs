@@ -146,7 +146,12 @@ impl RadixPageTable {
     ///
     /// Returns [`PtError::NotMapped`] if no present leaf of that size
     /// exists.
-    pub fn unmap<M: MemoryOps>(&mut self, pm: &mut M, va: VirtAddr, size: PageSize) -> Result<(), PtError> {
+    pub fn unmap<M: MemoryOps>(
+        &mut self,
+        pm: &mut M,
+        va: VirtAddr,
+        size: PageSize,
+    ) -> Result<(), PtError> {
         let leaf_level = size.leaf_level();
         let slot = self
             .entry_pa(pm, va, leaf_level)
@@ -364,8 +369,14 @@ mod tests {
     fn map_translate_unmap_4k() {
         let (mut pm, mut pt) = setup();
         let va = VirtAddr(0x7fff_0000_1000);
-        pt.map(&mut pm, va, PhysAddr(0x5000), PageSize::Size4K, PteFlags::WRITABLE)
-            .unwrap();
+        pt.map(
+            &mut pm,
+            va,
+            PhysAddr(0x5000),
+            PageSize::Size4K,
+            PteFlags::WRITABLE,
+        )
+        .unwrap();
         assert_eq!(
             pt.translate(&pm, va + 0x42),
             Some((PhysAddr(0x5042), PageSize::Size4K))
@@ -392,8 +403,14 @@ mod tests {
     fn map_1g_huge_page() {
         let (mut pm, mut pt) = setup();
         let va = VirtAddr(0x80_0000_0000);
-        pt.map(&mut pm, va, PhysAddr(0x4000_0000), PageSize::Size1G, PteFlags::default())
-            .unwrap();
+        pt.map(
+            &mut pm,
+            va,
+            PhysAddr(0x4000_0000),
+            PageSize::Size1G,
+            PteFlags::default(),
+        )
+        .unwrap();
         let (got, size) = pt.translate(&pm, va + 0xabc_def0).unwrap();
         assert_eq!(size, PageSize::Size1G);
         assert_eq!(got.raw(), 0x4000_0000 + 0xabc_def0);
@@ -404,11 +421,23 @@ mod tests {
     fn unaligned_map_rejected() {
         let (mut pm, mut pt) = setup();
         assert!(matches!(
-            pt.map(&mut pm, VirtAddr(0x123), PhysAddr(0), PageSize::Size4K, PteFlags::default()),
+            pt.map(
+                &mut pm,
+                VirtAddr(0x123),
+                PhysAddr(0),
+                PageSize::Size4K,
+                PteFlags::default()
+            ),
             Err(PtError::Unaligned { .. })
         ));
         assert!(matches!(
-            pt.map(&mut pm, VirtAddr(0x1000), PhysAddr(0), PageSize::Size2M, PteFlags::default()),
+            pt.map(
+                &mut pm,
+                VirtAddr(0x1000),
+                PhysAddr(0),
+                PageSize::Size2M,
+                PteFlags::default()
+            ),
             Err(PtError::AlreadyMapped { .. }) | Err(PtError::Unaligned { .. })
         ));
     }
@@ -417,10 +446,22 @@ mod tests {
     fn double_map_rejected() {
         let (mut pm, mut pt) = setup();
         let va = VirtAddr(0x1000);
-        pt.map(&mut pm, va, PhysAddr(0x2000), PageSize::Size4K, PteFlags::default())
-            .unwrap();
+        pt.map(
+            &mut pm,
+            va,
+            PhysAddr(0x2000),
+            PageSize::Size4K,
+            PteFlags::default(),
+        )
+        .unwrap();
         assert!(matches!(
-            pt.map(&mut pm, va, PhysAddr(0x3000), PageSize::Size4K, PteFlags::default()),
+            pt.map(
+                &mut pm,
+                va,
+                PhysAddr(0x3000),
+                PageSize::Size4K,
+                PteFlags::default()
+            ),
             Err(PtError::AlreadyMapped { .. })
         ));
     }
@@ -431,8 +472,14 @@ mod tests {
         let mut pt = RadixPageTable::new(&mut pm, 5).unwrap();
         // An address above the 4-level canonical range.
         let va = VirtAddr(0x00ff_8000_0000_0000 & ((1 << 57) - 1));
-        pt.map(&mut pm, va, PhysAddr(0x9000), PageSize::Size4K, PteFlags::default())
-            .unwrap();
+        pt.map(
+            &mut pm,
+            va,
+            PhysAddr(0x9000),
+            PageSize::Size4K,
+            PteFlags::default(),
+        )
+        .unwrap();
         assert_eq!(
             pt.translate(&pm, va),
             Some((PhysAddr(0x9000), PageSize::Size4K))
@@ -449,8 +496,14 @@ mod tests {
         pt.install_table(&mut pm, va, 1, tea_page).unwrap();
         assert_eq!(pt.table_frame(&pm, va, 1), Some(tea_page));
         // Mapping through the tree writes into the installed TEA page.
-        pt.map(&mut pm, va, PhysAddr(0x7000), PageSize::Size4K, PteFlags::default())
-            .unwrap();
+        pt.map(
+            &mut pm,
+            va,
+            PhysAddr(0x7000),
+            PageSize::Size4K,
+            PteFlags::default(),
+        )
+        .unwrap();
         let slot = PhysAddr::from_pfn(tea_page) + va.level_index(1) * PTE_SIZE;
         assert!(Pte(pm.read_word(slot)).present());
     }
@@ -459,8 +512,14 @@ mod tests {
     fn install_table_migrates_existing_entries() {
         let (mut pm, mut pt) = setup();
         let va = VirtAddr(0x20_0000);
-        pt.map(&mut pm, va, PhysAddr(0x7000), PageSize::Size4K, PteFlags::default())
-            .unwrap();
+        pt.map(
+            &mut pm,
+            va,
+            PhysAddr(0x7000),
+            PageSize::Size4K,
+            PteFlags::default(),
+        )
+        .unwrap();
         let old = pt.table_frame(&pm, va, 1).unwrap();
         let tea_page = pm.alloc_contig(1, FrameKind::Tea).unwrap();
         pt.install_table(&mut pm, va, 1, tea_page).unwrap();
@@ -476,8 +535,14 @@ mod tests {
     fn install_table_conflicts_with_huge_leaf() {
         let (mut pm, mut pt) = setup();
         let va = VirtAddr(0x20_0000);
-        pt.map(&mut pm, va, PhysAddr(0x20_0000), PageSize::Size2M, PteFlags::default())
-            .unwrap();
+        pt.map(
+            &mut pm,
+            va,
+            PhysAddr(0x20_0000),
+            PageSize::Size2M,
+            PteFlags::default(),
+        )
+        .unwrap();
         let tea_page = pm.alloc_contig(1, FrameKind::Tea).unwrap();
         assert!(matches!(
             pt.install_table(&mut pm, va, 1, tea_page),
@@ -489,8 +554,14 @@ mod tests {
     fn retarget_table_swaps_without_copy() {
         let (mut pm, mut pt) = setup();
         let va = VirtAddr(0x20_0000);
-        pt.map(&mut pm, va, PhysAddr(0x7000), PageSize::Size4K, PteFlags::default())
-            .unwrap();
+        pt.map(
+            &mut pm,
+            va,
+            PhysAddr(0x7000),
+            PageSize::Size4K,
+            PteFlags::default(),
+        )
+        .unwrap();
         let old = pt.table_frame(&pm, va, 1).unwrap();
         let fresh = pm.alloc_contig(1, FrameKind::Tea).unwrap();
         pm.copy_frame(old, fresh);
@@ -506,8 +577,14 @@ mod tests {
     fn entry_pa_exposes_slot_addresses() {
         let (mut pm, mut pt) = setup();
         let va = VirtAddr(0x1000);
-        pt.map(&mut pm, va, PhysAddr(0x2000), PageSize::Size4K, PteFlags::default())
-            .unwrap();
+        pt.map(
+            &mut pm,
+            va,
+            PhysAddr(0x2000),
+            PageSize::Size4K,
+            PteFlags::default(),
+        )
+        .unwrap();
         // Root entry slot is index 0 of the root frame for this VA.
         let root_slot = pt.entry_pa(&pm, va, 4).unwrap();
         assert_eq!(root_slot, PhysAddr::from_pfn(pt.root()) + 0);
@@ -540,10 +617,22 @@ mod tests {
     #[test]
     fn mixed_sizes_in_one_tree() {
         let (mut pm, mut pt) = setup();
-        pt.map(&mut pm, VirtAddr(0x1000), PhysAddr(0x1000), PageSize::Size4K, PteFlags::default())
-            .unwrap();
-        pt.map(&mut pm, VirtAddr(0x20_0000), PhysAddr(0x20_0000), PageSize::Size2M, PteFlags::default())
-            .unwrap();
+        pt.map(
+            &mut pm,
+            VirtAddr(0x1000),
+            PhysAddr(0x1000),
+            PageSize::Size4K,
+            PteFlags::default(),
+        )
+        .unwrap();
+        pt.map(
+            &mut pm,
+            VirtAddr(0x20_0000),
+            PhysAddr(0x20_0000),
+            PageSize::Size2M,
+            PteFlags::default(),
+        )
+        .unwrap();
         pt.map(
             &mut pm,
             VirtAddr(0x1_4000_0000),
@@ -552,8 +641,14 @@ mod tests {
             PteFlags::default(),
         )
         .unwrap();
-        assert_eq!(pt.translate(&pm, VirtAddr(0x1000)).unwrap().1, PageSize::Size4K);
-        assert_eq!(pt.translate(&pm, VirtAddr(0x20_0000)).unwrap().1, PageSize::Size2M);
+        assert_eq!(
+            pt.translate(&pm, VirtAddr(0x1000)).unwrap().1,
+            PageSize::Size4K
+        );
+        assert_eq!(
+            pt.translate(&pm, VirtAddr(0x20_0000)).unwrap().1,
+            PageSize::Size2M
+        );
         assert_eq!(
             pt.translate(&pm, VirtAddr(0x1_4000_0000)).unwrap().1,
             PageSize::Size1G

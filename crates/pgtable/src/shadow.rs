@@ -106,8 +106,14 @@ mod tests {
         let mut pm = PhysMemory::new_bytes(16 << 20);
         let mut spt = ShadowPageTable::new(&mut pm, 4).unwrap();
         let gva = VirtAddr(0x7f00_0000_0000);
-        spt.sync_mapping(&mut pm, gva, PhysAddr(0x8000), PageSize::Size4K, PteFlags::WRITABLE)
-            .unwrap();
+        spt.sync_mapping(
+            &mut pm,
+            gva,
+            PhysAddr(0x8000),
+            PageSize::Size4K,
+            PteFlags::WRITABLE,
+        )
+        .unwrap();
         let mut hier = MemoryHierarchy::default();
         let out =
             walk_dimension(spt.table(), &mut pm, gva, WalkDim::Native, &mut hier, None).unwrap();
@@ -129,7 +135,8 @@ mod tests {
             )
             .unwrap();
         }
-        spt.sync_unmap(&mut pm, VirtAddr(0), PageSize::Size4K).unwrap();
+        spt.sync_unmap(&mut pm, VirtAddr(0), PageSize::Size4K)
+            .unwrap();
         assert_eq!(spt.sync_events(), 11);
         spt.reset_sync_events();
         assert_eq!(spt.sync_events(), 0);
@@ -140,10 +147,22 @@ mod tests {
         let mut pm = PhysMemory::new_bytes(16 << 20);
         let mut spt = ShadowPageTable::new(&mut pm, 4).unwrap();
         let gva = VirtAddr(0x1000);
-        spt.sync_mapping(&mut pm, gva, PhysAddr(0x2000), PageSize::Size4K, PteFlags::default())
-            .unwrap();
-        spt.sync_mapping(&mut pm, gva, PhysAddr(0x3000), PageSize::Size4K, PteFlags::default())
-            .unwrap();
+        spt.sync_mapping(
+            &mut pm,
+            gva,
+            PhysAddr(0x2000),
+            PageSize::Size4K,
+            PteFlags::default(),
+        )
+        .unwrap();
+        spt.sync_mapping(
+            &mut pm,
+            gva,
+            PhysAddr(0x3000),
+            PageSize::Size4K,
+            PteFlags::default(),
+        )
+        .unwrap();
         assert_eq!(
             spt.table().translate(&pm, gva),
             Some((PhysAddr(0x3000), PageSize::Size4K))

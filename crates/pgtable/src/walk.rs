@@ -268,8 +268,14 @@ mod tests {
         let mut pm = PhysMemory::new_bytes(32 << 20);
         let mut pt = RadixPageTable::new(&mut pm, 4).unwrap();
         let va = VirtAddr(0x7f12_3456_7000);
-        pt.map(&mut pm, va, PhysAddr(0x5000), PageSize::Size4K, PteFlags::WRITABLE)
-            .unwrap();
+        pt.map(
+            &mut pm,
+            va,
+            PhysAddr(0x5000),
+            PageSize::Size4K,
+            PteFlags::WRITABLE,
+        )
+        .unwrap();
         (pm, pt, va)
     }
 
@@ -310,11 +316,17 @@ mod tests {
         let mut pm = PhysMemory::new_bytes(32 << 20);
         let mut pt = RadixPageTable::new(&mut pm, 4).unwrap();
         let va = VirtAddr(0x4000_0000);
-        pt.map(&mut pm, va, PhysAddr(0x20_0000), PageSize::Size2M, PteFlags::default())
-            .unwrap();
+        pt.map(
+            &mut pm,
+            va,
+            PhysAddr(0x20_0000),
+            PageSize::Size2M,
+            PteFlags::default(),
+        )
+        .unwrap();
         let mut hier = MemoryHierarchy::new(HierarchyConfig::xeon_gold_6138());
-        let out = walk_dimension(&pt, &mut pm, va + 0x1234, WalkDim::Native, &mut hier, None)
-            .unwrap();
+        let out =
+            walk_dimension(&pt, &mut pm, va + 0x1234, WalkDim::Native, &mut hier, None).unwrap();
         assert_eq!(out.refs(), 3); // L4, L3, L2-leaf
         assert_eq!(out.size, PageSize::Size2M);
         assert_eq!(out.pa, PhysAddr(0x20_1234));
@@ -325,8 +337,14 @@ mod tests {
         let mut pm = PhysMemory::new_bytes(32 << 20);
         let mut pt = RadixPageTable::new(&mut pm, 5).unwrap();
         let va = VirtAddr(0x00aa_0000_0000_0000 & ((1 << 57) - 1));
-        pt.map(&mut pm, va, PhysAddr(0x9000), PageSize::Size4K, PteFlags::default())
-            .unwrap();
+        pt.map(
+            &mut pm,
+            va,
+            PhysAddr(0x9000),
+            PageSize::Size4K,
+            PteFlags::default(),
+        )
+        .unwrap();
         let mut hier = MemoryHierarchy::new(HierarchyConfig::xeon_gold_6138());
         let out = walk_dimension(&pt, &mut pm, va, WalkDim::Native, &mut hier, None).unwrap();
         assert_eq!(out.refs(), 5);
@@ -366,10 +384,22 @@ mod tests {
         let mk = || {
             let mut pm = PhysMemory::new_bytes(32 << 20);
             let mut pt = RadixPageTable::new(&mut pm, 4).unwrap();
-            pt.map(&mut pm, VirtAddr(0x10_0000), PhysAddr(0x5000), PageSize::Size4K, PteFlags::WRITABLE)
-                .unwrap();
-            pt.map(&mut pm, VirtAddr(0x4000_0000), PhysAddr(0x20_0000), PageSize::Size2M, PteFlags::WRITABLE)
-                .unwrap();
+            pt.map(
+                &mut pm,
+                VirtAddr(0x10_0000),
+                PhysAddr(0x5000),
+                PageSize::Size4K,
+                PteFlags::WRITABLE,
+            )
+            .unwrap();
+            pt.map(
+                &mut pm,
+                VirtAddr(0x4000_0000),
+                PhysAddr(0x20_0000),
+                PageSize::Size2M,
+                PteFlags::WRITABLE,
+            )
+            .unwrap();
             (pm, pt)
         };
         let (mut pm_a, pt_a) = mk();
@@ -386,11 +416,29 @@ mod tests {
             VirtAddr(0x4000_9999),
         ];
         for va in vas {
-            let a = walk_dimension(&pt_a, &mut pm_a, va, WalkDim::Native, &mut hier_a, Some(&mut pwc_a))
-                .unwrap();
-            let b = walk_dimension_cached(&pt_b, &mut pm_b, va, &mut hier_b, Some(&mut pwc_b), &mut memo)
-                .unwrap();
-            assert_eq!((a.pa, a.size, a.cycles, a.refs()), (b.pa, b.size, b.cycles, b.refs), "{va:?}");
+            let a = walk_dimension(
+                &pt_a,
+                &mut pm_a,
+                va,
+                WalkDim::Native,
+                &mut hier_a,
+                Some(&mut pwc_a),
+            )
+            .unwrap();
+            let b = walk_dimension_cached(
+                &pt_b,
+                &mut pm_b,
+                va,
+                &mut hier_b,
+                Some(&mut pwc_b),
+                &mut memo,
+            )
+            .unwrap();
+            assert_eq!(
+                (a.pa, a.size, a.cycles, a.refs()),
+                (b.pa, b.size, b.cycles, b.refs),
+                "{va:?}"
+            );
         }
         assert_eq!(pwc_a.stats(), pwc_b.stats());
         assert_eq!(hier_a.stats(), hier_b.stats());
@@ -398,7 +446,14 @@ mod tests {
         let leaf = pt_b.entry(&pm_b, VirtAddr(0x10_0000), 1).unwrap();
         assert!(leaf.flags().contains(PteFlags::ACCESSED));
         // And it refuses unmapped addresses without memoizing them.
-        let err = walk_dimension_cached(&pt_b, &mut pm_b, VirtAddr(0x9999_0000), &mut hier_b, None, &mut memo);
+        let err = walk_dimension_cached(
+            &pt_b,
+            &mut pm_b,
+            VirtAddr(0x9999_0000),
+            &mut hier_b,
+            None,
+            &mut memo,
+        );
         assert!(matches!(err, Err(PtError::NotMapped { .. })));
     }
 

@@ -26,7 +26,11 @@ pub struct RegisterCoverage {
 /// a trace the registers cover. This is the §2.3/§6.1 "99+% of requests
 /// served by the DMT fetcher" claim as a function of the paper's
 /// 16-register choice.
-pub fn register_sweep(w: &dyn Workload, counts: &[usize], trace_len: usize) -> Vec<RegisterCoverage> {
+pub fn register_sweep(
+    w: &dyn Workload,
+    counts: &[usize],
+    trace_len: usize,
+) -> Vec<RegisterCoverage> {
     let mut spans: Vec<(u64, u64)> = w.regions().iter().map(|r| (r.base.raw(), r.len)).collect();
     spans.sort_unstable();
     let clusters = cluster_spans(&spans, 0.02);
@@ -285,8 +289,12 @@ mod tests {
         let w = Memcached::default();
         let c = policy_comparison(&w, 10_000);
         // Memcached's slab VMAs all matter; both policies land close.
-        assert!((c.largest_first - c.hottest_first).abs() < 0.3,
-            "largest {} vs hottest {}", c.largest_first, c.hottest_first);
+        assert!(
+            (c.largest_first - c.hottest_first).abs() < 0.3,
+            "largest {} vs hottest {}",
+            c.largest_first,
+            c.hottest_first
+        );
     }
 }
 

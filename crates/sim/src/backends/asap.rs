@@ -30,10 +30,7 @@ pub(crate) const REGISTRATION: Registration = Registration {
     tiers: None,
 };
 
-fn build_native(
-    m: &mut NativeMachine,
-    _setup: &Setup,
-) -> Result<NativeBackend, SimError> {
+fn build_native(m: &mut NativeMachine, _setup: &Setup) -> Result<NativeBackend, SimError> {
     let l1: Vec<_> = m
         .proc_
         .mappings()

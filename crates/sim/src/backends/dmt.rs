@@ -45,10 +45,7 @@ pub(crate) const REGISTRATION: Registration = Registration {
 };
 
 /// The stock native DMT backend (PWC-assisted fallback walks).
-fn build_native(
-    _m: &mut NativeMachine,
-    _setup: &Setup,
-) -> Result<NativeBackend, SimError> {
+fn build_native(_m: &mut NativeMachine, _setup: &Setup) -> Result<NativeBackend, SimError> {
     Ok(NativeBackend::Dmt(NativeDmt::default()))
 }
 

@@ -38,10 +38,7 @@ fn arena_frames(setup: &Setup) -> u64 {
     (((setup.pages.len() as u64) * 3 * 16 * 3) >> 12) + 1024
 }
 
-fn build_native(
-    m: &mut NativeMachine,
-    setup: &Setup,
-) -> Result<NativeBackend, SimError> {
+fn build_native(m: &mut NativeMachine, setup: &Setup) -> Result<NativeBackend, SimError> {
     let mappings = m.collect_mappings(&setup.pages)?;
     let n2m = mappings
         .iter()

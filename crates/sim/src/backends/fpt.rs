@@ -37,10 +37,7 @@ fn arena_frames(_setup: &Setup) -> u64 {
     25 * 512
 }
 
-fn build_native(
-    m: &mut NativeMachine,
-    setup: &Setup,
-) -> Result<NativeBackend, SimError> {
+fn build_native(m: &mut NativeMachine, setup: &Setup) -> Result<NativeBackend, SimError> {
     let mut t = FlatPageTable::new_host(&mut m.pm).map_err(SimError::setup)?;
     for (va, pa, size) in m.collect_mappings(&setup.pages)? {
         t.map(&mut m.pm, va, pa, size, |pm, frames| {
@@ -81,7 +78,8 @@ fn build_fpts(
     };
     let gfpt = {
         let mut view = m.vm.guest_view(&mut m.pm);
-        let mut gfpt = FlatPageTable::new(&mut view, &mut |_v, f| take(f)).map_err(SimError::setup)?;
+        let mut gfpt =
+            FlatPageTable::new(&mut view, &mut |_v, f| take(f)).map_err(SimError::setup)?;
         for (va, gpa, size) in &mappings {
             gfpt.map(&mut view, *va, *gpa, *size, |_v, f| take(f))
                 .map_err(SimError::setup)?;

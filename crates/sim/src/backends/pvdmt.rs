@@ -5,7 +5,9 @@
 //! the virtualized and nested modes add the hypercall-based exit
 //! accounting.
 
-use super::{NativeBackend, NativeMachine, NestedBackend, NestedTranslator, VirtBackend, VirtTranslator};
+use super::{
+    NativeBackend, NativeMachine, NestedBackend, NestedTranslator, VirtBackend, VirtTranslator,
+};
 use crate::error::SimError;
 use crate::registry::{Arena, NativeSpec, NestedSpec, Registration, TierSpec, VirtSpec};
 use crate::rig::{Design, Setup, Translation};
@@ -40,10 +42,7 @@ pub(crate) const REGISTRATION: Registration = Registration {
 };
 
 /// Natively pvDMT *is* DMT: same state, its own enum variant.
-fn build_native(
-    _m: &mut NativeMachine,
-    _setup: &Setup,
-) -> Result<NativeBackend, SimError> {
+fn build_native(_m: &mut NativeMachine, _setup: &Setup) -> Result<NativeBackend, SimError> {
     Ok(NativeBackend::PvDmt(super::dmt::NativeDmt::default()))
 }
 
@@ -58,10 +57,7 @@ fn build_virt(
     }))
 }
 
-fn build_nested(
-    _m: &mut NestedMachine,
-    _setup: &Setup,
-) -> Result<NestedBackend, SimError> {
+fn build_nested(_m: &mut NestedMachine, _setup: &Setup) -> Result<NestedBackend, SimError> {
     Ok(NestedBackend::PvDmt(NestedPvDmt {
         fetch_hits: 0,
         fallbacks: 0,

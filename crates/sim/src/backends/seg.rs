@@ -66,11 +66,7 @@ impl SegTable {
     /// search over the descriptor table on a miss.
     fn resolve(&mut self, va: VirtAddr, hier: &mut MemoryHierarchy) -> (ContigRun, u64, u64) {
         let runs = self.table.runs();
-        if let Some(pos) = self
-            .cache
-            .iter()
-            .position(|&i| runs[i].unit().contains(va))
-        {
+        if let Some(pos) = self.cache.iter().position(|&i| runs[i].unit().contains(va)) {
             let i = self.cache.remove(pos);
             self.cache.push(i);
             return (runs[i], 0, 0);

@@ -138,7 +138,9 @@ impl NodeConfig {
             return Err(SimError::Setup("a node needs at least one tenant".into()));
         }
         if self.quantum == 0 {
-            return Err(SimError::Setup("quantum must be at least one access".into()));
+            return Err(SimError::Setup(
+                "quantum must be at least one access".into(),
+            ));
         }
         if let Some(c) = self.churn {
             if c.period == 0 {

@@ -123,8 +123,8 @@ fn run_node_probed<P: Probe>(
     }
     let per_tenant: Vec<u64> = seeds.iter().map(|s| s.host_bytes(cfg.thp)).collect();
     let base: u64 = per_tenant.iter().sum();
-    let headroom = cfg.churn.map_or(0, |c| c.kills as u64)
-        * per_tenant.iter().copied().max().unwrap_or(0);
+    let headroom =
+        cfg.churn.map_or(0, |c| c.kills as u64) * per_tenant.iter().copied().max().unwrap_or(0);
     let mut shared = PhysMemory::new_bytes(base + headroom);
 
     // Build each tenant inside the shared memory, then reclaim it:

@@ -18,7 +18,11 @@ pub(crate) struct Scheduler {
 
 impl Scheduler {
     pub(crate) fn new(quantum: usize, weights: Vec<u32>) -> Scheduler {
-        Scheduler { quantum, weights, cursor: 0 }
+        Scheduler {
+            quantum,
+            weights,
+            cursor: 0,
+        }
     }
 
     /// The next turn given each tenant's remaining trace length, or
@@ -48,7 +52,9 @@ pub(crate) struct VictimPicker {
 impl VictimPicker {
     pub(crate) fn new(seed: u64) -> VictimPicker {
         // A zero state would be a fixed point; mix in a constant.
-        VictimPicker { state: seed ^ 0x9e37_79b9_7f4a_7c15 }
+        VictimPicker {
+            state: seed ^ 0x9e37_79b9_7f4a_7c15,
+        }
     }
 
     /// Next victim index in `0..n`.

@@ -43,7 +43,7 @@ pub struct Scale {
 impl Default for Scale {
     fn default() -> Self {
         Scale {
-            mult4k: 64,  // ~16 GiB
+            mult4k: 64,   // ~16 GiB
             thp_mult: 32, // ~8 GiB
             trace: 400_000,
             warmup: 100_000,

@@ -147,7 +147,8 @@ impl Rig for NativeRig {
         hier: &mut MemoryHierarchy,
         out: &mut [Outcome],
     ) {
-        self.backend.translate_batch(&mut self.m, accesses, hier, out)
+        self.backend
+            .translate_batch(&mut self.m, accesses, hier, out)
     }
 
     fn data_pa(&self, va: VirtAddr) -> PhysAddr {

@@ -136,7 +136,8 @@ impl Rig for NestedRig {
         hier: &mut MemoryHierarchy,
         out: &mut [Outcome],
     ) {
-        self.backend.translate_batch(&mut self.m, accesses, hier, out)
+        self.backend
+            .translate_batch(&mut self.m, accesses, hier, out)
     }
 
     fn data_pa(&self, va: VirtAddr) -> PhysAddr {
@@ -180,8 +181,7 @@ impl Rig for NestedRig {
 
     fn frag_sample(&self) -> Option<(f64, u64)> {
         let b = self.m.pm.buddy();
-        let rss =
-            b.allocated_of_kind(FrameKind::Data) + b.allocated_of_kind(FrameKind::HugeData);
+        let rss = b.allocated_of_kind(FrameKind::Data) + b.allocated_of_kind(FrameKind::HugeData);
         Some((dmt_mem::frag::fragmentation_index(b, 9), rss))
     }
 

@@ -41,7 +41,8 @@ pub struct MgmtOverhead {
 pub fn management_overhead(vma_mb: u64) -> Result<MgmtOverhead, crate::error::SimError> {
     let mut pm = PhysMemory::new_bytes((vma_mb * 3).max(512) << 20);
     let mut frag = Fragmenter::new();
-    frag.fragment(pm.buddy_mut(), 0.30).map_err(|e| e.to_string())?;
+    frag.fragment(pm.buddy_mut(), 0.30)
+        .map_err(|e| e.to_string())?;
     let idx = fragmentation_index(pm.buddy(), 9);
 
     let mut proc_ = Process::new(&mut pm, ThpMode::Never).map_err(|e| e.to_string())?;
@@ -91,14 +92,16 @@ pub struct HypercallCost {
 /// # Errors
 ///
 /// Propagates setup failures.
-pub fn hypercall_overhead(tea_mbs: &[u64], nested: bool) -> Result<Vec<HypercallCost>, crate::error::SimError> {
+pub fn hypercall_overhead(
+    tea_mbs: &[u64],
+    nested: bool,
+) -> Result<Vec<HypercallCost>, crate::error::SimError> {
     let mut out = Vec::new();
     for &mb in tea_mbs {
         // The TEA itself is VMA/512; size the machine accordingly.
         let tea_bytes = (mb << 20) / 512;
         let mut pm = PhysMemory::new_bytes(tea_bytes * 4 + (128 << 20));
-        let mut vm =
-            Vm::new(&mut pm, 32 << 20, PageSize::Size4K).map_err(|e| e.to_string())?;
+        let mut vm = Vm::new(&mut pm, 32 << 20, PageSize::Size4K).map_err(|e| e.to_string())?;
         let mut table = GteaTable::new();
         let mut stats = HypercallStats::default();
         let start = Instant::now();
@@ -155,7 +158,10 @@ impl MemoryOverhead {
 /// # Errors
 ///
 /// Propagates setup failures.
-pub fn memory_overhead(mapped_mb: u64, touched_percent: u64) -> Result<MemoryOverhead, crate::error::SimError> {
+pub fn memory_overhead(
+    mapped_mb: u64,
+    touched_percent: u64,
+) -> Result<MemoryOverhead, crate::error::SimError> {
     let measure = |dmt: bool| -> Result<u64, crate::error::SimError> {
         let mut pm = PhysMemory::new_bytes((mapped_mb * 3) << 20);
         let mut proc_ = if dmt {

@@ -43,8 +43,7 @@ pub type NativeFactory = fn(&mut NativeMachine, &Setup) -> Result<NativeBackend,
 /// Builds a virt backend over a fully populated
 /// [`VirtMachine`], handed the boot-time arena iff the spec requested
 /// one via [`VirtSpec::arena_frames`].
-pub type VirtFactory =
-    fn(&mut VirtMachine, &Setup, Option<Arena>) -> Result<VirtBackend, SimError>;
+pub type VirtFactory = fn(&mut VirtMachine, &Setup, Option<Arena>) -> Result<VirtBackend, SimError>;
 
 /// Builds a nested backend over a fully populated
 /// [`NestedMachine`].

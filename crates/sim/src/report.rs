@@ -406,8 +406,15 @@ pub fn table7_table(rows: &[crate::experiments::Table7Row]) -> Table {
             rows.first().map_or(0, |r| r.stats.tenants.len())
         ),
         &[
-            "env", "design", "walk lat", "pw", "switches", "tag flushes", "xt shootdowns",
-            "frag", "coverage",
+            "env",
+            "design",
+            "walk lat",
+            "pw",
+            "switches",
+            "tag flushes",
+            "xt shootdowns",
+            "frag",
+            "coverage",
         ],
     );
     for r in rows {
@@ -440,8 +447,7 @@ mod tests {
         assert!(s.contains("Demo"));
         assert!(s.contains("| alpha |"));
         // All lines between borders have equal width.
-        let widths: std::collections::HashSet<usize> =
-            s.lines().skip(1).map(|l| l.len()).collect();
+        let widths: std::collections::HashSet<usize> = s.lines().skip(1).map(|l| l.len()).collect();
         assert_eq!(widths.len(), 1, "{s}");
     }
 
@@ -458,10 +464,7 @@ mod tests {
         t.row(vec!["plain".into(), "with,comma".into()]);
         t.row(vec!["quote\"d".into(), "y".into()]);
         let csv = t.to_csv();
-        assert_eq!(
-            csv,
-            "a,b\nplain,\"with,comma\"\n\"quote\"\"d\",y\n"
-        );
+        assert_eq!(csv, "a,b\nplain,\"with,comma\"\n\"quote\"\"d\",y\n");
     }
 
     #[test]

@@ -463,8 +463,7 @@ pub fn cluster_regions(regions: &[Region], thp: bool) -> Vec<(VirtAddr, u64)> {
                 let new_start_rounded = base / span * span;
                 let gap = base.saturating_sub(*cb + *cl);
                 let overlap = new_start_rounded < cur_end_rounded;
-                let small_bubble =
-                    gap as f64 / (base + len - *cb) as f64 <= 0.02;
+                let small_bubble = gap as f64 / (base + len - *cb) as f64 <= 0.02;
                 if overlap || small_bubble {
                     *cl = (base + len) - *cb;
                 } else {

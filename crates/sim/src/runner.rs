@@ -559,9 +559,18 @@ mod tests {
     #[test]
     fn trace_set_dedups_keys_and_counts_materializations() {
         let keys = vec![
-            TraceKey { bench: 2, thp: false },
-            TraceKey { bench: 2, thp: false }, // duplicate collapses
-            TraceKey { bench: 3, thp: false },
+            TraceKey {
+                bench: 2,
+                thp: false,
+            },
+            TraceKey {
+                bench: 2,
+                thp: false,
+            }, // duplicate collapses
+            TraceKey {
+                bench: 3,
+                thp: false,
+            },
         ];
         let set = TraceSet::new(Scale::test(), keys, None);
         assert_eq!(set.len(), 2);
@@ -585,7 +594,10 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("dmt-spill-selftest-{}", std::process::id()));
         let set = TraceSet::new(
             Scale::test(),
-            vec![TraceKey { bench: 2, thp: false }],
+            vec![TraceKey {
+                bench: 2,
+                thp: false,
+            }],
             Some(dir.clone()),
         );
         let entry = set.entry(2, false).unwrap();
@@ -593,10 +605,20 @@ mod tests {
             panic!("spill dir set but trace kept in memory");
         };
         assert!(path.exists());
-        let decoded = dmt_trace::TraceReader::open(path).unwrap().read_all().unwrap();
+        let decoded = dmt_trace::TraceReader::open(path)
+            .unwrap()
+            .read_all()
+            .unwrap();
         assert_eq!(decoded.len(), Scale::test().total());
         // The decoded stream is exactly what an in-memory set holds.
-        let mem = TraceSet::new(Scale::test(), vec![TraceKey { bench: 2, thp: false }], None);
+        let mem = TraceSet::new(
+            Scale::test(),
+            vec![TraceKey {
+                bench: 2,
+                thp: false,
+            }],
+            None,
+        );
         let mem_entry = mem.entry(2, false).unwrap();
         let TraceStore::Memory(v) = &mem_entry.store else {
             panic!("no spill dir but trace went to disk");

@@ -18,10 +18,10 @@
 
 use crate::engine::RunStats;
 use crate::error::SimError;
+use crate::experiments::Scale;
 use crate::report::{telemetry_json, Json};
 use crate::rig::{Design, Env};
 use crate::runner::{Runner, TraceKey, TraceSet, TraceStore};
-use crate::experiments::Scale;
 use dmt_telemetry::Telemetry;
 use dmt_trace::TraceReader;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -503,10 +503,7 @@ impl SweepReport {
                                 .set("fallbacks", Json::U64(r.stats.fallbacks))
                                 .set("exits", Json::U64(r.stats.exits))
                                 .set("faults", Json::U64(r.stats.faults))
-                                .set(
-                                    "avg_walk_latency",
-                                    Json::F64(r.stats.avg_walk_latency()),
-                                )
+                                .set("avg_walk_latency", Json::F64(r.stats.avg_walk_latency()))
                                 .set("miss_ratio", Json::F64(r.stats.miss_ratio()))
                                 .set("coverage", Json::F64(r.coverage))
                                 .set("wall_nanos", Json::U64(r.wall_nanos))
@@ -571,7 +568,10 @@ mod tests {
 
     #[test]
     fn builder_rejects_bad_configs_at_build_time() {
-        let err = SweepConfig::builder().benchmarks(vec![9]).build().unwrap_err();
+        let err = SweepConfig::builder()
+            .benchmarks(vec![9])
+            .build()
+            .unwrap_err();
         assert_eq!(err, SimError::BenchIndex { index: 9, count: 7 });
         assert!(err.to_string().contains("benchmark index 9 out of range"));
 
@@ -626,10 +626,7 @@ mod tests {
 
         // A unique temp dir, never the repo CWD's results/ — parallel
         // `cargo test` binaries must not race on a shared path.
-        let dir = std::env::temp_dir().join(format!(
-            "dmt-sweep-selftest-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("dmt-sweep-selftest-{}", std::process::id()));
         let path = report.write_json_in(&dir, "sweep_selftest").unwrap();
         assert!(path.starts_with(&dir));
         let on_disk = std::fs::read_to_string(&path).unwrap();

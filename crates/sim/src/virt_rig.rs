@@ -156,7 +156,8 @@ impl Rig for VirtRig {
         hier: &mut MemoryHierarchy,
         out: &mut [Outcome],
     ) {
-        self.backend.translate_batch(&mut self.m, accesses, hier, out)
+        self.backend
+            .translate_batch(&mut self.m, accesses, hier, out)
     }
 
     fn data_pa(&self, va: VirtAddr) -> PhysAddr {
@@ -204,8 +205,7 @@ impl Rig for VirtRig {
 
     fn frag_sample(&self) -> Option<(f64, u64)> {
         let b = self.m.pm.buddy();
-        let rss =
-            b.allocated_of_kind(FrameKind::Data) + b.allocated_of_kind(FrameKind::HugeData);
+        let rss = b.allocated_of_kind(FrameKind::Data) + b.allocated_of_kind(FrameKind::HugeData);
         Some((dmt_mem::frag::fragmentation_index(b, 9), rss))
     }
 

@@ -154,7 +154,10 @@ mod tests {
     #[test]
     fn registry_is_dense_and_named() {
         for (i, c) in Counter::ALL.iter().enumerate() {
-            assert_eq!(*c as usize, i, "Counter::ALL must mirror discriminant order");
+            assert_eq!(
+                *c as usize, i,
+                "Counter::ALL must mirror discriminant order"
+            );
             assert!(!c.name().is_empty());
         }
         // Names are unique.

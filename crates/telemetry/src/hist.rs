@@ -103,10 +103,14 @@ impl Histogram {
 
     /// Non-empty buckets as `(lo, hi, count)`, ascending.
     pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
-        self.buckets.iter().enumerate().filter(|(_, &n)| n > 0).map(|(i, &n)| {
-            let (lo, hi) = bucket_bounds(i);
-            (lo, hi, n)
-        })
+        self.buckets
+            .iter()
+            .enumerate()
+            .filter(|(_, &n)| n > 0)
+            .map(|(i, &n)| {
+                let (lo, hi) = bucket_bounds(i);
+                (lo, hi, n)
+            })
     }
 
     /// Upper bound of the bucket containing the `q`-quantile sample
@@ -173,7 +177,10 @@ mod tests {
         assert_eq!(h.max(), Some(200));
         assert_eq!(h.mean(), 35.0);
         let got: Vec<_> = h.nonzero_buckets().collect();
-        assert_eq!(got, vec![(0, 0, 1), (1, 1, 1), (2, 3, 2), (4, 7, 1), (128, 255, 1)]);
+        assert_eq!(
+            got,
+            vec![(0, 0, 1), (1, 1, 1), (2, 3, 2), (4, 7, 1), (128, 255, 1)]
+        );
     }
 
     #[test]

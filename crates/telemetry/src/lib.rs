@@ -73,7 +73,10 @@ impl Telemetry {
     /// Recorder sampling fragmentation/RSS every `n` measured
     /// accesses (`n = 0` disables sampling).
     pub fn with_interval(n: u64) -> Self {
-        Telemetry { sample_every: n, ..Self::default() }
+        Telemetry {
+            sample_every: n,
+            ..Self::default()
+        }
     }
 
     /// Merge another recorder's state into this one. Exact: any merge
@@ -134,7 +137,11 @@ impl Probe for Telemetry {
     }
 
     fn sample(&mut self, at: u64, frag_index: f64, rss_frames: u64) {
-        self.series.push(Sample { at, frag_index, rss_frames });
+        self.series.push(Sample {
+            at,
+            frag_index,
+            rss_frames,
+        });
     }
 
     fn absorb_components(&mut self, c: ComponentCounters) {
@@ -181,7 +188,10 @@ mod tests {
         t.pte_fetches(MemLevel::Dram, 2);
         t.data_access(MemLevel::L1, 4);
         t.sample(100, 0.25, 512);
-        t.absorb_components(ComponentCounters { pwc_l3_hits: 7, ..Default::default() });
+        t.absorb_components(ComponentCounters {
+            pwc_l3_hits: 7,
+            ..Default::default()
+        });
 
         assert_eq!(t.counters.get(Counter::TlbMisses), 1);
         assert_eq!(t.counters.get(Counter::Walks), 2);

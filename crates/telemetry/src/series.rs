@@ -57,7 +57,11 @@ mod tests {
     use super::*;
 
     fn s(at: u64) -> Sample {
-        Sample { at, frag_index: 0.5, rss_frames: at * 2 }
+        Sample {
+            at,
+            frag_index: 0.5,
+            rss_frames: at * 2,
+        }
     }
 
     #[test]

@@ -40,7 +40,9 @@ fn hist_of(samples: &[u64]) -> Histogram {
 fn permutation(n: usize, mut seed: u64) -> Vec<usize> {
     let mut idx: Vec<usize> = (0..n).collect();
     for i in (1..n).rev() {
-        seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        seed = seed
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         let j = (seed >> 33) as usize % (i + 1);
         idx.swap(i, j);
     }

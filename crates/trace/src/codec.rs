@@ -389,8 +389,7 @@ impl TraceMeta {
         let name_len = read_u16(r)? as usize;
         let mut name = vec![0u8; name_len];
         r.read_exact(&mut name)?;
-        let name =
-            String::from_utf8(name).map_err(|_| TraceError::Corrupt("name is not UTF-8"))?;
+        let name = String::from_utf8(name).map_err(|_| TraceError::Corrupt("name is not UTF-8"))?;
         let region_count = read_u16(r)? as usize;
         let mut regions = Vec::with_capacity(region_count);
         for _ in 0..region_count {

@@ -227,13 +227,13 @@ mod tests {
             TraceMeta::read_header(&mut s).unwrap();
             before - s.len()
         };
-        for cut in (header_len..bytes.len()).step_by(97).chain([bytes.len() - 1]) {
+        for cut in (header_len..bytes.len())
+            .step_by(97)
+            .chain([bytes.len() - 1])
+        {
             let r = TraceReader::new(&bytes[..cut]).unwrap();
             let err = r.read_all().unwrap_err();
-            assert!(
-                matches!(err, TraceError::Truncated),
-                "cut {cut}: {err:?}"
-            );
+            assert!(matches!(err, TraceError::Truncated), "cut {cut}: {err:?}");
         }
     }
 

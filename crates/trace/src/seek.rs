@@ -124,7 +124,8 @@ impl TraceFile {
                 return Err(TraceError::BadIndex("chunk start ordinal"));
             }
             let last = i == chunk_count - 1;
-            if (!last && e.len != meta.chunk_len) || (last && !(1..=meta.chunk_len).contains(&e.len))
+            if (!last && e.len != meta.chunk_len)
+                || (last && !(1..=meta.chunk_len).contains(&e.len))
             {
                 return Err(TraceError::BadIndex("chunk length"));
             }

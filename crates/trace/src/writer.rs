@@ -165,7 +165,8 @@ impl<W: Write> TraceWriter<W> {
         self.seal_chunk();
         write_varint(TOKEN_END, &mut self.buf);
         write_varint(self.count as u128, &mut self.buf);
-        self.buf.extend_from_slice(&self.hash.digest().to_le_bytes());
+        self.buf
+            .extend_from_slice(&self.hash.digest().to_le_bytes());
         self.flush_buf()?;
         let mut index_bytes = 0u64;
         if self.chunk_len > 0 {
@@ -181,10 +182,7 @@ impl<W: Write> TraceWriter<W> {
             index.extend_from_slice(&INDEX_MAGIC);
             self.sink.write_all(&index)?;
             index_bytes = index.len() as u64;
-            debug_assert_eq!(
-                index_bytes,
-                self.chunks.len() as u64 * 32 + FOOTER_BYTES
-            );
+            debug_assert_eq!(index_bytes, self.chunks.len() as u64 * 32 + FOOTER_BYTES);
         }
         self.sink.flush()?;
         Ok(TraceSummary {
@@ -281,7 +279,9 @@ mod tests {
         // must produce identical bytes: chunk boundaries are a function
         // of the access ordinal, not of the call pattern.
         let meta = TraceMeta::default().chunked(7);
-        let accesses: Vec<Access> = (0..40u64).map(|i| Access::read(VirtAddr(i << 12))).collect();
+        let accesses: Vec<Access> = (0..40u64)
+            .map(|i| Access::read(VirtAddr(i << 12)))
+            .collect();
 
         let mut one = Vec::new();
         let mut w = TraceWriter::new(&mut one, &meta).unwrap();

@@ -73,12 +73,7 @@ impl Workload for SeqScan {
         }]
     }
 
-    fn generate(
-        &self,
-        n: usize,
-        _rng: &mut rand::rngs::SmallRng,
-        out: &mut Vec<Access>,
-    ) {
+    fn generate(&self, n: usize, _rng: &mut rand::rngs::SmallRng, out: &mut Vec<Access>) {
         for i in 0..n as u64 {
             let off = (i * self.stride) % self.bytes;
             out.push(Access::read(VirtAddr((1 << 30) + off)));
@@ -104,7 +99,10 @@ fn sequential_traces_compress_to_under_half_naive() {
     // The real number is far better; keep a regression floor at 25%.
     assert!(ratio <= 0.25, "sequential ratio {ratio:.3} > 0.25");
     // And the trace still decodes exactly.
-    let replayed = TraceReader::new(bytes.as_slice()).unwrap().read_all().unwrap();
+    let replayed = TraceReader::new(bytes.as_slice())
+        .unwrap()
+        .read_all()
+        .unwrap();
     assert_eq!(replayed.len(), n);
     assert_eq!(replayed, w.trace(n, 0));
 }

@@ -25,7 +25,7 @@ use dmt_core::regfile::DmtRegisterFile;
 use dmt_core::vtmap::VmaTeaMapping;
 use dmt_core::DmtError;
 use dmt_mem::buddy::FrameKind;
-use dmt_mem::{PageSize, PhysAddr, PhysMemory, Pfn, VirtAddr};
+use dmt_mem::{PageSize, Pfn, PhysAddr, PhysMemory, VirtAddr};
 use dmt_pgtable::nested::{nested_walk, NestedCaches, NestedWalkOutcome};
 use dmt_pgtable::pte::PteFlags;
 use dmt_pgtable::shadow::ShadowPageTable;
@@ -106,7 +106,11 @@ impl VirtMachine {
         mode: GuestTeaMode,
         thp: bool,
     ) -> Result<Self, VirtError> {
-        let host_size = if thp { PageSize::Size2M } else { PageSize::Size4K };
+        let host_size = if thp {
+            PageSize::Size2M
+        } else {
+            PageSize::Size4K
+        };
         let mut vm = Vm::new(&mut pm, guest_bytes, host_size)?;
         let gpt = {
             let mut view = vm.guest_view(&mut pm);
@@ -158,7 +162,11 @@ impl VirtMachine {
     ///
     /// Propagates allocation failures in either address space.
     pub fn guest_mmap(&mut self, base: VirtAddr, len: u64) -> Result<(), VirtError> {
-        let size = if self.guest_thp { PageSize::Size2M } else { PageSize::Size4K };
+        let size = if self.guest_thp {
+            PageSize::Size2M
+        } else {
+            PageSize::Size4K
+        };
         // With THP the guest keeps a 4 KiB TEA too (edges/fallback), as in
         // Figure 12 — create it first so the 2 MiB TEA dominates probes.
         let sizes: &[PageSize] = if self.guest_thp {
@@ -175,7 +183,12 @@ impl VirtMachine {
         Ok(())
     }
 
-    fn guest_mmap_one(&mut self, base: VirtAddr, len: u64, size: PageSize) -> Result<(), VirtError> {
+    fn guest_mmap_one(
+        &mut self,
+        base: VirtAddr,
+        len: u64,
+        size: PageSize,
+    ) -> Result<(), VirtError> {
         match self.mode {
             GuestTeaMode::None => return Ok(()),
             GuestTeaMode::Pv => {
@@ -196,8 +209,7 @@ impl VirtMachine {
                 let gframe =
                     self.vm
                         .alloc_guest_contig(&mut self.pm, proto.tea_frames(), FrameKind::Tea)?;
-                let mapping =
-                    VmaTeaMapping::new(proto.base(), proto.covered_bytes(), size, gframe);
+                let mapping = VmaTeaMapping::new(proto.base(), proto.covered_bytes(), size, gframe);
                 self.install_gtea(&mapping)?;
                 self.guest_mappings.push(mapping);
             }
@@ -238,7 +250,9 @@ impl VirtMachine {
             }
         }
         let (gbase, gframe, size) = if self.guest_thp {
-            let g = self.vm.alloc_guest_huge(&mut self.pm, FrameKind::HugeData)?;
+            let g = self
+                .vm
+                .alloc_guest_huge(&mut self.pm, FrameKind::HugeData)?;
             (gva.align_down(PageSize::Size2M), g, PageSize::Size2M)
         } else {
             let g = self.vm.alloc_guest_frame(&mut self.pm, FrameKind::Data)?;
@@ -260,11 +274,8 @@ impl VirtMachine {
                 dmt_mem::MemoryOps::write_word(
                     &mut view,
                     slot,
-                    dmt_pgtable::pte::Pte::huge_leaf(
-                        gframe,
-                        PteFlags::WRITABLE | PteFlags::USER,
-                    )
-                    .raw(),
+                    dmt_pgtable::pte::Pte::huge_leaf(gframe, PteFlags::WRITABLE | PteFlags::USER)
+                        .raw(),
                 );
             } else {
                 self.gpt.map(
@@ -395,13 +406,7 @@ impl VirtMachine {
         gva: VirtAddr,
         hier: &mut MemoryHierarchy,
     ) -> Result<FetchOutcome, DmtError> {
-        fetcher::fetch_virt_unpv(
-            &self.guest_regs,
-            &self.host_regs,
-            &mut self.pm,
-            hier,
-            gva,
-        )
+        fetcher::fetch_virt_unpv(&self.guest_regs, &self.host_regs, &mut self.pm, hier, gva)
     }
 }
 

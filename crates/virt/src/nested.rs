@@ -95,7 +95,11 @@ impl NestedMachine {
         l2_bytes: u64,
         thp: bool,
     ) -> Result<Self, VirtError> {
-        let size = if thp { PageSize::Size2M } else { PageSize::Size4K };
+        let size = if thp {
+            PageSize::Size2M
+        } else {
+            PageSize::Size4K
+        };
         let vm1 = Vm::new(&mut pm, l1_bytes, size)?;
 
         // L2 frames are backed lazily on first allocation (like `Vm`);
@@ -149,14 +153,19 @@ impl NestedMachine {
     /// Back the chunk containing L2 frame `gframe`: allocate the L1
     /// chunk, write the L1 TEA PTE, and sync the sPT identity mapping.
     fn ensure_l2_backed(&mut self, gframe: u64) -> Result<(), VirtError> {
-        let size = if self.thp { PageSize::Size2M } else { PageSize::Size4K };
+        let size = if self.thp {
+            PageSize::Size2M
+        } else {
+            PageSize::Size4K
+        };
         let chunk = size.base_pages();
         let head = gframe / chunk * chunk;
         if self.backing2.contains_key(&head) {
             return Ok(());
         }
         let l1 = if self.thp {
-            self.vm1.alloc_guest_huge(&mut self.pm, FrameKind::HugeData)?
+            self.vm1
+                .alloc_guest_huge(&mut self.pm, FrameKind::HugeData)?
         } else {
             self.vm1.alloc_guest_frame(&mut self.pm, FrameKind::Data)?
         };
@@ -268,7 +277,9 @@ impl NestedMachine {
         let host_base = self.pm.alloc_contig(frames, FrameKind::Tea)?;
         let id = self.l2_gtea.register(host_base, frames);
         // Cascade the pages up: L0 frames get L1PAs, then L2PAs.
-        let l1_gpa = self.vm1.insert_host_pages(&mut self.pm, host_base, frames)?;
+        let l1_gpa = self
+            .vm1
+            .insert_host_pages(&mut self.pm, host_base, frames)?;
         let l2_base_frame = self.l2_frames;
         self.l2_frames += frames;
         for i in 0..frames {
@@ -304,7 +315,12 @@ impl NestedMachine {
             let mut view = self.l2_view();
             for i in 0..frames {
                 let span_va = VirtAddr(mapping.base().raw() + i * span);
-                l2pt.install_table(&mut view, span_va, size.leaf_level(), Pfn(l2_base_frame + i))?;
+                l2pt.install_table(
+                    &mut view,
+                    span_va,
+                    size.leaf_level(),
+                    Pfn(l2_base_frame + i),
+                )?;
             }
         }
         self.l2pt = l2pt;
@@ -327,10 +343,14 @@ impl NestedMachine {
         }
         let mut cur = self.spread;
         let (base, frame, size) = if self.thp {
-            let f = self.l2_buddy.alloc_block_spread(9, FrameKind::HugeData, &mut cur)?;
+            let f = self
+                .l2_buddy
+                .alloc_block_spread(9, FrameKind::HugeData, &mut cur)?;
             (l2va.align_down(PageSize::Size2M), f, PageSize::Size2M)
         } else {
-            let f = self.l2_buddy.alloc_single_spread(FrameKind::Data, &mut cur)?;
+            let f = self
+                .l2_buddy
+                .alloc_single_spread(FrameKind::Data, &mut cur)?;
             (l2va.align_down(PageSize::Size4K), f, PageSize::Size4K)
         };
         self.spread = cur;

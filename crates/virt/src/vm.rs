@@ -155,7 +155,11 @@ impl Vm {
     /// # Errors
     ///
     /// Propagates guest allocator exhaustion.
-    pub fn alloc_guest_frame(&mut self, pm: &mut PhysMemory, kind: FrameKind) -> Result<Pfn, VirtError> {
+    pub fn alloc_guest_frame(
+        &mut self,
+        pm: &mut PhysMemory,
+        kind: FrameKind,
+    ) -> Result<Pfn, VirtError> {
         let mut cur = self.spread;
         let g = self.guest_buddy.alloc_single_spread(kind, &mut cur)?;
         self.spread = cur;

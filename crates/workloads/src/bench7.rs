@@ -239,8 +239,7 @@ impl Workload for BTree {
             let mut node = 0u64; // root is hot: always node 0
             for level in 0..self.depth {
                 out.push(Access::read(VirtAddr(HEAP_BASE + node * self.node_bytes)));
-                let h = (node ^ key.rotate_left(level))
-                    .wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                let h = (node ^ key.rotate_left(level)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
                 node = h % self.nodes;
             }
         }
@@ -428,7 +427,9 @@ impl Workload for Graph500 {
 /// All seven benchmarks with their default (scaled) configurations, in
 /// the paper's order.
 pub fn all_benchmarks() -> Vec<Box<dyn Workload>> {
-    (0..BENCH7_COUNT).map(|i| nth_benchmark(i, 1).unwrap()).collect()
+    (0..BENCH7_COUNT)
+        .map(|i| nth_benchmark(i, 1).unwrap())
+        .collect()
 }
 
 /// Number of benchmarks in the paper's Table 6 suite.
@@ -439,13 +440,34 @@ pub const BENCH7_COUNT: usize = 7;
 /// With `f == 1` this matches [`all_benchmarks`] element-for-element.
 pub fn nth_benchmark(i: usize, f: u64) -> Option<Box<dyn Workload>> {
     Some(match i {
-        0 => Box::new(Redis { records: f * (1 << 20), ..Default::default() }) as Box<dyn Workload>,
-        1 => Box::new(Memcached { slabs: 64, slab_bytes: f * (4 << 20), ..Default::default() }),
-        2 => Box::new(Gups { table_bytes: f * (256 << 20) }),
-        3 => Box::new(BTree { nodes: f * (1 << 21), ..Default::default() }),
-        4 => Box::new(Canneal { elements: f * (2 << 20), ..Default::default() }),
-        5 => Box::new(XsBench { gridpoints: f * (1 << 16), ..Default::default() }),
-        6 => Box::new(Graph500 { vertices: f * (1 << 21), ..Default::default() }),
+        0 => Box::new(Redis {
+            records: f * (1 << 20),
+            ..Default::default()
+        }) as Box<dyn Workload>,
+        1 => Box::new(Memcached {
+            slabs: 64,
+            slab_bytes: f * (4 << 20),
+            ..Default::default()
+        }),
+        2 => Box::new(Gups {
+            table_bytes: f * (256 << 20),
+        }),
+        3 => Box::new(BTree {
+            nodes: f * (1 << 21),
+            ..Default::default()
+        }),
+        4 => Box::new(Canneal {
+            elements: f * (2 << 20),
+            ..Default::default()
+        }),
+        5 => Box::new(XsBench {
+            gridpoints: f * (1 << 16),
+            ..Default::default()
+        }),
+        6 => Box::new(Graph500 {
+            vertices: f * (1 << 21),
+            ..Default::default()
+        }),
         _ => return None,
     })
 }
@@ -460,7 +482,15 @@ mod tests {
         let names: Vec<&str> = all_benchmarks().iter().map(|w| w.name()).collect();
         assert_eq!(
             names,
-            vec!["Redis", "Memcached", "GUPS", "BTree", "Canneal", "XSBench", "Graph500"]
+            vec![
+                "Redis",
+                "Memcached",
+                "GUPS",
+                "BTree",
+                "Canneal",
+                "XSBench",
+                "Graph500"
+            ]
         );
     }
 
@@ -495,10 +525,7 @@ mod tests {
         assert!(pages.len() > 9_000, "GUPS touched {} pages", pages.len());
 
         let bt = BTree::default().trace(10_000, 3);
-        let root_hits = bt
-            .iter()
-            .filter(|a| a.va.raw() == 0x10_0000_0000)
-            .count();
+        let root_hits = bt.iter().filter(|a| a.va.raw() == 0x10_0000_0000).count();
         // The root is touched once per descent: strong reuse.
         assert!(root_hits > 1_000, "root hits = {root_hits}");
     }

@@ -62,7 +62,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .replay(&mut rig, &trace, 2_000)
             .0
     };
-    assert_eq!(flat.accesses, tiered.accesses, "tiering changes cost, not work");
+    assert_eq!(
+        flat.accesses, tiered.accesses,
+        "tiering changes cost, not work"
+    );
     println!(
         "\nDMT under tiered DRAM (32 MiB fast / 350-cycle slow tier):\n\
          data cycles {} -> {} (+{} from slow-tier hits)",

@@ -35,8 +35,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut table = Table::new(
         "Table 7 — 16-tenant cloud node (12 native + 4 virt, tagged TLB/PWC, churn)",
         &[
-            "design", "walk lat (cyc)", "pw speedup", "switches", "tag flushes",
-            "xt shootdowns", "frag", "coverage",
+            "design",
+            "walk lat (cyc)",
+            "pw speedup",
+            "switches",
+            "tag flushes",
+            "xt shootdowns",
+            "frag",
+            "coverage",
         ],
     );
     let mut base_lat = 0.0;

@@ -4,11 +4,11 @@
 //!
 //! Run with: `cargo run --release --example nested_cloud`
 
-use dmt::sim::Runner;
 use dmt::sim::nested_rig::NestedRig;
 use dmt::sim::perfmodel::{app_speedup, calib_for};
 use dmt::sim::report::{speedup, Table};
 use dmt::sim::rig::{Design, Env};
+use dmt::sim::Runner;
 use dmt::workloads::bench7::Gups;
 use dmt::workloads::gen::Workload;
 
@@ -27,7 +27,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let calib = calib_for("GUPS");
     let mut table = Table::new(
         "Nested virtualization (baseline = nested KVM: L2PT x sPT + exits)",
-        &["design", "walk latency (cyc)", "seq. refs", "exits", "app speedup"],
+        &[
+            "design",
+            "walk latency (cyc)",
+            "seq. refs",
+            "exits",
+            "app speedup",
+        ],
     );
     let mut base_cycles = 0u64;
     for design in [Design::Vanilla, Design::PvDmt] {

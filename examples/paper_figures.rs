@@ -7,11 +7,11 @@
 //! numbers recorded in EXPERIMENTS.md. Figures 4/14/15/17 and Table 7
 //! spread their cells over every core.
 
+use dmt::sim::ablation::{policy_comparison, register_sweep, threshold_sweep};
 use dmt::sim::experiments::{
     fig14, fig15, fig16, fig17, fig4, scaled_benchmark, table5, table6, table7, Fig4Row,
     FigureData, Scale, FIG14, FIG15, FIG17,
 };
-use dmt::sim::ablation::{policy_comparison, register_sweep, threshold_sweep};
 use dmt::sim::overheads::{hypercall_overhead, management_overhead, memory_overhead};
 use dmt::sim::perfmodel::geomean;
 use dmt::sim::report::{pct, speedup, table7_json, table7_table, Table};
@@ -22,7 +22,10 @@ fn print_figure(fig: &FigureData, designs: &[Design]) {
     for (thp, rows) in &fig.modes {
         let mode = if *thp { "THP" } else { "4KB" };
         let mut t = Table::new(
-            format!("{} — {} — page-walk / application speedup over vanilla", fig.label, mode),
+            format!(
+                "{} — {} — page-walk / application speedup over vanilla",
+                fig.label, mode
+            ),
             &{
                 let mut h = vec!["workload"];
                 h.extend(designs.iter().map(|d| d.name()));
@@ -76,7 +79,11 @@ fn print_figure(fig: &FigureData, designs: &[Design]) {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let full = std::env::args().any(|a| a == "--full");
-    let scale = if full { Scale::default() } else { Scale::test() };
+    let scale = if full {
+        Scale::default()
+    } else {
+        Scale::test()
+    };
     println!(
         "scale: mult4k={} thp_mult={} trace={} warmup={}  ({} mode)\n",
         scale.mult4k,
@@ -91,10 +98,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let t0 = std::time::Instant::now();
 
     // ---- Table 1 + Figure 5 ------------------------------------------
-    let mut t = Table::new("Table 1 — VMA characteristics", &["workload", "total", "99% cov.", "clusters"]);
+    let mut t = Table::new(
+        "Table 1 — VMA characteristics",
+        &["workload", "total", "99% cov.", "clusters"],
+    );
     for l in benchmark_layouts() {
         let c = characterize(&l, 0.02);
-        t.row(vec![l.name, c.total.to_string(), c.cov99.to_string(), c.clusters.to_string()]);
+        t.row(vec![
+            l.name,
+            c.total.to_string(),
+            c.cov99.to_string(),
+            c.clusters.to_string(),
+        ]);
     }
     println!("{t}");
 
@@ -106,14 +121,32 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for r in &rows {
         let cell = |(time, f): (f64, f64)| format!("{time:.2} ({})", pct(f));
-        t.row(vec![r.workload.clone(), cell(r.native), cell(r.virt_npt), cell(r.virt_spt), cell(r.nested)]);
+        t.row(vec![
+            r.workload.clone(),
+            cell(r.native),
+            cell(r.virt_npt),
+            cell(r.virt_spt),
+            cell(r.nested),
+        ]);
     }
     t.row(vec![
         "Geo. Mean".into(),
-        format!("{:.2}", geomean(&rows.iter().map(|r| r.native.0).collect::<Vec<_>>())),
-        format!("{:.2}", geomean(&rows.iter().map(|r| r.virt_npt.0).collect::<Vec<_>>())),
-        format!("{:.2}", geomean(&rows.iter().map(|r| r.virt_spt.0).collect::<Vec<_>>())),
-        format!("{:.2}", geomean(&rows.iter().map(|r| r.nested.0).collect::<Vec<_>>())),
+        format!(
+            "{:.2}",
+            geomean(&rows.iter().map(|r| r.native.0).collect::<Vec<_>>())
+        ),
+        format!(
+            "{:.2}",
+            geomean(&rows.iter().map(|r| r.virt_npt.0).collect::<Vec<_>>())
+        ),
+        format!(
+            "{:.2}",
+            geomean(&rows.iter().map(|r| r.virt_spt.0).collect::<Vec<_>>())
+        ),
+        format!(
+            "{:.2}",
+            geomean(&rows.iter().map(|r| r.nested.0).collect::<Vec<_>>())
+        ),
     ]);
     println!("{t}");
     println!("[{:?} elapsed]\n", t0.elapsed());
@@ -140,7 +173,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             &["step", "avg cycles", "share"],
         );
         for s in vanilla.iter().chain(pvdmt.iter()) {
-            t.row(vec![s.label.clone(), format!("{:.2}", s.avg_cycles), pct(s.share)]);
+            t.row(vec![
+                s.label.clone(),
+                format!("{:.2}", s.avg_cycles),
+                pct(s.share),
+            ]);
         }
         println!("{t}");
     }
@@ -158,7 +195,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .map(|(_, s)| speedup(*s))
                 .unwrap_or_else(|| "N/A".into())
         };
-        t.row(vec![row.setting.clone(), get(Design::Fpt), get(Design::Ecpt), get(Design::Agile), get(Design::Asap)]);
+        t.row(vec![
+            row.setting.clone(),
+            get(Design::Fpt),
+            get(Design::Ecpt),
+            get(Design::Agile),
+            get(Design::Asap),
+        ]);
     }
     println!("{t}");
 
@@ -215,13 +258,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- Ablations ----------------------------------------------------
     let mc = scaled_benchmark(1, scale, false).expect("Memcached index");
     let sweep = register_sweep(mc.as_ref(), &[1, 2, 4, 8, 16, 32], 20_000);
-    let mut t = Table::new("Ablation — register count vs fetcher coverage (Memcached)", &["registers", "coverage"]);
+    let mut t = Table::new(
+        "Ablation — register count vs fetcher coverage (Memcached)",
+        &["registers", "coverage"],
+    );
     for p in sweep {
         t.row(vec![p.registers.to_string(), pct(p.coverage)]);
     }
     println!("{t}");
 
-    let layout = benchmark_layouts().into_iter().find(|l| l.name == "Memcached").unwrap();
+    let layout = benchmark_layouts()
+        .into_iter()
+        .find(|l| l.name == "Memcached")
+        .unwrap();
     let pts = threshold_sweep(&layout, &[0.0, 0.005, 0.01, 0.02, 0.05, 0.10]);
     let mut t = Table::new(
         "Ablation — bubble threshold t (Memcached layout)",
@@ -275,7 +324,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .iter()
         .map(|p| format!("{}→{:.0}cyc", p.l2_entries, p.avg_walk_cycles))
         .collect();
-    println!("Extension — vanilla walk latency vs PWC L2 entries: {}", line.join(", "));
+    println!(
+        "Extension — vanilla walk latency vs PWC L2 entries: {}",
+        line.join(", ")
+    );
 
     println!("\ntotal elapsed: {:?}", t0.elapsed());
     Ok(())

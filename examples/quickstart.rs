@@ -7,8 +7,8 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use dmt::cache::hierarchy::MemoryHierarchy;
-use dmt::core::regfile::DmtRegisterFile;
 use dmt::core::fetcher;
+use dmt::core::regfile::DmtRegisterFile;
 use dmt::mem::{PhysMemory, VirtAddr};
 use dmt::os::proc::{Process, ThpMode};
 use dmt::os::vma::VmaKind;
@@ -36,13 +36,31 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Translate an address both ways through a cold cache hierarchy.
     let va = heap + 5 * 4096 + 0x123;
     let mut hier = MemoryHierarchy::default();
-    let walk = walk_dimension(proc.page_table(), &mut pm, va, WalkDim::Native, &mut hier, None)?;
+    let walk = walk_dimension(
+        proc.page_table(),
+        &mut pm,
+        va,
+        WalkDim::Native,
+        &mut hier,
+        None,
+    )?;
     let mut hier = MemoryHierarchy::default();
     let fetch = fetcher::fetch_native(&regs, &mut pm, &mut hier, va)?;
 
-    println!("x86 radix walk : {} sequential PTE fetches, {} cycles", walk.refs(), walk.cycles);
-    println!("DMT fetch      : {} sequential PTE fetch,  {} cycles", fetch.refs(), fetch.cycles);
-    assert_eq!(walk.pa, fetch.pa, "both mechanisms agree on the translation");
+    println!(
+        "x86 radix walk : {} sequential PTE fetches, {} cycles",
+        walk.refs(),
+        walk.cycles
+    );
+    println!(
+        "DMT fetch      : {} sequential PTE fetch,  {} cycles",
+        fetch.refs(),
+        fetch.cycles
+    );
+    assert_eq!(
+        walk.pa, fetch.pa,
+        "both mechanisms agree on the translation"
+    );
     println!("translated {va} -> {} under both mechanisms", fetch.pa);
     Ok(())
 }

@@ -4,11 +4,11 @@
 //!
 //! Run with: `cargo run --release --example virtualized_kv`
 
-use dmt::sim::Runner;
 use dmt::sim::perfmodel::{app_speedup, calib_for};
 use dmt::sim::report::{speedup, Table};
 use dmt::sim::rig::{Design, Env};
 use dmt::sim::virt_rig::VirtRig;
+use dmt::sim::Runner;
 use dmt::workloads::bench7::Redis;
 use dmt::workloads::gen::Workload;
 
@@ -31,7 +31,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let calib = calib_for("Redis");
     let mut table = Table::new(
         "Redis in a VM: translation designs (baseline = vanilla KVM)",
-        &["design", "walk latency (cyc)", "seq. refs", "VM exits", "app speedup"],
+        &[
+            "design",
+            "walk latency (cyc)",
+            "seq. refs",
+            "VM exits",
+            "app speedup",
+        ],
     );
     let mut base_cycles = 0u64;
     for design in [Design::Vanilla, Design::Shadow, Design::Dmt, Design::PvDmt] {

@@ -56,7 +56,10 @@ fn main() {
         println!("  (b) 99% Cov.: {}", cdf_line(&mut covs, &pct));
         println!("  (c) Clusters: {}", cdf_line(&mut clusters, &pct));
         let fits = chars.iter().filter(|c| c.clusters <= 16).count();
-        println!("  clusters fit in 16 DMT registers: {fits}/{}\n", chars.len());
+        println!(
+            "  clusters fit in 16 DMT registers: {fits}/{}\n",
+            chars.len()
+        );
     }
     println!("Every workload except Memcached needs at most a handful of VMAs for 99%");
     println!("coverage; Memcached's 778 slab VMAs collapse into 2 clusters — which is");

@@ -18,7 +18,7 @@
 
 use dmt::sim::report::{telemetry_json, Json};
 use dmt::sim::{Design, Engine, Env, Runner, Scale, SweepConfig};
-use dmt::sim::{SimError, Setup};
+use dmt::sim::{Setup, SimError};
 
 const ALL_DESIGNS: [Design; 10] = [
     Design::Vanilla,
@@ -103,7 +103,10 @@ fn per_cell_outcomes_match_pre_refactor_golden() {
     let rendered = sweep_snapshot(&runner);
 
     let path = golden_path();
-    if std::env::var("DMT_REGEN_GOLDEN").map(|v| v == "1").unwrap_or(false) {
+    if std::env::var("DMT_REGEN_GOLDEN")
+        .map(|v| v == "1")
+        .unwrap_or(false)
+    {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, &rendered).unwrap();
         return;
@@ -115,7 +118,8 @@ fn per_cell_outcomes_match_pre_refactor_golden() {
         )
     });
     assert_eq!(
-        rendered, golden,
+        rendered,
+        golden,
         "per-cell outcome drifted from the pre-refactor snapshot {}; a backend \
          changed behaviour (if intentional, regenerate with DMT_REGEN_GOLDEN=1)",
         path.display()
@@ -142,7 +146,8 @@ fn scalar_engine_cells_match_the_same_golden() {
         )
     });
     assert_eq!(
-        rendered, golden,
+        rendered,
+        golden,
         "scalar reference engine drifted from the shared snapshot {}; the batched \
          and scalar engines no longer agree at the full matrix",
         path.display()
@@ -182,9 +187,7 @@ fn registry_cells_construct_iff_available() {
                 Env::Native => {
                     NativeRig::with_setup(design, false, &setup).map(|r| Box::new(r) as _)
                 }
-                Env::Virt => {
-                    VirtRig::with_setup(design, false, &setup).map(|r| Box::new(r) as _)
-                }
+                Env::Virt => VirtRig::with_setup(design, false, &setup).map(|r| Box::new(r) as _),
                 Env::Nested => {
                     NestedRig::with_setup(design, false, &setup).map(|r| Box::new(r) as _)
                 }

@@ -84,7 +84,10 @@ fn assert_cell_equivalent(
     trace: &[Access],
     warmup: usize,
 ) -> Result<(), String> {
-    let scalar = Runner::builder().engine(Engine::Scalar).telemetry(true).build();
+    let scalar = Runner::builder()
+        .engine(Engine::Scalar)
+        .telemetry(true)
+        .build();
     let batched = Runner::builder().telemetry(true).build();
     let mut runs = Vec::new();
     for (label, runner) in [("scalar", &scalar), ("batched", &batched)] {

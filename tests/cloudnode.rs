@@ -47,9 +47,21 @@ fn mixed_node(design: Design) -> NodeConfig {
         false,
         scale(),
         vec![
-            TenantSpec { bench: 0, env: Env::Native, weight: 1 },
-            TenantSpec { bench: 2, env: Env::Virt, weight: 2 },
-            TenantSpec { bench: 4, env: Env::Native, weight: 1 },
+            TenantSpec {
+                bench: 0,
+                env: Env::Native,
+                weight: 1,
+            },
+            TenantSpec {
+                bench: 2,
+                env: Env::Virt,
+                weight: 2,
+            },
+            TenantSpec {
+                bench: 4,
+                env: Env::Native,
+                weight: 1,
+            },
         ],
     )
     .quantum(256)
@@ -59,8 +71,14 @@ fn mixed_node(design: Design) -> NodeConfig {
 #[test]
 fn same_config_is_bit_identical() {
     let runner = Runner::builder().build();
-    let a = runner.run_node(&mixed_node(Design::Dmt)).expect("node runs").0;
-    let b = runner.run_node(&mixed_node(Design::Dmt)).expect("node runs").0;
+    let a = runner
+        .run_node(&mixed_node(Design::Dmt))
+        .expect("node runs")
+        .0;
+    let b = runner
+        .run_node(&mixed_node(Design::Dmt))
+        .expect("node runs")
+        .0;
     assert_eq!(a, b, "same NodeConfig must replay bit-identically");
     assert!(a.node.accesses > 0 && a.node.walks > 0);
 }
@@ -74,7 +92,9 @@ fn observation_hooks_do_not_perturb_the_node() {
     let plain = Runner::builder().build().run_node(&cfg).expect("plain").0;
     let with_tel = Runner::builder().telemetry(true).build();
     let (tel_stats, tel) = with_tel.run_node(&cfg).expect("telemetry");
-    let with_oracle = Runner::builder().rig_wrapper(dmt::oracle::wrapper()).build();
+    let with_oracle = Runner::builder()
+        .rig_wrapper(dmt::oracle::wrapper())
+        .build();
     let oracle_stats = with_oracle.run_node(&cfg).expect("oracle").0;
     let with_both = Runner::builder()
         .telemetry(true)
@@ -89,7 +109,10 @@ fn observation_hooks_do_not_perturb_the_node() {
     // The telemetry actually recorded the multi-tenant events it
     // watched, and agrees with the NodeStats counters.
     let t = tel.expect("telemetry runner returns a block");
-    assert_eq!(t.counters.get(Counter::ContextSwitches), plain.context_switches);
+    assert_eq!(
+        t.counters.get(Counter::ContextSwitches),
+        plain.context_switches
+    );
     assert_eq!(t.counters.get(Counter::TaggedFlushes), plain.tagged_flushes);
     assert_eq!(
         t.counters.get(Counter::CrossTenantShootdowns),
@@ -116,7 +139,11 @@ fn one_tenant_node_degenerates_to_the_single_rig_engine() {
                 design,
                 false,
                 scale(),
-                vec![TenantSpec { bench: 0, env, weight: 1 }],
+                vec![TenantSpec {
+                    bench: 0,
+                    env,
+                    weight: 1,
+                }],
             );
             let node = runner.run_node(&cfg).expect("node runs").0;
             assert_eq!(
@@ -146,7 +173,11 @@ fn one_tenant_telemetry_matches_the_single_rig_engine() {
         Design::Dmt,
         false,
         scale(),
-        vec![TenantSpec { bench: 0, env: Env::Native, weight: 1 }],
+        vec![TenantSpec {
+            bench: 0,
+            env: Env::Native,
+            weight: 1,
+        }],
     );
     let (_, tel) = runner.run_node(&cfg).expect("node runs");
     let node_t = tel.expect("telemetry on");
@@ -171,7 +202,10 @@ fn scalar_and_batched_node_engines_agree() {
     for design in [Design::Dmt, Design::Vanilla] {
         let cfg = mixed_node(design);
         let batched = Runner::builder().telemetry(true).build();
-        let scalar = Runner::builder().engine(Engine::Scalar).telemetry(true).build();
+        let scalar = Runner::builder()
+            .engine(Engine::Scalar)
+            .telemetry(true)
+            .build();
         let (b_stats, b_tel) = batched.run_node(&cfg).expect("batched node");
         let (s_stats, s_tel) = scalar.run_node(&cfg).expect("scalar node");
         assert_eq!(
@@ -179,7 +213,10 @@ fn scalar_and_batched_node_engines_agree() {
             "{design:?}: batched node diverged from the scalar reference"
         );
         assert_eq!(b_stats.tagged_flushes, s_stats.tagged_flushes);
-        assert_eq!(b_stats.cross_tenant_shootdowns, s_stats.cross_tenant_shootdowns);
+        assert_eq!(
+            b_stats.cross_tenant_shootdowns,
+            s_stats.cross_tenant_shootdowns
+        );
         let (b_t, s_t) = (b_tel.expect("telemetry on"), s_tel.expect("telemetry on"));
         for c in Counter::ALL {
             assert_eq!(
@@ -206,7 +243,11 @@ fn one_tenant_node_block_path_matches_the_single_rig_engine() {
             Design::Dmt,
             false,
             scale(),
-            vec![TenantSpec { bench: 0, env: Env::Native, weight: 1 }],
+            vec![TenantSpec {
+                bench: 0,
+                env: Env::Native,
+                weight: 1,
+            }],
         )
         .quantum(quantum);
         let node = runner.run_node(&cfg).expect("node runs").0;
@@ -252,7 +293,9 @@ fn oracle_audits_hold_under_cross_tenant_churn() {
     // Every tenant rig wrapped in the differential oracle, plus the
     // shared-buddy audit after each kill and at end of run: allocator
     // or translation drift under churn fails loudly here.
-    let runner = Runner::builder().rig_wrapper(dmt::oracle::wrapper()).build();
+    let runner = Runner::builder()
+        .rig_wrapper(dmt::oracle::wrapper())
+        .build();
     for design in [Design::Vanilla, Design::Dmt] {
         for tagging in [Tagging::Tagged, Tagging::Untagged] {
             let cfg = mixed_node(design).tagging(tagging);
@@ -272,7 +315,11 @@ fn cross_tenant_shootdowns_count_only_other_tenants() {
         Design::Vanilla,
         false,
         scale(),
-        vec![TenantSpec { bench: 0, env: Env::Native, weight: 1 }],
+        vec![TenantSpec {
+            bench: 0,
+            env: Env::Native,
+            weight: 1,
+        }],
     )
     .churn(4, 1);
     let stats = runner.run_node(&cfg).expect("node runs").0;
@@ -284,8 +331,16 @@ fn cross_tenant_shootdowns_count_only_other_tenants() {
         false,
         scale(),
         vec![
-            TenantSpec { bench: 0, env: Env::Native, weight: 1 },
-            TenantSpec { bench: 0, env: Env::Native, weight: 1 },
+            TenantSpec {
+                bench: 0,
+                env: Env::Native,
+                weight: 1,
+            },
+            TenantSpec {
+                bench: 0,
+                env: Env::Native,
+                weight: 1,
+            },
         ],
     )
     .churn(4, 1)
@@ -306,14 +361,22 @@ fn invalid_configs_are_rejected_before_provisioning() {
         Design::Vanilla,
         false,
         scale(),
-        vec![TenantSpec { bench: 99, env: Env::Native, weight: 1 }],
+        vec![TenantSpec {
+            bench: 99,
+            env: Env::Native,
+            weight: 1,
+        }],
     );
     assert!(runner.run_node(&bad_bench).is_err());
     let na_cell = NodeConfig::new(
         Design::Dmt,
         false,
         scale(),
-        vec![TenantSpec { bench: 0, env: Env::Nested, weight: 1 }],
+        vec![TenantSpec {
+            bench: 0,
+            env: Env::Nested,
+            weight: 1,
+        }],
     );
     assert!(runner.run_node(&na_cell).is_err());
 }

@@ -68,7 +68,11 @@ fn drive<R: Rig>(mut checked: Checked<R>, vas: &[VirtAddr]) -> Vec<String> {
     for &va in vas {
         checked.translate(va, &mut hier);
     }
-    checked.divergences().iter().map(|d| d.to_string()).collect()
+    checked
+        .divergences()
+        .iter()
+        .map(|d| d.to_string())
+        .collect()
 }
 
 proptest! {

@@ -3,11 +3,11 @@
 //! on the final physical address for every access.
 
 use dmt::cache::hierarchy::MemoryHierarchy;
-use dmt::sim::Runner;
-use dmt::sim::rig::{Design, Env, Rig};
-use dmt::sim::virt_rig::VirtRig;
 use dmt::sim::native_rig::NativeRig;
 use dmt::sim::nested_rig::NestedRig;
+use dmt::sim::rig::{Design, Env, Rig};
+use dmt::sim::virt_rig::VirtRig;
+use dmt::sim::Runner;
 use dmt::workloads::bench7::{Memcached, Redis};
 use dmt::workloads::gen::Workload;
 

@@ -24,7 +24,9 @@ fn rust_sources(root: &Path) -> Vec<PathBuf> {
         .map(|d| root.join(d))
         .collect();
     while let Some(dir) = stack.pop() {
-        let Ok(entries) = std::fs::read_dir(&dir) else { continue };
+        let Ok(entries) = std::fs::read_dir(&dir) else {
+            continue;
+        };
         for entry in entries.flatten() {
             let path = entry.path();
             if path.is_dir() {
@@ -68,7 +70,9 @@ fn design_dispatch_is_confined_to_the_registry_layer() {
         if is_allowlisted_dir(path) {
             continue;
         }
-        let Ok(source) = std::fs::read_to_string(path) else { continue };
+        let Ok(source) = std::fs::read_to_string(path) else {
+            continue;
+        };
         for (i, line) in source.lines().enumerate() {
             if !is_design_dispatch(line) {
                 continue;

@@ -4,12 +4,12 @@
 //! what makes sweep results reproducible and the oracle's divergence
 //! indices stable across reruns.
 
-use dmt::sim::RunStats;
 use dmt::sim::native_rig::NativeRig;
 use dmt::sim::sweep::{matrix, SweepConfig};
-use dmt::sim::Runner;
 use dmt::sim::virt_rig::VirtRig;
 use dmt::sim::Design;
+use dmt::sim::RunStats;
+use dmt::sim::Runner;
 use dmt::telemetry::Telemetry;
 use dmt::workloads::bench7::Gups;
 use dmt::workloads::gen::Workload;
@@ -41,7 +41,10 @@ fn native_cell_is_deterministic() {
     let (stats_a, hash_a) = native_cell(Design::Dmt);
     let (stats_b, hash_b) = native_cell(Design::Dmt);
     assert_eq!(stats_a, stats_b, "RunStats must be seed-deterministic");
-    assert_eq!(hash_a, hash_b, "allocator end state must be seed-deterministic");
+    assert_eq!(
+        hash_a, hash_b,
+        "allocator end state must be seed-deterministic"
+    );
 }
 
 #[test]
@@ -107,8 +110,15 @@ fn parallel_sweep_telemetry_matches_serial() {
     for (p, s) in par.rows.iter().zip(&ser.rows) {
         assert_eq!(p.outcome(), s.outcome());
         let (pt, st) = (p.telemetry.as_ref().unwrap(), s.telemetry.as_ref().unwrap());
-        assert_eq!(pt, st, "row {}/{:?}: parallel telemetry != serial", p.workload, p.design);
-        assert!(pt.walk_latency.count() > 0, "telemetry rows must be populated");
+        assert_eq!(
+            pt, st,
+            "row {}/{:?}: parallel telemetry != serial",
+            p.workload, p.design
+        );
+        assert!(
+            pt.walk_latency.count() > 0,
+            "telemetry rows must be populated"
+        );
     }
 }
 

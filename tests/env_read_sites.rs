@@ -30,7 +30,9 @@ fn rust_sources(root: &Path) -> Vec<PathBuf> {
         .map(|d| root.join(d))
         .collect();
     while let Some(dir) = stack.pop() {
-        let Ok(entries) = std::fs::read_dir(&dir) else { continue };
+        let Ok(entries) = std::fs::read_dir(&dir) else {
+            continue;
+        };
         for entry in entries.flatten() {
             let path = entry.path();
             let name = entry.file_name();
@@ -87,7 +89,9 @@ fn dmt_env_vars_are_read_in_exactly_one_place() {
 
     let mut reads: Vec<(PathBuf, String, usize)> = Vec::new();
     for path in &sources {
-        let Ok(source) = std::fs::read_to_string(path) else { continue };
+        let Ok(source) = std::fs::read_to_string(path) else {
+            continue;
+        };
         for (name, at) in dmt_reads(&source) {
             reads.push((path.clone(), name, at));
         }

@@ -134,7 +134,10 @@ fn five_level_tables_hurt_radix_not_dmt() {
 fn context_switching_preserves_dmt_advantage() {
     let (vanilla, dmt, cov) =
         dmt::sim::experiments::ext_context_switch(&Runner::from_env(), small(), 500).unwrap();
-    assert!(dmt < vanilla, "DMT {dmt} !< vanilla {vanilla} under switching");
+    assert!(
+        dmt < vanilla,
+        "DMT {dmt} !< vanilla {vanilla} under switching"
+    );
     assert!(cov > 0.999, "register reload keeps full coverage: {cov}");
 }
 

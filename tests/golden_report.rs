@@ -40,10 +40,16 @@ fn fixture() -> Json {
                     .set("coverage", Json::F64(1.0)),
             ]),
         )
-        .set("notes", Json::Str("tab\there, quote\"here, line\nbreak".into()))
+        .set(
+            "notes",
+            Json::Str("tab\there, quote\"here, line\nbreak".into()),
+        )
         .set("empty_rows", Json::Arr(vec![]))
         .set("empty_meta", Json::obj())
-        .set("mixed", Json::Arr(vec![Json::U64(1), Json::Bool(true), Json::F64(2.5)]))
+        .set(
+            "mixed",
+            Json::Arr(vec![Json::U64(1), Json::Bool(true), Json::F64(2.5)]),
+        )
 }
 
 fn golden_path() -> std::path::PathBuf {
@@ -57,15 +63,23 @@ fn golden_path() -> std::path::PathBuf {
 fn json_rendering_matches_golden_file() {
     let rendered = format!("{}\n", fixture());
     let path = golden_path();
-    if std::env::var("DMT_REGEN_GOLDEN").map(|v| v == "1").unwrap_or(false) {
+    if std::env::var("DMT_REGEN_GOLDEN")
+        .map(|v| v == "1")
+        .unwrap_or(false)
+    {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, &rendered).unwrap();
         return;
     }
-    let golden = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden file {} ({e}); regenerate with DMT_REGEN_GOLDEN=1", path.display()));
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden file {} ({e}); regenerate with DMT_REGEN_GOLDEN=1",
+            path.display()
+        )
+    });
     assert_eq!(
-        rendered, golden,
+        rendered,
+        golden,
         "JSON rendering drifted from {}; if intentional, regenerate with DMT_REGEN_GOLDEN=1",
         path.display()
     );

@@ -58,7 +58,10 @@ fn golden_path() -> std::path::PathBuf {
 fn telemetry_json_matches_golden_file() {
     let rendered = format!("{}\n", telemetry_json(&fixture()));
     let path = golden_path();
-    if std::env::var("DMT_REGEN_GOLDEN").map(|v| v == "1").unwrap_or(false) {
+    if std::env::var("DMT_REGEN_GOLDEN")
+        .map(|v| v == "1")
+        .unwrap_or(false)
+    {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, &rendered).unwrap();
         return;
@@ -70,7 +73,8 @@ fn telemetry_json_matches_golden_file() {
         )
     });
     assert_eq!(
-        rendered, golden,
+        rendered,
+        golden,
         "telemetry JSON drifted from {}; if intentional, regenerate with DMT_REGEN_GOLDEN=1",
         path.display()
     );
@@ -91,7 +95,10 @@ fn telemetry_json_structural_invariants() {
         "tea_migrations",
         "shootdowns",
     ] {
-        assert!(json.contains(&format!("\"{name}\"")), "missing counter {name}");
+        assert!(
+            json.contains(&format!("\"{name}\"")),
+            "missing counter {name}"
+        );
     }
     // walk(0, ...) lands in the zero bucket; walk(256, ...) in [256, 511].
     assert!(json.contains("\"lo\": 0"));

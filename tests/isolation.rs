@@ -3,10 +3,10 @@
 //! its own gTEAs.
 
 use dmt::cache::hierarchy::MemoryHierarchy;
+use dmt::core::fetcher;
 use dmt::core::regfile::DmtRegisterFile;
 use dmt::core::vtmap::VmaTeaMapping;
 use dmt::core::DmtError;
-use dmt::core::fetcher;
 use dmt::mem::{PageSize, Pfn, VirtAddr};
 use dmt::virt::machine::{GuestTeaMode, VirtMachine};
 
@@ -24,12 +24,24 @@ fn forged_gtea_id_faults() {
     let gva = VirtAddr(0x7f00_0000_0000);
     let legit = m.guest_mappings()[0];
     // Rewrite the guest register with a never-issued ID.
-    let forged = VmaTeaMapping::new(legit.base(), legit.covered_bytes(), PageSize::Size4K, Pfn(0))
-        .with_gtea_id(4242);
+    let forged = VmaTeaMapping::new(
+        legit.base(),
+        legit.covered_bytes(),
+        PageSize::Size4K,
+        Pfn(0),
+    )
+    .with_gtea_id(4242);
     let mut regs = DmtRegisterFile::new();
     regs.load(&[forged]);
     let mut hier = MemoryHierarchy::default();
-    let err = fetcher::fetch_virt_pv(&regs, &m.gtea_table, &m.host_regs, &mut m.pm, &mut hier, gva);
+    let err = fetcher::fetch_virt_pv(
+        &regs,
+        &m.gtea_table,
+        &m.host_regs,
+        &mut m.pm,
+        &mut hier,
+        gva,
+    );
     assert!(matches!(err, Err(DmtError::InvalidGteaId { id: 4242 })));
 }
 
@@ -40,13 +52,20 @@ fn out_of_bounds_offset_faults() {
     let id = legit.gtea_id().unwrap();
     // A register claiming a coverage far larger than the granted gTEA:
     // offsets beyond the grant must fault, not read host memory.
-    let oversized = VmaTeaMapping::new(legit.base(), 1 << 30, PageSize::Size4K, Pfn(0))
-        .with_gtea_id(id);
+    let oversized =
+        VmaTeaMapping::new(legit.base(), 1 << 30, PageSize::Size4K, Pfn(0)).with_gtea_id(id);
     let mut regs = DmtRegisterFile::new();
     regs.load(&[oversized]);
     let far = VirtAddr(legit.base().raw() + (512 << 20));
     let mut hier = MemoryHierarchy::default();
-    let err = fetcher::fetch_virt_pv(&regs, &m.gtea_table, &m.host_regs, &mut m.pm, &mut hier, far);
+    let err = fetcher::fetch_virt_pv(
+        &regs,
+        &m.gtea_table,
+        &m.host_regs,
+        &mut m.pm,
+        &mut hier,
+        far,
+    );
     assert!(
         matches!(err, Err(DmtError::GteaOutOfBounds { .. })),
         "got {err:?}"
@@ -60,7 +79,12 @@ fn guest_cannot_point_registers_at_raw_host_frames() {
     // A register with a raw host PFN but no gTEA ID: the pv fetch path
     // must refuse (the hardware only dereferences via the gTEA table).
     let legit = m.guest_mappings()[0];
-    let raw = VmaTeaMapping::new(legit.base(), legit.covered_bytes(), PageSize::Size4K, Pfn(0x1234));
+    let raw = VmaTeaMapping::new(
+        legit.base(),
+        legit.covered_bytes(),
+        PageSize::Size4K,
+        Pfn(0x1234),
+    );
     assert_eq!(raw.gtea_id(), None);
     let mut regs = DmtRegisterFile::new();
     regs.load(&[raw]);
@@ -70,7 +94,14 @@ fn guest_cannot_point_registers_at_raw_host_frames() {
     // guest's *own* address space resolution and must not return data
     // from host frame 0x1234. We assert the outcome is a fault or a
     // translation that differs from the host frame the guest hoped for.
-    match fetcher::fetch_virt_pv(&regs, &m.gtea_table, &m.host_regs, &mut m.pm, &mut hier, gva) {
+    match fetcher::fetch_virt_pv(
+        &regs,
+        &m.gtea_table,
+        &m.host_regs,
+        &mut m.pm,
+        &mut hier,
+        gva,
+    ) {
         Err(_) => {}
         Ok(out) => assert_ne!(
             out.pa.raw() >> 12,
@@ -91,6 +122,13 @@ fn revoked_gtea_faults_after_removal() {
     let mut regs = DmtRegisterFile::new();
     regs.load(&[legit]);
     let mut hier = MemoryHierarchy::default();
-    let err = fetcher::fetch_virt_pv(&regs, &m.gtea_table, &m.host_regs, &mut m.pm, &mut hier, gva);
+    let err = fetcher::fetch_virt_pv(
+        &regs,
+        &m.gtea_table,
+        &m.host_regs,
+        &mut m.pm,
+        &mut hier,
+        gva,
+    );
     assert!(matches!(err, Err(DmtError::InvalidGteaId { .. })));
 }

@@ -33,7 +33,14 @@ fn gtea_ids_do_not_leak_across_vms() {
     regs.load(&[a_mapping]);
     let mut hier = MemoryHierarchy::default();
     let a_pa = a.translate_pvdmt(base, &mut hier).unwrap().pa;
-    match fetcher::fetch_virt_pv(&regs, &b.gtea_table, &b.host_regs, &mut b.pm, &mut hier, base) {
+    match fetcher::fetch_virt_pv(
+        &regs,
+        &b.gtea_table,
+        &b.host_regs,
+        &mut b.pm,
+        &mut hier,
+        base,
+    ) {
         // Fault is fine (ID not issued / bounds exceeded in B).
         Err(_) => {}
         // If B happens to have a same-numbered gTEA, the fetch resolves
@@ -51,10 +58,14 @@ fn context_switch_reloads_registers_and_flushes_tlb() {
     let heap_a = VirtAddr(0x10_0000_0000);
     let heap_b = VirtAddr(0x20_0000_0000);
     let mut proc_a = Process::new(&mut pm, ThpMode::Never).unwrap();
-    proc_a.mmap(&mut pm, heap_a, 8 << 20, VmaKind::Heap).unwrap();
+    proc_a
+        .mmap(&mut pm, heap_a, 8 << 20, VmaKind::Heap)
+        .unwrap();
     proc_a.populate_range(&mut pm, heap_a, 8 << 20).unwrap();
     let mut proc_b = Process::new(&mut pm, ThpMode::Never).unwrap();
-    proc_b.mmap(&mut pm, heap_b, 8 << 20, VmaKind::Heap).unwrap();
+    proc_b
+        .mmap(&mut pm, heap_b, 8 << 20, VmaKind::Heap)
+        .unwrap();
     proc_b.populate_range(&mut pm, heap_b, 8 << 20).unwrap();
 
     let mut regs = DmtRegisterFile::new();
@@ -63,7 +74,9 @@ fn context_switch_reloads_registers_and_flushes_tlb() {
 
     // Run on A.
     proc_a.load_registers(&mut regs);
-    let pa_a = fetcher::fetch_native(&regs, &mut pm, &mut hier, heap_a).unwrap().pa;
+    let pa_a = fetcher::fetch_native(&regs, &mut pm, &mut hier, heap_a)
+        .unwrap()
+        .pa;
     assert_eq!(pa_a, proc_a.page_table().translate(&pm, heap_a).unwrap().0);
     assert!(!regs.covers(heap_b), "A's registers do not cover B");
 
@@ -73,7 +86,9 @@ fn context_switch_reloads_registers_and_flushes_tlb() {
     tlb.flush();
     assert!(regs.covers(heap_b));
     assert!(!regs.covers(heap_a), "B's registers do not cover A");
-    let pa_b = fetcher::fetch_native(&regs, &mut pm, &mut hier, heap_b).unwrap().pa;
+    let pa_b = fetcher::fetch_native(&regs, &mut pm, &mut hier, heap_b)
+        .unwrap()
+        .pa;
     assert_eq!(pa_b, proc_b.page_table().translate(&pm, heap_b).unwrap().0);
 
     // The two processes' translations are disjoint physical frames even

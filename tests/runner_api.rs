@@ -6,7 +6,7 @@
 
 use dmt::sim::native_rig::NativeRig;
 use dmt::sim::sweep::SweepConfig;
-use dmt::sim::{Design, Engine, Env, Runner, RunStats, Scale, Setup, SimError};
+use dmt::sim::{Design, Engine, Env, RunStats, Runner, Scale, Setup, SimError};
 use dmt::workloads::bench7::Gups;
 use dmt::workloads::gen::Workload;
 
@@ -43,8 +43,14 @@ fn batched_and_scalar_engines_are_bit_identical() {
 fn engine_selector_drives_the_replay_path() {
     // The deprecated `scalar_engine(bool)` shim is retired; the typed
     // selector is the only spelling and it must actually steer replay.
-    assert_eq!(Runner::builder().engine(Engine::Scalar).build().engine(), Engine::Scalar);
-    assert_eq!(Runner::builder().engine(Engine::Batched).build().engine(), Engine::Batched);
+    assert_eq!(
+        Runner::builder().engine(Engine::Scalar).build().engine(),
+        Engine::Scalar
+    );
+    assert_eq!(
+        Runner::builder().engine(Engine::Batched).build().engine(),
+        Engine::Batched
+    );
     let via_selector = {
         let w = cell_workload();
         let trace = w.trace(6_000, 0xD317 ^ Design::Dmt as u64);
@@ -127,10 +133,14 @@ fn telemetry_toggle_does_not_change_stats() {
 
 #[test]
 fn builder_validation_reports_typed_errors_with_legacy_text() {
-    let err = SweepConfig::builder().benchmarks(vec![9]).build().unwrap_err();
+    let err = SweepConfig::builder()
+        .benchmarks(vec![9])
+        .build()
+        .unwrap_err();
     assert!(matches!(err, SimError::BenchIndex { index: 9, count: 7 }));
     assert!(
-        err.to_string().starts_with("benchmark index 9 out of range"),
+        err.to_string()
+            .starts_with("benchmark index 9 out of range"),
         "Display must keep the historical message prefix: {err}"
     );
     let err = SweepConfig::builder().thp(Vec::new()).build().unwrap_err();

@@ -130,7 +130,10 @@ fn sharded_replay_matches_the_scalar_reference() {
     // here runs the scalar one. Equality composes the PR 7 contract
     // (batched == scalar per segment) with the shard merge proof.
     let cell = gups_cell(6_000, 500);
-    let scalar = Runner::builder().engine(Engine::Scalar).epoch_len(EPOCH).build();
+    let scalar = Runner::builder()
+        .engine(Engine::Scalar)
+        .epoch_len(EPOCH)
+        .build();
     let (ref_stats, _, ref_hash) = serial_reference(
         &scalar,
         Env::Native,

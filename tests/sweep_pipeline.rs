@@ -60,10 +60,8 @@ fn sharded_sweep_parallel_equals_serial_under_every_hook_combination() {
     // stats, telemetry. In-memory traces and disk-spilled (seekable v2)
     // traces must also agree with each other, since the sharded path
     // decodes spilled chunks itself.
-    let spill = std::env::temp_dir().join(format!(
-        "dmt-sharded-sweep-selftest-{}",
-        std::process::id()
-    ));
+    let spill =
+        std::env::temp_dir().join(format!("dmt-sharded-sweep-selftest-{}", std::process::id()));
     let mut cfg = SweepConfig::test();
     cfg.threads = 4;
     for telemetry in [false, true] {
@@ -82,15 +80,29 @@ fn sharded_sweep_parallel_equals_serial_under_every_hook_combination() {
             let ser = runner.sweep_serial(&cfg).unwrap();
             assert_eq!(par.rows.len(), matrix(&cfg).len(), "{label}");
             for (p, s) in par.rows.iter().zip(&ser.rows) {
-                assert_eq!(p.outcome(), s.outcome(), "{label}: sharded parallel != serial");
-                assert_eq!(p.telemetry, s.telemetry, "{label}: sharded telemetry diverged");
+                assert_eq!(
+                    p.outcome(),
+                    s.outcome(),
+                    "{label}: sharded parallel != serial"
+                );
+                assert_eq!(
+                    p.telemetry, s.telemetry,
+                    "{label}: sharded telemetry diverged"
+                );
             }
             assert!(par.rows.iter().all(|r| r.stats.accesses > 0), "{label}");
             // Spilled traces replay through TraceFile chunks — same rows.
             let spilled = base().spill_traces(&spill).build().sweep(&cfg).unwrap();
             for (p, d) in par.rows.iter().zip(&spilled.rows) {
-                assert_eq!(p.outcome(), d.outcome(), "{label}: spilled sharded != memory");
-                assert_eq!(p.telemetry, d.telemetry, "{label}: spilled telemetry diverged");
+                assert_eq!(
+                    p.outcome(),
+                    d.outcome(),
+                    "{label}: spilled sharded != memory"
+                );
+                assert_eq!(
+                    p.telemetry, d.telemetry,
+                    "{label}: spilled telemetry diverged"
+                );
             }
         }
     }
@@ -106,7 +118,10 @@ fn each_trace_materializes_exactly_once() {
     let mut cfg = SweepConfig::test();
     cfg.threads = 4;
     let runner = Runner::builder().build();
-    for report in [runner.sweep(&cfg).unwrap(), runner.sweep_serial(&cfg).unwrap()] {
+    for report in [
+        runner.sweep(&cfg).unwrap(),
+        runner.sweep_serial(&cfg).unwrap(),
+    ] {
         assert_eq!(report.rows.len(), 4);
         assert_eq!(report.unique_traces, 2, "2 benchmarks × 1 THP mode");
         assert_eq!(
@@ -125,7 +140,9 @@ fn design_cells_share_one_trace_stream() {
     let cfg = SweepConfig::test();
     let report = Runner::builder().build().sweep_serial(&cfg).unwrap();
     for pair in report.rows.chunks(2) {
-        let [a, b] = pair else { panic!("2 designs per benchmark") };
+        let [a, b] = pair else {
+            panic!("2 designs per benchmark")
+        };
         assert_eq!(a.workload, b.workload);
         assert_eq!(a.stats.accesses, b.stats.accesses);
     }
@@ -137,7 +154,10 @@ fn empty_matrix_is_a_typed_error_not_zero_rows() {
     cfg.designs = Vec::new();
     let runner = Runner::builder().build();
     assert_eq!(runner.sweep(&cfg).unwrap_err(), SimError::EmptyMatrix);
-    assert_eq!(runner.sweep_serial(&cfg).unwrap_err(), SimError::EmptyMatrix);
+    assert_eq!(
+        runner.sweep_serial(&cfg).unwrap_err(),
+        SimError::EmptyMatrix
+    );
 }
 
 /// The CI `sweep` job's payload (run with `--include-ignored`): the

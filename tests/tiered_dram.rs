@@ -8,7 +8,7 @@
 use dmt::sim::native_rig::NativeRig;
 use dmt::sim::report::telemetry_json;
 use dmt::sim::virt_rig::VirtRig;
-use dmt::sim::{Design, Engine, Rig, Runner, RunStats};
+use dmt::sim::{Design, Engine, Rig, RunStats, Runner};
 use dmt::telemetry::Telemetry;
 use dmt::workloads::bench7::Gups;
 use dmt::workloads::gen::{Access, Workload};
@@ -65,7 +65,10 @@ fn tiered_dmt_pays_slow_tier_latency_the_flat_run_never_sees() {
     );
     let flat_json = telemetry_json(&flat_tel.unwrap()).to_string();
     let tiered_json = telemetry_json(&tiered_tel.unwrap()).to_string();
-    assert_ne!(flat_json, tiered_json, "telemetry must expose the tier split");
+    assert_ne!(
+        flat_json, tiered_json,
+        "telemetry must expose the tier split"
+    );
 }
 
 #[test]
