@@ -16,7 +16,7 @@ use dmt_pgtable::pte::Pte;
 use dmt_pgtable::radix::RadixPageTable;
 use dmt_pgtable::walk::{walk_dimension, WalkDim, WalkStep};
 
-/// Outcome of an agile-paging walk.
+/// Result of an agile-paging walk.
 #[derive(Debug, Clone)]
 pub struct AgileOutcome {
     /// Translated host-physical address.

@@ -140,7 +140,7 @@ pub struct EcptStep {
     pub cycles: u64,
 }
 
-/// Outcome of an ECPT translation.
+/// Result of an ECPT translation.
 #[derive(Debug, Clone)]
 pub struct EcptOutcome {
     /// Translated physical address.

@@ -44,7 +44,7 @@ pub struct FptStep {
     pub cycles: u64,
 }
 
-/// Outcome of an FPT translation.
+/// Result of an FPT translation.
 #[derive(Debug, Clone)]
 pub struct FptOutcome {
     /// Translated physical address.

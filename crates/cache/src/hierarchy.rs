@@ -238,32 +238,6 @@ impl TagArray {
         self.set(set).contains(&tag)
     }
 
-    /// Hint the host CPU to pull `line`'s set into its own caches.
-    #[inline]
-    fn prefetch(&self, line: u64) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            let (set, _) = self.locate(line);
-            let ways = self.set(set).as_ptr_range();
-            // A set may straddle host lines: touch every 64 bytes of it,
-            // then its last tag.
-            // SAFETY: `_mm_prefetch` needs only SSE, which every x86-64
-            // CPU has; a prefetch never faults, reads into the program
-            // or writes, whatever the address.
-            unsafe {
-                let mut p = ways.start;
-                while p < ways.end {
-                    _mm_prefetch::<_MM_HINT_T0>(p.cast());
-                    p = p.wrapping_add(16);
-                }
-                _mm_prefetch::<_MM_HINT_T0>(ways.end.wrapping_sub(1).cast());
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = line;
-    }
-
     fn flush(&mut self) {
         self.tags.fill(0);
     }
@@ -347,19 +321,6 @@ impl MemoryHierarchy {
         let line = paddr >> LINE_SHIFT;
         self.llc.access(line);
         self.l2.access(line);
-    }
-
-    /// Hint the host CPU to pull every level's set of `paddr` into its
-    /// own caches. No simulated state change: the batched engine calls
-    /// this for upcoming accesses whose addresses it already knows,
-    /// overlapping the host cache misses that an element-at-a-time walk
-    /// would serialize.
-    #[inline]
-    pub fn prefetch(&self, paddr: u64) {
-        let line = paddr >> LINE_SHIFT;
-        self.l1.prefetch(line);
-        self.l2.prefetch(line);
-        self.llc.prefetch(line);
     }
 
     /// Whether the line containing `paddr` currently resides at or above

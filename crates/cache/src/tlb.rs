@@ -391,9 +391,9 @@ impl Tlb {
     }
 
     /// Probe every page size without touching LRU state or counters —
-    /// the read-only twin of [`lookup_any`](Self::lookup_any). The
-    /// batched engine uses it to decide whether an access may join a
-    /// pending miss run without taking its lookup yet.
+    /// the read-only twin of [`lookup_any`](Self::lookup_any), and the
+    /// element-wise reference [`probe_block`](Self::probe_block) is
+    /// tested against.
     pub fn probe_any(&self, va: VirtAddr) -> bool {
         if !self.units.is_empty() && self.unit_index(va).is_some() {
             return true;
@@ -471,15 +471,6 @@ impl Tlb {
                 }
             }
         }
-    }
-
-    /// Account a full-miss [`lookup_any`](Self::lookup_any) whose
-    /// absence was already proven via [`probe_any`](Self::probe_any),
-    /// without rescanning the sets: a failed lookup moves no recency
-    /// state, so it leaves exactly the miss count behind.
-    pub fn record_miss(&mut self, va: VirtAddr) {
-        debug_assert!(!self.probe_any(va), "record_miss on a resident VA");
-        self.stats.misses += 1;
     }
 
     /// Install a translation with no frame known: the entry records the
@@ -1027,58 +1018,5 @@ mod tests {
             assert_eq!(hits[i], t.probe_any(va), "element {i}");
         }
         assert!(hits.iter().any(|&h| h) && hits.iter().any(|&h| !h));
-    }
-
-    #[test]
-    fn unit_misses_keep_record_miss_equivalence() {
-        // The record_miss/lookup_any equivalence contract must hold
-        // with unit entries resident: a failed unit scan is stateless.
-        let mut a = Tlb::new(TlbConfig::tiny());
-        let mut b = Tlb::new(TlbConfig::tiny());
-        for t in [&mut a, &mut b] {
-            t.fill_unit(TransUnit {
-                base: VirtAddr(0x90_0000),
-                len: 0x3000,
-            });
-            t.fill(VirtAddr(0x1000), PageSize::Size4K);
-        }
-        let missing = VirtAddr(0x70_0000);
-        assert!(a.lookup_any(missing).is_none());
-        assert!(!b.probe_any(missing));
-        b.record_miss(missing);
-        assert_eq!(a.stats(), b.stats());
-        assert_eq!(a.unit_entries_tagged(), b.unit_entries_tagged());
-    }
-
-    #[test]
-    fn record_miss_matches_a_failed_lookup_any() {
-        // Drive two TLBs through the same fill history, then take the
-        // miss through `lookup_any` on one and through the proven-
-        // absent `record_miss` on the other: stats and every future
-        // eviction decision must be identical.
-        let mut a = Tlb::new(TlbConfig::tiny());
-        let mut b = Tlb::new(TlbConfig::tiny());
-        for t in [&mut a, &mut b] {
-            for i in 0..4u64 {
-                t.fill(VirtAddr(i * 4096), PageSize::Size4K);
-            }
-        }
-        let missing = VirtAddr(0x40_0000);
-        assert!(a.lookup_any(missing).is_none());
-        assert!(!b.probe_any(missing));
-        b.record_miss(missing);
-        assert_eq!(a.stats(), b.stats());
-        // Recency order is identical: filling a conflicting set evicts
-        // the same victims on both sides.
-        for t in [&mut a, &mut b] {
-            for i in 4..12u64 {
-                t.fill(VirtAddr(i * 4096), PageSize::Size4K);
-            }
-        }
-        assert_eq!(a.entries_tagged(), b.entries_tagged());
-        for i in 0..12u64 {
-            let va = VirtAddr(i * 4096);
-            assert_eq!(a.probe_any(va), b.probe_any(va), "page {i}");
-        }
     }
 }

@@ -138,15 +138,10 @@ fn check(config: HierarchyConfig, palette: &[u64], ops: &[(u16, u64)]) {
                 assert_eq!(real.access(anywhere), model.access(anywhere), "step {step}");
                 "access anywhere"
             }
-            600..=749 => {
+            600..=799 => {
                 real.prefetch_into_l2(paddr);
                 model.prefetch_into_l2(paddr);
                 "prefetch_into_l2"
-            }
-            750..=799 => {
-                // A host-cache hint: no simulated state may change.
-                real.prefetch(paddr);
-                "prefetch"
             }
             800..=949 => {
                 let level = LEVELS[(raw >> 40) as usize % 4];

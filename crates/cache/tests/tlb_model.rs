@@ -342,7 +342,7 @@ fn check(cfg: TlbConfig, ops: &[(u16, u64, u64)]) {
                 assert_eq!(real.probe_any(va), model.probe(va), "step {step}");
                 "probe_any"
             }
-            320..=349 => {
+            320..=379 => {
                 let vas: Vec<VirtAddr> = (0..1 + raw2 % 8)
                     .map(|k| va_of(raw.rotate_left(7 * k as u32) ^ raw2))
                     .collect();
@@ -351,14 +351,6 @@ fn check(cfg: TlbConfig, ops: &[(u16, u64, u64)]) {
                 let want: Vec<bool> = vas.iter().map(|&v| model.probe(v)).collect();
                 assert_eq!(hits, want, "step {step}");
                 "probe_block"
-            }
-            // `record_miss` is only legal once absence is proven.
-            350..=379 => {
-                if !model.probe(va) {
-                    real.record_miss(va);
-                    model.stats.misses += 1;
-                }
-                "record_miss"
             }
             380..=599 => {
                 let (size, pa) = (size_of(raw2), pa_of(va, raw2));

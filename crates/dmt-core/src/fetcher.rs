@@ -402,45 +402,25 @@ pub struct LeanFetch {
     pub refs: u64,
 }
 
-/// What [`resolve_native`] found for one VA: the pure memory half of a
-/// register-file fetch, with the cache charge left to the caller.
-#[derive(Debug, Clone, Copy)]
-pub enum Resolve {
-    /// A present PTE was found (and its accessed bit set): the winning
-    /// slot, its content, and the mapping's page size.
-    Hit {
-        /// Physical address of the winning PTE slot.
-        slot: PhysAddr,
-        /// The winning PTE (pre-accessed-bit value).
-        pte: Pte,
-        /// Page size of the winning mapping.
-        size: PageSize,
-    },
-    /// No register covers the VA (hardware-walker fallback).
-    NotCovered,
-    /// Covered, but no candidate PTE is present. Carries the first
-    /// candidate's slot so the caller can charge the probe the scalar
-    /// fetcher would have issued before faulting.
-    NotPresent {
-        /// Slot of the first candidate in register order.
-        first_slot: PhysAddr,
-    },
-}
-
-/// The pure register-file + physical-memory half of a native fetch: no
-/// cache charges, no allocations. The winner is whatever present
-/// candidate has the largest page size, so the probe walks candidates
-/// largest-first and stops at the first present PTE — skipped
-/// candidate reads are uncharged and side-effect-free in
-/// [`parallel_probe`] too, so nothing observable is lost. The winning
-/// PTE's read and accessed-bit write share one fused
-/// [`MemoryOps::rmw_word`] lookup.
+/// [`fetch_native`] without the per-call allocations, so results are
+/// bit-identical to it: the same single `hier` charge `parallel_probe`
+/// would issue. The winner is whatever present candidate has the
+/// largest page size, so the probe walks candidates largest-first and
+/// stops at the first present PTE — skipped candidate reads are
+/// uncharged and side-effect-free in `parallel_probe` too, so nothing
+/// observable is lost. The winning PTE's read and accessed-bit write
+/// share one fused [`MemoryOps::rmw_word`] lookup. The default engine's
+/// per-miss path for native DMT.
 ///
-/// Splitting the memory work from the charge lets the batched backend
-/// resolve a whole run in one tight loop (successive page-map lookups
-/// overlap in the pipeline) before issuing the element-ordered cache
-/// charges — see `NativeDmt::translate_batch` in `dmt-sim`.
-pub fn resolve_native<M: MemoryOps>(regs: &DmtRegisterFile, pm: &mut M, va: VirtAddr) -> Resolve {
+/// # Errors
+///
+/// See [`fetch_native`].
+pub fn fetch_native_lean<M: MemoryOps>(
+    regs: &DmtRegisterFile,
+    pm: &mut M,
+    hier: &mut MemoryHierarchy,
+    va: VirtAddr,
+) -> Result<LeanFetch, DmtError> {
     // At most one covering mapping per page size (Figure 12's parallel
     // comparators), ranked smallest-to-largest.
     let mut by_size: [Option<(PhysAddr, PageSize)>; 3] = [None; 3];
@@ -453,57 +433,28 @@ pub fn resolve_native<M: MemoryOps>(regs: &DmtRegisterFile, pm: &mut M, va: Virt
         by_size[m.page_size() as usize] = Some((slot, m.page_size()));
     }
     let Some(first_slot) = first_slot else {
-        return Resolve::NotCovered;
+        return Err(DmtError::NotCovered { addr: va.raw() });
     };
-    for (slot, size) in by_size.iter().rev().flatten() {
+    for &(slot, size) in by_size.iter().rev().flatten() {
         let mut pte = Pte::EMPTY;
-        pm.rmw_word(*slot, |w| {
+        pm.rmw_word(slot, |w| {
             pte = Pte(w);
             pte.present().then(|| pte.with_accessed().raw())
         });
         if pte.present() {
-            return Resolve::Hit {
-                slot: *slot,
-                pte,
-                size: *size,
-            };
-        }
-    }
-    Resolve::NotPresent { first_slot }
-}
-
-/// [`fetch_native`] without the per-call allocations:
-/// [`resolve_native`] for the memory half plus the same single `hier`
-/// charge [`parallel_probe`] would issue, so results are bit-identical
-/// to [`fetch_native`]. The batched backend's hot path.
-///
-/// # Errors
-///
-/// See [`fetch_native`].
-pub fn fetch_native_lean<M: MemoryOps>(
-    regs: &DmtRegisterFile,
-    pm: &mut M,
-    hier: &mut MemoryHierarchy,
-    va: VirtAddr,
-) -> Result<LeanFetch, DmtError> {
-    match resolve_native(regs, pm, va) {
-        Resolve::Hit { slot, pte, size } => {
             let (_, cycles) = hier.access(slot.raw());
-            Ok(LeanFetch {
+            return Ok(LeanFetch {
                 pa: PhysAddr(pte.phys_addr().raw() + va.offset_in(size)),
                 size,
                 cycles,
                 refs: 1,
-            })
-        }
-        Resolve::NotCovered => Err(DmtError::NotCovered { addr: va.raw() }),
-        Resolve::NotPresent { first_slot } => {
-            // No candidate present: charge the first probe's slot
-            // access like the scalar fetcher, then fault.
-            hier.access(first_slot.raw());
-            Err(DmtError::PteNotPresent { addr: va.raw() })
+            });
         }
     }
+    // No candidate present: charge the first probe's slot access like
+    // the scalar fetcher, then fault.
+    hier.access(first_slot.raw());
+    Err(DmtError::PteNotPresent { addr: va.raw() })
 }
 
 #[cfg(test)]

@@ -21,7 +21,7 @@ pub struct Migration {
     pub dst: Pfn,
 }
 
-/// Outcome of a successful [`make_contig`] call.
+/// Result of a successful [`make_contig`] call.
 #[derive(Debug, Clone)]
 pub struct CompactionResult {
     /// First frame of the newly reserved contiguous run.

@@ -215,10 +215,6 @@ impl<R: Rig> Rig for Checked<R> {
         self.inner.thp()
     }
 
-    fn fill_shift(&self) -> u32 {
-        self.inner.fill_shift()
-    }
-
     fn translate(&mut self, va: VirtAddr, hier: &mut MemoryHierarchy) -> Translation {
         let idx = self.index;
         self.index += 1;
@@ -320,10 +316,6 @@ impl<R: Rig> Rig for BitFlip<R> {
 
     fn thp(&self) -> bool {
         self.inner.thp()
-    }
-
-    fn fill_shift(&self) -> u32 {
-        self.inner.fill_shift()
     }
 
     fn translate(&mut self, va: VirtAddr, hier: &mut MemoryHierarchy) -> Translation {

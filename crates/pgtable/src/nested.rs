@@ -46,7 +46,7 @@ impl NestedCaches {
     }
 }
 
-/// Outcome of a 2D walk.
+/// Result of a 2D walk.
 #[derive(Debug, Clone)]
 pub struct NestedWalkOutcome {
     /// Final host-physical address of the data.

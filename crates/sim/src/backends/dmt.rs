@@ -3,27 +3,24 @@
 //! Natively pvDMT is identical to DMT, so [`pvdmt`](super::pvdmt)
 //! wraps the same [`NativeDmt`] state in its own enum variant.
 //!
-//! Both backends override `translate_batch` with allocation-free fast
-//! paths: the native fetch goes through
-//! [`fetch_native_lean`](fetcher::fetch_native_lean) (no candidate or
-//! step-trace `Vec`s) and the data access reuses the translation's own
-//! physical address instead of re-deriving it through the software
-//! radix walk — while issuing the identical `hier` charge sequence, so
-//! outcomes and counters stay bit-identical to the scalar path
+//! Both backends override `translate_fast`, the default engine's
+//! per-miss call, and return the translation's own physical address as
+//! the data PA instead of re-deriving it through the software walk. The
+//! native fetch there goes through
+//! [`fetch_native_lean`](fetcher::fetch_native_lean), which needs no
+//! candidate or step-trace `Vec`s but issues the identical `hier`
+//! charge, so results stay bit-identical to the scalar path
 //! (DESIGN.md §13).
 
-use super::{
-    batch_each, NativeBackend, NativeMachine, NativeTranslator, VirtBackend, VirtTranslator,
-};
+use super::{NativeBackend, NativeMachine, NativeTranslator, VirtBackend, VirtTranslator};
 use crate::error::SimError;
 use crate::registry::{Arena, NativeSpec, Registration, TierSpec, VirtSpec};
-use crate::rig::{pte_delta, Design, Outcome, Setup, Translation};
+use crate::rig::{Design, Setup, Translation};
 use dmt_cache::hierarchy::MemoryHierarchy;
 use dmt_core::{fetcher, DmtError};
-use dmt_mem::{PhysAddr, VirtAddr};
+use dmt_mem::{PageSize, PhysAddr, VirtAddr};
 use dmt_pgtable::walk::{walk_dimension, WalkDim};
 use dmt_virt::machine::{GuestTeaMode, VirtMachine};
-use dmt_workloads::gen::Access;
 
 pub(crate) const REGISTRATION: Registration = Registration {
     design: Design::Dmt,
@@ -74,35 +71,54 @@ fn coverage(fetch_hits: u64, fallbacks: u64) -> f64 {
 pub struct NativeDmt {
     fetch_hits: u64,
     fallbacks: u64,
-    /// Reusable per-run scratch for the batched path's resolve phase.
-    resolved: Vec<fetcher::Resolve>,
 }
 
 impl NativeDmt {
-    /// The fallback radix walk, shared by the scalar and batched paths.
-    fn fallback_walk(
+    /// The translation for a register-file fetch's outcome — a hit's
+    /// `(pa, size, cycles, refs)` or the fetch error — taking the
+    /// fallback radix walk when no register covers `va`. Shared by
+    /// `translate` and `translate_fast`, which differ only in the
+    /// fetcher they call.
+    fn finish(
         &mut self,
         m: &mut NativeMachine,
         va: VirtAddr,
         hier: &mut MemoryHierarchy,
+        fetched: Result<(PhysAddr, PageSize, u64, u64), DmtError>,
     ) -> Translation {
-        self.fallbacks += 1;
-        let out = walk_dimension(
-            m.proc_.page_table(),
-            &mut m.pm,
-            va,
-            WalkDim::Native,
-            hier,
-            Some(&mut m.pwc),
-        )
-        .expect("populated");
-        Translation {
-            pa: out.pa,
-            size: out.size,
-            cycles: out.cycles,
-            refs: out.refs(),
-            fallback: true,
-            unit: None,
+        match fetched {
+            Ok((pa, size, cycles, refs)) => {
+                self.fetch_hits += 1;
+                Translation {
+                    pa,
+                    size,
+                    cycles,
+                    refs,
+                    fallback: false,
+                    unit: None,
+                }
+            }
+            Err(DmtError::NotCovered { .. }) => {
+                self.fallbacks += 1;
+                let out = walk_dimension(
+                    m.proc_.page_table(),
+                    &mut m.pm,
+                    va,
+                    WalkDim::Native,
+                    hier,
+                    Some(&mut m.pwc),
+                )
+                .expect("populated");
+                Translation {
+                    pa: out.pa,
+                    size: out.size,
+                    cycles: out.cycles,
+                    refs: out.refs(),
+                    fallback: true,
+                    unit: None,
+                }
+            }
+            Err(e) => panic!("DMT fetch failed unexpectedly: {e}"),
         }
     }
 }
@@ -114,105 +130,21 @@ impl NativeTranslator for NativeDmt {
         va: VirtAddr,
         hier: &mut MemoryHierarchy,
     ) -> Translation {
-        match fetcher::fetch_native(&m.regs, &mut m.pm, hier, va) {
-            Ok(out) => {
-                self.fetch_hits += 1;
-                Translation {
-                    pa: out.pa,
-                    size: out.size,
-                    cycles: out.cycles,
-                    refs: out.refs(),
-                    fallback: false,
-                    unit: None,
-                }
-            }
-            Err(DmtError::NotCovered { .. }) => self.fallback_walk(m, va, hier),
-            Err(e) => panic!("DMT fetch failed unexpectedly: {e}"),
-        }
+        let fetched = fetcher::fetch_native(&m.regs, &mut m.pm, hier, va)
+            .map(|o| (o.pa, o.size, o.cycles, o.refs()));
+        self.finish(m, va, hier, fetched)
     }
 
-    fn translate_batch(
+    fn translate_fast(
         &mut self,
         m: &mut NativeMachine,
-        accesses: &[Access],
+        va: VirtAddr,
         hier: &mut MemoryHierarchy,
-        out: &mut [Outcome],
-    ) {
-        // The run is processed in two phases per chunk.
-        //
-        // Phase 1 resolves a chunk through the register file and page
-        // map in one tight loop with no cache charges in between.
-        // Page-map reads are uncharged and the accessed-bit writes are
-        // idempotent and uncounted, so hoisting them ahead of the
-        // element-ordered `hier` charges changes nothing observable —
-        // while letting successive hash-map lookups overlap in the
-        // pipeline instead of serializing against cache-model scans.
-        // Since the resolve already yields the PTE slot and the data
-        // PA, phase 1 also prefetches the host cache lines backing
-        // each level's sets for both addresses — work the scalar path
-        // must serialize because it only learns each address mid-chain.
-        //
-        // Phase 2 issues cache charges and outcomes in element order —
-        // the per-structure op sequences are exactly the scalar
-        // path's. Chunking keeps the prefetched footprint inside the
-        // host caches between the two phases.
-        const CHUNK: usize = 16;
-        let mut resolved = std::mem::take(&mut self.resolved);
-        for (c, accesses) in accesses.chunks(CHUNK).enumerate() {
-            let base = c * CHUNK;
-            resolved.clear();
-            for a in accesses {
-                let r = fetcher::resolve_native(&m.regs, &mut m.pm, a.va);
-                if let fetcher::Resolve::Hit { slot, pte, size } = r {
-                    hier.prefetch(slot.raw());
-                    hier.prefetch(pte.phys_addr().raw() + a.va.offset_in(size));
-                }
-                resolved.push(r);
-            }
-            for (k, (a, r)) in accesses.iter().zip(resolved.iter()).enumerate() {
-                let (tr, pte_fetches) = match *r {
-                    fetcher::Resolve::Hit { slot, pte, size } => {
-                        self.fetch_hits += 1;
-                        // The fetch's only charge is this one slot
-                        // access: one fetch at its hit level, no stats
-                        // diff needed.
-                        let (level, cycles) = hier.access(slot.raw());
-                        let mut pte_fetches = [0; 4];
-                        pte_fetches[level as usize] = 1;
-                        let tr = Translation {
-                            pa: PhysAddr(pte.phys_addr().raw() + a.va.offset_in(size)),
-                            size,
-                            cycles,
-                            refs: 1,
-                            fallback: false,
-                            unit: None,
-                        };
-                        (tr, pte_fetches)
-                    }
-                    fetcher::Resolve::NotCovered => {
-                        let before = hier.stats();
-                        let tr = self.fallback_walk(m, a.va, hier);
-                        (tr, pte_delta(before, hier.stats()))
-                    }
-                    fetcher::Resolve::NotPresent { .. } => {
-                        panic!(
-                            "DMT fetch failed unexpectedly: PTE not present at {:#x}",
-                            a.va.raw()
-                        )
-                    }
-                };
-                // The translation *is* the data mapping: reuse its PA
-                // instead of scalar's redundant software radix walk.
-                let (data_level, data_cycles) = hier.access(tr.pa.raw());
-                out[base + k] = Outcome {
-                    tr,
-                    data_level,
-                    data_cycles,
-                    pte: pte_fetches,
-                };
-            }
-        }
-        self.resolved = resolved;
+    ) -> (Translation, PhysAddr) {
+        let fetched = fetcher::fetch_native_lean(&m.regs, &mut m.pm, hier, va)
+            .map(|o| (o.pa, o.size, o.cycles, o.refs));
+        let tr = self.finish(m, va, hier, fetched);
+        (tr, tr.pa)
     }
 
     fn coverage(&self) -> f64 {
@@ -227,8 +159,8 @@ pub struct VirtDmt {
     fallbacks: u64,
 }
 
-impl VirtDmt {
-    fn translate_one(
+impl VirtTranslator for VirtDmt {
+    fn translate(
         &mut self,
         m: &mut VirtMachine,
         va: VirtAddr,
@@ -261,33 +193,15 @@ impl VirtDmt {
             Err(e) => panic!("DMT fetch failed: {e}"),
         }
     }
-}
 
-impl VirtTranslator for VirtDmt {
-    fn translate(
+    fn translate_fast(
         &mut self,
         m: &mut VirtMachine,
         va: VirtAddr,
         hier: &mut MemoryHierarchy,
-    ) -> Translation {
-        self.translate_one(m, va, hier)
-    }
-
-    fn translate_batch(
-        &mut self,
-        m: &mut VirtMachine,
-        accesses: &[Access],
-        hier: &mut MemoryHierarchy,
-        out: &mut [Outcome],
-    ) {
-        // The unparavirtualized fetch allocates internally either way;
-        // the batched win here is reusing the translated host PA for
-        // the data access instead of scalar's full 2D software
-        // translation per element.
-        batch_each(accesses, hier, out, |va, hier| {
-            let tr = self.translate_one(m, va, hier);
-            (tr, tr.pa)
-        });
+    ) -> (Translation, PhysAddr) {
+        let tr = self.translate(m, va, hier);
+        (tr, tr.pa)
     }
 
     fn coverage(&self) -> f64 {

@@ -5,21 +5,20 @@
 //! module per design** here, registered in [`crate::registry`] keyed by
 //! (design, environment). The three rigs are thin environment shells:
 //! they own machine state — [`NativeMachine`],
-//! [`VirtMachine`](dmt_virt::machine::VirtMachine),
-//! [`NestedMachine`](dmt_virt::nested::NestedMachine) — and delegate
+//! [`VirtMachine`], [`NestedMachine`] — and delegate
 //! every design-specific decision to a per-environment backend enum
 //! ([`NativeBackend`], [`VirtBackend`], [`NestedBackend`]) built by the
-//! registry. The enums are generated by [`backend_enum!`] as exhaustive
+//! registry. The enums are generated by `backend_enum!` as exhaustive
 //! matches over concrete backend types, so the per-access dispatch is
 //! monomorphic (no vtable on the hot path); an ablation is a design
 //! with its own registry row. Nothing outside this directory and
-//! the registry matches on [`Design`](crate::rig::Design) to dispatch a
+//! the registry matches on [`Design`] to dispatch a
 //! translation; `tests/design_dispatch_sites.rs` enforces that.
 //!
 //! Adding a design variant is one new module implementing the
 //! environment traits it supports, one arm per supported environment in
-//! the [`backend_enum!`] invocations below, plus one [`Registration`]
-//! (`crate::registry::Registration`) row — see DESIGN.md §11 for the
+//! the `backend_enum!` invocations below, plus one
+//! [`Registration`](crate::registry::Registration) row — see DESIGN.md §11 for the
 //! worked example. Registry/enum drift fails the `registry` tests and
 //! the CI grep lint.
 
@@ -35,7 +34,7 @@ pub mod vanilla;
 pub mod vbi;
 
 use crate::error::SimError;
-use crate::rig::{pte_delta, Design, Outcome, RefEntry, Setup, Translation};
+use crate::rig::{Design, RefEntry, Setup, Translation};
 use dmt_cache::hierarchy::MemoryHierarchy;
 use dmt_cache::pwc::PageWalkCache;
 use dmt_core::regfile::DmtRegisterFile;
@@ -48,45 +47,6 @@ use dmt_pgtable::pte::PteFlags;
 use dmt_telemetry::ComponentCounters;
 use dmt_virt::machine::VirtMachine;
 use dmt_virt::nested::NestedMachine;
-use dmt_workloads::gen::Access;
-
-/// The per-element batch body: for each access, diff the hierarchy
-/// around `walk`, then charge the data access at the PA `walk` returns,
-/// assigning `out[i]` for `accesses[i]`. Called with the ground-truth
-/// data PA ([`Rig::translate_batch`](crate::rig::Rig::translate_batch)
-/// and the translator defaults) it is exactly the scalar engine's op
-/// sequence; backends whose translation *is* the data mapping pass
-/// `tr.pa` and skip the software resolve.
-pub(crate) fn batch_each(
-    accesses: &[Access],
-    hier: &mut MemoryHierarchy,
-    out: &mut [Outcome],
-    mut walk: impl FnMut(VirtAddr, &mut MemoryHierarchy) -> (Translation, PhysAddr),
-) {
-    for (i, a) in accesses.iter().enumerate() {
-        let before = hier.stats();
-        let (tr, pa) = walk(a.va, hier);
-        let pte = pte_delta(before, hier.stats());
-        let (data_level, data_cycles) = hier.access(pa.raw());
-        out[i] = Outcome {
-            tr,
-            data_level,
-            data_cycles,
-            pte,
-        };
-    }
-}
-
-/// The miss-grouping granule of a page-granular design: the shift of
-/// its largest TLB fill, 21 under THP and 12 otherwise. The translator
-/// traits' `fill_shift` default.
-pub(crate) fn page_fill_shift(thp: bool) -> u32 {
-    if thp {
-        21
-    } else {
-        12
-    }
-}
 
 /// The machine state a native rig owns, independent of the design under
 /// test: physical memory, the process (VMAs, radix tables, TEAs), the
@@ -382,24 +342,20 @@ pub trait NativeTranslator {
         hier: &mut MemoryHierarchy,
     ) -> Translation;
 
-    /// Batched translate over a run of TLB-missing accesses: for each
-    /// element, the walk *and* the subsequent data access are charged
-    /// to `hier` in scalar order, with the per-level PTE attribution
-    /// recorded in `out` (see [`Rig::translate_batch`]'s contract,
-    /// DESIGN.md §13). The default loops the scalar path; vanilla and
-    /// DMT override it with memoized fast paths.
+    /// Serve a TLB miss for the default engine: the translation plus
+    /// the data PA (see [`Rig::translate_fast`]'s contract, DESIGN.md
+    /// §13). The default is [`translate`](Self::translate) plus the
+    /// machine's ground truth; backends whose translation is the data
+    /// mapping return its own PA.
     ///
-    /// [`Rig::translate_batch`]: crate::rig::Rig::translate_batch
-    fn translate_batch(
+    /// [`Rig::translate_fast`]: crate::rig::Rig::translate_fast
+    fn translate_fast(
         &mut self,
         m: &mut NativeMachine,
-        accesses: &[Access],
+        va: VirtAddr,
         hier: &mut MemoryHierarchy,
-        out: &mut [Outcome],
-    ) {
-        batch_each(accesses, hier, out, |va, hier| {
-            (self.translate(m, va, hier), m.data_pa(va))
-        });
+    ) -> (Translation, PhysAddr) {
+        (self.translate(m, va, hier), m.data_pa(va))
     }
 
     /// Reference entry for the differential oracle. Defaults to the
@@ -427,17 +383,6 @@ pub trait NativeTranslator {
     ///
     /// [`Rig::flush_translation_caches`]: crate::rig::Rig::flush_translation_caches
     fn flush_caches(&mut self) {}
-
-    /// Log2 of the VA-region granule the batched engine may group
-    /// pending misses by (see [`Rig::fill_shift`]). Fixed-page radix
-    /// designs keep the page-granule default; variable-reach designs
-    /// (VBI, Seg) return 63 to force single-element miss runs, since a
-    /// translation's reach is not predictable from the VA alone.
-    ///
-    /// [`Rig::fill_shift`]: crate::rig::Rig::fill_shift
-    fn fill_shift(&self, thp: bool) -> u32 {
-        page_fill_shift(thp)
-    }
 }
 
 /// A design's translate path in the single-level virtualized
@@ -451,22 +396,16 @@ pub trait VirtTranslator {
         hier: &mut MemoryHierarchy,
     ) -> Translation;
 
-    /// Batched translate over a run of TLB-missing accesses; same
-    /// contract as [`NativeTranslator::translate_batch`].
-    fn translate_batch(
+    /// Serve a TLB miss for the default engine; same contract as
+    /// [`NativeTranslator::translate_fast`].
+    fn translate_fast(
         &mut self,
         m: &mut VirtMachine,
-        accesses: &[Access],
+        va: VirtAddr,
         hier: &mut MemoryHierarchy,
-        out: &mut [Outcome],
-    ) {
-        batch_each(accesses, hier, out, |va, hier| {
-            let tr = self.translate(m, va, hier);
-            let pa = m
-                .translate_software(va)
-                .expect("engine accesses populated pages");
-            (tr, pa)
-        });
+    ) -> (Translation, PhysAddr) {
+        let tr = self.translate(m, va, hier);
+        (tr, m.translate_software(va).expect("populated"))
     }
 
     /// Reference entry for the differential oracle. Defaults to the 2D
@@ -489,19 +428,13 @@ pub trait VirtTranslator {
     /// Flush any translation caches the backend itself keeps — see
     /// [`NativeTranslator::flush_caches`].
     fn flush_caches(&mut self) {}
-
-    /// Log2 of the batched engine's miss-grouping granule — see
-    /// [`NativeTranslator::fill_shift`].
-    fn fill_shift(&self, thp: bool) -> u32 {
-        page_fill_shift(thp)
-    }
 }
 
 /// Generate one per-environment backend enum: a variant per registered
 /// design holding the concrete backend type. Every method is an
 /// exhaustive match calling the concrete type's trait method, so the
 /// hot path is monomorphic — the compiler sees through the variant to
-/// the concrete `translate`/`translate_batch` body.
+/// the concrete `translate`/`translate_fast` body.
 ///
 /// Adding a design = one arm here + one registry row; a missing arm is
 /// a compile error in the registry's build fn, and registry/enum drift
@@ -547,18 +480,17 @@ macro_rules! backend_enum {
                 }
             }
 
-            /// Batched translate over a run of TLB-missing accesses;
-            /// the trait's contract, monomorphically dispatched.
+            /// Serve a TLB miss for the default engine: the
+            /// translation plus the data PA, monomorphically dispatched.
             #[inline]
-            pub fn translate_batch(
+            pub fn translate_fast(
                 &mut self,
                 m: &mut $machine,
-                accesses: &[Access],
+                va: VirtAddr,
                 hier: &mut MemoryHierarchy,
-                out: &mut [Outcome],
-            ) {
+            ) -> (Translation, PhysAddr) {
                 match self {
-                    $( Self::$design(b) => $trait::translate_batch(b, m, accesses, hier, out), )+
+                    $( Self::$design(b) => $trait::translate_fast(b, m, va, hier), )+
                 }
             }
 
@@ -589,13 +521,6 @@ macro_rules! backend_enum {
                     $( Self::$design(b) => $trait::flush_caches(b), )+
                 }
             }
-
-            /// Log2 of the batched engine's miss-grouping granule.
-            pub fn fill_shift(&self, thp: bool) -> u32 {
-                match self {
-                    $( Self::$design(b) => $trait::fill_shift(b, thp), )+
-                }
-            }
         }
     };
 }
@@ -610,22 +535,16 @@ pub trait NestedTranslator {
         hier: &mut MemoryHierarchy,
     ) -> Translation;
 
-    /// Batched translate over a run of TLB-missing accesses; same
-    /// contract as [`NativeTranslator::translate_batch`].
-    fn translate_batch(
+    /// Serve a TLB miss for the default engine; same contract as
+    /// [`NativeTranslator::translate_fast`].
+    fn translate_fast(
         &mut self,
         m: &mut NestedMachine,
-        accesses: &[Access],
+        va: VirtAddr,
         hier: &mut MemoryHierarchy,
-        out: &mut [Outcome],
-    ) {
-        batch_each(accesses, hier, out, |va, hier| {
-            let tr = self.translate(m, va, hier);
-            let pa = m
-                .translate_software(va)
-                .expect("engine accesses populated pages");
-            (tr, pa)
-        });
+    ) -> (Translation, PhysAddr) {
+        let tr = self.translate(m, va, hier);
+        (tr, m.translate_software(va).expect("populated"))
     }
 
     /// Reference entry for the differential oracle. Defaults to the
@@ -648,12 +567,6 @@ pub trait NestedTranslator {
     /// Flush any translation caches the backend itself keeps — see
     /// [`NativeTranslator::flush_caches`].
     fn flush_caches(&mut self) {}
-
-    /// Log2 of the batched engine's miss-grouping granule — see
-    /// [`NativeTranslator::fill_shift`].
-    fn fill_shift(&self, thp: bool) -> u32 {
-        page_fill_shift(thp)
-    }
 }
 
 /// A small populated single-level guest (two 4 MiB regions, every
@@ -669,10 +582,11 @@ pub(crate) fn populated_virt_machine() -> (VirtMachine, Setup) {
             label: "heap",
         })
         .collect();
-    let trace: Vec<Access> = regions
+    let trace: Vec<dmt_workloads::gen::Access> = regions
         .iter()
         .flat_map(|r| {
-            (0..r.len >> 12).map(move |p| Access::read(VirtAddr(r.base.raw() + (p << 12))))
+            (0..r.len >> 12)
+                .map(move |p| dmt_workloads::gen::Access::read(VirtAddr(r.base.raw() + (p << 12))))
         })
         .collect();
     let setup = Setup::new(regions, &trace);

@@ -2,19 +2,18 @@
 //! a small segment cache (beyond-the-paper design, DESIGN.md §15).
 //!
 //! Setup merges the touched leaf mappings into PA-contiguous
-//! [`ContigRun`]s — the segments — and writes them to a sorted
+//! `ContigRun`s — the segments — and writes them to a sorted
 //! descriptor table in physical memory. A translation first probes an
 //! 8-entry LRU segment cache (a segment-register file: hits are free
 //! and charge nothing); on a miss it binary-searches the descriptor
 //! table, paying one descriptor fetch per probe, then caches the
 //! segment. The segment's whole reach is returned as
 //! [`Translation::unit`] so the TLB covers it with one variable-reach
-//! entry, and [`SegTranslator::flush_caches`] drops the segment cache —
-//! the epoch-barrier contract non-radix designs must honor.
+//! entry, and `flush_caches` drops the segment cache — the
+//! epoch-barrier contract non-radix designs must honor.
 //!
-//! Like VBI, `fill_shift` is 63: segment reaches are not predictable
-//! from the VA, so the batched engine keeps misses in single-element
-//! runs.
+//! Neither backend overrides `translate_fast`: a miss's data PA comes
+//! from the machine's ground truth, as on the scalar path.
 
 use super::{
     merge_contiguous_runs, ContigRun, NativeBackend, NativeMachine, NativeTranslator, VirtBackend,
@@ -145,10 +144,6 @@ impl NativeTranslator for NativeSeg {
     fn flush_caches(&mut self) {
         self.seg.flush();
     }
-
-    fn fill_shift(&self, _thp: bool) -> u32 {
-        63
-    }
 }
 
 /// Guest segment resolve, then one host block-descriptor fetch.
@@ -178,9 +173,5 @@ impl VirtTranslator for VirtSeg {
 
     fn flush_caches(&mut self) {
         self.seg.flush();
-    }
-
-    fn fill_shift(&self, _thp: bool) -> u32 {
-        63
     }
 }

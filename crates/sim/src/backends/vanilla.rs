@@ -2,24 +2,26 @@
 //! all three environments (Figure 1's 4-step walk natively, Figure 2's
 //! 24-step 2D walk virtualized, the 2D-cascade baseline nested).
 //!
-//! The native backend overrides `translate_batch` with the memoized
-//! lean walker ([`walk_dimension_cached`]): PTE *words* are cached per
-//! slot so repeat walks skip the `PhysMemory` reads, while every PWC
-//! operation and `hier.access` charge is still issued — the observable
-//! op sequence is bit-identical to the scalar path (DESIGN.md §13).
+//! The native and virtualized backends override `translate_fast`, the
+//! default engine's per-miss call, and return the walk's own PA as the
+//! data PA instead of re-deriving it through the software walk. The
+//! native one also walks with the memoized lean walker
+//! ([`walk_dimension_cached`]): PTE *words* are cached per slot so
+//! repeat walks skip the `PhysMemory` reads, while every PWC operation
+//! and `hier.access` charge is still issued — the observable op
+//! sequence is bit-identical to the scalar path (DESIGN.md §13).
 
 use super::{
-    batch_each, NativeBackend, NativeMachine, NativeTranslator, NestedBackend, NestedTranslator,
-    VirtBackend, VirtTranslator,
+    NativeBackend, NativeMachine, NativeTranslator, NestedBackend, NestedTranslator, VirtBackend,
+    VirtTranslator,
 };
 use crate::registry::{NativeSpec, NestedSpec, Registration, VirtSpec};
-use crate::rig::{Design, Outcome, Setup, Translation};
+use crate::rig::{Design, Setup, Translation};
 use dmt_cache::hierarchy::MemoryHierarchy;
-use dmt_mem::VirtAddr;
+use dmt_mem::{PhysAddr, VirtAddr};
 use dmt_pgtable::walk::{walk_dimension, walk_dimension_cached, PteMemo, WalkDim};
 use dmt_virt::machine::{GuestTeaMode, VirtMachine};
 use dmt_virt::nested::NestedMachine;
-use dmt_workloads::gen::Access;
 
 pub(crate) const REGISTRATION: Registration = Registration {
     design: Design::Vanilla,
@@ -97,35 +99,30 @@ impl NativeTranslator for NativeVanilla {
         }
     }
 
-    fn translate_batch(
+    fn translate_fast(
         &mut self,
         m: &mut NativeMachine,
-        accesses: &[Access],
+        va: VirtAddr,
         hier: &mut MemoryHierarchy,
-        out: &mut [Outcome],
-    ) {
-        // The walk's result *is* the data mapping: reuse its PA
-        // instead of scalar's redundant software radix walk.
-        batch_each(accesses, hier, out, |va, hier| {
-            let w = walk_dimension_cached(
-                m.proc_.page_table(),
-                &mut m.pm,
-                va,
-                hier,
-                Some(&mut m.pwc),
-                &mut self.memo,
-            )
-            .expect("populated");
-            let tr = Translation {
-                pa: w.pa,
-                size: w.size,
-                cycles: w.cycles,
-                refs: w.refs,
-                fallback: false,
-                unit: None,
-            };
-            (tr, tr.pa)
-        });
+    ) -> (Translation, PhysAddr) {
+        let w = walk_dimension_cached(
+            m.proc_.page_table(),
+            &mut m.pm,
+            va,
+            hier,
+            Some(&mut m.pwc),
+            &mut self.memo,
+        )
+        .expect("populated");
+        let tr = Translation {
+            pa: w.pa,
+            size: w.size,
+            cycles: w.cycles,
+            refs: w.refs,
+            fallback: false,
+            unit: None,
+        };
+        (tr, tr.pa)
     }
 }
 
@@ -151,21 +148,14 @@ impl VirtTranslator for VirtVanilla {
         }
     }
 
-    fn translate_batch(
+    fn translate_fast(
         &mut self,
         m: &mut VirtMachine,
-        accesses: &[Access],
+        va: VirtAddr,
         hier: &mut MemoryHierarchy,
-        out: &mut [Outcome],
-    ) {
-        // The 2D walk itself stays scalar (its PWC interleavings are
-        // design-specific); the win here is reusing the walk's host PA
-        // for the data access, skipping the two-dimensional software
-        // resolve scalar performs per element.
-        batch_each(accesses, hier, out, |va, hier| {
-            let tr = self.translate(m, va, hier);
-            (tr, tr.pa)
-        });
+    ) -> (Translation, PhysAddr) {
+        let tr = self.translate(m, va, hier);
+        (tr, tr.pa)
     }
 }
 

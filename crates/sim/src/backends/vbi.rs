@@ -2,7 +2,7 @@
 //! place of the radix walk (beyond-the-paper design, DESIGN.md §15).
 //!
 //! Setup merges the touched leaf mappings into maximal PA-contiguous
-//! [`ContigRun`]s and writes one 16-byte block descriptor per run into
+//! `ContigRun`s and writes one 16-byte block descriptor per run into
 //! a flat table in physical memory. A translation locates its run's
 //! descriptor associatively (by block ID, free in this model) and pays
 //! exactly one descriptor fetch through the hierarchy — no radix walk,
@@ -11,23 +11,21 @@
 //! returned [`Translation::unit`] lets the TLB cache the whole block
 //! with a single variable-reach entry.
 //!
-//! Because a unit's reach is not predictable from the VA alone, the
-//! backend reports `fill_shift` 63: the batched engine groups pending
-//! misses into single-element runs, which keeps the batch path
-//! trivially bit-identical to scalar.
+//! Both backends override `translate_fast`, the default engine's
+//! per-miss call, and return the descriptors' PA as the data PA instead
+//! of re-deriving it through the software walk.
 
 use super::{
-    batch_each, find_run, merge_contiguous_runs, ContigRun, NativeBackend, NativeMachine,
-    NativeTranslator, VirtBackend, VirtTranslator,
+    find_run, merge_contiguous_runs, ContigRun, NativeBackend, NativeMachine, NativeTranslator,
+    VirtBackend, VirtTranslator,
 };
 use crate::error::SimError;
 use crate::registry::{Arena, NativeSpec, Registration, VirtSpec};
-use crate::rig::{Design, Outcome, Setup, Translation};
+use crate::rig::{Design, Setup, Translation};
 use dmt_cache::hierarchy::MemoryHierarchy;
 use dmt_mem::buddy::FrameKind;
 use dmt_mem::{PhysAddr, PhysMemory, VirtAddr};
 use dmt_virt::machine::{GuestTeaMode, VirtMachine};
-use dmt_workloads::gen::Access;
 
 pub(crate) const REGISTRATION: Registration = Registration {
     design: Design::Vbi,
@@ -153,23 +151,14 @@ impl NativeTranslator for NativeVbi {
         }
     }
 
-    fn translate_batch(
+    fn translate_fast(
         &mut self,
         m: &mut NativeMachine,
-        accesses: &[Access],
+        va: VirtAddr,
         hier: &mut MemoryHierarchy,
-        out: &mut [Outcome],
-    ) {
-        // The descriptor's answer *is* the data mapping: reuse its PA
-        // instead of scalar's redundant software radix walk.
-        batch_each(accesses, hier, out, |va, hier| {
-            let tr = self.translate(m, va, hier);
-            (tr, tr.pa)
-        });
-    }
-
-    fn fill_shift(&self, _thp: bool) -> u32 {
-        63
+    ) -> (Translation, PhysAddr) {
+        let tr = self.translate(m, va, hier);
+        (tr, tr.pa)
     }
 }
 
@@ -200,23 +189,14 @@ impl VirtTranslator for VirtVbi {
         }
     }
 
-    fn translate_batch(
+    fn translate_fast(
         &mut self,
         m: &mut VirtMachine,
-        accesses: &[Access],
+        va: VirtAddr,
         hier: &mut MemoryHierarchy,
-        out: &mut [Outcome],
-    ) {
-        // Reuse the descriptors' host PA for the data access, skipping
-        // scalar's two-dimensional software resolve per element.
-        batch_each(accesses, hier, out, |va, hier| {
-            let tr = self.translate(m, va, hier);
-            (tr, tr.pa)
-        });
-    }
-
-    fn fill_shift(&self, _thp: bool) -> u32 {
-        63
+    ) -> (Translation, PhysAddr) {
+        let tr = self.translate(m, va, hier);
+        (tr, tr.pa)
     }
 }
 

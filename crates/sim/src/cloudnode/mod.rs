@@ -29,9 +29,9 @@
 //!   an IPI on all *other* tenants and is counted
 //!   ([`NodeStats::cross_tenant_shootdowns`]).
 //!
-//! Each scheduler quantum is one [`crate::engine::run_span`] call — the
+//! Each scheduler quantum is one `engine::run_span` call — the
 //! same span runner the single-rig engine uses, over the runner's
-//! hierarchy ([`Runner::hierarchy_for`]) — and tenant 0 replays the
+//! hierarchy (`Runner::hierarchy_for`) — and tenant 0 replays the
 //! sweep's trace of its (benchmark, THP), so a one-tenant node is
 //! bit-identical to the one-cell [`Runner::sweep`] row of its (env,
 //! design, benchmark) by construction.
@@ -210,9 +210,8 @@ fn run_node_probed<P: Probe>(
             active = Some(i);
         }
 
-        // Run the quantum through the shared span runner. Block cuts
-        // follow absolute trace position, so a one-tenant node replays
-        // exactly the blocks the single-rig engine does.
+        // Run the quantum through the shared span runner, one access at
+        // a time as the single-rig engine does.
         let t = &mut tenants[i];
         let hook = sample.as_mut().map(|f| f as OnMeasured<'_, P>);
         let span = &t.trace[t.pos..t.pos + len];

@@ -23,16 +23,16 @@
 //!
 //! Every replay in the crate — [`crate::runner::Runner::replay`], the
 //! sharded epoch barrier and the cloud node's scheduler quanta — goes
-//! through [`run_span`], the one place that picks between the scalar
-//! reference and the batched fast path. Both engines charge `RunStats`
-//! and the probe through the same two helpers, in trace order. The
-//! entry points here are crate-internal.
+//! through `run_span`, one access at a time through one loop body.
+//! The two engines differ only in the call a TLB miss makes: the scalar
+//! reference calls [`Rig::translate`] and then [`Rig::data_pa`], the
+//! default engine the single [`Rig::translate_fast`]. The entry points
+//! here are crate-internal.
 
-use crate::rig::{pte_delta, Outcome, Rig, Translation};
+use crate::rig::{pte_delta, Rig, Translation};
 use crate::runner::Engine;
 use dmt_cache::hierarchy::{HitLevel, MemoryHierarchy};
 use dmt_cache::tlb::{Tlb, TlbHit};
-use dmt_mem::FastSet;
 use dmt_telemetry::{MemLevel, Probe, TlbPath};
 use dmt_workloads::gen::Access;
 use std::borrow::Borrow;
@@ -103,16 +103,9 @@ fn mem_level(l: HitLevel) -> MemLevel {
     }
 }
 
-/// Accesses per engine block: the unit of the batched fast path.
-///
-/// Misses inside a block are accumulated into region-disjoint runs and
-/// handed to [`Rig::translate_batch`] in one call, so backends can hoist
-/// register-file and PWC lookup work across the run. 256 keeps the
-/// engine's scratch (one run's outcomes, the pending-region set) inside
-/// L1 while amortizing the dispatch overhead; correctness never depends
-/// on the exact value, which `tests/batch_equivalence.rs` pins by
-/// sweeping traces whose length is not a multiple of it.
-pub(crate) const BLOCK_SIZE: usize = 256;
+/// Accesses [`replay`] buffers from a streamed trace per [`run_span`]
+/// call. Only the buffer size: span boundaries never change a result.
+const SPAN_LEN: usize = 256;
 
 /// The sampling callback [`run_span`] fires after each measured access
 /// with the running access count — the periodic-series hook.
@@ -120,8 +113,7 @@ pub(crate) type OnMeasured<'a, P> = &'a mut dyn FnMut(&mut P, &dyn Rig, u64);
 
 /// Charge one measured page walk to `stats` and the probe; `pte` is the
 /// walk's per-level PTE-fetch count (read only when the probe is live).
-/// With [`account_data`], the only copy of the engine's accounting: both
-/// engines call it.
+/// With [`account_data`], the only copy of the engine's accounting.
 fn account_walk<P: Probe>(stats: &mut RunStats, probe: &mut P, tr: &Translation, pte: [u64; 4]) {
     stats.walks += 1;
     stats.walk_cycles += tr.cycles;
@@ -150,180 +142,13 @@ fn account_data<P: Probe>(stats: &mut RunStats, probe: &mut P, level: HitLevel, 
     }
 }
 
-/// Flush a pending miss run: one `translate_batch` over the run, then,
-/// per element in order, the TLB replay (miss charge + fill) and the
-/// accounting — the same per-component op sequence the scalar loop
-/// would have issued. The run's first element already took its miss
-/// charge through the failed `lookup_pa` that started the run, so only
-/// the fill remains for it. Empties the pending-region set, which is
-/// therefore empty whenever no run is pending.
-#[allow(clippy::too_many_arguments)]
-fn flush_run<P: Probe>(
-    rig: &mut dyn Rig,
-    block: &[Access],
-    range: std::ops::Range<usize>,
-    measured_from: usize,
-    hw: &mut Hw,
-    region_shift: u32,
-    stats: &mut RunStats,
-    probe: &mut P,
-    on_measured: &mut Option<OnMeasured<'_, P>>,
-) {
-    let run = &block[range.clone()];
-    hw.outcomes.clear();
-    hw.outcomes.resize(run.len(), Outcome::default());
-    rig.translate_batch(run, &mut hw.hier, &mut hw.outcomes);
-    hw.pending_regions.clear();
-    for ((j, a), o) in range.clone().zip(run).zip(&hw.outcomes) {
-        // Whatever gets filled — a fixed page or a variable reach —
-        // must stay inside one pending region, or the fill could
-        // create a hit for a VA already scanned as a miss.
-        debug_assert!(
-            match o.tr.unit {
-                None => o.tr.size.shift() <= region_shift,
-                Some(u) => {
-                    region_shift >= 63
-                        || u.base.raw() >> region_shift
-                            == (u.base.raw() + u.len - 1) >> region_shift
-                }
-            },
-            "a fill exceeds the {region_shift}-bit pending-region granularity"
-        );
-        if j != range.start {
-            hw.tlb.record_miss(a.va);
-        }
-        match o.tr.unit {
-            Some(u) => hw.tlb.fill_unit_pa(u, a.va, o.tr.pa),
-            None => hw.tlb.fill_pa(a.va, o.tr.size, o.tr.pa),
-        }
-        if j >= measured_from {
-            account_walk(stats, probe, &o.tr, o.pte);
-            account_data(stats, probe, o.data_level, o.data_cycles);
-            if let Some(cb) = on_measured.as_mut() {
-                cb(probe, rig, stats.accesses);
-            }
-        }
-    }
-}
-
-/// Run one block of accesses through the batched fast path.
-///
-/// Bit-identity contract (DESIGN.md §13): every state transition the
-/// scalar [`step_access`] loop would perform happens here in the same
-/// per-component order —
-///
-/// - with no miss run pending, an element takes its stateful
-///   [`Tlb::lookup_pa`] exactly as the scalar loop does. A hit does its
-///   data access at once, at the entry's frame (cache charges stay in
-///   trace order); a miss has just taken its miss charge, and starts a
-///   *pending run*;
-/// - with a run pending, an exact read-only [`Tlb::probe_any`] decides:
-///   an access that misses, in a region no pending element occupies,
-///   joins the run with its lookup deferred (`record_miss` at flush
-///   time charges exactly what the failed lookup would have, and a
-///   fill never reaches past its region, so no fill of the run can
-///   turn it into a hit). A hit or a region conflict flushes the run
-///   first — so a fill from an earlier miss can still produce the hit
-///   the scalar loop would have seen — and then takes the stateful
-///   lookup as above;
-/// - miss elements' data accesses happen inside `translate_batch`,
-///   interleaved per element with the PTE fetches.
-///
-/// `measured`-gated accounting (RunStats + probe) and the `on_measured`
-/// hook stay in element order too: a hit is charged when its lookup
-/// returns, and each miss when its run flushes. A pending run is an
-/// unbroken stretch of misses — anything else flushes it first — so no
-/// element is ever charged ahead of an earlier one.
-///
-/// `measured_from` is the block-local index of the first measured
-/// element (`warmup - block_base`, saturating).
-#[allow(clippy::too_many_arguments)]
-fn run_block<P: Probe>(
-    rig: &mut dyn Rig,
-    block: &[Access],
-    measured_from: usize,
-    hw: &mut Hw,
-    stats: &mut RunStats,
-    probe: &mut P,
-    mut on_measured: Option<OnMeasured<'_, P>>,
-) {
-    // Pending-region granularity must be at least the largest possible
-    // TLB fill, or a fill could create a hit for a VA already scanned as
-    // a miss. The rig knows its own reach (fixed-page designs: the page
-    // shift, 21 under THP; variable-reach designs: 63, collapsing every
-    // miss run to a single element); the flush asserts.
-    let region_shift: u32 = rig.fill_shift();
-    // Start of the pending miss run, if any.
-    let mut pending: Option<usize> = None;
-
-    for (i, a) in block.iter().enumerate() {
-        let region = a.va.raw() >> region_shift;
-        if let Some(s) = pending {
-            if !hw.pending_regions.contains(&region) && !hw.tlb.probe_any(a.va) {
-                hw.pending_regions.insert(region);
-                continue;
-            }
-            flush_run(
-                rig,
-                block,
-                s..i,
-                measured_from,
-                hw,
-                region_shift,
-                stats,
-                probe,
-                &mut on_measured,
-            );
-            pending = None;
-        }
-        match hw.tlb.lookup_pa(a.va) {
-            Some((h, pa)) => {
-                debug_assert_eq!(pa, rig.data_pa(a.va), "TLB frame at {}", a.va);
-                let (level, cycles) = hw.hier.access(pa.raw());
-                if i >= measured_from {
-                    if P::ACTIVE {
-                        probe.tlb_lookup(tlb_path(h));
-                    }
-                    account_data(stats, probe, level, cycles);
-                    if let Some(cb) = on_measured.as_mut() {
-                        cb(probe, rig, stats.accesses);
-                    }
-                }
-            }
-            None => {
-                pending = Some(i);
-                hw.pending_regions.insert(region);
-            }
-        }
-    }
-    if let Some(s) = pending {
-        flush_run(
-            rig,
-            block,
-            s..block.len(),
-            measured_from,
-            hw,
-            region_shift,
-            stats,
-            probe,
-            &mut on_measured,
-        );
-    }
-}
-
-/// What a replay carries from one span to the next: the TLB, the cache
-/// hierarchy, and the batched engine's scratch. The caller owns its
-/// lifetime — the runner keeps one per replay, the shard barrier starts
-/// a fresh one per epoch, and a cloud node shares one across all its
-/// tenants.
+/// What a replay carries from one span to the next: the TLB and the
+/// cache hierarchy. The caller owns its lifetime — the runner keeps one
+/// per replay, the shard barrier starts a fresh one per epoch, and a
+/// cloud node shares one across all its tenants.
 pub(crate) struct Hw {
     pub(crate) tlb: Tlb,
     pub(crate) hier: MemoryHierarchy,
-    /// One miss run's outcomes, reused across flushes. Holds no
-    /// cross-flush simulation state.
-    outcomes: Vec<Outcome>,
-    /// Regions (`va >> fill_shift`) the pending miss run occupies.
-    pending_regions: FastSet<u64>,
 }
 
 impl Hw {
@@ -333,26 +158,16 @@ impl Hw {
         Hw {
             tlb: Tlb::default(),
             hier,
-            outcomes: Vec::with_capacity(BLOCK_SIZE),
-            pending_regions: FastSet::default(),
         }
     }
 }
 
 /// Replay `span` — the accesses at absolute trace positions
-/// `base..base + span.len()` — under `engine`. The only place in the
-/// crate that chooses between the two engines:
-///
-/// - [`Engine::Scalar`] runs [`step_access`] per element;
-/// - [`Engine::Batched`] runs [`run_block`] per [`BLOCK_SIZE`] chunk,
-///   cut at multiples of `BLOCK_SIZE` in *absolute* position, so a
-///   trace replayed in one span, in epochs, or in scheduler quanta sees
-///   the same block boundaries.
-///
-/// Positions below `warmup` are replayed but not measured. The
+/// `base..base + span.len()` — under `engine`, one [`step_access`] per
+/// element. Positions below `warmup` are replayed but not measured. The
 /// optional `on_measured` hook fires after every measured element with
-/// the running `stats.accesses`, in both engines. The two engines are
-/// bit-identical by contract (DESIGN.md §13).
+/// the running `stats.accesses`. The two engines are bit-identical by
+/// contract (DESIGN.md §13).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_span<P: Probe>(
     engine: Engine,
@@ -365,32 +180,11 @@ pub(crate) fn run_span<P: Probe>(
     probe: &mut P,
     mut on_measured: Option<OnMeasured<'_, P>>,
 ) {
-    match engine {
-        Engine::Scalar => {
-            for (j, a) in span.iter().enumerate() {
-                let measured = base + j >= warmup;
-                step_access(rig, a, measured, &mut hw.tlb, &mut hw.hier, stats, probe);
-                if let (true, Some(cb)) = (measured, on_measured.as_mut()) {
-                    cb(probe, rig, stats.accesses);
-                }
-            }
-        }
-        Engine::Batched => {
-            let mut done = 0;
-            while done < span.len() {
-                let pos = base + done;
-                let len = (span.len() - done).min(BLOCK_SIZE - pos % BLOCK_SIZE);
-                run_block(
-                    rig,
-                    &span[done..done + len],
-                    warmup.saturating_sub(pos),
-                    hw,
-                    stats,
-                    probe,
-                    on_measured.as_mut().map(|f| &mut **f as OnMeasured<'_, P>),
-                );
-                done += len;
-            }
+    for (j, a) in span.iter().enumerate() {
+        let measured = base + j >= warmup;
+        step_access(engine, rig, a, measured, hw, stats, probe);
+        if let (true, Some(cb)) = (measured, on_measured.as_mut()) {
+            cb(probe, rig, stats.accesses);
         }
     }
 }
@@ -420,7 +214,7 @@ pub(crate) fn sampler<P: Probe>(
 }
 
 /// Replay a whole trace through one rig over `hier`: the trace is
-/// buffered into [`BLOCK_SIZE`] spans for [`run_span`], sampled every
+/// buffered into [`SPAN_LEN`] spans for [`run_span`], sampled every
 /// `probe.sample_interval()` measured accesses, and the rig's
 /// setup-accumulated counters (exits, faults, component counters) are
 /// read once at the end.
@@ -440,12 +234,12 @@ where
     let mut hw = Hw::new(hier);
     let mut stats = RunStats::default();
     let mut sample = sampler(probe, 0);
-    let mut buf: Vec<Access> = Vec::with_capacity(BLOCK_SIZE);
+    let mut buf: Vec<Access> = Vec::with_capacity(SPAN_LEN);
     let mut base = 0usize;
     let mut trace = trace.into_iter();
     loop {
         buf.clear();
-        buf.extend(trace.by_ref().take(BLOCK_SIZE).map(|a| *a.borrow()));
+        buf.extend(trace.by_ref().take(SPAN_LEN).map(|a| *a.borrow()));
         if buf.is_empty() {
             break;
         }
@@ -464,18 +258,19 @@ where
 }
 
 /// One access through the TLB → translate → data-access pipeline: the
-/// scalar engine's loop body, and the pinned semantics the batched
-/// [`run_block`] reproduces.
+/// loop body of both engines, which differ only in the call a TLB miss
+/// makes.
 fn step_access<P: Probe>(
+    engine: Engine,
     rig: &mut dyn Rig,
     a: &Access,
     measured: bool,
-    tlb: &mut Tlb,
-    hier: &mut MemoryHierarchy,
+    hw: &mut Hw,
     stats: &mut RunStats,
     probe: &mut P,
 ) {
-    let pa = match tlb.lookup_pa(a.va) {
+    let hier = &mut hw.hier;
+    let pa = match hw.tlb.lookup_pa(a.va) {
         Some((hit, pa)) => {
             debug_assert_eq!(pa, rig.data_pa(a.va), "TLB frame at {}", a.va);
             if P::ACTIVE && measured {
@@ -489,10 +284,13 @@ fn step_access<P: Probe>(
             } else {
                 Default::default()
             };
-            let tr = rig.translate(a.va, hier);
+            let (tr, pa) = match engine {
+                Engine::Scalar => (rig.translate(a.va, hier), rig.data_pa(a.va)),
+                Engine::Batched => rig.translate_fast(a.va, hier),
+            };
             match tr.unit {
-                Some(u) => tlb.fill_unit_pa(u, a.va, tr.pa),
-                None => tlb.fill_pa(a.va, tr.size, tr.pa),
+                Some(u) => hw.tlb.fill_unit_pa(u, a.va, tr.pa),
+                None => hw.tlb.fill_pa(a.va, tr.size, tr.pa),
             }
             if measured {
                 let pte = if P::ACTIVE {
@@ -502,7 +300,7 @@ fn step_access<P: Probe>(
                 };
                 account_walk(stats, probe, &tr, pte);
             }
-            rig.data_pa(a.va)
+            pa
         }
     };
     let (level, cycles) = hier.access(pa.raw());

@@ -71,7 +71,7 @@ pub use cloudnode::{ChurnConfig, NodeConfig, NodeStats, Tagging, TenantSpec, Ten
 pub use engine::{ratio, RunStats};
 pub use error::SimError;
 pub use experiments::{fig14, fig15, fig16, fig17, table5, table6, table7, Scale, Table7Row};
-pub use rig::{Design, Env, Outcome, RefEntry, Rig, Setup, Translation};
+pub use rig::{Design, Env, RefEntry, Rig, Setup, Translation};
 pub use runner::{
     env_config, Engine, EnvConfig, Runner, RunnerBuilder, TraceSet, DEFAULT_EPOCH_LEN,
     SPILL_CHUNK_LEN,

@@ -5,12 +5,12 @@
 
 use crate::backends::{NativeBackend, NativeMachine};
 use crate::error::SimError;
-use crate::rig::{Design, Env, Outcome, RefEntry, Rig, Setup, Translation};
+use crate::rig::{Design, Env, RefEntry, Rig, Setup, Translation};
 use dmt_cache::hierarchy::MemoryHierarchy;
 use dmt_mem::{PhysAddr, PhysMemory, VirtAddr};
 use dmt_os::proc::Process;
 use dmt_telemetry::ComponentCounters;
-use dmt_workloads::gen::{Access, Workload};
+use dmt_workloads::gen::Workload;
 
 /// A native machine running one workload under one design.
 pub struct NativeRig {
@@ -133,22 +133,16 @@ impl Rig for NativeRig {
         self.thp
     }
 
-    fn fill_shift(&self) -> u32 {
-        self.backend.fill_shift(self.thp)
-    }
-
     fn translate(&mut self, va: VirtAddr, hier: &mut MemoryHierarchy) -> Translation {
         self.backend.translate(&mut self.m, va, hier)
     }
 
-    fn translate_batch(
+    fn translate_fast(
         &mut self,
-        accesses: &[Access],
+        va: VirtAddr,
         hier: &mut MemoryHierarchy,
-        out: &mut [Outcome],
-    ) {
-        self.backend
-            .translate_batch(&mut self.m, accesses, hier, out)
+    ) -> (Translation, PhysAddr) {
+        self.backend.translate_fast(&mut self.m, va, hier)
     }
 
     fn data_pa(&self, va: VirtAddr) -> PhysAddr {

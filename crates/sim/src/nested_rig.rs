@@ -4,13 +4,13 @@
 
 use crate::backends::NestedBackend;
 use crate::error::SimError;
-use crate::rig::{Design, Env, Outcome, RefEntry, Rig, Setup, Translation};
+use crate::rig::{Design, Env, RefEntry, Rig, Setup, Translation};
 use dmt_cache::hierarchy::MemoryHierarchy;
 use dmt_mem::buddy::FrameKind;
 use dmt_mem::{PhysAddr, VirtAddr};
 use dmt_telemetry::ComponentCounters;
 use dmt_virt::nested::NestedMachine;
-use dmt_workloads::gen::{Access, Workload};
+use dmt_workloads::gen::Workload;
 
 /// A nested (L0/L1/L2) machine running one workload under one design.
 pub struct NestedRig {
@@ -122,22 +122,16 @@ impl Rig for NestedRig {
         self.thp
     }
 
-    fn fill_shift(&self) -> u32 {
-        self.backend.fill_shift(self.thp)
-    }
-
     fn translate(&mut self, va: VirtAddr, hier: &mut MemoryHierarchy) -> Translation {
         self.backend.translate(&mut self.m, va, hier)
     }
 
-    fn translate_batch(
+    fn translate_fast(
         &mut self,
-        accesses: &[Access],
+        va: VirtAddr,
         hier: &mut MemoryHierarchy,
-        out: &mut [Outcome],
-    ) {
-        self.backend
-            .translate_batch(&mut self.m, accesses, hier, out)
+    ) -> (Translation, PhysAddr) {
+        self.backend.translate_fast(&mut self.m, va, hier)
     }
 
     fn data_pa(&self, va: VirtAddr) -> PhysAddr {

@@ -2,7 +2,7 @@
 //! design exists in which environment, and how to build its backend.
 //!
 //! Each backend module exports one [`Registration`] const; the static
-//! [`REGISTRY`] table is their concatenation. Everything downstream is
+//! `REGISTRY` table is their concatenation. Everything downstream is
 //! a query against it:
 //!
 //! * `Design::available_in` asks [`available`] — Table 6's N/A cells
@@ -10,7 +10,7 @@
 //! * the rigs ask [`native_spec`] / [`virt_spec`] / [`nested_spec`] for
 //!   the machine-construction knobs and the factory that builds the
 //!   per-environment backend enum, and get a typed
-//!   [`SimError::Unavailable`](crate::error::SimError::Unavailable) for
+//!   [`SimError::Unavailable`] for
 //!   an N/A cell.
 //!
 //! Adding a design = one new backend module + one enum arm in

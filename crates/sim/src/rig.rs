@@ -118,45 +118,6 @@ pub struct Translation {
     pub unit: Option<TransUnit>,
 }
 
-/// Everything the block engine needs back from one batched element:
-/// the translation itself plus the data access and per-level PTE-fetch
-/// attribution the scalar path would have derived inline. Produced by
-/// [`Rig::translate_batch`], one row per element of a miss run; the
-/// engine fills the TLB and charges statistics and telemetry from each
-/// row in element order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Outcome {
-    /// The completed translation.
-    pub tr: Translation,
-    /// Where the subsequent data access hit.
-    pub data_level: dmt_cache::hierarchy::HitLevel,
-    /// Cycles the data access cost.
-    pub data_cycles: u64,
-    /// PTE fetches per memory level `[L1, L2, LLC, DRAM]` — the
-    /// [`HierarchyStats`](dmt_cache::hierarchy::HierarchyStats) delta
-    /// across the translation, in the same shape the scalar engine
-    /// feeds `Probe::pte_fetch`.
-    pub pte: [u64; 4],
-}
-
-impl Default for Outcome {
-    fn default() -> Self {
-        Outcome {
-            tr: Translation {
-                pa: PhysAddr(0),
-                size: PageSize::Size4K,
-                cycles: 0,
-                refs: 0,
-                fallback: false,
-                unit: None,
-            },
-            data_level: dmt_cache::hierarchy::HitLevel::L1,
-            data_cycles: 0,
-            pte: [0; 4],
-        }
-    }
-}
-
 /// Per-level PTE-fetch deltas between two hierarchy snapshots, in
 /// `[L1, L2, LLC, DRAM]` order — the diff both engines take around a
 /// translation.
@@ -197,16 +158,6 @@ pub trait Rig {
     /// Whether THP is active.
     fn thp(&self) -> bool;
 
-    /// Log2 of the largest reach one TLB fill from this rig can cover
-    /// — what the batched engine keys its region-disjointness on: two
-    /// pending misses whose VAs share `va >> fill_shift()` may resolve
-    /// to one fill, so they must flush in separate runs. Fixed-page
-    /// designs return the page shift of their largest fill (21 under
-    /// THP, 12 otherwise); variable-reach designs (VBI, segmentation)
-    /// return 63 — any two VAs may share a unit, so every miss run is a
-    /// single element and batching degenerates to scalar order exactly.
-    fn fill_shift(&self) -> u32;
-
     /// Serve a translation for `va`, charging `hier`.
     ///
     /// # Panics
@@ -219,29 +170,22 @@ pub trait Rig {
     /// itself without involving the translation machinery).
     fn data_pa(&self, va: VirtAddr) -> PhysAddr;
 
-    /// Translate a run of TLB-missing accesses in one call, charging
-    /// `hier` for each element's walk *and* data access in scalar
-    /// order, and assigning `out[i]` for `accesses[i]`.
-    ///
-    /// The contract is bit-identity with the scalar path: the sequence
-    /// of memory-hierarchy and walk-cache operations must be exactly
-    /// what per-element `translate` + data `hier.access` would issue
-    /// (DESIGN.md §13). The default does literally that; backends
-    /// override it to hoist lookup machinery once per run.
+    /// Serve a TLB miss for the default engine: the translation, with
+    /// `hier` charged exactly as [`translate`](Self::translate) charges
+    /// it, and the physical address of `va`'s data, which must equal
+    /// [`data_pa`](Self::data_pa). The default is literally that pair;
+    /// backends whose translation *is* the data mapping return the
+    /// walk's own PA and skip the software resolve (DESIGN.md §13).
     ///
     /// # Panics
     ///
-    /// Panics if `out` has fewer rows than `accesses`, or (like
-    /// [`translate`](Self::translate)) on unpopulated addresses.
-    fn translate_batch(
+    /// Like [`translate`](Self::translate), on unpopulated addresses.
+    fn translate_fast(
         &mut self,
-        accesses: &[Access],
+        va: VirtAddr,
         hier: &mut MemoryHierarchy,
-        out: &mut [Outcome],
-    ) {
-        crate::backends::batch_each(accesses, hier, out, |va, hier| {
-            (self.translate(va, hier), self.data_pa(va))
-        });
+    ) -> (Translation, PhysAddr) {
+        (self.translate(va, hier), self.data_pa(va))
     }
 
     /// Full reference entry (PA + size + permissions) from the rig's own
@@ -341,10 +285,6 @@ impl Rig for Box<dyn Rig> {
         (**self).thp()
     }
 
-    fn fill_shift(&self) -> u32 {
-        (**self).fill_shift()
-    }
-
     fn translate(&mut self, va: VirtAddr, hier: &mut MemoryHierarchy) -> Translation {
         (**self).translate(va, hier)
     }
@@ -353,13 +293,12 @@ impl Rig for Box<dyn Rig> {
         (**self).data_pa(va)
     }
 
-    fn translate_batch(
+    fn translate_fast(
         &mut self,
-        accesses: &[Access],
+        va: VirtAddr,
         hier: &mut MemoryHierarchy,
-        out: &mut [Outcome],
-    ) {
-        (**self).translate_batch(accesses, hier, out)
+    ) -> (Translation, PhysAddr) {
+        (**self).translate_fast(va, hier)
     }
 
     fn ref_translate(&self, va: VirtAddr) -> Option<RefEntry> {

@@ -107,12 +107,14 @@ pub const SPILL_CHUNK_LEN: u64 = 4_096;
 /// purely about speed and what is being measured.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Engine {
-    /// The scalar reference: one `step_access` per trace element. The
-    /// baseline `perfbench` measures the batched path against.
+    /// The scalar reference: a TLB miss calls [`Rig::translate`], then
+    /// the ground truth [`Rig::data_pa`] for its data access. The
+    /// baseline `perfbench` measures the default engine against.
     Scalar,
-    /// The batched fast path: block-probed TLB scan, region-disjoint
-    /// miss runs through `Rig::translate_batch`, each access charged in
-    /// trace order as the scan resolves it. The default.
+    /// The default fast path: a TLB miss makes the one call
+    /// [`Rig::translate_fast`], which returns the translation and the
+    /// data PA together, so backends whose walk yields the data mapping
+    /// skip the software resolve. Everything else is the scalar loop.
     #[default]
     Batched,
 }
@@ -170,9 +172,9 @@ impl RunnerBuilder {
         self
     }
 
-    /// Select the replay engine: the scalar reference or the batched
-    /// fast path (the default). Both are bit-identical by contract
-    /// (DESIGN.md §13).
+    /// Select the replay engine: the scalar reference or the fast path
+    /// (the default), which differ only in the call a TLB miss makes.
+    /// Both are bit-identical by contract (DESIGN.md §13).
     pub fn engine(mut self, engine: Engine) -> Self {
         self.runner.engine = engine;
         self

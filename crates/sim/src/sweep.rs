@@ -5,7 +5,7 @@
 //!
 //! Jobs share the materialization stage: every (benchmark, THP) trace
 //! and its `Setup` are generated exactly once into a
-//! [`TraceSet`](crate::runner::TraceSet) and replayed by all the
+//! [`TraceSet`] and replayed by all the
 //! (env × design) jobs that need them — a full-matrix sweep used to
 //! regenerate each trace ~20×. Workers claim jobs off a shared atomic
 //! cursor; a job blocks only while *its* trace is still cooking (no
@@ -115,8 +115,8 @@ impl SweepConfig {
     }
 }
 
-/// Builder for [`SweepConfig`]: set the axes, then [`build`]
-/// (`SweepConfigBuilder::build`) bounds-checks benchmark indices and
+/// Builder for [`SweepConfig`]: set the axes, then
+/// [`build`](SweepConfigBuilder::build) bounds-checks benchmark indices and
 /// rejects configs whose matrix is empty — errors surface when the
 /// config is constructed, not from deep inside a worker thread.
 #[derive(Debug, Clone)]
@@ -210,8 +210,8 @@ pub struct SweepRow {
     /// Measured accesses replayed per host second.
     pub accesses_per_sec: f64,
     /// Telemetry captured during the run (when the runner asked for
-    /// it). Deterministic, but compared separately from [`outcome`]
-    /// (`SweepRow::outcome`) so the `RunStats` invariant stays
+    /// it). Deterministic, but compared separately from
+    /// [`outcome`](SweepRow::outcome) so the `RunStats` invariant stays
     /// telemetry-agnostic.
     pub telemetry: Option<Telemetry>,
 }

@@ -5,13 +5,13 @@
 use crate::backends::VirtBackend;
 use crate::error::SimError;
 use crate::registry::Arena;
-use crate::rig::{Design, Env, Outcome, RefEntry, Rig, Setup, Translation};
+use crate::rig::{Design, Env, RefEntry, Rig, Setup, Translation};
 use dmt_cache::hierarchy::MemoryHierarchy;
 use dmt_mem::buddy::FrameKind;
 use dmt_mem::{PhysAddr, VirtAddr};
 use dmt_telemetry::ComponentCounters;
 use dmt_virt::machine::VirtMachine;
-use dmt_workloads::gen::{Access, Workload};
+use dmt_workloads::gen::Workload;
 
 /// A virtualized machine running one workload under one design.
 pub struct VirtRig {
@@ -142,22 +142,16 @@ impl Rig for VirtRig {
         self.m.guest_thp()
     }
 
-    fn fill_shift(&self) -> u32 {
-        self.backend.fill_shift(self.thp())
-    }
-
     fn translate(&mut self, va: VirtAddr, hier: &mut MemoryHierarchy) -> Translation {
         self.backend.translate(&mut self.m, va, hier)
     }
 
-    fn translate_batch(
+    fn translate_fast(
         &mut self,
-        accesses: &[Access],
+        va: VirtAddr,
         hier: &mut MemoryHierarchy,
-        out: &mut [Outcome],
-    ) {
-        self.backend
-            .translate_batch(&mut self.m, accesses, hier, out)
+    ) -> (Translation, PhysAddr) {
+        self.backend.translate_fast(&mut self.m, va, hier)
     }
 
     fn data_pa(&self, va: VirtAddr) -> PhysAddr {

@@ -17,7 +17,7 @@
 //! * [`TraceFile`] — seekable zero-copy (mmap-backed) access to v2
 //!   chunked traces: any chunk decodes independently, which is what
 //!   sharded parallel replay builds on.
-//! * [`capture`] / [`capture_chunked`] / [`capture_to_path`] /
+//! * [`capture()`] / [`capture_chunked`] / [`capture_to_path`] /
 //!   [`capture_indexed`] — capture a
 //!   [`Workload`](dmt_workloads::gen::Workload)'s generated stream to
 //!   a trace (indexed = v2 seekable framing).

@@ -1,22 +1,24 @@
-//! Batch-vs-scalar engine equivalence: the hard correctness gate behind
-//! the batched translation fast path (DESIGN.md §13).
+//! Scalar-vs-default engine equivalence: the hard correctness gate
+//! behind the fast path (DESIGN.md §13).
 //!
-//! The batched engine restructures *when* work happens — fixed-size
-//! blocks, region-disjoint miss runs, hoisted register-file/page-map
-//! resolution, accounting at run flushes — but must never change *what*
-//! happens: for any trace, every design, every environment, both THP
-//! modes, the scalar reference engine (`step_access` per element) and
-//! the batched engine must produce bit-identical `RunStats` and
-//! bit-identical telemetry (histograms, counters, series). Every replay samples the
-//! fragmentation series every [`SAMPLE_EVERY`] measured accesses, so the
-//! `on_measured` hook — whose firing order the batched accounting must
-//! keep — is compared at mid-block, mid-run and post-warmup positions.
+//! Both engines run one loop body per access and differ only in the
+//! call a TLB miss makes: the scalar reference calls `Rig::translate`
+//! and then the ground truth `Rig::data_pa`, the default engine the one
+//! `Rig::translate_fast`, which returns the data PA with the
+//! translation. For any trace, every design, every environment, both
+//! THP modes, the two must produce bit-identical `RunStats` and
+//! bit-identical telemetry (histograms, counters, series). Every replay
+//! samples the fragmentation series every [`SAMPLE_EVERY`] measured
+//! accesses, so the `on_measured` hook's firing order is compared too.
+//! `translate_fast_matches_translate_and_data_pa` checks the per-miss
+//! contract itself, call by call.
 //!
 //! Property inputs are random multi-region access sequences whose
-//! lengths deliberately straddle the engine's 256-access block boundary
-//! and whose warmup cut lands mid-block, so run splits, partial tail
-//! blocks, and warmup transitions are all exercised.
+//! lengths straddle 256 (the span length a streamed replay buffers, and
+//! the block size of earlier engines) and whose warmup cut lands
+//! anywhere, so partial spans and warmup transitions are exercised.
 
+use dmt::cache::hierarchy::MemoryHierarchy;
 use dmt::mem::{PageSize, VirtAddr};
 use dmt::sim::report::telemetry_json;
 use dmt::sim::rig::Setup;
@@ -39,8 +41,8 @@ const ALL_DESIGNS: [Design; 10] = [
 
 const ENVS: [Env; 3] = [Env::Native, Env::Virt, Env::Nested];
 
-/// Series sampling interval: prime and far below the 256-access block,
-/// so samples land at every offset inside blocks and miss runs.
+/// Series sampling interval: prime and far below the 256-access span,
+/// so samples land at every offset inside a span.
 const SAMPLE_EVERY: u64 = 7;
 
 /// Table-span-aligned VMA slots (same layout discipline as
@@ -134,9 +136,9 @@ fn assert_all_cells(trace_ops: &[(u8, u16, u16)], warmup: usize) -> Result<(), S
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2))]
 
-    /// Random traces straddling the 256-access block boundary, random
-    /// mid-block warmup cut: every available cell, both engines,
-    /// bit-identical stats and telemetry.
+    /// Random traces straddling the 256-access span boundary, random
+    /// warmup cut: every available cell, both engines, bit-identical
+    /// stats and telemetry.
     #[test]
     fn all_cells_scalar_and_batched_agree(
         ops in prop::collection::vec((any::<u8>(), any::<u16>(), any::<u16>()), 200..640),
@@ -148,22 +150,27 @@ proptest! {
     }
 }
 
-/// Deterministic block-boundary sweep: trace lengths one either side of
-/// the engine's block size (and multiples), with the warmup cut landing
-/// exactly on, before, and after a boundary. Narrower than the property
-/// above but pinned, so a boundary regression fails by name.
-#[test]
-fn block_boundary_lengths_agree() {
-    // Pseudo-random but fixed op stream, long enough for every prefix.
+/// A pseudo-random but fixed op stream of `n` ops.
+fn fixed_ops(n: usize) -> Vec<(u8, u16, u16)> {
     let mut x = 0x9E3779B97F4A7C15u64;
-    let ops: Vec<(u8, u16, u16)> = (0..513)
+    (0..n)
         .map(|_| {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
             (x as u8, (x >> 8) as u16, (x >> 24) as u16)
         })
-        .collect();
+        .collect()
+}
+
+/// Deterministic span-boundary sweep: trace lengths one either side of
+/// 256 (and multiples), with the warmup cut landing exactly on, before,
+/// and after a boundary. Narrower than the property above but pinned,
+/// so a boundary regression fails by name.
+#[test]
+fn block_boundary_lengths_agree() {
+    // Long enough for every prefix.
+    let ops = fixed_ops(513);
     for len in [255usize, 256, 257, 511, 512, 513] {
         for warmup in [0usize, 1, 255, 256, 257] {
             if warmup >= len {
@@ -179,6 +186,49 @@ fn block_boundary_lengths_agree() {
             ] {
                 assert_cell_equivalent(env, design, false, &setup, &trace, warmup)
                     .unwrap_or_else(|msg| panic!("len={len} warmup={warmup}: {msg}"));
+            }
+        }
+    }
+}
+
+/// The per-miss contract, call by call. Two rigs of each registered
+/// (env, design) cell, both THP modes, are built from one `Setup`, each
+/// over its own hierarchy. For every VA of the trace, in order,
+/// `translate_fast` on one must return the `Translation` that
+/// `translate` returns on the other, leave its hierarchy with equal
+/// `stats()`, and hand back exactly `data_pa(va)`. Each side then does
+/// the data access, as the engine would.
+#[test]
+fn translate_fast_matches_translate_and_data_pa() {
+    let (setup, trace) = build(&fixed_ops(513));
+    let runner = Runner::builder().build();
+    for env in ENVS {
+        for design in ALL_DESIGNS {
+            if !design.available_in(env) {
+                continue;
+            }
+            for thp in [false, true] {
+                let cell = format!("{env:?}/{design:?} thp={thp}");
+                let mut reference = runner.build_rig(env, design, thp, &setup).unwrap();
+                let mut fast = runner.build_rig(env, design, thp, &setup).unwrap();
+                let mut ref_hier = MemoryHierarchy::default();
+                let mut fast_hier = MemoryHierarchy::default();
+                for (i, a) in trace.iter().enumerate() {
+                    let want = reference.translate(a.va, &mut ref_hier);
+                    let (got, pa) = fast.translate_fast(a.va, &mut fast_hier);
+                    assert_eq!(got, want, "{cell}: translation of access {i} at {}", a.va);
+                    assert_eq!(
+                        fast_hier.stats(),
+                        ref_hier.stats(),
+                        "{cell}: hierarchy after access {i} at {}",
+                        a.va
+                    );
+                    let truth = reference.data_pa(a.va);
+                    assert_eq!(pa, truth, "{cell}: data PA of access {i} at {}", a.va);
+                    ref_hier.access(truth.raw());
+                    fast_hier.access(pa.raw());
+                }
+                assert_eq!(fast.coverage(), reference.coverage(), "{cell}: coverage");
             }
         }
     }

@@ -6,7 +6,7 @@
 //! `data_pa` call of every rig a replay builds: single-rig replays
 //! under both engines, sharded replay, and a cloud node whose churn
 //! restarts tenants (a restarted tenant must never be charged at a
-//! pre-restart frame). The wrapper keeps the default `translate_batch`,
+//! pre-restart frame). The wrapper keeps the default `translate_fast`,
 //! which fetches each miss's data address through `data_pa` too, so the
 //! pinned count is the same for both engines: with warmup 0, exactly
 //! `RunStats::walks`. Debug builds add the engine's ground-truth check
@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 static CALLS: [AtomicU64; 3] = [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)];
 
 /// Forwards every `Rig` method to `inner`, counting `data_pa` calls
-/// into `CALLS[K]`. `translate_batch` keeps the trait default.
+/// into `CALLS[K]`. `translate_fast` keeps the trait default.
 struct Counting<const K: usize> {
     inner: Box<dyn Rig>,
 }
@@ -51,9 +51,6 @@ impl<const K: usize> Rig for Counting<K> {
     }
     fn thp(&self) -> bool {
         self.inner.thp()
-    }
-    fn fill_shift(&self) -> u32 {
-        self.inner.fill_shift()
     }
     fn translate(&mut self, va: VirtAddr, hier: &mut MemoryHierarchy) -> Translation {
         self.inner.translate(va, hier)
