@@ -18,9 +18,9 @@
 //! Adding a design variant is one new module implementing the
 //! environment traits it supports, one arm per supported environment in
 //! the `backend_enum!` invocations below, plus one
-//! [`Registration`](crate::registry::Registration) row — see DESIGN.md §11 for the
-//! worked example. Registry/enum drift fails the `registry` tests and
-//! the CI grep lint.
+//! [`Registration`](crate::registry::Registration) row — see DESIGN.md
+//! §11 for the worked example. Registry/enum drift fails the `registry`
+//! tests and the CI grep lint.
 
 pub mod agile;
 pub mod asap;
@@ -574,19 +574,19 @@ pub trait NestedTranslator {
 /// arena-exhaustion tests hand undersized arenas.
 #[cfg(test)]
 pub(crate) fn populated_virt_machine() -> (VirtMachine, Setup) {
-    let regions: Vec<dmt_workloads::gen::Region> = [1u64 << 30, 3 << 30]
+    use dmt_workloads::gen::{Access, Region};
+    let regions: Vec<Region> = [1u64 << 30, 3 << 30]
         .iter()
-        .map(|&base| dmt_workloads::gen::Region {
+        .map(|&base| Region {
             base: VirtAddr(base),
             len: 4 << 20,
             label: "heap",
         })
         .collect();
-    let trace: Vec<dmt_workloads::gen::Access> = regions
+    let trace: Vec<Access> = regions
         .iter()
         .flat_map(|r| {
-            (0..r.len >> 12)
-                .map(move |p| dmt_workloads::gen::Access::read(VirtAddr(r.base.raw() + (p << 12))))
+            (0..r.len >> 12).map(move |p| Access::read(VirtAddr(r.base.raw() + (p << 12))))
         })
         .collect();
     let setup = Setup::new(regions, &trace);

@@ -14,9 +14,9 @@
 //! contract itself, call by call.
 //!
 //! Property inputs are random multi-region access sequences whose
-//! lengths straddle 256 (the span length a streamed replay buffers, and
-//! the block size of earlier engines) and whose warmup cut lands
-//! anywhere, so partial spans and warmup transitions are exercised.
+//! lengths straddle 256 (the span length a streamed replay buffers) and
+//! whose warmup cut lands anywhere, so partial spans and warmup
+//! transitions are exercised.
 
 use dmt::cache::hierarchy::MemoryHierarchy;
 use dmt::mem::{PageSize, VirtAddr};
