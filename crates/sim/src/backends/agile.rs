@@ -2,7 +2,7 @@
 //! levels nested — a walk starts in the shadow table and switches to 2D
 //! at the configured level (virtualized only).
 
-use super::{VirtBackend, VirtTranslator};
+use super::{Translator, VirtBackend};
 use crate::registry::{Registration, VirtSpec};
 use crate::rig::{Design, Setup, Translation};
 use dmt_baselines::agile::{agile_sync_events, agile_walk, guest_entry_chain};
@@ -37,7 +37,7 @@ fn build_virt(
 /// Shadow-then-nested hybrid walk.
 pub struct VirtAgile;
 
-impl VirtTranslator for VirtAgile {
+impl Translator<VirtMachine> for VirtAgile {
     fn translate(
         &mut self,
         m: &mut VirtMachine,

@@ -2,7 +2,7 @@
 //! over the unchanged radix walk, with the timeliness-limited overlap
 //! applied to the leaf fetch.
 
-use super::{NativeBackend, NativeMachine, NativeTranslator, VirtBackend, VirtTranslator};
+use super::{NativeBackend, NativeMachine, Translator, VirtBackend};
 use crate::error::SimError;
 use crate::registry::{Arena, NativeSpec, Registration, VirtSpec};
 use crate::rig::{Design, Setup, Translation};
@@ -80,7 +80,7 @@ pub struct NativeAsap {
     stats: AsapStats,
 }
 
-impl NativeTranslator for NativeAsap {
+impl Translator<NativeMachine> for NativeAsap {
     fn translate(
         &mut self,
         m: &mut NativeMachine,
@@ -133,7 +133,7 @@ pub struct VirtAsap {
     stats: AsapStats,
 }
 
-impl VirtTranslator for VirtAsap {
+impl Translator<VirtMachine> for VirtAsap {
     fn translate(
         &mut self,
         m: &mut VirtMachine,

@@ -12,7 +12,7 @@
 //! charge, so results stay bit-identical to the scalar path
 //! (DESIGN.md §13).
 
-use super::{NativeBackend, NativeMachine, NativeTranslator, VirtBackend, VirtTranslator};
+use super::{NativeBackend, NativeMachine, Translator, VirtBackend};
 use crate::error::SimError;
 use crate::registry::{Arena, NativeSpec, Registration, TierSpec, VirtSpec};
 use crate::rig::{Design, Setup, Translation};
@@ -123,7 +123,7 @@ impl NativeDmt {
     }
 }
 
-impl NativeTranslator for NativeDmt {
+impl Translator<NativeMachine> for NativeDmt {
     fn translate(
         &mut self,
         m: &mut NativeMachine,
@@ -159,7 +159,7 @@ pub struct VirtDmt {
     fallbacks: u64,
 }
 
-impl VirtTranslator for VirtDmt {
+impl Translator<VirtMachine> for VirtDmt {
     fn translate(
         &mut self,
         m: &mut VirtMachine,

@@ -3,8 +3,7 @@
 //! ECPT; guest tables come from the boot-time contiguous arena.
 
 use super::{
-    backed_chunks, collect_guest_mappings, NativeBackend, NativeMachine, NativeTranslator,
-    VirtBackend, VirtTranslator,
+    backed_chunks, collect_guest_mappings, NativeBackend, NativeMachine, Translator, VirtBackend,
 };
 use crate::error::SimError;
 use crate::registry::{Arena, NativeSpec, Registration, VirtSpec};
@@ -128,7 +127,7 @@ pub struct NativeEcpt {
     ecpt: Ecpt,
 }
 
-impl NativeTranslator for NativeEcpt {
+impl Translator<NativeMachine> for NativeEcpt {
     fn translate(
         &mut self,
         m: &mut NativeMachine,
@@ -157,7 +156,7 @@ pub struct VirtEcpt {
     necpt: NestedEcpt,
 }
 
-impl VirtTranslator for VirtEcpt {
+impl Translator<VirtMachine> for VirtEcpt {
     fn translate(
         &mut self,
         m: &mut VirtMachine,

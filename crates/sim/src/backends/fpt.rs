@@ -4,8 +4,7 @@
 //! carved at boot (the registry's `arena_frames` hook).
 
 use super::{
-    backed_chunks, collect_guest_mappings, NativeBackend, NativeMachine, NativeTranslator,
-    VirtBackend, VirtTranslator,
+    backed_chunks, collect_guest_mappings, NativeBackend, NativeMachine, Translator, VirtBackend,
 };
 use crate::error::SimError;
 use crate::registry::{Arena, NativeSpec, Registration, VirtSpec};
@@ -102,7 +101,7 @@ pub struct NativeFpt {
     fpt: FlatPageTable,
 }
 
-impl NativeTranslator for NativeFpt {
+impl Translator<NativeMachine> for NativeFpt {
     fn translate(
         &mut self,
         m: &mut NativeMachine,
@@ -132,7 +131,7 @@ pub struct VirtFpt {
     hfpt: FlatPageTable,
 }
 
-impl VirtTranslator for VirtFpt {
+impl Translator<VirtMachine> for VirtFpt {
     fn translate(
         &mut self,
         m: &mut VirtMachine,

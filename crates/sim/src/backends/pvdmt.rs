@@ -5,9 +5,7 @@
 //! the virtualized and nested modes add the hypercall-based exit
 //! accounting.
 
-use super::{
-    NativeBackend, NativeMachine, NestedBackend, NestedTranslator, VirtBackend, VirtTranslator,
-};
+use super::{NativeBackend, NativeMachine, NestedBackend, Translator, VirtBackend};
 use crate::error::SimError;
 use crate::registry::{Arena, NativeSpec, NestedSpec, Registration, TierSpec, VirtSpec};
 use crate::rig::{Design, Setup, Translation};
@@ -79,7 +77,7 @@ pub struct VirtPvDmt {
     fallbacks: u64,
 }
 
-impl VirtTranslator for VirtPvDmt {
+impl Translator<VirtMachine> for VirtPvDmt {
     fn translate(
         &mut self,
         m: &mut VirtMachine,
@@ -129,7 +127,7 @@ pub struct NestedPvDmt {
     fallbacks: u64,
 }
 
-impl NestedTranslator for NestedPvDmt {
+impl Translator<NestedMachine> for NestedPvDmt {
     fn translate(
         &mut self,
         m: &mut NestedMachine,

@@ -16,8 +16,7 @@
 //! from the machine's ground truth, as on the scalar path.
 
 use super::{
-    merge_contiguous_runs, ContigRun, NativeBackend, NativeMachine, NativeTranslator, VirtBackend,
-    VirtTranslator,
+    merge_contiguous_runs, ContigRun, NativeBackend, NativeMachine, Translator, VirtBackend,
 };
 use crate::backends::vbi::{build_virt_tables, host_resolve, BlockTable};
 use crate::error::SimError;
@@ -123,7 +122,7 @@ pub struct NativeSeg {
     seg: SegTable,
 }
 
-impl NativeTranslator for NativeSeg {
+impl Translator<NativeMachine> for NativeSeg {
     fn translate(
         &mut self,
         _m: &mut NativeMachine,
@@ -152,7 +151,7 @@ pub struct VirtSeg {
     host: BlockTable,
 }
 
-impl VirtTranslator for VirtSeg {
+impl Translator<VirtMachine> for VirtSeg {
     fn translate(
         &mut self,
         _m: &mut VirtMachine,

@@ -2,7 +2,7 @@
 //! TLB miss costs one native-length walk — but every guest page-table
 //! update exits to resync (virtualized only; Table 6 N/A elsewhere).
 
-use super::{VirtBackend, VirtTranslator};
+use super::{Translator, VirtBackend};
 use crate::registry::{Registration, VirtSpec};
 use crate::rig::{Design, Setup, Translation};
 use dmt_cache::hierarchy::MemoryHierarchy;
@@ -33,7 +33,7 @@ fn build_virt(
 /// One-dimensional walk of the hypervisor-maintained shadow table.
 pub struct VirtShadow;
 
-impl VirtTranslator for VirtShadow {
+impl Translator<VirtMachine> for VirtShadow {
     fn translate(
         &mut self,
         m: &mut VirtMachine,

@@ -11,10 +11,7 @@
 //! and `hier.access` charge is still issued — the observable op
 //! sequence is bit-identical to the scalar path (DESIGN.md §13).
 
-use super::{
-    NativeBackend, NativeMachine, NativeTranslator, NestedBackend, NestedTranslator, VirtBackend,
-    VirtTranslator,
-};
+use super::{NativeBackend, NativeMachine, NestedBackend, Translator, VirtBackend};
 use crate::registry::{NativeSpec, NestedSpec, Registration, VirtSpec};
 use crate::rig::{Design, Setup, Translation};
 use dmt_cache::hierarchy::MemoryHierarchy;
@@ -73,7 +70,7 @@ pub struct NativeVanilla {
     memo: PteMemo,
 }
 
-impl NativeTranslator for NativeVanilla {
+impl Translator<NativeMachine> for NativeVanilla {
     fn translate(
         &mut self,
         m: &mut NativeMachine,
@@ -130,7 +127,7 @@ impl NativeTranslator for NativeVanilla {
 #[derive(Default)]
 pub struct VirtVanilla;
 
-impl VirtTranslator for VirtVanilla {
+impl Translator<VirtMachine> for VirtVanilla {
     fn translate(
         &mut self,
         m: &mut VirtMachine,
@@ -162,7 +159,7 @@ impl VirtTranslator for VirtVanilla {
 /// The cascaded L2PT × sPT baseline walk.
 pub struct NestedVanilla;
 
-impl NestedTranslator for NestedVanilla {
+impl Translator<NestedMachine> for NestedVanilla {
     fn translate(
         &mut self,
         m: &mut NestedMachine,

@@ -16,8 +16,8 @@
 //! of re-deriving it through the software walk.
 
 use super::{
-    find_run, merge_contiguous_runs, ContigRun, NativeBackend, NativeMachine, NativeTranslator,
-    VirtBackend, VirtTranslator,
+    find_run, merge_contiguous_runs, ContigRun, NativeBackend, NativeMachine, Translator,
+    VirtBackend,
 };
 use crate::error::SimError;
 use crate::registry::{Arena, NativeSpec, Registration, VirtSpec};
@@ -133,7 +133,7 @@ pub struct NativeVbi {
     table: BlockTable,
 }
 
-impl NativeTranslator for NativeVbi {
+impl Translator<NativeMachine> for NativeVbi {
     fn translate(
         &mut self,
         _m: &mut NativeMachine,
@@ -169,7 +169,7 @@ pub struct VirtVbi {
     host: BlockTable,
 }
 
-impl VirtTranslator for VirtVbi {
+impl Translator<VirtMachine> for VirtVbi {
     fn translate(
         &mut self,
         _m: &mut VirtMachine,

@@ -108,9 +108,8 @@ fn run_node_probed<P: Probe>(
     cfg: &NodeConfig,
     probe: &mut P,
 ) -> Result<NodeStats, SimError> {
-    let wrapper = runner.wrapper;
     let tagged = cfg.tagging == Tagging::Tagged;
-    let audit_each_kill = wrapper.is_some();
+    let audit_each_kill = runner.wrapper.is_some();
 
     // Materialize every tenant's trace first: the shared pool is sized
     // as the sum of what each standalone rig would provision, plus one
@@ -121,7 +120,10 @@ fn run_node_probed<P: Probe>(
     for (i, &spec) in cfg.tenants.iter().enumerate() {
         seeds.push(TenantSeed::materialize(spec, i, cfg.thp, cfg.scale)?);
     }
-    let per_tenant: Vec<u64> = seeds.iter().map(|s| s.host_bytes(cfg.thp)).collect();
+    let per_tenant: Vec<u64> = seeds
+        .iter()
+        .map(|s| crate::rig::host_bytes(s.spec.env, cfg.thp, &s.setup))
+        .collect();
     let base: u64 = per_tenant.iter().sum();
     let headroom =
         cfg.churn.map_or(0, |c| c.kills as u64) * per_tenant.iter().copied().max().unwrap_or(0);
@@ -133,7 +135,7 @@ fn run_node_probed<P: Probe>(
     for (i, seed) in seeds.into_iter().enumerate() {
         let asid = if tagged { i as u16 } else { 0 };
         let pm = std::mem::replace(&mut shared, placeholder());
-        let mut t = Tenant::build(seed, pm, cfg.design, cfg.thp, wrapper, asid)?;
+        let mut t = Tenant::build(seed, pm, cfg.design, cfg.thp, runner, asid)?;
         t.rig.swap_phys(&mut shared);
         tenants.push(t);
     }
@@ -285,7 +287,7 @@ fn run_node_probed<P: Probe>(
                     0
                 };
                 let pm = std::mem::replace(&mut shared, placeholder());
-                t.rebuild(pm, cfg.design, cfg.thp, wrapper, asid)?;
+                t.rebuild(pm, cfg.design, cfg.thp, runner, asid)?;
                 t.rig.swap_phys(&mut shared);
                 remaining[v] = t.trace.len();
                 kills_done += 1;

@@ -6,11 +6,8 @@ use crate::cloudnode::config::TenantSpec;
 use crate::engine::RunStats;
 use crate::error::SimError;
 use crate::experiments::Scale;
-use crate::native_rig::NativeRig;
-use crate::nested_rig::NestedRig;
-use crate::rig::{Design, Env, Rig, Setup};
-use crate::runner::{bench_trace, RigWrapper};
-use crate::virt_rig::VirtRig;
+use crate::rig::{build_rig_in, Design, Rig, Setup};
+use crate::runner::{bench_trace, Runner};
 use dmt_mem::PhysMemory;
 use dmt_workloads::gen::Access;
 
@@ -43,42 +40,6 @@ impl TenantSeed {
             trace: b.trace,
         })
     }
-
-    /// Host (L0) bytes a standalone rig would provision for this
-    /// tenant — the node's shared memory is sized as the sum of these.
-    pub(crate) fn host_bytes(&self, thp: bool) -> u64 {
-        host_bytes(self.spec.env, thp, &self.setup)
-    }
-}
-
-/// Per-environment host sizing, matching the standalone constructors.
-pub(crate) fn host_bytes(env: Env, thp: bool, setup: &Setup) -> u64 {
-    match env {
-        Env::Native => NativeRig::host_bytes(thp, setup),
-        Env::Virt => VirtRig::host_bytes(thp, setup),
-        Env::Nested => NestedRig::host_bytes(thp, setup),
-    }
-}
-
-/// Build a rig of the tenant's environment inside `pm`, applying the
-/// runner's wrapper (the oracle's entry point) if one is configured.
-pub(crate) fn build_rig_in(
-    pm: PhysMemory,
-    env: Env,
-    design: Design,
-    thp: bool,
-    setup: &Setup,
-    wrapper: Option<RigWrapper>,
-) -> Result<Box<dyn Rig>, SimError> {
-    let rig: Box<dyn Rig> = match env {
-        Env::Native => Box::new(NativeRig::with_setup_in(pm, design, thp, setup)?),
-        Env::Virt => Box::new(VirtRig::with_setup_in(pm, design, thp, setup)?),
-        Env::Nested => Box::new(NestedRig::with_setup_in(pm, design, thp, setup)?),
-    };
-    Ok(match wrapper {
-        Some(w) => w(rig),
-        None => rig,
-    })
 }
 
 /// One live tenant: the seed, the current incarnation's rig, and the
@@ -110,10 +71,10 @@ impl Tenant {
         pm: PhysMemory,
         design: Design,
         thp: bool,
-        wrapper: Option<RigWrapper>,
+        runner: &Runner,
         asid: u16,
     ) -> Result<Tenant, SimError> {
-        let rig = build_rig_in(pm, seed.spec.env, design, thp, &seed.setup, wrapper)?;
+        let rig = runner.wrap(build_rig_in(pm, seed.spec.env, design, thp, &seed.setup)?);
         Ok(Tenant {
             spec: seed.spec,
             workload: seed.workload,
@@ -137,10 +98,10 @@ impl Tenant {
         pm: PhysMemory,
         design: Design,
         thp: bool,
-        wrapper: Option<RigWrapper>,
+        runner: &Runner,
         asid: u16,
     ) -> Result<(), SimError> {
-        self.rig = build_rig_in(pm, self.spec.env, design, thp, &self.setup, wrapper)?;
+        self.rig = runner.wrap(build_rig_in(pm, self.spec.env, design, thp, &self.setup)?);
         self.asid = asid;
         self.pos = 0;
         self.incarnations += 1;

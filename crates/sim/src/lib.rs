@@ -2,14 +2,16 @@
 //! the trace-driven engine, the §5 execution-time model, and one runner
 //! per table/figure of the paper.
 //!
-//! * [`rig`] — the [`rig::Rig`] trait, [`rig::Design`] and [`rig::Env`].
+//! * [`rig`] — the [`rig::Rig`] trait, [`rig::Design`], [`rig::Env`]
+//!   and [`rig::MachineRig`], the one rig shell: a machine plus its
+//!   registry-built backend.
 //! * [`backends`] — one module per design: its auxiliary-structure
 //!   setup, translate path, and reference ground truth.
 //! * [`registry`] — the (design × environment) table the rigs and
 //!   `Design::available_in` query; Table 6's N/A cells live here.
-//! * [`native_rig`] / [`virt_rig`] / [`nested_rig`] — thin environment
-//!   shells that own machine state and delegate to a registry-built
-//!   backend.
+//! * [`native_rig`] / [`virt_rig`] / [`nested_rig`] — each
+//!   environment's [`backends::Machine`] impl (machine build, host
+//!   sizing, ground truth) and its alias of the shell.
 //! * [`engine`] — TLB → translate → data-access loop with statistics;
 //!   batched by default, with the scalar reference loop kept for
 //!   equivalence testing and as the bench-harness baseline. Both are

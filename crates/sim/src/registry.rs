@@ -7,11 +7,10 @@
 //!
 //! * `Design::available_in` asks [`available`] — Table 6's N/A cells
 //!   are `None` entries here, not scattered `match` arms;
-//! * the rigs ask [`native_spec`] / [`virt_spec`] / [`nested_spec`] for
-//!   the machine-construction knobs and the factory that builds the
-//!   per-environment backend enum, and get a typed
-//!   [`SimError::Unavailable`] for
-//!   an N/A cell.
+//! * each environment's `Machine::build` asks [`native_spec`] /
+//!   [`virt_spec`] / [`nested_spec`] for the machine-construction
+//!   knobs and the factory that builds the per-environment backend
+//!   enum, and gets a typed [`SimError::Unavailable`] for an N/A cell.
 //!
 //! Adding a design = one new backend module + one enum arm in
 //! `backends::backend_enum!` per supported environment + one row here
@@ -205,6 +204,7 @@ pub fn nested_spec(design: Design) -> Result<&'static NestedSpec, SimError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backends::Machine;
 
     const ALL: [Design; 10] = [
         Design::Vanilla,
@@ -298,11 +298,9 @@ mod tests {
             pages: vec![dmt_mem::VirtAddr(0x10_0000)],
         };
         for d in Design::ALL {
-            if let Ok(spec) = native_spec(d) {
+            if available(d, Env::Native) {
                 let pm = dmt_mem::PhysMemory::new_bytes(NativeMachine::host_bytes(false, &setup));
-                let mut m = NativeMachine::build_in(pm, spec.dmt_managed, false, &setup, 4)
-                    .expect("machine");
-                let b = (spec.build)(&mut m, &setup).expect("backend");
+                let (_, b) = NativeMachine::build(pm, d, false, &setup).expect("backend");
                 assert_eq!(b.design(), d, "{d:?} native variant");
             }
         }

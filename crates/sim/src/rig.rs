@@ -1,9 +1,19 @@
 //! Common vocabulary for the evaluation: environments, translation
-//! designs, and the [`Rig`] trait every design-under-test implements.
+//! designs, the [`Rig`] trait the engine drives, and [`MachineRig`],
+//! the one rig shell every environment instantiates.
 
+use crate::backends::{Machine, NativeMachine, Translator};
+use crate::error::SimError;
+use crate::native_rig::NativeRig;
+use crate::nested_rig::NestedRig;
+use crate::virt_rig::VirtRig;
 use dmt_cache::hierarchy::MemoryHierarchy;
-use dmt_mem::{PageSize, PhysAddr, TransUnit, VirtAddr};
+use dmt_cache::PageWalkCache;
+use dmt_mem::buddy::FrameKind;
+use dmt_mem::{PageSize, PhysAddr, PhysMemory, TransUnit, VirtAddr};
 use dmt_telemetry::ComponentCounters;
+use dmt_virt::machine::VirtMachine;
+use dmt_virt::nested::NestedMachine;
 use dmt_workloads::gen::{Access, Region};
 
 /// Deployment environment (the paper's three columns of Table 6).
@@ -173,9 +183,11 @@ pub trait Rig {
     /// Serve a TLB miss for the default engine: the translation, with
     /// `hier` charged exactly as [`translate`](Self::translate) charges
     /// it, and the physical address of `va`'s data, which must equal
-    /// [`data_pa`](Self::data_pa). The default is literally that pair;
-    /// backends whose translation *is* the data mapping return the
-    /// walk's own PA and skip the software resolve (DESIGN.md §13).
+    /// [`data_pa`](Self::data_pa). A backend may serve literally that
+    /// pair (the [`Translator`] default); backends whose translation
+    /// *is* the data mapping return the walk's own PA and skip the
+    /// software resolve (DESIGN.md §13). A wrapper forwards it to the
+    /// inner `translate_fast`, so the default engine runs what it wraps.
     ///
     /// # Panics
     ///
@@ -184,48 +196,34 @@ pub trait Rig {
         &mut self,
         va: VirtAddr,
         hier: &mut MemoryHierarchy,
-    ) -> (Translation, PhysAddr) {
-        (self.translate(va, hier), self.data_pa(va))
-    }
+    ) -> (Translation, PhysAddr);
 
     /// Full reference entry (PA + size + permissions) from the rig's own
     /// software ground truth, for the differential oracle. `None` means
     /// either the page is unmapped or the rig does not expose flags; the
     /// oracle then falls back to [`data_pa`](Self::data_pa) alone.
-    fn ref_translate(&self, _va: VirtAddr) -> Option<RefEntry> {
-        None
-    }
+    fn ref_translate(&self, va: VirtAddr) -> Option<RefEntry>;
 
     /// VM exits attributable to this design during setup + run (shadow
     /// syncs, hypercalls); used by the §5 execution-time model.
-    fn exits(&self) -> u64 {
-        0
-    }
+    fn exits(&self) -> u64;
 
     /// Page faults served during setup (normalizes exit ratios).
-    fn faults(&self) -> u64 {
-        0
-    }
+    fn faults(&self) -> u64;
 
     /// DMT fetcher coverage ratio so far (1.0 for non-DMT designs).
-    fn coverage(&self) -> f64 {
-        1.0
-    }
+    fn coverage(&self) -> f64;
 
     /// End-of-run component counters (PWC, allocator, OS layer) for the
     /// telemetry probe. Must be read-only: the engine calls this after
     /// the last access, and a telemetry-on run must stay bit-identical
     /// to a telemetry-off run.
-    fn component_counters(&self) -> ComponentCounters {
-        ComponentCounters::default()
-    }
+    fn component_counters(&self) -> ComponentCounters;
 
     /// Read-only memory-health snapshot for the periodic sampler:
     /// `(fragmentation index at the 2 MiB order, resident data frames)`.
     /// `None` when the rig exposes no allocator.
-    fn frag_sample(&self) -> Option<(f64, u64)> {
-        None
-    }
+    fn frag_sample(&self) -> Option<(f64, u64)>;
 
     /// Exchange the rig's machine-level physical memory with `pm`
     /// (`mem::swap`). The multi-tenant cloud node owns one shared
@@ -234,42 +232,34 @@ pub trait Rig {
     /// churn ages fragmentation node-wide. Returns `false` (and must
     /// not touch `pm`) when the rig has no host-level allocator to
     /// share.
-    fn swap_phys(&mut self, _pm: &mut dmt_mem::PhysMemory) -> bool {
-        false
-    }
+    fn swap_phys(&mut self, pm: &mut PhysMemory) -> bool;
 
     /// Exchange the rig's hardware page-walk cache with `pwc`
     /// (`mem::swap`) — the cloud node shares one ASID-tagged PWC across
     /// tenants the way one socket does. Returns `false` (leaving `pwc`
     /// untouched) when the rig's walk caches are not swappable (the
     /// virtualized rigs keep theirs machine-internal).
-    fn swap_pwc(&mut self, _pwc: &mut dmt_cache::PageWalkCache) -> bool {
-        false
-    }
+    fn swap_pwc(&mut self, pwc: &mut PageWalkCache) -> bool;
 
     /// Tenant departure: release what the rig can give back to the
     /// shared allocator (`munmap` every VMA — page-table and TEA frames
     /// are freed, data frames follow the OS model's leak-on-unmap
     /// simplification). Returns the number of TLB shootdowns the
     /// teardown issued. Rigs without a reclaim path return 0.
-    fn release_memory(&mut self) -> u64 {
-        0
-    }
+    fn release_memory(&mut self) -> u64;
 
     /// Drop every machine-internal translation cache (PWCs the machine
     /// owns, shadow walk caches). The cloud node calls this on context
     /// switches for untagged hardware; rigs with no internal caches do
     /// nothing.
-    fn flush_translation_caches(&mut self) {}
+    fn flush_translation_caches(&mut self);
 
     /// Deterministic hash of the rig's physical-allocator state, or
     /// `None` when the rig exposes no allocator. Sharded replay asserts
     /// every shard's rig ends with the identical image (replay never
     /// mutates allocation state), and the shard-equivalence suite
     /// compares it against the serial reference.
-    fn alloc_state_hash(&self) -> Option<u64> {
-        None
-    }
+    fn alloc_state_hash(&self) -> Option<u64>;
 }
 
 impl Rig for Box<dyn Rig> {
@@ -344,6 +334,204 @@ impl Rig for Box<dyn Rig> {
     fn alloc_state_hash(&self) -> Option<u64> {
         (**self).alloc_state_hash()
     }
+}
+
+/// The one rig shell: a [`Machine`] (the environment), its
+/// registry-built backend enum (the design) and the cell's identity.
+/// `NativeRig`, `VirtRig` and `NestedRig` are this type over
+/// [`NativeMachine`], [`VirtMachine`] and [`NestedMachine`]; every
+/// environment-level call is served by the machine and every
+/// design-level call by the backend, so per-miss dispatch stays one
+/// monomorphic enum match.
+pub struct MachineRig<M: Machine> {
+    m: M,
+    backend: M::Backend,
+    design: Design,
+    thp: bool,
+}
+
+impl<M: Machine> MachineRig<M> {
+    /// Build the machine: map and populate the workload's regions, then
+    /// construct the design's translation structures over the same
+    /// pages.
+    ///
+    /// # Errors
+    ///
+    /// Propagates setup failures as typed [`SimError`]s;
+    /// [`SimError::Unavailable`] if the registry has no backend for
+    /// `design` in this environment.
+    pub fn new(
+        design: Design,
+        thp: bool,
+        workload: &dyn dmt_workloads::gen::Workload,
+        trace: &[Access],
+    ) -> Result<Self, SimError> {
+        Self::with_setup(design, thp, &Setup::of_workload(workload, trace))
+    }
+
+    /// Build the machine from a [`Setup`] — regions plus touched pages —
+    /// with no workload generator in sight (the trace-replay path), in a
+    /// fresh memory of [`Machine::host_bytes`] bytes.
+    ///
+    /// # Errors
+    ///
+    /// As [`new`](Self::new).
+    pub fn with_setup(design: Design, thp: bool, setup: &Setup) -> Result<Self, SimError> {
+        let pm = PhysMemory::new_bytes(M::host_bytes(thp, setup));
+        Self::with_setup_in(pm, design, thp, setup)
+    }
+
+    /// Build the machine inside an existing (host) physical memory —
+    /// the multi-tenant cloud-node path, where tenants carve their
+    /// backing out of one shared buddy allocator. The rig takes
+    /// ownership of `pm`; the node lends it back and forth with
+    /// [`Rig::swap_phys`] on context switches.
+    ///
+    /// # Errors
+    ///
+    /// As [`new`](Self::new).
+    pub fn with_setup_in(
+        pm: PhysMemory,
+        design: Design,
+        thp: bool,
+        setup: &Setup,
+    ) -> Result<Self, SimError> {
+        Ok(Self::from_parts(
+            M::build(pm, design, thp, setup)?,
+            design,
+            thp,
+        ))
+    }
+
+    pub(crate) fn from_parts((m, backend): (M, M::Backend), design: Design, thp: bool) -> Self {
+        MachineRig {
+            m,
+            backend,
+            design,
+            thp,
+        }
+    }
+
+    /// The underlying machine (experiment probes, oracle audits).
+    pub fn machine(&self) -> &M {
+        &self.m
+    }
+
+    /// Mutable access for experiment-specific drives (e.g. Figure 16's
+    /// step traces).
+    pub fn machine_mut(&mut self) -> &mut M {
+        &mut self.m
+    }
+
+    /// The machine's (host) physical memory (read-only; oracle audits).
+    pub fn phys(&self) -> &PhysMemory {
+        self.m.phys()
+    }
+}
+
+impl<M: Machine> Rig for MachineRig<M> {
+    fn design(&self) -> Design {
+        self.design
+    }
+
+    fn env(&self) -> Env {
+        M::ENV
+    }
+
+    fn thp(&self) -> bool {
+        self.thp
+    }
+
+    fn translate(&mut self, va: VirtAddr, hier: &mut MemoryHierarchy) -> Translation {
+        self.backend.translate(&mut self.m, va, hier)
+    }
+
+    fn translate_fast(
+        &mut self,
+        va: VirtAddr,
+        hier: &mut MemoryHierarchy,
+    ) -> (Translation, PhysAddr) {
+        self.backend.translate_fast(&mut self.m, va, hier)
+    }
+
+    fn data_pa(&self, va: VirtAddr) -> PhysAddr {
+        self.m.data_pa(va)
+    }
+
+    fn ref_translate(&self, va: VirtAddr) -> Option<RefEntry> {
+        self.backend.ref_translate(&self.m, va)
+    }
+
+    fn exits(&self) -> u64 {
+        self.backend.exits(&self.m)
+    }
+
+    fn faults(&self) -> u64 {
+        self.m.faults()
+    }
+
+    fn coverage(&self) -> f64 {
+        self.backend.coverage()
+    }
+
+    fn component_counters(&self) -> ComponentCounters {
+        self.m.component_counters()
+    }
+
+    fn frag_sample(&self) -> Option<(f64, u64)> {
+        let b = self.m.phys().buddy();
+        let rss = b.allocated_of_kind(FrameKind::Data) + b.allocated_of_kind(FrameKind::HugeData);
+        Some((dmt_mem::frag::fragmentation_index(b, 9), rss))
+    }
+
+    fn swap_phys(&mut self, pm: &mut PhysMemory) -> bool {
+        std::mem::swap(self.m.phys_mut(), pm);
+        true
+    }
+
+    fn swap_pwc(&mut self, pwc: &mut PageWalkCache) -> bool {
+        self.m.swap_pwc(pwc)
+    }
+
+    fn release_memory(&mut self) -> u64 {
+        self.m.release_memory()
+    }
+
+    fn flush_translation_caches(&mut self) {
+        self.m.flush_walk_caches();
+        self.backend.flush_caches();
+    }
+
+    fn alloc_state_hash(&self) -> Option<u64> {
+        Some(self.m.phys().buddy().state_hash())
+    }
+}
+
+/// Bytes of host physical memory a standalone rig of `env` provisions
+/// for this setup (a cloud node sizes its shared memory as their sum).
+pub(crate) fn host_bytes(env: Env, thp: bool, setup: &Setup) -> u64 {
+    match env {
+        Env::Native => NativeMachine::host_bytes(thp, setup),
+        Env::Virt => VirtMachine::host_bytes(thp, setup),
+        Env::Nested => NestedMachine::host_bytes(thp, setup),
+    }
+}
+
+/// Build the rig for an (env, design) cell inside `pm` — the one place
+/// an [`Env`] picks a machine. Unwrapped; the runner applies its
+/// wrapper.
+pub(crate) fn build_rig_in(
+    pm: PhysMemory,
+    env: Env,
+    design: Design,
+    thp: bool,
+    setup: &Setup,
+) -> Result<Box<dyn Rig>, SimError> {
+    Ok(match env {
+        Env::Native => Box::new(NativeRig::with_setup_in(pm, design, thp, setup)?),
+        Env::Virt => Box::new(VirtRig::with_setup_in(pm, design, thp, setup)?),
+        Env::Nested => Box::new(NestedRig::with_setup_in(pm, design, thp, setup)?),
+    })
 }
 
 /// Everything a rig needs to build its machine, decoupled from the

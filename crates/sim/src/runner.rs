@@ -29,11 +29,9 @@
 use crate::engine::{replay, RunStats};
 use crate::error::SimError;
 use crate::experiments::{scaled_benchmark, Scale};
-use crate::native_rig::NativeRig;
-use crate::nested_rig::NestedRig;
 use crate::rig::{Design, Env, Rig, Setup};
-use crate::virt_rig::VirtRig;
 use dmt_cache::hierarchy::{DramTiers, HierarchyConfig, MemoryHierarchy};
+use dmt_mem::PhysMemory;
 use dmt_telemetry::{NoopProbe, Telemetry};
 use dmt_trace::{TraceMeta, TraceWriter};
 use dmt_workloads::gen::{Access, Workload};
@@ -295,16 +293,12 @@ impl Runner {
         thp: bool,
         setup: &Setup,
     ) -> Result<Box<dyn Rig>, SimError> {
-        let rig: Box<dyn Rig> = match env {
-            Env::Native => Box::new(NativeRig::with_setup(design, thp, setup)?),
-            Env::Virt => Box::new(VirtRig::with_setup(design, thp, setup)?),
-            Env::Nested => Box::new(NestedRig::with_setup(design, thp, setup)?),
-        };
-        Ok(self.wrap(rig))
+        let pm = PhysMemory::new_bytes(crate::rig::host_bytes(env, thp, setup));
+        Ok(self.wrap(crate::rig::build_rig_in(pm, env, design, thp, setup)?))
     }
 
-    /// Apply the configured wrapper (the oracle's entry point) to a rig
-    /// built outside [`Runner::build_rig`].
+    /// Apply the configured wrapper (the oracle's entry point) to a
+    /// rig — the one place a wrapper is applied.
     pub(crate) fn wrap(&self, rig: Box<dyn Rig>) -> Box<dyn Rig> {
         match self.wrapper {
             Some(w) => w(rig),

@@ -94,8 +94,10 @@ fn sweep_snapshot(runner: &Runner) -> String {
 fn per_cell_outcomes_match_pre_refactor_golden() {
     // Oracle + telemetry on: the pinned snapshot covers the hooks too
     // (a backend that drifted only under the wrapper would still fail).
-    // The runner default is the block-fed batched engine, so this pins
-    // the batched path against the scalar-era snapshot.
+    // The runner default engine serves every TLB miss with one
+    // `translate_fast` call, which the oracle forwards to the inner
+    // rig's own and checks, so this pins each backend's fast path
+    // against the scalar-era snapshot.
     let runner = Runner::builder()
         .telemetry(true)
         .rig_wrapper(dmt::oracle::wrapper())
@@ -127,7 +129,7 @@ fn per_cell_outcomes_match_pre_refactor_golden() {
 }
 
 /// The scalar reference engine must reproduce the *same* golden file as
-/// the block-fed default: the snapshot pins not just each engine against
+/// the default engine: the snapshot pins not just each engine against
 /// history but both engines against each other at the full matrix.
 #[test]
 fn scalar_engine_cells_match_the_same_golden() {

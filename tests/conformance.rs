@@ -1,7 +1,10 @@
 //! Cross-design conformance suite: random mmap/access sequences driven
 //! through every design × environment × page-size mode under the
 //! differential oracle ([`dmt::oracle::Checked`]), with the structural
-//! audits (buddy, VMA tree, TEA map, gTEA tables) riding along.
+//! audits (buddy, VMA tree, TEA map, gTEA tables) riding along. Each
+//! cell runs as two twins from one `Setup`, one per miss call: the
+//! scalar engine's `translate` and the default engine's
+//! `translate_fast`.
 //!
 //! The engine-driven path is exercised too: a runner built with the
 //! oracle as its rig wrapper replays one cell per environment (see
@@ -61,18 +64,27 @@ fn build(ops: &[(u8, u16, u16)]) -> (Setup, Vec<VirtAddr>) {
     (Setup::new(regions, &trace), vas)
 }
 
-/// Drive every access through a checked rig; return collected
-/// divergence renderings (empty = conformant).
-fn drive<R: Rig>(mut checked: Checked<R>, vas: &[VirtAddr]) -> Vec<String> {
-    let mut hier = MemoryHierarchy::default();
+/// Drive every access through both miss calls of two checked twins
+/// built from one `Setup`: `translate` (the scalar engine's) on the
+/// first, `translate_fast` (the default engine's) on the second, each
+/// over its own hierarchy. Returns the collected divergence renderings
+/// (empty = conformant).
+fn drive<R: Rig>(mut scalar: Checked<R>, mut fast: Checked<R>, vas: &[VirtAddr]) -> Vec<String> {
+    let mut h_scalar = MemoryHierarchy::default();
+    let mut h_fast = MemoryHierarchy::default();
     for &va in vas {
-        checked.translate(va, &mut hier);
+        scalar.translate(va, &mut h_scalar);
+        fast.translate_fast(va, &mut h_fast);
     }
-    checked
-        .divergences()
-        .iter()
-        .map(|d| d.to_string())
-        .collect()
+    let tagged = |tag: &'static str, c: &Checked<R>| {
+        c.divergences()
+            .iter()
+            .map(move |d| format!("{tag}: {d}"))
+            .collect::<Vec<_>>()
+    };
+    let mut out = tagged("translate", &scalar);
+    out.extend(tagged("translate_fast", &fast));
+    out
 }
 
 proptest! {
@@ -91,9 +103,11 @@ proptest! {
             if !design.available_in(Env::Native) {
                 continue;
             }
-            let rig = NativeRig::with_setup(design, thp, &setup).unwrap();
-            let checked = Checked::collecting(rig).with_audit(16, audit_native);
-            let divergences = drive(checked, &vas);
+            let checked = || {
+                let rig = NativeRig::with_setup(design, thp, &setup).unwrap();
+                Checked::collecting(rig).with_audit(16, audit_native)
+            };
+            let divergences = drive(checked(), checked(), &vas);
             prop_assert!(
                 divergences.is_empty(),
                 "{design:?} thp={thp}: {divergences:?}"
@@ -113,9 +127,11 @@ proptest! {
             if !design.available_in(Env::Virt) {
                 continue;
             }
-            let rig = VirtRig::with_setup(design, thp, &setup).unwrap();
-            let checked = Checked::collecting(rig).with_audit(16, |r| audit_virt(r.machine()));
-            let divergences = drive(checked, &vas);
+            let checked = || {
+                let rig = VirtRig::with_setup(design, thp, &setup).unwrap();
+                Checked::collecting(rig).with_audit(16, |r| audit_virt(r.machine()))
+            };
+            let divergences = drive(checked(), checked(), &vas);
             prop_assert!(
                 divergences.is_empty(),
                 "{design:?} thp={thp}: {divergences:?}"
@@ -135,9 +151,11 @@ proptest! {
             if !design.available_in(Env::Nested) {
                 continue;
             }
-            let rig = NestedRig::with_setup(design, thp, &setup).unwrap();
-            let checked = Checked::collecting(rig).with_audit(16, |r| audit_nested(r.machine()));
-            let divergences = drive(checked, &vas);
+            let checked = || {
+                let rig = NestedRig::with_setup(design, thp, &setup).unwrap();
+                Checked::collecting(rig).with_audit(16, |r| audit_nested(r.machine()))
+            };
+            let divergences = drive(checked(), checked(), &vas);
             prop_assert!(
                 divergences.is_empty(),
                 "{design:?} thp={thp}: {divergences:?}"

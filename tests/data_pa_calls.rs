@@ -6,8 +6,9 @@
 //! `data_pa` call of every rig a replay builds: single-rig replays
 //! under both engines, sharded replay, and a cloud node whose churn
 //! restarts tenants (a restarted tenant must never be charged at a
-//! pre-restart frame). The wrapper keeps the default `translate_fast`,
-//! which fetches each miss's data address through `data_pa` too, so the
+//! pre-restart frame). The wrapper serves `translate_fast` as
+//! `translate` plus `data_pa`, fetching each miss's data address
+//! through `data_pa` too, so the
 //! pinned count is the same for both engines: with warmup 0, exactly
 //! `RunStats::walks`. Debug builds add the engine's ground-truth check
 //! on every hit, so there the count is exactly one per access. Either
@@ -29,7 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 static CALLS: [AtomicU64; 3] = [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)];
 
 /// Forwards every `Rig` method to `inner`, counting `data_pa` calls
-/// into `CALLS[K]`. `translate_fast` keeps the trait default.
+/// into `CALLS[K]`. `translate_fast` is `translate` plus `data_pa`.
 struct Counting<const K: usize> {
     inner: Box<dyn Rig>,
 }
@@ -54,6 +55,13 @@ impl<const K: usize> Rig for Counting<K> {
     }
     fn translate(&mut self, va: VirtAddr, hier: &mut MemoryHierarchy) -> Translation {
         self.inner.translate(va, hier)
+    }
+    fn translate_fast(
+        &mut self,
+        va: VirtAddr,
+        hier: &mut MemoryHierarchy,
+    ) -> (Translation, PhysAddr) {
+        (self.translate(va, hier), self.data_pa(va))
     }
     fn data_pa(&self, va: VirtAddr) -> PhysAddr {
         CALLS[K].fetch_add(1, Ordering::Relaxed);
