@@ -11,54 +11,41 @@
 use crate::BaselineError;
 use dmt_cache::hierarchy::MemoryHierarchy;
 use dmt_cache::pwc::PageWalkCache;
-use dmt_mem::{MemoryOps, PageSize, PhysAddr, VirtAddr};
+use dmt_mem::{MemoryOps, PhysAddr, VirtAddr};
 use dmt_pgtable::pte::Pte;
 use dmt_pgtable::radix::RadixPageTable;
-use dmt_pgtable::walk::{walk_dimension, WalkDim, WalkStep};
+use dmt_pgtable::walk::{leaf_size, walk_dimension, StepSink, WalkDim, WalkOutcome, WalkStep};
 
-/// Result of an agile-paging walk.
-#[derive(Debug, Clone)]
-pub struct AgileOutcome {
-    /// Translated host-physical address.
-    pub pa: PhysAddr,
-    /// Guest mapping size.
-    pub size: PageSize,
-    /// Total cycles.
-    pub cycles: u64,
-    /// All PTE fetches: shadow steps are tagged [`WalkDim::Native`].
-    pub steps: Vec<WalkStep>,
-}
-
-impl AgileOutcome {
-    /// Sequential memory references.
-    pub fn refs(&self) -> u64 {
-        self.steps.len() as u64
-    }
-}
-
-/// Compute the guest-entry gPA chain for the unshadowed levels — the
-/// caller's software-side preparation for [`agile_walk`] (in hardware
-/// this address arithmetic is the walker's normal job; separating it
-/// keeps the borrow structure simple).
+/// Compute the guest-entry gPA chain for the unshadowed levels, top
+/// down and held inline — the caller's software-side preparation for
+/// [`agile_walk`] (in hardware this address arithmetic is the walker's
+/// normal job; separating it keeps the borrow structure simple). The
+/// chain ends at the first level whose table is absent.
 pub fn guest_entry_chain<V: MemoryOps>(
     gpt: &RadixPageTable,
     gview: &V,
     gva: VirtAddr,
     start_level: u8,
-) -> Vec<(u8, PhysAddr)> {
-    let mut chain = Vec::new();
-    for level in (1..=start_level).rev() {
-        match gpt.entry_pa(gview, gva, level) {
-            Some(pa) => chain.push((level, pa)),
-            None => break,
+) -> GuestChain {
+    let mut chain = [None; 4];
+    for (entry, level) in chain.iter_mut().zip((1..=start_level).rev()) {
+        *entry = gpt.entry_pa(gview, gva, level).map(|pa| (level, pa));
+        if entry.is_none() {
+            break;
         }
     }
     chain
 }
 
+/// The `(level, entry gPA)` pairs [`guest_entry_chain`] produces; a
+/// `None` ends the chain.
+pub type GuestChain = [Option<(u8, PhysAddr)>; 4];
+
 /// Perform an agile-paging walk: the top `shadow_levels` levels are
 /// fetched from the shadow table, the remaining guest levels go through
-/// nested (2D) translation.
+/// nested (2D) translation. Every fetch is reported to `steps` (shadow
+/// steps are tagged [`WalkDim::Native`]); the outcome's `size` is the
+/// guest mapping's.
 ///
 /// `spt` must hold the full gVA→hPA mapping (agile keeps it for the
 /// shadowed portion); `guest_entries` is the per-level gPA chain from
@@ -74,20 +61,21 @@ pub fn guest_entry_chain<V: MemoryOps>(
 #[allow(clippy::too_many_arguments)] // the walk spans three tables plus MMU caches
 pub fn agile_walk<M: MemoryOps>(
     spt: &RadixPageTable,
-    guest_entries: &[(u8, PhysAddr)],
+    guest_entries: &GuestChain,
     hpt: &RadixPageTable,
     pm: &mut M,
     gva: VirtAddr,
     hier: &mut MemoryHierarchy,
     mut npwc: Option<&mut PageWalkCache>,
     shadow_levels: u8,
-) -> Result<AgileOutcome, BaselineError> {
+    steps: &mut impl StepSink<WalkStep>,
+) -> Result<WalkOutcome, BaselineError> {
     assert!(
         (1..=3).contains(&shadow_levels),
         "switch point must be 1..=3"
     );
     let mut cycles = 0u64;
-    let mut steps = Vec::new();
+    let mut refs = 0u64;
 
     // Shadowed upper levels: native-style fetches from the sPT.
     for level in ((4 - shadow_levels + 1)..=4).rev() {
@@ -96,7 +84,8 @@ pub fn agile_walk<M: MemoryOps>(
             .ok_or(BaselineError::NotMapped { va: gva.raw() })?;
         let (_, cyc) = hier.access(slot.raw());
         cycles += cyc;
-        steps.push(WalkStep {
+        refs += 1;
+        steps.step(WalkStep {
             dim: WalkDim::Native,
             level,
             pte_pa: slot,
@@ -110,9 +99,10 @@ pub fn agile_walk<M: MemoryOps>(
     // Nested lower levels: host walk per guest entry + the entry fetch.
     let mut entries = guest_entries
         .iter()
+        .map_while(|e| *e)
         .filter(|(l, _)| *l <= 4 - shadow_levels);
     let (data_gpa, gsize) = loop {
-        let (glevel, entry_gpa) = *entries
+        let (glevel, entry_gpa) = entries
             .next()
             .ok_or(BaselineError::NotMapped { va: gva.raw() })?;
         let host = walk_dimension(
@@ -122,12 +112,12 @@ pub fn agile_walk<M: MemoryOps>(
             WalkDim::Host,
             hier,
             npwc.as_deref_mut(),
+            steps,
         )?;
-        cycles += host.cycles;
-        steps.extend(host.steps);
         let (_, cyc) = hier.access(host.pa.raw());
-        cycles += cyc;
-        steps.push(WalkStep {
+        cycles += host.cycles + cyc;
+        refs += host.refs + 1;
+        steps.step(WalkStep {
             dim: WalkDim::Guest,
             level: glevel,
             pte_pa: host.pa,
@@ -138,27 +128,26 @@ pub fn agile_walk<M: MemoryOps>(
             return Err(BaselineError::NotMapped { va: gva.raw() });
         }
         if gpte.is_leaf_at(glevel) {
-            let size = match glevel {
-                1 => PageSize::Size4K,
-                2 => PageSize::Size2M,
-                3 => PageSize::Size1G,
-                _ => return Err(BaselineError::NotMapped { va: gva.raw() }),
-            };
+            let size = leaf_size(glevel).ok_or(BaselineError::NotMapped { va: gva.raw() })?;
             break (PhysAddr(gpte.phys_addr().raw() + gva.offset_in(size)), size);
         }
     };
 
     // Final host walk for the data gPA.
-    let host = walk_dimension(hpt, pm, VirtAddr(data_gpa.raw()), WalkDim::Host, hier, npwc)?;
-    cycles += host.cycles;
-    let pa = host.pa;
-    steps.extend(host.steps);
-
-    Ok(AgileOutcome {
-        pa,
-        size: gsize,
-        cycles,
+    let host = walk_dimension(
+        hpt,
+        pm,
+        VirtAddr(data_gpa.raw()),
+        WalkDim::Host,
+        hier,
+        npwc,
         steps,
+    )?;
+    Ok(WalkOutcome {
+        pa: host.pa,
+        size: gsize,
+        cycles: cycles + host.cycles,
+        refs: refs + host.refs,
     })
 }
 

@@ -12,24 +12,53 @@
 use dmt_cache::hierarchy::MemoryHierarchy;
 use dmt_core::vtmap::VmaTeaMapping;
 use dmt_mem::{PhysAddr, VirtAddr};
+use dmt_pgtable::walk::{StepSink, WalkDim, WalkStep};
 
-/// Overlap an ASAP prefetch with the walk: the last step's cost becomes
-/// `min(measured, max(L2 latency, DRAM latency - prior steps))` — the
-/// prefetched line cannot arrive faster than one DRAM round trip issued
-/// at TLB-miss time (MICRO'19's timeliness constraint).
-///
-/// `step_cycles` is borrowed (the rigs pass a fixed-size stack buffer of
-/// at most [`dmt_pgtable::walk::MAX_WALK_DEPTH`] entries), so the
-/// adjustment costs no allocation on the translate hot path.
-pub fn asap_adjusted_cycles(total: u64, step_cycles: &[u64], hier: &MemoryHierarchy) -> u64 {
-    let Some((&last, prior)) = step_cycles.split_last() else {
-        return total;
-    };
-    let prior_sum: u64 = prior.iter().sum();
-    let l2 = hier.config().l2.latency;
-    let dram = hier.config().dram_latency;
-    let adjusted = last.min(l2.max(dram.saturating_sub(prior_sum)));
-    total - last + adjusted
+/// A step sink that keeps what ASAP's timeliness adjustment needs: the
+/// cycles of the walk's last step of dimension `leaf` and the sum of
+/// every step before it — two sums, so the adjustment costs no
+/// allocation on the translate hot path.
+#[derive(Debug, Clone, Copy)]
+pub struct LeafTiming {
+    leaf: WalkDim,
+    sum: u64,
+    last: Option<(u64, u64)>,
+}
+
+impl LeafTiming {
+    /// Track the last step of dimension `leaf` (`Native` for a native
+    /// walk's leaf, `Guest` for the guest leaf of a 2D walk).
+    pub fn new(leaf: WalkDim) -> Self {
+        LeafTiming {
+            leaf,
+            sum: 0,
+            last: None,
+        }
+    }
+
+    /// Overlap an ASAP prefetch with the walk: the leaf step's cost
+    /// becomes `min(measured, max(L2 latency, DRAM latency - prior
+    /// steps))` — the prefetched line cannot arrive faster than one DRAM
+    /// round trip issued at TLB-miss time (MICRO'19's timeliness
+    /// constraint). `total` is returned as is when no leaf step was
+    /// seen.
+    pub fn adjusted_cycles(&self, total: u64, hier: &MemoryHierarchy) -> u64 {
+        let Some((prior, last)) = self.last else {
+            return total;
+        };
+        let l2 = hier.config().l2.latency;
+        let dram = hier.config().dram_latency;
+        total - last + last.min(l2.max(dram.saturating_sub(prior)))
+    }
+}
+
+impl StepSink<WalkStep> for LeafTiming {
+    fn step(&mut self, s: WalkStep) {
+        if s.dim == self.leaf {
+            self.last = Some((self.sum, s.cycles));
+        }
+        self.sum += s.cycles;
+    }
 }
 
 /// The offset-based prefetcher: per-VMA contiguous PTE arrays for the
@@ -53,6 +82,18 @@ pub struct AsapStats {
     pub uncovered: u64,
 }
 
+impl AsapStats {
+    /// Count one TLB miss that predicted `n` PTE lines (an uncovered
+    /// miss when `n` is 0).
+    pub fn record(&mut self, n: u64) {
+        if n == 0 {
+            self.uncovered += 1;
+        } else {
+            self.prefetches += n;
+        }
+    }
+}
+
 impl AsapPrefetcher {
     /// Build from per-level arrays.
     pub fn new(l1_arrays: Vec<VmaTeaMapping>, l2_arrays: Vec<VmaTeaMapping>) -> Self {
@@ -65,17 +106,16 @@ impl AsapPrefetcher {
     /// The PTE slots ASAP would compute for `va` (host-physical after
     /// applying `resolve`, which is the identity natively and the
     /// gPA→hPA software mapping in a VM).
-    pub fn predicted_slots(
-        &self,
+    pub fn predicted_slots<'a>(
+        &'a self,
         va: VirtAddr,
-        resolve: impl Fn(PhysAddr) -> Option<PhysAddr>,
-    ) -> Vec<PhysAddr> {
+        resolve: impl Fn(PhysAddr) -> Option<PhysAddr> + 'a,
+    ) -> impl Iterator<Item = PhysAddr> + 'a {
         self.l1_arrays
             .iter()
             .chain(self.l2_arrays.iter())
-            .filter_map(|m| m.pte_addr(va))
-            .filter_map(&resolve)
-            .collect()
+            .filter_map(move |m| m.pte_addr(va))
+            .filter_map(resolve)
     }
 
     /// On a TLB miss for `va`: inject the predicted last-two-level PTE
@@ -88,15 +128,12 @@ impl AsapPrefetcher {
         resolve: impl Fn(PhysAddr) -> Option<PhysAddr>,
         stats: &mut AsapStats,
     ) {
-        let slots = self.predicted_slots(va, resolve);
-        if slots.is_empty() {
-            stats.uncovered += 1;
-            return;
-        }
-        for s in slots {
+        let mut n = 0;
+        for s in self.predicted_slots(va, resolve) {
             hier.prefetch_into_l2(s.raw());
-            stats.prefetches += 1;
+            n += 1;
         }
+        stats.record(n);
     }
 }
 
@@ -115,7 +152,7 @@ mod tests {
     #[test]
     fn predicted_slots_cover_both_levels() {
         let p = prefetcher();
-        let slots = p.predicted_slots(VirtAddr(0x4000_5000), Some);
+        let slots: Vec<_> = p.predicted_slots(VirtAddr(0x4000_5000), Some).collect();
         assert_eq!(slots.len(), 2);
         assert_eq!(slots[0], PhysAddr((100 << 12) + 5 * 8));
     }
@@ -144,23 +181,44 @@ mod tests {
         assert_eq!(stats.prefetches, 0);
     }
 
+    fn timing(dims_cycles: &[(WalkDim, u64)], leaf: WalkDim) -> LeafTiming {
+        let mut t = LeafTiming::new(leaf);
+        for &(dim, cycles) in dims_cycles {
+            t.step(WalkStep {
+                dim,
+                level: 1,
+                pte_pa: PhysAddr(0),
+                cycles,
+            });
+        }
+        t
+    }
+
     #[test]
     fn timeliness_caps_the_leaf_fetch() {
         let hier = MemoryHierarchy::default();
         let dram = hier.config().dram_latency;
         let l2 = hier.config().l2.latency;
+        let n = WalkDim::Native;
         // Cold walk, all steps DRAM: the leaf overlaps the prefetch
         // issued at miss time, so it pays the remaining DRAM latency —
         // floored at L2 (the line has to be read from somewhere).
-        let steps = [dram, dram, dram, dram];
-        let total = 4 * dram;
-        let expected = total - dram + l2.max(dram.saturating_sub(3 * dram));
-        assert_eq!(asap_adjusted_cycles(total, &steps, &hier), expected);
+        let t = timing(&[(n, dram), (n, dram), (n, dram), (n, dram)], n);
+        let expected = 4 * dram - dram + l2.max(dram.saturating_sub(3 * dram));
+        assert_eq!(t.adjusted_cycles(4 * dram, &hier), expected);
         // A leaf already cheaper than the cap is left alone.
-        let steps = [dram, 4];
-        assert_eq!(asap_adjusted_cycles(dram + 4, &steps, &hier), dram + 4);
+        let t = timing(&[(n, dram), (n, 4)], n);
+        assert_eq!(t.adjusted_cycles(dram + 4, &hier), dram + 4);
         // No steps: nothing to adjust.
-        assert_eq!(asap_adjusted_cycles(123, &[], &hier), 123);
+        assert_eq!(timing(&[], n).adjusted_cycles(123, &hier), 123);
+        // A 2D walk adjusts its last guest step; later host steps count
+        // neither as the leaf nor as its prior.
+        let (g, h) = (WalkDim::Guest, WalkDim::Host);
+        let t = timing(&[(h, 4), (g, dram), (h, 4), (g, dram), (h, dram)], g);
+        let prior = 4 + dram + 4;
+        let adjusted = dram.min(l2.max(dram.saturating_sub(prior)));
+        let total = 3 * dram + 8;
+        assert_eq!(t.adjusted_cycles(total, &hier), total - dram + adjusted);
     }
 
     #[test]

@@ -141,7 +141,7 @@ pub struct EcptStep {
 }
 
 /// Result of an ECPT translation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EcptOutcome {
     /// Translated physical address.
     pub pa: PhysAddr,
@@ -149,20 +149,10 @@ pub struct EcptOutcome {
     pub size: PageSize,
     /// Total cycles (sum over sequential steps).
     pub cycles: u64,
-    /// The sequential steps (1 native, 3 nested).
-    pub steps: Vec<EcptStep>,
-}
-
-impl EcptOutcome {
-    /// Sequential memory steps.
-    pub fn seq_refs(&self) -> u64 {
-        self.steps.len() as u64
-    }
-
+    /// Sequential memory steps (1 native, 3 nested).
+    pub refs: u64,
     /// Total parallel probes across all steps.
-    pub fn parallel_refs(&self) -> u64 {
-        self.steps.iter().map(|s| s.parallel_refs).sum()
-    }
+    pub parallel_refs: u64,
 }
 
 /// An elastic cuckoo page table set (one cuckoo table per page size),
@@ -358,14 +348,14 @@ impl Ecpt {
         } else {
             None
         };
-        let tables: Vec<usize> = match predicted {
-            Some(ti) => vec![ti],
-            None => (0..self.tables.len()).collect(),
+        let tables = match predicted {
+            Some(ti) => ti..ti + 1,
+            None => 0..self.tables.len(),
         };
         let mut max_cycles = 0u64;
         let mut refs = 0u64;
         let mut hit = None;
-        for &ti in &tables {
+        for ti in tables {
             let t = &self.tables[ti];
             let vpn = va.vpn_for(t.size);
             let want = CuckooTable::tag(vpn);
@@ -426,7 +416,8 @@ impl Ecpt {
             pa: PhysAddr(pte.phys_addr().raw() + va.offset_in(size)),
             size,
             cycles: step.cycles,
-            steps: vec![step],
+            refs: 1,
+            parallel_refs: step.parallel_refs,
         })
     }
 }
@@ -470,17 +461,20 @@ impl NestedEcpt {
         } else {
             None
         };
-        let candidates: Vec<(usize, usize)> = match predicted {
-            Some(ti) => (0..WAYS).map(|w| (ti, w)).collect(),
-            None => (0..self.guest.tables.len())
+        let tables = match predicted {
+            Some(ti) => ti..ti + 1,
+            None => 0..self.guest.tables.len(),
+        };
+        let candidates = || {
+            tables
+                .clone()
                 .flat_map(|ti| (0..WAYS).map(move |w| (ti, w)))
-                .collect(),
         };
         // Step 1: host probes for each guest candidate slot (parallel;
         // up to guest ways x host ways = 81 with 3 sizes, 1 x host ways
         // on a CWC hit).
         let mut step1 = EcptStep::default();
-        for &(ti, way) in &candidates {
+        for (ti, way) in candidates() {
             let t = &self.guest.tables[ti];
             let vpn = gva.vpn_for(t.size);
             let idx = slot_index(way, vpn, t.slots);
@@ -493,7 +487,7 @@ impl NestedEcpt {
         // through the software redirection.
         let mut step2 = EcptStep::default();
         let mut ghit: Option<(Pte, PageSize)> = None;
-        for &(ti, way) in &candidates {
+        for (ti, way) in candidates() {
             let t = &self.guest.tables[ti];
             let vpn = gva.vpn_for(t.size);
             let want = CuckooTable::tag(vpn);
@@ -538,7 +532,8 @@ impl NestedEcpt {
             pa,
             size: gsize,
             cycles: step1.cycles + step2.cycles + step3.cycles,
-            steps: vec![step1, step2, step3],
+            refs: 3,
+            parallel_refs: step1.parallel_refs + step2.parallel_refs + step3.parallel_refs,
         })
     }
 }
@@ -567,13 +562,13 @@ mod tests {
                 .translate(&pm, &mut hier, VirtAddr(0x10_0000_0000 + i * 4096 + 0x77))
                 .unwrap();
             assert_eq!(out.pa, PhysAddr(((5000 + i) << 12) + 0x77));
-            assert_eq!(out.seq_refs(), 1, "native ECPT: one sequential step");
+            assert_eq!(out.refs, 1, "native ECPT: one sequential step");
             // Cold regions probe 3 ways x 3 sizes; once the CWC predicts
             // the size, 3 ways of one table suffice.
             assert!(
-                out.parallel_refs() == 9 || out.parallel_refs() == 3,
+                out.parallel_refs == 9 || out.parallel_refs == 3,
                 "parallel refs {}",
-                out.parallel_refs()
+                out.parallel_refs
             );
         }
     }
@@ -676,13 +671,9 @@ mod tests {
                 |gpa| Some(PhysAddr(gpa.raw() + OFF)),
             )
             .unwrap();
-        assert_eq!(out.seq_refs(), 3, "Nested ECPT: three sequential steps");
-        assert!(out.parallel_refs() <= 81 + 9 + 9);
-        assert!(
-            out.parallel_refs() >= 27,
-            "parallel: {}",
-            out.parallel_refs()
-        );
+        assert_eq!(out.refs, 3, "Nested ECPT: three sequential steps");
+        assert!(out.parallel_refs <= 81 + 9 + 9);
+        assert!(out.parallel_refs >= 27, "parallel: {}", out.parallel_refs);
         assert_eq!(out.pa, PhysAddr(((100 + 7) << 12) + OFF));
     }
 }

@@ -19,6 +19,7 @@ use dmt_cache::set_assoc::SetAssoc;
 use dmt_mem::buddy::FrameKind;
 use dmt_mem::{FastMap, MemoryOps, PageSize, PhysAddr, PhysMemory, VirtAddr};
 use dmt_pgtable::pte::{Pte, PteFlags};
+use dmt_pgtable::walk::WalkOutcome;
 
 /// Entries per flattened table (18 index bits).
 const FLAT_ENTRIES: u64 = 1 << 18;
@@ -33,35 +34,6 @@ fn upper_index(va: VirtAddr) -> u64 {
 /// Index into the lower (L2·L1) table: VA\[29:12\].
 fn lower_index(va: VirtAddr) -> u64 {
     (va.raw() >> 12) & (FLAT_ENTRIES - 1)
-}
-
-/// One step of an FPT walk.
-#[derive(Debug, Clone, Copy)]
-pub struct FptStep {
-    /// Physical address fetched.
-    pub slot: PhysAddr,
-    /// Cycles.
-    pub cycles: u64,
-}
-
-/// Result of an FPT translation.
-#[derive(Debug, Clone)]
-pub struct FptOutcome {
-    /// Translated physical address.
-    pub pa: PhysAddr,
-    /// Mapping size.
-    pub size: PageSize,
-    /// Total cycles.
-    pub cycles: u64,
-    /// Sequential fetches.
-    pub steps: Vec<FptStep>,
-}
-
-impl FptOutcome {
-    /// Sequential memory references.
-    pub fn refs(&self) -> u64 {
-        self.steps.len() as u64
-    }
 }
 
 /// A two-level flattened page table, with a small upper-entry cache
@@ -210,24 +182,23 @@ impl FlatPageTable {
         pm: &M,
         hier: &mut MemoryHierarchy,
         va: VirtAddr,
-    ) -> Result<FptOutcome, BaselineError> {
-        let mut steps = Vec::with_capacity(2);
+    ) -> Result<WalkOutcome, BaselineError> {
         let ui = upper_index(va);
-        let mut cycles = 0u64;
         // Upper-entry cache (the PWC analog): a hit costs one cycle and
         // skips the upper fetch.
-        let upper = if self.cache_enabled && self.upper_cache.lookup(ui) {
-            cycles += 1;
+        let cached = self.cache_enabled && self.upper_cache.lookup(ui);
+        let mut cycles = u64::from(cached);
+        let mut refs = 0u64;
+        let mut fetch = |slot: PhysAddr| {
+            let (_, c) = hier.access(slot.raw());
+            cycles += c;
+            refs += 1;
+            Pte(pm.read_word(slot))
+        };
+        let upper = if cached {
             self.upper_payload[&ui]
         } else {
-            let up = self.upper_slot(va);
-            let (_, c1) = hier.access(up.raw());
-            cycles += c1;
-            steps.push(FptStep {
-                slot: up,
-                cycles: c1,
-            });
-            let pte = Pte(pm.read_word(up));
+            let pte = fetch(self.upper_slot(va));
             if self.cache_enabled && pte.present() {
                 if let Some(evicted) = self.upper_cache.insert(ui) {
                     self.upper_payload.remove(&evicted);
@@ -242,37 +213,13 @@ impl FlatPageTable {
         // Huge-flagged regions are probed at the coarse index first; a
         // miss there (mixed-size region, e.g. an unaligned VMA edge)
         // falls back to the fine index with a third fetch.
-        let leaf = if upper.huge() {
-            let coarse = Self::lower_slot_huge(upper.phys_addr(), va);
-            let (_, c2) = hier.access(coarse.raw());
-            cycles += c2;
-            steps.push(FptStep {
-                slot: coarse,
-                cycles: c2,
-            });
-            let pte = Pte(pm.read_word(coarse));
-            if pte.present() && pte.huge() {
-                pte
-            } else {
-                let fine = Self::lower_slot(upper.phys_addr(), va);
-                let (_, c3) = hier.access(fine.raw());
-                cycles += c3;
-                steps.push(FptStep {
-                    slot: fine,
-                    cycles: c3,
-                });
-                Pte(pm.read_word(fine))
-            }
-        } else {
-            let fine = Self::lower_slot(upper.phys_addr(), va);
-            let (_, c2) = hier.access(fine.raw());
-            cycles += c2;
-            steps.push(FptStep {
-                slot: fine,
-                cycles: c2,
-            });
-            Pte(pm.read_word(fine))
-        };
+        let mut leaf = Pte::EMPTY;
+        if upper.huge() {
+            leaf = fetch(Self::lower_slot_huge(upper.phys_addr(), va));
+        }
+        if !(leaf.present() && leaf.huge()) {
+            leaf = fetch(Self::lower_slot(upper.phys_addr(), va));
+        }
         if !leaf.present() {
             return Err(BaselineError::NotMapped { va: va.raw() });
         }
@@ -281,11 +228,11 @@ impl FlatPageTable {
         } else {
             PageSize::Size4K
         };
-        Ok(FptOutcome {
+        Ok(WalkOutcome {
             pa: PhysAddr(leaf.phys_addr().raw() + va.offset_in(size)),
             size,
             cycles,
-            steps,
+            refs,
         })
     }
 }
@@ -307,65 +254,35 @@ pub fn nested_translate(
     hier: &mut MemoryHierarchy,
     gva: VirtAddr,
     gpa_to_hpa: impl Fn(PhysAddr) -> Option<PhysAddr>,
-) -> Result<FptOutcome, BaselineError> {
-    let mut steps = Vec::with_capacity(8);
+) -> Result<WalkOutcome, BaselineError> {
     let mut cycles = 0u64;
-
+    let mut refs = 0u64;
     // Host-resolve then fetch one guest slot.
-    fn fetch_guest_slot(
-        hfpt: &mut FlatPageTable,
-        pm: &PhysMemory,
-        gpa_to_hpa: &impl Fn(PhysAddr) -> Option<PhysAddr>,
-        slot_gpa: PhysAddr,
-        steps: &mut Vec<FptStep>,
-        hier: &mut MemoryHierarchy,
-    ) -> Result<(Pte, u64), BaselineError> {
+    let mut fetch_guest_slot = |slot_gpa: PhysAddr, hier: &mut MemoryHierarchy| {
         let host = hfpt.translate(pm, hier, VirtAddr(slot_gpa.raw()))?;
-        let mut c = host.cycles;
-        steps.extend(host.steps);
         let slot_hpa =
             gpa_to_hpa(slot_gpa).ok_or(BaselineError::NotMapped { va: slot_gpa.raw() })?;
         let (_, cyc) = hier.access(slot_hpa.raw());
-        c += cyc;
-        steps.push(FptStep {
-            slot: slot_hpa,
-            cycles: cyc,
-        });
-        Ok((Pte(pm.read_word(slot_hpa)), c))
-    }
+        cycles += host.cycles + cyc;
+        refs += host.refs + 1;
+        Ok::<Pte, BaselineError>(Pte(pm.read_word(slot_hpa)))
+    };
 
     // Guest upper entry.
-    let (gupper, c) = fetch_guest_slot(
-        hfpt,
-        pm,
-        &gpa_to_hpa,
-        gfpt.upper_slot(gva),
-        &mut steps,
-        hier,
-    )?;
-    cycles += c;
+    let gupper = fetch_guest_slot(gfpt.upper_slot(gva), hier)?;
     if !gupper.present() {
         return Err(BaselineError::NotMapped { va: gva.raw() });
     }
     // Guest lower entry (coarse index in huge-flagged regions, falling
     // back to the fine index for mixed-size edges).
-    let mut gleaf;
+    let mut gleaf = Pte::EMPTY;
     if gupper.huge() {
         let coarse = FlatPageTable::lower_slot_huge(gupper.phys_addr(), gva);
-        let (pte, c) = fetch_guest_slot(hfpt, pm, &gpa_to_hpa, coarse, &mut steps, hier)?;
-        cycles += c;
-        gleaf = pte;
-        if !(gleaf.present() && gleaf.huge()) {
-            let fine = FlatPageTable::lower_slot(gupper.phys_addr(), gva);
-            let (pte, c) = fetch_guest_slot(hfpt, pm, &gpa_to_hpa, fine, &mut steps, hier)?;
-            cycles += c;
-            gleaf = pte;
-        }
-    } else {
+        gleaf = fetch_guest_slot(coarse, hier)?;
+    }
+    if !(gleaf.present() && gleaf.huge()) {
         let fine = FlatPageTable::lower_slot(gupper.phys_addr(), gva);
-        let (pte, c) = fetch_guest_slot(hfpt, pm, &gpa_to_hpa, fine, &mut steps, hier)?;
-        cycles += c;
-        gleaf = pte;
+        gleaf = fetch_guest_slot(fine, hier)?;
     }
     if !gleaf.present() {
         return Err(BaselineError::NotMapped { va: gva.raw() });
@@ -379,15 +296,11 @@ pub fn nested_translate(
 
     // Final host translation of the data gPA.
     let host = hfpt.translate(pm, hier, VirtAddr(data_gpa.raw()))?;
-    cycles += host.cycles;
-    let pa = host.pa;
-    steps.extend(host.steps);
-
-    Ok(FptOutcome {
-        pa,
+    Ok(WalkOutcome {
+        pa: host.pa,
         size: gsize,
-        cycles,
-        steps,
+        cycles: cycles + host.cycles,
+        refs: refs + host.refs,
     })
 }
 
@@ -409,7 +322,7 @@ mod tests {
             .unwrap();
         let mut hier = MemoryHierarchy::default();
         let out = fpt.translate(&pm, &mut hier, va + 0x21).unwrap();
-        assert_eq!(out.refs(), 2, "Table 6: FPT native = 2");
+        assert_eq!(out.refs, 2, "Table 6: FPT native = 2");
         assert_eq!(out.pa, PhysAddr(0x5021));
     }
 
@@ -428,7 +341,7 @@ mod tests {
         .unwrap();
         let mut hier = MemoryHierarchy::default();
         let out = fpt.translate(&pm, &mut hier, va + 0x12_3456).unwrap();
-        assert_eq!(out.refs(), 2);
+        assert_eq!(out.refs, 2);
         assert_eq!(out.size, PageSize::Size2M);
         assert_eq!(out.pa, PhysAddr(0x20_0000 + 0x12_3456));
     }
@@ -505,7 +418,7 @@ mod tests {
             Some(PhysAddr(gpa.raw() + OFF))
         })
         .unwrap();
-        assert_eq!(out.refs(), 8, "Table 6: FPT virtualized = 8");
+        assert_eq!(out.refs, 8, "Table 6: FPT virtualized = 8");
         assert_eq!(out.pa, PhysAddr(0x50_0000 + OFF));
     }
 }

@@ -10,10 +10,10 @@ pub mod asap;
 pub mod ecpt;
 pub mod fpt;
 
-pub use agile::{agile_sync_events, agile_walk, AgileOutcome};
-pub use asap::{AsapPrefetcher, AsapStats};
+pub use agile::{agile_sync_events, agile_walk, guest_entry_chain, GuestChain};
+pub use asap::{AsapPrefetcher, AsapStats, LeafTiming};
 pub use ecpt::{Ecpt, EcptOutcome, NestedEcpt};
-pub use fpt::{FlatPageTable, FptOutcome};
+pub use fpt::FlatPageTable;
 
 use core::fmt;
 use dmt_mem::MemError;
@@ -101,7 +101,7 @@ mod proptests {
                     .translate(&pm, &mut hier, VirtAddr((p << 12) + 0x21))
                     .unwrap();
                 prop_assert_eq!(out.pa, PhysAddr(((p + 1_000_000) << 12) + 0x21));
-                prop_assert_eq!(out.seq_refs(), 1);
+                prop_assert_eq!(out.refs, 1);
             }
         }
 
@@ -128,14 +128,14 @@ mod proptests {
             for &p in &small {
                 let out = fpt.translate(&pm, &mut hier, VirtAddr((p << 12) + 5)).unwrap();
                 prop_assert_eq!(out.pa, PhysAddr(((p + 50_000) << 12) + 5));
-                prop_assert!(out.refs() <= 2);
+                prop_assert!(out.refs <= 2);
             }
             for &h in &huge {
                 let va = VirtAddr((1 << 30) + (h << 21) + 0x1234);
                 let out = fpt.translate(&pm, &mut hier, va).unwrap();
                 prop_assert_eq!(out.pa, PhysAddr(((h + 100) << 21) + 0x1234));
                 prop_assert_eq!(out.size, PageSize::Size2M);
-                prop_assert!(out.refs() <= 3);
+                prop_assert!(out.refs <= 3);
             }
         }
     }

@@ -6,7 +6,7 @@
 //! dimension. If not, the request falls back to the ordinary x86 page
 //! walker ([`DmtError::NotCovered`]).
 //!
-//! Three fetch paths are provided, matching the paper's deployment modes:
+//! Four fetch paths are provided, matching the paper's deployment modes:
 //!
 //! * [`fetch_native`] — 1 reference (Figure 7);
 //! * [`fetch_virt_pv`] — 2 references, gTEAs resolved through the gTEA
@@ -18,7 +18,16 @@
 //!
 //! When a VMA holds pages of several sizes the fetcher probes all of its
 //! TEAs **in parallel** (Figure 12): latency is the maximum, not the sum,
-//! of the probe latencies, and exactly one TEA holds a present PTE.
+//! of the probe latencies, and exactly one TEA holds a present PTE. The
+//! one probe, `parallel_probe`, reads the candidates largest page size
+//! first and stops at the first present PTE, so only the winner's read
+//! and accessed-bit write (one fused [`MemoryOps::rmw_word`]) touch
+//! memory.
+//!
+//! Every path allocates nothing: it returns a `Copy` [`WalkOutcome`]
+//! with the reference count kept inline and reports each fetch to a
+//! [`StepSink`] — `()` on the replay path, a `Vec<FetchStep>` for
+//! Figure 16's breakdown and the unit tests.
 
 use crate::gtea::GteaTable;
 use crate::regfile::DmtRegisterFile;
@@ -27,6 +36,7 @@ use crate::DmtError;
 use dmt_cache::hierarchy::MemoryHierarchy;
 use dmt_mem::{MemoryOps, PageSize, PhysAddr, VirtAddr};
 use dmt_pgtable::pte::Pte;
+use dmt_pgtable::walk::{StepSink, WalkOutcome};
 
 /// Which translation stage a fetch step served.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,26 +58,6 @@ pub struct FetchStep {
     pub slot: PhysAddr,
     /// Cycles charged (max over parallel same-stage probes).
     pub cycles: u64,
-}
-
-/// Result of a successful DMT fetch.
-#[derive(Debug, Clone)]
-pub struct FetchOutcome {
-    /// Final translated physical address.
-    pub pa: PhysAddr,
-    /// Page size of the innermost (application-visible) mapping.
-    pub size: PageSize,
-    /// Total cycles.
-    pub cycles: u64,
-    /// Sequential memory references, in order.
-    pub steps: Vec<FetchStep>,
-}
-
-impl FetchOutcome {
-    /// Number of sequential memory references.
-    pub fn refs(&self) -> u64 {
-        self.steps.len() as u64
-    }
 }
 
 /// One translation level of a pvDMT fetch chain.
@@ -100,62 +90,58 @@ fn slot_for(
 }
 
 /// Probe every size-mapping covering `addr` in parallel and return the
-/// present PTE (plus its mapping) and the winning probe's latency.
+/// present PTE, its page size, its slot and the winning probe's latency.
 ///
 /// Exactly one TEA holds a present PTE for any mapped page ("only one
 /// PTE will be fetched", §4.4), so the fetch completes as soon as the
 /// present PTE returns — losing probes are canceled and charged neither
 /// latency nor cache insertion (their bandwidth cost is ignored; noted
-/// in DESIGN.md).
+/// in DESIGN.md). Should several be present, the largest page size
+/// wins, so the probe reads the candidates largest-first and stops at
+/// the first present PTE; skipped reads are uncharged and
+/// side-effect-free, so nothing observable is lost. The winner's read
+/// and accessed-bit write share one fused [`MemoryOps::rmw_word`].
 fn parallel_probe<M: MemoryOps>(
     regs: &DmtRegisterFile,
     gtea: Option<&GteaTable>,
     pm: &mut M,
     hier: &mut MemoryHierarchy,
     addr: VirtAddr,
-) -> Result<(Pte, VmaTeaMapping, PhysAddr, u64), DmtError> {
-    let candidates: Vec<VmaTeaMapping> = regs.lookup(addr).copied().collect();
-    if candidates.is_empty() {
-        return Err(DmtError::NotCovered { addr: addr.raw() });
-    }
-    // Resolve the winning slot by content (the hardware selects whichever
-    // probe returns a present PTE), then charge that probe.
-    let mut winner: Option<(Pte, VmaTeaMapping, PhysAddr)> = None;
+) -> Result<(Pte, PageSize, PhysAddr, u64), DmtError> {
+    // At most one covering mapping per page size (Figure 12's parallel
+    // comparators), ranked smallest-to-largest. Every slot is resolved
+    // before any is read, so a forged gTEA ID faults whichever probe
+    // carries it.
+    let mut by_size: [Option<PhysAddr>; 3] = [None; 3];
     let mut first_slot = None;
-    for m in candidates {
-        let slot = slot_for(&m, gtea, addr)?;
-        if first_slot.is_none() {
-            first_slot = Some(slot);
-        }
-        let pte = Pte(pm.read_word(slot));
+    for m in regs.lookup(addr) {
+        let slot = slot_for(m, gtea, addr)?;
+        first_slot.get_or_insert(slot);
+        by_size[m.page_size() as usize].get_or_insert(slot);
+    }
+    let Some(first_slot) = first_slot else {
+        return Err(DmtError::NotCovered { addr: addr.raw() });
+    };
+    for (size, slot) in PageSize::ALL.into_iter().zip(by_size).rev() {
+        let Some(slot) = slot else { continue };
+        let mut pte = Pte::EMPTY;
+        pm.rmw_word(slot, |w| {
+            pte = Pte(w);
+            pte.present().then(|| pte.with_accessed().raw())
+        });
         if pte.present() {
-            let better = match &winner {
-                Some((_, prev, _)) => m.page_size() > prev.page_size(),
-                None => true,
-            };
-            if better {
-                winner = Some((pte, m, slot));
-            }
-        }
-    }
-    match winner {
-        Some((pte, m, slot)) => {
             let (_, cyc) = hier.access(slot.raw());
-            pm.write_word(slot, pte.with_accessed().raw());
-            Ok((pte, m, slot, cyc))
-        }
-        None => {
-            // A fault still costs one fetch to discover.
-            if let Some(slot) = first_slot {
-                hier.access(slot.raw());
-            }
-            Err(DmtError::PteNotPresent { addr: addr.raw() })
+            return Ok((pte, size, slot, cyc));
         }
     }
+    // A fault still costs one fetch to discover.
+    hier.access(first_slot.raw());
+    Err(DmtError::PteNotPresent { addr: addr.raw() })
 }
 
 /// Generic pvDMT fetch chain: one parallel probe per level, each level's
-/// PTE providing the address the next level translates.
+/// PTE providing the address the next level translates. Each probe is
+/// reported to `steps`; the outcome's `size` is the innermost level's.
 ///
 /// # Errors
 ///
@@ -167,30 +153,28 @@ pub fn fetch_chain<M: MemoryOps>(
     pm: &mut M,
     hier: &mut MemoryHierarchy,
     va: VirtAddr,
-) -> Result<FetchOutcome, DmtError> {
+    steps: &mut impl StepSink<FetchStep>,
+) -> Result<WalkOutcome, DmtError> {
     assert!(!levels.is_empty(), "fetch chain needs at least one level");
     let mut addr = va;
     let mut cycles = 0u64;
-    let mut steps = Vec::with_capacity(levels.len());
     let mut innermost_size = None;
     for ctx in levels {
-        let (pte, mapping, slot, cyc) = parallel_probe(ctx.regs, ctx.gtea, pm, hier, addr)?;
+        let (pte, size, slot, cyc) = parallel_probe(ctx.regs, ctx.gtea, pm, hier, addr)?;
         cycles += cyc;
-        steps.push(FetchStep {
+        steps.step(FetchStep {
             stage: ctx.stage,
             slot,
             cycles: cyc,
         });
-        if innermost_size.is_none() {
-            innermost_size = Some(mapping.page_size());
-        }
-        addr = VirtAddr(pte.phys_addr().raw() + addr.offset_in(mapping.page_size()));
+        innermost_size.get_or_insert(size);
+        addr = VirtAddr(pte.phys_addr().raw() + addr.offset_in(size));
     }
-    Ok(FetchOutcome {
+    Ok(WalkOutcome {
         pa: PhysAddr(addr.raw()),
         size: innermost_size.expect("at least one level"),
         cycles,
-        steps,
+        refs: levels.len() as u64,
     })
 }
 
@@ -204,7 +188,8 @@ pub fn fetch_native<M: MemoryOps>(
     pm: &mut M,
     hier: &mut MemoryHierarchy,
     va: VirtAddr,
-) -> Result<FetchOutcome, DmtError> {
+    steps: &mut impl StepSink<FetchStep>,
+) -> Result<WalkOutcome, DmtError> {
     fetch_chain(
         &[LevelCtx {
             regs,
@@ -214,6 +199,7 @@ pub fn fetch_native<M: MemoryOps>(
         pm,
         hier,
         va,
+        steps,
     )
 }
 
@@ -230,7 +216,8 @@ pub fn fetch_virt_pv<M: MemoryOps>(
     pm: &mut M,
     hier: &mut MemoryHierarchy,
     gva: VirtAddr,
-) -> Result<FetchOutcome, DmtError> {
+    steps: &mut impl StepSink<FetchStep>,
+) -> Result<WalkOutcome, DmtError> {
     fetch_chain(
         &[
             LevelCtx {
@@ -247,6 +234,7 @@ pub fn fetch_virt_pv<M: MemoryOps>(
         pm,
         hier,
         gva,
+        steps,
     )
 }
 
@@ -265,86 +253,69 @@ pub fn fetch_virt_unpv<M: MemoryOps>(
     pm: &mut M,
     hier: &mut MemoryHierarchy,
     gva: VirtAddr,
-) -> Result<FetchOutcome, DmtError> {
+    steps: &mut impl StepSink<FetchStep>,
+) -> Result<WalkOutcome, DmtError> {
     // Step 0 (arithmetic only): candidate gPTE gPAs, one per page-size
     // mapping covering the address (Figure 12's parallel probes).
-    let candidates: Vec<VmaTeaMapping> = guest_regs.lookup(gva).copied().collect();
-    if candidates.is_empty() {
-        return Err(DmtError::NotCovered { addr: gva.raw() });
-    }
-
     // Steps 1+2, parallel across candidates: host-translate each gPTE's
     // gPA (hPTE fetch), then fetch the gPTE. As in the native case, the
     // winner (the candidate whose gPTE is present) determines the cost;
-    // losing probes are canceled.
-    let mut winner: Option<(VmaTeaMapping, PhysAddr)> = None;
-    {
-        // Software-side winner resolution (content only, no charges).
-        let view_host = |gpa: PhysAddr| -> Option<PhysAddr> {
-            let hm = host_regs.lookup(VirtAddr(gpa.raw())).next()?;
-            let slot = hm.pte_addr(VirtAddr(gpa.raw()))?;
-            let hpte = Pte(pm.read_word(slot));
-            if !hpte.present() {
-                return None;
-            }
-            Some(PhysAddr(
-                hpte.phys_addr().raw() + VirtAddr(gpa.raw()).offset_in(hm.page_size()),
-            ))
-        };
-        for gm in &candidates {
-            let gpte_gpa = gm.pte_addr(gva).expect("covered");
-            if let Some(gpte_hpa) = view_host(gpte_gpa) {
-                if Pte(pm.read_word(gpte_hpa)).present() {
-                    let better = match &winner {
-                        Some((prev, _)) => gm.page_size() > prev.page_size(),
-                        None => true,
-                    };
-                    if better {
-                        winner = Some((*gm, gpte_gpa));
-                    }
-                }
-            }
+    // losing probes are canceled. The winner is resolved by content
+    // first, with no charges.
+    let view_host = |pm: &M, gpa: PhysAddr| -> Option<PhysAddr> {
+        let hm = host_regs.lookup(VirtAddr(gpa.raw())).next()?;
+        let slot = hm.pte_addr(VirtAddr(gpa.raw()))?;
+        let hpte = Pte(pm.read_word(slot));
+        hpte.present().then(|| {
+            PhysAddr(hpte.phys_addr().raw() + VirtAddr(gpa.raw()).offset_in(hm.page_size()))
+        })
+    };
+    let mut covered = false;
+    let mut winner: Option<(PageSize, PhysAddr)> = None;
+    for gm in guest_regs.lookup(gva) {
+        covered = true;
+        let gpte_gpa = gm.pte_addr(gva).expect("covered");
+        let present = view_host(pm, gpte_gpa).is_some_and(|hpa| Pte(pm.read_word(hpa)).present());
+        if present && winner.is_none_or(|(size, _)| gm.page_size() > size) {
+            winner = Some((gm.page_size(), gpte_gpa));
         }
     }
-    let (gm, gpte_gpa) = winner.ok_or(DmtError::PteNotPresent { addr: gva.raw() })?;
+    if !covered {
+        return Err(DmtError::NotCovered { addr: gva.raw() });
+    }
+    let (size, gpte_gpa) = winner.ok_or(DmtError::PteNotPresent { addr: gva.raw() })?;
     // Step 1 (charged): hPTE translating the winning gPTE's gPA.
-    let (hpte1, hm1, slot1, cyc1) =
+    let (hpte1, hsize1, slot1, cyc1) =
         parallel_probe(host_regs, None, pm, hier, VirtAddr(gpte_gpa.raw()))?;
+    steps.step(FetchStep {
+        stage: FetchStage::Host,
+        slot: slot1,
+        cycles: cyc1,
+    });
     // Step 2 (charged): the gPTE itself.
-    let gpte_hpa =
-        PhysAddr(hpte1.phys_addr().raw() + VirtAddr(gpte_gpa.raw()).offset_in(hm1.page_size()));
+    let gpte_hpa = PhysAddr(hpte1.phys_addr().raw() + VirtAddr(gpte_gpa.raw()).offset_in(hsize1));
     let (_, cyc2) = hier.access(gpte_hpa.raw());
-    let gpte = Pte(pm.read_word(gpte_hpa));
-    pm.write_word(gpte_hpa, gpte.with_accessed().raw());
-    let data_gpa = PhysAddr(gpte.phys_addr().raw() + gva.offset_in(gm.page_size()));
+    steps.step(FetchStep {
+        stage: FetchStage::Guest,
+        slot: gpte_hpa,
+        cycles: cyc2,
+    });
+    let gpte = Pte(pm.rmw_word(gpte_hpa, |w| Some(Pte(w).with_accessed().raw())));
+    let data_gpa = PhysAddr(gpte.phys_addr().raw() + gva.offset_in(size));
 
     // Step 3: hPTE translating the data gPA.
-    let (hpte2, hm2, slot3, cyc3) =
+    let (hpte2, hsize2, slot3, cyc3) =
         parallel_probe(host_regs, None, pm, hier, VirtAddr(data_gpa.raw()))?;
-    let pa =
-        PhysAddr(hpte2.phys_addr().raw() + VirtAddr(data_gpa.raw()).offset_in(hm2.page_size()));
-
-    Ok(FetchOutcome {
-        pa,
-        size: gm.page_size(),
+    steps.step(FetchStep {
+        stage: FetchStage::Host,
+        slot: slot3,
+        cycles: cyc3,
+    });
+    Ok(WalkOutcome {
+        pa: PhysAddr(hpte2.phys_addr().raw() + VirtAddr(data_gpa.raw()).offset_in(hsize2)),
+        size,
         cycles: cyc1 + cyc2 + cyc3,
-        steps: vec![
-            FetchStep {
-                stage: FetchStage::Host,
-                slot: slot1,
-                cycles: cyc1,
-            },
-            FetchStep {
-                stage: FetchStage::Guest,
-                slot: gpte_hpa,
-                cycles: cyc2,
-            },
-            FetchStep {
-                stage: FetchStage::Host,
-                slot: slot3,
-                cycles: cyc3,
-            },
-        ],
+        refs: 3,
     })
 }
 
@@ -363,7 +334,8 @@ pub fn fetch_nested_pv<M: MemoryOps>(
     pm: &mut M,
     hier: &mut MemoryHierarchy,
     va: VirtAddr,
-) -> Result<FetchOutcome, DmtError> {
+    steps: &mut impl StepSink<FetchStep>,
+) -> Result<WalkOutcome, DmtError> {
     fetch_chain(
         &[
             LevelCtx {
@@ -385,76 +357,8 @@ pub fn fetch_nested_pv<M: MemoryOps>(
         pm,
         hier,
         va,
+        steps,
     )
-}
-
-/// A completed fetch without the step-trace `Vec` —
-/// [`fetch_native_lean`]'s return shape.
-#[derive(Debug, Clone, Copy)]
-pub struct LeanFetch {
-    /// Final (host) physical address.
-    pub pa: PhysAddr,
-    /// Innermost page size (what the TLB fills with).
-    pub size: PageSize,
-    /// Cycles charged by the slot accesses.
-    pub cycles: u64,
-    /// Number of sequential memory references.
-    pub refs: u64,
-}
-
-/// [`fetch_native`] without the per-call allocations, so results are
-/// bit-identical to it: the same single `hier` charge `parallel_probe`
-/// would issue. The winner is whatever present candidate has the
-/// largest page size, so the probe walks candidates largest-first and
-/// stops at the first present PTE — skipped candidate reads are
-/// uncharged and side-effect-free in `parallel_probe` too, so nothing
-/// observable is lost. The winning PTE's read and accessed-bit write
-/// share one fused [`MemoryOps::rmw_word`] lookup. The default engine's
-/// per-miss path for native DMT.
-///
-/// # Errors
-///
-/// See [`fetch_native`].
-pub fn fetch_native_lean<M: MemoryOps>(
-    regs: &DmtRegisterFile,
-    pm: &mut M,
-    hier: &mut MemoryHierarchy,
-    va: VirtAddr,
-) -> Result<LeanFetch, DmtError> {
-    // At most one covering mapping per page size (Figure 12's parallel
-    // comparators), ranked smallest-to-largest.
-    let mut by_size: [Option<(PhysAddr, PageSize)>; 3] = [None; 3];
-    let mut first_slot = None;
-    for m in regs.lookup(va) {
-        let slot = m.pte_addr(va).expect("lookup returned a covering mapping");
-        if first_slot.is_none() {
-            first_slot = Some(slot);
-        }
-        by_size[m.page_size() as usize] = Some((slot, m.page_size()));
-    }
-    let Some(first_slot) = first_slot else {
-        return Err(DmtError::NotCovered { addr: va.raw() });
-    };
-    for &(slot, size) in by_size.iter().rev().flatten() {
-        let mut pte = Pte::EMPTY;
-        pm.rmw_word(slot, |w| {
-            pte = Pte(w);
-            pte.present().then(|| pte.with_accessed().raw())
-        });
-        if pte.present() {
-            let (_, cycles) = hier.access(slot.raw());
-            return Ok(LeanFetch {
-                pa: PhysAddr(pte.phys_addr().raw() + va.offset_in(size)),
-                size,
-                cycles,
-                refs: 1,
-            });
-        }
-    }
-    // No candidate present: charge the first probe's slot access like
-    // the scalar fetcher, then fault.
-    hier.access(first_slot.raw());
-    Err(DmtError::PteNotPresent { addr: va.raw() })
 }
 
 #[cfg(test)]
@@ -490,9 +394,10 @@ mod tests {
             &mut pm,
             &mut hier,
             VirtAddr(0x40_0000 + 5 * 4096 + 7),
+            &mut (),
         )
         .unwrap();
-        assert_eq!(out.refs(), 1);
+        assert_eq!(out.refs, 1);
         assert_eq!(out.pa, PhysAddr(((1000 + 5) << 12) + 7));
         assert_eq!(out.size, PageSize::Size4K);
         // Cold: single DRAM access.
@@ -504,7 +409,7 @@ mod tests {
         let (mut pm, regs, _) = native_setup(0x40_0000, 4);
         let mut hier = MemoryHierarchy::default();
         assert!(matches!(
-            fetch_native(&regs, &mut pm, &mut hier, VirtAddr(0x1_0000_0000)),
+            fetch_native(&regs, &mut pm, &mut hier, VirtAddr(0x1_0000_0000), &mut ()),
             Err(DmtError::NotCovered { .. })
         ));
     }
@@ -518,7 +423,7 @@ mod tests {
         assert!(m.covers(va));
         let mut hier = MemoryHierarchy::default();
         assert!(matches!(
-            fetch_native(&regs, &mut pm, &mut hier, va),
+            fetch_native(&regs, &mut pm, &mut hier, va, &mut ()),
             Err(DmtError::PteNotPresent { .. })
         ));
     }
@@ -528,7 +433,7 @@ mod tests {
         let (mut pm, regs, m) = native_setup(0x40_0000, 4);
         let va = VirtAddr(0x40_0000);
         let mut hier = MemoryHierarchy::default();
-        fetch_native(&regs, &mut pm, &mut hier, va).unwrap();
+        fetch_native(&regs, &mut pm, &mut hier, va, &mut ()).unwrap();
         let pte = Pte(pm.read_word(m.pte_addr(va).unwrap()));
         assert!(pte.flags().contains(PteFlags::ACCESSED));
     }
@@ -553,8 +458,8 @@ mod tests {
         let mut regs = DmtRegisterFile::new();
         regs.load(&[m4, m2]);
         let mut hier = MemoryHierarchy::default();
-        let out = fetch_native(&regs, &mut pm, &mut hier, va).unwrap();
-        assert_eq!(out.refs(), 1, "parallel probes count as one reference");
+        let out = fetch_native(&regs, &mut pm, &mut hier, va, &mut ()).unwrap();
+        assert_eq!(out.refs, 1, "parallel probes count as one reference");
         assert_eq!(out.size, PageSize::Size2M);
         assert_eq!(out.pa, PhysAddr(((512 * 9) << 12) + 0x123));
         // Max-of-parallel: both probes were DRAM (200), so total is 200.
@@ -577,8 +482,8 @@ mod tests {
         let mut regs = DmtRegisterFile::new();
         regs.load(&[m]);
         let mut hier = MemoryHierarchy::default();
-        let out = fetch_native(&regs, &mut pm, &mut hier, va).unwrap();
-        assert_eq!(out.refs(), 1);
+        let out = fetch_native(&regs, &mut pm, &mut hier, va, &mut ()).unwrap();
+        assert_eq!(out.refs, 1);
         assert_eq!(out.size, PageSize::Size1G);
         assert_eq!(out.pa, PhysAddr(((9u64 << 18) << 12) + 0x1234_5678));
     }
@@ -615,12 +520,21 @@ mod tests {
         host_regs.load(&[hm]);
         let mut hier = MemoryHierarchy::default();
         let va = VirtAddr(gbase.raw() + 3 * 4096 + 0x21);
-        let out =
-            fetch_virt_pv(&guest_regs, &gtea_table, &host_regs, &mut pm, &mut hier, va).unwrap();
-        assert_eq!(out.refs(), 2, "pvDMT: gPTE + hPTE");
+        let mut steps = Vec::new();
+        let out = fetch_virt_pv(
+            &guest_regs,
+            &gtea_table,
+            &host_regs,
+            &mut pm,
+            &mut hier,
+            va,
+            &mut steps,
+        )
+        .unwrap();
+        assert_eq!(out.refs, 2, "pvDMT: gPTE + hPTE");
         assert_eq!(out.pa, PhysAddr(((5000 + 3) << 12) + 0x21));
-        assert_eq!(out.steps[0].stage, FetchStage::Guest);
-        assert_eq!(out.steps[1].stage, FetchStage::Host);
+        assert_eq!(steps[0].stage, FetchStage::Guest);
+        assert_eq!(steps[1].stage, FetchStage::Host);
 
         // Isolation: a forged gTEA ID faults instead of reading host
         // memory.
@@ -628,7 +542,15 @@ mod tests {
             VmaTeaMapping::new(gbase, 16 * 4096, PageSize::Size4K, Pfn(0)).with_gtea_id(gid + 7);
         guest_regs.load(&[forged]);
         assert!(matches!(
-            fetch_virt_pv(&guest_regs, &gtea_table, &host_regs, &mut pm, &mut hier, va),
+            fetch_virt_pv(
+                &guest_regs,
+                &gtea_table,
+                &host_regs,
+                &mut pm,
+                &mut hier,
+                va,
+                &mut ()
+            ),
             Err(DmtError::InvalidGteaId { .. })
         ));
     }
@@ -667,8 +589,9 @@ mod tests {
         host_regs.load(&[hm]);
         let mut hier = MemoryHierarchy::default();
         let va = VirtAddr(gbase.raw() + 2 * 4096 + 5 * 8);
-        let out = fetch_virt_unpv(&guest_regs, &host_regs, &mut pm, &mut hier, va).unwrap();
-        assert_eq!(out.refs(), 3, "DMT without pv: hPTE + gPTE + hPTE");
+        let out =
+            fetch_virt_unpv(&guest_regs, &host_regs, &mut pm, &mut hier, va, &mut ()).unwrap();
+        assert_eq!(out.refs, 3, "DMT without pv: hPTE + gPTE + hPTE");
         // data gPA frame = 300+2 -> hPA frame 300+2+HOST_OFF.
         assert_eq!(out.pa, PhysAddr(((300 + 2 + HOST_OFF) << 12) + 5 * 8));
     }
@@ -720,58 +643,71 @@ mod tests {
         l0_regs.load(&[l0m]);
         let mut hier = MemoryHierarchy::default();
         let va = VirtAddr(l2base.raw() + 4 * 4096 + 9);
+        let mut steps = Vec::new();
         let out = fetch_nested_pv(
-            &l2_regs, &l2_gtea, &l1_regs, &l1_gtea, &l0_regs, &mut pm, &mut hier, va,
+            &l2_regs, &l2_gtea, &l1_regs, &l1_gtea, &l0_regs, &mut pm, &mut hier, va, &mut steps,
         )
         .unwrap();
-        assert_eq!(out.refs(), 3, "nested pvDMT: L2PTE + L1PTE + L0PTE");
+        assert_eq!(out.refs, 3, "nested pvDMT: L2PTE + L1PTE + L0PTE");
         assert_eq!(out.pa, PhysAddr(((30 + 4) << 12) + 9));
-        let stages: Vec<_> = out.steps.iter().map(|s| s.stage).collect();
+        let stages: Vec<_> = steps.iter().map(|s| s.stage).collect();
         assert_eq!(
             stages,
             vec![FetchStage::Guest, FetchStage::Middle, FetchStage::Host]
         );
     }
 
-    #[test]
-    fn lean_fetch_matches_the_allocating_fetcher() {
-        // Two identical machines: one through the full fetcher, one
-        // through the lean path. Charged cycles, the hierarchy end
-        // state, PA, and size must all agree.
-        let (mut pm_a, regs_a, _) = native_setup(0x40_0000, 64);
-        let (mut pm_b, regs_b, _) = native_setup(0x40_0000, 64);
-        let mut hier_a = MemoryHierarchy::default();
-        let mut hier_b = MemoryHierarchy::default();
-        let vas = [
-            VirtAddr(0x40_0000 + 5 * 4096 + 7),
-            VirtAddr(0x40_0000 + 9 * 4096),
-            VirtAddr(0x40_0000 + 5 * 4096 + 99), // same page, new offset
-        ];
-        for va in vas {
-            let a = fetch_native(&regs_a, &mut pm_a, &mut hier_a, va).unwrap();
-            let b = fetch_native_lean(&regs_b, &mut pm_b, &mut hier_b, va).unwrap();
-            assert_eq!(
-                (a.pa, a.size, a.cycles, a.refs()),
-                (b.pa, b.size, b.cycles, b.refs)
-            );
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(16))]
+
+        /// The `Vec` sink and the `()` sink drive the same fetch: equal
+        /// outcomes (errors included), hierarchy statistics and accessed
+        /// bits on two identical machines, one step per reference.
+        #[test]
+        fn vec_and_unit_sinks_fetch_identically(
+            probes in proptest::prop::collection::vec(0u64..160, 1..96),
+        ) {
+            // 64 populated pages of a 2 MiB-rounded TEA span: probes past
+            // them are present-free (PteNotPresent) or uncovered.
+            let (mut pm_a, regs_a, m) = native_setup(0x40_0000, 64);
+            let (mut pm_b, regs_b, _) = native_setup(0x40_0000, 64);
+            let mut hier_a = MemoryHierarchy::default();
+            let mut hier_b = MemoryHierarchy::default();
+            for &p in &probes {
+                let base = if p >= 150 { 0x8000_0000 } else { 0x40_0000 };
+                let va = VirtAddr(base + (p % 150) * 4096 + p);
+                let mut steps = Vec::new();
+                let a = fetch_native(&regs_a, &mut pm_a, &mut hier_a, va, &mut steps);
+                let b = fetch_native(&regs_b, &mut pm_b, &mut hier_b, va, &mut ());
+                proptest::prop_assert_eq!(a, b);
+                if let Ok(out) = a {
+                    proptest::prop_assert_eq!(out.refs, steps.len() as u64);
+                    proptest::prop_assert_eq!(out.cycles, steps[0].cycles);
+                }
+            }
+            proptest::prop_assert_eq!(hier_a.stats(), hier_b.stats());
+            for p in 0..64u64 {
+                let slot = m.pte_addr(VirtAddr(0x40_0000 + p * 4096)).unwrap();
+                proptest::prop_assert_eq!(pm_a.read_word(slot), pm_b.read_word(slot));
+            }
         }
-        assert_eq!(hier_a.stats(), hier_b.stats());
+    }
+
+    #[test]
+    fn not_present_probe_charges_the_discovery_fetch() {
+        let (mut pm, regs, _) = native_setup(0x40_0000, 4);
+        let mut hier = MemoryHierarchy::default();
+        let before = hier.stats().total();
         assert!(matches!(
-            fetch_native_lean(&regs_b, &mut pm_b, &mut hier_b, VirtAddr(0x8000_0000)),
-            Err(DmtError::NotCovered { .. })
-        ));
-        // Not-present inside a covered span still charges the discovery
-        // probe, like the allocating path.
-        let before = hier_b.stats().total();
-        assert!(matches!(
-            fetch_native_lean(
-                &regs_b,
-                &mut pm_b,
-                &mut hier_b,
-                VirtAddr(0x40_0000 + 100 * 4096)
+            fetch_native(
+                &regs,
+                &mut pm,
+                &mut hier,
+                VirtAddr(0x40_0000 + 100 * 4096),
+                &mut ()
             ),
             Err(DmtError::PteNotPresent { .. })
         ));
-        assert_eq!(hier_b.stats().total(), before + 1);
+        assert_eq!(hier.stats().total(), before + 1);
     }
 }

@@ -35,8 +35,8 @@
 //! let mut regs = DmtRegisterFile::new();
 //! regs.load(&[m]);
 //! let mut hier = MemoryHierarchy::default();
-//! let out = fetcher::fetch_native(&regs, &mut pm, &mut hier, VirtAddr(0x20_0007))?;
-//! assert_eq!(out.refs(), 1); // one memory reference, as promised
+//! let out = fetcher::fetch_native(&regs, &mut pm, &mut hier, VirtAddr(0x20_0007), &mut ())?;
+//! assert_eq!(out.refs, 1); // one memory reference, as promised
 //! # Ok(())
 //! # }
 //! ```
@@ -47,7 +47,7 @@ pub mod regfile;
 pub mod register;
 pub mod vtmap;
 
-pub use fetcher::{FetchOutcome, FetchStage, FetchStep};
+pub use fetcher::{FetchStage, FetchStep};
 pub use gtea::{GteaEntry, GteaTable};
 pub use regfile::{DmtRegisterFile, DMT_REGISTER_COUNT};
 pub use register::DmtRegister;

@@ -10,15 +10,13 @@ use crate::divergence::{Divergence, DivergenceKind};
 
 /// A rig wrapped by the differential oracle.
 ///
-/// Every [`translate`](Rig::translate) and every
-/// [`translate_fast`](Rig::translate_fast) — the default engine's miss
-/// call, forwarded to the inner rig's own — is checked against the
-/// inner rig's software ground truth ([`data_pa`](Rig::data_pa) and,
-/// when available, the full [`ref_translate`](Rig::ref_translate)
-/// leaf):
+/// Every [`translate`](Rig::translate) — the one miss call of both
+/// engines — is checked against the inner rig's software ground truth
+/// ([`data_pa`](Rig::data_pa) and, when available, the full
+/// [`ref_translate`](Rig::ref_translate) leaf):
 ///
-/// * **PA agreement** — the design's final PA equals the ground truth,
-///   and so does the data PA `translate_fast` returns with it.
+/// * **PA agreement** — the design's final PA equals the ground truth
+///   (the default engine charges the data access there).
 /// * **Reference self-consistency** — the reference walk agrees with the
 ///   data-access ground truth.
 /// * **Size agreement** — the design never installs a TLB reach larger
@@ -119,21 +117,18 @@ impl<R: Rig> Checked<R> {
         self.divergences.push(d);
     }
 
-    /// Check one served translation; `data` is the data PA
-    /// [`translate_fast`](Rig::translate_fast) returned alongside it.
-    fn check(
-        &mut self,
-        idx: u64,
-        va: VirtAddr,
-        tr: &Translation,
-        data: Option<PhysAddr>,
-        faults_before: u64,
-    ) {
+    /// Check one served translation.
+    fn check(&mut self, idx: u64, va: VirtAddr, tr: &Translation, faults_before: u64) {
         let truth = self.inner.data_pa(va);
-        for got in std::iter::once(tr.pa).chain(data) {
-            if got != truth {
-                self.report(idx, va, DivergenceKind::Pa { got, want: truth });
-            }
+        if tr.pa != truth {
+            self.report(
+                idx,
+                va,
+                DivergenceKind::Pa {
+                    got: tr.pa,
+                    want: truth,
+                },
+            );
         }
         if let Some(re) = self.inner.ref_translate(va) {
             self.check_ref(idx, va, tr, truth, re);
@@ -228,21 +223,8 @@ impl<R: Rig> Rig for Checked<R> {
         self.index += 1;
         let faults_before = self.inner.faults();
         let tr = self.inner.translate(va, hier);
-        self.check(idx, va, &tr, None, faults_before);
+        self.check(idx, va, &tr, faults_before);
         tr
-    }
-
-    fn translate_fast(
-        &mut self,
-        va: VirtAddr,
-        hier: &mut MemoryHierarchy,
-    ) -> (Translation, PhysAddr) {
-        let idx = self.index;
-        self.index += 1;
-        let faults_before = self.inner.faults();
-        let (tr, pa) = self.inner.translate_fast(va, hier);
-        self.check(idx, va, &tr, Some(pa), faults_before);
-        (tr, pa)
     }
 
     fn data_pa(&self, va: VirtAddr) -> PhysAddr {
@@ -269,11 +251,11 @@ impl<R: Rig> Rig for Checked<R> {
         self.inner.component_counters()
     }
 
-    fn frag_sample(&self) -> Option<(f64, u64)> {
+    fn frag_sample(&self) -> (f64, u64) {
         self.inner.frag_sample()
     }
 
-    fn swap_phys(&mut self, pm: &mut dmt_mem::PhysMemory) -> bool {
+    fn swap_phys(&mut self, pm: &mut dmt_mem::PhysMemory) {
         self.inner.swap_phys(pm)
     }
 
@@ -295,10 +277,8 @@ impl<R: Rig> Rig for Checked<R> {
 }
 
 /// A mutation rig: forwards everything to the wrapped rig but flips one
-/// bit of the translation PA produced by the `at`-th miss call
-/// ([`translate`](Rig::translate) and
-/// [`translate_fast`](Rig::translate_fast) share one count; the data
-/// PA `translate_fast` returns is forwarded as is). The design's
+/// bit of the translation PA produced by the `at`-th
+/// [`translate`](Rig::translate) call. The design's
 /// ground truth ([`data_pa`](Rig::data_pa), [`ref_translate`](Rig::ref_translate))
 /// stays honest, so a [`Checked`] wrapper around a `BitFlip` must report
 /// exactly that access — the conformance suite's proof that the oracle
@@ -356,15 +336,6 @@ impl<R: Rig> Rig for BitFlip<R> {
         self.flip(tr)
     }
 
-    fn translate_fast(
-        &mut self,
-        va: VirtAddr,
-        hier: &mut MemoryHierarchy,
-    ) -> (Translation, PhysAddr) {
-        let (tr, pa) = self.inner.translate_fast(va, hier);
-        (self.flip(tr), pa)
-    }
-
     fn data_pa(&self, va: VirtAddr) -> PhysAddr {
         self.inner.data_pa(va)
     }
@@ -389,11 +360,11 @@ impl<R: Rig> Rig for BitFlip<R> {
         self.inner.component_counters()
     }
 
-    fn frag_sample(&self) -> Option<(f64, u64)> {
+    fn frag_sample(&self) -> (f64, u64) {
         self.inner.frag_sample()
     }
 
-    fn swap_phys(&mut self, pm: &mut dmt_mem::PhysMemory) -> bool {
+    fn swap_phys(&mut self, pm: &mut dmt_mem::PhysMemory) {
         self.inner.swap_phys(pm)
     }
 
@@ -469,20 +440,13 @@ mod tests {
 
     #[test]
     fn bit_flip_is_caught_at_the_exact_access() {
-        for (design, fast) in NATIVE_DESIGNS
-            .into_iter()
-            .flat_map(|d| [(d, false), (d, true)])
-        {
+        for design in NATIVE_DESIGNS {
             let (setup, vas) = tiny_setup(16);
             let rig = NativeRig::with_setup(design, false, &setup).unwrap();
             let mut checked = Checked::collecting(BitFlip::new(rig, 5, 12));
             let mut hier = MemoryHierarchy::default();
             for &va in &vas {
-                if fast {
-                    checked.translate_fast(va, &mut hier);
-                } else {
-                    checked.translate(va, &mut hier);
-                }
+                checked.translate(va, &mut hier);
             }
             let ds = checked.divergences();
             assert!(!ds.is_empty(), "{design:?}: flipped PA not caught");

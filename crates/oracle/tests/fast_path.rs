@@ -1,8 +1,8 @@
 //! The oracle checks the miss call the default engine makes: under
-//! `Engine::Batched` every TLB miss is one `Rig::translate_fast`, and a
-//! `Checked` wrapper must check that call itself, not the inner rig's
-//! `translate`. A rig whose fast path alone returns a wrong data PA is
-//! replayed through the default engine, and every miss must diverge.
+//! `Engine::Batched` every TLB miss is one `Rig::translate`, whose PA is
+//! where the engine charges the data access. A rig whose translation
+//! PA disagrees with its ground truth is replayed through the default
+//! engine under a `Checked` wrapper, and every miss must diverge.
 
 use dmt_cache::hierarchy::MemoryHierarchy;
 use dmt_mem::{PageSize, PhysAddr, VirtAddr};
@@ -11,12 +11,12 @@ use dmt_sim::native_rig::NativeRig;
 use dmt_sim::{Design, Env, RefEntry, Rig, Runner, Setup, Translation};
 use dmt_workloads::gen::{Access, Region};
 
-/// Forwards every call to the inner rig, but returns a data PA with
-/// bit 12 flipped from every `translate_fast`: a fast path that
-/// disagrees with the ground truth only where the default engine looks.
-struct CorruptFast<R: Rig>(R);
+/// Forwards every call to the inner rig, but flips bit 12 of every
+/// `translate`'s PA: a translation that disagrees with the ground truth
+/// exactly where the default engine charges the data access.
+struct CorruptPa<R: Rig>(R);
 
-impl<R: Rig> Rig for CorruptFast<R> {
+impl<R: Rig> Rig for CorruptPa<R> {
     fn design(&self) -> Design {
         self.0.design()
     }
@@ -27,15 +27,11 @@ impl<R: Rig> Rig for CorruptFast<R> {
         self.0.thp()
     }
     fn translate(&mut self, va: VirtAddr, hier: &mut MemoryHierarchy) -> Translation {
-        self.0.translate(va, hier)
-    }
-    fn translate_fast(
-        &mut self,
-        va: VirtAddr,
-        hier: &mut MemoryHierarchy,
-    ) -> (Translation, PhysAddr) {
-        let (tr, pa) = self.0.translate_fast(va, hier);
-        (tr, PhysAddr(pa.raw() ^ (1 << 12)))
+        let tr = self.0.translate(va, hier);
+        Translation {
+            pa: PhysAddr(tr.pa.raw() ^ (1 << 12)),
+            ..tr
+        }
     }
     fn data_pa(&self, va: VirtAddr) -> PhysAddr {
         self.0.data_pa(va)
@@ -55,10 +51,10 @@ impl<R: Rig> Rig for CorruptFast<R> {
     fn component_counters(&self) -> dmt_telemetry::ComponentCounters {
         self.0.component_counters()
     }
-    fn frag_sample(&self) -> Option<(f64, u64)> {
+    fn frag_sample(&self) -> (f64, u64) {
         self.0.frag_sample()
     }
-    fn swap_phys(&mut self, pm: &mut dmt_mem::PhysMemory) -> bool {
+    fn swap_phys(&mut self, pm: &mut dmt_mem::PhysMemory) {
         self.0.swap_phys(pm)
     }
     fn swap_pwc(&mut self, pwc: &mut dmt_cache::PageWalkCache) -> bool {
@@ -78,7 +74,7 @@ impl<R: Rig> Rig for CorruptFast<R> {
 #[test]
 fn default_engine_miss_call_is_checked() {
     // 16 reads, each on its own page: every access is a TLB miss the
-    // default engine serves with one `translate_fast`.
+    // default engine serves with one `translate`.
     let base = 1u64 << 30;
     let region = Region {
         base: VirtAddr(base),
@@ -91,7 +87,7 @@ fn default_engine_miss_call_is_checked() {
     let trace: Vec<Access> = vas.iter().map(|&va| Access::read(va)).collect();
     let setup = Setup::new(vec![region], &trace);
     let rig = NativeRig::with_setup(Design::Vanilla, false, &setup).unwrap();
-    let mut checked = Checked::collecting(CorruptFast(rig));
+    let mut checked = Checked::collecting(CorruptPa(rig));
     let (stats, _) = Runner::builder().build().replay(&mut checked, &trace, 0);
     assert_eq!(stats.walks, vas.len() as u64);
     let ds = checked.divergences();

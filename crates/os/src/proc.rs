@@ -702,10 +702,10 @@ mod tests {
         let mut hier = MemoryHierarchy::default();
         for i in (0..64u64).step_by(7) {
             let va = VirtAddr(base.raw() + i * 4096 + 17);
-            let fetched = fetcher::fetch_native(&rf, &mut pm, &mut hier, va).unwrap();
+            let fetched = fetcher::fetch_native(&rf, &mut pm, &mut hier, va, &mut ()).unwrap();
             let walked = p.page_table().translate(&pm, va).unwrap().0;
             assert_eq!(fetched.pa, walked, "page {i}");
-            assert_eq!(fetched.refs(), 1);
+            assert_eq!(fetched.refs, 1);
         }
     }
 
@@ -722,9 +722,9 @@ mod tests {
         let mut rf = DmtRegisterFile::new();
         p.load_registers(&mut rf);
         let mut hier = MemoryHierarchy::default();
-        let out = fetcher::fetch_native(&rf, &mut pm, &mut hier, base + 0x1234).unwrap();
+        let out = fetcher::fetch_native(&rf, &mut pm, &mut hier, base + 0x1234, &mut ()).unwrap();
         assert_eq!(out.size, PageSize::Size2M);
-        assert_eq!(out.refs(), 1);
+        assert_eq!(out.refs, 1);
     }
 
     #[test]
@@ -786,9 +786,15 @@ mod tests {
         p.populate(&mut pm, VirtAddr(base.raw() + (6 << 20)))
             .unwrap();
         let mut hier = MemoryHierarchy::default();
-        let out = fetcher::fetch_native(&rf, &mut pm, &mut hier, VirtAddr(base.raw() + (6 << 20)))
-            .unwrap();
-        assert_eq!(out.refs(), 1);
+        let out = fetcher::fetch_native(
+            &rf,
+            &mut pm,
+            &mut hier,
+            VirtAddr(base.raw() + (6 << 20)),
+            &mut (),
+        )
+        .unwrap();
+        assert_eq!(out.refs, 1);
     }
 
     #[test]
@@ -811,7 +817,7 @@ mod tests {
         p.load_registers(&mut rf);
         let mut hier = MemoryHierarchy::default();
         assert!(matches!(
-            fetcher::fetch_native(&rf, &mut pm, &mut hier, base),
+            fetcher::fetch_native(&rf, &mut pm, &mut hier, base, &mut ()),
             Err(DmtError::NotCovered { .. })
         ));
         let before = p.page_table().translate(&pm, base).unwrap();
@@ -829,7 +835,7 @@ mod tests {
         // After hand-over the fetcher works again via the new TEA and
         // agrees with the walker.
         p.load_registers(&mut rf);
-        let out = fetcher::fetch_native(&rf, &mut pm, &mut hier, base).unwrap();
+        let out = fetcher::fetch_native(&rf, &mut pm, &mut hier, base, &mut ()).unwrap();
         assert_eq!(out.pa, before.0);
         let mm = p.mappings().lookup(base, PageSize::Size4K).unwrap();
         assert_eq!(mm.tea.frames, 16, "the mapping now owns the bigger TEA");

@@ -24,8 +24,8 @@
 //! pt.map(&mut pm, VirtAddr(0x1000), PhysAddr(0x2000), PageSize::Size4K, PteFlags::WRITABLE)?;
 //! let mut hier = MemoryHierarchy::default();
 //! let out = walk::walk_dimension(&pt, &mut pm, VirtAddr(0x1000),
-//!                                walk::WalkDim::Native, &mut hier, None)?;
-//! assert_eq!(out.refs(), 4); // a cold native walk fetches 4 PTEs
+//!                                walk::WalkDim::Native, &mut hier, None, &mut ())?;
+//! assert_eq!(out.refs, 4); // a cold native walk fetches 4 PTEs
 //! # Ok(())
 //! # }
 //! ```
@@ -36,11 +36,11 @@ pub mod radix;
 pub mod shadow;
 pub mod walk;
 
-pub use nested::{nested_walk, NestedCaches, NestedWalkOutcome};
+pub use nested::{nested_walk, NestedCaches};
 pub use pte::{Pte, PteFlags};
 pub use radix::RadixPageTable;
 pub use shadow::ShadowPageTable;
-pub use walk::{walk_dimension, WalkDim, WalkOutcome, WalkStep};
+pub use walk::{walk_dimension, StepSink, WalkDim, WalkOutcome, WalkStep};
 
 use core::fmt;
 use dmt_mem::MemError;
@@ -162,9 +162,9 @@ mod proptests {
             pt.map(&mut pm, va4k, PhysAddr(0x100_0000), PageSize::Size4K, PteFlags::default()).unwrap();
             pt.map(&mut pm, va2m, PhysAddr(0x20_0000), PageSize::Size2M, PteFlags::default()).unwrap();
             pt.map(&mut pm, va1g, PhysAddr(0x4000_0000), PageSize::Size1G, PteFlags::default()).unwrap();
-            prop_assert_eq!(walk_dimension(&pt, &mut pm, va4k, WalkDim::Native, &mut hier, None).unwrap().refs(), 4);
-            prop_assert_eq!(walk_dimension(&pt, &mut pm, va2m, WalkDim::Native, &mut hier, None).unwrap().refs(), 3);
-            prop_assert_eq!(walk_dimension(&pt, &mut pm, va1g, WalkDim::Native, &mut hier, None).unwrap().refs(), 2);
+            prop_assert_eq!(walk_dimension(&pt, &mut pm, va4k, WalkDim::Native, &mut hier, None, &mut ()).unwrap().refs, 4);
+            prop_assert_eq!(walk_dimension(&pt, &mut pm, va2m, WalkDim::Native, &mut hier, None, &mut ()).unwrap().refs, 3);
+            prop_assert_eq!(walk_dimension(&pt, &mut pm, va1g, WalkDim::Native, &mut hier, None, &mut ()).unwrap().refs, 2);
         }
     }
 }

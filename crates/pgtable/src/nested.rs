@@ -12,15 +12,20 @@
 //! * the **guest PWC** caches, per gVA prefix, the *host-physical* base of
 //!   the next guest table — a hit skips entire (host walk + guest fetch)
 //!   groups, which is how real nested-paging MMU caches behave.
+//!
+//! [`nested_walk`] allocates nothing: it returns a `Copy`
+//! [`WalkOutcome`] with the reference count kept inline and reports
+//! every fetch, guest and host interleaved, to a [`StepSink`] — `()` on
+//! the replay path, a `Vec<WalkStep>` for Figure 16's breakdown.
 
 use crate::pte::Pte;
 use crate::radix::RadixPageTable;
-use crate::walk::{walk_dimension, WalkDim, WalkOutcome, WalkStep};
+use crate::walk::{leaf_size, walk_dimension, StepSink, WalkDim, WalkOutcome, WalkStep};
 use crate::PtError;
 use dmt_cache::hierarchy::MemoryHierarchy;
 use dmt_cache::pwc::PageWalkCache;
 use dmt_mem::addr::{PAGE_SIZE, PTE_SIZE};
-use dmt_mem::{MemoryOps, PageSize, PhysAddr, VirtAddr};
+use dmt_mem::{MemoryOps, PhysAddr, VirtAddr};
 
 /// MMU caches used by a 2D walk.
 #[derive(Debug, Default)]
@@ -46,29 +51,10 @@ impl NestedCaches {
     }
 }
 
-/// Result of a 2D walk.
-#[derive(Debug, Clone)]
-pub struct NestedWalkOutcome {
-    /// Final host-physical address of the data.
-    pub pa: PhysAddr,
-    /// Page size of the guest mapping.
-    pub guest_size: PageSize,
-    /// Total cycles including PWC lookups.
-    pub cycles: u64,
-    /// Every PTE fetch in walk order (guest and host interleaved exactly
-    /// as in Figure 2).
-    pub steps: Vec<WalkStep>,
-}
-
-impl NestedWalkOutcome {
-    /// Number of sequential memory references.
-    pub fn refs(&self) -> u64 {
-        self.steps.len() as u64
-    }
-}
-
 /// Perform a hardware 2D page walk translating `gva` to a host-physical
-/// address.
+/// address, reporting every PTE fetch to `steps` in walk order (guest
+/// and host interleaved exactly as in Figure 2). The outcome's `size`
+/// is the guest mapping's page size.
 ///
 /// `gpt` maps gVA→gPA and lives in guest physical memory; `hpt` maps
 /// gPA→hPA and lives in host physical memory; `pm` is host physical
@@ -85,9 +71,10 @@ pub fn nested_walk<M: MemoryOps>(
     gva: VirtAddr,
     hier: &mut MemoryHierarchy,
     caches: &mut NestedCaches,
-) -> Result<NestedWalkOutcome, PtError> {
+    steps: &mut impl StepSink<WalkStep>,
+) -> Result<WalkOutcome, PtError> {
     let mut cycles = 0u64;
-    let mut steps: Vec<WalkStep> = Vec::with_capacity(24);
+    let mut refs = 0u64;
 
     let mut glevel = gpt.levels();
     // gPA of the current guest table (valid when table_hpa is None).
@@ -105,7 +92,7 @@ pub fn nested_walk<M: MemoryOps>(
     }
 
     // Guest dimension: one (host walk + guest fetch) group per level.
-    let data_gpa = loop {
+    let (data_gpa, guest_size) = loop {
         let entry_hpa = match table_hpa {
             Some(base) => base + gva.level_index(glevel) * PTE_SIZE,
             None => {
@@ -117,9 +104,10 @@ pub fn nested_walk<M: MemoryOps>(
                     WalkDim::Host,
                     hier,
                     caches.nested_pwc.as_mut(),
+                    steps,
                 )?;
                 cycles += host.cycles;
-                steps.extend(host.steps);
+                refs += host.refs;
                 host.pa
             }
         };
@@ -133,50 +121,46 @@ pub fn nested_walk<M: MemoryOps>(
         // Fetch the guest entry itself.
         let (_, cyc) = hier.access(entry_hpa.raw());
         cycles += cyc;
-        let gpte = Pte(pm.read_word(entry_hpa));
-        steps.push(WalkStep {
+        refs += 1;
+        steps.step(WalkStep {
             dim: WalkDim::Guest,
             level: glevel,
             pte_pa: entry_hpa,
             cycles: cyc,
         });
+        let mut gpte = Pte::EMPTY;
+        pm.rmw_word(entry_hpa, |w| {
+            gpte = Pte(w);
+            gpte.present().then(|| gpte.with_accessed().raw())
+        });
         if !gpte.present() {
             return Err(PtError::NotMapped { va: gva.raw() });
         }
-        pm.write_word(entry_hpa, gpte.with_accessed().raw());
         if gpte.is_leaf_at(glevel) {
-            let size = match glevel {
-                1 => PageSize::Size4K,
-                2 => PageSize::Size2M,
-                3 => PageSize::Size1G,
-                _ => return Err(PtError::NotMapped { va: gva.raw() }),
-            };
+            let size = leaf_size(glevel).ok_or(PtError::NotMapped { va: gva.raw() })?;
             break (PhysAddr(gpte.phys_addr().raw() + gva.offset_in(size)), size);
         }
         gtable_gpa = gpte.phys_addr();
         table_hpa = None;
         glevel -= 1;
     };
-    let (data_gpa, guest_size) = data_gpa;
 
     // Final host walk: data gPA → hPA (steps 21–24 of Figure 2).
-    let host: WalkOutcome = walk_dimension(
+    let host = walk_dimension(
         hpt,
         pm,
         VirtAddr(data_gpa.raw()),
         WalkDim::Host,
         hier,
         caches.nested_pwc.as_mut(),
-    )?;
-    cycles += host.cycles;
-    let pa = host.pa;
-    steps.extend(host.steps);
-
-    Ok(NestedWalkOutcome {
-        pa,
-        guest_size,
-        cycles,
         steps,
+    )?;
+
+    Ok(WalkOutcome {
+        pa: host.pa,
+        size: guest_size,
+        cycles: cycles + host.cycles,
+        refs: refs + host.refs,
     })
 }
 
@@ -186,7 +170,7 @@ mod tests {
     use crate::pte::PteFlags;
     use crate::walk::WalkDim;
     use dmt_mem::buddy::FrameKind;
-    use dmt_mem::PhysMemory;
+    use dmt_mem::{PageSize, PhysMemory};
 
     /// Build a guest in host memory with a linear gPA→hPA offset mapping.
     ///
@@ -285,10 +269,20 @@ mod tests {
         let (mut h, gva) = build(PageSize::Size4K);
         let mut hier = MemoryHierarchy::default();
         let mut caches = NestedCaches::none();
-        let out = nested_walk(&h.gpt, &h.hpt, &mut h.pm, gva, &mut hier, &mut caches).unwrap();
-        assert_eq!(out.refs(), 24, "Figure 2: 4 x (4 host + 1 guest) + 4");
+        let mut steps = Vec::new();
+        let out = nested_walk(
+            &h.gpt,
+            &h.hpt,
+            &mut h.pm,
+            gva,
+            &mut hier,
+            &mut caches,
+            &mut steps,
+        )
+        .unwrap();
+        assert_eq!(out.refs, 24, "Figure 2: 4 x (4 host + 1 guest) + 4");
         // Figure 2's ordering: steps 1-4 host, 5 guest, 6-9 host, 10 guest...
-        let dims: Vec<WalkDim> = out.steps.iter().map(|s| s.dim).collect();
+        let dims: Vec<WalkDim> = steps.iter().map(|s| s.dim).collect();
         for group in 0..4 {
             for i in 0..4 {
                 assert_eq!(dims[group * 5 + i], WalkDim::Host);
@@ -300,7 +294,7 @@ mod tests {
         }
         // The translation is correct: gVA -> gPA 0x20_0000 -> hPA +offset.
         assert_eq!(out.pa, PhysAddr(0x20_0000 + h.offset));
-        assert_eq!(out.guest_size, PageSize::Size4K);
+        assert_eq!(out.size, PageSize::Size4K);
     }
 
     #[test]
@@ -308,10 +302,19 @@ mod tests {
         let (mut h, gva) = build(PageSize::Size2M);
         let mut hier = MemoryHierarchy::default();
         let mut caches = NestedCaches::none();
-        let out = nested_walk(&h.gpt, &h.hpt, &mut h.pm, gva, &mut hier, &mut caches).unwrap();
+        let out = nested_walk(
+            &h.gpt,
+            &h.hpt,
+            &mut h.pm,
+            gva,
+            &mut hier,
+            &mut caches,
+            &mut (),
+        )
+        .unwrap();
         // 3 guest groups (gL4..gL2) x 5 + final host walk of 4 = 19.
-        assert_eq!(out.refs(), 19);
-        assert_eq!(out.guest_size, PageSize::Size2M);
+        assert_eq!(out.refs, 19);
+        assert_eq!(out.size, PageSize::Size2M);
     }
 
     #[test]
@@ -319,20 +322,84 @@ mod tests {
         let (mut h, gva) = build(PageSize::Size4K);
         let mut hier = MemoryHierarchy::default();
         let mut caches = NestedCaches::xeon_gold_6138();
-        let cold = nested_walk(&h.gpt, &h.hpt, &mut h.pm, gva, &mut hier, &mut caches).unwrap();
+        let cold = nested_walk(
+            &h.gpt,
+            &h.hpt,
+            &mut h.pm,
+            gva,
+            &mut hier,
+            &mut caches,
+            &mut (),
+        )
+        .unwrap();
         // Even the first walk is below 24: the nested PWC warms up across
         // the four host sub-walks because guest tables share gPA prefixes.
         assert!(
-            cold.refs() > 8 && cold.refs() <= 24,
+            cold.refs > 8 && cold.refs <= 24,
             "cold refs = {}",
-            cold.refs()
+            cold.refs
         );
-        let warm = nested_walk(&h.gpt, &h.hpt, &mut h.pm, gva, &mut hier, &mut caches).unwrap();
+        let warm = nested_walk(
+            &h.gpt,
+            &h.hpt,
+            &mut h.pm,
+            gva,
+            &mut hier,
+            &mut caches,
+            &mut (),
+        )
+        .unwrap();
         // gPWC hit at gL2 leaves: 1 guest fetch (gL1, no host walk thanks
         // to table contiguity) + nested-PWC-shortened final host walk.
-        assert!(warm.refs() <= 3, "warm refs = {}", warm.refs());
+        assert!(warm.refs <= 3, "warm refs = {}", warm.refs);
         assert!(warm.cycles < cold.cycles / 3);
         assert_eq!(warm.pa, cold.pa);
+    }
+
+    #[test]
+    fn vec_and_unit_sinks_walk_2d_identically() {
+        // Two identical guests, warm PWCs: the traced and untraced 2D
+        // walks agree on every outcome and on the hierarchy and PWC
+        // statistics, and the trace has one step per reference.
+        let (mut a, gva) = build(PageSize::Size4K);
+        let (mut b, _) = build(PageSize::Size4K);
+        let mut hier_a = MemoryHierarchy::default();
+        let mut hier_b = MemoryHierarchy::default();
+        let mut caches_a = NestedCaches::xeon_gold_6138();
+        let mut caches_b = NestedCaches::xeon_gold_6138();
+        let vas = [gva, gva + 0x123, VirtAddr(0x1000), gva + 0x1000, gva + 8];
+        for va in vas {
+            let mut steps = Vec::new();
+            let x = nested_walk(
+                &a.gpt,
+                &a.hpt,
+                &mut a.pm,
+                va,
+                &mut hier_a,
+                &mut caches_a,
+                &mut steps,
+            );
+            let y = nested_walk(
+                &b.gpt,
+                &b.hpt,
+                &mut b.pm,
+                va,
+                &mut hier_b,
+                &mut caches_b,
+                &mut (),
+            );
+            assert_eq!(x, y, "{va:?}");
+            if let Ok(out) = x {
+                assert_eq!(out.refs, steps.len() as u64);
+            }
+        }
+        assert_eq!(hier_a.stats(), hier_b.stats());
+        for (pa, pb) in [
+            (&caches_a.guest_pwc, &caches_b.guest_pwc),
+            (&caches_a.nested_pwc, &caches_b.nested_pwc),
+        ] {
+            assert_eq!(pa.as_ref().unwrap().stats(), pb.as_ref().unwrap().stats());
+        }
     }
 
     #[test]
@@ -342,8 +409,17 @@ mod tests {
         let (mut h, gva) = build_levels(PageSize::Size4K, 5);
         let mut hier = MemoryHierarchy::default();
         let mut caches = NestedCaches::none();
-        let out = nested_walk(&h.gpt, &h.hpt, &mut h.pm, gva, &mut hier, &mut caches).unwrap();
-        assert_eq!(out.refs(), 35);
+        let out = nested_walk(
+            &h.gpt,
+            &h.hpt,
+            &mut h.pm,
+            gva,
+            &mut hier,
+            &mut caches,
+            &mut (),
+        )
+        .unwrap();
+        assert_eq!(out.refs, 35);
     }
 
     #[test]
@@ -358,7 +434,8 @@ mod tests {
                 &mut h.pm,
                 VirtAddr(0x1000),
                 &mut hier,
-                &mut caches
+                &mut caches,
+                &mut ()
             ),
             Err(PtError::NotMapped { .. })
         ));
@@ -394,7 +471,8 @@ mod tests {
             &mut h.pm,
             VirtAddr(gva.raw() + 0x1000),
             &mut hier,
-            &mut caches
+            &mut caches,
+            &mut ()
         )
         .is_err());
     }

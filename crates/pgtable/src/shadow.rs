@@ -115,9 +115,17 @@ mod tests {
         )
         .unwrap();
         let mut hier = MemoryHierarchy::default();
-        let out =
-            walk_dimension(spt.table(), &mut pm, gva, WalkDim::Native, &mut hier, None).unwrap();
-        assert_eq!(out.refs(), 4, "shadow paging walks like native");
+        let out = walk_dimension(
+            spt.table(),
+            &mut pm,
+            gva,
+            WalkDim::Native,
+            &mut hier,
+            None,
+            &mut (),
+        )
+        .unwrap();
+        assert_eq!(out.refs, 4, "shadow paging walks like native");
         assert_eq!(out.pa, PhysAddr(0x8000));
     }
 

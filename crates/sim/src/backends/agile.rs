@@ -48,7 +48,7 @@ impl Translator<VirtMachine> for VirtAgile {
             let view = m.vm.guest_view_ref(&m.pm);
             guest_entry_chain(&m.gpt, &view, va, 4 - AGILE_SHADOW_LEVELS)
         };
-        let out = agile_walk(
+        agile_walk(
             m.spt.table(),
             &chain,
             m.vm.hpt(),
@@ -57,16 +57,10 @@ impl Translator<VirtMachine> for VirtAgile {
             hier,
             m.nested_caches.nested_pwc.as_mut(),
             AGILE_SHADOW_LEVELS,
+            &mut (),
         )
-        .expect("populated");
-        Translation {
-            pa: out.pa,
-            size: out.size,
-            cycles: out.cycles,
-            refs: out.refs(),
-            fallback: false,
-            unit: None,
-        }
+        .expect("populated")
+        .into()
     }
 
     fn exits(&self, m: &VirtMachine) -> u64 {

@@ -6,10 +6,10 @@ use super::{NativeBackend, NativeMachine, Translator, VirtBackend};
 use crate::error::SimError;
 use crate::registry::{Arena, NativeSpec, Registration, VirtSpec};
 use crate::rig::{Design, Setup, Translation};
-use dmt_baselines::asap::{asap_adjusted_cycles, AsapPrefetcher, AsapStats};
+use dmt_baselines::asap::{AsapPrefetcher, AsapStats, LeafTiming};
 use dmt_cache::hierarchy::MemoryHierarchy;
 use dmt_mem::{PageSize, VirtAddr};
-use dmt_pgtable::walk::{walk_dimension, WalkDim, MAX_WALK_DEPTH};
+use dmt_pgtable::walk::{walk_dimension, WalkDim};
 use dmt_virt::machine::{GuestTeaMode, VirtMachine};
 
 pub(crate) const REGISTRATION: Registration = Registration {
@@ -93,12 +93,9 @@ impl Translator<NativeMachine> for NativeAsap {
         // min(measured, max(L2, DRAM - prior-steps)). The predicted
         // slots are recorded for stats; the walk itself brings the
         // lines into the caches.
-        let n = self.asap.predicted_slots(va, Some).len() as u64;
-        if n == 0 {
-            self.stats.uncovered += 1;
-        } else {
-            self.stats.prefetches += n;
-        }
+        let n = self.asap.predicted_slots(va, Some).count() as u64;
+        self.stats.record(n);
+        let mut timing = LeafTiming::new(WalkDim::Native);
         let out = walk_dimension(
             m.proc_.page_table(),
             &mut m.pm,
@@ -106,23 +103,12 @@ impl Translator<NativeMachine> for NativeAsap {
             WalkDim::Native,
             hier,
             Some(&mut m.pwc),
+            &mut timing,
         )
         .expect("populated");
-        // A stack buffer instead of a per-translate Vec: one dimension
-        // never walks deeper than MAX_WALK_DEPTH.
-        let mut step_cycles = [0u64; MAX_WALK_DEPTH];
-        for (slot, s) in step_cycles.iter_mut().zip(out.steps.iter()) {
-            *slot = s.cycles;
-        }
-        let depth = out.steps.len().min(MAX_WALK_DEPTH);
-        let cycles = asap_adjusted_cycles(out.cycles, &step_cycles[..depth], hier);
         Translation {
-            pa: out.pa,
-            size: out.size,
-            cycles,
-            refs: out.refs(),
-            fallback: false,
-            unit: None,
+            cycles: timing.adjusted_cycles(out.cycles, hier),
+            ..out.into()
         }
     }
 }
@@ -140,42 +126,21 @@ impl Translator<VirtMachine> for VirtAsap {
         va: VirtAddr,
         hier: &mut MemoryHierarchy,
     ) -> Translation {
-        {
-            let vm = &m.vm;
-            let n = self
-                .asap
-                .predicted_slots(va, |gpa| vm.gpa_to_hpa(gpa))
-                .len() as u64;
-            if n == 0 {
-                self.stats.uncovered += 1;
-            } else {
-                self.stats.prefetches += n;
-            }
-        }
-        let out = m.translate_nested(va, hier).expect("populated");
+        let vm = &m.vm;
+        let n = self
+            .asap
+            .predicted_slots(va, |gpa| vm.gpa_to_hpa(gpa))
+            .count() as u64;
+        self.stats.record(n);
         // Timeliness-limited overlap on the final guest-leaf fetch (see
         // the native path).
-        let cycles = if let Some(gi) = out
-            .steps
-            .iter()
-            .rposition(|s| s.dim == dmt_pgtable::walk::WalkDim::Guest)
-        {
-            let prior: u64 = out.steps[..gi].iter().map(|s| s.cycles).sum();
-            let last = out.steps[gi].cycles;
-            let l2 = hier.config().l2.latency;
-            let dram = hier.config().dram_latency;
-            let adj = last.min(l2.max(dram.saturating_sub(prior)));
-            out.cycles - last + adj
-        } else {
-            out.cycles
-        };
+        let mut timing = LeafTiming::new(WalkDim::Guest);
+        let out = m
+            .translate_nested(va, hier, &mut timing)
+            .expect("populated");
         Translation {
-            pa: out.pa,
-            size: out.guest_size,
-            cycles,
-            refs: out.refs(),
-            fallback: false,
-            unit: None,
+            cycles: timing.adjusted_cycles(out.cycles, hier),
+            ..out.into()
         }
     }
 }

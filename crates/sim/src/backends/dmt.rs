@@ -3,14 +3,11 @@
 //! Natively pvDMT is identical to DMT, so [`pvdmt`](super::pvdmt)
 //! wraps the same [`NativeDmt`] state in its own enum variant.
 //!
-//! Both backends override `translate_fast`, the default engine's
-//! per-miss call, and return the translation's own physical address as
-//! the data PA instead of re-deriving it through the software walk. The
-//! native fetch there goes through
-//! [`fetch_native_lean`](fetcher::fetch_native_lean), which needs no
-//! candidate or step-trace `Vec`s but issues the identical `hier`
-//! charge, so results stay bit-identical to the scalar path
-//! (DESIGN.md §13).
+//! Every DMT and pvDMT backend serves a miss through one body,
+//! `FetchOrWalk::fetch_or_walk`: the allocation-free fetcher (or, for
+//! uncovered addresses, the allocation-free hardware walk) with a `()`
+//! step sink. The translation's PA is the data PA the default engine
+//! charges (DESIGN.md §13).
 
 use super::{NativeBackend, NativeMachine, Translator, VirtBackend};
 use crate::error::SimError;
@@ -18,8 +15,8 @@ use crate::registry::{Arena, NativeSpec, Registration, TierSpec, VirtSpec};
 use crate::rig::{Design, Setup, Translation};
 use dmt_cache::hierarchy::MemoryHierarchy;
 use dmt_core::{fetcher, DmtError};
-use dmt_mem::{PageSize, PhysAddr, VirtAddr};
-use dmt_pgtable::walk::{walk_dimension, WalkDim};
+use dmt_mem::VirtAddr;
+use dmt_pgtable::walk::{walk_dimension, WalkDim, WalkOutcome};
 use dmt_virt::machine::{GuestTeaMode, VirtMachine};
 
 pub(crate) const REGISTRATION: Registration = Registration {
@@ -51,77 +48,60 @@ fn build_virt(
     _setup: &Setup,
     _arena: Option<Arena>,
 ) -> Result<VirtBackend, SimError> {
-    Ok(VirtBackend::Dmt(VirtDmt {
-        fetch_hits: 0,
-        fallbacks: 0,
-    }))
+    Ok(VirtBackend::Dmt(VirtDmt::default()))
 }
 
-fn coverage(fetch_hits: u64, fallbacks: u64) -> f64 {
-    let total = fetch_hits + fallbacks;
-    if total == 0 {
-        1.0
-    } else {
-        fetch_hits as f64 / total as f64
+/// The DMT family's miss path and its coverage counters: a
+/// register-file fetch, or — when no register covers the address — the
+/// environment's hardware walk, flagged as a fallback. Every DMT and
+/// pvDMT backend serves its misses through [`fetch_or_walk`](Self::fetch_or_walk).
+#[derive(Default)]
+pub(crate) struct FetchOrWalk {
+    fetch_hits: u64,
+    fallbacks: u64,
+}
+
+impl FetchOrWalk {
+    /// Translate through `fetch`, falling back to `walk` on
+    /// [`DmtError::NotCovered`]. Any other fetch error is a bug in the
+    /// setup (every address the trace touches is populated).
+    pub(crate) fn fetch_or_walk<M>(
+        &mut self,
+        m: &mut M,
+        hier: &mut MemoryHierarchy,
+        fetch: impl FnOnce(&mut M, &mut MemoryHierarchy) -> Result<WalkOutcome, DmtError>,
+        walk: impl FnOnce(&mut M, &mut MemoryHierarchy) -> WalkOutcome,
+    ) -> Translation {
+        match fetch(m, hier) {
+            Ok(out) => {
+                self.fetch_hits += 1;
+                out.into()
+            }
+            Err(DmtError::NotCovered { .. }) => {
+                self.fallbacks += 1;
+                Translation {
+                    fallback: true,
+                    ..walk(m, hier).into()
+                }
+            }
+            Err(e) => panic!("DMT fetch failed: {e}"),
+        }
+    }
+
+    /// Share of translations the fetcher served (1.0 before any).
+    pub(crate) fn coverage(&self) -> f64 {
+        let total = self.fetch_hits + self.fallbacks;
+        if total == 0 {
+            1.0
+        } else {
+            self.fetch_hits as f64 / total as f64
+        }
     }
 }
 
 /// Register-file fetch with hardware-walk fallback.
 #[derive(Default)]
-pub struct NativeDmt {
-    fetch_hits: u64,
-    fallbacks: u64,
-}
-
-impl NativeDmt {
-    /// The translation for a register-file fetch's outcome — a hit's
-    /// `(pa, size, cycles, refs)` or the fetch error — taking the
-    /// fallback radix walk when no register covers `va`. Shared by
-    /// `translate` and `translate_fast`, which differ only in the
-    /// fetcher they call.
-    fn finish(
-        &mut self,
-        m: &mut NativeMachine,
-        va: VirtAddr,
-        hier: &mut MemoryHierarchy,
-        fetched: Result<(PhysAddr, PageSize, u64, u64), DmtError>,
-    ) -> Translation {
-        match fetched {
-            Ok((pa, size, cycles, refs)) => {
-                self.fetch_hits += 1;
-                Translation {
-                    pa,
-                    size,
-                    cycles,
-                    refs,
-                    fallback: false,
-                    unit: None,
-                }
-            }
-            Err(DmtError::NotCovered { .. }) => {
-                self.fallbacks += 1;
-                let out = walk_dimension(
-                    m.proc_.page_table(),
-                    &mut m.pm,
-                    va,
-                    WalkDim::Native,
-                    hier,
-                    Some(&mut m.pwc),
-                )
-                .expect("populated");
-                Translation {
-                    pa: out.pa,
-                    size: out.size,
-                    cycles: out.cycles,
-                    refs: out.refs(),
-                    fallback: true,
-                    unit: None,
-                }
-            }
-            Err(e) => panic!("DMT fetch failed unexpectedly: {e}"),
-        }
-    }
-}
+pub struct NativeDmt(FetchOrWalk);
 
 impl Translator<NativeMachine> for NativeDmt {
     fn translate(
@@ -130,34 +110,34 @@ impl Translator<NativeMachine> for NativeDmt {
         va: VirtAddr,
         hier: &mut MemoryHierarchy,
     ) -> Translation {
-        let fetched = fetcher::fetch_native(&m.regs, &mut m.pm, hier, va)
-            .map(|o| (o.pa, o.size, o.cycles, o.refs()));
-        self.finish(m, va, hier, fetched)
-    }
-
-    fn translate_fast(
-        &mut self,
-        m: &mut NativeMachine,
-        va: VirtAddr,
-        hier: &mut MemoryHierarchy,
-    ) -> (Translation, PhysAddr) {
-        let fetched = fetcher::fetch_native_lean(&m.regs, &mut m.pm, hier, va)
-            .map(|o| (o.pa, o.size, o.cycles, o.refs));
-        let tr = self.finish(m, va, hier, fetched);
-        (tr, tr.pa)
+        self.0.fetch_or_walk(
+            m,
+            hier,
+            |m, hier| fetcher::fetch_native(&m.regs, &mut m.pm, hier, va, &mut ()),
+            |m, hier| {
+                walk_dimension(
+                    m.proc_.page_table(),
+                    &mut m.pm,
+                    va,
+                    WalkDim::Native,
+                    hier,
+                    Some(&mut m.pwc),
+                    &mut (),
+                )
+                .expect("populated")
+            },
+        )
     }
 
     fn coverage(&self) -> f64 {
-        coverage(self.fetch_hits, self.fallbacks)
+        self.0.coverage()
     }
 }
 
 /// Guest-TEA fetch with 2D-walk fallback (unparavirtualized: guest
 /// TEAs are contiguous only in guest physical memory).
-pub struct VirtDmt {
-    fetch_hits: u64,
-    fallbacks: u64,
-}
+#[derive(Default)]
+pub struct VirtDmt(FetchOrWalk);
 
 impl Translator<VirtMachine> for VirtDmt {
     fn translate(
@@ -166,45 +146,15 @@ impl Translator<VirtMachine> for VirtDmt {
         va: VirtAddr,
         hier: &mut MemoryHierarchy,
     ) -> Translation {
-        match m.translate_dmt(va, hier) {
-            Ok(out) => {
-                self.fetch_hits += 1;
-                Translation {
-                    pa: out.pa,
-                    size: out.size,
-                    cycles: out.cycles,
-                    refs: out.refs(),
-                    fallback: false,
-                    unit: None,
-                }
-            }
-            Err(DmtError::NotCovered { .. }) => {
-                self.fallbacks += 1;
-                let out = m.translate_nested(va, hier).expect("populated");
-                Translation {
-                    pa: out.pa,
-                    size: out.guest_size,
-                    cycles: out.cycles,
-                    refs: out.refs(),
-                    fallback: true,
-                    unit: None,
-                }
-            }
-            Err(e) => panic!("DMT fetch failed: {e}"),
-        }
-    }
-
-    fn translate_fast(
-        &mut self,
-        m: &mut VirtMachine,
-        va: VirtAddr,
-        hier: &mut MemoryHierarchy,
-    ) -> (Translation, PhysAddr) {
-        let tr = self.translate(m, va, hier);
-        (tr, tr.pa)
+        self.0.fetch_or_walk(
+            m,
+            hier,
+            |m, hier| m.translate_dmt(va, hier, &mut ()),
+            |m, hier| m.translate_nested(va, hier, &mut ()).expect("populated"),
+        )
     }
 
     fn coverage(&self) -> f64 {
-        coverage(self.fetch_hits, self.fallbacks)
+        self.0.coverage()
     }
 }

@@ -139,7 +139,7 @@ impl Translator<NativeMachine> for NativeEcpt {
             pa: out.pa,
             size: out.size,
             cycles: out.cycles,
-            refs: out.seq_refs(),
+            refs: out.refs,
             fallback: false,
             unit: None,
         }
@@ -172,7 +172,7 @@ impl Translator<VirtMachine> for VirtEcpt {
             pa: out.pa,
             size: out.size,
             cycles: out.cycles,
-            refs: out.seq_refs(),
+            refs: out.refs,
             fallback: false,
             unit: None,
         }

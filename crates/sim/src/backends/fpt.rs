@@ -108,15 +108,10 @@ impl Translator<NativeMachine> for NativeFpt {
         va: VirtAddr,
         hier: &mut MemoryHierarchy,
     ) -> Translation {
-        let out = self.fpt.translate(&m.pm, hier, va).expect("populated");
-        Translation {
-            pa: out.pa,
-            size: out.size,
-            cycles: out.cycles,
-            refs: out.refs(),
-            fallback: false,
-            unit: None,
-        }
+        self.fpt
+            .translate(&m.pm, hier, va)
+            .expect("populated")
+            .into()
     }
 
     fn flush_caches(&mut self) {
@@ -139,18 +134,11 @@ impl Translator<VirtMachine> for VirtFpt {
         hier: &mut MemoryHierarchy,
     ) -> Translation {
         let vm = &m.vm;
-        let out = fpt_nested(&mut self.gfpt, &mut self.hfpt, &m.pm, hier, va, |gpa| {
+        fpt_nested(&mut self.gfpt, &mut self.hfpt, &m.pm, hier, va, |gpa| {
             vm.gpa_to_hpa(gpa)
         })
-        .expect("populated");
-        Translation {
-            pa: out.pa,
-            size: out.size,
-            cycles: out.cycles,
-            refs: out.refs(),
-            fallback: false,
-            unit: None,
-        }
+        .expect("populated")
+        .into()
     }
 
     fn flush_caches(&mut self) {

@@ -3,14 +3,15 @@
 //! identical to plain DMT (the factory wraps the same
 //! [`NativeDmt`](super::dmt::NativeDmt) state in the `PvDmt` variant);
 //! the virtualized and nested modes add the hypercall-based exit
-//! accounting.
+//! accounting. All three serve misses through DMT's shared
+//! `FetchOrWalk` body.
 
+use super::dmt::FetchOrWalk;
 use super::{NativeBackend, NativeMachine, NestedBackend, Translator, VirtBackend};
 use crate::error::SimError;
 use crate::registry::{Arena, NativeSpec, NestedSpec, Registration, TierSpec, VirtSpec};
 use crate::rig::{Design, Setup, Translation};
 use dmt_cache::hierarchy::MemoryHierarchy;
-use dmt_core::DmtError;
 use dmt_mem::VirtAddr;
 use dmt_virt::machine::{GuestTeaMode, VirtMachine};
 use dmt_virt::nested::NestedMachine;
@@ -49,33 +50,16 @@ fn build_virt(
     _setup: &Setup,
     _arena: Option<Arena>,
 ) -> Result<VirtBackend, SimError> {
-    Ok(VirtBackend::PvDmt(VirtPvDmt {
-        fetch_hits: 0,
-        fallbacks: 0,
-    }))
+    Ok(VirtBackend::PvDmt(VirtPvDmt::default()))
 }
 
 fn build_nested(_m: &mut NestedMachine, _setup: &Setup) -> Result<NestedBackend, SimError> {
-    Ok(NestedBackend::PvDmt(NestedPvDmt {
-        fetch_hits: 0,
-        fallbacks: 0,
-    }))
-}
-
-fn coverage(fetch_hits: u64, fallbacks: u64) -> f64 {
-    let total = fetch_hits + fallbacks;
-    if total == 0 {
-        1.0
-    } else {
-        fetch_hits as f64 / total as f64
-    }
+    Ok(NestedBackend::PvDmt(NestedPvDmt::default()))
 }
 
 /// Host-contiguous guest-TEA fetch with 2D-walk fallback.
-pub struct VirtPvDmt {
-    fetch_hits: u64,
-    fallbacks: u64,
-}
+#[derive(Default)]
+pub struct VirtPvDmt(FetchOrWalk);
 
 impl Translator<VirtMachine> for VirtPvDmt {
     fn translate(
@@ -84,32 +68,12 @@ impl Translator<VirtMachine> for VirtPvDmt {
         va: VirtAddr,
         hier: &mut MemoryHierarchy,
     ) -> Translation {
-        match m.translate_pvdmt(va, hier) {
-            Ok(out) => {
-                self.fetch_hits += 1;
-                Translation {
-                    pa: out.pa,
-                    size: out.size,
-                    cycles: out.cycles,
-                    refs: out.refs(),
-                    fallback: false,
-                    unit: None,
-                }
-            }
-            Err(DmtError::NotCovered { .. }) => {
-                self.fallbacks += 1;
-                let out = m.translate_nested(va, hier).expect("populated");
-                Translation {
-                    pa: out.pa,
-                    size: out.guest_size,
-                    cycles: out.cycles,
-                    refs: out.refs(),
-                    fallback: true,
-                    unit: None,
-                }
-            }
-            Err(e) => panic!("pvDMT fetch failed: {e}"),
-        }
+        self.0.fetch_or_walk(
+            m,
+            hier,
+            |m, hier| m.translate_pvdmt(va, hier, &mut ()),
+            |m, hier| m.translate_nested(va, hier, &mut ()).expect("populated"),
+        )
     }
 
     fn exits(&self, m: &VirtMachine) -> u64 {
@@ -117,15 +81,13 @@ impl Translator<VirtMachine> for VirtPvDmt {
     }
 
     fn coverage(&self) -> f64 {
-        coverage(self.fetch_hits, self.fallbacks)
+        self.0.coverage()
     }
 }
 
 /// Cascaded pvDMT through both hypervisor levels.
-pub struct NestedPvDmt {
-    fetch_hits: u64,
-    fallbacks: u64,
-}
+#[derive(Default)]
+pub struct NestedPvDmt(FetchOrWalk);
 
 impl Translator<NestedMachine> for NestedPvDmt {
     fn translate(
@@ -134,32 +96,12 @@ impl Translator<NestedMachine> for NestedPvDmt {
         va: VirtAddr,
         hier: &mut MemoryHierarchy,
     ) -> Translation {
-        match m.translate_pvdmt(va, hier) {
-            Ok(out) => {
-                self.fetch_hits += 1;
-                Translation {
-                    pa: out.pa,
-                    size: out.size,
-                    cycles: out.cycles,
-                    refs: out.refs(),
-                    fallback: false,
-                    unit: None,
-                }
-            }
-            Err(DmtError::NotCovered { .. }) => {
-                self.fallbacks += 1;
-                let out = m.translate_baseline(va, hier).expect("populated");
-                Translation {
-                    pa: out.pa,
-                    size: out.guest_size,
-                    cycles: out.cycles,
-                    refs: out.refs(),
-                    fallback: true,
-                    unit: None,
-                }
-            }
-            Err(e) => panic!("nested pvDMT fetch failed: {e}"),
-        }
+        self.0.fetch_or_walk(
+            m,
+            hier,
+            |m, hier| m.translate_pvdmt(va, hier, &mut ()),
+            |m, hier| m.translate_baseline(va, hier, &mut ()).expect("populated"),
+        )
     }
 
     fn exits(&self, m: &NestedMachine) -> u64 {
@@ -168,6 +110,6 @@ impl Translator<NestedMachine> for NestedPvDmt {
     }
 
     fn coverage(&self) -> f64 {
-        coverage(self.fetch_hits, self.fallbacks)
+        self.0.coverage()
     }
 }

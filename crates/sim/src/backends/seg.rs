@@ -12,8 +12,8 @@
 //! entry, and `flush_caches` drops the segment cache — the
 //! epoch-barrier contract non-radix designs must honor.
 //!
-//! Neither backend overrides `translate_fast`: a miss's data PA comes
-//! from the machine's ground truth, as on the scalar path.
+//! The segment's PA is the data PA the default engine charges
+//! (DESIGN.md §13); a miss allocates nothing.
 
 use super::{
     merge_contiguous_runs, ContigRun, NativeBackend, NativeMachine, Translator, VirtBackend,

@@ -40,15 +40,9 @@ impl Translator<VirtMachine> for VirtShadow {
         va: VirtAddr,
         hier: &mut MemoryHierarchy,
     ) -> Translation {
-        let out = m.translate_shadow(va, hier).expect("populated");
-        Translation {
-            pa: out.pa,
-            size: out.size,
-            cycles: out.cycles,
-            refs: out.refs(),
-            fallback: false,
-            unit: None,
-        }
+        m.translate_shadow(va, hier, &mut ())
+            .expect("populated")
+            .into()
     }
 
     fn exits(&self, m: &VirtMachine) -> u64 {

@@ -2,21 +2,16 @@
 //! all three environments (Figure 1's 4-step walk natively, Figure 2's
 //! 24-step 2D walk virtualized, the 2D-cascade baseline nested).
 //!
-//! The native and virtualized backends override `translate_fast`, the
-//! default engine's per-miss call, and return the walk's own PA as the
-//! data PA instead of re-deriving it through the software walk. The
-//! native one also walks with the memoized lean walker
-//! ([`walk_dimension_cached`]): PTE *words* are cached per slot so
-//! repeat walks skip the `PhysMemory` reads, while every PWC operation
-//! and `hier.access` charge is still issued — the observable op
-//! sequence is bit-identical to the scalar path (DESIGN.md §13).
+//! Each backend is one walker call with a `()` step sink, so a miss
+//! allocates nothing, and the walk's own PA is the data PA the default
+//! engine charges (DESIGN.md §13).
 
 use super::{NativeBackend, NativeMachine, NestedBackend, Translator, VirtBackend};
 use crate::registry::{NativeSpec, NestedSpec, Registration, VirtSpec};
 use crate::rig::{Design, Setup, Translation};
 use dmt_cache::hierarchy::MemoryHierarchy;
-use dmt_mem::{PhysAddr, VirtAddr};
-use dmt_pgtable::walk::{walk_dimension, walk_dimension_cached, PteMemo, WalkDim};
+use dmt_mem::VirtAddr;
+use dmt_pgtable::walk::{walk_dimension, WalkDim};
 use dmt_virt::machine::{GuestTeaMode, VirtMachine};
 use dmt_virt::nested::NestedMachine;
 
@@ -46,7 +41,7 @@ fn build_native(
     _m: &mut NativeMachine,
     _setup: &Setup,
 ) -> Result<NativeBackend, crate::error::SimError> {
-    Ok(NativeBackend::Vanilla(NativeVanilla::default()))
+    Ok(NativeBackend::Vanilla(NativeVanilla))
 }
 
 fn build_virt(
@@ -65,10 +60,7 @@ fn build_nested(
 }
 
 /// The hardware radix walk through the machine's PWC.
-#[derive(Default)]
-pub struct NativeVanilla {
-    memo: PteMemo,
-}
+pub struct NativeVanilla;
 
 impl Translator<NativeMachine> for NativeVanilla {
     fn translate(
@@ -77,49 +69,17 @@ impl Translator<NativeMachine> for NativeVanilla {
         va: VirtAddr,
         hier: &mut MemoryHierarchy,
     ) -> Translation {
-        let out = walk_dimension(
+        walk_dimension(
             m.proc_.page_table(),
             &mut m.pm,
             va,
             WalkDim::Native,
             hier,
             Some(&mut m.pwc),
+            &mut (),
         )
-        .expect("populated");
-        Translation {
-            pa: out.pa,
-            size: out.size,
-            cycles: out.cycles,
-            refs: out.refs(),
-            fallback: false,
-            unit: None,
-        }
-    }
-
-    fn translate_fast(
-        &mut self,
-        m: &mut NativeMachine,
-        va: VirtAddr,
-        hier: &mut MemoryHierarchy,
-    ) -> (Translation, PhysAddr) {
-        let w = walk_dimension_cached(
-            m.proc_.page_table(),
-            &mut m.pm,
-            va,
-            hier,
-            Some(&mut m.pwc),
-            &mut self.memo,
-        )
-        .expect("populated");
-        let tr = Translation {
-            pa: w.pa,
-            size: w.size,
-            cycles: w.cycles,
-            refs: w.refs,
-            fallback: false,
-            unit: None,
-        };
-        (tr, tr.pa)
+        .expect("populated")
+        .into()
     }
 }
 
@@ -134,25 +94,9 @@ impl Translator<VirtMachine> for VirtVanilla {
         va: VirtAddr,
         hier: &mut MemoryHierarchy,
     ) -> Translation {
-        let out = m.translate_nested(va, hier).expect("populated");
-        Translation {
-            pa: out.pa,
-            size: out.guest_size,
-            cycles: out.cycles,
-            refs: out.refs(),
-            fallback: false,
-            unit: None,
-        }
-    }
-
-    fn translate_fast(
-        &mut self,
-        m: &mut VirtMachine,
-        va: VirtAddr,
-        hier: &mut MemoryHierarchy,
-    ) -> (Translation, PhysAddr) {
-        let tr = self.translate(m, va, hier);
-        (tr, tr.pa)
+        m.translate_nested(va, hier, &mut ())
+            .expect("populated")
+            .into()
     }
 }
 
@@ -166,15 +110,9 @@ impl Translator<NestedMachine> for NestedVanilla {
         va: VirtAddr,
         hier: &mut MemoryHierarchy,
     ) -> Translation {
-        let out = m.translate_baseline(va, hier).expect("populated");
-        Translation {
-            pa: out.pa,
-            size: out.guest_size,
-            cycles: out.cycles,
-            refs: out.refs(),
-            fallback: false,
-            unit: None,
-        }
+        m.translate_baseline(va, hier, &mut ())
+            .expect("populated")
+            .into()
     }
 
     fn exits(&self, m: &NestedMachine) -> u64 {

@@ -11,9 +11,8 @@
 //! returned [`Translation::unit`] lets the TLB cache the whole block
 //! with a single variable-reach entry.
 //!
-//! Both backends override `translate_fast`, the default engine's
-//! per-miss call, and return the descriptors' PA as the data PA instead
-//! of re-deriving it through the software walk.
+//! The descriptors' PA is the data PA the default engine charges
+//! (DESIGN.md §13); a miss allocates nothing.
 
 use super::{
     find_run, merge_contiguous_runs, ContigRun, NativeBackend, NativeMachine, Translator,
@@ -150,16 +149,6 @@ impl Translator<NativeMachine> for NativeVbi {
             unit: Some(run.unit()),
         }
     }
-
-    fn translate_fast(
-        &mut self,
-        m: &mut NativeMachine,
-        va: VirtAddr,
-        hier: &mut MemoryHierarchy,
-    ) -> (Translation, PhysAddr) {
-        let tr = self.translate(m, va, hier);
-        (tr, tr.pa)
-    }
 }
 
 /// Guest block fetch, then host block fetch: two descriptor fetches
@@ -187,16 +176,6 @@ impl Translator<VirtMachine> for VirtVbi {
             fallback: false,
             unit: Some(grun.unit()),
         }
-    }
-
-    fn translate_fast(
-        &mut self,
-        m: &mut VirtMachine,
-        va: VirtAddr,
-        hier: &mut MemoryHierarchy,
-    ) -> (Translation, PhysAddr) {
-        let tr = self.translate(m, va, hier);
-        (tr, tr.pa)
     }
 }
 

@@ -24,10 +24,11 @@
 //! Every replay in the crate — [`crate::runner::Runner::replay`], the
 //! sharded epoch barrier and the cloud node's scheduler quanta — goes
 //! through `run_span`, one access at a time through one loop body.
-//! The two engines differ only in the call a TLB miss makes: the scalar
-//! reference calls [`Rig::translate`] and then [`Rig::data_pa`], the
-//! default engine the single [`Rig::translate_fast`]. The entry points
-//! here are crate-internal.
+//! A TLB miss is one [`Rig::translate`] call on both engines; they
+//! differ only in where the miss's data access is charged. The default
+//! engine charges it at the translation's own PA; the scalar reference
+//! charges it at the ground truth, [`Rig::data_pa`], and stays the
+//! pinned semantics. The entry points here are crate-internal.
 
 use crate::rig::{pte_delta, Rig, Translation};
 use crate::runner::Engine;
@@ -206,9 +207,8 @@ pub(crate) fn sampler<P: Probe>(
     (every > 0).then_some(move |p: &mut P, r: &dyn Rig, accesses: u64| {
         let at = accesses + offset;
         if at.is_multiple_of(every) {
-            if let Some((frag, rss)) = r.frag_sample() {
-                p.sample(at, frag, rss);
-            }
+            let (frag, rss) = r.frag_sample();
+            p.sample(at, frag, rss);
         }
     })
 }
@@ -258,8 +258,8 @@ where
 }
 
 /// One access through the TLB → translate → data-access pipeline: the
-/// loop body of both engines, which differ only in the call a TLB miss
-/// makes.
+/// loop body of both engines, which differ only in where a miss's data
+/// access is charged.
 fn step_access<P: Probe>(
     engine: Engine,
     rig: &mut dyn Rig,
@@ -284,9 +284,10 @@ fn step_access<P: Probe>(
             } else {
                 Default::default()
             };
-            let (tr, pa) = match engine {
-                Engine::Scalar => (rig.translate(a.va, hier), rig.data_pa(a.va)),
-                Engine::Batched => rig.translate_fast(a.va, hier),
+            let tr = rig.translate(a.va, hier);
+            let pa = match engine {
+                Engine::Scalar => rig.data_pa(a.va),
+                Engine::Batched => tr.pa,
             };
             match tr.unit {
                 Some(u) => hw.tlb.fill_unit_pa(u, a.va, tr.pa),

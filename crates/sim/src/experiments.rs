@@ -358,15 +358,17 @@ pub fn fig16(thp: bool, scale: Scale) -> Result<(Vec<Fig16Step>, Vec<Fig16Step>)
     let mut tlb = Tlb::default();
     let mut hier = MemoryHierarchy::default();
     let mut acc: std::collections::BTreeMap<(u8, u8), (u64, u64)> = Default::default();
+    let mut steps = Vec::new();
     for (i, a) in trace.iter().enumerate() {
         if tlb.lookup_any(a.va).is_none() {
+            steps.clear();
             let out = rig
                 .machine_mut()
-                .translate_nested(a.va, &mut hier)
+                .translate_nested(a.va, &mut hier, &mut steps)
                 .map_err(SimError::setup)?;
-            tlb.fill(a.va, out.guest_size);
+            tlb.fill(a.va, out.size);
             if i >= scale.warmup {
-                for (idx, st) in out.steps.iter().enumerate() {
+                for (idx, st) in steps.iter().enumerate() {
                     let dimcode = match st.dim {
                         dmt_pgtable::walk::WalkDim::Guest => 0u8,
                         _ => 1u8,
@@ -399,12 +401,17 @@ pub fn fig16(thp: bool, scale: Scale) -> Result<(Vec<Fig16Step>, Vec<Fig16Step>)
     let mut tlb = Tlb::default();
     let mut hier = MemoryHierarchy::default();
     let mut pv: Vec<(u64, u64)> = vec![(0, 0); 2];
+    let mut steps = Vec::new();
     for (i, a) in trace.iter().enumerate() {
         if tlb.lookup_any(a.va).is_none() {
-            if let Ok(out) = rig.machine_mut().translate_pvdmt(a.va, &mut hier) {
+            steps.clear();
+            if let Ok(out) = rig
+                .machine_mut()
+                .translate_pvdmt(a.va, &mut hier, &mut steps)
+            {
                 tlb.fill(a.va, out.size);
                 if i >= scale.warmup {
-                    for (k, st) in out.steps.iter().enumerate().take(2) {
+                    for (k, st) in steps.iter().enumerate().take(2) {
                         pv[k].0 += st.cycles;
                         pv[k].1 += 1;
                     }

@@ -11,6 +11,7 @@ use dmt_cache::hierarchy::MemoryHierarchy;
 use dmt_cache::PageWalkCache;
 use dmt_mem::buddy::FrameKind;
 use dmt_mem::{PageSize, PhysAddr, PhysMemory, TransUnit, VirtAddr};
+use dmt_pgtable::walk::WalkOutcome;
 use dmt_telemetry::ComponentCounters;
 use dmt_virt::machine::VirtMachine;
 use dmt_virt::nested::NestedMachine;
@@ -128,6 +129,21 @@ pub struct Translation {
     pub unit: Option<TransUnit>,
 }
 
+impl From<WalkOutcome> for Translation {
+    /// A page-granular, non-fallback translation from a walker's or
+    /// fetcher's outcome.
+    fn from(out: WalkOutcome) -> Self {
+        Translation {
+            pa: out.pa,
+            size: out.size,
+            cycles: out.cycles,
+            refs: out.refs,
+            fallback: false,
+            unit: None,
+        }
+    }
+}
+
 /// Per-level PTE-fetch deltas between two hierarchy snapshots, in
 /// `[L1, L2, LLC, DRAM]` order — the diff both engines take around a
 /// translation.
@@ -168,7 +184,10 @@ pub trait Rig {
     /// Whether THP is active.
     fn thp(&self) -> bool;
 
-    /// Serve a translation for `va`, charging `hier`.
+    /// Serve a TLB miss for `va`, charging `hier` — the one miss call
+    /// of both engines. The translation's `pa` is the physical address
+    /// of `va`'s data and must equal [`data_pa`](Self::data_pa): the
+    /// default engine charges the data access there (DESIGN.md §13).
     ///
     /// # Panics
     ///
@@ -177,26 +196,9 @@ pub trait Rig {
     fn translate(&mut self, va: VirtAddr, hier: &mut MemoryHierarchy) -> Translation;
 
     /// Software ground-truth translation (for charging the data access
-    /// itself without involving the translation machinery).
+    /// itself without involving the translation machinery): the scalar
+    /// reference engine's data PA and the oracle's truth.
     fn data_pa(&self, va: VirtAddr) -> PhysAddr;
-
-    /// Serve a TLB miss for the default engine: the translation, with
-    /// `hier` charged exactly as [`translate`](Self::translate) charges
-    /// it, and the physical address of `va`'s data, which must equal
-    /// [`data_pa`](Self::data_pa). A backend may serve literally that
-    /// pair (the [`Translator`] default); backends whose translation
-    /// *is* the data mapping return the walk's own PA and skip the
-    /// software resolve (DESIGN.md §13). A wrapper forwards it to the
-    /// inner `translate_fast`, so the default engine runs what it wraps.
-    ///
-    /// # Panics
-    ///
-    /// Like [`translate`](Self::translate), on unpopulated addresses.
-    fn translate_fast(
-        &mut self,
-        va: VirtAddr,
-        hier: &mut MemoryHierarchy,
-    ) -> (Translation, PhysAddr);
 
     /// Full reference entry (PA + size + permissions) from the rig's own
     /// software ground truth, for the differential oracle. `None` means
@@ -222,17 +224,14 @@ pub trait Rig {
 
     /// Read-only memory-health snapshot for the periodic sampler:
     /// `(fragmentation index at the 2 MiB order, resident data frames)`.
-    /// `None` when the rig exposes no allocator.
-    fn frag_sample(&self) -> Option<(f64, u64)>;
+    fn frag_sample(&self) -> (f64, u64);
 
     /// Exchange the rig's machine-level physical memory with `pm`
     /// (`mem::swap`). The multi-tenant cloud node owns one shared
     /// `PhysMemory` and lends it to the tenant scheduled on the core;
     /// every tenant's tables and data coexist in that one allocator, so
-    /// churn ages fragmentation node-wide. Returns `false` (and must
-    /// not touch `pm`) when the rig has no host-level allocator to
-    /// share.
-    fn swap_phys(&mut self, pm: &mut PhysMemory) -> bool;
+    /// churn ages fragmentation node-wide.
+    fn swap_phys(&mut self, pm: &mut PhysMemory);
 
     /// Exchange the rig's hardware page-walk cache with `pwc`
     /// (`mem::swap`) — the cloud node shares one ASID-tagged PWC across
@@ -283,14 +282,6 @@ impl Rig for Box<dyn Rig> {
         (**self).data_pa(va)
     }
 
-    fn translate_fast(
-        &mut self,
-        va: VirtAddr,
-        hier: &mut MemoryHierarchy,
-    ) -> (Translation, PhysAddr) {
-        (**self).translate_fast(va, hier)
-    }
-
     fn ref_translate(&self, va: VirtAddr) -> Option<RefEntry> {
         (**self).ref_translate(va)
     }
@@ -311,11 +302,11 @@ impl Rig for Box<dyn Rig> {
         (**self).component_counters()
     }
 
-    fn frag_sample(&self) -> Option<(f64, u64)> {
+    fn frag_sample(&self) -> (f64, u64) {
         (**self).frag_sample()
     }
 
-    fn swap_phys(&mut self, pm: &mut dmt_mem::PhysMemory) -> bool {
+    fn swap_phys(&mut self, pm: &mut dmt_mem::PhysMemory) {
         (**self).swap_phys(pm)
     }
 
@@ -446,14 +437,6 @@ impl<M: Machine> Rig for MachineRig<M> {
         self.backend.translate(&mut self.m, va, hier)
     }
 
-    fn translate_fast(
-        &mut self,
-        va: VirtAddr,
-        hier: &mut MemoryHierarchy,
-    ) -> (Translation, PhysAddr) {
-        self.backend.translate_fast(&mut self.m, va, hier)
-    }
-
     fn data_pa(&self, va: VirtAddr) -> PhysAddr {
         self.m.data_pa(va)
     }
@@ -478,15 +461,14 @@ impl<M: Machine> Rig for MachineRig<M> {
         self.m.component_counters()
     }
 
-    fn frag_sample(&self) -> Option<(f64, u64)> {
+    fn frag_sample(&self) -> (f64, u64) {
         let b = self.m.phys().buddy();
         let rss = b.allocated_of_kind(FrameKind::Data) + b.allocated_of_kind(FrameKind::HugeData);
-        Some((dmt_mem::frag::fragmentation_index(b, 9), rss))
+        (dmt_mem::frag::fragmentation_index(b, 9), rss)
     }
 
-    fn swap_phys(&mut self, pm: &mut PhysMemory) -> bool {
+    fn swap_phys(&mut self, pm: &mut PhysMemory) {
         std::mem::swap(self.m.phys_mut(), pm);
-        true
     }
 
     fn swap_pwc(&mut self, pwc: &mut PageWalkCache) -> bool {

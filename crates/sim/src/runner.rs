@@ -110,9 +110,9 @@ pub enum Engine {
     /// baseline `perfbench` measures the default engine against.
     Scalar,
     /// The default fast path: a TLB miss makes the one call
-    /// [`Rig::translate_fast`], which returns the translation and the
-    /// data PA together, so backends whose walk yields the data mapping
-    /// skip the software resolve. Everything else is the scalar loop.
+    /// [`Rig::translate`] and charges its data access at the
+    /// translation's own PA, skipping the software resolve. Everything
+    /// else is the scalar loop.
     #[default]
     Batched,
 }

@@ -24,8 +24,8 @@
 //! m.guest_mmap(base, 2 << 20)?;
 //! m.guest_populate_range(base, 2 << 20)?;
 //! let mut hier = MemoryHierarchy::default();
-//! let pv = m.translate_pvdmt(base, &mut hier)?;
-//! assert_eq!(pv.refs(), 2); // pvDMT: two references in a VM
+//! let pv = m.translate_pvdmt(base, &mut hier, &mut ())?;
+//! assert_eq!(pv.refs, 2); // pvDMT: two references in a VM
 //! # Ok(())
 //! # }
 //! ```

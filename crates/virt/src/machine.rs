@@ -13,23 +13,26 @@
 //! * [`VirtMachine::translate_pvdmt`] — 2 references via the gTEA table;
 //! * [`VirtMachine::translate_dmt`] — 3 references without
 //!   paravirtualization.
+//!
+//! Each takes a step sink (`()` to discard the per-step trace, a `Vec`
+//! to keep it) and allocates nothing itself.
 
 use crate::hypercall::{kvm_hc_alloc_tea, HypercallStats, TeaRequest};
 use crate::vm::Vm;
 use crate::VirtError;
 use dmt_cache::hierarchy::MemoryHierarchy;
 use dmt_cache::pwc::PageWalkCache;
-use dmt_core::fetcher::{self, FetchOutcome};
+use dmt_core::fetcher::{self, FetchStep};
 use dmt_core::gtea::GteaTable;
 use dmt_core::regfile::DmtRegisterFile;
 use dmt_core::vtmap::VmaTeaMapping;
 use dmt_core::DmtError;
 use dmt_mem::buddy::FrameKind;
 use dmt_mem::{PageSize, Pfn, PhysAddr, PhysMemory, VirtAddr};
-use dmt_pgtable::nested::{nested_walk, NestedCaches, NestedWalkOutcome};
+use dmt_pgtable::nested::{nested_walk, NestedCaches};
 use dmt_pgtable::pte::PteFlags;
 use dmt_pgtable::shadow::ShadowPageTable;
-use dmt_pgtable::walk::{walk_dimension, WalkDim, WalkOutcome};
+use dmt_pgtable::walk::{walk_dimension, StepSink, WalkDim, WalkOutcome, WalkStep};
 use dmt_pgtable::RadixPageTable;
 
 /// How the guest's TEAs are placed.
@@ -344,7 +347,8 @@ impl VirtMachine {
         &mut self,
         gva: VirtAddr,
         hier: &mut MemoryHierarchy,
-    ) -> Result<NestedWalkOutcome, VirtError> {
+        steps: &mut impl StepSink<WalkStep>,
+    ) -> Result<WalkOutcome, VirtError> {
         Ok(nested_walk(
             &self.gpt,
             self.vm.hpt(),
@@ -352,6 +356,7 @@ impl VirtMachine {
             gva,
             hier,
             &mut self.nested_caches,
+            steps,
         )?)
     }
 
@@ -364,6 +369,7 @@ impl VirtMachine {
         &mut self,
         gva: VirtAddr,
         hier: &mut MemoryHierarchy,
+        steps: &mut impl StepSink<WalkStep>,
     ) -> Result<WalkOutcome, VirtError> {
         Ok(walk_dimension(
             self.spt.table(),
@@ -372,6 +378,7 @@ impl VirtMachine {
             WalkDim::Native,
             hier,
             Some(&mut self.shadow_pwc),
+            steps,
         )?)
     }
 
@@ -385,7 +392,8 @@ impl VirtMachine {
         &mut self,
         gva: VirtAddr,
         hier: &mut MemoryHierarchy,
-    ) -> Result<FetchOutcome, DmtError> {
+        steps: &mut impl StepSink<FetchStep>,
+    ) -> Result<WalkOutcome, DmtError> {
         fetcher::fetch_virt_pv(
             &self.guest_regs,
             &self.gtea_table,
@@ -393,6 +401,7 @@ impl VirtMachine {
             &mut self.pm,
             hier,
             gva,
+            steps,
         )
     }
 
@@ -405,8 +414,16 @@ impl VirtMachine {
         &mut self,
         gva: VirtAddr,
         hier: &mut MemoryHierarchy,
-    ) -> Result<FetchOutcome, DmtError> {
-        fetcher::fetch_virt_unpv(&self.guest_regs, &self.host_regs, &mut self.pm, hier, gva)
+        steps: &mut impl StepSink<FetchStep>,
+    ) -> Result<WalkOutcome, DmtError> {
+        fetcher::fetch_virt_unpv(
+            &self.guest_regs,
+            &self.host_regs,
+            &mut self.pm,
+            hier,
+            gva,
+            steps,
+        )
     }
 }
 
@@ -428,9 +445,9 @@ mod tests {
     fn all_paths_agree_on_the_translation() {
         let mut m = machine(GuestTeaMode::Pv, false);
         let mut hier = MemoryHierarchy::default();
-        let nested = m.translate_nested(GVA, &mut hier).unwrap();
-        let shadow = m.translate_shadow(GVA, &mut hier).unwrap();
-        let pv = m.translate_pvdmt(GVA, &mut hier).unwrap();
+        let nested = m.translate_nested(GVA, &mut hier, &mut ()).unwrap();
+        let shadow = m.translate_shadow(GVA, &mut hier, &mut ()).unwrap();
+        let pv = m.translate_pvdmt(GVA, &mut hier, &mut ()).unwrap();
         assert_eq!(nested.pa, shadow.pa);
         assert_eq!(nested.pa, pv.pa);
     }
@@ -439,18 +456,18 @@ mod tests {
     fn pvdmt_takes_two_references() {
         let mut m = machine(GuestTeaMode::Pv, false);
         let mut hier = MemoryHierarchy::default();
-        let out = m.translate_pvdmt(GVA, &mut hier).unwrap();
-        assert_eq!(out.refs(), 2);
+        let out = m.translate_pvdmt(GVA, &mut hier, &mut ()).unwrap();
+        assert_eq!(out.refs, 2);
     }
 
     #[test]
     fn unpv_dmt_takes_three_references() {
         let mut m = machine(GuestTeaMode::Unpv, false);
         let mut hier = MemoryHierarchy::default();
-        let out = m.translate_dmt(GVA, &mut hier).unwrap();
-        assert_eq!(out.refs(), 3);
+        let out = m.translate_dmt(GVA, &mut hier, &mut ()).unwrap();
+        assert_eq!(out.refs, 3);
         // And it agrees with the 2D walk.
-        let nested = m.translate_nested(GVA, &mut hier).unwrap();
+        let nested = m.translate_nested(GVA, &mut hier, &mut ()).unwrap();
         assert_eq!(out.pa, nested.pa);
     }
 
@@ -459,20 +476,20 @@ mod tests {
         let mut m = machine(GuestTeaMode::Pv, false);
         m.nested_caches = NestedCaches::none();
         let mut hier = MemoryHierarchy::default();
-        let cold = m.translate_nested(GVA, &mut hier).unwrap();
-        assert_eq!(cold.refs(), 24);
+        let cold = m.translate_nested(GVA, &mut hier, &mut ()).unwrap();
+        assert_eq!(cold.refs, 24);
         m.nested_caches = NestedCaches::xeon_gold_6138();
-        let _ = m.translate_nested(GVA, &mut hier).unwrap();
-        let warm = m.translate_nested(GVA, &mut hier).unwrap();
-        assert!(warm.refs() <= 3);
+        let _ = m.translate_nested(GVA, &mut hier, &mut ()).unwrap();
+        let warm = m.translate_nested(GVA, &mut hier, &mut ()).unwrap();
+        assert!(warm.refs <= 3);
     }
 
     #[test]
     fn shadow_walk_is_native_length_with_exit_accounting() {
         let mut m = machine(GuestTeaMode::Pv, false);
         let mut hier = MemoryHierarchy::default();
-        let out = m.translate_shadow(GVA, &mut hier).unwrap();
-        assert!(out.refs() <= 4);
+        let out = m.translate_shadow(GVA, &mut hier, &mut ()).unwrap();
+        assert!(out.refs <= 4);
         // Every populate cost one sync (VM exit).
         assert_eq!(m.spt.sync_events(), m.faults());
         assert_eq!(m.faults(), 8 << 20 >> 12);
@@ -482,12 +499,12 @@ mod tests {
     fn thp_guest_uses_2m_pages_everywhere() {
         let mut m = machine(GuestTeaMode::Pv, true);
         let mut hier = MemoryHierarchy::default();
-        let pv = m.translate_pvdmt(GVA, &mut hier).unwrap();
-        assert_eq!(pv.refs(), 2);
+        let pv = m.translate_pvdmt(GVA, &mut hier, &mut ()).unwrap();
+        assert_eq!(pv.refs, 2);
         assert_eq!(pv.size, PageSize::Size2M);
-        let nested = m.translate_nested(GVA, &mut hier).unwrap();
+        let nested = m.translate_nested(GVA, &mut hier, &mut ()).unwrap();
         assert_eq!(nested.pa, pv.pa);
-        assert_eq!(nested.guest_size, PageSize::Size2M);
+        assert_eq!(nested.size, PageSize::Size2M);
     }
 
     #[test]
@@ -498,8 +515,8 @@ mod tests {
         let mut m = machine(GuestTeaMode::None, true);
         m.nested_caches = NestedCaches::none();
         let mut hier = MemoryHierarchy::default();
-        let cold = m.translate_nested(GVA, &mut hier).unwrap();
-        assert_eq!(cold.refs(), 15);
+        let cold = m.translate_nested(GVA, &mut hier, &mut ()).unwrap();
+        assert_eq!(cold.refs, 15);
     }
 
     #[test]
@@ -507,11 +524,11 @@ mod tests {
         let mut m = machine(GuestTeaMode::None, false);
         m.nested_caches = NestedCaches::none();
         let mut hier = MemoryHierarchy::default();
-        let cold = m.translate_nested(GVA, &mut hier).unwrap();
-        assert_eq!(cold.refs(), 24);
+        let cold = m.translate_nested(GVA, &mut hier, &mut ()).unwrap();
+        assert_eq!(cold.refs, 24);
         // And with no TEAs, pvDMT has nothing to work with.
         assert!(matches!(
-            m.translate_pvdmt(GVA, &mut hier),
+            m.translate_pvdmt(GVA, &mut hier, &mut ()),
             Err(DmtError::NotCovered { .. })
         ));
     }
@@ -530,7 +547,7 @@ mod tests {
         let mut m = machine(GuestTeaMode::Pv, false);
         let mut hier = MemoryHierarchy::default();
         assert!(matches!(
-            m.translate_pvdmt(VirtAddr(0x1000), &mut hier),
+            m.translate_pvdmt(VirtAddr(0x1000), &mut hier, &mut ()),
             Err(DmtError::NotCovered { .. })
         ));
     }

@@ -17,16 +17,17 @@
 use crate::vm::Vm;
 use crate::VirtError;
 use dmt_cache::hierarchy::MemoryHierarchy;
-use dmt_core::fetcher::{self, FetchOutcome};
+use dmt_core::fetcher::{self, FetchStep};
 use dmt_core::gtea::GteaTable;
 use dmt_core::regfile::DmtRegisterFile;
 use dmt_core::vtmap::VmaTeaMapping;
 use dmt_core::DmtError;
 use dmt_mem::buddy::FrameKind;
 use dmt_mem::{MemoryOps, PageSize, Pfn, PhysAddr, PhysMemory, VirtAddr};
-use dmt_pgtable::nested::{nested_walk, NestedCaches, NestedWalkOutcome};
+use dmt_pgtable::nested::{nested_walk, NestedCaches};
 use dmt_pgtable::pte::{Pte, PteFlags};
 use dmt_pgtable::shadow::ShadowPageTable;
+use dmt_pgtable::walk::{StepSink, WalkOutcome, WalkStep};
 use dmt_pgtable::RadixPageTable;
 
 /// A three-level (L0/L1/L2) machine.
@@ -420,7 +421,8 @@ impl NestedMachine {
         &mut self,
         l2va: VirtAddr,
         hier: &mut MemoryHierarchy,
-    ) -> Result<NestedWalkOutcome, VirtError> {
+        steps: &mut impl StepSink<WalkStep>,
+    ) -> Result<WalkOutcome, VirtError> {
         Ok(nested_walk(
             &self.l2pt,
             self.spt.table(),
@@ -428,6 +430,7 @@ impl NestedMachine {
             l2va,
             hier,
             &mut self.nested_caches,
+            steps,
         )?)
     }
 
@@ -440,7 +443,8 @@ impl NestedMachine {
         &mut self,
         l2va: VirtAddr,
         hier: &mut MemoryHierarchy,
-    ) -> Result<FetchOutcome, DmtError> {
+        steps: &mut impl StepSink<FetchStep>,
+    ) -> Result<WalkOutcome, DmtError> {
         fetcher::fetch_nested_pv(
             &self.l2_regs,
             &self.l2_gtea,
@@ -450,6 +454,7 @@ impl NestedMachine {
             &mut self.pm,
             hier,
             l2va,
+            steps,
         )
     }
 
@@ -541,8 +546,8 @@ mod tests {
         let mut m = machine(false);
         let mut hier = MemoryHierarchy::default();
         let va = VirtAddr(L2BASE.raw() + 3 * 4096 + 0x45);
-        let base = m.translate_baseline(va, &mut hier).unwrap();
-        let pv = m.translate_pvdmt(va, &mut hier).unwrap();
+        let base = m.translate_baseline(va, &mut hier, &mut ()).unwrap();
+        let pv = m.translate_pvdmt(va, &mut hier, &mut ()).unwrap();
         assert_eq!(base.pa, pv.pa);
     }
 
@@ -551,9 +556,9 @@ mod tests {
         let mut m = machine(false);
         let mut hier = MemoryHierarchy::default();
         let out = m
-            .translate_pvdmt(VirtAddr(L2BASE.raw() + 0x5000), &mut hier)
+            .translate_pvdmt(VirtAddr(L2BASE.raw() + 0x5000), &mut hier, &mut ())
             .unwrap();
-        assert_eq!(out.refs(), 3, "L2PTE + L1PTE + L0PTE");
+        assert_eq!(out.refs, 3, "L2PTE + L1PTE + L0PTE");
     }
 
     #[test]
@@ -562,9 +567,9 @@ mod tests {
         m.nested_caches = NestedCaches::none();
         let mut hier = MemoryHierarchy::default();
         let out = m
-            .translate_baseline(VirtAddr(L2BASE.raw() + 0x5000), &mut hier)
+            .translate_baseline(VirtAddr(L2BASE.raw() + 0x5000), &mut hier, &mut ())
             .unwrap();
-        assert_eq!(out.refs(), 24, "L2PT x sPT behaves like a 2D walk");
+        assert_eq!(out.refs, 24, "L2PT x sPT behaves like a 2D walk");
     }
 
     #[test]
@@ -580,10 +585,10 @@ mod tests {
         let mut m = machine(true);
         let mut hier = MemoryHierarchy::default();
         let va = VirtAddr(L2BASE.raw() + (3 << 21) + 0x777);
-        let pv = m.translate_pvdmt(va, &mut hier).unwrap();
-        assert_eq!(pv.refs(), 3);
+        let pv = m.translate_pvdmt(va, &mut hier, &mut ()).unwrap();
+        assert_eq!(pv.refs, 3);
         assert_eq!(pv.size, PageSize::Size2M);
-        let base = m.translate_baseline(va, &mut hier).unwrap();
+        let base = m.translate_baseline(va, &mut hier, &mut ()).unwrap();
         assert_eq!(base.pa, pv.pa);
     }
 
@@ -592,7 +597,7 @@ mod tests {
         let mut m = machine(false);
         let mut hier = MemoryHierarchy::default();
         assert!(matches!(
-            m.translate_pvdmt(VirtAddr(0x1000), &mut hier),
+            m.translate_pvdmt(VirtAddr(0x1000), &mut hier, &mut ()),
             Err(DmtError::NotCovered { .. })
         ));
     }

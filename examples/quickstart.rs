@@ -43,19 +43,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         WalkDim::Native,
         &mut hier,
         None,
+        &mut (),
     )?;
     let mut hier = MemoryHierarchy::default();
-    let fetch = fetcher::fetch_native(&regs, &mut pm, &mut hier, va)?;
+    let fetch = fetcher::fetch_native(&regs, &mut pm, &mut hier, va, &mut ())?;
 
     println!(
         "x86 radix walk : {} sequential PTE fetches, {} cycles",
-        walk.refs(),
-        walk.cycles
+        walk.refs, walk.cycles
     );
     println!(
         "DMT fetch      : {} sequential PTE fetch,  {} cycles",
-        fetch.refs(),
-        fetch.cycles
+        fetch.refs, fetch.cycles
     );
     assert_eq!(
         walk.pa, fetch.pa,

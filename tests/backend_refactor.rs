@@ -95,9 +95,9 @@ fn per_cell_outcomes_match_pre_refactor_golden() {
     // Oracle + telemetry on: the pinned snapshot covers the hooks too
     // (a backend that drifted only under the wrapper would still fail).
     // The runner default engine serves every TLB miss with one
-    // `translate_fast` call, which the oracle forwards to the inner
-    // rig's own and checks, so this pins each backend's fast path
-    // against the scalar-era snapshot.
+    // `translate` call, which the oracle checks, and charges the data
+    // access at its PA, so this pins each backend's miss path against
+    // the scalar-era snapshot.
     let runner = Runner::builder()
         .telemetry(true)
         .rig_wrapper(dmt::oracle::wrapper())

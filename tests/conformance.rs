@@ -2,9 +2,7 @@
 //! through every design × environment × page-size mode under the
 //! differential oracle ([`dmt::oracle::Checked`]), with the structural
 //! audits (buddy, VMA tree, TEA map, gTEA tables) riding along. Each
-//! cell runs as two twins from one `Setup`, one per miss call: the
-//! scalar engine's `translate` and the default engine's
-//! `translate_fast`.
+//! access goes through `translate`, the one miss call of both engines.
 //!
 //! The engine-driven path is exercised too: a runner built with the
 //! oracle as its rig wrapper replays one cell per environment (see
@@ -64,27 +62,19 @@ fn build(ops: &[(u8, u16, u16)]) -> (Setup, Vec<VirtAddr>) {
     (Setup::new(regions, &trace), vas)
 }
 
-/// Drive every access through both miss calls of two checked twins
-/// built from one `Setup`: `translate` (the scalar engine's) on the
-/// first, `translate_fast` (the default engine's) on the second, each
-/// over its own hierarchy. Returns the collected divergence renderings
-/// (empty = conformant).
-fn drive<R: Rig>(mut scalar: Checked<R>, mut fast: Checked<R>, vas: &[VirtAddr]) -> Vec<String> {
-    let mut h_scalar = MemoryHierarchy::default();
-    let mut h_fast = MemoryHierarchy::default();
+/// Drive every access through `translate` on a checked rig over its
+/// own hierarchy. Returns the collected divergence renderings (empty =
+/// conformant).
+fn drive<R: Rig>(mut checked: Checked<R>, vas: &[VirtAddr]) -> Vec<String> {
+    let mut hier = MemoryHierarchy::default();
     for &va in vas {
-        scalar.translate(va, &mut h_scalar);
-        fast.translate_fast(va, &mut h_fast);
+        checked.translate(va, &mut hier);
     }
-    let tagged = |tag: &'static str, c: &Checked<R>| {
-        c.divergences()
-            .iter()
-            .map(move |d| format!("{tag}: {d}"))
-            .collect::<Vec<_>>()
-    };
-    let mut out = tagged("translate", &scalar);
-    out.extend(tagged("translate_fast", &fast));
-    out
+    checked
+        .divergences()
+        .iter()
+        .map(ToString::to_string)
+        .collect()
 }
 
 proptest! {
@@ -103,11 +93,9 @@ proptest! {
             if !design.available_in(Env::Native) {
                 continue;
             }
-            let checked = || {
-                let rig = NativeRig::with_setup(design, thp, &setup).unwrap();
-                Checked::collecting(rig).with_audit(16, audit_native)
-            };
-            let divergences = drive(checked(), checked(), &vas);
+            let rig = NativeRig::with_setup(design, thp, &setup).unwrap();
+            let checked = Checked::collecting(rig).with_audit(16, audit_native);
+            let divergences = drive(checked, &vas);
             prop_assert!(
                 divergences.is_empty(),
                 "{design:?} thp={thp}: {divergences:?}"
@@ -127,11 +115,9 @@ proptest! {
             if !design.available_in(Env::Virt) {
                 continue;
             }
-            let checked = || {
-                let rig = VirtRig::with_setup(design, thp, &setup).unwrap();
-                Checked::collecting(rig).with_audit(16, |r| audit_virt(r.machine()))
-            };
-            let divergences = drive(checked(), checked(), &vas);
+            let rig = VirtRig::with_setup(design, thp, &setup).unwrap();
+            let checked = Checked::collecting(rig).with_audit(16, |r| audit_virt(r.machine()));
+            let divergences = drive(checked, &vas);
             prop_assert!(
                 divergences.is_empty(),
                 "{design:?} thp={thp}: {divergences:?}"
@@ -151,11 +137,9 @@ proptest! {
             if !design.available_in(Env::Nested) {
                 continue;
             }
-            let checked = || {
-                let rig = NestedRig::with_setup(design, thp, &setup).unwrap();
-                Checked::collecting(rig).with_audit(16, |r| audit_nested(r.machine()))
-            };
-            let divergences = drive(checked(), checked(), &vas);
+            let rig = NestedRig::with_setup(design, thp, &setup).unwrap();
+            let checked = Checked::collecting(rig).with_audit(16, |r| audit_nested(r.machine()));
+            let divergences = drive(checked, &vas);
             prop_assert!(
                 divergences.is_empty(),
                 "{design:?} thp={thp}: {divergences:?}"

@@ -41,6 +41,7 @@ fn forged_gtea_id_faults() {
         &mut m.pm,
         &mut hier,
         gva,
+        &mut (),
     );
     assert!(matches!(err, Err(DmtError::InvalidGteaId { id: 4242 })));
 }
@@ -65,6 +66,7 @@ fn out_of_bounds_offset_faults() {
         &mut m.pm,
         &mut hier,
         far,
+        &mut (),
     );
     assert!(
         matches!(err, Err(DmtError::GteaOutOfBounds { .. })),
@@ -101,6 +103,7 @@ fn guest_cannot_point_registers_at_raw_host_frames() {
         &mut m.pm,
         &mut hier,
         gva,
+        &mut (),
     ) {
         Err(_) => {}
         Ok(out) => assert_ne!(
@@ -129,6 +132,7 @@ fn revoked_gtea_faults_after_removal() {
         &mut m.pm,
         &mut hier,
         gva,
+        &mut (),
     );
     assert!(matches!(err, Err(DmtError::InvalidGteaId { .. })));
 }

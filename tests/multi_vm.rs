@@ -32,7 +32,7 @@ fn gtea_ids_do_not_leak_across_vms() {
     let mut regs = DmtRegisterFile::new();
     regs.load(&[a_mapping]);
     let mut hier = MemoryHierarchy::default();
-    let a_pa = a.translate_pvdmt(base, &mut hier).unwrap().pa;
+    let a_pa = a.translate_pvdmt(base, &mut hier, &mut ()).unwrap().pa;
     match fetcher::fetch_virt_pv(
         &regs,
         &b.gtea_table,
@@ -40,6 +40,7 @@ fn gtea_ids_do_not_leak_across_vms() {
         &mut b.pm,
         &mut hier,
         base,
+        &mut (),
     ) {
         // Fault is fine (ID not issued / bounds exceeded in B).
         Err(_) => {}
@@ -74,7 +75,7 @@ fn context_switch_reloads_registers_and_flushes_tlb() {
 
     // Run on A.
     proc_a.load_registers(&mut regs);
-    let pa_a = fetcher::fetch_native(&regs, &mut pm, &mut hier, heap_a)
+    let pa_a = fetcher::fetch_native(&regs, &mut pm, &mut hier, heap_a, &mut ())
         .unwrap()
         .pa;
     assert_eq!(pa_a, proc_a.page_table().translate(&pm, heap_a).unwrap().0);
@@ -86,7 +87,7 @@ fn context_switch_reloads_registers_and_flushes_tlb() {
     tlb.flush();
     assert!(regs.covers(heap_b));
     assert!(!regs.covers(heap_a), "B's registers do not cover A");
-    let pa_b = fetcher::fetch_native(&regs, &mut pm, &mut hier, heap_b)
+    let pa_b = fetcher::fetch_native(&regs, &mut pm, &mut hier, heap_b, &mut ())
         .unwrap()
         .pa;
     assert_eq!(pa_b, proc_b.page_table().translate(&pm, heap_b).unwrap().0);
@@ -110,8 +111,8 @@ fn two_guests_share_host_memory_without_interference() {
     let mut hier = MemoryHierarchy::default();
     for p in 0..(2u64 << 20 >> 12) {
         let va = VirtAddr(base.raw() + p * 4096);
-        let pa_a = a.translate_pvdmt(va, &mut hier).unwrap().pa;
-        let pa_b = b.translate_dmt(va, &mut hier).unwrap().pa;
+        let pa_a = a.translate_pvdmt(va, &mut hier, &mut ()).unwrap().pa;
+        let pa_b = b.translate_dmt(va, &mut hier, &mut ()).unwrap().pa;
         assert_eq!(pa_a, a.translate_software(va).unwrap());
         assert_eq!(pa_b, b.translate_software(va).unwrap());
     }

@@ -81,14 +81,14 @@ fn radix_worst_case_is_4_24_24() {
     m.guest_populate_range(base, 4 << 20).unwrap();
     m.nested_caches = dmt::pgtable::nested::NestedCaches::none();
     let mut hier = MemoryHierarchy::default();
-    let out = m.translate_nested(base, &mut hier).unwrap();
-    assert_eq!(out.refs(), 24, "virtualized radix worst case");
+    let out = m.translate_nested(base, &mut hier, &mut ()).unwrap();
+    assert_eq!(out.refs, 24, "virtualized radix worst case");
 
     let mut n = NestedMachine::new(1 << 30, 256 << 20, 128 << 20, false).unwrap();
     n.l2_populate_range(base, 2 << 20).unwrap();
     n.nested_caches = dmt::pgtable::nested::NestedCaches::none();
-    let out = n.translate_baseline(base, &mut hier).unwrap();
-    assert_eq!(out.refs(), 24, "nested-virt baseline (L2PT x sPT)");
+    let out = n.translate_baseline(base, &mut hier, &mut ()).unwrap();
+    assert_eq!(out.refs, 24, "nested-virt baseline (L2PT x sPT)");
 }
 
 #[test]
