@@ -16,7 +16,7 @@ use crate::BaselineError;
 use dmt_cache::hierarchy::MemoryHierarchy;
 use dmt_cache::set_assoc::SetAssoc;
 use dmt_mem::buddy::FrameKind;
-use dmt_mem::{FastMap, MemoryOps, PageSize, PhysAddr, PhysMemory, VirtAddr};
+use dmt_mem::{MemoryOps, PageSize, PhysAddr, PhysMemory, VirtAddr};
 use dmt_pgtable::pte::Pte;
 
 /// Number of cuckoo ways per table (the paper's d = 3).
@@ -163,10 +163,11 @@ pub struct EcptOutcome {
 pub struct Ecpt {
     tables: Vec<CuckooTable>,
     resizes: u64,
-    /// CWC tags, keyed at 2 MiB region granularity; 64 entries, 4-way.
-    cwc: SetAssoc,
-    /// CWC payloads: region -> table index (the page size to probe).
-    cwc_payload: FastMap<u64, usize>,
+    /// The CWC: 2 MiB region → index into `tables` (the page size to
+    /// probe), held in its way; 64 entries, 4-way. Read and written only
+    /// through [`cwc_predict`](Self::cwc_predict),
+    /// [`cwc_learn`](Self::cwc_learn) and [`cwc_forget`](Self::cwc_forget).
+    cwc: SetAssoc<u8>,
 }
 
 impl Ecpt {
@@ -219,7 +220,6 @@ impl Ecpt {
             ],
             resizes: 0,
             cwc: SetAssoc::with_capacity(64, 4),
-            cwc_payload: FastMap::default(),
         })
     }
 
@@ -228,13 +228,29 @@ impl Ecpt {
         self.resizes
     }
 
-    /// Flush the Cuckoo Walk Cache (tags and payloads), as a TLB-flush
-    /// analog — the tables themselves are untouched. The sharded-replay
-    /// epoch barrier relies on this to make warm-cache state a function
-    /// of position in the trace (DESIGN.md §14).
+    /// Flush the Cuckoo Walk Cache, as a TLB-flush analog — the tables
+    /// themselves are untouched. The sharded-replay epoch barrier relies
+    /// on this to make warm-cache state a function of position in the
+    /// trace (DESIGN.md §14).
     pub fn flush_walk_cache(&mut self) {
         self.cwc.flush();
-        self.cwc_payload.clear();
+    }
+
+    /// CWC predict step: the index of the table the CWC remembers for
+    /// `va`'s 2 MiB region, if any. A hit refreshes the entry's LRU rank.
+    fn cwc_predict(&mut self, va: VirtAddr) -> Option<usize> {
+        self.cwc.lookup_value(va.raw() >> 21).map(usize::from)
+    }
+
+    /// CWC learn step: remember that `size`'s table backs `va`'s region.
+    fn cwc_learn(&mut self, va: VirtAddr, size: PageSize) {
+        let ti = self.table_index(size) as u8;
+        self.cwc.insert_value(va.raw() >> 21, ti);
+    }
+
+    /// CWC forget step: drop a stale prediction for `va`'s region.
+    fn cwc_forget(&mut self, va: VirtAddr) {
+        self.cwc.invalidate(va.raw() >> 21);
     }
 
     /// Map a page (software insert; resizes as needed).
@@ -342,16 +358,8 @@ impl Ecpt {
     ) -> (Option<(Pte, PageSize)>, EcptStep) {
         // The CWC predicts which page *size* backs a 2 MiB region, so a
         // warm lookup probes one table's ways instead of all tables'.
-        let key = va.raw() >> 21;
-        let predicted = if self.cwc.lookup(key) {
-            self.cwc_payload.get(&key).copied()
-        } else {
-            None
-        };
-        let tables = match predicted {
-            Some(ti) => ti..ti + 1,
-            None => 0..self.tables.len(),
-        };
+        let predicted = self.cwc_predict(va);
+        let tables = predicted.map_or(0..self.tables.len(), |ti| ti..ti + 1);
         let mut max_cycles = 0u64;
         let mut refs = 0u64;
         let mut hit = None;
@@ -367,20 +375,16 @@ impl Ecpt {
                 let (tag, pte) = t.read_slot(pm, way, idx);
                 if tag == want && pte.present() && hit.is_none() {
                     hit = Some((pte, t.size));
-                    if predicted.is_none() {
-                        if let Some(evicted) = self.cwc.insert(key) {
-                            self.cwc_payload.remove(&evicted);
-                        }
-                        self.cwc_payload.insert(key, ti);
-                    }
                 }
             }
+        }
+        if let (None, Some((_, size))) = (predicted, hit) {
+            self.cwc_learn(va, size);
         }
         if hit.is_none() && predicted.is_some() {
             // Stale size prediction: invalidate and redo the full probe,
             // keeping the wasted probes' cost.
-            self.cwc.invalidate(key);
-            self.cwc_payload.remove(&key);
+            self.cwc_forget(va);
             let (h, step) = self.probe_step(pm, hier, va);
             return (
                 h,
@@ -455,16 +459,8 @@ impl NestedEcpt {
     ) -> Result<EcptOutcome, BaselineError> {
         // Which guest candidates to consider: all ways of all sizes, or
         // only the CWC-predicted size's ways.
-        let key = gva.raw() >> 21;
-        let predicted = if self.guest.cwc.lookup(key) {
-            self.guest.cwc_payload.get(&key).copied()
-        } else {
-            None
-        };
-        let tables = match predicted {
-            Some(ti) => ti..ti + 1,
-            None => 0..self.guest.tables.len(),
-        };
+        let predicted = self.guest.cwc_predict(gva);
+        let tables = predicted.map_or(0..self.guest.tables.len(), |ti| ti..ti + 1);
         let candidates = || {
             tables
                 .clone()
@@ -489,7 +485,8 @@ impl NestedEcpt {
         let mut ghit: Option<(Pte, PageSize)> = None;
         for (ti, way) in candidates() {
             let t = &self.guest.tables[ti];
-            let vpn = gva.vpn_for(t.size);
+            let size = t.size;
+            let vpn = gva.vpn_for(size);
             let want = CuckooTable::tag(vpn);
             let idx = slot_index(way, vpn, t.slots);
             let slot_gpa = t.slot_addr(way, idx);
@@ -501,12 +498,9 @@ impl NestedEcpt {
             let tag = pm.read_word(slot_hpa);
             let pte = Pte(pm.read_word(slot_hpa + 8));
             if tag == want && pte.present() && ghit.is_none() {
-                ghit = Some((pte, t.size));
+                ghit = Some((pte, size));
                 if predicted.is_none() {
-                    if let Some(evicted) = self.guest.cwc.insert(key) {
-                        self.guest.cwc_payload.remove(&evicted);
-                    }
-                    self.guest.cwc_payload.insert(key, ti);
+                    self.guest.cwc_learn(gva, size);
                 }
             }
         }
@@ -514,9 +508,10 @@ impl NestedEcpt {
         let (gpte, gsize) = match ghit {
             Some(v) => v,
             None if predicted.is_some() => {
-                // Stale CWC prediction: drop it and redo the full probe.
-                self.guest.cwc.invalidate(key);
-                self.guest.cwc_payload.remove(&key);
+                // Stale CWC prediction: drop it and redo the full probe,
+                // charging only the redo (the native path keeps the
+                // wasted probes' cost).
+                self.guest.cwc_forget(gva);
                 return self.translate(pm, hier, gva, gpa_to_hpa);
             }
             None => return Err(BaselineError::NotMapped { va: gva.raw() }),
@@ -571,6 +566,37 @@ mod tests {
                 out.parallel_refs
             );
         }
+    }
+
+    #[test]
+    fn walk_cache_narrows_a_learned_region_to_one_table() {
+        let mut pm = PhysMemory::new_bytes(64 << 20);
+        let mut ecpt = Ecpt::new(&mut pm, 1024).unwrap();
+        let mut hier = MemoryHierarchy::default();
+        let base = VirtAddr(0x10_0000_0000);
+        for i in 0..4u64 {
+            let va = VirtAddr(base.raw() + i * 4096);
+            ecpt.map(&mut pm, va, PhysAddr((700 + i) << 12), PageSize::Size4K)
+                .unwrap();
+        }
+        let every_table = (WAYS * ecpt.tables.len()) as u64;
+        let probes = |ecpt: &mut Ecpt, hier: &mut MemoryHierarchy, page: u64| {
+            let out = ecpt
+                .translate(&pm, hier, VirtAddr(base.raw() + page * 4096))
+                .unwrap();
+            assert_eq!(out.pa, PhysAddr((700 + page) << 12));
+            out.parallel_refs
+        };
+        // Cold: every table's ways. The hit teaches the CWC the region's
+        // page size, so any page of the 2 MiB region then probes one
+        // table's ways.
+        assert_eq!(probes(&mut ecpt, &mut hier, 0), every_table);
+        assert_eq!(probes(&mut ecpt, &mut hier, 0), WAYS as u64);
+        assert_eq!(probes(&mut ecpt, &mut hier, 3), WAYS as u64);
+        // A flush forgets the region; the next walk relearns it.
+        ecpt.flush_walk_cache();
+        assert_eq!(probes(&mut ecpt, &mut hier, 1), every_table);
+        assert_eq!(probes(&mut ecpt, &mut hier, 2), WAYS as u64);
     }
 
     #[test]

@@ -46,10 +46,9 @@ pub struct FlatPageTable {
     root: PhysAddr,
     /// Lower tables by upper index.
     lowers: FastMap<u64, PhysAddr>,
-    /// Upper-entry cache tags (32 entries, like the L2-level PWC).
-    upper_cache: SetAssoc,
-    /// Cached upper entries by index.
-    upper_payload: FastMap<u64, Pte>,
+    /// Upper-entry cache (32 entries, like the L2-level PWC): upper
+    /// index → the cached upper PTE, held in its way.
+    upper_cache: SetAssoc<Pte>,
     /// Whether the upper-entry cache is consulted (disabled for
     /// worst-case Table 6 analysis).
     cache_enabled: bool,
@@ -70,7 +69,6 @@ impl FlatPageTable {
             root: PhysAddr::from_pfn(root),
             lowers: FastMap::default(),
             upper_cache: SetAssoc::new(1, 32),
-            upper_payload: FastMap::default(),
             cache_enabled: true,
         })
     }
@@ -86,18 +84,16 @@ impl FlatPageTable {
             root: PhysAddr::from_pfn(root),
             lowers: FastMap::default(),
             upper_cache: SetAssoc::new(1, 32),
-            upper_payload: FastMap::default(),
             cache_enabled: true,
         })
     }
 
-    /// Flush the upper-entry cache (tags and payloads), as a TLB-flush
-    /// analog — the mapping itself is untouched. The sharded-replay
-    /// epoch barrier relies on this to make warm-cache state a function
-    /// of position in the trace (DESIGN.md §14).
+    /// Flush the upper-entry cache, as a TLB-flush analog — the mapping
+    /// itself is untouched. The sharded-replay epoch barrier relies on
+    /// this to make warm-cache state a function of position in the trace
+    /// (DESIGN.md §14).
     pub fn flush_upper_cache(&mut self) {
         self.upper_cache.flush();
-        self.upper_payload.clear();
     }
 
     /// Disable or enable the upper-entry cache (worst-case analysis).
@@ -105,7 +101,6 @@ impl FlatPageTable {
         self.cache_enabled = enabled;
         if !enabled {
             self.upper_cache.flush();
-            self.upper_payload.clear();
         }
     }
 
@@ -185,9 +180,9 @@ impl FlatPageTable {
     ) -> Result<WalkOutcome, BaselineError> {
         let ui = upper_index(va);
         // Upper-entry cache (the PWC analog): a hit costs one cycle and
-        // skips the upper fetch.
-        let cached = self.cache_enabled && self.upper_cache.lookup(ui);
-        let mut cycles = u64::from(cached);
+        // skips the upper fetch. While disabled the cache stays empty.
+        let cached = self.upper_cache.lookup_value(ui);
+        let mut cycles = u64::from(cached.is_some());
         let mut refs = 0u64;
         let mut fetch = |slot: PhysAddr| {
             let (_, c) = hier.access(slot.raw());
@@ -195,17 +190,15 @@ impl FlatPageTable {
             refs += 1;
             Pte(pm.read_word(slot))
         };
-        let upper = if cached {
-            self.upper_payload[&ui]
-        } else {
-            let pte = fetch(self.upper_slot(va));
-            if self.cache_enabled && pte.present() {
-                if let Some(evicted) = self.upper_cache.insert(ui) {
-                    self.upper_payload.remove(&evicted);
+        let upper = match cached {
+            Some(pte) => pte,
+            None => {
+                let pte = fetch(self.upper_slot(va));
+                if self.cache_enabled && pte.present() {
+                    self.upper_cache.insert_value(ui, pte);
                 }
-                self.upper_payload.insert(ui, pte);
+                pte
             }
-            pte
         };
         if !upper.present() {
             return Err(BaselineError::NotMapped { va: va.raw() });
@@ -344,6 +337,45 @@ mod tests {
         assert_eq!(out.refs, 2);
         assert_eq!(out.size, PageSize::Size2M);
         assert_eq!(out.pa, PhysAddr(0x20_0000 + 0x12_3456));
+    }
+
+    #[test]
+    fn upper_cache_hits_skip_the_upper_fetch_until_evicted_or_flushed() {
+        const GIB: u64 = 1 << 30;
+        let mut pm = PhysMemory::new_bytes(128 << 20);
+        let mut fpt = FlatPageTable::new_host(&mut pm).unwrap();
+        let va = VirtAddr(0x7f00_0000_0000);
+        // The first page plus one page under each of 32 other upper
+        // indices: one more than the cache's 32 entries.
+        for i in 0..=32u64 {
+            let page = VirtAddr(va.raw() + i * GIB);
+            fpt.map(
+                &mut pm,
+                page,
+                PhysAddr(0x5000),
+                PageSize::Size4K,
+                host_alloc,
+            )
+            .unwrap();
+        }
+        let mut hier = MemoryHierarchy::default();
+        assert_eq!(fpt.translate(&pm, &mut hier, va).unwrap().refs, 2);
+        // Warm: the cached upper entry costs one cycle and no fetch, and
+        // the lower entry's line is now an L1 hit (4 cycles).
+        let warm = fpt.translate(&pm, &mut hier, va).unwrap();
+        assert_eq!((warm.refs, warm.cycles), (1, 1 + 4));
+        assert_eq!(warm.pa, PhysAddr(0x5000));
+        // 32 other upper indices evict the first one's entry.
+        for i in 1..=32u64 {
+            let page = VirtAddr(va.raw() + i * GIB);
+            assert_eq!(fpt.translate(&pm, &mut hier, page).unwrap().refs, 2);
+        }
+        assert_eq!(fpt.translate(&pm, &mut hier, va).unwrap().refs, 2);
+        assert_eq!(fpt.translate(&pm, &mut hier, va).unwrap().refs, 1);
+        // A flush empties the cache without touching the mapping.
+        fpt.flush_upper_cache();
+        let cold = fpt.translate(&pm, &mut hier, va).unwrap();
+        assert_eq!((cold.refs, cold.pa), (2, PhysAddr(0x5000)));
     }
 
     #[test]

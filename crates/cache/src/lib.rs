@@ -43,9 +43,9 @@ mod proptests {
         /// always resident.
         #[test]
         fn set_assoc_capacity_invariant(keys in prop::collection::vec(0u64..1000, 1..300)) {
-            let mut c = SetAssoc::new(4, 3);
+            let mut c = SetAssoc::<()>::new(4, 3);
             for k in keys {
-                c.insert(k);
+                c.insert_value(k, ());
                 prop_assert!(c.contains(k));
                 prop_assert!(c.occupancy() <= c.capacity());
             }
@@ -54,10 +54,10 @@ mod proptests {
         /// lookup() agrees with contains(); invalidation removes the key.
         #[test]
         fn set_assoc_lookup_consistency(keys in prop::collection::vec(0u64..100, 1..100)) {
-            let mut c = SetAssoc::new(2, 2);
+            let mut c = SetAssoc::<()>::new(2, 2);
             for (i, k) in keys.iter().enumerate() {
                 if i % 3 == 0 {
-                    c.insert(*k);
+                    c.insert_value(*k, ());
                     prop_assert!(c.lookup(*k));
                 } else if i % 3 == 1 {
                     let resident = c.contains(*k);

@@ -12,7 +12,7 @@
 
 use crate::set_assoc::SetAssoc;
 use dmt_mem::addr::{LEVEL_BITS, PAGE_SHIFT};
-use dmt_mem::{FastMap, PhysAddr, VirtAddr};
+use dmt_mem::{PhysAddr, VirtAddr};
 
 /// PWC geometry: entries for the L4, L3 and L2 arrays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,7 +71,8 @@ const KEY_MASK: u64 = (1 << ASID_SHIFT) - 1;
 ///
 /// Keys are virtual-address prefixes; payloads are the physical base
 /// address of the *next*-level table, which is what the walker needs to
-/// resume from the level below the cached entry.
+/// resume from the level below the cached entry. Each payload sits in
+/// its way of the level's [`SetAssoc`], beside its key.
 ///
 /// Like the [`Tlb`](crate::tlb::Tlb), entries carry the current
 /// address-space tag: [`set_asid`](Self::set_asid) switches spaces
@@ -80,9 +81,9 @@ const KEY_MASK: u64 = (1 << ASID_SHIFT) - 1;
 /// an untagged cache.
 #[derive(Debug, Clone)]
 pub struct PageWalkCache {
-    /// Index 0 → level 2 array, 1 → level 3, 2 → level 4.
-    arrays: [SetAssoc; 3],
-    payloads: [FastMap<u64, PhysAddr>; 3],
+    /// Index 0 → level 2 array, 1 → level 3, 2 → level 4; each way
+    /// holds the cached entry's next-level table base.
+    arrays: [SetAssoc<PhysAddr>; 3],
     latency: u64,
     stats: PwcStats,
     asid: u16,
@@ -99,7 +100,6 @@ impl PageWalkCache {
                 arr(config.l3_entries),
                 arr(config.l4_entries),
             ],
-            payloads: Default::default(),
             latency: config.latency,
             stats: PwcStats::default(),
             asid: 0,
@@ -133,20 +133,10 @@ impl PageWalkCache {
     /// lookup-stat effects.
     pub fn flush_asid(&mut self, asid: u16) -> u64 {
         let tag = (asid as u64) << ASID_SHIFT;
-        let mut n = 0u64;
-        for s in 0..3 {
-            let victims: Vec<u64> = self.arrays[s]
-                .keys()
-                .filter(|k| k & !KEY_MASK == tag)
-                .collect();
-            for key in victims {
-                if self.arrays[s].invalidate(key) {
-                    self.payloads[s].remove(&key);
-                    n += 1;
-                }
-            }
-        }
-        n
+        self.arrays
+            .iter_mut()
+            .map(|a| a.retain(|key, _| key & !KEY_MASK != tag))
+            .sum()
     }
 
     #[inline]
@@ -164,8 +154,7 @@ impl PageWalkCache {
         for level in 2..=4u8 {
             let s = Self::slot(level);
             let key = self.key(va, level);
-            if self.arrays[s].lookup(key) {
-                let base = self.payloads[s][&key];
+            if let Some(base) = self.arrays[s].lookup_value(key) {
                 self.stats.hits += 1;
                 match level {
                     2 => self.stats.l2_hits += 1,
@@ -190,21 +179,14 @@ impl PageWalkCache {
             (2..=4).contains(&level),
             "PWC caches levels 2..=4, got {level}"
         );
-        let s = Self::slot(level);
         let key = self.key(va, level);
-        if let Some(evicted) = self.arrays[s].insert(key) {
-            self.payloads[s].remove(&evicted);
-        }
-        self.payloads[s].insert(key, next_table);
+        self.arrays[Self::slot(level)].insert_value(key, next_table);
     }
 
     /// Drop all cached entries (e.g. on CR3 switch).
     pub fn flush(&mut self) {
         for a in &mut self.arrays {
             a.flush();
-        }
-        for p in &mut self.payloads {
-            p.clear();
         }
     }
 
@@ -214,11 +196,9 @@ impl PageWalkCache {
     pub fn entries(&self) -> Vec<(u8, VirtAddr, PhysAddr)> {
         let mut out = Vec::new();
         for level in 2..=4u8 {
-            let s = Self::slot(level);
-            for key in self.arrays[s].keys() {
-                let va =
-                    VirtAddr((key & KEY_MASK) << (PAGE_SHIFT + LEVEL_BITS * (level as u32 - 1)));
-                out.push((level, va, self.payloads[s][&key]));
+            let shift = PAGE_SHIFT + LEVEL_BITS * (level as u32 - 1);
+            for (key, next) in self.arrays[Self::slot(level)].entries() {
+                out.push((level, VirtAddr((key & KEY_MASK) << shift), next));
             }
         }
         out
@@ -374,7 +354,7 @@ mod tests {
         assert_eq!(pwc.lookup_deepest(va), None);
         pwc.set_asid(0);
         assert_eq!(pwc.lookup_deepest(va), Some((2, PhysAddr(0x3000))));
-        // entries() masks tags away and never dangles a payload.
+        // entries() masks tags away.
         assert_eq!(pwc.entries(), vec![(2, va, PhysAddr(0x3000))]);
     }
 }

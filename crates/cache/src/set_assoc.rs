@@ -3,11 +3,14 @@
 //! The translation structures of the simulated memory system — the TLBs,
 //! the page-walk caches, FPT's and ECPT's walk caches — are instances of
 //! [`SetAssoc`] keyed by an appropriate `u64` (VPN or VA prefix, with
-//! ASID and page-size bits). A way may carry an inline payload next to
-//! its key: the TLB arrays store each entry's frame there, while the PWC
-//! tags and FPT use the zero-sized default, so their layout is a plain
-//! `u64` per way. The data-cache levels do not use it: their line tags
-//! fit in 32 bits once the set index is implied, so
+//! ASID and page-size bits). Each way carries its entry's payload inline
+//! next to its key, so the array is the only store of a cache's
+//! contents: the TLB arrays hold each entry's frame, the PWC arrays the
+//! next-level table base, FPT's upper-entry cache the upper PTE and
+//! ECPT's Cuckoo Walk Cache the index of the table to probe. The array
+//! keeps no hit/miss counters; each cache counts its own. The
+//! data-cache levels do not use it: their line tags fit in 32 bits once
+//! the set index is implied, so
 //! [`MemoryHierarchy`](crate::hierarchy::MemoryHierarchy) keeps a
 //! tag array of its own.
 
@@ -19,7 +22,7 @@
 type Way<V> = (u64, V);
 
 /// A set-associative, true-LRU array of `u64` keys, each carrying a
-/// payload `V` (zero-sized by default).
+/// payload `V`.
 ///
 /// Each set keeps its live keys in recency order, most recently used
 /// first: a hit or a fill moves its key to rank 0 and the victim is the
@@ -30,12 +33,12 @@ type Way<V> = (u64, V);
 /// ```
 /// use dmt_cache::set_assoc::SetAssoc;
 /// let mut c = SetAssoc::new(2, 2); // 2 sets x 2 ways
-/// assert!(!c.lookup(0));
-/// c.insert(0);
-/// assert!(c.lookup(0));
+/// assert_eq!(c.lookup_value(0), None);
+/// c.insert_value(0, 'a');
+/// assert_eq!(c.lookup_value(0), Some('a'));
 /// ```
 #[derive(Debug, Clone)]
-pub struct SetAssoc<V = ()> {
+pub struct SetAssoc<V> {
     sets: u64,
     ways: usize,
     /// Ways flattened as `set * ways + rank`, so one set's ways share
@@ -48,8 +51,6 @@ pub struct SetAssoc<V = ()> {
     /// Live-entry count, maintained on every fill/invalidate so the
     /// read-only probes can skip scanning structures that are empty.
     occupied: u64,
-    hits: u64,
-    misses: u64,
 }
 
 impl<V: Copy + Default> SetAssoc<V> {
@@ -67,8 +68,6 @@ impl<V: Copy + Default> SetAssoc<V> {
             slots: vec![(0, V::default()); sets as usize * ways],
             lens: vec![0; sets as usize],
             occupied: 0,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -135,7 +134,7 @@ impl<V: Copy + Default> SetAssoc<V> {
         Ok(way.1)
     }
 
-    /// Look up a key, updating LRU state and hit/miss counters.
+    /// Look up a key, updating LRU state.
     pub fn lookup(&mut self, key: u64) -> bool {
         self.lookup_value(key).is_some()
     }
@@ -143,19 +142,10 @@ impl<V: Copy + Default> SetAssoc<V> {
     /// [`lookup`](Self::lookup) that also returns the hit's payload.
     #[inline]
     pub fn lookup_value(&mut self, key: u64) -> Option<V> {
-        match self.touch(key) {
-            Ok(val) => {
-                self.hits += 1;
-                Some(val)
-            }
-            Err(_) => {
-                self.misses += 1;
-                None
-            }
-        }
+        self.touch(key).ok()
     }
 
-    /// Probe for a key without touching LRU state or counters.
+    /// Probe for a key without touching LRU state.
     pub fn contains(&self, key: u64) -> bool {
         self.occupied != 0 && self.live(key).iter().any(|w| w.0 == key)
     }
@@ -219,30 +209,33 @@ impl<V: Copy + Default> SetAssoc<V> {
         self.occupied = 0;
     }
 
-    /// Hits recorded by [`lookup`](Self::lookup).
-    pub fn hits(&self) -> u64 {
-        self.hits
+    /// Keep only the entries for which `keep(key, payload)` holds (a
+    /// tagged flush). Survivors keep their recency order. Returns the
+    /// number of entries removed.
+    pub fn retain(&mut self, mut keep: impl FnMut(u64, V) -> bool) -> u64 {
+        if self.occupied == 0 {
+            return 0;
+        }
+        let mut removed = 0;
+        for (set, len) in self.slots.chunks_exact_mut(self.ways).zip(&mut self.lens) {
+            let mut kept = 0;
+            for rank in 0..*len as usize {
+                let way = set[rank];
+                if keep(way.0, way.1) {
+                    set[kept] = way;
+                    kept += 1;
+                }
+            }
+            removed += u64::from(*len) - kept as u64;
+            *len = kept as u32;
+        }
+        self.occupied -= removed;
+        removed
     }
 
-    /// Misses recorded by [`lookup`](Self::lookup).
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Reset hit/miss counters (state is kept).
-    pub fn reset_stats(&mut self) {
-        self.hits = 0;
-        self.misses = 0;
-    }
-
-    /// Iterate over all resident keys (any order). Does not touch LRU
-    /// state or counters — this is the oracle's coherence-audit view.
-    pub fn keys(&self) -> impl Iterator<Item = u64> + '_ {
-        self.entries().map(|(key, _)| key)
-    }
-
-    /// Iterate over all resident `(key, payload)` pairs (any order),
-    /// read-only like [`keys`](Self::keys).
+    /// Iterate over all resident `(key, payload)` pairs, set by set and
+    /// most recently used first within a set. Does not touch LRU state —
+    /// this is the oracle's coherence-audit view.
     pub fn entries(&self) -> impl Iterator<Item = (u64, V)> + '_ {
         self.slots
             .chunks_exact(self.ways)
@@ -260,35 +253,30 @@ impl<V: Copy + Default> SetAssoc<V> {
     }
 }
 
-impl SetAssoc {
-    /// Insert a key (no-op if already present; refreshes its LRU rank).
-    /// Returns the evicted key, if any.
-    pub fn insert(&mut self, key: u64) -> Option<u64> {
-        self.insert_value(key, ())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A tag-only array, as the reference models use.
+    fn tags(sets: u64, ways: usize) -> SetAssoc<()> {
+        SetAssoc::new(sets, ways)
+    }
+
     #[test]
     fn hit_after_insert() {
-        let mut c = SetAssoc::new(4, 2);
+        let mut c = tags(4, 2);
         assert!(!c.lookup(42));
-        c.insert(42);
+        c.insert_value(42, ());
         assert!(c.lookup(42));
-        assert_eq!(c.hits(), 1);
-        assert_eq!(c.misses(), 1);
     }
 
     #[test]
     fn lru_evicts_least_recent() {
-        let mut c = SetAssoc::new(1, 2);
-        c.insert(0);
-        c.insert(1);
+        let mut c = tags(1, 2);
+        c.insert_value(0, ());
+        c.insert_value(1, ());
         assert!(c.lookup(0)); // 0 now most recent
-        let evicted = c.insert(2);
+        let evicted = c.insert_value(2, ());
         assert_eq!(evicted, Some(1));
         assert!(c.contains(0));
         assert!(!c.contains(1));
@@ -297,33 +285,33 @@ mod tests {
 
     #[test]
     fn keys_map_to_distinct_sets() {
-        let mut c = SetAssoc::new(2, 1);
-        c.insert(0); // set 0
-        c.insert(1); // set 1
+        let mut c = tags(2, 1);
+        c.insert_value(0, ()); // set 0
+        c.insert_value(1, ()); // set 1
         assert!(c.contains(0));
         assert!(c.contains(1));
         // A third key in set 0 evicts key 0 only.
-        c.insert(2);
+        c.insert_value(2, ());
         assert!(!c.contains(0));
         assert!(c.contains(1));
     }
 
     #[test]
     fn insert_refreshes_existing_key() {
-        let mut c = SetAssoc::new(1, 2);
-        c.insert(0);
-        c.insert(1);
-        c.insert(0); // refresh, not duplicate
+        let mut c = tags(1, 2);
+        c.insert_value(0, ());
+        c.insert_value(1, ());
+        c.insert_value(0, ()); // refresh, not duplicate
         assert_eq!(c.occupancy(), 2);
-        let evicted = c.insert(2);
+        let evicted = c.insert_value(2, ());
         assert_eq!(evicted, Some(1));
     }
 
     #[test]
     fn invalidate_and_flush() {
-        let mut c = SetAssoc::new(2, 2);
-        c.insert(5);
-        c.insert(6);
+        let mut c = tags(2, 2);
+        c.insert_value(5, ());
+        c.insert_value(6, ());
         assert!(c.invalidate(5));
         assert!(!c.invalidate(5));
         assert!(c.contains(6));
@@ -333,7 +321,7 @@ mod tests {
 
     #[test]
     fn with_capacity_geometry() {
-        let c: SetAssoc = SetAssoc::with_capacity(1536, 12);
+        let c: SetAssoc<()> = SetAssoc::with_capacity(1536, 12);
         assert_eq!(c.sets(), 128);
         assert_eq!(c.ways(), 12);
         assert_eq!(c.capacity(), 1536);
@@ -346,15 +334,14 @@ mod tests {
     }
 
     #[test]
-    fn contains_does_not_affect_stats_or_lru() {
-        let mut c = SetAssoc::new(1, 2);
-        c.insert(0);
-        c.insert(1);
+    fn contains_does_not_affect_lru() {
+        let mut c = tags(1, 2);
+        c.insert_value(0, ());
+        c.insert_value(1, ());
         assert!(c.contains(0));
         // `contains` must not have refreshed 0, so 0 is still LRU.
-        let evicted = c.insert(2);
+        let evicted = c.insert_value(2, ());
         assert_eq!(evicted, Some(0));
-        assert_eq!(c.hits(), 0);
     }
 
     #[test]
@@ -372,6 +359,5 @@ mod tests {
         resident.sort_unstable();
         assert_eq!(resident, vec![(1, 201), (2, 102)]);
         assert_eq!(c.lookup_value(0), None);
-        assert_eq!((c.hits(), c.misses()), (1, 1));
     }
 }

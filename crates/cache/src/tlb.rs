@@ -306,24 +306,18 @@ impl Tlb {
             n += (before - self.units.len()) as u64;
         }
         for arr in [&mut self.l1_4k, &mut self.l1_2m, &mut self.l1_1g] {
-            let victims: Vec<u64> = arr.keys().filter(|k| k & !KEY_MASK == tag).collect();
-            for key in victims {
-                if arr.invalidate(key) {
-                    n += 1;
-                }
-            }
+            n += arr.retain(|key, _| key & !KEY_MASK != tag);
         }
         // The STLB pass additionally retires each victim's size from the
         // residency breakdown (the size tag travels in the key's low bits).
-        let victims: Vec<u64> = self.stlb.keys().filter(|k| k & !KEY_MASK == tag).collect();
-        for key in victims {
-            if self.stlb.invalidate(key) {
-                let size =
-                    PageSize::decode((key & 3) as u8).expect("STLB keys carry a valid size tag");
-                self.stlb_residency[size.encode() as usize] -= 1;
-                n += 1;
+        let residency = &mut self.stlb_residency;
+        n += self.stlb.retain(|key, _| {
+            if key & !KEY_MASK != tag {
+                return true;
             }
-        }
+            residency[(key & 3) as usize] -= 1;
+            false
+        });
         n
     }
 

@@ -22,7 +22,7 @@ fn sets(c: LevelConfig) -> u64 {
 }
 
 struct Reference {
-    levels: [(SetAssoc, HitLevel, u64); 3],
+    levels: [(SetAssoc<()>, HitLevel, u64); 3],
     config: HierarchyConfig,
     stats: HierarchyStats,
 }
@@ -52,7 +52,7 @@ impl Reference {
                 }
                 return (*at, *latency);
             }
-            cache.insert(line);
+            cache.insert_value(line, ());
         }
         self.stats.dram_accesses += 1;
         match self.config.tiers {
@@ -66,8 +66,8 @@ impl Reference {
 
     fn prefetch_into_l2(&mut self, paddr: u64) {
         let line = paddr >> LINE_SHIFT;
-        self.levels[2].0.insert(line);
-        self.levels[1].0.insert(line);
+        self.levels[2].0.insert_value(line, ());
+        self.levels[1].0.insert_value(line, ());
     }
 
     fn resident_at(&self, paddr: u64, level: HitLevel) -> bool {

@@ -1,12 +1,13 @@
 //! `SetAssoc` against a naive reference model of true LRU.
 //!
 //! The model is the textbook construction: every set is a list of
-//! `(key, last-use stamp)` ways, a global clock stamps every lookup and
-//! fill, a fill takes the first empty way, and the victim is the way
-//! with the smallest stamp. `SetAssoc` keeps no stamps (each set holds
-//! its keys most-recently-used first), so every operation's result,
-//! the counters, the occupancy and the resident key set must agree
-//! with the model after every step of a random operation sequence.
+//! `(key, last-use stamp, payload)` ways, a global clock stamps every
+//! lookup and fill, a fill takes the first empty way, and the victim is
+//! the way with the smallest stamp. `SetAssoc` keeps no stamps (each
+//! set holds its keys most-recently-used first), so every operation's
+//! result, the occupancy and the resident `(key, payload)` set must
+//! agree with the model after every step of a random operation
+//! sequence.
 
 use dmt_cache::set_assoc::SetAssoc;
 use proptest::prelude::*;
@@ -14,55 +15,46 @@ use proptest::prelude::*;
 /// Stamp-based true LRU: stamp 0 marks an empty way; the clock
 /// pre-increments, so live ways always carry a stamp ≥ 1.
 struct Model {
-    sets: Vec<Vec<(u64, u64)>>,
+    sets: Vec<Vec<(u64, u64, u64)>>,
     clock: u64,
-    hits: u64,
-    misses: u64,
 }
 
 impl Model {
     fn new(sets: u64, ways: usize) -> Self {
         Model {
-            sets: vec![vec![(0, 0); ways]; sets as usize],
+            sets: vec![vec![(0, 0, 0); ways]; sets as usize],
             clock: 0,
-            hits: 0,
-            misses: 0,
         }
     }
 
-    fn set(&mut self, key: u64) -> &mut Vec<(u64, u64)> {
+    fn set(&mut self, key: u64) -> &mut Vec<(u64, u64, u64)> {
         let n = self.sets.len() as u64;
         &mut self.sets[(key % n) as usize]
     }
 
-    fn lookup(&mut self, key: u64) -> bool {
+    fn lookup(&mut self, key: u64) -> Option<u64> {
         self.clock += 1;
         let stamp = self.clock;
-        if let Some(way) = self.set(key).iter_mut().find(|w| w.1 != 0 && w.0 == key) {
-            way.1 = stamp;
-            self.hits += 1;
-            true
-        } else {
-            self.misses += 1;
-            false
-        }
+        let way = self.set(key).iter_mut().find(|w| w.1 != 0 && w.0 == key)?;
+        way.1 = stamp;
+        Some(way.2)
     }
 
-    fn insert(&mut self, key: u64) -> Option<u64> {
+    fn insert(&mut self, key: u64, val: u64) -> Option<u64> {
         self.clock += 1;
         let stamp = self.clock;
         let set = self.set(key);
         if let Some(way) = set.iter_mut().find(|w| w.1 != 0 && w.0 == key) {
-            way.1 = stamp;
+            *way = (key, stamp, val);
             return None;
         }
         if let Some(way) = set.iter_mut().find(|w| w.1 == 0) {
-            *way = (key, stamp);
+            *way = (key, stamp, val);
             return None;
         }
         let victim = set.iter_mut().min_by_key(|w| w.1).expect("ways > 0");
         let evicted = victim.0;
-        *victim = (key, stamp);
+        *victim = (key, stamp, val);
         Some(evicted)
     }
 
@@ -76,29 +68,40 @@ impl Model {
     fn invalidate(&mut self, key: u64) -> bool {
         match self.set(key).iter_mut().find(|w| w.1 != 0 && w.0 == key) {
             Some(way) => {
-                *way = (0, 0);
+                *way = (0, 0, 0);
                 true
             }
             None => false,
         }
     }
 
+    fn retain(&mut self, keep: impl Fn(u64, u64) -> bool) -> u64 {
+        let mut removed = 0;
+        for way in self.sets.iter_mut().flatten() {
+            if way.1 != 0 && !keep(way.0, way.2) {
+                *way = (0, 0, 0);
+                removed += 1;
+            }
+        }
+        removed
+    }
+
     fn flush(&mut self) {
         for set in &mut self.sets {
-            set.fill((0, 0));
+            set.fill((0, 0, 0));
         }
     }
 
-    fn keys(&self) -> Vec<u64> {
-        let mut keys: Vec<u64> = self
+    fn entries(&self) -> Vec<(u64, u64)> {
+        let mut entries: Vec<(u64, u64)> = self
             .sets
             .iter()
             .flatten()
             .filter(|w| w.1 != 0)
-            .map(|w| w.0)
+            .map(|w| (w.0, w.2))
             .collect();
-        keys.sort_unstable();
-        keys
+        entries.sort_unstable();
+        entries
     }
 }
 
@@ -107,7 +110,8 @@ impl Model {
 ///
 /// Raw values fold onto at most eight sets, each with 1.5× its ways in
 /// distinct keys, so sets fill, hit and evict; flushes get rarer as the
-/// array grows so that large arrays still fill between them.
+/// array grows so that large arrays still fill between them. A fill's
+/// payload is random, so a refill of a resident key replaces it.
 fn check(sets: u64, ways: usize, ops: &[(u16, u64)]) {
     let mut real = SetAssoc::new(sets, ways);
     let mut model = Model::new(sets, ways);
@@ -116,6 +120,7 @@ fn check(sets: u64, ways: usize, ops: &[(u16, u64)]) {
     let flush_odds = (8 * real.capacity()).max(100);
     for (step, &(op, raw)) in ops.iter().enumerate() {
         let key = raw % hot_sets + sets * ((raw >> 8) % tags);
+        let val = raw >> 40;
         let op = if (raw >> 32) % flush_odds == 0 {
             u16::MAX
         } else {
@@ -123,12 +128,16 @@ fn check(sets: u64, ways: usize, ops: &[(u16, u64)]) {
         };
         let what = match op {
             0..=374 => {
-                assert_eq!(real.lookup(key), model.lookup(key), "step {step}");
-                "lookup"
+                assert_eq!(real.lookup_value(key), model.lookup(key), "step {step}");
+                "lookup_value"
             }
             375..=749 => {
-                assert_eq!(real.insert(key), model.insert(key), "step {step}");
-                "insert"
+                assert_eq!(
+                    real.insert_value(key, val),
+                    model.insert(key, val),
+                    "step {step}"
+                );
+                "insert_value"
             }
             750..=849 => {
                 assert_eq!(real.contains(key), model.contains(key), "step {step}");
@@ -139,10 +148,18 @@ fn check(sets: u64, ways: usize, ops: &[(u16, u64)]) {
                 "invalidate"
             }
             950..=999 => {
-                real.reset_stats();
-                model.hits = 0;
-                model.misses = 0;
-                "reset_stats"
+                // Drop one of three key tags, or the keys whose payload
+                // shares `val`'s parity: by key and by payload.
+                let drop_tag = (raw >> 16) % 3;
+                let keep = |k: u64, v: u64| {
+                    if raw & 1 == 0 {
+                        (k / sets) % 3 != drop_tag
+                    } else {
+                        (v ^ val) & 1 != 0
+                    }
+                };
+                assert_eq!(real.retain(keep), model.retain(keep), "step {step}");
+                "retain"
             }
             _ => {
                 real.flush();
@@ -150,21 +167,15 @@ fn check(sets: u64, ways: usize, ops: &[(u16, u64)]) {
                 "flush"
             }
         };
-        assert_eq!(real.hits(), model.hits, "hits after {what} at step {step}");
-        assert_eq!(
-            real.misses(),
-            model.misses,
-            "misses after {what} at step {step}"
-        );
-        let keys = model.keys();
+        let entries = model.entries();
         assert_eq!(
             real.occupancy(),
-            keys.len() as u64,
+            entries.len() as u64,
             "occupancy after {what} at step {step}"
         );
-        let mut resident: Vec<u64> = real.keys().collect();
+        let mut resident: Vec<(u64, u64)> = real.entries().collect();
         resident.sort_unstable();
-        assert_eq!(resident, keys, "keys after {what} at step {step}");
+        assert_eq!(resident, entries, "entries after {what} at step {step}");
     }
 }
 

@@ -1,11 +1,12 @@
 //! A fast, deterministic hasher for hot-path address maps.
 //!
 //! The rule: every map keyed by a simulated address (frame number, VA
-//! prefix, walk-cache key) on a per-reference path is a [`FastMap`] or
-//! [`FastSet`], never a `std` `HashMap` with its SipHash default — that
-//! spends more cycles hashing than the lookup saves. Physical-memory
-//! contents go further and use no hash at all (a two-level frame table
-//! in [`crate::phys`]). This is the Fx multiply-rotate construction
+//! prefix) on a per-reference path is a [`FastMap`] or [`FastSet`],
+//! never a `std` `HashMap` with its SipHash default — that spends more
+//! cycles hashing than the lookup saves. Physical-memory contents go
+//! further and use no hash at all (a two-level frame table in
+//! [`crate::phys`]), and so do the translation caches (each is one
+//! set-associative array holding its payloads inline). This is the Fx multiply-rotate construction
 //! (deterministic, no per-process seed — replay results must not
 //! depend on hasher randomization).
 //!

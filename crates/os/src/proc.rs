@@ -291,7 +291,13 @@ impl Process {
             let hbase = va.align_down(PageSize::Size2M);
             // 2 MiB of naturally aligned frames (order 9).
             let frame = pm.buddy_mut().alloc_order(9, FrameKind::HugeData)?;
-            self.write_huge_leaf(pm, hbase, frame)?;
+            self.pt.map_thp(
+                pm,
+                hbase,
+                PhysAddr::from_pfn(frame),
+                PageSize::Size2M,
+                PteFlags::WRITABLE | PteFlags::USER,
+            )?;
             self.reverse.insert(frame.0, (hbase, PageSize::Size2M));
         } else {
             let base = va.align_down(PageSize::Size4K);
@@ -384,7 +390,13 @@ impl Process {
             self.pt.unmap(pm, page, PageSize::Size4K)?;
         }
         // Overwrite the L2 slot with a huge leaf.
-        self.write_huge_leaf(pm, hbase, huge)?;
+        self.pt.map_thp(
+            pm,
+            hbase,
+            PhysAddr::from_pfn(huge),
+            PageSize::Size2M,
+            PteFlags::WRITABLE | PteFlags::USER,
+        )?;
         // Release the old 4 KiB frames.
         for f in old_frames {
             self.reverse.remove(&f.0);
@@ -442,45 +454,6 @@ impl Process {
         }
         self.shootdowns += 1;
         Ok(())
-    }
-
-    /// Install a 2 MiB leaf at `hbase`, replacing an existing (empty) L1
-    /// table pointer the way the kernel replaces a PMD entry for THP. The
-    /// pointed-to TEA-L1 page stays owned by the 4 KiB TEA, ready for
-    /// demotion.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OsError::PromotionBlocked`] if the L2 slot is
-    /// unreachable or already a huge leaf.
-    fn write_huge_leaf(
-        &mut self,
-        pm: &mut PhysMemory,
-        hbase: VirtAddr,
-        frame: Pfn,
-    ) -> Result<(), OsError> {
-        let occupied = self.pt.entry_pa(pm, hbase, 2).filter(|slot| {
-            let pte = Pte(pm.read_word(*slot));
-            pte.present() && !pte.huge()
-        });
-        match occupied {
-            Some(slot) => {
-                pm.write_word(
-                    slot,
-                    Pte::huge_leaf(frame, PteFlags::WRITABLE | PteFlags::USER).raw(),
-                );
-                Ok(())
-            }
-            // No table pointer in the way: the ordinary map path builds
-            // any missing intermediate tables.
-            None => Ok(self.pt.map(
-                pm,
-                hbase,
-                PhysAddr::from_pfn(frame),
-                PageSize::Size2M,
-                PteFlags::WRITABLE | PteFlags::USER,
-            )?),
-        }
     }
 
     /// Patch leaf PTEs after compaction moved data frames.

@@ -140,6 +140,35 @@ impl RadixPageTable {
         Ok(())
     }
 
+    /// [`map`](Self::map), except that a 2 MiB leaf replaces a present
+    /// L1-table pointer in its L2 slot, the way the kernel replaces a PMD
+    /// entry for THP. The L1 table it pointed to (a TEA-L1 page) stays
+    /// allocated and owned by its TEA, ready for demotion.
+    ///
+    /// # Errors
+    ///
+    /// As [`map`](Self::map) wherever no table pointer is replaced.
+    pub fn map_thp<M: MemoryOps>(
+        &mut self,
+        pm: &mut M,
+        va: VirtAddr,
+        pa: PhysAddr,
+        size: PageSize,
+        flags: PteFlags,
+    ) -> Result<(), PtError> {
+        if size == PageSize::Size2M {
+            let table_ptr = self.entry_pa(pm, va, 2).filter(|&slot| {
+                let pte = Pte(pm.read_word(slot));
+                pte.present() && !pte.huge()
+            });
+            if let Some(slot) = table_ptr {
+                pm.write_word(slot, Pte::huge_leaf(pa.pfn(), flags).raw());
+                return Ok(());
+            }
+        }
+        self.map(pm, va, pa, size, flags)
+    }
+
     /// Remove the mapping of `va` at the given page size.
     ///
     /// # Errors

@@ -42,8 +42,35 @@ pub use vm::{GuestView, GuestViewRef, Vm};
 
 use core::fmt;
 use dmt_core::DmtError;
-use dmt_mem::MemError;
+use dmt_mem::{MemError, PageSize, VirtAddr};
 use dmt_pgtable::PtError;
+
+/// Demand-populate `[base, base + len)` one page at a time through
+/// `populate`, stepping by the page size the guest maps (2 MiB with
+/// THP). Returns the number of faults served.
+fn populate_range(
+    base: VirtAddr,
+    len: u64,
+    thp: bool,
+    mut populate: impl FnMut(VirtAddr) -> Result<bool, VirtError>,
+) -> Result<u64, VirtError> {
+    let step = if thp {
+        PageSize::Size2M
+    } else {
+        PageSize::Size4K
+    };
+    let mut faults = 0;
+    let mut va = base;
+    while va.raw() < base.raw() + len {
+        if populate(va)? {
+            faults += 1;
+        }
+        // Advance chunk-aligned so unaligned regions' tails are covered
+        // too.
+        va = VirtAddr(va.align_down(step).raw() + step.bytes());
+    }
+    Ok(faults)
+}
 
 /// Errors from the virtualization layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

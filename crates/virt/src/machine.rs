@@ -165,11 +165,6 @@ impl VirtMachine {
     ///
     /// Propagates allocation failures in either address space.
     pub fn guest_mmap(&mut self, base: VirtAddr, len: u64) -> Result<(), VirtError> {
-        let size = if self.guest_thp {
-            PageSize::Size2M
-        } else {
-            PageSize::Size4K
-        };
         // With THP the guest keeps a 4 KiB TEA too (edges/fallback), as in
         // Figure 12 — create it first so the 2 MiB TEA dominates probes.
         let sizes: &[PageSize] = if self.guest_thp {
@@ -180,7 +175,6 @@ impl VirtMachine {
         for &s in sizes {
             self.guest_mmap_one(base, len, s)?;
         }
-        let _ = size;
         // Reload the guest registers (context-switch analog).
         self.guest_regs.load(&self.guest_mappings);
         Ok(())
@@ -261,35 +255,14 @@ impl VirtMachine {
             let g = self.vm.alloc_guest_frame(&mut self.pm, FrameKind::Data)?;
             (gva.align_down(PageSize::Size4K), g, PageSize::Size4K)
         };
-        {
-            let mut view = self.vm.guest_view(&mut self.pm);
-            let occupied_l2_slot = if size == PageSize::Size2M {
-                self.gpt.entry_pa(&view, gbase, 2).filter(|slot| {
-                    dmt_pgtable::pte::Pte(dmt_mem::MemoryOps::read_word(&view, *slot)).present()
-                })
-            } else {
-                None
-            };
-            if let Some(slot) = occupied_l2_slot {
-                // The L2 slot holds a pointer to the (empty) TEA-L1 table;
-                // replace it with a huge leaf, as the kernel replaces a
-                // PMD for THP.
-                dmt_mem::MemoryOps::write_word(
-                    &mut view,
-                    slot,
-                    dmt_pgtable::pte::Pte::huge_leaf(gframe, PteFlags::WRITABLE | PteFlags::USER)
-                        .raw(),
-                );
-            } else {
-                self.gpt.map(
-                    &mut view,
-                    gbase,
-                    PhysAddr::from_pfn(gframe),
-                    size,
-                    PteFlags::WRITABLE | PteFlags::USER,
-                )?;
-            }
-        }
+        // A 2 MiB page replaces the pointer to the (empty) TEA-L1 table.
+        self.gpt.map_thp(
+            &mut self.vm.guest_view(&mut self.pm),
+            gbase,
+            PhysAddr::from_pfn(gframe),
+            size,
+            PteFlags::WRITABLE | PteFlags::USER,
+        )?;
         // Shadow sync: gVA -> hPA (one VM exit). With a 2 MiB guest page
         // over 2 MiB host backing the shadow entry is huge as well.
         let hpa = self
@@ -313,22 +286,8 @@ impl VirtMachine {
     ///
     /// See [`guest_populate`](Self::guest_populate).
     pub fn guest_populate_range(&mut self, base: VirtAddr, len: u64) -> Result<u64, VirtError> {
-        let step = if self.guest_thp {
-            PageSize::Size2M
-        } else {
-            PageSize::Size4K
-        };
-        let mut faults = 0;
-        let mut va = base;
-        while va.raw() < base.raw() + len {
-            if self.guest_populate(va)? {
-                faults += 1;
-            }
-            // Advance chunk-aligned so unaligned regions' tails are
-            // covered too.
-            va = VirtAddr(va.align_down(step).raw() + step.bytes());
-        }
-        Ok(faults)
+        let thp = self.guest_thp;
+        crate::populate_range(base, len, thp, |va| self.guest_populate(va))
     }
 
     /// Software ground-truth translation gVA → hPA (no cycles charged).

@@ -358,31 +358,15 @@ impl NestedMachine {
         for k in 0..size.base_pages() {
             self.ensure_l2_backed(frame.0 + k)?;
         }
+        // A 2 MiB page replaces the pointer to the (empty) L1 table.
         let mut l2pt = self.l2pt.clone();
-        {
-            let mut view = self.l2_view();
-            let occupied_l2_slot = if size == PageSize::Size2M {
-                l2pt.entry_pa(&view, base, 2)
-                    .filter(|slot| Pte(view.read_word(*slot)).present())
-            } else {
-                None
-            };
-            if let Some(slot) = occupied_l2_slot {
-                // Replace the (empty) L1-table pointer with a huge leaf.
-                view.write_word(
-                    slot,
-                    Pte::huge_leaf(frame, PteFlags::WRITABLE | PteFlags::USER).raw(),
-                );
-            } else {
-                l2pt.map(
-                    &mut view,
-                    base,
-                    PhysAddr::from_pfn(frame),
-                    size,
-                    PteFlags::WRITABLE | PteFlags::USER,
-                )?;
-            }
-        }
+        l2pt.map_thp(
+            &mut self.l2_view(),
+            base,
+            PhysAddr::from_pfn(frame),
+            size,
+            PteFlags::WRITABLE | PteFlags::USER,
+        )?;
         self.l2pt = l2pt;
         // The sPT sync for the new chunk happened in ensure_l2_backed
         // (one VM exit per fault in the cost model).
@@ -396,20 +380,8 @@ impl NestedMachine {
     ///
     /// See [`l2_populate`](Self::l2_populate).
     pub fn l2_populate_range(&mut self, base: VirtAddr, len: u64) -> Result<u64, VirtError> {
-        let step = if self.thp {
-            PageSize::Size2M
-        } else {
-            PageSize::Size4K
-        };
-        let mut n = 0;
-        let mut va = base;
-        while va.raw() < base.raw() + len {
-            if self.l2_populate(va)? {
-                n += 1;
-            }
-            va = VirtAddr(va.align_down(step).raw() + step.bytes());
-        }
-        Ok(n)
+        let thp = self.thp;
+        crate::populate_range(base, len, thp, |va| self.l2_populate(va))
     }
 
     /// Vanilla nested KVM: 2D walk over L2PT × sPT.
