@@ -115,11 +115,6 @@ impl Fragmenter {
         }
         Ok(())
     }
-
-    /// Number of frames currently held by the fragmenter.
-    pub fn held_frames(&self) -> usize {
-        self.held.len()
-    }
 }
 
 impl Default for Fragmenter {

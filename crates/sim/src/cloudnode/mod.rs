@@ -55,7 +55,6 @@ use dmt_cache::pwc::PageWalkCache;
 use dmt_mem::PhysMemory;
 use dmt_telemetry::{ComponentCounters, NodeEvent, NoopProbe, Probe, Telemetry};
 use sched::{Scheduler, VictimPicker};
-use stats::add_stats;
 use tenant::{Tenant, TenantSeed};
 
 /// The inert memory parked in inactive tenants while the node holds
@@ -248,13 +247,8 @@ fn run_node_probed<P: Probe>(
                 // shootdown broadcast lands on all other tenants.
                 t.rig.swap_phys(&mut shared);
                 let shootdowns = t.rig.release_memory();
-                t.stats.exits += t.rig.exits();
-                t.stats.faults += t.rig.faults();
-                t.coverage = t.rig.coverage();
                 t.rig.swap_phys(&mut shared);
-                if P::ACTIVE {
-                    probe.absorb_components(t.rig.component_counters());
-                }
+                t.harvest(probe);
                 let storm = shootdowns * n_others;
                 cross_tenant_shootdowns += storm;
                 if P::ACTIVE && storm > 0 {
@@ -303,13 +297,8 @@ fn run_node_probed<P: Probe>(
     let mut node = crate::engine::RunStats::default();
     let mut out = Vec::with_capacity(tenants.len());
     for t in &mut tenants {
-        t.stats.exits += t.rig.exits();
-        t.stats.faults += t.rig.faults();
-        t.coverage = t.rig.coverage();
-        if P::ACTIVE {
-            probe.absorb_components(t.rig.component_counters());
-        }
-        add_stats(&mut node, &t.stats);
+        t.harvest(probe);
+        node += t.stats;
         out.push(TenantStats {
             bench: t.spec.bench,
             workload: t.workload.clone(),

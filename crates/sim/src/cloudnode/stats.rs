@@ -67,15 +67,3 @@ impl NodeStats {
         self.tenants.iter().map(|t| t.coverage).sum::<f64>() / self.tenants.len() as f64
     }
 }
-
-/// Field-wise sum of run statistics (node aggregation).
-pub(crate) fn add_stats(into: &mut RunStats, s: &RunStats) {
-    into.accesses += s.accesses;
-    into.walks += s.walks;
-    into.walk_cycles += s.walk_cycles;
-    into.walk_refs += s.walk_refs;
-    into.data_cycles += s.data_cycles;
-    into.fallbacks += s.fallbacks;
-    into.exits += s.exits;
-    into.faults += s.faults;
-}

@@ -9,6 +9,7 @@ use crate::experiments::Scale;
 use crate::rig::{build_rig_in, Design, Rig, Setup};
 use crate::runner::{bench_trace, Runner};
 use dmt_mem::PhysMemory;
+use dmt_telemetry::Probe;
 use dmt_workloads::gen::Access;
 
 /// A tenant's immutable ingredients, materialized before any physical
@@ -35,7 +36,7 @@ impl TenantSeed {
         let b = bench_trace(spec.bench, index, scale, thp)?;
         Ok(TenantSeed {
             spec,
-            workload: b.workload.name().to_string(),
+            workload: b.workload,
             setup: b.setup,
             trace: b.trace,
         })
@@ -88,6 +89,20 @@ impl Tenant {
             coverage: 1.0,
             pwc_lent: false,
         })
+    }
+
+    /// Harvest the incarnation's end state, with the memory parked:
+    /// its exits and faults join the cumulative stats, its coverage
+    /// becomes the tenant's, and the probe absorbs its component
+    /// counters. Run once per incarnation, at its churn kill or at the
+    /// end of the node run.
+    pub(crate) fn harvest<P: Probe>(&mut self, probe: &mut P) {
+        self.stats.exits += self.rig.exits();
+        self.stats.faults += self.rig.faults();
+        self.coverage = self.rig.coverage();
+        if P::ACTIVE {
+            probe.absorb_components(self.rig.component_counters());
+        }
     }
 
     /// Churn rebuild: a fresh rig over the same workload and trace,

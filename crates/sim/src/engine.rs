@@ -81,10 +81,19 @@ impl RunStats {
     pub fn miss_ratio(&self) -> f64 {
         ratio(self.walks, self.accesses)
     }
+}
 
-    /// Total translation overhead cycles (the `O_sim` of §5's model).
-    pub fn overhead_cycles(&self) -> u64 {
-        self.walk_cycles
+/// Field-wise sum: shard merges and the cloud node's tenant total.
+impl std::ops::AddAssign for RunStats {
+    fn add_assign(&mut self, s: RunStats) {
+        self.accesses += s.accesses;
+        self.walks += s.walks;
+        self.walk_cycles += s.walk_cycles;
+        self.walk_refs += s.walk_refs;
+        self.data_cycles += s.data_cycles;
+        self.fallbacks += s.fallbacks;
+        self.exits += s.exits;
+        self.faults += s.faults;
     }
 }
 

@@ -23,9 +23,8 @@
 //! * [`overheads`] — the §6.3 management/hypercall/memory overheads.
 //! * [`ablation`] — design-choice sweeps (register count, bubble
 //!   threshold, register policy, eager allocation).
-//! * [`runner`] — the unified [`runner::Runner`] entry point, the
-//!   shared-trace materialization stage, and the workspace's single
-//!   environment-read site ([`runner::env_config`]).
+//! * [`runner`] — the unified [`runner::Runner`] entry point and the
+//!   workspace's single environment-read site ([`runner::env_config`]).
 //! * [`shard`] — sharded intra-trace parallel replay: K epoch-aligned
 //!   shards on scoped threads, bit-identical to the serial
 //!   epoch-barrier reference (DESIGN.md §14).
@@ -74,9 +73,6 @@ pub use engine::{ratio, RunStats};
 pub use error::SimError;
 pub use experiments::{fig14, fig15, fig16, fig17, table5, table6, table7, Scale, Table7Row};
 pub use rig::{Design, Env, RefEntry, Rig, Setup, Translation};
-pub use runner::{
-    env_config, Engine, EnvConfig, Runner, RunnerBuilder, TraceSet, DEFAULT_EPOCH_LEN,
-    SPILL_CHUNK_LEN,
-};
+pub use runner::{env_config, Engine, EnvConfig, Runner, RunnerBuilder, DEFAULT_EPOCH_LEN};
 pub use shard::{plan_shards, ShardSource, ShardSpec, ShardedOutcome};
 pub use sweep::{SweepConfig, SweepReport, SweepRow};

@@ -249,17 +249,6 @@ fn sub_components(a: ComponentCounters, b: ComponentCounters) -> ComponentCounte
     }
 }
 
-fn merge_stats(into: &mut RunStats, s: &RunStats) {
-    into.accesses += s.accesses;
-    into.walks += s.walks;
-    into.walk_cycles += s.walk_cycles;
-    into.walk_refs += s.walk_refs;
-    into.data_cycles += s.data_cycles;
-    into.fallbacks += s.fallbacks;
-    into.exits += s.exits;
-    into.faults += s.faults;
-}
-
 /// Run one shard: fresh rig, boundary flush for interior shards,
 /// baseline subtraction for the setup-accumulated counters.
 #[allow(clippy::too_many_arguments)]
@@ -401,7 +390,7 @@ impl Runner {
         let mut alloc_hash: Option<Option<u64>> = None;
         for (i, r) in results.into_iter().enumerate() {
             let r = r?;
-            merge_stats(&mut stats, &r.stats);
+            stats += r.stats;
             if let (Some(t), Some(rt)) = (telemetry.as_mut(), r.telemetry.as_ref()) {
                 t.merge(rt);
             }

@@ -4,36 +4,45 @@
 //! emits a machine-readable JSON report.
 //!
 //! Jobs share the materialization stage: every (benchmark, THP) trace
-//! and its `Setup` are generated exactly once into a
-//! [`TraceSet`] and replayed by all the
+//! and its `Setup` are generated exactly once and replayed by all the
 //! (env × design) jobs that need them — a full-matrix sweep used to
-//! regenerate each trace ~20×. Workers claim jobs off a shared atomic
-//! cursor; a job blocks only while *its* trace is still cooking (no
-//! global barrier between the stages). Determinism is a hard invariant:
-//! a parallel sweep's [`RunStats`] are bit-identical to the serial
-//! path's (rigs share no mutable state across jobs, and wall-clock
-//! timing lives in [`SweepRow`], never in [`RunStats`]). The test suite
-//! enforces this, plus that the materialization counter equals the
-//! unique-trace count.
+//! regenerate each trace ~20×.
+//!
+//! ```text
+//!  stage 1: materialize          stage 2: replay (env × design fan-out)
+//!  ┌───────────────────────┐     ┌──────────────────────────────┐
+//!  │ (bench, THP) ──► trace│────►│ worker: claim job off cursor │
+//!  │ + Setup, exactly once │     │ entry(bench, thp) — blocks   │
+//!  │ (OnceLock per key)    │     │ only if *its* trace is still │
+//!  │                       │     │ cooking; then build rig, run │
+//!  └───────────────────────┘     └──────────────────────────────┘
+//! ```
+//!
+//! There is no global barrier between the stages: the first worker to
+//! need a trace generates it while other workers replay already-ready
+//! keys. Determinism is a hard invariant: a sweep's [`RunStats`] do not
+//! depend on its worker count (rigs share no mutable state across jobs,
+//! and wall-clock timing lives in [`SweepRow`], never in [`RunStats`]).
+//! The test suite enforces this, plus that the materialization counter
+//! equals the unique-trace count.
 
 use crate::engine::RunStats;
 use crate::error::SimError;
 use crate::experiments::Scale;
 use crate::report::{telemetry_json, Json};
 use crate::rig::{Design, Env};
-use crate::runner::{Runner, TraceKey, TraceSet, TraceStore};
+use crate::runner::{bench_trace, BenchTrace, Runner};
 use dmt_telemetry::Telemetry;
-use dmt_trace::TraceReader;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// What to sweep. The matrix is the cross product of the fields,
 /// filtered by [`Design::available_in`] (Table 6's N/A cells).
 ///
-/// Construct with [`SweepConfig::builder`] to get construction-time
-/// validation (benchmark bounds, non-empty matrix); the sweep drivers
-/// re-validate direct struct literals.
+/// Build one as a struct literal (`..SweepConfig::test()` or
+/// `..SweepConfig::default()` fills the rest); [`Runner::sweep`]
+/// calls [`SweepConfig::validate`] before any trace is generated.
 #[derive(Debug, Clone)]
 pub struct SweepConfig {
     /// Environments to cover.
@@ -87,14 +96,6 @@ impl SweepConfig {
         }
     }
 
-    /// A builder starting from [`SweepConfig::default`] (the full
-    /// matrix); `build()` validates.
-    pub fn builder() -> SweepConfigBuilder {
-        SweepConfigBuilder {
-            cfg: SweepConfig::default(),
-        }
-    }
-
     /// Check the config: every benchmark index in bounds, and the
     /// expanded matrix non-empty.
     ///
@@ -112,65 +113,6 @@ impl SweepConfig {
             return Err(SimError::EmptyMatrix);
         }
         Ok(())
-    }
-}
-
-/// Builder for [`SweepConfig`]: set the axes, then
-/// [`build`](SweepConfigBuilder::build) bounds-checks benchmark indices and
-/// rejects configs whose matrix is empty — errors surface when the
-/// config is constructed, not from deep inside a worker thread.
-#[derive(Debug, Clone)]
-pub struct SweepConfigBuilder {
-    cfg: SweepConfig,
-}
-
-impl SweepConfigBuilder {
-    /// Environments to cover.
-    pub fn envs(mut self, envs: impl Into<Vec<Env>>) -> Self {
-        self.cfg.envs = envs.into();
-        self
-    }
-
-    /// Designs to cover.
-    pub fn designs(mut self, designs: impl Into<Vec<Design>>) -> Self {
-        self.cfg.designs = designs.into();
-        self
-    }
-
-    /// THP modes to cover.
-    pub fn thp(mut self, thp: impl Into<Vec<bool>>) -> Self {
-        self.cfg.thp = thp.into();
-        self
-    }
-
-    /// Benchmark indices to cover (paper order).
-    pub fn benchmarks(mut self, benchmarks: impl Into<Vec<usize>>) -> Self {
-        self.cfg.benchmarks = benchmarks.into();
-        self
-    }
-
-    /// Workload scaling.
-    pub fn scale(mut self, scale: Scale) -> Self {
-        self.cfg.scale = scale;
-        self
-    }
-
-    /// Worker threads (`0` = all cores).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.cfg.threads = threads;
-        self
-    }
-
-    /// Validate and finish.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::BenchIndex`] for an out-of-bounds benchmark,
-    /// [`SimError::EmptyMatrix`] when the cross product (after
-    /// availability filtering) has no jobs.
-    pub fn build(self) -> Result<SweepConfig, SimError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
     }
 }
 
@@ -236,7 +178,7 @@ impl SweepRow {
 pub struct SweepReport {
     /// One row per matrix cell, in matrix order.
     pub rows: Vec<SweepRow>,
-    /// Worker threads used (1 for the serial path).
+    /// Worker threads used.
     pub threads: usize,
     /// End-to-end wall-clock time.
     pub total_wall_nanos: u64,
@@ -311,6 +253,59 @@ pub(crate) fn run_ordered<J: Sync, T: Send>(
         .collect()
 }
 
+/// The shared materialization stage of a sweep: one lazily-filled slot
+/// per unique (benchmark, THP) key. The first worker to need a key
+/// generates its trace and `Setup` inside the slot's `OnceLock`;
+/// workers needing the *same* key block only on that slot.
+struct TraceSet {
+    scale: Scale,
+    keys: Vec<(usize, bool)>,
+    slots: Vec<OnceLock<Result<Arc<BenchTrace>, SimError>>>,
+    materializations: AtomicU64,
+    materialize_nanos: AtomicU64,
+}
+
+impl TraceSet {
+    /// An empty set over the (benchmark, THP) keys of `jobs`
+    /// (deduplicated, order-preserving).
+    fn new(scale: Scale, jobs: &[SweepJob]) -> TraceSet {
+        let mut keys = Vec::new();
+        for j in jobs {
+            if !keys.contains(&(j.bench, j.thp)) {
+                keys.push((j.bench, j.thp));
+            }
+        }
+        TraceSet {
+            scale,
+            slots: keys.iter().map(|_| OnceLock::new()).collect(),
+            keys,
+            materializations: AtomicU64::new(0),
+            materialize_nanos: AtomicU64::new(0),
+        }
+    }
+
+    /// The trace for a key, generated on first use. Blocks only while
+    /// *this* key is being generated by another worker; a generation
+    /// failure is cached and returned to every job on the key.
+    fn entry(&self, bench: usize, thp: bool) -> Result<Arc<BenchTrace>, SimError> {
+        let idx = self
+            .keys
+            .iter()
+            .position(|&k| k == (bench, thp))
+            .expect("every job's key is in its sweep's trace set");
+        self.slots[idx]
+            .get_or_init(|| {
+                let started = Instant::now();
+                let trace = bench_trace(bench, 0, self.scale, thp)?;
+                self.materializations.fetch_add(1, Ordering::Relaxed);
+                self.materialize_nanos
+                    .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                Ok(Arc::new(trace))
+            })
+            .clone()
+    }
+}
+
 impl Runner {
     /// One replay-stage job over the shared trace pool.
     fn run_shared_job(
@@ -326,46 +321,22 @@ impl Runner {
             // Sharded intra-trace replay (DESIGN.md §14). Coverage is
             // derived from the merged walk stats — per-rig cumulative
             // coverage does not merge across shards.
-            let out = match &entry.store {
-                TraceStore::Memory(v) => self.replay_sharded(
-                    job.env,
-                    job.design,
-                    job.thp,
-                    &entry.setup,
-                    crate::shard::ShardSource::Memory(v),
-                    scale.warmup,
-                    interval,
-                )?,
-                TraceStore::Disk(path) => {
-                    let f = dmt_trace::TraceFile::open(path)?;
-                    self.replay_sharded(
-                        job.env,
-                        job.design,
-                        job.thp,
-                        &entry.setup,
-                        crate::shard::ShardSource::File(&f),
-                        scale.warmup,
-                        interval,
-                    )?
-                }
-            };
+            let out = self.replay_sharded(
+                job.env,
+                job.design,
+                job.thp,
+                &entry.setup,
+                crate::shard::ShardSource::Memory(&entry.trace),
+                scale.warmup,
+                interval,
+            )?;
             let coverage = out.derived_coverage();
             (out.stats, out.telemetry, coverage)
         } else {
             let mut rig = self.build_rig(job.env, job.design, job.thp, &entry.setup)?;
-            let (stats, telemetry) = match &entry.store {
-                TraceStore::Memory(v) => {
-                    self.replay_sampled(rig.as_mut(), v.iter(), scale.warmup, interval)
-                }
-                TraceStore::Disk(path) => self.replay_sampled(
-                    rig.as_mut(),
-                    TraceReader::open(path)?.accesses(),
-                    scale.warmup,
-                    interval,
-                ),
-            };
-            let coverage = rig.coverage();
-            (stats, telemetry, coverage)
+            let (stats, telemetry) =
+                self.replay_sampled(rig.as_mut(), &entry.trace, scale.warmup, interval);
+            (stats, telemetry, rig.coverage())
         };
         let wall_nanos = started.elapsed().as_nanos() as u64;
         let secs = wall_nanos as f64 / 1e9;
@@ -386,52 +357,14 @@ impl Runner {
         })
     }
 
-    /// Reject a config, or a sharded runner's epoch grid, before any
-    /// trace is materialized.
-    fn validate_sweep(&self, cfg: &SweepConfig) -> Result<(), SimError> {
-        cfg.validate()?;
-        if self.shards > 1 {
-            crate::shard::check_epoch_len(self.epoch_len)?;
-        }
-        Ok(())
-    }
-
-    /// The shared trace pool for a job list: one lazy slot per unique
-    /// (benchmark, THP) key.
-    fn trace_set(&self, scale: Scale, jobs: &[SweepJob]) -> TraceSet {
-        let keys = jobs
-            .iter()
-            .map(|j| TraceKey {
-                bench: j.bench,
-                thp: j.thp,
-            })
-            .collect();
-        TraceSet::new(scale, keys, self.spill_dir.clone())
-    }
-
-    fn finish_report(
-        rows: Vec<SweepRow>,
-        threads: usize,
-        traces: &TraceSet,
-        started: Instant,
-    ) -> SweepReport {
-        SweepReport {
-            rows,
-            threads,
-            total_wall_nanos: started.elapsed().as_nanos() as u64,
-            unique_traces: traces.len() as u64,
-            trace_materializations: traces.materializations(),
-            materialize_nanos: traces.materialize_nanos(),
-        }
-    }
-
     /// Run the sweep across worker threads over a shared trace pool.
     ///
     /// Workers claim jobs off an atomic cursor. The first worker to
     /// need a (benchmark, THP) trace materializes it; everyone else
-    /// replays the shared copy, so statistics are identical to
-    /// [`Runner::sweep_serial`]'s and each trace is generated exactly
-    /// once (the report's counters prove it).
+    /// replays the shared copy, so each trace is generated exactly
+    /// once (the report's counters prove it) and the rows do not
+    /// depend on `cfg.threads` — `threads: 1` is the serial reference
+    /// the determinism tests hold wider sweeps against.
     ///
     /// # Errors
     ///
@@ -439,35 +372,25 @@ impl Runner {
     /// sharded runner with a zero epoch length), then the first job
     /// failure (by matrix order).
     pub fn sweep(&self, cfg: &SweepConfig) -> Result<SweepReport, SimError> {
-        self.validate_sweep(cfg)?;
+        cfg.validate()?;
+        if self.shards > 1 {
+            crate::shard::check_epoch_len(self.epoch_len)?;
+        }
         let jobs = matrix(cfg);
         let threads = worker_count(cfg.threads, jobs.len());
         let started = Instant::now();
-        let traces = self.trace_set(cfg.scale, &jobs);
+        let traces = TraceSet::new(cfg.scale, &jobs);
         let rows = run_ordered(&jobs, threads, |&job| {
             self.run_shared_job(job, &traces, cfg.scale)
         })?;
-        Ok(Self::finish_report(rows, threads, &traces, started))
-    }
-
-    /// Run the same matrix on the calling thread — the reference the
-    /// determinism test holds [`Runner::sweep`] against. Shares the
-    /// same materialize-once pipeline (with one worker, stage
-    /// interleaving is just "generate on first need").
-    ///
-    /// # Errors
-    ///
-    /// Config validation failures, then the first job failure.
-    pub fn sweep_serial(&self, cfg: &SweepConfig) -> Result<SweepReport, SimError> {
-        self.validate_sweep(cfg)?;
-        let started = Instant::now();
-        let jobs = matrix(cfg);
-        let traces = self.trace_set(cfg.scale, &jobs);
-        let mut rows = Vec::new();
-        for job in jobs {
-            rows.push(self.run_shared_job(job, &traces, cfg.scale)?);
-        }
-        Ok(Self::finish_report(rows, 1, &traces, started))
+        Ok(SweepReport {
+            rows,
+            threads,
+            total_wall_nanos: started.elapsed().as_nanos() as u64,
+            unique_traces: traces.keys.len() as u64,
+            trace_materializations: traces.materializations.load(Ordering::Relaxed),
+            materialize_nanos: traces.materialize_nanos.load(Ordering::Relaxed),
+        })
     }
 }
 
@@ -549,15 +472,13 @@ mod tests {
 
     #[test]
     fn matrix_respects_availability() {
-        let cfg = SweepConfig::builder()
-            .envs(vec![Env::Native, Env::Virt, Env::Nested])
-            .designs(vec![Design::Vanilla, Design::Shadow, Design::PvDmt])
-            .thp(vec![false])
-            .benchmarks(vec![0])
-            .scale(Scale::test())
-            .threads(1)
-            .build()
-            .unwrap();
+        let cfg = SweepConfig {
+            envs: vec![Env::Native, Env::Virt, Env::Nested],
+            designs: vec![Design::Vanilla, Design::Shadow, Design::PvDmt],
+            benchmarks: vec![0],
+            ..SweepConfig::test()
+        };
+        cfg.validate().unwrap();
         let jobs = matrix(&cfg);
         assert!(jobs.iter().all(|j| j.design.available_in(j.env)));
         // Native drops Shadow; Nested drops Shadow (keeps Vanilla+PvDmt).
@@ -567,24 +488,52 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_bad_configs_at_build_time() {
-        let err = SweepConfig::builder()
-            .benchmarks(vec![9])
-            .build()
-            .unwrap_err();
+    fn validate_rejects_bad_configs() {
+        let cfg = SweepConfig {
+            benchmarks: vec![9],
+            ..SweepConfig::default()
+        };
+        let err = cfg.validate().unwrap_err();
         assert_eq!(err, SimError::BenchIndex { index: 9, count: 7 });
         assert!(err.to_string().contains("benchmark index 9 out of range"));
 
-        let err = SweepConfig::builder().envs(Vec::new()).build().unwrap_err();
-        assert_eq!(err, SimError::EmptyMatrix);
+        let cfg = SweepConfig {
+            envs: Vec::new(),
+            ..SweepConfig::default()
+        };
+        assert_eq!(cfg.validate().unwrap_err(), SimError::EmptyMatrix);
         // Non-empty axes can still cross to nothing: Shadow never runs
         // natively.
-        let err = SweepConfig::builder()
-            .envs(vec![Env::Native])
-            .designs(vec![Design::Shadow])
-            .build()
-            .unwrap_err();
-        assert_eq!(err, SimError::EmptyMatrix);
+        let cfg = SweepConfig {
+            envs: vec![Env::Native],
+            designs: vec![Design::Shadow],
+            ..SweepConfig::default()
+        };
+        assert_eq!(cfg.validate().unwrap_err(), SimError::EmptyMatrix);
+    }
+
+    #[test]
+    fn trace_set_dedups_keys_and_counts_materializations() {
+        let cfg = SweepConfig {
+            benchmarks: vec![2, 3],
+            ..SweepConfig::test()
+        };
+        let jobs = matrix(&cfg);
+        assert_eq!(jobs.len(), 4, "two designs per benchmark");
+        let set = TraceSet::new(cfg.scale, &jobs);
+        assert_eq!(set.keys.len(), 2);
+        assert_eq!(
+            set.materializations.load(Ordering::Relaxed),
+            0,
+            "lazy until first use"
+        );
+        let a = set.entry(2, false).unwrap();
+        let b = set.entry(2, false).unwrap();
+        assert!(Arc::ptr_eq(&a, &b), "same key → same entry");
+        assert_eq!(set.materializations.load(Ordering::Relaxed), 1);
+        set.entry(3, false).unwrap();
+        assert_eq!(set.materializations.load(Ordering::Relaxed), 2);
+        assert!(set.materialize_nanos.load(Ordering::Relaxed) > 0);
     }
 
     #[test]
@@ -593,7 +542,8 @@ mod tests {
         cfg.threads = 4;
         let runner = Runner::from_env();
         let par = runner.sweep(&cfg).unwrap();
-        let ser = runner.sweep_serial(&cfg).unwrap();
+        cfg.threads = 1;
+        let ser = runner.sweep(&cfg).unwrap();
         assert_eq!(par.rows.len(), ser.rows.len());
         assert_eq!(par.rows.len(), matrix(&cfg).len());
         for (p, s) in par.rows.iter().zip(&ser.rows) {

@@ -227,17 +227,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("[{:?} elapsed]\n", t0.elapsed());
 
     // ---- §6.3 overheads ----------------------------------------------
+    // Host wall-clock times go on `[`-prefixed lines, like the elapsed
+    // lines: they differ between runs of the same simulation, and a
+    // diff of two runs drops those lines.
     let mgmt = management_overhead(256).map_err(anyhow)?;
     println!(
-        "§6.3 management: FMFI={:.3}, mgmt time={:?}, TEAs={}, mappings={}, defrag moves={}",
-        mgmt.frag_index, mgmt.mgmt_time, mgmt.teas_created, mgmt.mappings, mgmt.defrag_moves
+        "§6.3 management: FMFI={:.3}, TEAs={}, mappings={}, defrag moves={}",
+        mgmt.frag_index, mgmt.teas_created, mgmt.mappings, mgmt.defrag_moves
     );
+    println!("[§6.3 management: mgmt time={:?}]", mgmt.mgmt_time);
     for (nested, label) in [(false, "virtualized"), (true, "nested")] {
         let costs = hypercall_overhead(&[50, 100, 200], nested).map_err(anyhow)?;
         for c in &costs {
             println!(
-                "§6.3 hypercall ({label}): {} MB VMA -> TEA alloc {:?}, fixed exit {} cycles",
-                c.tea_mb, c.alloc_time, c.exit_cycles
+                "§6.3 hypercall ({label}): {} MB VMA -> fixed exit {} cycles",
+                c.tea_mb, c.exit_cycles
+            );
+            println!(
+                "[§6.3 hypercall ({label}): {} MB VMA -> TEA alloc {:?}]",
+                c.tea_mb, c.alloc_time
             );
         }
     }
@@ -329,7 +337,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         line.join(", ")
     );
 
-    println!("\ntotal elapsed: {:?}", t0.elapsed());
+    println!("\n[total elapsed: {:?}]", t0.elapsed());
     Ok(())
 }
 

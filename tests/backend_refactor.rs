@@ -17,7 +17,7 @@
 //! then commit the updated `tests/golden/backend_cells.json`.
 
 use dmt::sim::report::{telemetry_json, Json};
-use dmt::sim::{Design, Engine, Env, Runner, Scale, SweepConfig};
+use dmt::sim::{Design, Engine, Env, Runner, SweepConfig};
 use dmt::sim::{Setup, SimError};
 
 const ALL_DESIGNS: [Design; 10] = [
@@ -36,14 +36,13 @@ const ALL_DESIGNS: [Design; 10] = [
 /// The full availability matrix over one benchmark (GUPS), both THP
 /// modes, at test scale.
 fn cells() -> SweepConfig {
-    SweepConfig::builder()
-        .envs(vec![Env::Native, Env::Virt, Env::Nested])
-        .designs(ALL_DESIGNS.to_vec())
-        .thp(vec![false, true])
-        .benchmarks(vec![2]) // GUPS
-        .scale(Scale::test())
-        .build()
-        .expect("static matrix is valid")
+    SweepConfig {
+        envs: vec![Env::Native, Env::Virt, Env::Nested],
+        designs: ALL_DESIGNS.to_vec(),
+        thp: vec![false, true],
+        benchmarks: vec![2], // GUPS
+        ..SweepConfig::test()
+    }
 }
 
 fn golden_path() -> std::path::PathBuf {

@@ -24,14 +24,13 @@ fn scale() -> Scale {
 /// The one-cell sweep row of (env, design, bench 0) at 4 KiB: the
 /// single-rig replay of the trace a 1-tenant node's tenant 0 replays.
 fn sweep_row(runner: &Runner, env: Env, design: Design) -> SweepRow {
-    let cfg = SweepConfig::builder()
-        .envs([env])
-        .designs([design])
-        .thp([false])
-        .benchmarks([0])
-        .scale(scale())
-        .build()
-        .expect("one-cell matrix is valid");
+    let cfg = SweepConfig {
+        envs: vec![env],
+        designs: vec![design],
+        benchmarks: vec![0],
+        scale: scale(),
+        ..SweepConfig::test()
+    };
     runner
         .sweep(&cfg)
         .expect("one-cell sweep runs")

@@ -157,20 +157,17 @@ fn oracle_wrapper_wraps_runner_rigs() {
     let runner = dmt::sim::Runner::builder()
         .rig_wrapper(dmt::oracle::wrapper())
         .build();
-    let scale = dmt::sim::Scale::test();
     for (env, design) in [
         (Env::Native, Design::Dmt),
         (Env::Virt, Design::PvDmt),
         (Env::Nested, Design::Vanilla),
     ] {
-        let cfg = dmt::sim::SweepConfig::builder()
-            .envs([env])
-            .designs([design])
-            .thp([false])
-            .benchmarks([2]) // GUPS
-            .scale(scale)
-            .build()
-            .unwrap();
+        let cfg = dmt::sim::SweepConfig {
+            envs: vec![env],
+            designs: vec![design],
+            benchmarks: vec![2], // GUPS
+            ..dmt::sim::SweepConfig::test()
+        };
         let report = runner
             .sweep(&cfg)
             .unwrap_or_else(|e| panic!("{env:?}/{design:?}: {e}"));

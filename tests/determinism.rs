@@ -12,7 +12,7 @@ use dmt::sim::RunStats;
 use dmt::sim::Runner;
 use dmt::telemetry::Telemetry;
 use dmt::workloads::bench7::Gups;
-use dmt::workloads::gen::Workload;
+use dmt::workloads::gen::{Access, Workload};
 
 const SEED: u64 = 0xD317 ^ Design::Dmt as u64;
 
@@ -99,13 +99,14 @@ fn telemetry_runs_are_seed_deterministic() {
 fn parallel_sweep_telemetry_matches_serial() {
     // Telemetry rides the parallel sweep without breaking its exactness
     // guarantee: per-row recorders (histograms, counters, time-series)
-    // from 4 workers equal the serial reference's, and RunStats equality
+    // from 4 workers equal a 1-worker sweep's, and RunStats equality
     // still holds with capture enabled.
     let mut cfg = SweepConfig::test();
     cfg.threads = 4;
     let runner = Runner::builder().telemetry(true).build();
     let par = runner.sweep(&cfg).unwrap();
-    let ser = runner.sweep_serial(&cfg).unwrap();
+    cfg.threads = 1;
+    let ser = runner.sweep(&cfg).unwrap();
     assert_eq!(par.rows.len(), matrix(&cfg).len());
     for (p, s) in par.rows.iter().zip(&ser.rows) {
         assert_eq!(p.outcome(), s.outcome());
@@ -128,7 +129,9 @@ fn mmap_and_buffered_trace_readers_are_bit_identical() {
     // indistinguishable: same decoded stream, same per-chunk decode,
     // same replay results. (On platforms where mmap fails, `open`
     // itself falls back and the two are trivially equal — the assert on
-    // decoded content is what matters.)
+    // decoded content is what matters.) The streaming `TraceReader`
+    // joins them: `Runner::replay` over its accesses equals the replay
+    // of the in-memory trace the file was captured from.
     let w = Gups {
         table_bytes: 32 << 20,
     };
@@ -178,6 +181,16 @@ fn mmap_and_buffered_trace_readers_are_bit_identical() {
         .unwrap();
     assert_eq!(via_map.stats, via_buf.stats);
     assert_eq!(via_map.alloc_hash, via_buf.alloc_hash);
+    let plain = Runner::builder().build();
+    let replay = |trace: &mut dyn Iterator<Item = Access>| {
+        let mut rig = plain
+            .build_rig(dmt::sim::Env::Native, Design::Dmt, false, &setup)
+            .unwrap();
+        plain.replay(rig.as_mut(), trace, 1_000).0
+    };
+    let streamed = dmt::trace::TraceReader::open(&path).unwrap().accesses();
+    let in_memory = replay(&mut trace.iter().copied());
+    assert_eq!(replay(&mut streamed.into_iter()), in_memory);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -10,7 +10,7 @@
 //! `cargo test --release --test engine_matrix -- --ignored`.
 
 use dmt::sim::sweep::matrix;
-use dmt::sim::{Design, Engine, Env, Runner, Scale, SweepConfig};
+use dmt::sim::{Design, Engine, Env, Runner, SweepConfig};
 
 /// Cells where the two engines are known to differ, as (bench, THP,
 /// env, design). Under THP, Memcached leaves some 2 MiB regions mapped
@@ -25,15 +25,14 @@ const KNOWN_DIVERGENT: [(usize, bool, Env, Design); 2] = [
 #[test]
 #[ignore = "280-cell matrix; run in release with --ignored"]
 fn default_engine_matches_scalar_on_every_test_scale_cell() {
-    let cfg = SweepConfig::builder()
-        .envs([Env::Native, Env::Virt, Env::Nested])
-        .designs(Design::ALL)
-        .thp([false, true])
-        .benchmarks((0..7).collect::<Vec<_>>())
-        .scale(Scale::test())
-        .threads(2)
-        .build()
-        .unwrap();
+    let cfg = SweepConfig {
+        envs: vec![Env::Native, Env::Virt, Env::Nested],
+        designs: Design::ALL.to_vec(),
+        thp: vec![false, true],
+        benchmarks: (0..7).collect(),
+        threads: 2,
+        ..SweepConfig::test()
+    };
     let default = Runner::builder().build().sweep(&cfg).unwrap();
     let scalar = Runner::builder()
         .engine(Engine::Scalar)

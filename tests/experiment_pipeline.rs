@@ -1,10 +1,10 @@
 //! One experiment pipeline: the paper's figures and Table 7 run their
 //! cells in parallel, and must be bit-identical to the serial reference
-//! over the same matrix — figures against `Runner::sweep_serial`,
+//! over the same matrix — figures against a one-worker `Runner::sweep`,
 //! Table 7 against a serial `run_node` loop over its node configs.
 
 use dmt::sim::experiments::{fig17, table7, table7_nodes, Scale, FIG17};
-use dmt::sim::Runner;
+use dmt::sim::{Runner, SweepConfig};
 
 /// Small enough for a debug-mode suite; every benchmark still walks,
 /// and THP footprints stay host-page aligned in every environment.
@@ -21,7 +21,11 @@ fn tiny() -> Scale {
 fn figure_from_parallel_sweep_equals_serial_sweep() {
     let runner = Runner::builder().build();
     let par = fig17(&runner, tiny()).unwrap();
-    let ser = FIG17.data(&runner.sweep_serial(&FIG17.sweep_config(tiny())).unwrap());
+    let serial = SweepConfig {
+        threads: 1,
+        ..FIG17.sweep_config(tiny())
+    };
+    let ser = FIG17.data(&runner.sweep(&serial).unwrap());
     assert_eq!(par.modes.len(), 2, "4 KiB and THP");
     assert_eq!(par.modes.len(), ser.modes.len());
     for ((p_thp, p_rows), (s_thp, s_rows)) in par.modes.iter().zip(&ser.modes) {

@@ -1,12 +1,12 @@
 //! The `Runner` API surface: the two engines must be bit-identical on
 //! the same seeded cell, the typed `engine(..)` selector is the only
-//! way to pick one (the deprecated `scalar_engine` shim is gone), the
-//! builder's knobs must behave, and the disk-spill trace store must
-//! replay exactly like the in-memory one.
+//! way to pick one, the builder's knobs must behave (tiered DRAM off by
+//! default, telemetry a pure observer), and `Runner::sweep` must
+//! validate a `SweepConfig` literal before running it.
 
 use dmt::sim::native_rig::NativeRig;
 use dmt::sim::sweep::SweepConfig;
-use dmt::sim::{Design, Engine, Env, RunStats, Runner, Scale, Setup, SimError};
+use dmt::sim::{Design, Engine, Env, RunStats, Runner, RunnerBuilder, Scale, Setup, SimError};
 use dmt::workloads::bench7::Gups;
 use dmt::workloads::gen::Workload;
 
@@ -66,39 +66,42 @@ fn engine_selector_drives_the_replay_path() {
 
 #[test]
 fn tiered_dram_is_off_by_default_and_flat_runs_ignore_the_knob() {
-    // Off by default: nobody pays for the tier model unless asked.
-    assert!(!Runner::builder().build().tiered_enabled());
-    assert!(Runner::builder().tiered(true).build().tiered_enabled());
+    let w = cell_workload();
+    let replay = |design: Design, builder: RunnerBuilder| {
+        let trace = w.trace(6_000, 0xD317 ^ design as u64);
+        let mut rig = NativeRig::new(design, false, &w, &trace).unwrap();
+        builder.build().replay(&mut rig, &trace, 1_000).0
+    };
+    // Off by default: nobody pays for the tier model unless asked. DMT
+    // carries a registry TierSpec, so only the runner knob keeps it flat.
+    let default = replay(Design::Dmt, Runner::builder());
+    assert_eq!(
+        default,
+        replay(Design::Dmt, Runner::builder().tiered(false))
+    );
+    assert_ne!(
+        default,
+        replay(Design::Dmt, Runner::builder().tiered(true)),
+        "the knob must reach a tier-registered design"
+    );
     // Designs without a registry TierSpec are bit-identical under the
     // knob — tiering is opt-in at *both* the runner and registry level.
-    let w = cell_workload();
-    let trace = w.trace(6_000, 0xD317 ^ Design::Vanilla as u64);
-    let flat = {
-        let mut rig = NativeRig::new(Design::Vanilla, false, &w, &trace).unwrap();
-        Runner::builder().build().replay(&mut rig, &trace, 1_000).0
-    };
-    let tiered = {
-        let mut rig = NativeRig::new(Design::Vanilla, false, &w, &trace).unwrap();
-        Runner::builder()
-            .tiered(true)
-            .build()
-            .replay(&mut rig, &trace, 1_000)
-            .0
-    };
-    assert_eq!(flat, tiered, "no TierSpec row => tiered knob is a no-op");
+    assert_eq!(
+        replay(Design::Vanilla, Runner::builder()),
+        replay(Design::Vanilla, Runner::builder().tiered(true)),
+        "no TierSpec row => tiered knob is a no-op"
+    );
 }
 
 #[test]
 fn sweep_cell_is_seed_deterministic_across_runner_instances() {
     for (env, design) in [(Env::Native, Design::Dmt), (Env::Virt, Design::PvDmt)] {
-        let cfg = SweepConfig::builder()
-            .envs([env])
-            .designs([design])
-            .thp([false])
-            .benchmarks([2]) // GUPS
-            .scale(Scale::test())
-            .build()
-            .unwrap();
+        let cfg = SweepConfig {
+            envs: vec![env],
+            designs: vec![design],
+            benchmarks: vec![2], // GUPS
+            ..SweepConfig::test()
+        };
         let a = Runner::builder().build().sweep(&cfg).unwrap();
         let b = Runner::builder().build().sweep(&cfg).unwrap();
         assert_eq!(a.rows.len(), 1);
@@ -133,57 +136,25 @@ fn telemetry_toggle_does_not_change_stats() {
 
 #[test]
 fn builder_validation_reports_typed_errors_with_legacy_text() {
-    let err = SweepConfig::builder()
-        .benchmarks(vec![9])
-        .build()
-        .unwrap_err();
+    let cfg = SweepConfig {
+        benchmarks: vec![9],
+        ..SweepConfig::default()
+    };
+    let err = cfg.validate().unwrap_err();
     assert!(matches!(err, SimError::BenchIndex { index: 9, count: 7 }));
     assert!(
         err.to_string()
             .starts_with("benchmark index 9 out of range"),
         "Display must keep the historical message prefix: {err}"
     );
-    let err = SweepConfig::builder().thp(Vec::new()).build().unwrap_err();
-    assert!(matches!(err, SimError::EmptyMatrix));
-    // Direct struct literals are validated by the sweep drivers too.
+    let cfg = SweepConfig {
+        thp: Vec::new(),
+        ..SweepConfig::default()
+    };
+    assert!(matches!(cfg.validate().unwrap_err(), SimError::EmptyMatrix));
+    // The sweep validates before it generates a single trace.
     let mut cfg = SweepConfig::test();
     cfg.benchmarks = vec![42];
     let err = Runner::builder().build().sweep(&cfg).unwrap_err();
     assert!(matches!(err, SimError::BenchIndex { index: 42, .. }));
-}
-
-#[test]
-fn spilled_sweep_matches_in_memory_sweep_exactly() {
-    let mut cfg = SweepConfig::test();
-    cfg.threads = 2;
-    let mem = Runner::builder().build().sweep(&cfg).unwrap();
-
-    let dir = std::env::temp_dir().join(format!("dmt-runner-spill-{}", std::process::id()));
-    let spill = Runner::builder()
-        .spill_traces(&dir)
-        .build()
-        .sweep(&cfg)
-        .unwrap();
-
-    assert_eq!(mem.rows.len(), spill.rows.len());
-    for (m, s) in mem.rows.iter().zip(&spill.rows) {
-        assert_eq!(
-            m.outcome(),
-            s.outcome(),
-            "disk-streamed replay diverged from in-memory replay"
-        );
-    }
-    // The traces really did go through the codec on disk.
-    let spilled: Vec<_> = std::fs::read_dir(&dir)
-        .unwrap()
-        .filter_map(|e| e.ok())
-        .filter(|e| e.path().extension().is_some_and(|x| x == "dmtt"))
-        .collect();
-    assert_eq!(
-        spilled.len() as u64,
-        spill.unique_traces,
-        "one .dmtt file per unique (benchmark, THP) trace"
-    );
-    assert_eq!(spill.trace_materializations, spill.unique_traces);
-    std::fs::remove_dir_all(&dir).ok();
 }

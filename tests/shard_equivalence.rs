@@ -315,7 +315,7 @@ fn zero_epoch_length_is_a_typed_error() {
     );
     assert_eq!(serial.unwrap_err(), SimError::EpochLen);
     assert_eq!(
-        runner.sweep_serial(&SweepConfig::test()).unwrap_err(),
+        runner.sweep(&SweepConfig::test()).unwrap_err(),
         SimError::EpochLen
     );
     assert_eq!(

@@ -1,10 +1,20 @@
-//! The shared-trace sweep pipeline: parallel and serial sweeps must be
-//! bit-identical with the oracle and telemetry hooks in every on/off
-//! combination, and the materialization counter must prove each
-//! (benchmark, THP) trace was generated exactly once.
+//! The shared-trace sweep pipeline: a 4-worker sweep must be
+//! bit-identical to a 1-worker sweep of the same matrix with the oracle
+//! and telemetry hooks in every on/off combination, and the
+//! materialization counter must prove each (benchmark, THP) trace was
+//! generated exactly once.
 
-use dmt::sim::sweep::{matrix, SweepConfig};
-use dmt::sim::{Runner, RunnerBuilder, Scale, SimError};
+use dmt::sim::sweep::{matrix, SweepConfig, SweepReport};
+use dmt::sim::{Runner, RunnerBuilder, SimError};
+
+/// `cfg` swept by one worker: the serial reference, which claims jobs
+/// in matrix order.
+fn serial(runner: &Runner, cfg: &SweepConfig) -> Result<SweepReport, SimError> {
+    runner.sweep(&SweepConfig {
+        threads: 1,
+        ..cfg.clone()
+    })
+}
 
 /// All four hook combinations: (telemetry, oracle).
 fn runners() -> Vec<(&'static str, Runner)> {
@@ -39,7 +49,8 @@ fn parallel_equals_serial_under_every_hook_combination() {
     cfg.threads = 4;
     for (label, runner) in runners() {
         let par = runner.sweep(&cfg).unwrap();
-        let ser = runner.sweep_serial(&cfg).unwrap();
+        let ser = serial(&runner, &cfg).unwrap();
+        assert_eq!(ser.threads, 1, "{label}");
         assert_eq!(par.rows.len(), matrix(&cfg).len(), "{label}");
         for (p, s) in par.rows.iter().zip(&ser.rows) {
             assert_eq!(p.outcome(), s.outcome(), "{label}: parallel != serial");
@@ -55,29 +66,23 @@ fn parallel_equals_serial_under_every_hook_combination() {
 #[test]
 fn sharded_sweep_parallel_equals_serial_under_every_hook_combination() {
     // The shards>1 dimension composes with every hook combination:
-    // job-level parallel and serial sweeps both route each cell through
-    // the intra-trace sharded path and must still agree exactly — rows,
-    // stats, telemetry. In-memory traces and disk-spilled (seekable v2)
-    // traces must also agree with each other, since the sharded path
-    // decodes spilled chunks itself.
-    let spill =
-        std::env::temp_dir().join(format!("dmt-sharded-sweep-selftest-{}", std::process::id()));
+    // 4-worker and 1-worker sweeps both route each cell through the
+    // intra-trace sharded path and must still agree exactly — rows,
+    // stats, telemetry.
     let mut cfg = SweepConfig::test();
     cfg.threads = 4;
     for telemetry in [false, true] {
         for oracle in [false, true] {
             let label = format!("telemetry={telemetry} oracle={oracle} shards=3");
-            let base = || {
-                let b = Runner::builder().telemetry(telemetry).shards(3);
-                if oracle {
-                    b.rig_wrapper(dmt::oracle::wrapper())
-                } else {
-                    b
-                }
-            };
-            let runner = base().build();
+            let b = Runner::builder().telemetry(telemetry).shards(3);
+            let runner = if oracle {
+                b.rig_wrapper(dmt::oracle::wrapper())
+            } else {
+                b
+            }
+            .build();
             let par = runner.sweep(&cfg).unwrap();
-            let ser = runner.sweep_serial(&cfg).unwrap();
+            let ser = serial(&runner, &cfg).unwrap();
             assert_eq!(par.rows.len(), matrix(&cfg).len(), "{label}");
             for (p, s) in par.rows.iter().zip(&ser.rows) {
                 assert_eq!(
@@ -91,37 +96,20 @@ fn sharded_sweep_parallel_equals_serial_under_every_hook_combination() {
                 );
             }
             assert!(par.rows.iter().all(|r| r.stats.accesses > 0), "{label}");
-            // Spilled traces replay through TraceFile chunks — same rows.
-            let spilled = base().spill_traces(&spill).build().sweep(&cfg).unwrap();
-            for (p, d) in par.rows.iter().zip(&spilled.rows) {
-                assert_eq!(
-                    p.outcome(),
-                    d.outcome(),
-                    "{label}: spilled sharded != memory"
-                );
-                assert_eq!(
-                    p.telemetry, d.telemetry,
-                    "{label}: spilled telemetry diverged"
-                );
-            }
         }
     }
-    std::fs::remove_dir_all(&spill).ok();
 }
 
 #[test]
 fn each_trace_materializes_exactly_once() {
     // SweepConfig::test() is 2 benchmarks × 1 THP mode × 2 designs =
     // 4 jobs over 2 unique traces. The old pipeline generated 4 traces;
-    // the shared pipeline must generate exactly 2 — and the serial
-    // reference must share the same guarantee.
+    // the shared pipeline must generate exactly 2 — with one worker
+    // or with four.
     let mut cfg = SweepConfig::test();
     cfg.threads = 4;
     let runner = Runner::builder().build();
-    for report in [
-        runner.sweep(&cfg).unwrap(),
-        runner.sweep_serial(&cfg).unwrap(),
-    ] {
+    for report in [runner.sweep(&cfg).unwrap(), serial(&runner, &cfg).unwrap()] {
         assert_eq!(report.rows.len(), 4);
         assert_eq!(report.unique_traces, 2, "2 benchmarks × 1 THP mode");
         assert_eq!(
@@ -138,7 +126,7 @@ fn design_cells_share_one_trace_stream() {
     // both rigs the identical access stream, so their measured access
     // counts agree exactly.
     let cfg = SweepConfig::test();
-    let report = Runner::builder().build().sweep_serial(&cfg).unwrap();
+    let report = serial(&Runner::builder().build(), &cfg).unwrap();
     for pair in report.rows.chunks(2) {
         let [a, b] = pair else {
             panic!("2 designs per benchmark")
@@ -154,10 +142,7 @@ fn empty_matrix_is_a_typed_error_not_zero_rows() {
     cfg.designs = Vec::new();
     let runner = Runner::builder().build();
     assert_eq!(runner.sweep(&cfg).unwrap_err(), SimError::EmptyMatrix);
-    assert_eq!(
-        runner.sweep_serial(&cfg).unwrap_err(),
-        SimError::EmptyMatrix
-    );
+    assert_eq!(serial(&runner, &cfg).unwrap_err(), SimError::EmptyMatrix);
 }
 
 /// The CI `sweep` job's payload (run with `--include-ignored`): the
@@ -168,7 +153,10 @@ fn empty_matrix_is_a_typed_error_not_zero_rows() {
 #[test]
 #[ignore = "full test-scale matrix; run explicitly (CI sweep job)"]
 fn full_matrix_materializes_each_trace_once() {
-    let cfg = SweepConfig::builder().scale(Scale::test()).build().unwrap();
+    let cfg = SweepConfig {
+        scale: dmt::sim::Scale::test(),
+        ..SweepConfig::default()
+    };
     let report = Runner::from_env().sweep(&cfg).unwrap();
     assert_eq!(report.rows.len(), matrix(&cfg).len());
     assert_eq!(

@@ -165,14 +165,12 @@ fn tiered_dram_reaches_sharded_and_node_replays() {
     // Cloud node: a one-tenant DMT node under tiering is the tiered
     // one-cell sweep row of the same trace.
     let scale = Scale::test();
-    let one_cell = SweepConfig::builder()
-        .envs([Env::Native])
-        .designs([Design::Dmt])
-        .thp([false])
-        .benchmarks([2]) // GUPS
-        .scale(scale)
-        .build()
-        .unwrap();
+    let one_cell = SweepConfig {
+        envs: vec![Env::Native],
+        designs: vec![Design::Dmt],
+        benchmarks: vec![2], // GUPS
+        ..SweepConfig::test()
+    };
     let runner = Runner::builder().tiered(true).build();
     let single = runner.sweep(&one_cell).unwrap().rows.remove(0);
     let tenant = TenantSpec {
