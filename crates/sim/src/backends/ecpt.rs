@@ -2,9 +2,7 @@
 //! place of the radix walk. Virtualized, guest and host each get an
 //! ECPT; guest tables come from the boot-time contiguous arena.
 
-use super::{
-    backed_chunks, collect_guest_mappings, NativeBackend, NativeMachine, Translator, VirtBackend,
-};
+use super::{collect_guest_mappings, NativeBackend, NativeMachine, Translator, VirtBackend};
 use crate::error::SimError;
 use crate::registry::{Arena, NativeSpec, Registration, VirtSpec};
 use crate::rig::{Design, Setup, Translation};
@@ -113,7 +111,7 @@ fn build_ecpts(
         g
     };
     // Host ECPT over the backed guest frames.
-    let chunks = backed_chunks(m);
+    let chunks = m.vm.backed_chunks();
     let mut host = Ecpt::new(&mut m.pm, (chunks.len() as u64) * 2).map_err(SimError::setup)?;
     for (gpa, hpa, size) in chunks {
         host.map(&mut m.pm, VirtAddr(gpa.raw()), hpa, size)

@@ -3,9 +3,7 @@
 //! grid to ~8 virtualized. The guest tables live in a contiguous arena
 //! carved at boot (the registry's `arena_frames` hook).
 
-use super::{
-    backed_chunks, collect_guest_mappings, NativeBackend, NativeMachine, Translator, VirtBackend,
-};
+use super::{collect_guest_mappings, NativeBackend, NativeMachine, Translator, VirtBackend};
 use crate::error::SimError;
 use crate::registry::{Arena, NativeSpec, Registration, VirtSpec};
 use crate::rig::{Design, Setup, Translation};
@@ -87,7 +85,7 @@ fn build_fpts(
     };
     // Host FPT over the backed guest frames.
     let mut hfpt = FlatPageTable::new_host(&mut m.pm).map_err(SimError::setup)?;
-    for (gpa, hpa, size) in backed_chunks(m) {
+    for (gpa, hpa, size) in m.vm.backed_chunks() {
         hfpt.map(&mut m.pm, VirtAddr(gpa.raw()), hpa, size, |pm, frames| {
             pm.alloc_contig(frames, FrameKind::PageTable)
         })

@@ -106,7 +106,7 @@ pub(crate) fn build_virt_tables(
 ) -> Result<(BlockTable, BlockTable), SimError> {
     let guest_runs = merge_contiguous_runs(super::collect_guest_mappings(m, &setup.pages)?);
     let host_runs = merge_contiguous_runs(
-        super::backed_chunks(m)
+        m.vm.backed_chunks()
             .into_iter()
             .map(|(gpa, hpa, size)| (VirtAddr(gpa.raw()), hpa, size))
             .collect(),

@@ -440,30 +440,6 @@ impl SweepReport {
                 ),
             )
     }
-
-    /// Write the JSON report to `<results_dir>/<name>.json` (see
-    /// [`crate::report::results_dir`] — `$DMT_RESULTS_DIR` overrides the
-    /// default `results/`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn write_json(&self, name: &str) -> std::io::Result<std::path::PathBuf> {
-        self.to_json().write_json(name)
-    }
-
-    /// Write the JSON report to `<dir>/<name>.json`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn write_json_in(
-        &self,
-        dir: &std::path::Path,
-        name: &str,
-    ) -> std::io::Result<std::path::PathBuf> {
-        self.to_json().write_json_in(dir, name)
-    }
 }
 
 #[cfg(test)]
@@ -537,31 +513,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sweep_matches_serial_exactly() {
-        let mut cfg = SweepConfig::test();
-        cfg.threads = 4;
-        let runner = Runner::from_env();
-        let par = runner.sweep(&cfg).unwrap();
-        cfg.threads = 1;
-        let ser = runner.sweep(&cfg).unwrap();
-        assert_eq!(par.rows.len(), ser.rows.len());
-        assert_eq!(par.rows.len(), matrix(&cfg).len());
-        for (p, s) in par.rows.iter().zip(&ser.rows) {
-            assert_eq!(p.outcome(), s.outcome());
-        }
-        // The runs did real work.
-        assert!(par.rows.iter().all(|r| r.stats.accesses > 0));
-        assert!(par.rows.iter().any(|r| r.stats.walks > 0));
-        // Shared pipeline: 2 benchmarks × 1 THP mode = 2 unique traces,
-        // each materialized exactly once despite 4 jobs needing them.
-        for report in [&par, &ser] {
-            assert_eq!(report.unique_traces, 2);
-            assert_eq!(report.trace_materializations, 2);
-        }
-    }
-
-    #[test]
-    fn report_round_trips_to_results_dir() {
+    fn report_json_carries_rows_and_trace_counts() {
         let mut cfg = SweepConfig::test();
         cfg.benchmarks = vec![2]; // GUPS only: keep the test quick.
         let report = Runner::from_env().sweep(&cfg).unwrap();
@@ -573,15 +525,5 @@ mod tests {
         assert!(json.contains("\"unique_traces\": 1"));
         assert!(json.contains("\"trace_materializations\": 1"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-
-        // A unique temp dir, never the repo CWD's results/ — parallel
-        // `cargo test` binaries must not race on a shared path.
-        let dir = std::env::temp_dir().join(format!("dmt-sweep-selftest-{}", std::process::id()));
-        let path = report.write_json_in(&dir, "sweep_selftest").unwrap();
-        assert!(path.starts_with(&dir));
-        let on_disk = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(on_disk.trim_end(), json);
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_dir(&dir).ok();
     }
 }

@@ -38,11 +38,17 @@ pub struct NestedMachine {
     /// L1's physical space backed in L0 (provides hpt1 = L1PA→L0PA and
     /// the L0 TEA).
     vm1: Vm,
-    /// L2 physical frame → L1 physical frame (4 KiB granularity).
+    /// L2 RAM backing, one entry per backed L2 page: chunk index
+    /// (`l2frame >> chunk_shift`) → the chunk's head L1 frame.
     backing2: dmt_mem::FastMap<u64, u64>,
+    /// L1 frames of the L2 TEA pages hot-added above L2 RAM by
+    /// [`l2_mmap`](Self::l2_mmap): L2 frame `l2_ram_frames + i` is
+    /// backed by `hot2[i]`.
+    hot2: Vec<u64>,
     /// L2 physical-frame allocator.
     l2_buddy: dmt_mem::BuddyAllocator,
-    l2_frames: u64,
+    /// L2 RAM in frames; hot-added L2 frames start here.
+    l2_ram_frames: u64,
     /// L2's page table (L2VA → L2PA), tables addressed by L2PA.
     pub l2pt: RadixPageTable,
     /// Shadow table L2PA → L0PA (the vanilla baseline's "hPT").
@@ -124,8 +130,9 @@ impl NestedMachine {
             pm,
             vm1,
             backing2: dmt_mem::FastMap::default(),
+            hot2: Vec::new(),
             l2_buddy,
-            l2_frames,
+            l2_ram_frames: l2_frames,
             l2pt: RadixPageTable::from_root(root_g, 4),
             spt,
             l1_mapping,
@@ -151,28 +158,31 @@ impl NestedMachine {
         Ok(machine)
     }
 
-    /// Back the chunk containing L2 frame `gframe`: allocate the L1
+    /// The L2 page size (2 MiB with THP) and log2 of its 4 KiB frames.
+    fn l2_page(&self) -> (PageSize, u32) {
+        if self.thp {
+            (PageSize::Size2M, 9)
+        } else {
+            (PageSize::Size4K, 0)
+        }
+    }
+
+    /// Back the chunk containing L2 RAM frame `gframe`: allocate the L1
     /// chunk, write the L1 TEA PTE, and sync the sPT identity mapping.
     fn ensure_l2_backed(&mut self, gframe: u64) -> Result<(), VirtError> {
-        let size = if self.thp {
-            PageSize::Size2M
-        } else {
-            PageSize::Size4K
-        };
-        let chunk = size.base_pages();
-        let head = gframe / chunk * chunk;
-        if self.backing2.contains_key(&head) {
+        let (size, shift) = self.l2_page();
+        let chunk = gframe >> shift;
+        if self.backing2.contains_key(&chunk) {
             return Ok(());
         }
+        let head = chunk << shift;
         let l1 = if self.thp {
             self.vm1
                 .alloc_guest_huge(&mut self.pm, FrameKind::HugeData)?
         } else {
             self.vm1.alloc_guest_frame(&mut self.pm, FrameKind::Data)?
         };
-        for k in 0..chunk {
-            self.backing2.insert(head + k, l1.0 + k);
-        }
+        self.backing2.insert(chunk, l1.0);
         let l1_id = self.l1_mapping.gtea_id().expect("L1 mapping is pv");
         let slot = self
             .l1_gtea
@@ -209,9 +219,21 @@ impl NestedMachine {
         self.faults
     }
 
+    /// L2 pages recorded for L2 RAM: one per backed L2 page.
+    pub fn backed_l2_pages(&self) -> usize {
+        self.backing2.len()
+    }
+
     /// Translate L2PA → L0PA (software, no cycles).
     pub fn l2pa_to_l0pa(&self, l2pa: PhysAddr) -> Option<PhysAddr> {
-        let l1f = *self.backing2.get(&(l2pa.raw() >> 12))?;
+        let g = l2pa.raw() >> 12;
+        let l1f = match g.checked_sub(self.l2_ram_frames) {
+            None => {
+                let (size, shift) = self.l2_page();
+                self.backing2.get(&(g >> shift))? + (g & (size.base_pages() - 1))
+            }
+            Some(i) => *self.hot2.get(usize::try_from(i).ok()?)?,
+        };
         self.vm1
             .gpa_to_hpa(PhysAddr((l1f << 12) | l2pa.page_offset()))
     }
@@ -281,12 +303,9 @@ impl NestedMachine {
         let l1_gpa = self
             .vm1
             .insert_host_pages(&mut self.pm, host_base, frames)?;
-        let l2_base_frame = self.l2_frames;
-        self.l2_frames += frames;
-        for i in 0..frames {
-            self.backing2
-                .insert(l2_base_frame + i, (l1_gpa.raw() >> 12) + i);
-        }
+        let l2_base_frame = self.l2_ram_frames + self.hot2.len() as u64;
+        self.hot2
+            .extend((0..frames).map(|i| (l1_gpa.raw() >> 12) + i));
         // The inserted TEA pages are new L2PAs: the vanilla baseline's
         // sPT must know them (its 2D walker fetches L2PT tables by L2PA).
         for i in 0..frames {
@@ -355,9 +374,8 @@ impl NestedMachine {
             (l2va.align_down(PageSize::Size4K), f, PageSize::Size4K)
         };
         self.spread = cur;
-        for k in 0..size.base_pages() {
-            self.ensure_l2_backed(frame.0 + k)?;
-        }
+        // `frame` is one whole L2 page, so this backs all of it.
+        self.ensure_l2_backed(frame.0)?;
         // A 2 MiB page replaces the pointer to the (empty) L1 table.
         let mut l2pt = self.l2pt.clone();
         l2pt.map_thp(

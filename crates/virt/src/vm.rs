@@ -23,12 +23,20 @@ pub struct Vm {
     hpt: RadixPageTable,
     /// The hVMA-to-hTEA mapping covering guest physical memory.
     host_mapping: VmaTeaMapping,
-    /// gframe → hframe (4 KiB granularity), for the software view.
+    /// Guest-RAM backing, one entry per backed host page: chunk index
+    /// (`gframe >> chunk_shift`) → the chunk's head host frame. The
+    /// software view of gPA → hPA, kept apart from the hPT's PTEs.
     backing: FastMap<u64, u64>,
+    /// Host frames hot-added above guest RAM ([`Vm::insert_host_pages`]):
+    /// guest frame `ram_frames + i` is backed by `hot[i]`.
+    hot: Vec<u64>,
     /// Guest-frame allocator (guest physical address space).
     guest_buddy: dmt_mem::BuddyAllocator,
-    guest_frames: u64,
+    /// Guest RAM in frames; hot-added frames start here.
+    ram_frames: u64,
     host_page_size: PageSize,
+    /// log2 of the 4 KiB frames per host page (0 or 9).
+    chunk_shift: u32,
     /// LCG cursor for spread allocation.
     spread: u64,
 }
@@ -82,22 +90,25 @@ impl Vm {
             hpt,
             host_mapping,
             backing: FastMap::default(),
+            hot: Vec::new(),
             guest_buddy: dmt_mem::BuddyAllocator::new(guest_bytes >> 12),
-            guest_frames: guest_bytes >> 12,
+            ram_frames: guest_bytes >> 12,
             host_page_size,
+            chunk_shift: host_page_size.shift() - PageSize::Size4K.shift(),
             spread: 0x5eed_1234,
         })
     }
 
-    /// Ensure the host-page-sized chunk containing guest frame `gframe`
-    /// is backed by host memory and mapped in the hPT.
-    fn ensure_backed(&mut self, pm: &mut PhysMemory, gframe: u64) -> Result<(), VirtError> {
-        let chunk = self.host_page_size.base_pages();
-        let head = gframe / chunk * chunk;
-        if self.backing.contains_key(&head) {
-            return Ok(());
+    /// Ensure the host page containing guest-RAM frame `gframe` is
+    /// backed by host memory and mapped in the hPT, and return the host
+    /// frame backing `gframe`.
+    fn ensure_backed(&mut self, pm: &mut PhysMemory, gframe: u64) -> Result<Pfn, VirtError> {
+        let chunk = gframe >> self.chunk_shift;
+        let offset = gframe & (self.host_page_size.base_pages() - 1);
+        if let Some(&head) = self.backing.get(&chunk) {
+            return Ok(Pfn(head + offset));
         }
-        let gpa = VirtAddr(head << 12);
+        let gpa = VirtAddr(chunk << (self.chunk_shift + 12));
         let hframe = match self.host_page_size {
             PageSize::Size4K => pm.alloc_frame(FrameKind::Data)?,
             _ => pm.buddy_mut().alloc_order(9, FrameKind::HugeData)?,
@@ -109,18 +120,73 @@ impl Vm {
             self.host_page_size,
             PteFlags::WRITABLE | PteFlags::USER,
         )?;
-        for k in 0..chunk {
-            self.backing.insert(head + k, hframe.0 + k);
+        self.backing.insert(chunk, hframe.0);
+        Ok(Pfn(hframe.0 + offset))
+    }
+
+    /// Back and zero the guest-RAM frames `[gframe, gframe + frames)`,
+    /// one [`ensure_backed`](Self::ensure_backed) per host page.
+    fn back_zeroed(
+        &mut self,
+        pm: &mut PhysMemory,
+        gframe: u64,
+        frames: u64,
+    ) -> Result<(), VirtError> {
+        let end = gframe + frames;
+        let mut g = gframe;
+        while g < end {
+            let run = ((g | (self.host_page_size.base_pages() - 1)) + 1).min(end) - g;
+            let h = self.ensure_backed(pm, g)?;
+            for k in 0..run {
+                pm.zero_frame(Pfn(h.0 + k));
+            }
+            g += run;
         }
         Ok(())
     }
 
-    /// Guest frames currently backed (sorted) — what a host-side table
-    /// builder must map.
-    pub fn backed_gframes(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self.backing.keys().copied().collect();
-        v.sort_unstable();
-        v
+    /// The backed guest-physical chunks `(gPA, hPA, size)` in gPA order
+    /// — what a host-side table builder must map. Guest RAM yields one
+    /// chunk per backed host page. Hot-added frames yield 4 KiB chunks,
+    /// except that a 2 MiB-aligned run of 512 of them whose first host
+    /// frame is 2 MiB-aligned yields one 2 MiB chunk when the host runs
+    /// THP. `tests/backing_model.rs` pins this output to the per-frame
+    /// enumeration it replaced.
+    pub fn backed_chunks(&self) -> Vec<(PhysAddr, PhysAddr, PageSize)> {
+        let mut ram: Vec<(u64, u64)> = self.backing.iter().map(|(&c, &h)| (c, h)).collect();
+        ram.sort_unstable();
+        let mut out: Vec<_> = ram
+            .into_iter()
+            .map(|(c, h)| {
+                (
+                    PhysAddr(c << (self.chunk_shift + 12)),
+                    PhysAddr(h << 12),
+                    self.host_page_size,
+                )
+            })
+            .collect();
+        let mut i = 0;
+        while i < self.hot.len() {
+            let gpa = PhysAddr((self.ram_frames + i as u64) << 12);
+            let hpa = PhysAddr(self.hot[i] << 12);
+            let huge = self.host_page_size == PageSize::Size2M
+                && gpa.is_aligned(PageSize::Size2M)
+                && hpa.is_aligned(PageSize::Size2M)
+                && i + 512 <= self.hot.len();
+            let size = if huge {
+                PageSize::Size2M
+            } else {
+                PageSize::Size4K
+            };
+            out.push((gpa, hpa, size));
+            i += size.base_pages() as usize;
+        }
+        out
+    }
+
+    /// Host pages recorded for guest RAM: one per backed host page.
+    pub fn backed_host_pages(&self) -> usize {
+        self.backing.len()
     }
 
     /// The host page table (for hardware 2D walks).
@@ -133,9 +199,9 @@ impl Vm {
         self.host_mapping
     }
 
-    /// Guest physical memory size in frames.
+    /// Guest physical memory size in frames: RAM plus hot-added frames.
     pub fn guest_frames(&self) -> u64 {
-        self.guest_frames
+        self.ram_frames + self.hot.len() as u64
     }
 
     /// Host page size backing the guest.
@@ -146,7 +212,14 @@ impl Vm {
     /// Translate a guest physical address to host physical (software
     /// path, no cycles).
     pub fn gpa_to_hpa(&self, gpa: PhysAddr) -> Option<PhysAddr> {
-        let hframe = *self.backing.get(&(gpa.raw() >> 12))?;
+        let g = gpa.raw() >> 12;
+        let hframe = match g.checked_sub(self.ram_frames) {
+            None => {
+                self.backing.get(&(g >> self.chunk_shift))?
+                    + (g & (self.host_page_size.base_pages() - 1))
+            }
+            Some(i) => *self.hot.get(usize::try_from(i).ok()?)?,
+        };
         Some(PhysAddr((hframe << 12) | gpa.page_offset()))
     }
 
@@ -163,11 +236,8 @@ impl Vm {
         let mut cur = self.spread;
         let g = self.guest_buddy.alloc_single_spread(kind, &mut cur)?;
         self.spread = cur;
-        self.ensure_backed(pm, g.0)?;
         // Fresh guest frames read as zero.
-        if let Some(h) = self.backing.get(&g.0) {
-            pm.zero_frame(Pfn(*h));
-        }
+        self.back_zeroed(pm, g.0, 1)?;
         Ok(g)
     }
 
@@ -184,12 +254,7 @@ impl Vm {
         kind: FrameKind,
     ) -> Result<Pfn, VirtError> {
         let g = self.guest_buddy.alloc_contig(frames, kind)?;
-        for i in 0..frames {
-            self.ensure_backed(pm, g.0 + i)?;
-            if let Some(h) = self.backing.get(&(g.0 + i)) {
-                pm.zero_frame(Pfn(*h));
-            }
-        }
+        self.back_zeroed(pm, g.0, frames)?;
         Ok(g)
     }
 
@@ -206,12 +271,7 @@ impl Vm {
         let mut cur = self.spread;
         let g = self.guest_buddy.alloc_block_spread(9, kind, &mut cur)?;
         self.spread = cur;
-        for i in 0..512 {
-            self.ensure_backed(pm, g.0 + i)?;
-            if let Some(h) = self.backing.get(&(g.0 + i)) {
-                pm.zero_frame(Pfn(*h));
-            }
-        }
+        self.back_zeroed(pm, g.0, 512)?;
         Ok(g)
     }
 
@@ -229,8 +289,7 @@ impl Vm {
         frames: u64,
     ) -> Result<PhysAddr, VirtError> {
         // Extend the guest physical space upward (fresh gPAs above RAM).
-        let base_gframe = self.guest_frames;
-        self.guest_frames += frames;
+        let base_gframe = self.guest_frames();
         for i in 0..frames {
             let gpa = VirtAddr((base_gframe + i) << 12);
             self.hpt.map(
@@ -240,7 +299,7 @@ impl Vm {
                 PageSize::Size4K,
                 PteFlags::WRITABLE | PteFlags::USER,
             )?;
-            self.backing.insert(base_gframe + i, host_base.0 + i);
+            self.hot.push(host_base.0 + i);
         }
         Ok(PhysAddr(base_gframe << 12))
     }
@@ -341,11 +400,8 @@ impl MemoryOps for GuestView<'_> {
         let g = self.vm.guest_buddy.alloc_single_spread(kind, &mut cur)?;
         self.vm.spread = cur;
         self.vm
-            .ensure_backed(self.pm, g.0)
+            .back_zeroed(self.pm, g.0, 1)
             .map_err(|_| dmt_mem::MemError::OutOfMemory)?;
-        if let Some(h) = self.vm.backing.get(&g.0) {
-            self.pm.zero_frame(Pfn(*h));
-        }
         Ok(g)
     }
     fn free_frame(&mut self, pfn: Pfn) -> dmt_mem::Result<()> {
@@ -394,7 +450,7 @@ mod tests {
         let via_map = vm.gpa_to_hpa(gpa).unwrap();
         let via_pt = vm.hpt().translate(&pm, VirtAddr(gpa.raw())).unwrap().0;
         assert_eq!(via_map, via_pt);
-        assert_eq!(vm.backed_gframes(), vec![g.0]);
+        assert_eq!(vm.backed_chunks(), vec![(gpa, via_map, PageSize::Size4K)]);
     }
 
     #[test]

@@ -60,6 +60,7 @@ fn parallel_equals_serial_under_every_hook_combination() {
             );
         }
         assert!(par.rows.iter().all(|r| r.stats.accesses > 0), "{label}");
+        assert!(par.rows.iter().any(|r| r.stats.walks > 0), "{label}");
     }
 }
 
@@ -168,7 +169,10 @@ fn full_matrix_materializes_each_trace_once() {
         "duplicate trace materialization in the full matrix"
     );
     assert!(report.rows.iter().all(|r| r.stats.accesses > 0));
-    let path = report.write_json("sweep_full_test_scale").unwrap();
+    let path = report
+        .to_json()
+        .write_json("sweep_full_test_scale")
+        .unwrap();
     println!(
         "full matrix: {} jobs over {} traces, {:.2}s total ({:.2}s materializing) -> {}",
         report.rows.len(),
