@@ -11,30 +11,42 @@
 //! allocator. Arbitrary (non power-of-two) contiguous ranges are supported
 //! by carving them out of whatever free blocks cover them, which is how
 //! `alloc_contig_range` behaves.
+//!
+//! Each order's free list is a bitmap with one bit per aligned block
+//! head, so finding, adding and removing a free block are bit tests and
+//! bit flips, and the lowest free block of an order (the one an
+//! allocation takes) is three `trailing_zeros` away. Frame states are
+//! bytes with free = 0, so a fresh allocator's state is one zeroed
+//! allocation.
 
 use crate::addr::Pfn;
 use crate::{MemError, Result};
-use std::collections::BTreeSet;
 
 /// What an allocated frame is used for.
 ///
 /// The distinction matters for two things in the paper: movability during
 /// defragmentation (§4.3 — only data pages move; page tables and TEAs are
 /// pinned) and the page-table memory-overhead accounting of §6.3.
+///
+/// The discriminant is the byte the allocator stores for a frame of this
+/// kind (a free frame stores 0), and the byte
+/// [`BuddyAllocator::state_hash`] hashes: changing it changes every
+/// recorded allocator hash.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(u8)]
 pub enum FrameKind {
     /// Application data page (movable by compaction).
-    Data,
+    Data = 1,
     /// A 2 MiB/1 GiB huge data page's frames. Not movable by the
     /// frame-granular compactor (a real kernel migrates the whole huge
     /// page; moving one constituent frame would shatter it).
-    HugeData,
+    HugeData = 2,
     /// An ordinary radix page-table page.
-    PageTable,
+    PageTable = 3,
     /// A page belonging to a Translation Entry Area.
-    Tea,
+    Tea = 4,
     /// Firmware/kernel reserved (never movable, never freed).
-    Reserved,
+    Reserved = 5,
 }
 
 impl FrameKind {
@@ -45,6 +57,19 @@ impl FrameKind {
     }
 }
 
+/// The state byte of a free frame. Zero, so a fresh allocator's state is
+/// one zeroed allocation.
+const FREE: u8 = 0;
+
+/// Frame kinds by state byte minus one.
+const KINDS: [FrameKind; 5] = [
+    FrameKind::Data,
+    FrameKind::HugeData,
+    FrameKind::PageTable,
+    FrameKind::Tea,
+    FrameKind::Reserved,
+];
+
 /// Per-frame allocation state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameState {
@@ -52,6 +77,184 @@ pub enum FrameState {
     Free,
     /// The frame is allocated for the given purpose.
     Allocated(FrameKind),
+}
+
+impl FrameState {
+    #[inline]
+    fn from_byte(b: u8) -> Self {
+        match b {
+            FREE => FrameState::Free,
+            k => FrameState::Allocated(KINDS[k as usize - 1]),
+        }
+    }
+}
+
+/// log2 of the heads in one [`Leaf`].
+const LEAF_SHIFT: u32 = 12;
+/// Words in one [`Leaf`].
+const LEAF_WORDS: usize = 1 << (LEAF_SHIFT - 6);
+
+/// 4096 consecutive heads of one order: a bit per head, and a summary
+/// bit per nonzero word.
+#[derive(Debug, Clone)]
+struct Leaf {
+    /// Bit `w` is set iff `words[w]` is nonzero.
+    summary: u64,
+    words: [u64; LEAF_WORDS],
+}
+
+/// The free blocks of one order, as a set of head indexes (`head >>
+/// order`).
+///
+/// Three levels: a word bit per head, a summary bit per nonzero word (in
+/// the word's [`Leaf`]) and a `top` bit per leaf with a nonzero summary.
+/// A leaf is allocated on first insert, so memory the allocator never
+/// splits costs no bitmap: a large host that fills from the bottom
+/// touches a few leaves per order, and the fixed cost is one pointer and
+/// one `top` bit per 4096 heads.
+#[derive(Debug, Clone)]
+struct HeadSet {
+    leaves: Vec<Option<Box<Leaf>>>,
+    /// Bit `l % 64` of word `l / 64` is set iff leaf `l`'s summary is
+    /// nonzero.
+    top: Vec<u64>,
+    /// Number of heads set.
+    len: u64,
+}
+
+/// Split a head index into (leaf, word in leaf, bit in word).
+#[inline]
+fn split(i: u64) -> (usize, usize, u32) {
+    (
+        (i >> LEAF_SHIFT) as usize,
+        ((i >> 6) as usize) & (LEAF_WORDS - 1),
+        (i & 63) as u32,
+    )
+}
+
+impl HeadSet {
+    /// An empty set with room for head indexes `0..heads`.
+    fn new(heads: u64) -> Self {
+        let leaves = heads.div_ceil(1 << LEAF_SHIFT) as usize;
+        HeadSet {
+            leaves: vec![None; leaves],
+            top: vec![0; leaves.div_ceil(64)],
+            len: 0,
+        }
+    }
+
+    #[inline]
+    fn contains(&self, i: u64) -> bool {
+        let (leaf, w, b) = split(i);
+        self.leaves[leaf]
+            .as_ref()
+            .is_some_and(|l| l.words[w] >> b & 1 != 0)
+    }
+
+    #[inline]
+    fn insert(&mut self, i: u64) {
+        let (leaf, w, b) = split(i);
+        let l = self.leaves[leaf].get_or_insert_with(|| {
+            Box::new(Leaf {
+                summary: 0,
+                words: [0; LEAF_WORDS],
+            })
+        });
+        debug_assert!(l.words[w] >> b & 1 == 0, "head {i} inserted twice");
+        l.words[w] |= 1 << b;
+        l.summary |= 1 << w;
+        self.top[leaf / 64] |= 1 << (leaf % 64);
+        self.len += 1;
+    }
+
+    /// Remove head `i`; false if it was not in the set.
+    #[inline]
+    fn remove(&mut self, i: u64) -> bool {
+        let (leaf, w, b) = split(i);
+        let Some(l) = self.leaves[leaf].as_mut() else {
+            return false;
+        };
+        if l.words[w] >> b & 1 == 0 {
+            return false;
+        }
+        l.words[w] &= !(1 << b);
+        if l.words[w] == 0 {
+            l.summary &= !(1 << w);
+            if l.summary == 0 {
+                self.top[leaf / 64] &= !(1 << (leaf % 64));
+            }
+        }
+        self.len -= 1;
+        true
+    }
+
+    /// The lowest head index in the set.
+    #[inline]
+    fn first(&self) -> Option<u64> {
+        if self.len == 0 {
+            return None;
+        }
+        let t = self.top.iter().position(|&t| t != 0)?;
+        let leaf = t * 64 + self.top[t].trailing_zeros() as usize;
+        let l = self.leaves[leaf].as_ref()?;
+        let w = l.summary.trailing_zeros() as usize;
+        let b = l.words.get(w)?.trailing_zeros();
+        Some(((leaf as u64) << LEAF_SHIFT) | ((w as u64) << 6) | u64::from(b))
+    }
+
+    /// Every head index whose word bit is set, in increasing order (read
+    /// from the words alone, so the audit sees heads a stale summary
+    /// would hide).
+    fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+        self.leaves.iter().enumerate().flat_map(|(leaf, l)| {
+            l.iter().flat_map(move |l| {
+                l.words.iter().enumerate().flat_map(move |(w, &word)| {
+                    let base = ((leaf as u64) << LEAF_SHIFT) | ((w as u64) << 6);
+                    (0..64u64)
+                        .filter(move |b| word >> b & 1 != 0)
+                        .map(move |b| base | b)
+                })
+            })
+        })
+    }
+
+    /// Check that every summary and top bit and the count agree with the
+    /// words.
+    fn check(&self) -> std::result::Result<(), String> {
+        let mut count = 0u64;
+        for (leaf, l) in self.leaves.iter().enumerate() {
+            let mut nonzero = 0u64;
+            if let Some(l) = l {
+                for (w, &word) in l.words.iter().enumerate() {
+                    if word != 0 {
+                        nonzero |= 1 << w;
+                    }
+                    count += u64::from(word.count_ones());
+                }
+                if l.summary != nonzero {
+                    return Err(format!(
+                        "summary of leaf {leaf} is {:#x} but its nonzero words are {nonzero:#x}",
+                        l.summary
+                    ));
+                }
+            }
+            let top = self.top[leaf / 64] >> (leaf % 64) & 1 != 0;
+            if top != (nonzero != 0) {
+                return Err(format!(
+                    "top summary bit of leaf {leaf} is {top} but the leaf's words are {}",
+                    if nonzero == 0 { "zero" } else { "nonzero" }
+                ));
+            }
+        }
+        let spare = self.leaves.len() % 64;
+        if spare != 0 && self.top[self.leaves.len() / 64] >> spare != 0 {
+            return Err("top summary bit set past the last leaf".to_string());
+        }
+        if count != self.len {
+            return Err(format!("count {} != {count} heads set", self.len));
+        }
+        Ok(())
+    }
 }
 
 /// Binary buddy allocator over a flat range of physical frames.
@@ -70,9 +273,9 @@ pub enum FrameState {
 #[derive(Debug, Clone)]
 pub struct BuddyAllocator {
     /// Free block heads per order.
-    free_lists: Vec<BTreeSet<u64>>,
-    /// Per-frame state.
-    state: Vec<FrameState>,
+    free_lists: Vec<HeadSet>,
+    /// Per-frame state byte: [`FREE`] or the [`FrameKind`] discriminant.
+    state: Vec<u8>,
     /// Number of free frames (maintained incrementally).
     free_frames: u64,
     max_order: u8,
@@ -113,19 +316,18 @@ impl BuddyAllocator {
         assert!(frames > 0, "allocator needs at least one frame");
         assert!(max_order <= 24, "max order unreasonably large");
         let mut a = BuddyAllocator {
-            free_lists: vec![BTreeSet::new(); max_order as usize + 1],
-            state: vec![FrameState::Allocated(FrameKind::Reserved); frames as usize],
-            free_frames: 0,
+            // Room for the aligned head of every frame at every order.
+            free_lists: (0..=max_order)
+                .map(|o| HeadSet::new(((frames - 1) >> o) + 1))
+                .collect(),
+            state: vec![FREE; frames as usize],
+            free_frames: frames,
             max_order,
             splits: 0,
             merges: 0,
             compactions: 0,
         };
         a.add_free_range(0, frames);
-        for f in 0..frames {
-            a.state[f as usize] = FrameState::Free;
-        }
-        a.free_frames = frames;
         // Seeding the free lists is not churn.
         a.merges = 0;
         a
@@ -159,20 +361,18 @@ impl BuddyAllocator {
 
     /// Number of free blocks across all orders.
     pub fn free_block_count(&self) -> u64 {
-        self.free_lists.iter().map(|l| l.len() as u64).sum()
+        self.free_lists.iter().map(|l| l.len).sum()
     }
 
     /// Number of free blocks of exactly the given order.
     pub fn free_blocks_of_order(&self, order: u8) -> u64 {
-        self.free_lists
-            .get(order as usize)
-            .map_or(0, |l| l.len() as u64)
+        self.free_lists.get(order as usize).map_or(0, |l| l.len)
     }
 
     /// Size (in frames) of the largest free block.
     pub fn largest_free_block(&self) -> u64 {
         for order in (0..=self.max_order).rev() {
-            if !self.free_lists[order as usize].is_empty() {
+            if self.free_lists[order as usize].len != 0 {
                 return 1 << order;
             }
         }
@@ -186,16 +386,13 @@ impl BuddyAllocator {
     /// Panics if `pfn` is out of range.
     #[inline]
     pub fn frame_state(&self, pfn: Pfn) -> FrameState {
-        self.state[pfn.0 as usize]
+        FrameState::from_byte(self.state[pfn.0 as usize])
     }
 
     /// Count of allocated frames of a given kind (used by the §6.3
     /// page-table memory-overhead experiment).
     pub fn allocated_of_kind(&self, kind: FrameKind) -> u64 {
-        self.state
-            .iter()
-            .filter(|s| **s == FrameState::Allocated(kind))
-            .count() as u64
+        self.state.iter().filter(|&&s| s == kind as u8).count() as u64
     }
 
     /// Allocate a naturally aligned block of `2^order` frames.
@@ -211,27 +408,19 @@ impl BuddyAllocator {
                 max: self.max_order,
             });
         }
-        let mut found = None;
-        for o in order..=self.max_order {
-            if let Some(&head) = self.free_lists[o as usize].iter().next() {
-                found = Some((o, head));
-                break;
-            }
-        }
-        let (mut o, head) = found.ok_or(MemError::OutOfMemory)?;
-        self.free_lists[o as usize].remove(&head);
+        let (mut o, head) = (order..=self.max_order)
+            .find_map(|o| Some((o, self.free_lists[o as usize].first()? << o)))
+            .ok_or(MemError::OutOfMemory)?;
+        self.free_lists[o as usize].remove(head >> o);
         // Split down to the requested order, returning upper halves to the
         // free lists.
         while o > order {
             o -= 1;
-            let upper = head + (1 << o);
-            self.free_lists[o as usize].insert(upper);
+            self.free_lists[o as usize].insert((head >> o) | 1);
             self.splits += 1;
         }
         let n = 1u64 << order;
-        for f in head..head + n {
-            self.state[f as usize] = FrameState::Allocated(kind);
-        }
+        self.fill(head, n, kind as u8);
         self.free_frames -= n;
         Ok(Pfn(head))
     }
@@ -248,9 +437,7 @@ impl BuddyAllocator {
         if pfn.0 & (n - 1) != 0 {
             return Err(MemError::InvalidFree { pfn: pfn.0 });
         }
-        for f in pfn.0..pfn.0 + n {
-            self.state[f as usize] = FrameState::Free;
-        }
+        self.fill(pfn.0, n, FREE);
         self.free_frames += n;
         self.insert_and_merge(pfn.0, order);
         Ok(())
@@ -281,7 +468,7 @@ impl BuddyAllocator {
                 // Return the unused tail of the block.
                 let excess = (1u64 << order) - n;
                 if excess > 0 {
-                    self.free_run_internal(head.0 + n, excess);
+                    self.free_run(head.0 + n, excess);
                 }
                 return Ok(head);
             }
@@ -305,11 +492,7 @@ impl BuddyAllocator {
             return Err(MemError::ZeroSized);
         }
         self.check_allocated_run(pfn, n)?;
-        for f in pfn.0..pfn.0 + n {
-            self.state[f as usize] = FrameState::Free;
-        }
-        self.free_frames += n;
-        self.free_run_internal_no_state(pfn.0, n);
+        self.free_run(pfn.0, n);
         Ok(())
     }
 
@@ -324,33 +507,27 @@ impl BuddyAllocator {
     /// Returns [`MemError::NoContiguousRun`] if the frames just above the
     /// run are not all free.
     pub fn expand_in_place(&mut self, pfn: Pfn, n: u64, extra: u64, kind: FrameKind) -> Result<()> {
-        let start = pfn.0 + n;
-        let end = start + extra;
-        if end > self.total_frames() {
+        if !self.range_is_free(Pfn(pfn.0 + n), extra) {
             return Err(MemError::NoContiguousRun { frames: extra });
         }
-        for f in start..end {
-            if self.state[f as usize] != FrameState::Free {
-                return Err(MemError::NoContiguousRun { frames: extra });
-            }
-        }
-        self.reserve_range(start, extra, kind)
+        self.reserve_range(pfn.0 + n, extra, kind)
     }
 
     /// Whether every frame in `[pfn, pfn+n)` is free.
     pub fn range_is_free(&self, pfn: Pfn, n: u64) -> bool {
         let end = pfn.0 + n;
         end <= self.total_frames()
-            && (pfn.0..end).all(|f| self.state[f as usize] == FrameState::Free)
+            && self.state[pfn.0 as usize..end as usize]
+                .iter()
+                .all(|&s| s == FREE)
     }
 
     /// Find the lowest free run of `n` frames, if any.
     pub fn find_free_run(&self, n: u64) -> Option<u64> {
-        let total = self.total_frames();
         let mut run_start = 0u64;
         let mut run_len = 0u64;
-        for f in 0..total {
-            if self.state[f as usize] == FrameState::Free {
+        for (f, &s) in (0u64..).zip(&self.state) {
+            if s == FREE {
                 if run_len == 0 {
                     run_start = f;
                 }
@@ -377,10 +554,13 @@ impl BuddyAllocator {
         if end > self.total_frames() {
             return Err(MemError::RangeNotFree { pfn: start });
         }
-        for f in start..end {
-            if self.state[f as usize] != FrameState::Free {
-                return Err(MemError::RangeNotFree { pfn: f });
-            }
+        if let Some(i) = self.state[start as usize..end as usize]
+            .iter()
+            .position(|&s| s != FREE)
+        {
+            return Err(MemError::RangeNotFree {
+                pfn: start + i as u64,
+            });
         }
         // Remove every free block overlapping [start, end); re-add the
         // portions that fall outside.
@@ -389,7 +569,7 @@ impl BuddyAllocator {
             let (head, order) = self
                 .containing_free_block(cursor)
                 .expect("frame marked free must belong to a free block");
-            self.free_lists[order as usize].remove(&head);
+            self.free_lists[order as usize].remove(head >> order);
             let block_end = head + (1 << order);
             if head < start {
                 self.add_free_range(head, start - head);
@@ -399,9 +579,7 @@ impl BuddyAllocator {
             }
             cursor = block_end;
         }
-        for f in start..end {
-            self.state[f as usize] = FrameState::Allocated(kind);
-        }
+        self.fill(start, n, kind as u8);
         self.free_frames -= n;
         Ok(())
     }
@@ -422,7 +600,7 @@ impl BuddyAllocator {
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             let f = (*cursor >> 11) % total;
-            if self.frame_state(Pfn(f)) == FrameState::Free {
+            if self.state[f as usize] == FREE {
                 return self.reserve_single(f, kind);
             }
         }
@@ -493,8 +671,10 @@ impl BuddyAllocator {
     ///
     /// Audited invariants (the oracle's allocator layer):
     /// - the incremental `free_frames` counter matches the per-frame state;
-    /// - every listed free block is in range, naturally aligned for its
-    ///   order, and covers only `Free` frames;
+    /// - every order's head bitmap is self-consistent: each summary bit
+    ///   says whether its word (or leaf) is nonzero, and the order's block
+    ///   count equals its set bits;
+    /// - every listed free block is in range and covers only `Free` frames;
     /// - no frame is covered by two listed free blocks (no overlap);
     /// - every `Free` frame belongs to exactly one listed free block
     ///   (free + used == total, with nothing leaked);
@@ -506,32 +686,25 @@ impl BuddyAllocator {
     /// Returns a human-readable description of the violated invariant.
     pub fn audit(&self) -> std::result::Result<(), String> {
         let total = self.total_frames();
-        let counted = self
-            .state
-            .iter()
-            .filter(|s| **s == FrameState::Free)
-            .count() as u64;
+        let counted = self.state.iter().filter(|&&s| s == FREE).count() as u64;
         if counted != self.free_frames {
             return Err(format!(
                 "free_frames counter {} != {} frames marked Free",
                 self.free_frames, counted
             ));
         }
-        // 0 = uncovered, 1 = covered by one block.
         let mut covered = vec![false; total as usize];
         for (order, list) in self.free_lists.iter().enumerate() {
+            list.check().map_err(|e| format!("order {order}: {e}"))?;
             let n = 1u64 << order;
-            for &head in list {
-                if head & (n - 1) != 0 {
-                    return Err(format!("free block {head} misaligned for order {order}"));
-                }
+            for head in list.iter().map(|i| i << order) {
                 if head + n > total {
                     return Err(format!(
                         "free block {head} order {order} extends past total {total}"
                     ));
                 }
                 for f in head..head + n {
-                    if self.state[f as usize] != FrameState::Free {
+                    if self.state[f as usize] != FREE {
                         return Err(format!(
                             "frame {f} in free block {head} order {order} is allocated"
                         ));
@@ -545,7 +718,7 @@ impl BuddyAllocator {
                 // be listed at the same (mergeable) order.
                 if (order as u8) < self.max_order {
                     let buddy = head ^ n;
-                    if buddy + n <= total && list.contains(&buddy) && head < buddy {
+                    if buddy + n <= total && head < buddy && list.contains(buddy >> order) {
                         return Err(format!(
                             "buddies {head} and {buddy} both free at order {order} (unmerged)"
                         ));
@@ -553,11 +726,12 @@ impl BuddyAllocator {
                 }
             }
         }
-        for f in 0..total {
-            if (self.state[f as usize] == FrameState::Free) != covered[f as usize] {
+        for (f, &s) in self.state.iter().enumerate() {
+            if (s == FREE) != covered[f] {
                 return Err(format!(
                     "frame {f}: state {:?} disagrees with free-list coverage {}",
-                    self.state[f as usize], covered[f as usize]
+                    FrameState::from_byte(s),
+                    covered[f]
                 ));
             }
         }
@@ -566,19 +740,13 @@ impl BuddyAllocator {
 
     /// FNV-1a hash over the full per-frame state sequence — a cheap
     /// fingerprint of the allocator's end state, used by the seeded
-    /// determinism tests (two identically seeded runs must agree).
+    /// determinism tests (two identically seeded runs must agree). It
+    /// hashes the stored state bytes: 0 for a free frame, the
+    /// [`FrameKind`] discriminant for an allocated one.
     pub fn state_hash(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for s in &self.state {
-            let byte: u8 = match s {
-                FrameState::Free => 0,
-                FrameState::Allocated(FrameKind::Data) => 1,
-                FrameState::Allocated(FrameKind::HugeData) => 2,
-                FrameState::Allocated(FrameKind::PageTable) => 3,
-                FrameState::Allocated(FrameKind::Tea) => 4,
-                FrameState::Allocated(FrameKind::Reserved) => 5,
-            };
-            h ^= u64::from(byte);
+        for &s in &self.state {
+            h ^= u64::from(s);
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
         h
@@ -586,43 +754,39 @@ impl BuddyAllocator {
 
     // ---- internals -----------------------------------------------------
 
+    /// Set the state byte of frames `[start, start + n)`.
+    #[inline]
+    fn fill(&mut self, start: u64, n: u64, byte: u8) {
+        self.state[start as usize..(start + n) as usize].fill(byte);
+    }
+
     fn check_allocated_run(&self, pfn: Pfn, n: u64) -> Result<()> {
         let end = pfn.0 + n;
         if end > self.total_frames() {
             return Err(MemError::InvalidFree { pfn: pfn.0 });
         }
-        for f in pfn.0..end {
-            match self.state[f as usize] {
-                FrameState::Allocated(FrameKind::Reserved) | FrameState::Free => {
-                    return Err(MemError::InvalidFree { pfn: f })
-                }
-                FrameState::Allocated(_) => {}
-            }
+        match self.state[pfn.0 as usize..end as usize]
+            .iter()
+            .position(|&s| s == FREE || s == FrameKind::Reserved as u8)
+        {
+            Some(i) => Err(MemError::InvalidFree {
+                pfn: pfn.0 + i as u64,
+            }),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Find the free block (head, order) containing frame `f`.
+    #[inline]
     fn containing_free_block(&self, f: u64) -> Option<(u64, u8)> {
-        for order in 0..=self.max_order {
-            let head = f & !((1u64 << order) - 1);
-            if self.free_lists[order as usize].contains(&head) {
-                return Some((head, order));
-            }
-        }
-        None
+        (0..=self.max_order)
+            .find(|&o| self.free_lists[o as usize].contains(f >> o))
+            .map(|o| (f & !((1u64 << o) - 1), o))
     }
 
-    /// Mark an allocated run free in the free lists (state already updated).
-    fn free_run_internal_no_state(&mut self, start: u64, n: u64) {
-        self.add_free_range(start, n);
-    }
-
-    /// Free a run whose state still says allocated (internal trimming path).
-    fn free_run_internal(&mut self, start: u64, n: u64) {
-        for f in start..start + n {
-            self.state[f as usize] = FrameState::Free;
-        }
+    /// Free an allocated run: mark it free and return it to the free lists.
+    fn free_run(&mut self, start: u64, n: u64) {
+        self.fill(start, n, FREE);
         self.free_frames += n;
         self.add_free_range(start, n);
     }
@@ -650,7 +814,7 @@ impl BuddyAllocator {
         while order < self.max_order {
             let buddy = head ^ (1u64 << order);
             if buddy + (1 << order) <= self.total_frames()
-                && self.free_lists[order as usize].remove(&buddy)
+                && self.free_lists[order as usize].remove(buddy >> order)
             {
                 head = head.min(buddy);
                 order += 1;
@@ -659,7 +823,7 @@ impl BuddyAllocator {
                 break;
             }
         }
-        self.free_lists[order as usize].insert(head);
+        self.free_lists[order as usize].insert(head >> order);
     }
 }
 
@@ -874,9 +1038,9 @@ mod tests {
     fn audit_catches_unmerged_buddies() {
         let mut a = BuddyAllocator::new(64);
         let p = a.alloc_order(1, FrameKind::Data).unwrap();
-        // Free the two halves without merging (bypass insert_and_merge).
-        a.state[p.0 as usize] = FrameState::Free;
-        a.state[p.0 as usize + 1] = FrameState::Free;
+        // Free the two halves without merging: set both order-0 head bits
+        // (bypassing insert_and_merge).
+        a.fill(p.0, 2, FREE);
         a.free_frames += 2;
         a.free_lists[0].insert(p.0);
         a.free_lists[0].insert(p.0 + 1);
@@ -887,10 +1051,66 @@ mod tests {
     fn audit_catches_leaked_free_frame() {
         let mut a = BuddyAllocator::new(64);
         let p = a.alloc_order(0, FrameKind::Data).unwrap();
-        // Frame marked free but in no free list.
-        a.state[p.0 as usize] = FrameState::Free;
+        // Frame marked free but its head bit is set at no order.
+        a.state[p.0 as usize] = FREE;
         a.free_frames += 1;
-        assert!(a.audit().is_err());
+        assert!(a
+            .audit()
+            .unwrap_err()
+            .contains("disagrees with free-list coverage"));
+    }
+
+    #[test]
+    fn audit_catches_summary_bits_that_disagree_with_their_words() {
+        // The fresh 64-frame allocator is one order-6 block: head bit 0 of
+        // word 0 of leaf 0, so order 6 has summary 1 and top bit 1.
+        let fresh = BuddyAllocator::new(64);
+        fn summary(a: &mut BuddyAllocator) -> &mut u64 {
+            &mut a.free_lists[6].leaves[0].as_mut().unwrap().summary
+        }
+        let mut a = fresh.clone();
+        *summary(&mut a) = 0;
+        assert!(a
+            .audit()
+            .unwrap_err()
+            .contains("order 6: summary of leaf 0"));
+        let mut a = fresh.clone();
+        *summary(&mut a) = 0b11;
+        assert!(a
+            .audit()
+            .unwrap_err()
+            .contains("order 6: summary of leaf 0"));
+        let mut a = fresh.clone();
+        a.free_lists[6].top[0] = 0;
+        assert!(a.audit().unwrap_err().contains("order 6: top summary bit"));
+        let mut a = fresh;
+        a.free_lists[3].top[0] = 1 << 1;
+        assert!(a.audit().unwrap_err().contains("order 3: top summary bit"));
+    }
+
+    #[test]
+    fn audit_catches_block_counts_that_disagree_with_their_bits() {
+        let mut a = BuddyAllocator::new(64);
+        a.free_lists[6].len += 1;
+        assert!(a.audit().unwrap_err().contains("order 6: count 2 != 1"));
+        let mut a = BuddyAllocator::new(64);
+        a.free_lists[2].len = 1;
+        assert!(a.audit().unwrap_err().contains("order 2: count 1 != 0"));
+    }
+
+    #[test]
+    fn head_sets_allocate_leaves_on_first_insert() {
+        // 25 free order-9 blocks span four order-0 leaves, none allocated
+        // until a split reaches order 0 in the lowest one.
+        let mut a = BuddyAllocator::with_max_order(25 * 512, 9);
+        let allocated = |a: &BuddyAllocator| -> Vec<bool> {
+            a.free_lists[0].leaves.iter().map(Option::is_some).collect()
+        };
+        assert_eq!(allocated(&a), vec![false; 4]);
+        a.alloc_order(0, FrameKind::Data).unwrap();
+        assert_eq!(allocated(&a), vec![true, false, false, false]);
+        assert_eq!(a.free_lists[0].first(), Some(1));
+        a.audit().unwrap();
     }
 
     #[test]
@@ -907,6 +1127,40 @@ mod tests {
         let mut b = BuddyAllocator::new(256);
         let _ = b.reserve_single(p.0, FrameKind::Data).unwrap();
         assert_ne!(b.state_hash(), h_tea);
+    }
+
+    /// The frame-state codes are part of every recorded allocator hash:
+    /// this sequence touches every kind and every allocation path, and
+    /// its hash was recorded before the codes became the stored bytes.
+    #[test]
+    fn state_hash_encoding_is_pinned() {
+        let mut a = BuddyAllocator::with_max_order(3 * 4096 + 7, 9);
+        let mut cursor = 0x5eed;
+        let d = a.alloc_order(0, FrameKind::Data).unwrap();
+        let pt = a.alloc_order(3, FrameKind::PageTable).unwrap();
+        let tea = a.alloc_contig(700, FrameKind::Tea).unwrap();
+        a.expand_in_place(tea, 700, 30, FrameKind::Tea).unwrap();
+        a.alloc_block_spread(9, FrameKind::HugeData, &mut cursor)
+            .unwrap();
+        let singles: Vec<Pfn> = (0..40)
+            .map(|_| a.alloc_single_spread(FrameKind::Data, &mut cursor).unwrap())
+            .collect();
+        a.reserve_range(12_000, 50, FrameKind::Reserved).unwrap();
+        a.relocate_frame(d).unwrap();
+        a.free_order(pt, 3).unwrap();
+        a.free_contig(Pfn(tea.0 + 100), 200).unwrap();
+        for p in singles.iter().step_by(2) {
+            a.free_order(*p, 0).unwrap();
+        }
+        assert_eq!(a.state_hash(), 0x9e89_6212_e74f_47b2);
+        assert_eq!(
+            a.alloc_counters(),
+            AllocCounters {
+                splits: 6,
+                merges: 147,
+                compactions: 0
+            }
+        );
     }
 
     #[test]

@@ -147,41 +147,25 @@ impl Vm {
 
     /// The backed guest-physical chunks `(gPA, hPA, size)` in gPA order
     /// — what a host-side table builder must map. Guest RAM yields one
-    /// chunk per backed host page. Hot-added frames yield 4 KiB chunks,
-    /// except that a 2 MiB-aligned run of 512 of them whose first host
-    /// frame is 2 MiB-aligned yields one 2 MiB chunk when the host runs
-    /// THP. `tests/backing_model.rs` pins this output to the per-frame
-    /// enumeration it replaced.
+    /// chunk per backed host page. Hot-added frames yield one 4 KiB
+    /// chunk each, as the hPT maps them ([`Vm::insert_host_pages`]),
+    /// even under host THP and even where a run of them is 2 MiB-aligned
+    /// in both spaces: consecutive hot-adds need not be host-contiguous.
+    /// `tests/backing_model.rs` pins this output to a per-frame model.
     pub fn backed_chunks(&self) -> Vec<(PhysAddr, PhysAddr, PageSize)> {
         let mut ram: Vec<(u64, u64)> = self.backing.iter().map(|(&c, &h)| (c, h)).collect();
         ram.sort_unstable();
-        let mut out: Vec<_> = ram
-            .into_iter()
-            .map(|(c, h)| {
-                (
-                    PhysAddr(c << (self.chunk_shift + 12)),
-                    PhysAddr(h << 12),
-                    self.host_page_size,
-                )
-            })
-            .collect();
-        let mut i = 0;
-        while i < self.hot.len() {
-            let gpa = PhysAddr((self.ram_frames + i as u64) << 12);
-            let hpa = PhysAddr(self.hot[i] << 12);
-            let huge = self.host_page_size == PageSize::Size2M
-                && gpa.is_aligned(PageSize::Size2M)
-                && hpa.is_aligned(PageSize::Size2M)
-                && i + 512 <= self.hot.len();
-            let size = if huge {
-                PageSize::Size2M
-            } else {
-                PageSize::Size4K
-            };
-            out.push((gpa, hpa, size));
-            i += size.base_pages() as usize;
-        }
-        out
+        let ram = ram.into_iter().map(|(c, h)| {
+            (
+                PhysAddr(c << (self.chunk_shift + 12)),
+                PhysAddr(h << 12),
+                self.host_page_size,
+            )
+        });
+        let hot = (self.ram_frames..)
+            .zip(&self.hot)
+            .map(|(g, &h)| (PhysAddr(g << 12), PhysAddr(h << 12), PageSize::Size4K));
+        ram.chain(hot).collect()
     }
 
     /// Host pages recorded for guest RAM: one per backed host page.

@@ -14,7 +14,9 @@
 //! * fresh frames zeroed and markers written earlier untouched;
 //! * `Vm::backed_chunks` equal to the model below: the old
 //!   `Vm::backed_gframes` list (every backed guest frame, sorted) folded
-//!   into `(gPA, hPA, size)` chunks by the old `backed_chunks` loop.
+//!   into `(gPA, hPA, size)` chunks by the old `backed_chunks` loop,
+//!   except that hot-added frames are always 4 KiB chunks, as the hPT
+//!   maps them.
 
 use dmt_mem::buddy::FrameKind;
 use dmt_mem::{MemoryOps, PageSize, Pfn, PhysAddr, PhysMemory, VirtAddr};
@@ -28,9 +30,10 @@ const GUEST_BYTES: u64 = 32 << 20;
 const PROBE: u64 = 0x5a8;
 
 /// The old enumeration: list every backed guest frame in order, then
-/// emit 2 MiB where a host-THP guest has a 2 MiB-aligned run of 512
-/// frames starting at a 2 MiB-aligned hPA, 4 KiB otherwise.
-fn model_chunks(vm: &Vm) -> Vec<(PhysAddr, PhysAddr, PageSize)> {
+/// emit 2 MiB where a host-THP guest has a 2 MiB-aligned run of 512 RAM
+/// frames starting at a 2 MiB-aligned hPA, 4 KiB otherwise. Frames at or
+/// above `ram_frames` are hot-added and always 4 KiB.
+fn model_chunks(vm: &Vm, ram_frames: u64) -> Vec<(PhysAddr, PhysAddr, PageSize)> {
     let frames: Vec<u64> = (0..vm.guest_frames())
         .filter(|&g| vm.gpa_to_hpa(PhysAddr(g << 12)).is_some())
         .collect();
@@ -41,6 +44,7 @@ fn model_chunks(vm: &Vm) -> Vec<(PhysAddr, PhysAddr, PageSize)> {
         let gpa = PhysAddr(g << 12);
         let hpa = vm.gpa_to_hpa(gpa).expect("listed as backed");
         let huge = vm.host_page_size() == PageSize::Size2M
+            && g + 512 <= ram_frames
             && gpa.is_aligned(PageSize::Size2M)
             && hpa.is_aligned(PageSize::Size2M)
             && i + 512 <= frames.len()
@@ -115,7 +119,7 @@ impl VmModel {
             assert_eq!(soft.is_some(), backed, "gPA {gpa} backing");
         }
         assert_eq!(vm.backed_host_pages(), self.chunks.len());
-        assert_eq!(vm.backed_chunks(), model_chunks(vm));
+        assert_eq!(vm.backed_chunks(), model_chunks(vm, self.ram_frames));
         let view = vm.guest_view_ref(pm);
         for (&f, &mark) in &self.marks {
             assert_eq!(view.read_word(PhysAddr(f << 12)), mark, "frame {f:#x}");
@@ -283,17 +287,19 @@ proptest! {
     }
 }
 
-/// A hot-added run of 512 frames at a 2 MiB-aligned gPA and hPA is one
-/// 2 MiB chunk under host THP; the frames after it are 4 KiB chunks.
+/// A hot-added run of 512 frames at a 2 MiB-aligned gPA and hPA is 512
+/// 4 KiB chunks under host THP, like the frames after it: the hPT maps
+/// every hot-added frame at 4 KiB.
 #[test]
-fn hot_added_aligned_run_is_one_2m_chunk() {
+fn hot_added_aligned_run_is_4k_chunks() {
     let mut pm = PhysMemory::new_bytes(128 << 20);
     let mut vm = Vm::new(&mut pm, GUEST_BYTES, PageSize::Size2M).unwrap();
     let g = vm.alloc_guest_huge(&mut pm, FrameKind::HugeData).unwrap();
     let host = pm.buddy_mut().alloc_order(10, FrameKind::Tea).unwrap();
     let gpa = vm.insert_host_pages(&mut pm, host, 600).unwrap();
+    assert!(gpa.is_aligned(PageSize::Size2M));
     let chunks = vm.backed_chunks();
-    assert_eq!(chunks.len(), 1 + 1 + 88);
+    assert_eq!(chunks.len(), 1 + 600);
     assert_eq!(
         chunks[0],
         (
@@ -302,15 +308,60 @@ fn hot_added_aligned_run_is_one_2m_chunk() {
             PageSize::Size2M
         )
     );
-    assert_eq!(chunks[1], (gpa, PhysAddr::from_pfn(host), PageSize::Size2M));
-    assert_eq!(
-        chunks[2],
-        (
-            gpa + (512 << 12),
-            PhysAddr((host.0 + 512) << 12),
-            PageSize::Size4K
-        )
-    );
-    assert_eq!(chunks, model_chunks(&vm));
+    for (i, &chunk) in chunks[1..].iter().enumerate() {
+        let i = i as u64;
+        assert_eq!(
+            chunk,
+            (
+                gpa + (i << 12),
+                PhysAddr((host.0 + i) << 12),
+                PageSize::Size4K
+            )
+        );
+    }
+    assert_eq!(chunks, model_chunks(&vm, GUEST_BYTES >> 12));
     assert_eq!(vm.backed_host_pages(), 1);
+}
+
+/// Two hot-adds of 300 frames, each from its own 4 MiB-aligned host
+/// block, into an 8 MiB host-THP guest: the first starts a 2 MiB-aligned
+/// run in both spaces, but the second call's frames come from the other
+/// block, so gPA 0x92c000 (the second call's first frame) must resolve
+/// to that block through the software map, the hPT and the chunk list
+/// alike.
+#[test]
+fn hot_adds_from_two_host_blocks_resolve_alike_everywhere() {
+    let mut pm = PhysMemory::new_bytes(128 << 20);
+    let mut vm = Vm::new(&mut pm, 8 << 20, PageSize::Size2M).unwrap();
+    let first = pm.buddy_mut().alloc_order(10, FrameKind::Tea).unwrap();
+    let second = pm.buddy_mut().alloc_order(10, FrameKind::Tea).unwrap();
+    assert_eq!(
+        vm.insert_host_pages(&mut pm, first, 300).unwrap(),
+        PhysAddr(0x80_0000)
+    );
+    assert_eq!(
+        vm.insert_host_pages(&mut pm, second, 300).unwrap(),
+        PhysAddr(0x92_c000)
+    );
+    assert!(PhysAddr::from_pfn(first).is_aligned(PageSize::Size2M));
+    for gpa in [0x80_0000, 0x92_b000, 0x92_c000, 0x92_c5a8, 0xa5_7000] {
+        let gpa = PhysAddr(gpa);
+        let soft = vm.gpa_to_hpa(gpa).expect("hot-added frame is backed");
+        let hw = vm
+            .hpt()
+            .translate(&pm, VirtAddr(gpa.raw()))
+            .map(|(pa, _)| pa);
+        let listed = vm
+            .backed_chunks()
+            .into_iter()
+            .find(|&(g, _, size)| g <= gpa && gpa.raw() < g.raw() + size.bytes())
+            .map(|(g, h, _)| PhysAddr(h.raw() + (gpa.raw() - g.raw())));
+        assert_eq!(Some(soft), hw, "gPA {gpa}: software map vs hPT");
+        assert_eq!(Some(soft), listed, "gPA {gpa}: software map vs chunks");
+    }
+    assert_eq!(
+        vm.gpa_to_hpa(PhysAddr(0x92_c000)),
+        Some(PhysAddr::from_pfn(second))
+    );
+    assert_eq!(vm.backed_chunks(), model_chunks(&vm, 8 << 20 >> 12));
 }
