@@ -429,9 +429,16 @@ impl BuddyAllocator {
     ///
     /// # Errors
     ///
-    /// Returns [`MemError::InvalidFree`] if the block is not fully allocated
-    /// or is misaligned for its order.
+    /// Returns [`MemError::OrderTooLarge`] above the allocator's largest
+    /// order, before touching any state, and [`MemError::InvalidFree`] if
+    /// the block is not fully allocated or is misaligned for its order.
     pub fn free_order(&mut self, pfn: Pfn, order: u8) -> Result<()> {
+        if order > self.max_order {
+            return Err(MemError::OrderTooLarge {
+                order,
+                max: self.max_order,
+            });
+        }
         let n = 1u64 << order;
         self.check_allocated_run(pfn, n)?;
         if pfn.0 & (n - 1) != 0 {
@@ -877,6 +884,25 @@ mod tests {
         a.free_order(p, 3).unwrap();
         assert_eq!(a.free_frames(), 1024);
         assert_eq!(a.free_blocks_of_order(MAX_ORDER), 1);
+    }
+
+    #[test]
+    fn free_above_max_order_is_rejected_untouched() {
+        let mut a = BuddyAllocator::with_max_order(4, 0);
+        let p = a.alloc_order(0, FrameKind::Data).unwrap();
+        let q = a.alloc_order(0, FrameKind::Data).unwrap();
+        assert_eq!((p, q), (Pfn(0), Pfn(1)));
+        let before = a.state_hash();
+        assert_eq!(
+            a.free_order(p, 1),
+            Err(MemError::OrderTooLarge { order: 1, max: 0 })
+        );
+        assert_eq!(a.state_hash(), before);
+        assert_eq!(a.free_frames(), 2);
+        assert!(a.audit().is_ok());
+        a.free_order(p, 0).unwrap();
+        a.free_order(q, 0).unwrap();
+        assert_eq!(a.free_frames(), 4);
     }
 
     #[test]

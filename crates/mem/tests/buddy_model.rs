@@ -91,6 +91,12 @@ impl Model {
     }
 
     fn free_order(&mut self, pfn: Pfn, order: u8) -> Result<()> {
+        if order > self.max_order {
+            return Err(MemError::OrderTooLarge {
+                order,
+                max: self.max_order,
+            });
+        }
         let n = 1u64 << order;
         self.check_allocated_run(pfn, n)?;
         if pfn.0 & (n - 1) != 0 {
@@ -479,9 +485,10 @@ fn run(shape: usize, ops: &[(u8, u64)]) {
                 }
             }
             8 => {
-                // Frees of arbitrary frames: mostly invalid or misaligned.
+                // Frees of arbitrary frames: mostly invalid or misaligned,
+                // at every order up to one past the largest.
                 let pfn = Pfn((arg >> 8) % (frames + 2));
-                let order = (arg % 3).min(u64::from(max_order)) as u8;
+                let order = (arg % u64::from(max_order + 2)) as u8;
                 let r = a.free_order(pfn, order);
                 assert_eq!(r, m.free_order(pfn, order), "{when}");
                 if r.is_ok() {

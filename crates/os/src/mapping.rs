@@ -466,16 +466,13 @@ impl MappingManager {
         mapping: &VmaTeaMapping,
         start_frame: u64,
     ) -> Result<(), OsError> {
-        let size = mapping.page_size();
-        let span_bytes = 512u64 << size.shift();
-        for i in start_frame..mapping.tea_frames() {
-            let span_va = VirtAddr(mapping.base().raw() + i * span_bytes);
-            let frame = Pfn(mapping.tea_base().0 + i);
-            if pt.table_frame(pm, span_va, size.leaf_level()) == Some(frame) {
-                continue;
-            }
-            pt.install_table(pm, span_va, size.leaf_level(), frame)?;
-        }
+        pt.install_tea(
+            pm,
+            mapping.base(),
+            mapping.page_size(),
+            mapping.tea_base(),
+            start_frame..mapping.tea_frames(),
+        )?;
         Ok(())
     }
 }

@@ -291,6 +291,35 @@ impl RadixPageTable {
         Ok(())
     }
 
+    /// Install pages `frames` of a TEA based at `tea_base` as the leaf
+    /// tables of the region from `base` mapped at `size`: TEA page `i`
+    /// serves the `512 × size` span starting at `base + i` spans, through
+    /// one [`install_table`](Self::install_table) per page, in order. A
+    /// page already in place is left as it is.
+    ///
+    /// # Errors
+    ///
+    /// As [`install_table`](Self::install_table).
+    pub fn install_tea<M: MemoryOps>(
+        &mut self,
+        pm: &mut M,
+        base: VirtAddr,
+        size: PageSize,
+        tea_base: Pfn,
+        frames: core::ops::Range<u64>,
+    ) -> Result<(), PtError> {
+        let span = ENTRIES_PER_TABLE << size.shift();
+        for i in frames {
+            self.install_table(
+                pm,
+                VirtAddr(base.raw() + i * span),
+                size.leaf_level(),
+                Pfn(tea_base.0 + i),
+            )?;
+        }
+        Ok(())
+    }
+
     /// The frame of the table page serving `va` at `level`, if present.
     pub fn table_frame<M: MemoryOps>(&self, pm: &M, va: VirtAddr, level: u8) -> Option<Pfn> {
         if level == self.levels {

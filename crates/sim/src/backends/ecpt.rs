@@ -11,7 +11,8 @@ use dmt_cache::hierarchy::MemoryHierarchy;
 use dmt_mem::buddy::FrameKind;
 use dmt_mem::{MemError, PageSize, Pfn, VirtAddr};
 use dmt_virt::machine::{GuestTeaMode, VirtMachine};
-use dmt_virt::vm::GuestView;
+use dmt_virt::vm::HostBacking;
+use dmt_virt::GuestView;
 
 pub(crate) const REGISTRATION: Registration = Registration {
     design: Design::Ecpt,
@@ -102,8 +103,9 @@ fn build_ecpts(
         // into the arena) takes a fresh contiguous run at run time, the
         // way a guest kernel would: free guest memory, else hot-added
         // host frames.
-        let mut grow =
-            |v: &mut GuestView<'_>, f| take(f).or_else(|_| v.alloc_contig(f, FrameKind::PageTable));
+        let mut grow = |v: &mut GuestView<'_, HostBacking<'_>>, f| {
+            take(f).or_else(|_| v.alloc_contig(f, FrameKind::PageTable))
+        };
         for (va, gpa, size) in &mappings {
             g.map_in(&mut view, &mut grow, *va, *gpa, *size)
                 .map_err(SimError::setup)?;

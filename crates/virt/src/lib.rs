@@ -2,15 +2,23 @@
 //! paging, shadow paging, the `KVM_HC_ALLOC_TEA` hypercall, and the
 //! single-level and nested machines the evaluation runs on.
 //!
-//! * [`vm`] — one guest's physical-memory backing, host page table
-//!   (EPT/NPT analog) with its hTEA, and a [`dmt_mem::MemoryOps`] view of
-//!   guest physical memory.
+//! * [`guest_mem`] — `GuestMemory`, the one guest-physical address
+//!   space every guest uses: the frame allocator, the lazy backing map,
+//!   hot-added frames, the lookup and the two [`dmt_mem::MemoryOps`]
+//!   views. Its owner supplies only how a new page gets backed
+//!   ([`guest_mem::Backer`]) and the lower→host step
+//!   ([`guest_mem::Lower`]).
+//! * [`vm`] — one guest: its `GuestMemory` over host memory (a new page
+//!   is a host page mapped in the host page table, the EPT/NPT analog)
+//!   and the hTEA serving as that table's leaf tables.
 //! * [`hypercall`] — `KVM_HC_ALLOC_TEA` (§4.5.1): batched gTEA requests,
 //!   host-side splitting, gTEA-table registration, `vm_insert_pages`.
 //! * [`machine`] — [`machine::VirtMachine`]: every single-level
 //!   translation design (2D walk, shadow, DMT, pvDMT) over shared state.
 //! * [`nested`] — [`nested::NestedMachine`]: the L0/L1/L2 stack with the
-//!   shadow-paging baseline and nested pvDMT (§3.2, §4.5.3).
+//!   shadow-paging baseline and nested pvDMT (§3.2, §4.5.3). L2 memory
+//!   is a `GuestMemory` over L1's: a new L2 page is an L1 allocation,
+//!   its L1 TEA PTE and an sPT sync.
 //!
 //! # Example
 //!
@@ -30,20 +38,42 @@
 //! # }
 //! ```
 
+pub mod guest_mem;
 pub mod hypercall;
 pub mod machine;
 pub mod nested;
 pub mod vm;
 
+pub use guest_mem::{GuestView, GuestViewRef};
 pub use hypercall::{kvm_hc_alloc_tea, HypercallStats, TeaGrant, TeaRequest};
 pub use machine::{GuestTeaMode, VirtMachine};
 pub use nested::NestedMachine;
-pub use vm::{GuestView, GuestViewRef, Vm};
+pub use vm::Vm;
 
 use core::fmt;
 use dmt_core::DmtError;
 use dmt_mem::{MemError, PageSize, VirtAddr};
 use dmt_pgtable::PtError;
+
+/// The page size a guest maps and is backed at: 2 MiB under THP.
+fn page_size(thp: bool) -> PageSize {
+    if thp {
+        PageSize::Size2M
+    } else {
+        PageSize::Size4K
+    }
+}
+
+/// The page sizes a guest keeps a TEA for: 4 KiB, plus 2 MiB under THP.
+/// The 4 KiB TEA covers edges and fallback (Figure 12) and comes first,
+/// so the 2 MiB TEA dominates probes.
+fn tea_sizes(thp: bool) -> &'static [PageSize] {
+    if thp {
+        &[PageSize::Size4K, PageSize::Size2M]
+    } else {
+        &[PageSize::Size4K]
+    }
+}
 
 /// Demand-populate `[base, base + len)` one page at a time through
 /// `populate`, stepping by the page size the guest maps (2 MiB with
@@ -54,11 +84,7 @@ fn populate_range(
     thp: bool,
     mut populate: impl FnMut(VirtAddr) -> Result<bool, VirtError>,
 ) -> Result<u64, VirtError> {
-    let step = if thp {
-        PageSize::Size2M
-    } else {
-        PageSize::Size4K
-    };
+    let step = page_size(thp);
     let mut faults = 0;
     let mut va = base;
     while va.raw() < base.raw() + len {

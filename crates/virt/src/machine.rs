@@ -109,12 +109,7 @@ impl VirtMachine {
         mode: GuestTeaMode,
         thp: bool,
     ) -> Result<Self, VirtError> {
-        let host_size = if thp {
-            PageSize::Size2M
-        } else {
-            PageSize::Size4K
-        };
-        let mut vm = Vm::new(&mut pm, guest_bytes, host_size)?;
+        let mut vm = Vm::new(&mut pm, guest_bytes, crate::page_size(thp))?;
         let gpt = {
             let mut view = vm.guest_view(&mut pm);
             RadixPageTable::new(&mut view, 4)?
@@ -165,14 +160,7 @@ impl VirtMachine {
     ///
     /// Propagates allocation failures in either address space.
     pub fn guest_mmap(&mut self, base: VirtAddr, len: u64) -> Result<(), VirtError> {
-        // With THP the guest keeps a 4 KiB TEA too (edges/fallback), as in
-        // Figure 12 — create it first so the 2 MiB TEA dominates probes.
-        let sizes: &[PageSize] = if self.guest_thp {
-            &[PageSize::Size4K, PageSize::Size2M]
-        } else {
-            &[PageSize::Size4K]
-        };
-        for &s in sizes {
+        for &s in crate::tea_sizes(self.guest_thp) {
             self.guest_mmap_one(base, len, s)?;
         }
         // Reload the guest registers (context-switch analog).
@@ -217,18 +205,13 @@ impl VirtMachine {
     /// Install a gTEA's pages (addressed by the gPA in `tea_base`) as the
     /// guest page table's leaf tables for the covered region.
     fn install_gtea(&mut self, mapping: &VmaTeaMapping) -> Result<(), VirtError> {
-        let size = mapping.page_size();
-        let span = 512u64 << size.shift();
-        let mut view = self.vm.guest_view(&mut self.pm);
-        for i in 0..mapping.tea_frames() {
-            let span_va = VirtAddr(mapping.base().raw() + i * span);
-            self.gpt.install_table(
-                &mut view,
-                span_va,
-                size.leaf_level(),
-                Pfn(mapping.tea_base().0 + i),
-            )?;
-        }
+        self.gpt.install_tea(
+            &mut self.vm.guest_view(&mut self.pm),
+            mapping.base(),
+            mapping.page_size(),
+            mapping.tea_base(),
+            0..mapping.tea_frames(),
+        )?;
         Ok(())
     }
 

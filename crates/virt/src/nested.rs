@@ -14,6 +14,7 @@
 //! The L2 page table's leaf tables *are* the L2 TEA pages (cascade-mapped
 //! into L2 physical space), so both regimes read the same PTE bytes.
 
+use crate::guest_mem::{Backer, GuestMemory, GuestView, GuestViewRef, Lower};
 use crate::vm::Vm;
 use crate::VirtError;
 use dmt_cache::hierarchy::MemoryHierarchy;
@@ -23,7 +24,7 @@ use dmt_core::regfile::DmtRegisterFile;
 use dmt_core::vtmap::VmaTeaMapping;
 use dmt_core::DmtError;
 use dmt_mem::buddy::FrameKind;
-use dmt_mem::{MemoryOps, PageSize, Pfn, PhysAddr, PhysMemory, VirtAddr};
+use dmt_mem::{PageSize, Pfn, PhysAddr, PhysMemory, VirtAddr};
 use dmt_pgtable::nested::{nested_walk, NestedCaches};
 use dmt_pgtable::pte::{Pte, PteFlags};
 use dmt_pgtable::shadow::ShadowPageTable;
@@ -38,17 +39,8 @@ pub struct NestedMachine {
     /// L1's physical space backed in L0 (provides hpt1 = L1PA→L0PA and
     /// the L0 TEA).
     vm1: Vm,
-    /// L2 RAM backing, one entry per backed L2 page: chunk index
-    /// (`l2frame >> chunk_shift`) → the chunk's head L1 frame.
-    backing2: dmt_mem::FastMap<u64, u64>,
-    /// L1 frames of the L2 TEA pages hot-added above L2 RAM by
-    /// [`l2_mmap`](Self::l2_mmap): L2 frame `l2_ram_frames + i` is
-    /// backed by `hot2[i]`.
-    hot2: Vec<u64>,
-    /// L2 physical-frame allocator.
-    l2_buddy: dmt_mem::BuddyAllocator,
-    /// L2 RAM in frames; hot-added L2 frames start here.
-    l2_ram_frames: u64,
+    /// L2 physical memory; the level below it is L1's.
+    l2: GuestMemory,
     /// L2's page table (L2VA → L2PA), tables addressed by L2PA.
     pub l2pt: RadixPageTable,
     /// Shadow table L2PA → L0PA (the vanilla baseline's "hPT").
@@ -71,8 +63,68 @@ pub struct NestedMachine {
     l2_mappings: Vec<VmaTeaMapping>,
     thp: bool,
     faults: u64,
-    /// LCG cursor for spread L2 allocation.
-    spread: u64,
+}
+
+/// The level below L2 physical memory: L1's, reached through L1's TEA
+/// and mirrored by the sPT. A new L2 page is an L1 allocation whose L1
+/// TEA PTE is written and whose L2PA → L0PA entry is synced into the
+/// sPT; the lower→host step is L1's gPA → L0PA lookup.
+#[derive(Debug)]
+pub struct L1Backing<'a> {
+    vm1: &'a mut Vm,
+    pm: &'a mut PhysMemory,
+    mapping: VmaTeaMapping,
+    gtea: &'a GteaTable,
+    spt: &'a mut ShadowPageTable,
+}
+
+impl Lower for L1Backing<'_> {
+    fn pm(&self) -> &PhysMemory {
+        self.pm
+    }
+    fn to_host(&self, lower: PhysAddr) -> Option<PhysAddr> {
+        self.vm1.gpa_to_hpa(lower)
+    }
+}
+
+impl Backer for L1Backing<'_> {
+    fn pm_mut(&mut self) -> &mut PhysMemory {
+        self.pm
+    }
+    fn back(&mut self, gpa: PhysAddr, size: PageSize) -> Result<Pfn, VirtError> {
+        let huge = size == PageSize::Size2M;
+        let l1 = if huge {
+            self.vm1.alloc_guest_huge(self.pm, FrameKind::HugeData)?
+        } else {
+            self.vm1.alloc_guest_frame(self.pm, FrameKind::Data)?
+        };
+        let l1_id = self.mapping.gtea_id().expect("L1 mapping is pv");
+        let slot = self.gtea.resolve(
+            l1_id,
+            self.mapping
+                .pte_offset(VirtAddr(gpa.raw()))
+                .expect("within L2 space"),
+        )?;
+        let pte = if huge {
+            Pte::huge_leaf(l1, PteFlags::WRITABLE | PteFlags::USER)
+        } else {
+            Pte::leaf(l1, PteFlags::WRITABLE | PteFlags::USER)
+        };
+        self.pm.write_word(slot, pte.raw());
+        // sPT identity entry for the new page.
+        let l0 = self
+            .vm1
+            .gpa_to_hpa(PhysAddr::from_pfn(l1))
+            .ok_or(VirtError::Unbacked { gpa: l1.0 << 12 })?;
+        self.spt.sync_mapping(
+            self.pm,
+            VirtAddr(gpa.raw()),
+            l0,
+            size,
+            PteFlags::WRITABLE | PteFlags::USER,
+        )?;
+        Ok(l1)
+    }
 }
 
 impl NestedMachine {
@@ -102,17 +154,8 @@ impl NestedMachine {
         l2_bytes: u64,
         thp: bool,
     ) -> Result<Self, VirtError> {
-        let size = if thp {
-            PageSize::Size2M
-        } else {
-            PageSize::Size4K
-        };
+        let size = crate::page_size(thp);
         let vm1 = Vm::new(&mut pm, l1_bytes, size)?;
-
-        // L2 frames are backed lazily on first allocation (like `Vm`);
-        // backing an L2 chunk allocates an L1 chunk, writes its L1 TEA
-        // PTE, and syncs the sPT identity mapping.
-        let l2_frames = l2_bytes >> 12;
 
         // L1's pv TEA: PTEs mapping L2PA -> L1PA, L0-contiguous.
         let l1_proto = VmaTeaMapping::new(VirtAddr(0), l2_bytes, size, Pfn(0));
@@ -123,17 +166,12 @@ impl NestedMachine {
             VmaTeaMapping::new(VirtAddr(0), l2_bytes, size, l1_tea_host).with_gtea_id(l1_id);
 
         let spt = ShadowPageTable::new(&mut pm, 4)?;
-        let mut l2_buddy = dmt_mem::BuddyAllocator::new(l2_frames);
-        let root_g = l2_buddy.alloc_order(0, FrameKind::PageTable)?;
-
         let mut machine = NestedMachine {
             pm,
             vm1,
-            backing2: dmt_mem::FastMap::default(),
-            hot2: Vec::new(),
-            l2_buddy,
-            l2_ram_frames: l2_frames,
-            l2pt: RadixPageTable::from_root(root_g, 4),
+            l2: GuestMemory::new(l2_bytes, size, 0x5eed_5678),
+            // The root table is L2 memory: it is allocated below.
+            l2pt: RadixPageTable::from_root(Pfn(0), 4),
             spt,
             l1_mapping,
             l1_gtea,
@@ -145,73 +183,45 @@ impl NestedMachine {
             l2_mappings: Vec::new(),
             thp,
             faults: 0,
-            spread: 0x5eed_5678,
         };
-        machine.ensure_l2_backed(root_g.0)?;
-        let root_l0 = machine
-            .l2pa_to_l0pa(PhysAddr::from_pfn(root_g))
-            .expect("just backed");
-        machine.pm.zero_frame(root_l0.pfn());
+        // L2 pages are backed on first allocation, the root table's
+        // first. A one-frame run is the allocator's first free frame.
+        let root = machine.l2_view().alloc_run(1, FrameKind::PageTable)?;
+        machine.l2pt = RadixPageTable::from_root(root, 4);
         machine.spt.reset_sync_events();
         machine.l1_regs.load(&[machine.l1_mapping]);
         machine.l0_regs.load(&[machine.vm1.host_mapping()]);
         Ok(machine)
     }
 
-    /// The L2 page size (2 MiB with THP) and log2 of its 4 KiB frames.
-    fn l2_page(&self) -> (PageSize, u32) {
-        if self.thp {
-            (PageSize::Size2M, 9)
-        } else {
-            (PageSize::Size4K, 0)
-        }
+    /// The L2 page table and a mutable view of L2 physical memory, split
+    /// so the table can be edited through the view.
+    fn l2pt_and_view(&mut self) -> (&mut RadixPageTable, GuestView<'_, L1Backing<'_>>) {
+        let view = GuestView {
+            mem: &mut self.l2,
+            lower: L1Backing {
+                vm1: &mut self.vm1,
+                pm: &mut self.pm,
+                mapping: self.l1_mapping,
+                gtea: &self.l1_gtea,
+                spt: &mut self.spt,
+            },
+        };
+        (&mut self.l2pt, view)
     }
 
-    /// Back the chunk containing L2 RAM frame `gframe`: allocate the L1
-    /// chunk, write the L1 TEA PTE, and sync the sPT identity mapping.
-    fn ensure_l2_backed(&mut self, gframe: u64) -> Result<(), VirtError> {
-        let (size, shift) = self.l2_page();
-        let chunk = gframe >> shift;
-        if self.backing2.contains_key(&chunk) {
-            return Ok(());
+    /// A mutable view of L2 physical memory: frames come from L2's
+    /// allocator, and a new L2 page is backed as [`L1Backing`] says.
+    pub fn l2_view(&mut self) -> GuestView<'_, L1Backing<'_>> {
+        self.l2pt_and_view().1
+    }
+
+    /// A read-only view of L2 physical memory, sitting on L1's.
+    pub fn l2_view_ref(&self) -> GuestViewRef<'_, GuestViewRef<'_, &PhysMemory>> {
+        GuestViewRef {
+            mem: &self.l2,
+            lower: self.vm1.guest_view_ref(&self.pm),
         }
-        let head = chunk << shift;
-        let l1 = if self.thp {
-            self.vm1
-                .alloc_guest_huge(&mut self.pm, FrameKind::HugeData)?
-        } else {
-            self.vm1.alloc_guest_frame(&mut self.pm, FrameKind::Data)?
-        };
-        self.backing2.insert(chunk, l1.0);
-        let l1_id = self.l1_mapping.gtea_id().expect("L1 mapping is pv");
-        let slot = self
-            .l1_gtea
-            .resolve(
-                l1_id,
-                self.l1_mapping
-                    .pte_offset(VirtAddr(head << 12))
-                    .expect("within L2 space"),
-            )
-            .map_err(VirtError::Dmt)?;
-        let pte = if self.thp {
-            Pte::huge_leaf(l1, PteFlags::WRITABLE | PteFlags::USER)
-        } else {
-            Pte::leaf(l1, PteFlags::WRITABLE | PteFlags::USER)
-        };
-        self.pm.write_word(slot, pte.raw());
-        // sPT identity entry for the new chunk.
-        let l0 = self
-            .vm1
-            .gpa_to_hpa(PhysAddr(l1.0 << 12))
-            .ok_or(VirtError::Unbacked { gpa: l1.0 << 12 })?;
-        self.spt.sync_mapping(
-            &mut self.pm,
-            VirtAddr(head << 12),
-            l0,
-            size,
-            PteFlags::WRITABLE | PteFlags::USER,
-        )?;
-        Ok(())
     }
 
     /// L2 faults served.
@@ -221,32 +231,19 @@ impl NestedMachine {
 
     /// L2 pages recorded for L2 RAM: one per backed L2 page.
     pub fn backed_l2_pages(&self) -> usize {
-        self.backing2.len()
+        self.l2.backed_pages()
     }
 
     /// Translate L2PA → L0PA (software, no cycles).
     pub fn l2pa_to_l0pa(&self, l2pa: PhysAddr) -> Option<PhysAddr> {
-        let g = l2pa.raw() >> 12;
-        let l1f = match g.checked_sub(self.l2_ram_frames) {
-            None => {
-                let (size, shift) = self.l2_page();
-                self.backing2.get(&(g >> shift))? + (g & (size.base_pages() - 1))
-            }
-            Some(i) => *self.hot2.get(usize::try_from(i).ok()?)?,
-        };
-        self.vm1
-            .gpa_to_hpa(PhysAddr((l1f << 12) | l2pa.page_offset()))
-    }
-
-    fn l2_view(&mut self) -> L2View<'_> {
-        L2View { m: self }
+        self.l2_view_ref().to_host(l2pa)
     }
 
     /// Software ground-truth translation L2VA → L0PA (no cycles).
     pub fn translate_software(&self, l2va: VirtAddr) -> Option<PhysAddr> {
-        let view = L2ViewRef { m: self };
+        let view = self.l2_view_ref();
         let (l2pa, _) = self.l2pt.translate(&view, l2va)?;
-        self.l2pa_to_l0pa(l2pa)
+        view.to_host(l2pa)
     }
 
     /// Software ground-truth translation with the L2 leaf's size and
@@ -255,9 +252,9 @@ impl NestedMachine {
         &self,
         l2va: VirtAddr,
     ) -> Option<(PhysAddr, PageSize, PteFlags)> {
-        let view = L2ViewRef { m: self };
+        let view = self.l2_view_ref();
         let (l2pa, size, flags) = self.l2pt.translate_entry(&view, l2va)?;
-        Some((self.l2pa_to_l0pa(l2pa)?, size, flags))
+        Some((view.to_host(l2pa)?, size, flags))
     }
 
     /// Number of `l2_mmap` cascaded hypercalls issued so far (== number
@@ -281,12 +278,7 @@ impl NestedMachine {
     ///
     /// Propagates allocation failures.
     pub fn l2_mmap(&mut self, base: VirtAddr, len: u64) -> Result<(), VirtError> {
-        let sizes: &[PageSize] = if self.thp {
-            &[PageSize::Size4K, PageSize::Size2M]
-        } else {
-            &[PageSize::Size4K]
-        };
-        for &s in sizes {
+        for &s in crate::tea_sizes(self.thp) {
             self.l2_mmap_one(base, len, s)?;
         }
         self.l2_regs.load(&self.l2_mappings);
@@ -303,47 +295,24 @@ impl NestedMachine {
         let l1_gpa = self
             .vm1
             .insert_host_pages(&mut self.pm, host_base, frames)?;
-        let l2_base_frame = self.l2_ram_frames + self.hot2.len() as u64;
-        self.hot2
-            .extend((0..frames).map(|i| (l1_gpa.raw() >> 12) + i));
+        let l2_base = self.l2.hot_add(l1_gpa.pfn(), frames);
         // The inserted TEA pages are new L2PAs: the vanilla baseline's
         // sPT must know them (its 2D walker fetches L2PT tables by L2PA).
+        // Each one's L0PA is its own L0 TEA frame.
         for i in 0..frames {
-            let l2pa = PhysAddr((l2_base_frame + i) << 12);
-            let l0 = self
-                .l2pa_to_l0pa(l2pa)
-                .ok_or(VirtError::Unbacked { gpa: l2pa.raw() })?;
             self.spt.sync_mapping(
                 &mut self.pm,
-                VirtAddr(l2pa.raw()),
-                l0,
+                VirtAddr(l2_base.raw() + (i << 12)),
+                PhysAddr::from_pfn(Pfn(host_base.0 + i)),
                 PageSize::Size4K,
                 PteFlags::WRITABLE | PteFlags::USER,
             )?;
         }
-        let mapping = VmaTeaMapping::new(
-            proto.base(),
-            proto.covered_bytes(),
-            size,
-            Pfn(l2_base_frame),
-        )
-        .with_gtea_id(id);
+        let mapping = VmaTeaMapping::new(proto.base(), proto.covered_bytes(), size, l2_base.pfn())
+            .with_gtea_id(id);
         // Install the TEA pages (by L2PA) as L2PT leaf tables.
-        let span = 512u64 << size.shift();
-        let mut l2pt = self.l2pt.clone();
-        {
-            let mut view = self.l2_view();
-            for i in 0..frames {
-                let span_va = VirtAddr(mapping.base().raw() + i * span);
-                l2pt.install_table(
-                    &mut view,
-                    span_va,
-                    size.leaf_level(),
-                    Pfn(l2_base_frame + i),
-                )?;
-            }
-        }
-        self.l2pt = l2pt;
+        let (l2pt, mut view) = self.l2pt_and_view();
+        l2pt.install_tea(&mut view, mapping.base(), size, l2_base.pfn(), 0..frames)?;
         self.l2_mappings.push(mapping);
         Ok(())
     }
@@ -355,39 +324,28 @@ impl NestedMachine {
     ///
     /// Propagates allocation failures.
     pub fn l2_populate(&mut self, l2va: VirtAddr) -> Result<bool, VirtError> {
-        {
-            let view = L2ViewRef { m: self };
-            if self.l2pt.translate(&view, l2va).is_some() {
-                return Ok(false);
-            }
+        if self.l2pt.translate(&self.l2_view_ref(), l2va).is_some() {
+            return Ok(false);
         }
-        let mut cur = self.spread;
-        let (base, frame, size) = if self.thp {
-            let f = self
-                .l2_buddy
-                .alloc_block_spread(9, FrameKind::HugeData, &mut cur)?;
-            (l2va.align_down(PageSize::Size2M), f, PageSize::Size2M)
+        let (order, kind) = if self.thp {
+            (9, FrameKind::HugeData)
         } else {
-            let f = self
-                .l2_buddy
-                .alloc_single_spread(FrameKind::Data, &mut cur)?;
-            (l2va.align_down(PageSize::Size4K), f, PageSize::Size4K)
+            (0, FrameKind::Data)
         };
-        self.spread = cur;
-        // `frame` is one whole L2 page, so this backs all of it.
-        self.ensure_l2_backed(frame.0)?;
+        let (l2pt, mut view) = self.l2pt_and_view();
+        let size = view.mem.page_size();
+        let frame = view.mem.alloc_spread(order, kind)?;
+        // `frame` heads one whole L2 page, so this backs all of it (and
+        // syncs the sPT: one VM exit per fault in the cost model).
+        view.back(frame.0)?;
         // A 2 MiB page replaces the pointer to the (empty) L1 table.
-        let mut l2pt = self.l2pt.clone();
         l2pt.map_thp(
-            &mut self.l2_view(),
-            base,
+            &mut view,
+            l2va.align_down(size),
             PhysAddr::from_pfn(frame),
             size,
             PteFlags::WRITABLE | PteFlags::USER,
         )?;
-        self.l2pt = l2pt;
-        // The sPT sync for the new chunk happened in ensure_l2_backed
-        // (one VM exit per fault in the cost model).
         self.faults += 1;
         Ok(true)
     }
@@ -451,70 +409,6 @@ impl NestedMachine {
     /// Number of sPT sync events (VM exits) since the last reset.
     pub fn sync_events(&self) -> u64 {
         self.spt.sync_events()
-    }
-}
-
-/// Mutable L2-physical view (word accesses composed through both backing
-/// maps; frames from the L2 buddy).
-#[derive(Debug)]
-struct L2View<'a> {
-    m: &'a mut NestedMachine,
-}
-
-/// Read-only redirection used where only `&self` is available.
-struct L2ViewRef<'a> {
-    m: &'a NestedMachine,
-}
-
-fn redirect(m: &NestedMachine, addr: PhysAddr) -> PhysAddr {
-    m.l2pa_to_l0pa(addr)
-        .unwrap_or_else(|| panic!("unbacked L2 physical address {addr}"))
-}
-
-impl MemoryOps for L2View<'_> {
-    fn read_word(&self, addr: PhysAddr) -> u64 {
-        self.m.pm.read_word(redirect(self.m, addr))
-    }
-    fn write_word(&mut self, addr: PhysAddr, value: u64) {
-        let h = redirect(self.m, addr);
-        self.m.pm.write_word(h, value);
-    }
-    fn alloc_zeroed_frame(&mut self, kind: FrameKind) -> dmt_mem::Result<Pfn> {
-        let mut cur = self.m.spread;
-        let g = self.m.l2_buddy.alloc_single_spread(kind, &mut cur)?;
-        self.m.spread = cur;
-        self.m
-            .ensure_l2_backed(g.0)
-            .map_err(|_| dmt_mem::MemError::OutOfMemory)?;
-        let h = redirect(self.m, PhysAddr::from_pfn(g));
-        self.m.pm.zero_frame(h.pfn());
-        Ok(g)
-    }
-    fn free_frame(&mut self, pfn: Pfn) -> dmt_mem::Result<()> {
-        self.m.l2_buddy.free_order(pfn, 0)
-    }
-    fn copy_frame(&mut self, src: Pfn, dst: Pfn) {
-        let s = redirect(self.m, PhysAddr::from_pfn(src)).pfn();
-        let d = redirect(self.m, PhysAddr::from_pfn(dst)).pfn();
-        self.m.pm.copy_frame(s, d);
-    }
-}
-
-impl MemoryOps for L2ViewRef<'_> {
-    fn read_word(&self, addr: PhysAddr) -> u64 {
-        self.m.pm.read_word(redirect(self.m, addr))
-    }
-    fn write_word(&mut self, _addr: PhysAddr, _value: u64) {
-        unreachable!("read-only view")
-    }
-    fn alloc_zeroed_frame(&mut self, _kind: FrameKind) -> dmt_mem::Result<Pfn> {
-        unreachable!("read-only view")
-    }
-    fn free_frame(&mut self, _pfn: Pfn) -> dmt_mem::Result<()> {
-        unreachable!("read-only view")
-    }
-    fn copy_frame(&mut self, _src: Pfn, _dst: Pfn) {
-        unreachable!("read-only view")
     }
 }
 

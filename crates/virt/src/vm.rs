@@ -9,42 +9,65 @@
 //! therefore serve the hardware 2D walker (which walks the hPT) and the
 //! DMT fetcher (which indexes the hTEA).
 
+use crate::guest_mem::{Backer, GuestMemory, GuestView, GuestViewRef, Lower};
 use crate::VirtError;
 use dmt_core::vtmap::VmaTeaMapping;
 use dmt_mem::buddy::FrameKind;
-use dmt_mem::{FastMap, MemoryOps, PageSize, Pfn, PhysAddr, PhysMemory, VirtAddr};
+use dmt_mem::{PageSize, Pfn, PhysAddr, PhysMemory, VirtAddr};
 use dmt_pgtable::pte::PteFlags;
 use dmt_pgtable::RadixPageTable;
 
-/// One guest: its physical-memory backing, host page table, and host TEA.
+/// One guest: its physical memory, host page table, and host TEA.
 #[derive(Debug)]
 pub struct Vm {
     /// Host page table mapping gPA → hPA.
     hpt: RadixPageTable,
     /// The hVMA-to-hTEA mapping covering guest physical memory.
     host_mapping: VmaTeaMapping,
-    /// Guest-RAM backing, one entry per backed host page: chunk index
-    /// (`gframe >> chunk_shift`) → the chunk's head host frame. The
-    /// software view of gPA → hPA, kept apart from the hPT's PTEs.
-    backing: FastMap<u64, u64>,
-    /// Host frames hot-added above guest RAM ([`Vm::insert_host_pages`]):
-    /// guest frame `ram_frames + i` is backed by `hot[i]`.
-    hot: Vec<u64>,
-    /// Guest-frame allocator (guest physical address space).
-    guest_buddy: dmt_mem::BuddyAllocator,
-    /// Guest RAM in frames; hot-added frames start here.
-    ram_frames: u64,
-    host_page_size: PageSize,
-    /// log2 of the 4 KiB frames per host page (0 or 9).
-    chunk_shift: u32,
-    /// LCG cursor for spread allocation.
-    spread: u64,
+    /// Guest physical memory; the level below it is host memory.
+    mem: GuestMemory,
+}
+
+/// The level below a [`Vm`]'s guest memory: host memory, with the hPT
+/// mirroring the backing. A new page is a fresh host page mapped in the
+/// hPT; the lower→host step is the identity.
+#[derive(Debug)]
+pub struct HostBacking<'a> {
+    hpt: &'a mut RadixPageTable,
+    pm: &'a mut PhysMemory,
+}
+
+impl Lower for HostBacking<'_> {
+    fn pm(&self) -> &PhysMemory {
+        self.pm
+    }
+}
+
+impl Backer for HostBacking<'_> {
+    fn pm_mut(&mut self) -> &mut PhysMemory {
+        self.pm
+    }
+    fn back(&mut self, gpa: PhysAddr, size: PageSize) -> Result<Pfn, VirtError> {
+        let hframe = match size {
+            PageSize::Size4K => self.pm.alloc_frame(FrameKind::Data)?,
+            _ => self.pm.buddy_mut().alloc_order(9, FrameKind::HugeData)?,
+        };
+        self.hpt.map(
+            self.pm,
+            VirtAddr(gpa.raw()),
+            PhysAddr::from_pfn(hframe),
+            size,
+            PteFlags::WRITABLE | PteFlags::USER,
+        )?;
+        Ok(hframe)
+    }
 }
 
 impl Vm {
-    /// Create a guest with `guest_bytes` of physical memory, eagerly
-    /// backed by host frames and mapped in the hPT at `host_page_size`
-    /// granularity (4 KiB normally, 2 MiB when the host runs THP).
+    /// Create a guest with `guest_bytes` of physical memory, backed by
+    /// host frames on first allocation and mapped in the hPT at
+    /// `host_page_size` granularity (4 KiB normally, 2 MiB when the host
+    /// runs THP).
     ///
     /// # Errors
     ///
@@ -68,81 +91,23 @@ impl Vm {
             "1 GiB guest backing not modeled"
         );
         let mut hpt = RadixPageTable::new(pm, 4)?;
-        // One host TEA covering the whole guest physical space.
+        // One host TEA covering the whole guest physical space, its
+        // pages installed as the hPT's leaf tables.
         let proto = VmaTeaMapping::new(VirtAddr(0), guest_bytes, host_page_size, Pfn(0));
         let htea = pm.alloc_contig(proto.tea_frames(), FrameKind::Tea)?;
         let host_mapping = VmaTeaMapping::new(VirtAddr(0), guest_bytes, host_page_size, htea);
-        // Install the hTEA pages as the hPT's leaf tables.
-        let span = 512u64 << host_page_size.shift();
-        for i in 0..host_mapping.tea_frames() {
-            hpt.install_table(
-                pm,
-                VirtAddr(i * span),
-                host_page_size.leaf_level(),
-                Pfn(htea.0 + i),
-            )?;
-        }
-        // Guest pages are backed lazily on first allocation: setup cost
-        // scales with the pages a workload actually touches, letting the
-        // simulated guests reach the paper's multi-GiB regime (where the
-        // MMU caches stop covering the footprint) at negligible cost.
+        hpt.install_tea(
+            pm,
+            VirtAddr(0),
+            host_page_size,
+            htea,
+            0..host_mapping.tea_frames(),
+        )?;
         Ok(Vm {
             hpt,
             host_mapping,
-            backing: FastMap::default(),
-            hot: Vec::new(),
-            guest_buddy: dmt_mem::BuddyAllocator::new(guest_bytes >> 12),
-            ram_frames: guest_bytes >> 12,
-            host_page_size,
-            chunk_shift: host_page_size.shift() - PageSize::Size4K.shift(),
-            spread: 0x5eed_1234,
+            mem: GuestMemory::new(guest_bytes, host_page_size, 0x5eed_1234),
         })
-    }
-
-    /// Ensure the host page containing guest-RAM frame `gframe` is
-    /// backed by host memory and mapped in the hPT, and return the host
-    /// frame backing `gframe`.
-    fn ensure_backed(&mut self, pm: &mut PhysMemory, gframe: u64) -> Result<Pfn, VirtError> {
-        let chunk = gframe >> self.chunk_shift;
-        let offset = gframe & (self.host_page_size.base_pages() - 1);
-        if let Some(&head) = self.backing.get(&chunk) {
-            return Ok(Pfn(head + offset));
-        }
-        let gpa = VirtAddr(chunk << (self.chunk_shift + 12));
-        let hframe = match self.host_page_size {
-            PageSize::Size4K => pm.alloc_frame(FrameKind::Data)?,
-            _ => pm.buddy_mut().alloc_order(9, FrameKind::HugeData)?,
-        };
-        self.hpt.map(
-            pm,
-            gpa,
-            PhysAddr::from_pfn(hframe),
-            self.host_page_size,
-            PteFlags::WRITABLE | PteFlags::USER,
-        )?;
-        self.backing.insert(chunk, hframe.0);
-        Ok(Pfn(hframe.0 + offset))
-    }
-
-    /// Back and zero the guest-RAM frames `[gframe, gframe + frames)`,
-    /// one [`ensure_backed`](Self::ensure_backed) per host page.
-    fn back_zeroed(
-        &mut self,
-        pm: &mut PhysMemory,
-        gframe: u64,
-        frames: u64,
-    ) -> Result<(), VirtError> {
-        let end = gframe + frames;
-        let mut g = gframe;
-        while g < end {
-            let run = ((g | (self.host_page_size.base_pages() - 1)) + 1).min(end) - g;
-            let h = self.ensure_backed(pm, g)?;
-            for k in 0..run {
-                pm.zero_frame(Pfn(h.0 + k));
-            }
-            g += run;
-        }
-        Ok(())
     }
 
     /// The backed guest-physical chunks `(gPA, hPA, size)` in gPA order
@@ -153,24 +118,12 @@ impl Vm {
     /// in both spaces: consecutive hot-adds need not be host-contiguous.
     /// `tests/backing_model.rs` pins this output to a per-frame model.
     pub fn backed_chunks(&self) -> Vec<(PhysAddr, PhysAddr, PageSize)> {
-        let mut ram: Vec<(u64, u64)> = self.backing.iter().map(|(&c, &h)| (c, h)).collect();
-        ram.sort_unstable();
-        let ram = ram.into_iter().map(|(c, h)| {
-            (
-                PhysAddr(c << (self.chunk_shift + 12)),
-                PhysAddr(h << 12),
-                self.host_page_size,
-            )
-        });
-        let hot = (self.ram_frames..)
-            .zip(&self.hot)
-            .map(|(g, &h)| (PhysAddr(g << 12), PhysAddr(h << 12), PageSize::Size4K));
-        ram.chain(hot).collect()
+        self.mem.chunks()
     }
 
     /// Host pages recorded for guest RAM: one per backed host page.
     pub fn backed_host_pages(&self) -> usize {
-        self.backing.len()
+        self.mem.backed_pages()
     }
 
     /// The host page table (for hardware 2D walks).
@@ -185,29 +138,22 @@ impl Vm {
 
     /// Guest physical memory size in frames: RAM plus hot-added frames.
     pub fn guest_frames(&self) -> u64 {
-        self.ram_frames + self.hot.len() as u64
+        self.mem.frames()
     }
 
     /// Host page size backing the guest.
     pub fn host_page_size(&self) -> PageSize {
-        self.host_page_size
+        self.mem.page_size()
     }
 
     /// Translate a guest physical address to host physical (software
     /// path, no cycles).
     pub fn gpa_to_hpa(&self, gpa: PhysAddr) -> Option<PhysAddr> {
-        let g = gpa.raw() >> 12;
-        let hframe = match g.checked_sub(self.ram_frames) {
-            None => {
-                self.backing.get(&(g >> self.chunk_shift))?
-                    + (g & (self.host_page_size.base_pages() - 1))
-            }
-            Some(i) => *self.hot.get(usize::try_from(i).ok()?)?,
-        };
-        Some(PhysAddr((hframe << 12) | gpa.page_offset()))
+        self.mem.lookup(gpa)
     }
 
-    /// Allocate a guest frame (guest-physical space).
+    /// Allocate a guest frame (guest-physical space). Fresh guest frames
+    /// read as zero.
     ///
     /// # Errors
     ///
@@ -217,12 +163,7 @@ impl Vm {
         pm: &mut PhysMemory,
         kind: FrameKind,
     ) -> Result<Pfn, VirtError> {
-        let mut cur = self.spread;
-        let g = self.guest_buddy.alloc_single_spread(kind, &mut cur)?;
-        self.spread = cur;
-        // Fresh guest frames read as zero.
-        self.back_zeroed(pm, g.0, 1)?;
-        Ok(g)
+        self.guest_view(pm).alloc(0, kind)
     }
 
     /// Allocate guest-physically contiguous frames (for non-pv gTEAs,
@@ -237,9 +178,7 @@ impl Vm {
         frames: u64,
         kind: FrameKind,
     ) -> Result<Pfn, VirtError> {
-        let g = self.guest_buddy.alloc_contig(frames, kind)?;
-        self.back_zeroed(pm, g.0, frames)?;
-        Ok(g)
+        self.guest_view(pm).alloc_run(frames, kind)
     }
 
     /// Allocate a naturally aligned 2 MiB guest block (guest THP data).
@@ -252,11 +191,7 @@ impl Vm {
         pm: &mut PhysMemory,
         kind: FrameKind,
     ) -> Result<Pfn, VirtError> {
-        let mut cur = self.spread;
-        let g = self.guest_buddy.alloc_block_spread(9, kind, &mut cur)?;
-        self.spread = cur;
-        self.back_zeroed(pm, g.0, 512)?;
-        Ok(g)
+        self.guest_view(pm).alloc(9, kind)
     }
 
     /// Map extra host frames into the guest physical space at fresh gPAs
@@ -272,72 +207,55 @@ impl Vm {
         host_base: Pfn,
         frames: u64,
     ) -> Result<PhysAddr, VirtError> {
-        // Extend the guest physical space upward (fresh gPAs above RAM).
-        let base_gframe = self.guest_frames();
-        for i in 0..frames {
-            let gpa = VirtAddr((base_gframe + i) << 12);
-            self.hpt.map(
+        self.guest_view(pm).insert_host_pages(host_base, frames)
+    }
+
+    /// A [`dmt_mem::MemoryOps`] view of guest physical memory, for
+    /// building guest page tables with the ordinary radix code.
+    pub fn guest_view<'a>(&'a mut self, pm: &'a mut PhysMemory) -> GuestView<'a, HostBacking<'a>> {
+        GuestView {
+            mem: &mut self.mem,
+            lower: HostBacking {
+                hpt: &mut self.hpt,
                 pm,
-                gpa,
+            },
+        }
+    }
+
+    /// A read-only guest-physical view (software walks / translations).
+    pub fn guest_view_ref<'a>(&'a self, pm: &'a PhysMemory) -> GuestViewRef<'a, &'a PhysMemory> {
+        GuestViewRef {
+            mem: &self.mem,
+            lower: pm,
+        }
+    }
+}
+
+impl GuestView<'_, HostBacking<'_>> {
+    /// Map host frames `[host_base, host_base + frames)` at 4 KiB above
+    /// the guest's current top; see [`Vm::insert_host_pages`].
+    ///
+    /// # Errors
+    ///
+    /// Fails if the hPT mapping fails.
+    pub(crate) fn insert_host_pages(
+        &mut self,
+        host_base: Pfn,
+        frames: u64,
+    ) -> Result<PhysAddr, VirtError> {
+        let base = self.mem.frames();
+        for i in 0..frames {
+            self.lower.hpt.map(
+                self.lower.pm,
+                VirtAddr((base + i) << 12),
                 PhysAddr::from_pfn(Pfn(host_base.0 + i)),
                 PageSize::Size4K,
                 PteFlags::WRITABLE | PteFlags::USER,
             )?;
-            self.hot.push(host_base.0 + i);
         }
-        Ok(PhysAddr(base_gframe << 12))
+        Ok(self.mem.hot_add(host_base, frames))
     }
 
-    /// A [`MemoryOps`] view of guest physical memory, for building guest
-    /// page tables with the ordinary radix code.
-    pub fn guest_view<'a>(&'a mut self, pm: &'a mut PhysMemory) -> GuestView<'a> {
-        GuestView { vm: self, pm }
-    }
-
-    /// A read-only guest-physical view (software walks / translations).
-    pub fn guest_view_ref<'a>(&'a self, pm: &'a PhysMemory) -> GuestViewRef<'a> {
-        GuestViewRef { vm: self, pm }
-    }
-}
-
-/// Read-only guest-physical view; write and allocation operations panic.
-#[derive(Debug)]
-pub struct GuestViewRef<'a> {
-    vm: &'a Vm,
-    pm: &'a PhysMemory,
-}
-
-impl MemoryOps for GuestViewRef<'_> {
-    fn read_word(&self, addr: PhysAddr) -> u64 {
-        let h = self
-            .vm
-            .gpa_to_hpa(addr)
-            .unwrap_or_else(|| panic!("unbacked guest physical address {addr}"));
-        self.pm.read_word(h)
-    }
-    fn write_word(&mut self, _addr: PhysAddr, _value: u64) {
-        unreachable!("read-only view")
-    }
-    fn alloc_zeroed_frame(&mut self, _kind: FrameKind) -> dmt_mem::Result<Pfn> {
-        unreachable!("read-only view")
-    }
-    fn free_frame(&mut self, _pfn: Pfn) -> dmt_mem::Result<()> {
-        unreachable!("read-only view")
-    }
-    fn copy_frame(&mut self, _src: Pfn, _dst: Pfn) {
-        unreachable!("read-only view")
-    }
-}
-
-/// Guest-physical view of memory: word accesses are redirected through
-/// the backing map; frame allocation draws from the guest's own buddy.
-#[derive(Debug)]
-pub struct GuestView<'a> {
-    vm: &'a mut Vm,
-    pm: &'a mut PhysMemory,
-}
-
-impl GuestView<'_> {
     /// Allocate guest-physically contiguous frames for a guest
     /// structure that outgrew the arena it was built in: a free run of
     /// the guest's own memory when one exists, else a fresh block of
@@ -350,57 +268,24 @@ impl GuestView<'_> {
     /// [`dmt_mem::MemError::NoContiguousRun`] when neither the guest nor
     /// the host has a free run of `frames`.
     pub fn alloc_contig(&mut self, frames: u64, kind: FrameKind) -> dmt_mem::Result<Pfn> {
-        if let Ok(g) = self.vm.alloc_guest_contig(self.pm, frames, kind) {
+        if let Ok(g) = self.alloc_run(frames, kind) {
             return Ok(g);
         }
-        let host = self.pm.alloc_contig(frames, kind)?;
+        let host = self.lower.pm.alloc_contig(frames, kind)?;
         for i in 0..frames {
-            self.pm.zero_frame(Pfn(host.0 + i));
+            self.lower.pm.zero_frame(Pfn(host.0 + i));
         }
         let gpa = self
-            .vm
-            .insert_host_pages(self.pm, host, frames)
+            .insert_host_pages(host, frames)
             .map_err(|_| dmt_mem::MemError::NoContiguousRun { frames })?;
         Ok(gpa.pfn())
-    }
-
-    fn redirect(&self, addr: PhysAddr) -> PhysAddr {
-        self.vm
-            .gpa_to_hpa(addr)
-            .unwrap_or_else(|| panic!("unbacked guest physical address {addr}"))
-    }
-}
-
-impl MemoryOps for GuestView<'_> {
-    fn read_word(&self, addr: PhysAddr) -> u64 {
-        self.pm.read_word(self.redirect(addr))
-    }
-    fn write_word(&mut self, addr: PhysAddr, value: u64) {
-        let h = self.redirect(addr);
-        self.pm.write_word(h, value);
-    }
-    fn alloc_zeroed_frame(&mut self, kind: FrameKind) -> dmt_mem::Result<Pfn> {
-        let mut cur = self.vm.spread;
-        let g = self.vm.guest_buddy.alloc_single_spread(kind, &mut cur)?;
-        self.vm.spread = cur;
-        self.vm
-            .back_zeroed(self.pm, g.0, 1)
-            .map_err(|_| dmt_mem::MemError::OutOfMemory)?;
-        Ok(g)
-    }
-    fn free_frame(&mut self, pfn: Pfn) -> dmt_mem::Result<()> {
-        self.vm.guest_buddy.free_order(pfn, 0)
-    }
-    fn copy_frame(&mut self, src: Pfn, dst: Pfn) {
-        let s = self.redirect(PhysAddr::from_pfn(src)).pfn();
-        let d = self.redirect(PhysAddr::from_pfn(dst)).pfn();
-        self.pm.copy_frame(s, d);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dmt_mem::MemoryOps;
 
     #[test]
     fn alloc_contig_hot_adds_host_frames_when_the_guest_has_no_run() {

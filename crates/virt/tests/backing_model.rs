@@ -1,17 +1,22 @@
 //! Guest backing against the page tables it mirrors and against the
 //! per-frame enumeration it replaced.
 //!
-//! `Vm` records guest-RAM backing once per host page and keeps
-//! hot-added frames in a separate list; `NestedMachine` does the same
-//! for L2 backing. Random operation sequences, with 4 KiB and 2 MiB host
-//! pages, must keep:
+//! `Vm` and `NestedMachine`'s L2 are one type, `GuestMemory`: it records
+//! RAM backing once per page and keeps hot-added frames in a separate
+//! list. Each owner supplies only how a new page gets backed (a host
+//! page mapped in the hPT for a `Vm`; an L1 allocation, its L1 TEA PTE
+//! and an sPT sync for L2) and the lower→host step. Random operation
+//! sequences, with 4 KiB and 2 MiB pages, must keep:
 //!
 //! * every backed address's software translation equal to the page
 //!   table the hardware walks (the hPT for a `Vm`, the shadow table for
 //!   a `NestedMachine`), and every unbacked address untranslated;
 //! * exactly the chunks the operations touched backed, with one map
-//!   entry per backed host page;
-//! * fresh frames zeroed and markers written earlier untouched;
+//!   entry per backed page;
+//! * for both owners, through the shared guest-physical views, fresh
+//!   frames zeroed (for L2, the frames its view hands out, reused ones
+//!   included; L2 data pages are not zeroed on population) and markers
+//!   written earlier untouched;
 //! * `Vm::backed_chunks` equal to the model below: the old
 //!   `Vm::backed_gframes` list (every backed guest frame, sorted) folded
 //!   into `(gPA, hPA, size)` chunks by the old `backed_chunks` loop,
@@ -60,33 +65,18 @@ fn model_chunks(vm: &Vm, ram_frames: u64) -> Vec<(PhysAddr, PhysAddr, PageSize)>
     out
 }
 
-/// What the operations say must be backed, and what was written.
-struct VmModel {
-    ram_frames: u64,
-    host_pages: u64,
-    /// Guest-RAM host pages (chunk indexes) that must be backed.
-    chunks: BTreeSet<u64>,
-    hot_frames: u64,
-    /// Guest frame → marker written to its first and last word.
-    marks: BTreeMap<u64, u64>,
-    /// Single frames that may be freed again.
-    singles: Vec<u64>,
-}
+/// Markers written through a guest-physical view: guest frame → the
+/// marker in its first and last word. Both owners' views are held to the
+/// same two properties: fresh frames read as zero, and a marker stays
+/// until its frame is freed.
+#[derive(Default)]
+struct Marks(BTreeMap<u64, u64>);
 
-impl VmModel {
+impl Marks {
     /// Record `[g, g + frames)` as fresh: every frame must read zero
     /// (when the operation zeroes), then the range's first and last
     /// frames get a marker.
-    fn fresh(&mut self, vm: &mut Vm, pm: &mut PhysMemory, g: u64, frames: u64, zeroed: bool) {
-        if g >= self.ram_frames {
-            assert_eq!(g, self.ram_frames + self.hot_frames, "hot-adds append");
-            self.hot_frames += frames;
-        } else {
-            for f in g..g + frames {
-                self.chunks.insert(f / self.host_pages);
-            }
-        }
-        let mut view = vm.guest_view(pm);
+    fn fresh(&mut self, view: &mut impl MemoryOps, g: u64, frames: u64, zeroed: bool) {
         if zeroed {
             for f in g..g + frames {
                 assert_eq!(view.read_word(PhysAddr(f << 12)), 0, "frame {f:#x}");
@@ -97,8 +87,44 @@ impl VmModel {
             let mark = f | (1 << 63);
             view.write_word(PhysAddr(f << 12), mark);
             view.write_word(PhysAddr((f << 12) + 4088), mark);
-            self.marks.insert(f, mark);
+            self.0.insert(f, mark);
         }
+    }
+
+    /// Every marker still reads back.
+    fn check(&self, view: &impl MemoryOps) {
+        for (&f, &mark) in &self.0 {
+            assert_eq!(view.read_word(PhysAddr(f << 12)), mark, "frame {f:#x}");
+            assert_eq!(view.read_word(PhysAddr((f << 12) + 4088)), mark);
+        }
+    }
+}
+
+/// What the operations say must be backed, and what was written.
+struct VmModel {
+    ram_frames: u64,
+    host_pages: u64,
+    /// Guest-RAM host pages (chunk indexes) that must be backed.
+    chunks: BTreeSet<u64>,
+    hot_frames: u64,
+    marks: Marks,
+    /// Single frames that may be freed again.
+    singles: Vec<u64>,
+}
+
+impl VmModel {
+    /// Record `[g, g + frames)` as fresh (see [`Marks::fresh`]) and
+    /// backed.
+    fn fresh(&mut self, vm: &mut Vm, pm: &mut PhysMemory, g: u64, frames: u64, zeroed: bool) {
+        if g >= self.ram_frames {
+            assert_eq!(g, self.ram_frames + self.hot_frames, "hot-adds append");
+            self.hot_frames += frames;
+        } else {
+            for f in g..g + frames {
+                self.chunks.insert(f / self.host_pages);
+            }
+        }
+        self.marks.fresh(&mut vm.guest_view(pm), g, frames, zeroed);
     }
 
     fn check(&self, vm: &Vm, pm: &PhysMemory) {
@@ -120,11 +146,7 @@ impl VmModel {
         }
         assert_eq!(vm.backed_host_pages(), self.chunks.len());
         assert_eq!(vm.backed_chunks(), model_chunks(vm, self.ram_frames));
-        let view = vm.guest_view_ref(pm);
-        for (&f, &mark) in &self.marks {
-            assert_eq!(view.read_word(PhysAddr(f << 12)), mark, "frame {f:#x}");
-            assert_eq!(view.read_word(PhysAddr((f << 12) + 4088)), mark);
-        }
+        self.marks.check(&vm.guest_view_ref(pm));
     }
 }
 
@@ -136,7 +158,7 @@ fn run_vm(host: PageSize, ops: &[(u8, u64)]) {
         host_pages: host.base_pages(),
         chunks: BTreeSet::new(),
         hot_frames: 0,
-        marks: BTreeMap::new(),
+        marks: Marks::default(),
         singles: Vec::new(),
     };
     for &(op, arg) in ops {
@@ -194,7 +216,7 @@ fn run_vm(host: PageSize, ops: &[(u8, u64)]) {
                     let i = (arg % model.singles.len() as u64) as usize;
                     let g = model.singles.swap_remove(i);
                     vm.guest_view(&mut pm).free_frame(Pfn(g)).unwrap();
-                    model.marks.remove(&g);
+                    model.marks.0.remove(&g);
                 }
             }
         }
@@ -216,6 +238,7 @@ fn run_nested(thp: bool, ops: &[(u8, u64)]) {
     };
     let mut regions: Vec<(u64, u64)> = Vec::new();
     let mut populated = Vec::new();
+    let mut marks = Marks::default();
     for &(op, arg) in ops {
         // At most 6 regions: THP gives each two TEAs, and the register
         // file holds 16.
@@ -227,8 +250,18 @@ fn run_nested(thp: bool, ops: &[(u8, u64)]) {
         } else {
             let (base, len) = regions[(arg % regions.len() as u64) as usize];
             let va = VirtAddr(base + (arg >> 8) % len);
-            if m.l2_populate(va).is_ok() {
+            let fault = m.l2_populate(va);
+            if fault.is_ok() {
                 populated.push(va);
+            }
+            if fault == Ok(true) {
+                // A new L2 data page, marked through the shared view.
+                // Populate does not zero: under THP the 2 MiB TEA's
+                // install frees the PMD table it replaces, and a later
+                // 2 MiB page can hold that frame with its old entries.
+                let (l2pa, _) = m.l2pt.translate(&m.l2_view_ref(), va).unwrap();
+                let head = l2pa.align_down(page).pfn().0;
+                marks.fresh(&mut m.l2_view(), head, page.base_pages(), false);
             }
         }
     }
@@ -257,6 +290,23 @@ fn run_nested(thp: bool, ops: &[(u8, u64)]) {
         let l0 = m.translate_software(va).expect("populated page translates");
         assert_eq!(l0.page_offset(), va.page_offset());
     }
+    // The shared view's own allocations and frees, driven by the same
+    // operations: a frame it hands out reads as zero even when reused,
+    // and no operation since a marker was written has touched it.
+    let mut singles = Vec::new();
+    for &(op, arg) in ops {
+        let mut view = m.l2_view();
+        if op % 2 == 0 || singles.is_empty() {
+            let g = view.alloc_zeroed_frame(FrameKind::PageTable).unwrap();
+            marks.fresh(&mut view, g.0, 1, true);
+            singles.push(g.0);
+        } else {
+            let g = singles.swap_remove((arg % singles.len() as u64) as usize);
+            view.free_frame(Pfn(g)).unwrap();
+            marks.0.remove(&g);
+        }
+    }
+    marks.check(&m.l2_view_ref());
 }
 
 fn ops(max: usize) -> impl Strategy<Value = Vec<(u8, u64)>> {

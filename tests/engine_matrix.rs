@@ -16,7 +16,7 @@ use dmt::sim::{Design, Engine, Env, Runner, SweepConfig};
 /// env, design). Under THP, Memcached leaves some 2 MiB regions mapped
 /// by 4 KiB pages, and native DMT's fetcher (pvDMT is DMT natively)
 /// claims a 2 MiB leaf there: the translation's PA is not the data PA
-/// (ROADMAP item 5). Fixing that empties this list.
+/// (ROADMAP item 1). Fixing that empties this list.
 const KNOWN_DIVERGENT: [(usize, bool, Env, Design); 2] = [
     (1, true, Env::Native, Design::Dmt),
     (1, true, Env::Native, Design::PvDmt),
