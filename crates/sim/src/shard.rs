@@ -504,7 +504,7 @@ mod tests {
             table_bytes: 4 << 20,
         };
         let mut bytes = Vec::new();
-        dmt_trace::capture_indexed(&w, 2_000, 1, 300, &mut bytes).unwrap();
+        dmt_trace::capture(&w, 2_000, 1, 300, &mut bytes).unwrap();
         let f = TraceFile::from_bytes(bytes).unwrap();
         let trace = w.trace(2_000, 1);
         let setup = Setup::of_workload(&w, &trace);

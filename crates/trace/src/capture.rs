@@ -3,77 +3,34 @@
 use crate::codec::TraceMeta;
 use crate::writer::{TraceSummary, TraceWriter};
 use dmt_workloads::gen::Workload;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
-use std::io::{self, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
 /// Encode exactly the trace `workload.trace(n, seed)` would return —
-/// bit-for-bit the same access stream — into `sink`.
+/// bit-for-bit the same access stream — into `sink`, indexed every
+/// `chunk_len` accesses.
 ///
 /// The whole trace is generated in one `Workload::generate` call (some
 /// generators carry per-call state such as a BFS frontier), so this
-/// materializes one `Vec` of `n` accesses. For traces too big for
-/// that, use [`capture_chunked`].
+/// materializes one `Vec` of `n` accesses.
 ///
 /// # Errors
 ///
-/// Propagates sink I/O failures.
+/// [`io::ErrorKind::InvalidInput`] if `chunk_len` is zero; propagates
+/// sink I/O failures.
 pub fn capture<W: Write>(
     workload: &dyn Workload,
     n: usize,
     seed: u64,
+    chunk_len: u64,
     sink: W,
 ) -> io::Result<TraceSummary> {
-    let meta = TraceMeta::of_workload(workload);
+    let meta = TraceMeta {
+        chunk_len,
+        ..TraceMeta::of_workload(workload)
+    };
     let mut w = TraceWriter::new(sink, &meta)?;
     w.push_all(workload.trace(n, seed))?;
-    w.finish()
-}
-
-/// Stream-capture `n` accesses in chunks of `chunk` without ever
-/// materializing more than one chunk.
-///
-/// The RNG state persists across chunks, but generators that keep
-/// per-call state restart it each chunk — so the stream is a
-/// deterministic function of `(workload, n, seed, chunk)`, not
-/// necessarily byte-identical to `capture` with the same seed. This is
-/// **pinned, intended behavior** (regression-tested below with
-/// Graph500, whose per-call BFS frontier makes the dependence visible):
-/// collapsing it would force every generator to expose resumable
-/// state. The trace file itself is the ground truth either way:
-/// replays of one file are always identical, and the v2 *format*
-/// chunking ([`capture_indexed`]) places its chunk points by access
-/// ordinal, so on-disk framing never depends on this `chunk`
-/// parameter.
-///
-/// # Errors
-///
-/// Propagates sink I/O failures.
-///
-/// # Panics
-///
-/// Panics if `chunk` is zero.
-pub fn capture_chunked<W: Write>(
-    workload: &dyn Workload,
-    n: usize,
-    seed: u64,
-    chunk: usize,
-    sink: W,
-) -> io::Result<TraceSummary> {
-    assert!(chunk > 0, "chunk size must be positive");
-    let meta = TraceMeta::of_workload(workload);
-    let mut w = TraceWriter::new(sink, &meta)?;
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut buf = Vec::with_capacity(chunk.min(n));
-    let mut remaining = n;
-    while remaining > 0 {
-        let take = remaining.min(chunk);
-        buf.clear();
-        workload.generate(take, &mut rng, &mut buf);
-        w.push_all(buf.iter().copied())?;
-        remaining -= take;
-    }
     w.finish()
 }
 
@@ -81,70 +38,27 @@ pub fn capture_chunked<W: Write>(
 ///
 /// # Errors
 ///
-/// Propagates file creation and I/O failures.
+/// Same as [`capture`], plus file creation failures. A zero
+/// `chunk_len` is rejected before `path` is created or truncated.
 pub fn capture_to_path(
     workload: &dyn Workload,
     n: usize,
     seed: u64,
-    path: impl AsRef<Path>,
-) -> io::Result<TraceSummary> {
-    let meta = TraceMeta::of_workload(workload);
-    let mut w = TraceWriter::create(path, &meta)?;
-    w.push_all(workload.trace(n, seed))?;
-    w.finish()
-}
-
-/// [`capture`] with the v2 (seekable) framing: the identical access
-/// stream, chunk-indexed every `chunk_len` accesses so the result can
-/// be opened with [`TraceFile`](crate::TraceFile) and replayed in
-/// shards.
-///
-/// # Errors
-///
-/// Propagates sink I/O failures.
-///
-/// # Panics
-///
-/// Panics if `chunk_len` is zero.
-pub fn capture_indexed<W: Write>(
-    workload: &dyn Workload,
-    n: usize,
-    seed: u64,
-    chunk_len: u64,
-    sink: W,
-) -> io::Result<TraceSummary> {
-    let meta = TraceMeta::of_workload(workload).chunked(chunk_len);
-    let mut w = TraceWriter::new(sink, &meta)?;
-    w.push_all(workload.trace(n, seed))?;
-    w.finish()
-}
-
-/// [`capture_indexed`] into a file at `path`.
-///
-/// # Errors
-///
-/// Propagates file creation and I/O failures.
-///
-/// # Panics
-///
-/// Panics if `chunk_len` is zero.
-pub fn capture_indexed_to_path(
-    workload: &dyn Workload,
-    n: usize,
-    seed: u64,
     chunk_len: u64,
     path: impl AsRef<Path>,
 ) -> io::Result<TraceSummary> {
-    let meta = TraceMeta::of_workload(workload).chunked(chunk_len);
-    let mut w = TraceWriter::create(path, &meta)?;
-    w.push_all(workload.trace(n, seed))?;
-    w.finish()
+    if chunk_len == 0 {
+        return Err(io::ErrorKind::InvalidInput.into());
+    }
+    let file = std::fs::File::create(path)?;
+    capture(workload, n, seed, chunk_len, BufWriter::new(file))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reader::TraceReader;
+    use crate::codec::fnv1a;
+    use crate::TraceFile;
     use dmt_workloads::bench7::Gups;
 
     #[test]
@@ -153,100 +67,45 @@ mod tests {
             table_bytes: 4 << 20,
         };
         let mut bytes = Vec::new();
-        let s = capture(&w, 5_000, 42, &mut bytes).unwrap();
-        assert_eq!(s.accesses, 5_000);
-        let r = TraceReader::new(bytes.as_slice()).unwrap();
-        assert_eq!(r.meta().name, "GUPS");
-        assert_eq!(r.meta().footprint(), 4 << 20);
-        assert_eq!(r.read_all().unwrap(), w.trace(5_000, 42));
-    }
-
-    #[test]
-    fn chunked_capture_is_deterministic_and_chunk_sized() {
-        let w = Gups {
-            table_bytes: 4 << 20,
-        };
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        capture_chunked(&w, 4_000, 7, 512, &mut a).unwrap();
-        capture_chunked(&w, 4_000, 7, 512, &mut b).unwrap();
-        assert_eq!(a, b);
-        // Whole-trace chunk matches the unchunked capture exactly.
-        let mut c = Vec::new();
-        let mut d = Vec::new();
-        capture_chunked(&w, 4_000, 7, 4_000, &mut c).unwrap();
-        capture(&w, 4_000, 7, &mut d).unwrap();
-        assert_eq!(c, d);
-    }
-
-    #[test]
-    fn chunked_capture_wart_is_pinned() {
-        // Graph500 keeps a BFS frontier per `generate` call, so the
-        // chunked capture's stream legitimately depends on `chunk`.
-        // This pins that documented behavior: deterministic for a fixed
-        // (workload, n, seed, chunk), different across chunk sizes, and
-        // the produced file always replays to itself.
-        use dmt_workloads::bench7::Graph500;
-        let w = Graph500 {
-            vertices: 1 << 14,
-            edge_factor: 16,
-        };
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        capture_chunked(&w, 3_000, 11, 256, &mut a).unwrap();
-        capture_chunked(&w, 3_000, 11, 256, &mut b).unwrap();
-        assert_eq!(a, b, "same chunk size must reproduce the same bytes");
-        let mut c = Vec::new();
-        capture_chunked(&w, 3_000, 11, 512, &mut c).unwrap();
-        assert_ne!(
-            a, c,
-            "the pinned wart: a stateful generator's stream depends on chunk"
-        );
-        // Every produced file is internally consistent regardless.
-        for bytes in [&a, &c] {
-            let r = TraceReader::new(bytes.as_slice()).unwrap();
-            assert_eq!(r.read_all().unwrap().len(), 3_000);
-        }
-        // v2 framing is immune: chunk points are placed by ordinal, so
-        // the same stream captured indexed is one fixed byte sequence.
-        let mut d = Vec::new();
-        let mut e = Vec::new();
-        capture_indexed(&w, 2_000, 11, 128, &mut d).unwrap();
-        capture_indexed(&w, 2_000, 11, 128, &mut e).unwrap();
-        assert_eq!(d, e);
-    }
-
-    #[test]
-    fn capture_indexed_is_the_same_stream_seekable() {
-        let w = Gups {
-            table_bytes: 4 << 20,
-        };
-        let mut bytes = Vec::new();
-        let s = capture_indexed(&w, 2_500, 9, 300, &mut bytes).unwrap();
+        let s = capture(&w, 2_500, 9, 300, &mut bytes).unwrap();
         assert_eq!(s.accesses, 2_500);
-        assert!(s.index_bytes > 0);
-        // Streams like any trace...
-        let r = TraceReader::new(bytes.as_slice()).unwrap();
-        assert_eq!(r.read_all().unwrap(), w.trace(2_500, 9));
-        // ...and seeks.
-        let f = crate::TraceFile::from_bytes(bytes).unwrap();
-        assert_eq!(f.len(), 2_500);
+        assert_eq!(s.total_bytes(), bytes.len() as u64);
+        let f = TraceFile::from_bytes(bytes).unwrap();
+        assert_eq!(f.meta().name, "GUPS");
+        assert_eq!(f.meta().footprint(), 4 << 20);
+        assert_eq!(f.chunk_len(), 300);
         assert_eq!(f.read_all().unwrap(), w.trace(2_500, 9));
     }
 
     #[test]
-    fn capture_indexed_to_path_is_seekable() {
+    fn format_bytes_are_pinned() {
+        // The hash of bytes already written to disk by earlier writers:
+        // it must not move, or old and new files stop being mutually
+        // readable.
+        let w = Gups {
+            table_bytes: 32 << 20,
+        };
+        let mut bytes = Vec::new();
+        capture(&w, 4_000, 7, 512, &mut bytes).unwrap();
+        assert_eq!(bytes.len(), 16_249);
+        assert_eq!(fnv1a(&bytes), 0xbbf6_fca4_34f5_5976);
+    }
+
+    #[test]
+    fn zero_chunk_len_is_invalid_input() {
         let w = Gups {
             table_bytes: 1 << 20,
         };
+        let err = capture(&w, 10, 1, 0, Vec::new()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         let path = std::env::temp_dir().join(format!(
-            "dmt_trace_capture_indexed_{}.dmtt",
+            "dmt_trace_capture_zero_{}.dmtt",
             std::process::id()
         ));
-        let s = capture_indexed_to_path(&w, 1_000, 3, 128, &path).unwrap();
-        let f = crate::TraceFile::open(&path).unwrap();
-        assert_eq!(f.len(), s.accesses);
-        assert_eq!(f.read_all().unwrap(), w.trace(1_000, 3));
+        std::fs::write(&path, b"keep").unwrap();
+        let err = capture_to_path(&w, 10, 1, 0, &path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(std::fs::read(&path).unwrap(), b"keep");
         std::fs::remove_file(&path).ok();
     }
 
@@ -255,12 +114,14 @@ mod tests {
         let w = Gups {
             table_bytes: 1 << 20,
         };
-        let path = std::env::temp_dir().join("dmt_trace_capture_test.dmtt");
-        let s = capture_to_path(&w, 1_000, 3, &path).unwrap();
-        let r = TraceReader::open(&path).unwrap();
-        let got = r.read_all().unwrap();
-        assert_eq!(got.len() as u64, s.accesses);
-        assert_eq!(got, w.trace(1_000, 3));
+        let path = std::env::temp_dir().join(format!(
+            "dmt_trace_capture_test_{}.dmtt",
+            std::process::id()
+        ));
+        let s = capture_to_path(&w, 1_000, 3, 128, &path).unwrap();
+        let f = TraceFile::open(&path).unwrap();
+        assert_eq!(f.len(), s.accesses);
+        assert_eq!(f.read_all().unwrap(), w.trace(1_000, 3));
         std::fs::remove_file(&path).ok();
     }
 }

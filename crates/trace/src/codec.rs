@@ -1,18 +1,21 @@
 //! The binary trace format: header layout, varint primitives, and the
 //! per-access delta token codec.
 //!
-//! # Format (version 1)
+//! # Format (version 2)
 //!
 //! ```text
 //! header:
-//!   magic    8 B   b"DMTTRACE"
-//!   version  2 B   u16 LE (currently 1)
-//!   flags    2 B   u16 LE (reserved, 0)
-//!   name     2 B   u16 LE length + UTF-8 bytes (workload name)
-//!   regions  2 B   u16 LE count, then per region: base u64 LE, len u64 LE
-//! body:      one varint token per access (see below)
-//! trailer:   token 0, then varint access count, then 8 B LE FNV-1a
-//!            checksum over (VA LE bytes, write byte) of every access
+//!   magic      8 B   b"DMTTRACE"
+//!   version    2 B   u16 LE (2)
+//!   flags      2 B   u16 LE (reserved, 0)
+//!   name       2 B   u16 LE length + UTF-8 bytes (workload name)
+//!   regions    2 B   u16 LE count, then per region: base u64 LE, len u64 LE
+//!   chunk_len  8 B   u64 LE, accesses per chunk (> 0)
+//! body:        one varint token per access (see below)
+//! trailer:     token 0, then varint access count, then 8 B LE FNV-1a
+//!              checksum over (VA LE bytes, write byte) of every access
+//! index:       one 32-byte record per chunk
+//! footer:      32 bytes locating the index from the end of the file
 //! ```
 //!
 //! Each access is one LEB128 varint token. Virtual addresses are
@@ -33,26 +36,13 @@
 //! format ~8× smaller than a naive fixed-width record on
 //! sequential-heavy traces.
 //!
-//! # Format (version 2, chunked)
+//! The delta base `prev_va` resets to 0 at every chunk boundary — i.e.
+//! before access ordinals `0, chunk_len, 2·chunk_len, …` — so every
+//! chunk decodes on its own. Boundaries are placed purely by access
+//! ordinal, so the byte stream is a function of the access sequence
+//! and `chunk_len` alone, never of how the producer batched its writes.
 //!
-//! Version 2 makes the body seekable without giving up the delta
-//! codec. The header gains one field after the region table:
-//!
-//! ```text
-//! chunk_len  8 B  u64 LE, accesses per chunk (> 0)
-//! ```
-//!
-//! The body is the same token stream, except the delta base `prev_va`
-//! resets to 0 at every chunk boundary — i.e. before access ordinals
-//! `0, chunk_len, 2·chunk_len, …`. Boundaries are placed purely by
-//! access ordinal, so the byte stream is a function of the access
-//! sequence alone, never of how the producer batched its writes. The
-//! trailer is identical to v1 (and still covers the whole trace), so a
-//! streaming [`TraceReader`] replays v2 exactly like v1.
-//!
-//! After the trailer comes the chunk index — one fixed 32-byte record
-//! per chunk — and a fixed 32-byte footer that locates it from the end
-//! of the file:
+//! The index and footer:
 //!
 //! ```text
 //! index record: offset u64 LE   file offset of the chunk's first token
@@ -64,12 +54,11 @@
 //!               magic 8 B b"DMTIDX01"
 //! ```
 //!
-//! [`TraceFile`](crate::TraceFile) parses the footer + index from a
-//! zero-copy mapping and decodes any chunk independently (fresh delta
-//! base, per-chunk checksum), which is what makes sharded replay
-//! possible.
-//!
-//! [`TraceReader`]: crate::TraceReader
+//! [`TraceFile`](crate::TraceFile) parses the footer, index and trailer
+//! from a zero-copy mapping and decodes any chunk independently (fresh
+//! delta base, per-chunk checksum), which is what makes sharded replay
+//! possible. A version-1 file (the same stream with no chunk resets,
+//! index or footer) is rejected as [`TraceError::UnsupportedVersion`].
 
 use crate::error::TraceError;
 use std::io::{Read, Write};
@@ -77,11 +66,13 @@ use std::io::{Read, Write};
 /// File magic.
 pub const MAGIC: [u8; 8] = *b"DMTTRACE";
 
-/// Format version for unchunked (streaming-only) traces.
-pub const VERSION: u16 = 1;
+/// Format version: the only one this crate reads or writes.
+pub const VERSION: u16 = 2;
 
-/// Format version for chunked (seekable) traces.
-pub const VERSION_CHUNKED: u16 = 2;
+/// Accesses per chunk of [`TraceMeta::of_workload`]: it divides the
+/// sharded replay's default epoch length (65,536), so a captured file
+/// shards as written.
+pub const DEFAULT_CHUNK_LEN: u64 = 4096;
 
 /// Footer magic closing a chunked trace.
 pub const INDEX_MAGIC: [u8; 8] = *b"DMTIDX01";
@@ -268,16 +259,25 @@ pub struct TraceRegion {
 
 /// Trace header metadata: enough to rebuild the address space a replay
 /// needs, independent of the workload generator that produced it.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceMeta {
     /// Workload name ("GUPS", "Redis", ...).
     pub name: String,
     /// The regions the workload mapped.
     pub regions: Vec<TraceRegion>,
-    /// Accesses per chunk for the v2 (seekable) framing; `0` selects
-    /// the v1 unchunked framing, which `write_header` emits
-    /// byte-identically to older writers.
+    /// Accesses per chunk; must be positive ([`TraceMeta::write_header`]
+    /// rejects 0).
     pub chunk_len: u64,
+}
+
+impl Default for TraceMeta {
+    fn default() -> Self {
+        TraceMeta {
+            name: String::new(),
+            regions: Vec::new(),
+            chunk_len: DEFAULT_CHUNK_LEN,
+        }
+    }
 }
 
 impl TraceMeta {
@@ -293,16 +293,15 @@ impl TraceMeta {
                     len: r.len,
                 })
                 .collect(),
-            chunk_len: 0,
+            chunk_len: DEFAULT_CHUNK_LEN,
         }
     }
 
-    /// The same metadata with the v2 chunked framing selected.
+    /// The same metadata with `chunk_len` accesses per chunk.
     ///
     /// # Panics
     ///
-    /// Panics if `chunk_len` is zero (that value means "v1 framing" and
-    /// must be set by leaving the field alone, not by this method).
+    /// Panics if `chunk_len` is zero.
     pub fn chunked(mut self, chunk_len: u64) -> TraceMeta {
         assert!(chunk_len > 0, "chunk_len must be positive");
         self.chunk_len = chunk_len;
@@ -332,9 +331,13 @@ impl TraceMeta {
     ///
     /// # Errors
     ///
-    /// Fails if the name or region list exceeds the format's 16-bit
+    /// Fails with [`std::io::ErrorKind::InvalidInput`] if `chunk_len`
+    /// is zero, if the name or region list exceeds the format's 16-bit
     /// length fields, or on I/O errors.
     pub fn write_header<W: Write>(&self, w: &mut W) -> std::io::Result<u64> {
+        if self.chunk_len == 0 {
+            return Err(std::io::ErrorKind::InvalidInput.into());
+        }
         let name = self.name.as_bytes();
         if name.len() > u16::MAX as usize {
             return Err(std::io::Error::other("workload name too long for header"));
@@ -343,12 +346,7 @@ impl TraceMeta {
             return Err(std::io::Error::other("too many regions for header"));
         }
         w.write_all(&MAGIC)?;
-        let version = if self.chunk_len > 0 {
-            VERSION_CHUNKED
-        } else {
-            VERSION
-        };
-        w.write_all(&version.to_le_bytes())?;
+        w.write_all(&VERSION.to_le_bytes())?;
         w.write_all(&0u16.to_le_bytes())?; // flags
         w.write_all(&(name.len() as u16).to_le_bytes())?;
         w.write_all(name)?;
@@ -357,20 +355,17 @@ impl TraceMeta {
             w.write_all(&r.base.to_le_bytes())?;
             w.write_all(&r.len.to_le_bytes())?;
         }
-        let mut n = 16 + name.len() as u64 + self.regions.len() as u64 * 16;
-        if self.chunk_len > 0 {
-            w.write_all(&self.chunk_len.to_le_bytes())?;
-            n += 8;
-        }
-        Ok(n)
+        w.write_all(&self.chunk_len.to_le_bytes())?;
+        Ok(24 + name.len() as u64 + self.regions.len() as u64 * 16)
     }
 
     /// Parse and validate a header.
     ///
     /// # Errors
     ///
-    /// Rejects wrong magic, unknown versions, non-zero flags, and
-    /// non-UTF-8 names; propagates I/O errors ([`TraceError::Truncated`]
+    /// Rejects wrong magic, every version but [`VERSION`] (a version-1
+    /// file gets [`TraceError::UnsupportedVersion`]`(1)`), non-zero
+    /// flags, non-UTF-8 names and a zero chunk length; propagates I/O errors ([`TraceError::Truncated`]
     /// on short reads).
     pub fn read_header<R: Read>(r: &mut R) -> Result<TraceMeta, TraceError> {
         let mut magic = [0u8; 8];
@@ -379,7 +374,7 @@ impl TraceMeta {
             return Err(TraceError::BadMagic(magic));
         }
         let version = read_u16(r)?;
-        if version != VERSION && version != VERSION_CHUNKED {
+        if version != VERSION {
             return Err(TraceError::UnsupportedVersion(version));
         }
         let flags = read_u16(r)?;
@@ -398,15 +393,10 @@ impl TraceMeta {
                 len: read_u64(r)?,
             });
         }
-        let chunk_len = if version == VERSION_CHUNKED {
-            let cl = read_u64(r)?;
-            if cl == 0 {
-                return Err(TraceError::Corrupt("chunked trace with zero chunk length"));
-            }
-            cl
-        } else {
-            0
-        };
+        let chunk_len = read_u64(r)?;
+        if chunk_len == 0 {
+            return Err(TraceError::Corrupt("zero chunk length"));
+        }
         Ok(TraceMeta {
             name,
             regions,
@@ -469,25 +459,6 @@ mod tests {
     }
 
     #[test]
-    fn token_roundtrips_worst_case_deltas() {
-        for (prev, va) in [
-            (0u64, 0u64),
-            (0, u64::MAX),
-            (u64::MAX, 0),
-            (5, 4),
-            (1 << 40, (1 << 40) + 4096),
-        ] {
-            for write in [false, true] {
-                let mut buf = Vec::new();
-                encode_token(prev, va, write, &mut buf);
-                let token = read_varint(&mut buf.as_slice()).unwrap();
-                assert!(token >= 2);
-                assert_eq!(decode_token(prev, token).unwrap(), (va, write));
-            }
-        }
-    }
-
-    #[test]
     fn sequential_deltas_are_tiny() {
         // A 64-byte stride encodes in two bytes.
         let mut buf = Vec::new();
@@ -509,7 +480,7 @@ mod tests {
                     len: 4096,
                 },
             ],
-            chunk_len: 0,
+            chunk_len: 512,
         };
         let mut buf = Vec::new();
         let n = meta.write_header(&mut buf).unwrap();
@@ -543,7 +514,7 @@ mod tests {
         let meta = TraceMeta {
             name: "x".into(),
             regions: vec![TraceRegion { base: 0, len: 1 }],
-            chunk_len: 0,
+            chunk_len: 7,
         };
         let mut buf = Vec::new();
         meta.write_header(&mut buf).unwrap();
@@ -557,38 +528,24 @@ mod tests {
     }
 
     #[test]
-    fn v2_header_roundtrips_and_v1_is_unchanged() {
-        let v1 = TraceMeta {
+    fn header_is_version_2_and_ends_with_chunk_len() {
+        let meta = TraceMeta {
             name: "GUPS".into(),
             regions: vec![TraceRegion {
                 base: 1 << 30,
                 len: 4096,
             }],
-            chunk_len: 0,
+            chunk_len: 512,
         };
-        let mut v1_bytes = Vec::new();
-        let n1 = v1.write_header(&mut v1_bytes).unwrap();
-        // v1 framing (chunk_len == 0) must stay byte-identical to what
-        // pre-v2 writers produced: version field 1, no chunk_len field.
-        assert_eq!(v1_bytes[8..10], VERSION.to_le_bytes());
-        assert_eq!(n1, 16 + 4 + 16);
-
-        let v2 = v1.clone().chunked(512);
-        let mut v2_bytes = Vec::new();
-        let n2 = v2.write_header(&mut v2_bytes).unwrap();
-        assert_eq!(v2_bytes[8..10], VERSION_CHUNKED.to_le_bytes());
-        assert_eq!(n2, n1 + 8);
-        let got = TraceMeta::read_header(&mut v2_bytes.as_slice()).unwrap();
-        assert_eq!(got, v2);
-        assert_eq!(got.chunk_len, 512);
-        // Everything before the version byte and after it (up to the
-        // trailing chunk_len) is shared with v1.
-        assert_eq!(v1_bytes[..8], v2_bytes[..8]);
-        assert_eq!(v1_bytes[10..], v2_bytes[10..v2_bytes.len() - 8]);
+        let mut bytes = Vec::new();
+        assert_eq!(meta.write_header(&mut bytes).unwrap(), 24 + 4 + 16);
+        assert_eq!(bytes[8..10], 2u16.to_le_bytes());
+        assert_eq!(bytes[bytes.len() - 8..], 512u64.to_le_bytes());
+        assert_eq!(TraceMeta::default().chunk_len, DEFAULT_CHUNK_LEN);
     }
 
     #[test]
-    fn v2_header_rejects_zero_chunk_len_and_truncation() {
+    fn header_rejects_zero_chunk_len_and_truncation() {
         let meta = TraceMeta {
             name: "x".into(),
             regions: vec![],

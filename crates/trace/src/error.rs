@@ -10,30 +10,24 @@ pub enum TraceError {
     Io(io::Error),
     /// The file does not start with the trace magic.
     BadMagic([u8; 8]),
-    /// The file's format version is newer than this reader.
+    /// The file's format version is not the one this crate reads (2).
     UnsupportedVersion(u16),
-    /// The stream ended before the end-of-trace marker — a partial
-    /// write or truncated copy.
+    /// The bytes ended inside a structure (header, token, trailer,
+    /// footer) — a partial write or truncated copy.
     Truncated,
     /// A structural invariant was violated (reserved token, varint
     /// overflow, oversized header field, ...).
     Corrupt(&'static str),
-    /// The trailer's access count disagrees with the records decoded.
+    /// The trailer's access count disagrees with the chunk index.
     CountMismatch {
         /// Count recorded in the trailer.
         expected: u64,
-        /// Records actually decoded.
+        /// Accesses the chunk index holds.
         found: u64,
     },
-    /// The trailer checksum disagrees with the decoded records.
+    /// The trailer's whole-trace checksum disagrees with the decoded
+    /// accesses.
     ChecksumMismatch,
-    /// A seekable API ([`TraceFile`]) was used on a version-1 trace,
-    /// which has no chunk index. v1 traces stay readable through the
-    /// streaming [`TraceReader`] only.
-    ///
-    /// [`TraceFile`]: crate::TraceFile
-    /// [`TraceReader`]: crate::TraceReader
-    NotSeekable,
     /// The chunk index or footer violates the format's geometry
     /// (missing footer magic, offsets out of range or out of order,
     /// wrong start ordinals, ...).
@@ -55,16 +49,13 @@ impl fmt::Display for TraceError {
             TraceError::UnsupportedVersion(v) => {
                 write!(f, "unsupported trace format version {v}")
             }
-            TraceError::Truncated => write!(f, "trace truncated before end marker"),
+            TraceError::Truncated => write!(f, "trace truncated"),
             TraceError::Corrupt(what) => write!(f, "corrupt trace: {what}"),
             TraceError::CountMismatch { expected, found } => write!(
                 f,
-                "trace count mismatch: trailer says {expected}, decoded {found}"
+                "trace count mismatch: trailer says {expected}, index holds {found}"
             ),
             TraceError::ChecksumMismatch => write!(f, "trace checksum mismatch"),
-            TraceError::NotSeekable => {
-                write!(f, "trace has no chunk index (v1); use the streaming reader")
-            }
             TraceError::BadIndex(what) => write!(f, "corrupt trace index: {what}"),
             TraceError::IndexChecksumMismatch => write!(f, "trace index checksum mismatch"),
             TraceError::ChunkChecksumMismatch { chunk } => {
@@ -111,10 +102,9 @@ mod tests {
                     expected: 5,
                     found: 3,
                 },
-                "says 5, decoded 3",
+                "says 5, index holds 3",
             ),
             (TraceError::ChecksumMismatch, "checksum"),
-            (TraceError::NotSeekable, "no chunk index"),
             (TraceError::BadIndex("footer magic"), "footer magic"),
             (TraceError::IndexChecksumMismatch, "index checksum"),
             (

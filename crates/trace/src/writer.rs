@@ -1,8 +1,8 @@
 //! Streaming trace encoder.
 
 use crate::codec::{
-    encode_token, fnv1a, write_varint, ChunkIndexEntry, TraceHash, TraceMeta, FOOTER_BYTES,
-    INDEX_MAGIC, NAIVE_BYTES_PER_ACCESS, TOKEN_END,
+    encode_token, fnv1a, write_varint, ChunkIndexEntry, TraceHash, TraceMeta, INDEX_MAGIC,
+    NAIVE_BYTES_PER_ACCESS, TOKEN_END,
 };
 use dmt_workloads::gen::Access;
 use std::io::{self, BufWriter, Write};
@@ -17,7 +17,7 @@ pub struct TraceSummary {
     pub header_bytes: u64,
     /// Body + trailer bytes written.
     pub body_bytes: u64,
-    /// Chunk index + footer bytes written (0 for v1 traces).
+    /// Chunk index + footer bytes written.
     pub index_bytes: u64,
 }
 
@@ -43,16 +43,15 @@ impl TraceSummary {
 
 /// Streams accesses into any [`Write`] sink in the `dmt-trace` binary
 /// format. Call [`finish`](TraceWriter::finish) to seal the trace with
-/// its end marker, count, and checksum — a writer dropped without
-/// `finish` leaves a trace that readers reject as
-/// [`Truncated`](crate::TraceError::Truncated).
+/// its end marker, count, checksum, chunk index and footer — a writer
+/// dropped without `finish` leaves a trace that
+/// [`TraceFile`](crate::TraceFile) rejects.
 ///
-/// When the metadata selects the v2 framing (`meta.chunk_len > 0`), the
-/// writer resets the delta base every `chunk_len` accesses, tracks one
-/// [`ChunkIndexEntry`] per chunk, and appends the index + footer after
-/// the trailer in `finish`. Chunk placement depends only on access
-/// ordinals, so the emitted bytes are independent of how pushes are
-/// batched. The sink is written strictly append-only — no seeking.
+/// The writer resets the delta base every `meta.chunk_len` accesses and
+/// tracks one [`ChunkIndexEntry`] per chunk. Chunk placement depends
+/// only on access ordinals, so the emitted bytes are independent of how
+/// pushes are batched. The sink is written strictly append-only — no
+/// seeking.
 #[derive(Debug)]
 pub struct TraceWriter<W: Write> {
     sink: W,
@@ -75,7 +74,8 @@ impl<W: Write> TraceWriter<W> {
     ///
     /// # Errors
     ///
-    /// Propagates header serialization failures.
+    /// [`io::ErrorKind::InvalidInput`] if `meta.chunk_len` is zero;
+    /// propagates header serialization failures.
     pub fn new(mut sink: W, meta: &TraceMeta) -> io::Result<Self> {
         let header_bytes = meta.write_header(&mut sink)?;
         Ok(TraceWriter {
@@ -111,7 +111,7 @@ impl<W: Write> TraceWriter<W> {
     ///
     /// Propagates sink I/O failures.
     pub fn push(&mut self, a: Access) -> io::Result<()> {
-        if self.chunk_len > 0 && self.count.is_multiple_of(self.chunk_len) {
+        if self.count.is_multiple_of(self.chunk_len) {
             self.seal_chunk();
             self.chunks.push(ChunkIndexEntry {
                 offset: self.write_offset(),
@@ -155,8 +155,8 @@ impl<W: Write> TraceWriter<W> {
         Ok(())
     }
 
-    /// Seal the trace: end marker, access count, checksum — and for
-    /// chunked traces the chunk index and footer; flushes the sink.
+    /// Seal the trace: end marker, access count, checksum, chunk index
+    /// and footer; flushes the sink.
     ///
     /// # Errors
     ///
@@ -168,28 +168,23 @@ impl<W: Write> TraceWriter<W> {
         self.buf
             .extend_from_slice(&self.hash.digest().to_le_bytes());
         self.flush_buf()?;
-        let mut index_bytes = 0u64;
-        if self.chunk_len > 0 {
-            let index_offset = self.header_bytes + self.body_bytes;
-            let mut index = Vec::with_capacity(self.chunks.len() * 32 + 32);
-            for c in &self.chunks {
-                c.write_to(&mut index);
-            }
-            let index_fnv = fnv1a(&index);
-            index.extend_from_slice(&index_offset.to_le_bytes());
-            index.extend_from_slice(&(self.chunks.len() as u64).to_le_bytes());
-            index.extend_from_slice(&index_fnv.to_le_bytes());
-            index.extend_from_slice(&INDEX_MAGIC);
-            self.sink.write_all(&index)?;
-            index_bytes = index.len() as u64;
-            debug_assert_eq!(index_bytes, self.chunks.len() as u64 * 32 + FOOTER_BYTES);
+        let index_offset = self.header_bytes + self.body_bytes;
+        let mut index = Vec::with_capacity(self.chunks.len() * 32 + 32);
+        for c in &self.chunks {
+            c.write_to(&mut index);
         }
+        let index_fnv = fnv1a(&index);
+        index.extend_from_slice(&index_offset.to_le_bytes());
+        index.extend_from_slice(&(self.chunks.len() as u64).to_le_bytes());
+        index.extend_from_slice(&index_fnv.to_le_bytes());
+        index.extend_from_slice(&INDEX_MAGIC);
+        self.sink.write_all(&index)?;
         self.sink.flush()?;
         Ok(TraceSummary {
             accesses: self.count,
             header_bytes: self.header_bytes,
             body_bytes: self.body_bytes,
-            index_bytes,
+            index_bytes: index.len() as u64,
         })
     }
 }
@@ -209,17 +204,19 @@ impl TraceWriter<BufWriter<std::fs::File>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::FOOTER_BYTES;
     use dmt_mem::VirtAddr;
 
     #[test]
-    fn empty_trace_is_just_header_and_trailer() {
+    fn zero_chunk_len_is_invalid_input() {
+        let meta = TraceMeta {
+            chunk_len: 0,
+            ..TraceMeta::default()
+        };
         let mut out = Vec::new();
-        let w = TraceWriter::new(&mut out, &TraceMeta::default()).unwrap();
-        let s = w.finish().unwrap();
-        assert_eq!(s.accesses, 0);
-        assert_eq!(s.index_bytes, 0);
-        assert_eq!(s.total_bytes(), out.len() as u64);
-        assert_eq!(s.compression_ratio(), 1.0);
+        let err = TraceWriter::new(&mut out, &meta).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(out.is_empty(), "nothing is written for an invalid meta");
     }
 
     #[test]
@@ -270,6 +267,7 @@ mod tests {
         assert_eq!(s.accesses, 0);
         assert_eq!(s.index_bytes, FOOTER_BYTES);
         assert_eq!(s.total_bytes(), out.len() as u64);
+        assert_eq!(s.compression_ratio(), 1.0);
         assert_eq!(&out[out.len() - 8..], &INDEX_MAGIC);
     }
 

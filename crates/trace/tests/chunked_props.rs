@@ -1,19 +1,14 @@
-//! Property tests for the v2 (chunked, seekable) trace framing:
-//! round-trips at adversarial chunk sizes, seek == sequential decode,
-//! typed rejection of damaged indexes and bodies, and v1
-//! compatibility.
+//! Property tests for the chunked trace framing: round-trips at
+//! adversarial chunk sizes, seek == sequential decode, and typed
+//! rejection of damaged indexes and bodies.
 
 use dmt_mem::VirtAddr;
-use dmt_trace::{TraceError, TraceFile, TraceMeta, TraceReader, TraceWriter};
+use dmt_trace::{TraceError, TraceFile, TraceMeta, TraceWriter};
 use dmt_workloads::gen::Access;
 use proptest::prelude::*;
 
 fn encode(accesses: &[Access], chunk_len: u64) -> Vec<u8> {
-    let meta = if chunk_len == 0 {
-        TraceMeta::default()
-    } else {
-        TraceMeta::default().chunked(chunk_len)
-    };
+    let meta = TraceMeta::default().chunked(chunk_len);
     let mut bytes = Vec::new();
     let mut w = TraceWriter::new(&mut bytes, &meta).unwrap();
     w.push_all(accesses.iter().copied()).unwrap();
@@ -52,8 +47,8 @@ fn boundary_chunk_lens(n: usize, extra: u64) -> Vec<u64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// v2 round-trips losslessly through both the streaming reader and
-    /// the seekable file, at every boundary chunk size.
+    /// Traces round-trip losslessly through both the sequential
+    /// iterator and whole-trace decode, at every boundary chunk size.
     #[test]
     fn chunked_roundtrip_is_lossless(
         raw in prop::collection::vec((any::<u64>(), any::<bool>()), 0..200),
@@ -61,14 +56,11 @@ proptest! {
     ) {
         let accesses = accesses_of(&raw);
         for cl in boundary_chunk_lens(accesses.len(), extra) {
-            let bytes = encode(&accesses, cl);
-            // Streaming decode.
-            let r = TraceReader::new(bytes.as_slice()).unwrap();
-            prop_assert_eq!(r.meta().chunk_len, cl);
-            prop_assert_eq!(r.read_all().unwrap(), accesses.clone());
-            // Seekable decode.
-            let f = TraceFile::from_bytes(bytes).unwrap();
+            let f = TraceFile::from_bytes(encode(&accesses, cl)).unwrap();
+            prop_assert_eq!(f.chunk_len(), cl);
             prop_assert_eq!(f.len(), accesses.len() as u64);
+            let streamed: Result<Vec<Access>, TraceError> = f.accesses().collect();
+            prop_assert_eq!(streamed.unwrap(), accesses.clone());
             prop_assert_eq!(f.read_all().unwrap(), accesses.clone());
         }
     }
@@ -81,12 +73,8 @@ proptest! {
         chunk_len in 1u64..50,
     ) {
         let accesses = accesses_of(&raw);
-        let bytes = encode(&accesses, chunk_len);
-        let sequential = TraceReader::new(bytes.as_slice())
-            .unwrap()
-            .read_all()
-            .unwrap();
-        let f = TraceFile::from_bytes(bytes).unwrap();
+        let f = TraceFile::from_bytes(encode(&accesses, chunk_len)).unwrap();
+        let sequential: Vec<Access> = f.accesses().map(Result::unwrap).collect();
         for i in 0..f.chunk_count() {
             let mut got = Vec::new();
             f.decode_chunk(i, &mut got).unwrap();
@@ -124,16 +112,15 @@ proptest! {
                     | TraceError::BadMagic(_)
                     | TraceError::UnsupportedVersion(_)
                     | TraceError::Corrupt(_)
-                    | TraceError::NotSeekable
             ),
             "cut {}",
             cut
         );
     }
 
-    /// A bit flip in the index/footer region is caught at open; a bit
-    /// flip in an indexed chunk body is caught by that chunk's
-    /// checksum at decode.
+    /// A bit flip in a chunk body or the trailer is caught at open or
+    /// by a checksum at decode: the chunk's own, or the trailer's
+    /// whole-trace one.
     #[test]
     fn chunked_bit_flips_are_caught(
         raw in prop::collection::vec((0u64..(1 << 45), any::<bool>()), 40..120),
@@ -143,13 +130,10 @@ proptest! {
     ) {
         let accesses = accesses_of(&raw);
         let bytes = encode(&accesses, chunk_len);
-        let clean = TraceFile::from_bytes(bytes.clone()).unwrap();
-        let chunks = clean.chunks().to_vec();
-        let index_start = chunks.last().unwrap().offset as usize; // last chunk start; index is past it
-        drop(clean);
-        // Flip somewhere in the fully-indexed chunk bodies (all but the
-        // last chunk, whose byte range runs into the trailer).
-        let body = chunks[0].offset as usize..index_start;
+        let body_start = TraceFile::from_bytes(bytes.clone()).unwrap().chunks()[0].offset;
+        let footer = bytes.len() - 32;
+        let index_offset = u64::from_le_bytes(bytes[footer..footer + 8].try_into().unwrap());
+        let body = body_start as usize..index_offset as usize;
         let at = body.start + (at_seed % body.len() as u64) as usize;
         let mut bad = bytes.clone();
         bad[at] ^= 1 << flip_bit;
@@ -163,25 +147,5 @@ proptest! {
                 ),
             }
         }
-    }
-
-    /// v1 files (chunk_len == 0) still decode to the identical access
-    /// sequence, their bytes are unchanged by the v2 writer path, and
-    /// the seekable API rejects them with the dedicated typed error.
-    #[test]
-    fn v1_stays_readable_and_not_seekable(
-        raw in prop::collection::vec((any::<u64>(), any::<bool>()), 0..150),
-    ) {
-        let accesses = accesses_of(&raw);
-        let v1 = encode(&accesses, 0);
-        let again = encode(&accesses, 0);
-        prop_assert_eq!(&v1, &again, "v1 encoding must be byte-stable");
-        let r = TraceReader::new(v1.as_slice()).unwrap();
-        prop_assert_eq!(r.meta().chunk_len, 0);
-        prop_assert_eq!(r.read_all().unwrap(), accesses);
-        prop_assert!(matches!(
-            TraceFile::from_bytes(v1),
-            Err(TraceError::NotSeekable)
-        ));
     }
 }

@@ -1,9 +1,10 @@
 //! Property tests for the trace codec: encode→decode is the identity
 //! over arbitrary access sequences, and damaged inputs are rejected
-//! with errors rather than panics or silent corruption.
+//! with typed errors rather than panics or silent corruption.
 
 use dmt_mem::VirtAddr;
-use dmt_trace::{TraceMeta, TraceReader, TraceRegion, TraceWriter};
+use dmt_trace::codec::{decode_token, encode_token, read_varint};
+use dmt_trace::{TraceError, TraceFile, TraceMeta, TraceRegion, TraceWriter};
 use dmt_workloads::gen::Access;
 use proptest::prelude::*;
 
@@ -15,17 +16,38 @@ fn encode(accesses: &[Access], meta: &TraceMeta) -> Vec<u8> {
     bytes
 }
 
+#[test]
+fn token_roundtrips_worst_case_deltas() {
+    for (prev, va) in [
+        (0u64, 0u64),
+        (0, u64::MAX),
+        (u64::MAX, 0),
+        (5, 4),
+        (1 << 40, (1 << 40) + 4096),
+    ] {
+        for write in [false, true] {
+            let mut buf = Vec::new();
+            encode_token(prev, va, write, &mut buf);
+            let token = read_varint(&mut buf.as_slice()).unwrap();
+            assert!(token >= 2);
+            assert_eq!(decode_token(prev, token).unwrap(), (va, write));
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Arbitrary VAs (full 64-bit range — far nastier deltas than any
-    /// real workload) and write bits roundtrip exactly.
+    /// real workload) and write bits roundtrip exactly, and so does the
+    /// header.
     #[test]
     fn roundtrip_is_lossless(
         raw in prop::collection::vec((any::<u64>(), any::<bool>()), 0..300),
         name_tag in 0u32..1000,
         region_base in any::<u64>(),
         region_len in 1u64..(1 << 40),
+        chunk_len in 1u64..400,
     ) {
         let accesses: Vec<Access> = raw
             .iter()
@@ -34,17 +56,17 @@ proptest! {
         let meta = TraceMeta {
             name: format!("prop-{name_tag}"),
             regions: vec![TraceRegion { base: region_base, len: region_len }],
-            chunk_len: 0,
+            chunk_len,
         };
-        let bytes = encode(&accesses, &meta);
-        let reader = TraceReader::new(bytes.as_slice()).unwrap();
-        prop_assert_eq!(reader.meta(), &meta);
-        let decoded = reader.read_all().unwrap();
-        prop_assert_eq!(decoded, accesses);
+        let f = TraceFile::from_bytes(encode(&accesses, &meta)).unwrap();
+        prop_assert_eq!(f.meta(), &meta);
+        let decoded: Result<Vec<Access>, TraceError> = f.accesses().collect();
+        prop_assert_eq!(decoded.unwrap(), accesses);
     }
 
     /// Truncating an encoded trace anywhere strictly inside it yields a
-    /// clean error (never a panic, never a silently short result).
+    /// typed error at open (never a panic, never a silently short
+    /// result).
     #[test]
     fn truncation_never_passes_validation(
         raw in prop::collection::vec((0u64..(1 << 45), any::<bool>()), 1..200),
@@ -54,29 +76,18 @@ proptest! {
             .iter()
             .map(|&(va, write)| Access { va: VirtAddr(va), write })
             .collect();
-        let bytes = encode(&accesses, &TraceMeta::default());
+        let bytes = encode(&accesses, &TraceMeta::default().chunked(64));
         let cut = 1 + (cut_seed % (bytes.len() as u64 - 1)) as usize;
-        match TraceReader::new(&bytes[..cut]) {
-            // Cut inside the header: rejected at open.
-            Err(e) => prop_assert!(
-                matches!(e, dmt_trace::TraceError::Truncated),
-                "header cut {cut}: {e:?}"
-            ),
-            // Cut inside the body/trailer: rejected during the drain.
-            Ok(reader) => {
-                let err = reader.read_all().unwrap_err();
-                prop_assert!(
-                    matches!(err, dmt_trace::TraceError::Truncated),
-                    "body cut {cut}: {err:?}"
-                );
-            }
-        }
+        let err = TraceFile::from_bytes(bytes[..cut].to_vec()).unwrap_err();
+        prop_assert!(
+            matches!(err, TraceError::Truncated | TraceError::BadIndex(_)),
+            "cut {cut}: {err:?}"
+        );
     }
 
-    /// Corrupting any single header byte is rejected (bad magic,
-    /// version, flags, or a field that no longer parses) — or, for the
-    /// name/region payload bytes, at worst alters metadata without ever
-    /// panicking.
+    /// Corrupting any header byte up to the name is rejected (bad
+    /// magic, version, flags, or a name length that no longer matches
+    /// the chunk offsets) — never a panic.
     #[test]
     fn corrupt_header_never_panics(
         flip_at in 0usize..16,
@@ -85,15 +96,9 @@ proptest! {
         let accesses = [Access::read(VirtAddr(0x1000))];
         let mut bytes = encode(&accesses, &TraceMeta::default());
         bytes[flip_at] ^= flip_bits;
-        // The first 16 bytes are magic + version + flags + name length:
-        // every flip there must be rejected.
-        match TraceReader::new(bytes.as_slice()) {
+        match TraceFile::from_bytes(bytes) {
             Err(_) => {}
-            Ok(r) => {
-                // A name-length flip can only "succeed" by swallowing
-                // body bytes as name; the stream then fails validation.
-                prop_assert!(r.read_all().is_err(), "flip at {flip_at} accepted");
-            }
+            Ok(f) => prop_assert!(f.read_all().is_err(), "flip at {flip_at} accepted"),
         }
     }
 }

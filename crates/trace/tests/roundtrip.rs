@@ -2,7 +2,7 @@
 //! and the compression bound on sequential-heavy traces.
 
 use dmt_mem::VirtAddr;
-use dmt_trace::{capture, TraceReader, NAIVE_BYTES_PER_ACCESS};
+use dmt_trace::{capture, TraceFile, DEFAULT_CHUNK_LEN, NAIVE_BYTES_PER_ACCESS};
 use dmt_workloads::bench7::all_benchmarks;
 use dmt_workloads::gen::{Access, Region, Workload};
 
@@ -17,19 +17,19 @@ fn all_seven_benchmarks_roundtrip_losslessly() {
         // grouped accesses per operation); capture matches trace().
         let expected = w.trace(n, seed);
         let mut bytes = Vec::new();
-        let summary = capture(w.as_ref(), n, seed, &mut bytes).unwrap();
+        let summary = capture(w.as_ref(), n, seed, DEFAULT_CHUNK_LEN, &mut bytes).unwrap();
         assert_eq!(summary.accesses, expected.len() as u64, "{}", w.name());
 
-        let reader = TraceReader::new(bytes.as_slice()).unwrap();
-        assert_eq!(reader.meta().name, w.name());
-        assert_eq!(reader.meta().footprint(), w.footprint(), "{}", w.name());
+        let file = TraceFile::from_bytes(bytes).unwrap();
+        assert_eq!(file.meta().name, w.name());
+        assert_eq!(file.meta().footprint(), w.footprint(), "{}", w.name());
         assert_eq!(
-            reader.meta().to_regions().len(),
+            file.meta().to_regions().len(),
             w.regions().len(),
             "{}",
             w.name()
         );
-        let replayed = reader.read_all().unwrap();
+        let replayed = file.read_all().unwrap();
         assert_eq!(replayed, expected, "{} trace differs", w.name());
     }
 }
@@ -41,7 +41,7 @@ fn all_seven_benchmarks_roundtrip_losslessly() {
 fn all_benchmarks_compress_below_half_of_naive() {
     for w in all_benchmarks() {
         let mut bytes = Vec::new();
-        let s = capture(w.as_ref(), 50_000, 1, &mut bytes).unwrap();
+        let s = capture(w.as_ref(), 50_000, 1, DEFAULT_CHUNK_LEN, &mut bytes).unwrap();
         let ratio = s.compression_ratio();
         assert!(
             ratio <= 0.5,
@@ -92,17 +92,14 @@ fn sequential_traces_compress_to_under_half_naive() {
     };
     let n = 100_000;
     let mut bytes = Vec::new();
-    let s = capture(&w, n, 0, &mut bytes).unwrap();
+    let s = capture(&w, n, 0, DEFAULT_CHUNK_LEN, &mut bytes).unwrap();
     assert_eq!(s.naive_bytes(), n as u64 * NAIVE_BYTES_PER_ACCESS);
     let ratio = s.compression_ratio();
     assert!(ratio <= 0.5, "sequential ratio {ratio:.3} > 0.5");
     // The real number is far better; keep a regression floor at 25%.
     assert!(ratio <= 0.25, "sequential ratio {ratio:.3} > 0.25");
     // And the trace still decodes exactly.
-    let replayed = TraceReader::new(bytes.as_slice())
-        .unwrap()
-        .read_all()
-        .unwrap();
+    let replayed = TraceFile::from_bytes(bytes).unwrap().read_all().unwrap();
     assert_eq!(replayed.len(), n);
     assert_eq!(replayed, w.trace(n, 0));
 }

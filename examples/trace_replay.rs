@@ -1,6 +1,6 @@
 //! Capture a GUPS trace to a binary `.dmtt` file, then replay it —
-//! streaming off disk, no workload generator in sight — through the DMT
-//! and vanilla-radix rigs and compare walk latencies.
+//! streaming off a mapping of the file, no workload generator in sight
+//! — through the DMT and vanilla-radix rigs and compare walk latencies.
 //!
 //! Run with: `cargo run --release --example trace_replay`
 
@@ -8,7 +8,7 @@ use dmt::sim::native_rig::NativeRig;
 use dmt::sim::report::{f2, pct, Table};
 use dmt::sim::rig::{Design, Setup};
 use dmt::sim::Runner;
-use dmt::trace::{capture_to_path, TraceReader};
+use dmt::trace::{capture_to_path, TraceFile, DEFAULT_CHUNK_LEN};
 use dmt::workloads::bench7::Gups;
 use dmt::workloads::gen::Workload;
 
@@ -21,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let path = std::env::temp_dir().join("gups.dmtt");
 
     // --- capture ---------------------------------------------------------
-    let summary = capture_to_path(&gups, n, 0xD317, &path)?;
+    let summary = capture_to_path(&gups, n, 0xD317, DEFAULT_CHUNK_LEN, &path)?;
     println!(
         "captured {} accesses of {} ({} GiB) to {}",
         summary.accesses,
@@ -39,9 +39,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- replay ----------------------------------------------------------
     // The rigs are built from the trace header alone (regions + touched
     // pages), exactly what a replay on another machine would have.
-    let accesses = TraceReader::open(&path)?.read_all()?;
-    let meta = TraceReader::open(&path)?.meta().clone();
-    let setup = Setup::new(meta.to_regions(), &accesses);
+    let file = TraceFile::open(&path)?;
+    let accesses = file.read_all()?;
+    let setup = Setup::new(file.meta().to_regions(), &accesses);
 
     let mut table = Table::new(
         format!("GUPS replay from {} (native, 4 KiB pages)", path.display()),
@@ -50,10 +50,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let runner = Runner::builder().build();
     for design in [Design::Vanilla, Design::Dmt] {
         let mut rig = NativeRig::with_setup(design, false, &setup)?;
-        // Stream the decoded accesses through the runner's engine.
+        // Stream the accesses, one chunk decoded at a time, through the
+        // runner's engine.
         let (stats, _) = runner.replay(
             &mut rig,
-            TraceReader::open(&path)?.map(|a| a.expect("validated above")),
+            file.accesses().map(|a| a.expect("validated by read_all")),
             warmup,
         );
         table.row(vec![

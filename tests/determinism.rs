@@ -129,16 +129,17 @@ fn mmap_and_buffered_trace_readers_are_bit_identical() {
     // indistinguishable: same decoded stream, same per-chunk decode,
     // same replay results. (On platforms where mmap fails, `open`
     // itself falls back and the two are trivially equal — the assert on
-    // decoded content is what matters.) The streaming `TraceReader`
-    // joins them: `Runner::replay` over its accesses equals the replay
-    // of the in-memory trace the file was captured from.
+    // decoded content is what matters.) The sequential
+    // `TraceFile::accesses` stream joins them: `Runner::replay` over it
+    // equals the replay of the in-memory trace the file was captured
+    // from.
     let w = Gups {
         table_bytes: 32 << 20,
     };
     let dir = std::env::temp_dir().join(format!("dmt-mmap-selftest-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("gups.dmtt");
-    dmt::trace::capture_indexed_to_path(&w, 6_000, SEED, 250, &path).unwrap();
+    dmt::trace::capture_to_path(&w, 6_000, SEED, 250, &path).unwrap();
     let mapped = dmt::trace::TraceFile::open(&path).unwrap();
     let buffered = dmt::trace::TraceFile::open_buffered(&path).unwrap();
     assert!(!buffered.is_mapped());
@@ -188,9 +189,11 @@ fn mmap_and_buffered_trace_readers_are_bit_identical() {
             .unwrap();
         plain.replay(rig.as_mut(), trace, 1_000).0
     };
-    let streamed = dmt::trace::TraceReader::open(&path).unwrap().accesses();
     let in_memory = replay(&mut trace.iter().copied());
-    assert_eq!(replay(&mut streamed.into_iter()), in_memory);
+    for file in [&mapped, &buffered] {
+        let mut streamed = file.accesses().map(Result::unwrap);
+        assert_eq!(replay(&mut streamed), in_memory);
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

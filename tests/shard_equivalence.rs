@@ -169,7 +169,7 @@ fn sharded_replay_is_bit_identical_from_file() {
     };
     let mut bytes = Vec::new();
     // Chunk length 250 divides EPOCH=1000: four chunks per epoch.
-    dmt::trace::capture_indexed(&w, 6_000, 0xD317, 250, &mut bytes).unwrap();
+    dmt::trace::capture(&w, 6_000, 0xD317, 250, &mut bytes).unwrap();
     let f = TraceFile::from_bytes(bytes).unwrap();
     assert_eq!(f.len() as usize, cell.trace.len());
     // File and memory sources must agree with each other too: same
@@ -258,7 +258,7 @@ fn misaligned_file_epochs_are_a_typed_error() {
         table_bytes: 4 << 20,
     };
     let mut bytes = Vec::new();
-    dmt::trace::capture_indexed(&w, 2_000, 7, 300, &mut bytes).unwrap();
+    dmt::trace::capture(&w, 2_000, 7, 300, &mut bytes).unwrap();
     let f = TraceFile::from_bytes(bytes).unwrap();
     let trace = w.trace(2_000, 7);
     let setup = Setup::of_workload(&w, &trace);
