@@ -202,20 +202,23 @@ impl HeadSet {
         Some(((leaf as u64) << LEAF_SHIFT) | ((w as u64) << 6) | u64::from(b))
     }
 
-    /// Every head index whose word bit is set, in increasing order (read
-    /// from the words alone, so the audit sees heads a stale summary
-    /// would hide).
-    fn iter(&self) -> impl Iterator<Item = u64> + '_ {
-        self.leaves.iter().enumerate().flat_map(|(leaf, l)| {
-            l.iter().flat_map(move |l| {
-                l.words.iter().enumerate().flat_map(move |(w, &word)| {
-                    let base = ((leaf as u64) << LEAF_SHIFT) | ((w as u64) << 6);
-                    (0..64u64)
-                        .filter(move |b| word >> b & 1 != 0)
-                        .map(move |b| base | b)
-                })
+    /// Every nonzero word, with the head index of its bit 0, in
+    /// increasing order (read from the words alone, so the audit sees
+    /// heads a stale summary would hide).
+    fn nonzero_words(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.leaves
+            .iter()
+            .enumerate()
+            .filter_map(|(leaf, l)| Some((leaf, l.as_deref()?)))
+            .flat_map(|(leaf, l)| {
+                l.words
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &word)| word != 0)
+                    .map(move |(w, &word)| {
+                        (((leaf as u64) << LEAF_SHIFT) | ((w as u64) << 6), word)
+                    })
             })
-        })
     }
 
     /// Check that every summary and top bit and the count agree with the
@@ -392,7 +395,7 @@ impl BuddyAllocator {
     /// Count of allocated frames of a given kind (used by the §6.3
     /// page-table memory-overhead experiment).
     pub fn allocated_of_kind(&self, kind: FrameKind) -> u64 {
-        self.state.iter().filter(|&&s| s == kind as u8).count() as u64
+        count_bytes(&self.state, kind as u8)
     }
 
     /// Allocate a naturally aligned block of `2^order` frames.
@@ -688,59 +691,86 @@ impl BuddyAllocator {
     /// - no two mergeable buddies are both listed at the same order
     ///   (eager merging actually happened).
     ///
+    /// Coverage is proven by counting, so the audit allocates nothing per
+    /// frame: one vectorised pass counts the `Free` bytes, and the rest
+    /// costs work per listed block. Aligned power-of-two blocks are
+    /// nested or disjoint, so no frame is covered twice iff no block has
+    /// a listed ancestor `head >> u` at a higher order `u`. Disjoint
+    /// blocks of `Free` frames whose sizes add up to the `Free` count
+    /// cover exactly the `Free` frames. Blocks are visited by order, then
+    /// head, and only a failing check searches frame by frame, so the
+    /// violation reported is the first one a per-frame audit in that
+    /// order meets.
+    ///
     /// # Errors
     ///
     /// Returns a human-readable description of the violated invariant.
     pub fn audit(&self) -> std::result::Result<(), String> {
         let total = self.total_frames();
-        let counted = self.state.iter().filter(|&&s| s == FREE).count() as u64;
+        let counted = count_bytes(&self.state, FREE);
         if counted != self.free_frames {
             return Err(format!(
                 "free_frames counter {} != {} frames marked Free",
                 self.free_frames, counted
             ));
         }
-        let mut covered = vec![false; total as usize];
+        // Set once the ancestor test finds a listed block inside a
+        // higher-order one. The per-frame audit reports that at the higher
+        // block, later in this walk, so from then on every block is
+        // searched frame by frame.
+        let mut nested = false;
+        let mut listed = 0u64;
         for (order, list) in self.free_lists.iter().enumerate() {
             list.check().map_err(|e| format!("order {order}: {e}"))?;
             let n = 1u64 << order;
-            for head in list.iter().map(|i| i << order) {
-                if head + n > total {
-                    return Err(format!(
-                        "free block {head} order {order} extends past total {total}"
-                    ));
-                }
-                for f in head..head + n {
-                    if self.state[f as usize] != FREE {
+            for (first, word) in list.nonzero_words() {
+                let mut rest = word;
+                while rest != 0 {
+                    let b = rest.trailing_zeros();
+                    rest &= rest - 1;
+                    let head = (first | u64::from(b)) << order;
+                    if head + n > total {
                         return Err(format!(
-                            "frame {f} in free block {head} order {order} is allocated"
+                            "free block {head} order {order} extends past total {total}"
                         ));
                     }
-                    if covered[f as usize] {
-                        return Err(format!("frame {f} covered by two free blocks"));
+                    let block = &self.state[head as usize..(head + n) as usize];
+                    if nested || block.iter().fold(FREE, |acc, &s| acc | s) != FREE {
+                        if let Some(e) = self.block_fault(head, order as u8) {
+                            return Err(e);
+                        }
                     }
-                    covered[f as usize] = true;
-                }
-                // Eager merging: the buddy of a listed block must not also
-                // be listed at the same (mergeable) order.
-                if (order as u8) < self.max_order {
+                    nested = nested
+                        || (order + 1..self.free_lists.len())
+                            .any(|u| self.free_lists[u].contains(head >> u));
+                    // Eager merging: the buddy of a listed block must not
+                    // also be listed at the same (mergeable) order. A head
+                    // and its buddy share a word: bits `b` and `b ^ 1`.
                     let buddy = head ^ n;
-                    if buddy + n <= total && head < buddy && list.contains(buddy >> order) {
+                    if (order as u8) < self.max_order
+                        && b & 1 == 0
+                        && buddy + n <= total
+                        && word >> (b | 1) & 1 != 0
+                    {
                         return Err(format!(
                             "buddies {head} and {buddy} both free at order {order} (unmerged)"
                         ));
                     }
+                    listed += n;
                 }
             }
         }
-        for (f, &s) in self.state.iter().enumerate() {
-            if (s == FREE) != covered[f] {
-                return Err(format!(
-                    "frame {f}: state {:?} disagrees with free-list coverage {}",
-                    FrameState::from_byte(s),
-                    covered[f]
-                ));
-            }
+        if listed != self.free_frames {
+            return Err(match self.uncovered_free_frame() {
+                Some(f) => format!(
+                    "frame {f}: state {:?} disagrees with free-list coverage false",
+                    FrameState::Free
+                ),
+                None => format!(
+                    "free blocks cover {listed} frames but {} are free",
+                    self.free_frames
+                ),
+            });
         }
         Ok(())
     }
@@ -750,13 +780,28 @@ impl BuddyAllocator {
     /// determinism tests (two identically seeded runs must agree). It
     /// hashes the stored state bytes: 0 for a free frame, the
     /// [`FrameKind`] discriminant for an allocated one.
+    ///
+    /// A free byte only multiplies the hash by the FNV prime, so a run of
+    /// `k` free frames is one multiplication by the prime's `k`-th power.
+    /// The hash skips free 64-frame chunks that way and hashes the others
+    /// byte by byte, so it costs a vectorised pass over the free chunks
+    /// plus a step per frame of a chunk that holds an allocated one, and
+    /// is bit-identical to hashing every byte.
     pub fn state_hash(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &s in &self.state {
-            h ^= u64::from(s);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        let mut h = FNV_OFFSET;
+        let mut free_run = 0u64;
+        for chunk in self.state.chunks(64) {
+            if chunk.iter().fold(FREE, |acc, &s| acc | s) == FREE {
+                free_run += chunk.len() as u64;
+                continue;
+            }
+            h = fnv_skip_zeros(h, free_run);
+            free_run = 0;
+            for &s in chunk {
+                h = (h ^ u64::from(s)).wrapping_mul(FNV_PRIME);
+            }
         }
-        h
+        fnv_skip_zeros(h, free_run)
     }
 
     // ---- internals -----------------------------------------------------
@@ -789,6 +834,40 @@ impl BuddyAllocator {
         (0..=self.max_order)
             .find(|&o| self.free_lists[o as usize].contains(f >> o))
             .map(|o| (f & !((1u64 << o) - 1), o))
+    }
+
+    /// The first violation the per-frame audit meets in listed block
+    /// `head` of `order`: its lowest frame that is allocated or already
+    /// covered by a block of a lower order (blocks of one order are
+    /// disjoint).
+    fn block_fault(&self, head: u64, order: u8) -> Option<String> {
+        (head..head + (1 << order)).find_map(|f| {
+            if self.state[f as usize] != FREE {
+                Some(format!(
+                    "frame {f} in free block {head} order {order} is allocated"
+                ))
+            } else if (0..order).any(|u| self.free_lists[u as usize].contains(f >> u)) {
+                Some(format!("frame {f} covered by two free blocks"))
+            } else {
+                None
+            }
+        })
+    }
+
+    /// The lowest free frame that no listed block contains.
+    fn uncovered_free_frame(&self) -> Option<u64> {
+        let mut f = 0;
+        loop {
+            f += self
+                .state
+                .get(f as usize..)?
+                .iter()
+                .position(|&s| s == FREE)? as u64;
+            match self.containing_free_block(f) {
+                Some((head, order)) => f = head + (1 << order),
+                None => return Some(f),
+            }
+        }
     }
 
     /// Free an allocated run: mark it free and return it to the free lists.
@@ -834,6 +913,40 @@ impl BuddyAllocator {
     }
 }
 
+/// Raw access for tests that corrupt an allocator on purpose to check
+/// what [`BuddyAllocator::audit`] reports. Not part of the allocator's
+/// interface: every other caller goes through the allocation methods.
+#[doc(hidden)]
+impl BuddyAllocator {
+    /// The per-frame state bytes: 0 for free, else a [`FrameKind`]
+    /// discriminant.
+    pub fn state_bytes_mut(&mut self) -> &mut [u8] {
+        &mut self.state
+    }
+
+    /// The incremental free-frame counter.
+    pub fn free_frames_mut(&mut self) -> &mut u64 {
+        &mut self.free_frames
+    }
+
+    /// Whether block head index `i` (`head >> order`) has its bit set in
+    /// the free list of `order`.
+    pub fn is_listed(&self, order: u8, i: u64) -> bool {
+        self.free_lists[order as usize].contains(i)
+    }
+
+    /// Set or clear the free-list bit of head index `i` at `order`,
+    /// keeping the list's summary bits and count consistent.
+    pub fn set_listed(&mut self, order: u8, i: u64, listed: bool) {
+        let list = &mut self.free_lists[order as usize];
+        if listed && !list.contains(i) {
+            list.insert(i);
+        } else if !listed {
+            list.remove(i);
+        }
+    }
+}
+
 /// Smallest order whose block covers `n` frames.
 #[inline]
 pub fn covering_order(n: u64) -> u8 {
@@ -843,6 +956,33 @@ pub fn covering_order(n: u64) -> u8 {
     } else {
         (64 - (n - 1).leading_zeros()) as u8
     }
+}
+
+/// How many of `bytes` equal `b`, counted per 255 bytes in a `u8`, which
+/// vectorises (a plain `filter().count()` widens every byte to `usize`).
+fn count_bytes(bytes: &[u8], b: u8) -> u64 {
+    bytes
+        .chunks(255)
+        .map(|c| u64::from(c.iter().fold(0u8, |n, &s| n + u8::from(s == b))))
+        .sum()
+}
+
+/// FNV-1a offset basis.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a 64-bit prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// FNV-1a of `k` zero bytes after state `h`: `h · Pᵏ`, by squaring.
+fn fnv_skip_zeros(mut h: u64, mut k: u64) -> u64 {
+    let mut p = FNV_PRIME;
+    while k != 0 {
+        if k & 1 != 0 {
+            h = h.wrapping_mul(p);
+        }
+        p = p.wrapping_mul(p);
+        k >>= 1;
+    }
+    h
 }
 
 #[cfg(test)]

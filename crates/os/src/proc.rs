@@ -216,18 +216,12 @@ impl Process {
         let vma = self.aspace.munmap(id)?;
         // Unmap any present pages (data frames are leaked to keep the
         // model simple; the simulated workloads never unmap hot VMAs).
-        let mut va = vma.base;
-        while va < vma.end() {
-            if let Some((pa, size)) = self.pt.translate(pm, va) {
-                let aligned = va.align_down(size);
-                let _ = self.pt.unmap(pm, aligned, size);
-                self.reverse.remove(&pa.pfn().0);
-                self.shootdowns += 1;
-                va = VirtAddr(aligned.raw() + size.bytes());
-            } else {
-                va += PageSize::Size4K.bytes();
-            }
-        }
+        let (reverse, shootdowns) = (&mut self.reverse, &mut self.shootdowns);
+        self.pt
+            .unmap_range(pm, vma.base, vma.end(), &mut |_, pa, _| {
+                reverse.remove(&pa.pfn().0);
+                *shootdowns += 1;
+            });
         self.mappings
             .remove_region(pm, &mut self.teas, vma.base, vma.len)?;
         Ok(())
@@ -645,6 +639,8 @@ mod tests {
     use super::*;
     use dmt_cache::hierarchy::MemoryHierarchy;
     use dmt_core::fetcher;
+    use dmt_mem::addr::{ENTRIES_PER_TABLE, PTE_SIZE};
+    use dmt_mem::buddy::FrameState;
 
     #[test]
     fn mmap_populate_translate() {
@@ -743,6 +739,105 @@ mod tests {
         p.munmap(&mut pm, id).unwrap();
         assert_eq!(pm.bytes_of_kind(FrameKind::Tea), 0);
         assert!(p.page_table().translate(&pm, base).is_none());
+    }
+
+    /// `munmap` as it was before it walked the range table by table: one
+    /// root-to-leaf translation per 4 KiB of the VMA.
+    fn munmap_per_page(p: &mut Process, pm: &mut PhysMemory, id: VmaId) {
+        let vma = p.aspace.munmap(id).unwrap();
+        let mut va = vma.base;
+        while va < vma.end() {
+            if let Some((pa, size)) = p.pt.translate(pm, va) {
+                let aligned = va.align_down(size);
+                let _ = p.pt.unmap(pm, aligned, size);
+                p.reverse.remove(&pa.pfn().0);
+                p.shootdowns += 1;
+                va = VirtAddr(aligned.raw() + size.bytes());
+            } else {
+                va += PageSize::Size4K.bytes();
+            }
+        }
+        p.mappings
+            .remove_region(pm, &mut p.teas, vma.base, vma.len)
+            .unwrap();
+    }
+
+    /// Sparse VMAs: one populated every 37 pages, one 2 MiB-aligned run
+    /// fully populated, one straddling a 1 GiB (L3) boundary at an
+    /// address that is not 2 MiB-aligned, and one never touched.
+    fn sparse_process(dmt: bool, thp: ThpMode) -> (PhysMemory, Process, Vec<VmaId>) {
+        let mut pm = PhysMemory::new_bytes(64 << 20);
+        let mut p = if dmt {
+            Process::new(&mut pm, thp)
+        } else {
+            Process::new_vanilla(&mut pm, thp)
+        }
+        .unwrap();
+        let mut ids = Vec::new();
+        let base = VirtAddr(0x4000_0000);
+        ids.push(p.mmap(&mut pm, base, 6 << 20, VmaKind::Heap).unwrap());
+        for i in (0..6 << 8).step_by(37) {
+            p.populate(&mut pm, base + i * 4096).unwrap();
+        }
+        let run = VirtAddr(0x10_0000_0000);
+        ids.push(p.mmap(&mut pm, run, 4 << 20, VmaKind::Mmap).unwrap());
+        p.populate_range(&mut pm, run + (2 << 20), 2 << 20).unwrap();
+        let straddle = VirtAddr((3 << 30) - (3 << 20) + 0x5000);
+        ids.push(p.mmap(&mut pm, straddle, 7 << 20, VmaKind::Mmap).unwrap());
+        for off in [
+            0, 0x1000, 0x20_0000, 0x2f_b000, 0x30_0000, 0x51_0000, 0x6f_f000,
+        ] {
+            p.populate(&mut pm, straddle + off).unwrap();
+        }
+        let idle = VirtAddr(0x7f00_0000_0000);
+        ids.push(p.mmap(&mut pm, idle, 3 << 20, VmaKind::Stack).unwrap());
+        (pm, p, ids)
+    }
+
+    #[test]
+    fn munmap_range_walk_matches_the_per_page_loop() {
+        for dmt in [false, true] {
+            for thp in [ThpMode::Never, ThpMode::Always] {
+                let (mut pm, mut p, ids) = sparse_process(dmt, thp);
+                let (mut pm_ref, mut p_ref, _) = sparse_process(dmt, thp);
+                let tables: Vec<u64> = (0..pm.buddy().total_frames())
+                    .filter(|&f| {
+                        matches!(
+                            pm.buddy().frame_state(Pfn(f)),
+                            FrameState::Allocated(FrameKind::PageTable | FrameKind::Tea)
+                        )
+                    })
+                    .collect();
+                for (k, id) in ids.into_iter().enumerate() {
+                    let when = format!("dmt {dmt} thp {thp:?} VMA {k}");
+                    let before = p.shootdowns();
+                    p.munmap(&mut pm, id).unwrap();
+                    munmap_per_page(&mut p_ref, &mut pm_ref, id);
+                    assert_eq!(p.shootdowns(), p_ref.shootdowns(), "{when}");
+                    assert_eq!(p.shootdowns() > before, k < 3, "{when}");
+                    let mut reverse: Vec<_> = p.reverse.iter().collect();
+                    let mut reverse_ref: Vec<_> = p_ref.reverse.iter().collect();
+                    reverse.sort();
+                    reverse_ref.sort();
+                    assert_eq!(reverse, reverse_ref, "{when}: reverse map");
+                    assert_eq!(
+                        pm.buddy().state_hash(),
+                        pm_ref.buddy().state_hash(),
+                        "{when}"
+                    );
+                    for &f in &tables {
+                        for i in 0..ENTRIES_PER_TABLE {
+                            let pa = PhysAddr::from_pfn(Pfn(f)) + i * PTE_SIZE;
+                            assert_eq!(pm.read_word(pa), pm_ref.read_word(pa), "{when}: {pa:?}");
+                        }
+                    }
+                }
+                assert!(p
+                    .page_table()
+                    .translate(&pm, VirtAddr(0x4000_0000))
+                    .is_none());
+            }
+        }
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //! single copy of every PTE (paper §3).
 
 use crate::pte::{Pte, PteFlags};
+use crate::walk::leaf_size;
 use crate::PtError;
-use dmt_mem::addr::{ENTRIES_PER_TABLE, PTE_SIZE};
+use dmt_mem::addr::{ENTRIES_PER_TABLE, LEVEL_BITS, PAGE_SHIFT, PTE_SIZE};
 use dmt_mem::buddy::FrameKind;
 use dmt_mem::{MemoryOps, PageSize, Pfn, PhysAddr, VirtAddr};
 
@@ -191,6 +192,24 @@ impl RadixPageTable {
         }
         pm.write_word(slot, Pte::EMPTY.raw());
         Ok(())
+    }
+
+    /// Clear every leaf that maps part of `[start, end)`, in address
+    /// order, and call `on_leaf(va, pa, size)` for each, where `va` is the
+    /// leaf's first address in the range and `pa` what
+    /// [`translate`](Self::translate) gave for it. The walk reads each
+    /// table once: an absent entry skips its whole span, and a table
+    /// pointer is descended in place, so a TEA-backed L1 table's entries
+    /// are scanned where they live. Table pages stay allocated, as with
+    /// [`unmap`](Self::unmap).
+    pub fn unmap_range<M: MemoryOps>(
+        &mut self,
+        pm: &mut M,
+        start: VirtAddr,
+        end: VirtAddr,
+        on_leaf: &mut impl FnMut(VirtAddr, PhysAddr, PageSize),
+    ) {
+        clear_leaves(pm, self.root, self.levels, start.raw(), end.raw(), on_leaf);
     }
 
     /// Software-translate `va` to a physical address and its mapping size.
@@ -409,6 +428,34 @@ impl RadixPageTable {
             }
             l -= 1;
         }
+    }
+}
+
+/// [`RadixPageTable::unmap_range`] over `[va, end)` within `table` at
+/// `level`.
+fn clear_leaves<M: MemoryOps>(
+    pm: &mut M,
+    table: Pfn,
+    level: u8,
+    mut va: u64,
+    end: u64,
+    on_leaf: &mut impl FnMut(VirtAddr, PhysAddr, PageSize),
+) {
+    let span_mask = (1u64 << (PAGE_SHIFT + LEVEL_BITS * u32::from(level - 1))) - 1;
+    while va < end {
+        let slot = PhysAddr::from_pfn(table) + VirtAddr(va).level_index(level) * PTE_SIZE;
+        let pte = Pte(pm.read_word(slot));
+        let next = (va | span_mask).saturating_add(1);
+        if pte.present() {
+            if !pte.is_leaf_at(level) {
+                clear_leaves(pm, pte.pfn(), level - 1, va, end.min(next), on_leaf);
+            } else if let Some(size) = leaf_size(level) {
+                let pa = PhysAddr(pte.phys_addr().raw() + VirtAddr(va).offset_in(size));
+                on_leaf(VirtAddr(va), pa, size);
+                pm.write_word(slot, Pte::EMPTY.raw());
+            }
+        }
+        va = next;
     }
 }
 
@@ -711,5 +758,74 @@ mod tests {
             pt.translate(&pm, VirtAddr(0x1_4000_0000)).unwrap().1,
             PageSize::Size1G
         );
+    }
+
+    #[test]
+    fn unmap_range_clears_exactly_the_leaves_it_overlaps() {
+        let (mut pm, mut pt) = setup();
+        let w = PteFlags::WRITABLE;
+        // A 2 MiB leaf, then an L1 table with four 4 KiB pages, then
+        // nothing up to a 1 GiB leaf.
+        let x = 0x8000_0000u64;
+        let t = x + (2 << 20);
+        let giant = 0xc000_0000u64;
+        pt.map(
+            &mut pm,
+            VirtAddr(x),
+            PhysAddr(0x40_0000),
+            PageSize::Size2M,
+            w,
+        )
+        .unwrap();
+        for (i, off) in [0x1000u64, 0x7000, 0x8000, 0x1f_f000]
+            .into_iter()
+            .enumerate()
+        {
+            let pa = PhysAddr(0x10_0000 + i as u64 * 0x1000);
+            pt.map(&mut pm, VirtAddr(t + off), pa, PageSize::Size4K, w)
+                .unwrap();
+        }
+        pt.map(
+            &mut pm,
+            VirtAddr(giant),
+            PhysAddr(1 << 30),
+            PageSize::Size1G,
+            w,
+        )
+        .unwrap();
+        type Seen = Vec<(VirtAddr, PhysAddr, PageSize)>;
+        fn unmap(pt: &mut RadixPageTable, pm: &mut PhysMemory, start: u64, end: u64) -> Seen {
+            let mut seen = Vec::new();
+            pt.unmap_range(pm, VirtAddr(start), VirtAddr(end), &mut |va, pa, size| {
+                seen.push((va, pa, size));
+            });
+            seen
+        }
+        let translated = |pt: &RadixPageTable, pm: &PhysMemory, va: u64| {
+            let (pa, size) = pt.translate(pm, VirtAddr(va)).unwrap();
+            (VirtAddr(va), pa, size)
+        };
+        // From inside the 2 MiB leaf to the page at `t + 0x8000`, which
+        // the end excludes.
+        let expect = vec![
+            translated(&pt, &pm, x + 0x3000),
+            translated(&pt, &pm, t + 0x1000),
+            translated(&pt, &pm, t + 0x7000),
+        ];
+        assert_eq!(unmap(&mut pt, &mut pm, x + 0x3000, t + 0x8000), expect);
+        assert!(pt.translate(&pm, VirtAddr(x)).is_none());
+        // From the middle of the L1 table into the 1 GiB leaf: the page
+        // below the start stays.
+        let expect = vec![
+            translated(&pt, &pm, t + 0x1f_f000),
+            translated(&pt, &pm, giant),
+        ];
+        assert_eq!(
+            unmap(&mut pt, &mut pm, t + 0x10_0000, giant + 0x5000),
+            expect
+        );
+        assert!(pt.translate(&pm, VirtAddr(t + 0x8000)).is_some());
+        assert!(pt.translate(&pm, VirtAddr(giant)).is_none());
+        assert_eq!(unmap(&mut pt, &mut pm, x, giant + (1 << 30)).len(), 1);
     }
 }
