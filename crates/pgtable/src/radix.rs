@@ -127,7 +127,7 @@ impl RadixPageTable {
             return Err(PtError::Unaligned { addr: va.raw() });
         }
         let leaf_level = size.leaf_level();
-        let slot = self.walk_to_slot(pm, va, leaf_level, true)?;
+        let slot = self.walk_to_slot(pm, va, leaf_level)?;
         let existing = Pte(pm.read_word(slot));
         if existing.present() {
             return Err(PtError::AlreadyMapped { va: va.raw() });
@@ -212,34 +212,16 @@ impl RadixPageTable {
         clear_leaves(pm, self.root, self.levels, start.raw(), end.raw(), on_leaf);
     }
 
-    /// Software-translate `va` to a physical address and its mapping size.
+    /// Software-translate `va` to a physical address and its mapping size
+    /// ([`translate_entry`](Self::translate_entry) without the flags).
     pub fn translate<M: MemoryOps>(&self, pm: &M, va: VirtAddr) -> Option<(PhysAddr, PageSize)> {
-        let mut table = self.root;
-        let mut l = self.levels;
-        loop {
-            let pa = PhysAddr::from_pfn(table) + va.level_index(l) * PTE_SIZE;
-            let pte = Pte(pm.read_word(pa));
-            if !pte.present() {
-                return None;
-            }
-            if pte.is_leaf_at(l) {
-                let size = match l {
-                    1 => PageSize::Size4K,
-                    2 => PageSize::Size2M,
-                    3 => PageSize::Size1G,
-                    _ => return None, // PS at L4/L5 is not architectural
-                };
-                let base = pte.phys_addr();
-                return Some((PhysAddr(base.raw() + va.offset_in(size)), size));
-            }
-            table = pte.pfn();
-            l -= 1;
-        }
+        self.translate_entry(pm, va).map(|(pa, size, _)| (pa, size))
     }
 
-    /// Software-translate `va`, also returning the leaf PTE's flags —
-    /// the reference walk used by the differential oracle, which checks
-    /// permission bits as well as the physical address.
+    /// Software-translate `va`, also returning the leaf PTE's flags: the
+    /// one root-to-leaf software descent, and the ground truth the
+    /// differential oracle checks physical address, size and permission
+    /// bits against.
     pub fn translate_entry<M: MemoryOps>(
         &self,
         pm: &M,
@@ -248,20 +230,15 @@ impl RadixPageTable {
         let mut table = self.root;
         let mut l = self.levels;
         loop {
-            let pa = PhysAddr::from_pfn(table) + va.level_index(l) * PTE_SIZE;
-            let pte = Pte(pm.read_word(pa));
+            let pte = Pte(pm.read_word(PhysAddr::from_pfn(table) + va.level_index(l) * PTE_SIZE));
             if !pte.present() {
                 return None;
             }
             if pte.is_leaf_at(l) {
-                let size = match l {
-                    1 => PageSize::Size4K,
-                    2 => PageSize::Size2M,
-                    3 => PageSize::Size1G,
-                    _ => return None, // PS at L4/L5 is not architectural
-                };
-                let base = pte.phys_addr();
-                return Some((PhysAddr(base.raw() + va.offset_in(size)), size, pte.flags()));
+                // PS at L4/L5 is not architectural.
+                let size = leaf_size(l)?;
+                let pa = PhysAddr(pte.phys_addr().raw() + va.offset_in(size));
+                return Some((pa, size, pte.flags()));
             }
             table = pte.pfn();
             l -= 1;
@@ -291,7 +268,7 @@ impl RadixPageTable {
             level >= 1 && level < self.levels,
             "cannot install a table at the root level"
         );
-        let slot = self.walk_to_slot(pm, va, level + 1, true)?;
+        let slot = self.walk_to_slot(pm, va, level + 1)?;
         let existing = Pte(pm.read_word(slot));
         if existing.present() {
             if existing.huge() {
@@ -397,14 +374,13 @@ impl RadixPageTable {
         rec(pm, self.root, self.levels)
     }
 
-    /// Walk to the entry slot for `va` at `target_level`, optionally
-    /// allocating intermediate tables.
+    /// Walk to the entry slot for `va` at `target_level`, allocating
+    /// intermediate tables as needed.
     fn walk_to_slot<M: MemoryOps>(
         &mut self,
         pm: &mut M,
         va: VirtAddr,
         target_level: u8,
-        alloc: bool,
     ) -> Result<PhysAddr, PtError> {
         let mut table = self.root;
         let mut l = self.levels;
@@ -419,12 +395,10 @@ impl RadixPageTable {
                     return Err(PtError::HugeConflict { va: va.raw() });
                 }
                 table = pte.pfn();
-            } else if alloc {
+            } else {
                 let fresh = pm.alloc_zeroed_frame(FrameKind::PageTable)?;
                 pm.write_word(slot, Pte::table(fresh).raw());
                 table = fresh;
-            } else {
-                return Err(PtError::NotMapped { va: va.raw() });
             }
             l -= 1;
         }

@@ -2,7 +2,7 @@
 //! place of the radix walk. Virtualized, guest and host each get an
 //! ECPT; guest tables come from the boot-time contiguous arena.
 
-use super::{collect_guest_mappings, NativeBackend, NativeMachine, Translator, VirtBackend};
+use super::{collect_mappings, NativeBackend, NativeMachine, Translator, VirtBackend};
 use crate::error::SimError;
 use crate::registry::{Arena, NativeSpec, Registration, VirtSpec};
 use crate::rig::{Design, Setup, Translation};
@@ -37,7 +37,7 @@ fn arena_frames(setup: &Setup) -> u64 {
 }
 
 fn build_native(m: &mut NativeMachine, setup: &Setup) -> Result<NativeBackend, SimError> {
-    let mappings = m.collect_mappings(&setup.pages)?;
+    let mappings = collect_mappings(&setup.pages, |va| m.proc_.page_table().translate(&m.pm, va))?;
     let n2m = mappings
         .iter()
         .filter(|(_, _, s)| *s == PageSize::Size2M)
@@ -73,7 +73,8 @@ fn build_ecpts(
     arena: Pfn,
     arena_frames: u64,
 ) -> Result<NestedEcpt, SimError> {
-    let mappings = collect_guest_mappings(m, pages)?;
+    let view = m.vm.guest_view_ref(&m.pm);
+    let mappings = collect_mappings(pages, |va| m.gpt.translate(&view, va))?;
     let guest_pages = mappings.len() as u64;
     let mut bump = arena.0;
     let mut take = move |frames: u64| {

@@ -3,7 +3,7 @@
 //! grid to ~8 virtualized. The guest tables live in a contiguous arena
 //! carved at boot (the registry's `arena_frames` hook).
 
-use super::{collect_guest_mappings, NativeBackend, NativeMachine, Translator, VirtBackend};
+use super::{collect_mappings, NativeBackend, NativeMachine, Translator, VirtBackend};
 use crate::error::SimError;
 use crate::registry::{Arena, NativeSpec, Registration, VirtSpec};
 use crate::rig::{Design, Setup, Translation};
@@ -36,7 +36,9 @@ fn arena_frames(_setup: &Setup) -> u64 {
 
 fn build_native(m: &mut NativeMachine, setup: &Setup) -> Result<NativeBackend, SimError> {
     let mut t = FlatPageTable::new_host(&mut m.pm).map_err(SimError::setup)?;
-    for (va, pa, size) in m.collect_mappings(&setup.pages)? {
+    for (va, pa, size) in
+        collect_mappings(&setup.pages, |va| m.proc_.page_table().translate(&m.pm, va))?
+    {
         t.map(&mut m.pm, va, pa, size, |pm, frames| {
             pm.alloc_contig(frames, FrameKind::PageTable)
         })
@@ -64,7 +66,8 @@ fn build_fpts(
     arena: Pfn,
     arena_frames: u64,
 ) -> Result<(FlatPageTable, FlatPageTable), SimError> {
-    let mappings = collect_guest_mappings(m, pages)?;
+    let view = m.vm.guest_view_ref(&m.pm);
+    let mappings = collect_mappings(pages, |va| m.gpt.translate(&view, va))?;
     let mut bump = arena.0;
     let mut take = move |frames: u64| {
         if bump + frames > arena.0 + arena_frames {

@@ -1,9 +1,10 @@
 //! Design backends: the pluggable [`Translator`] layer behind the rigs.
 //!
-//! Each translation design's auxiliary-structure setup, per-access
-//! translate path, and `ref_translate` ground truth live in **one
-//! module per design** here, registered in [`crate::registry`] keyed by
-//! (design, environment). An environment is a [`Machine`] —
+//! Each translation design's auxiliary-structure setup and per-access
+//! translate path live in **one module per design** here, registered
+//! in [`crate::registry`] keyed by (design, environment); the software
+//! ground truth is the machine's ([`Machine::ref_entry`]), never the
+//! design's. An environment is a [`Machine`] —
 //! [`NativeMachine`], [`VirtMachine`] or [`NestedMachine`] — and one
 //! generic shell, [`MachineRig`](crate::rig::MachineRig), owns a machine plus that
 //! environment's backend enum ([`NativeBackend`], [`VirtBackend`],
@@ -60,48 +61,23 @@ pub struct NativeMachine {
     pub pwc: PageWalkCache,
 }
 
-impl NativeMachine {
-    /// Enumerate the touched page mappings `(page base VA, frame base
-    /// PA, size)` from the ground-truth radix table — the raw material
-    /// backends build their auxiliary structures from.
-    pub fn collect_mappings(
-        &self,
-        pages: &[VirtAddr],
-    ) -> Result<Vec<(VirtAddr, PhysAddr, PageSize)>, SimError> {
-        let mut entries = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        for &va in pages {
-            let (pa, size) = self
-                .proc_
-                .page_table()
-                .translate(&self.pm, va)
-                .ok_or_else(|| SimError::Setup(format!("page at {va} not populated")))?;
-            let aligned = va.align_down(size);
-            if seen.insert(aligned.raw()) {
-                entries.push((aligned, PhysAddr(pa.raw() & !(size.bytes() - 1)), size));
-            }
-        }
-        Ok(entries)
-    }
-}
-
-/// The touched guest mappings `(gva page, gpa frame, size)` — the raw
-/// material for guest-dimension auxiliary tables (FPT/ECPT).
-pub(crate) fn collect_guest_mappings(
-    m: &VirtMachine,
+/// The touched page mappings `(page base VA, frame base PA, size)`,
+/// one per leaf in first-touch order, where `leaf` is a software lookup
+/// in the table the design mirrors (the native radix table, or the
+/// guest table with guest-physical frames) — the raw material backends
+/// build their auxiliary structures from.
+pub(crate) fn collect_mappings(
     pages: &[VirtAddr],
+    leaf: impl Fn(VirtAddr) -> Option<(PhysAddr, PageSize)>,
 ) -> Result<Vec<(VirtAddr, PhysAddr, PageSize)>, SimError> {
-    let view = m.vm.guest_view_ref(&m.pm);
     let mut out = Vec::new();
     let mut seen = std::collections::HashSet::new();
     for &va in pages {
-        let (gpa, size) = m
-            .gpt
-            .translate(&view, va)
-            .ok_or_else(|| SimError::Setup(format!("guest page {va} not populated")))?;
+        let (pa, size) =
+            leaf(va).ok_or_else(|| SimError::Setup(format!("page at {va} not populated")))?;
         let aligned = va.align_down(size);
         if seen.insert(aligned.raw()) {
-            out.push((aligned, PhysAddr(gpa.raw() & !(size.bytes() - 1)), size));
+            out.push((aligned, PhysAddr(pa.raw() & !(size.bytes() - 1)), size));
         }
     }
     Ok(out)
@@ -177,8 +153,8 @@ pub(crate) fn find_run(runs: &[ContigRun], va: VirtAddr) -> Option<usize> {
 /// The machine state a rig owns, independent of the design under test
 /// — [`NativeMachine`], [`VirtMachine`] or [`NestedMachine`]. The one
 /// rig shell, [`MachineRig`](crate::rig::MachineRig), builds it and serves every
-/// environment-level [`Rig`](crate::rig::Rig) call from it; the
-/// [`Translator`] defaults read their ground truth here.
+/// environment-level [`Rig`](crate::rig::Rig) call from it, the ground
+/// truth included.
 pub trait Machine: Sized {
     /// The environment this machine models.
     const ENV: Env;
@@ -206,11 +182,12 @@ pub trait Machine: Sized {
         setup: &Setup,
     ) -> Result<(Self, Self::Backend), SimError>;
 
-    /// Software ground-truth data PA (no translation machinery charged).
-    fn data_pa(&self, va: VirtAddr) -> PhysAddr;
-
     /// The reference leaf entry from the machine's software ground
-    /// truth — what [`Translator::ref_translate`] serves by default.
+    /// truth (no translation machinery charged): the one lookup behind
+    /// both [`Rig::data_pa`] and [`Rig::ref_translate`].
+    ///
+    /// [`Rig::data_pa`]: crate::rig::Rig::data_pa
+    /// [`Rig::ref_translate`]: crate::rig::Rig::ref_translate
     fn ref_entry(&self, va: VirtAddr) -> Option<RefEntry>;
 
     /// Page faults served during setup.
@@ -252,12 +229,6 @@ pub trait Translator<M: Machine> {
     ///
     /// [`Rig::translate`]: crate::rig::Rig::translate
     fn translate(&mut self, m: &mut M, va: VirtAddr, hier: &mut MemoryHierarchy) -> Translation;
-
-    /// Reference entry for the differential oracle. Defaults to the
-    /// machine's software ground truth ([`Machine::ref_entry`]).
-    fn ref_translate(&self, m: &M, va: VirtAddr) -> Option<RefEntry> {
-        m.ref_entry(va)
-    }
 
     /// VM exits attributable to the design during setup + run (none by
     /// default).
@@ -330,12 +301,6 @@ macro_rules! backend_enum {
             ) -> Translation {
                 match self {
                     $( Self::$design(b) => <$ty as Translator<$machine>>::translate(b, m, va, hier), )+
-                }
-            }
-
-            fn ref_translate(&self, m: &$machine, va: VirtAddr) -> Option<RefEntry> {
-                match self {
-                    $( Self::$design(b) => <$ty as Translator<$machine>>::ref_translate(b, m, va), )+
                 }
             }
 

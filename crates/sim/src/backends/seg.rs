@@ -16,7 +16,8 @@
 //! (DESIGN.md §13); a miss allocates nothing.
 
 use super::{
-    merge_contiguous_runs, ContigRun, NativeBackend, NativeMachine, Translator, VirtBackend,
+    collect_mappings, merge_contiguous_runs, ContigRun, NativeBackend, NativeMachine, Translator,
+    VirtBackend,
 };
 use crate::backends::vbi::{build_virt_tables, host_resolve, BlockTable};
 use crate::error::SimError;
@@ -98,7 +99,9 @@ impl SegTable {
 }
 
 fn build_native(m: &mut NativeMachine, setup: &Setup) -> Result<NativeBackend, SimError> {
-    let runs = merge_contiguous_runs(m.collect_mappings(&setup.pages)?);
+    let runs = merge_contiguous_runs(collect_mappings(&setup.pages, |va| {
+        m.proc_.page_table().translate(&m.pm, va)
+    })?);
     let table = BlockTable::new(&mut m.pm, runs)?;
     Ok(NativeBackend::Seg(NativeSeg {
         seg: SegTable::new(table),

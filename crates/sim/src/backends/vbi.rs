@@ -15,8 +15,8 @@
 //! (DESIGN.md §13); a miss allocates nothing.
 
 use super::{
-    find_run, merge_contiguous_runs, ContigRun, NativeBackend, NativeMachine, Translator,
-    VirtBackend,
+    collect_mappings, find_run, merge_contiguous_runs, ContigRun, NativeBackend, NativeMachine,
+    Translator, VirtBackend,
 };
 use crate::error::SimError;
 use crate::registry::{Arena, NativeSpec, Registration, VirtSpec};
@@ -83,7 +83,9 @@ impl BlockTable {
 }
 
 fn build_native(m: &mut NativeMachine, setup: &Setup) -> Result<NativeBackend, SimError> {
-    let runs = merge_contiguous_runs(m.collect_mappings(&setup.pages)?);
+    let runs = merge_contiguous_runs(collect_mappings(&setup.pages, |va| {
+        m.proc_.page_table().translate(&m.pm, va)
+    })?);
     let table = BlockTable::new(&mut m.pm, runs)?;
     Ok(NativeBackend::Vbi(NativeVbi { table }))
 }
@@ -104,7 +106,10 @@ pub(crate) fn build_virt_tables(
     m: &mut VirtMachine,
     setup: &Setup,
 ) -> Result<(BlockTable, BlockTable), SimError> {
-    let guest_runs = merge_contiguous_runs(super::collect_guest_mappings(m, &setup.pages)?);
+    let view = m.vm.guest_view_ref(&m.pm);
+    let guest_runs = merge_contiguous_runs(collect_mappings(&setup.pages, |va| {
+        m.gpt.translate(&view, va)
+    })?);
     let host_runs = merge_contiguous_runs(
         m.vm.backed_chunks()
             .into_iter()

@@ -20,6 +20,10 @@ pub struct TenantSpec {
     pub weight: u32,
 }
 
+/// Distinct 16-bit ASID/VMID tags: a tagged node gives every tenant and
+/// every churn rebuild its own, so it may have at most this many.
+pub const ASID_COUNT: usize = 1 << 16;
+
 /// Whether the node's hardware tags TLB/PWC entries with an ASID/VMID.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Tagging {
@@ -129,8 +133,10 @@ impl NodeConfig {
     ///
     /// # Errors
     ///
-    /// [`SimError::Setup`] for an empty node, a zero quantum/weight, or
-    /// a zero churn period; [`SimError::BenchIndex`] for an
+    /// [`SimError::Setup`] for an empty node, a zero quantum/weight, a
+    /// zero churn period, or a tagged node whose tenants plus churn
+    /// kills exceed [`ASID_COUNT`] (two live tenants would then share a
+    /// tag); [`SimError::BenchIndex`] for an
     /// out-of-range benchmark; [`SimError::Unavailable`] when the
     /// design has no backend for some tenant's environment.
     pub fn validate(&self) -> Result<(), SimError> {
@@ -146,6 +152,15 @@ impl NodeConfig {
             if c.period == 0 {
                 return Err(SimError::Setup("churn period must be nonzero".into()));
             }
+        }
+        let asids = self
+            .tenants
+            .len()
+            .saturating_add(self.churn.map_or(0, |c| c.kills));
+        if self.tagging == Tagging::Tagged && asids > ASID_COUNT {
+            return Err(SimError::Setup(format!(
+                "{asids} tenants and churn rebuilds need distinct ASIDs; a tagged node has {ASID_COUNT}"
+            )));
         }
         for t in &self.tenants {
             if t.bench >= dmt_workloads::bench7::BENCH7_COUNT {

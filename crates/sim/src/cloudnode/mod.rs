@@ -44,7 +44,7 @@ mod sched;
 mod stats;
 mod tenant;
 
-pub use config::{ChurnConfig, NodeConfig, Tagging, TenantSpec};
+pub use config::{ChurnConfig, NodeConfig, Tagging, TenantSpec, ASID_COUNT};
 pub use stats::{NodeStats, TenantStats};
 
 use crate::engine::{run_span, sampler, Hw, OnMeasured};

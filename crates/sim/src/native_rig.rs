@@ -9,11 +9,10 @@ use crate::error::SimError;
 use crate::rig::{Design, Env, MachineRig, RefEntry, Setup};
 use dmt_cache::PageWalkCache;
 use dmt_core::regfile::DmtRegisterFile;
-use dmt_mem::{PhysAddr, PhysMemory, VirtAddr};
+use dmt_mem::{PhysMemory, VirtAddr};
 use dmt_os::mapping::MappingPolicy;
 use dmt_os::proc::{Process, ThpMode};
 use dmt_os::vma::VmaKind;
-use dmt_pgtable::pte::PteFlags;
 use dmt_telemetry::ComponentCounters;
 
 /// A native machine running one workload under one design.
@@ -102,23 +101,12 @@ impl Machine for NativeMachine {
         build(pm, design, thp, setup, 4)
     }
 
-    fn data_pa(&self, va: VirtAddr) -> PhysAddr {
-        self.proc_
-            .page_table()
-            .translate(&self.pm, va)
-            .expect("populated")
-            .0
-    }
-
     /// The leaf entry of the ground-truth radix table.
     fn ref_entry(&self, va: VirtAddr) -> Option<RefEntry> {
-        let (pa, size, flags) = self.proc_.page_table().translate_entry(&self.pm, va)?;
-        Some(RefEntry {
-            pa,
-            size,
-            writable: flags.contains(PteFlags::WRITABLE),
-            user: flags.contains(PteFlags::USER),
-        })
+        self.proc_
+            .page_table()
+            .translate_entry(&self.pm, va)
+            .map(RefEntry::from)
     }
 
     fn faults(&self) -> u64 {

@@ -7,8 +7,7 @@ use crate::backends::{Machine, NestedBackend};
 use crate::error::SimError;
 use crate::rig::{Design, Env, MachineRig, RefEntry, Setup};
 use crate::virt_rig::{flush_2d, walk_cache_counters};
-use dmt_mem::{PhysAddr, PhysMemory, VirtAddr};
-use dmt_pgtable::pte::PteFlags;
+use dmt_mem::{PhysMemory, VirtAddr};
 use dmt_telemetry::ComponentCounters;
 use dmt_virt::nested::NestedMachine;
 
@@ -48,19 +47,9 @@ impl Machine for NestedMachine {
         Ok((m, backend))
     }
 
-    fn data_pa(&self, va: VirtAddr) -> PhysAddr {
-        self.translate_software(va).expect("populated")
-    }
-
     /// The cascaded software reference.
     fn ref_entry(&self, va: VirtAddr) -> Option<RefEntry> {
-        let (pa, size, flags) = self.translate_software_entry(va)?;
-        Some(RefEntry {
-            pa,
-            size,
-            writable: flags.contains(PteFlags::WRITABLE),
-            user: flags.contains(PteFlags::USER),
-        })
+        self.translate_software(va).map(RefEntry::from)
     }
 
     fn faults(&self) -> u64 {

@@ -11,6 +11,7 @@ use dmt_cache::hierarchy::MemoryHierarchy;
 use dmt_cache::PageWalkCache;
 use dmt_mem::buddy::FrameKind;
 use dmt_mem::{PageSize, PhysAddr, PhysMemory, TransUnit, VirtAddr};
+use dmt_pgtable::pte::PteFlags;
 use dmt_pgtable::walk::WalkOutcome;
 use dmt_telemetry::ComponentCounters;
 use dmt_virt::machine::VirtMachine;
@@ -173,6 +174,18 @@ pub struct RefEntry {
     pub user: bool,
 }
 
+impl From<(PhysAddr, PageSize, PteFlags)> for RefEntry {
+    /// The reference entry of a software leaf lookup `(pa, size, flags)`.
+    fn from((pa, size, flags): (PhysAddr, PageSize, PteFlags)) -> Self {
+        RefEntry {
+            pa,
+            size,
+            writable: flags.contains(PteFlags::WRITABLE),
+            user: flags.contains(PteFlags::USER),
+        }
+    }
+}
+
 /// A design-under-test: owns all machine state and serves translations.
 pub trait Rig {
     /// The design.
@@ -201,9 +214,9 @@ pub trait Rig {
     fn data_pa(&self, va: VirtAddr) -> PhysAddr;
 
     /// Full reference entry (PA + size + permissions) from the rig's own
-    /// software ground truth, for the differential oracle. `None` means
-    /// either the page is unmapped or the rig does not expose flags; the
-    /// oracle then falls back to [`data_pa`](Self::data_pa) alone.
+    /// software ground truth, for the differential oracle; `None` means
+    /// the page is unmapped. Its `pa` equals [`data_pa`](Self::data_pa)
+    /// (both come from one leaf lookup).
     fn ref_translate(&self, va: VirtAddr) -> Option<RefEntry>;
 
     /// VM exits attributable to this design during setup + run (shadow
@@ -438,11 +451,11 @@ impl<M: Machine> Rig for MachineRig<M> {
     }
 
     fn data_pa(&self, va: VirtAddr) -> PhysAddr {
-        self.m.data_pa(va)
+        self.m.ref_entry(va).expect("populated").pa
     }
 
     fn ref_translate(&self, va: VirtAddr) -> Option<RefEntry> {
-        self.backend.ref_translate(&self.m, va)
+        self.m.ref_entry(va)
     }
 
     fn exits(&self) -> u64 {

@@ -387,28 +387,25 @@ impl Runner {
         });
         let mut stats = RunStats::default();
         let mut telemetry = self.telemetry.then(|| Telemetry::with_interval(interval));
-        let mut alloc_hash: Option<Option<u64>> = None;
+        let mut alloc_hash = None;
         for (i, r) in results.into_iter().enumerate() {
             let r = r?;
             stats += r.stats;
             if let (Some(t), Some(rt)) = (telemetry.as_mut(), r.telemetry.as_ref()) {
                 t.merge(rt);
             }
-            match &alloc_hash {
-                None => alloc_hash = Some(r.alloc_hash),
-                Some(first) if *first != r.alloc_hash => {
-                    return Err(SimError::ShardDiverged(format!(
-                        "allocator state hash differs between shard 0 ({first:?}) and shard {i} ({:?})",
-                        r.alloc_hash
-                    )));
-                }
-                Some(_) => {}
+            let first = *alloc_hash.get_or_insert(r.alloc_hash);
+            if first != r.alloc_hash {
+                return Err(SimError::ShardDiverged(format!(
+                    "allocator state hash differs between shard 0 ({first:?}) and shard {i} ({:?})",
+                    r.alloc_hash
+                )));
             }
         }
         Ok(ShardedOutcome {
             stats,
             telemetry,
-            alloc_hash: alloc_hash.flatten(),
+            alloc_hash: alloc_hash.expect("a shard plan is never empty"),
             shards: plan.len(),
         })
     }

@@ -9,9 +9,8 @@ use crate::registry::Arena;
 use crate::rig::{Design, Env, MachineRig, RefEntry, Setup};
 use dmt_cache::PageWalkCache;
 use dmt_mem::buddy::FrameKind;
-use dmt_mem::{PhysAddr, PhysMemory, VirtAddr};
+use dmt_mem::{PhysMemory, VirtAddr};
 use dmt_pgtable::nested::NestedCaches;
-use dmt_pgtable::pte::PteFlags;
 use dmt_telemetry::ComponentCounters;
 use dmt_virt::machine::VirtMachine;
 
@@ -69,22 +68,10 @@ impl Machine for VirtMachine {
         Ok((m, backend))
     }
 
-    fn data_pa(&self, va: VirtAddr) -> PhysAddr {
-        self.translate_software(va).expect("populated")
-    }
-
     /// The 2D reference path: the guest leaf decides size and
     /// permissions, the host mapping finishes the PA.
     fn ref_entry(&self, va: VirtAddr) -> Option<RefEntry> {
-        let view = self.vm.guest_view_ref(&self.pm);
-        let (gpa, size, flags) = self.gpt.translate_entry(&view, va)?;
-        let hpa = self.vm.gpa_to_hpa(gpa)?;
-        Some(RefEntry {
-            pa: hpa,
-            size,
-            writable: flags.contains(PteFlags::WRITABLE),
-            user: flags.contains(PteFlags::USER),
-        })
+        self.translate_software(va).map(RefEntry::from)
     }
 
     fn faults(&self) -> u64 {

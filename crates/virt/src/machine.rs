@@ -273,11 +273,13 @@ impl VirtMachine {
         crate::populate_range(base, len, thp, |va| self.guest_populate(va))
     }
 
-    /// Software ground-truth translation gVA → hPA (no cycles charged).
-    pub fn translate_software(&self, gva: VirtAddr) -> Option<PhysAddr> {
+    /// Software ground-truth translation gVA → hPA (no cycles charged):
+    /// the guest leaf decides the size and flags, the host mapping
+    /// finishes the address.
+    pub fn translate_software(&self, gva: VirtAddr) -> Option<(PhysAddr, PageSize, PteFlags)> {
         let view = self.vm.guest_view_ref(&self.pm);
-        let (gpa, _) = self.gpt.translate(&view, gva)?;
-        self.vm.gpa_to_hpa(gpa)
+        let (gpa, size, flags) = self.gpt.translate_entry(&view, gva)?;
+        Some((self.vm.gpa_to_hpa(gpa)?, size, flags))
     }
 
     /// Vanilla KVM: hardware 2D page walk (Figure 2).

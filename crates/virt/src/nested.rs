@@ -239,19 +239,10 @@ impl NestedMachine {
         self.l2_view_ref().to_host(l2pa)
     }
 
-    /// Software ground-truth translation L2VA → L0PA (no cycles).
-    pub fn translate_software(&self, l2va: VirtAddr) -> Option<PhysAddr> {
-        let view = self.l2_view_ref();
-        let (l2pa, _) = self.l2pt.translate(&view, l2va)?;
-        view.to_host(l2pa)
-    }
-
-    /// Software ground-truth translation with the L2 leaf's size and
-    /// flags — the reference entry for the differential oracle.
-    pub fn translate_software_entry(
-        &self,
-        l2va: VirtAddr,
-    ) -> Option<(PhysAddr, PageSize, PteFlags)> {
+    /// Software ground-truth translation L2VA → L0PA (no cycles): the
+    /// L2 leaf decides the size and flags, the L2 → L0 cascade finishes
+    /// the address.
+    pub fn translate_software(&self, l2va: VirtAddr) -> Option<(PhysAddr, PageSize, PteFlags)> {
         let view = self.l2_view_ref();
         let (l2pa, size, flags) = self.l2pt.translate_entry(&view, l2va)?;
         Some((view.to_host(l2pa)?, size, flags))
@@ -334,10 +325,10 @@ impl NestedMachine {
         };
         let (l2pt, mut view) = self.l2pt_and_view();
         let size = view.mem.page_size();
-        let frame = view.mem.alloc_spread(order, kind)?;
         // `frame` heads one whole L2 page, so this backs all of it (and
-        // syncs the sPT: one VM exit per fault in the cost model).
-        view.back(frame.0)?;
+        // syncs the sPT: one VM exit per fault in the cost model), then
+        // zeroes it: the block may hold a freed L2 table's old entries.
+        let frame = view.alloc(order, kind)?;
         // A 2 MiB page replaces the pointer to the (empty) L1 table.
         l2pt.map_thp(
             &mut view,
@@ -415,6 +406,7 @@ impl NestedMachine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dmt_mem::MemoryOps;
 
     const L2BASE: VirtAddr = VirtAddr(0x7f00_0000_0000);
 
@@ -474,6 +466,30 @@ mod tests {
         assert_eq!(pv.size, PageSize::Size2M);
         let base = m.translate_baseline(va, &mut hier, &mut ()).unwrap();
         assert_eq!(base.pa, pv.pa);
+    }
+
+    #[test]
+    fn populated_l2_pages_read_zero() {
+        // Under THP the 2 MiB TEA's install frees the PMD table the 4 KiB
+        // TEA's pages hung from, and a later 2 MiB page can take that L2
+        // frame with its old entries (one read 0x2000007 when populate
+        // did not zero).
+        let mut m = NestedMachine::new(512 << 20, 96 << 20, 32 << 20, true).unwrap();
+        m.l2_mmap(L2BASE, 24 << 20).unwrap();
+        let pages: Vec<VirtAddr> = (0..12)
+            .map(|i| VirtAddr(L2BASE.raw() + (i << 21)))
+            .collect();
+        for &va in &pages {
+            assert_eq!(m.l2_populate(va), Ok(true));
+        }
+        let view = m.l2_view_ref();
+        for (i, &va) in pages.iter().enumerate() {
+            let (l2pa, size) = m.l2pt.translate(&view, va).unwrap();
+            for w in 0..size.bytes() / 8 {
+                let word = view.read_word(l2pa + w * 8);
+                assert_eq!(word, 0, "page {i}, frame {}, word {}", w / 512, w % 512);
+            }
+        }
     }
 
     #[test]

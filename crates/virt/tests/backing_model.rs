@@ -14,9 +14,9 @@
 //! * exactly the chunks the operations touched backed, with one map
 //!   entry per backed page;
 //! * for both owners, through the shared guest-physical views, fresh
-//!   frames zeroed (for L2, the frames its view hands out, reused ones
-//!   included; L2 data pages are not zeroed on population) and markers
-//!   written earlier untouched;
+//!   frames zeroed (for L2, the frames its view hands out and the data
+//!   pages population maps, reused ones included) and markers written
+//!   earlier untouched;
 //! * `Vm::backed_chunks` equal to the model below: the old
 //!   `Vm::backed_gframes` list (every backed guest frame, sorted) folded
 //!   into `(gPA, hPA, size)` chunks by the old `backed_chunks` loop,
@@ -255,13 +255,13 @@ fn run_nested(thp: bool, ops: &[(u8, u64)]) {
                 populated.push(va);
             }
             if fault == Ok(true) {
-                // A new L2 data page, marked through the shared view.
-                // Populate does not zero: under THP the 2 MiB TEA's
-                // install frees the PMD table it replaces, and a later
-                // 2 MiB page can hold that frame with its old entries.
+                // A new L2 data page reads zero, even where it reuses a
+                // frame (under THP the 2 MiB TEA's install frees the PMD
+                // table it replaces, and a later 2 MiB page can hold that
+                // frame), and is then marked through the shared view.
                 let (l2pa, _) = m.l2pt.translate(&m.l2_view_ref(), va).unwrap();
                 let head = l2pa.align_down(page).pfn().0;
-                marks.fresh(&mut m.l2_view(), head, page.base_pages(), false);
+                marks.fresh(&mut m.l2_view(), head, page.base_pages(), true);
             }
         }
     }
@@ -287,7 +287,7 @@ fn run_nested(thp: bool, ops: &[(u8, u64)]) {
     // Every populated page still translates down to L0 through the
     // backing maps, keeping its page offset.
     for va in populated {
-        let l0 = m.translate_software(va).expect("populated page translates");
+        let (l0, _, _) = m.translate_software(va).expect("populated page translates");
         assert_eq!(l0.page_offset(), va.page_offset());
     }
     // The shared view's own allocations and frees, driven by the same

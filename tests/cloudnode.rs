@@ -4,10 +4,10 @@
 //! (transitively pinned by `tests/backend_refactor.rs`'s golden cells),
 //! and oracle audits that hold under cross-tenant kill/restart churn.
 
-use dmt::sim::cloudnode::{NodeConfig, Tagging, TenantSpec};
+use dmt::sim::cloudnode::{NodeConfig, Tagging, TenantSpec, ASID_COUNT};
 use dmt::sim::experiments::Scale;
 use dmt::sim::rig::{Design, Env};
-use dmt::sim::{Engine, Runner, SweepConfig, SweepRow};
+use dmt::sim::{Engine, Runner, SimError, SweepConfig, SweepRow};
 use dmt::telemetry::Counter;
 
 /// Small enough for the suite, big enough that the TLB/PWC see real
@@ -378,4 +378,25 @@ fn invalid_configs_are_rejected_before_provisioning() {
         }],
     );
     assert!(runner.run_node(&na_cell).is_err());
+}
+
+/// A tagged node gives each tenant and each churn rebuild its own 16-bit
+/// ASID, so past 65,536 of them two live tenants would share a tag.
+/// Only `validate` runs: no rig is built.
+#[test]
+fn tagged_nodes_that_would_wrap_the_asid_space_are_rejected() {
+    let node =
+        |tenants: usize| NodeConfig::uniform(Design::Vanilla, Env::Native, false, scale(), tenants);
+    assert_eq!(ASID_COUNT, 65_536);
+    let too_many_tenants = node(65_537);
+    assert!(matches!(
+        too_many_tenants.validate(),
+        Err(SimError::Setup(_))
+    ));
+    let too_many_kills = node(16).churn(1, 65_521);
+    assert!(matches!(too_many_kills.validate(), Err(SimError::Setup(_))));
+    assert!(node(65_536).validate().is_ok());
+    assert!(node(16).churn(1, 65_520).validate().is_ok());
+    // Untagged hardware gives every tenant ASID 0: no limit.
+    assert!(too_many_kills.tagging(Tagging::Untagged).validate().is_ok());
 }

@@ -47,7 +47,7 @@ fn gtea_ids_do_not_leak_across_vms() {
         // If B happens to have a same-numbered gTEA, the fetch resolves
         // entirely within B's memory: it cannot produce A's translation.
         Ok(out) => {
-            assert_eq!(out.pa, b.translate_software(base).unwrap());
+            assert_eq!(out.pa, b.translate_software(base).unwrap().0);
             let _ = a_pa;
         }
     }
@@ -113,7 +113,7 @@ fn two_guests_share_host_memory_without_interference() {
         let va = VirtAddr(base.raw() + p * 4096);
         let pa_a = a.translate_pvdmt(va, &mut hier, &mut ()).unwrap().pa;
         let pa_b = b.translate_dmt(va, &mut hier, &mut ()).unwrap().pa;
-        assert_eq!(pa_a, a.translate_software(va).unwrap());
-        assert_eq!(pa_b, b.translate_software(va).unwrap());
+        assert_eq!(pa_a, a.translate_software(va).unwrap().0);
+        assert_eq!(pa_b, b.translate_software(va).unwrap().0);
     }
 }
