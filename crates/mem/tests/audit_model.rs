@@ -150,8 +150,7 @@ fn corrupt(a: &mut BuddyAllocator, max_order: u8, kind: u8, pick: u64) -> bool {
     match kind % 6 {
         // Flip a state byte between free and allocated.
         0 => {
-            let f = (pick % total) as usize;
-            let s = &mut a.state_bytes_mut()[f];
+            let s = a.state_byte_mut(pick % total);
             *s = if *s == 0 {
                 1 + (pick >> 32) as u8 % 5
             } else {
