@@ -4,13 +4,14 @@
 
 use crate::mapping::{MappingManager, MappingPolicy};
 use crate::tea::TeaManager;
-use crate::vma::{AddressSpace, VmaId, VmaKind};
+use crate::vma::{AddressSpace, Vma, VmaId, VmaKind};
 use crate::OsError;
 use dmt_core::regfile::DmtRegisterFile;
 use dmt_mem::buddy::FrameKind;
 use dmt_mem::compact::Migration;
-use dmt_mem::{FastMap, PageSize, Pfn, PhysAddr, PhysMemory, VirtAddr};
+use dmt_mem::{FastMap, PageSize, Pfn, PhysMemory, VirtAddr};
 use dmt_pgtable::pte::{Pte, PteFlags};
+use dmt_pgtable::radix::SpanCursor;
 use dmt_pgtable::RadixPageTable;
 use std::collections::HashMap;
 
@@ -21,6 +22,16 @@ pub enum ThpMode {
     Never,
     /// Back 2 MiB-aligned regions with 2 MiB pages on first touch.
     Always,
+}
+
+/// What one population batch carries from page to page: the page
+/// table's span cursor and the last VMA a page fell in. It lives only
+/// inside the batch call, while nothing else edits the table or the
+/// VMAs.
+#[derive(Default)]
+struct Batch {
+    cursor: SpanCursor,
+    vma: Option<Vma>,
 }
 
 /// A process: one address space, one page table, one set of mappings.
@@ -262,7 +273,8 @@ impl Process {
         Ok(())
     }
 
-    /// Ensure the page containing `va` is present (demand paging).
+    /// Ensure the page containing `va` is present (demand paging): a
+    /// batch of one [`populate_pages`](Self::populate_pages).
     /// Returns `true` if a fault was served, `false` if already present.
     ///
     /// # Errors
@@ -270,71 +282,106 @@ impl Process {
     /// Returns [`OsError::NotInVma`] for addresses outside every VMA and
     /// propagates allocation failures.
     pub fn populate(&mut self, pm: &mut PhysMemory, va: VirtAddr) -> Result<bool, OsError> {
-        let vma = *self
-            .aspace
-            .find(va)
-            .ok_or(OsError::NotInVma { va: va.raw() })?;
-        if self.pt.translate(pm, va).is_some() {
-            return Ok(false);
-        }
-        let use_huge = self.thp == ThpMode::Always && {
-            let hbase = va.align_down(PageSize::Size2M);
-            hbase >= vma.base && hbase.raw() + PageSize::Size2M.bytes() <= vma.end().raw()
-        };
-        if use_huge {
-            let hbase = va.align_down(PageSize::Size2M);
-            // 2 MiB of naturally aligned frames (order 9).
-            let frame = pm.buddy_mut().alloc_order(9, FrameKind::HugeData)?;
-            self.pt.map_thp(
-                pm,
-                hbase,
-                PhysAddr::from_pfn(frame),
-                PageSize::Size2M,
-                PteFlags::WRITABLE | PteFlags::USER,
-            )?;
-            self.reverse.insert(frame.0, (hbase, PageSize::Size2M));
-        } else {
-            let base = va.align_down(PageSize::Size4K);
-            let frame = pm.alloc_frame(FrameKind::Data)?;
-            self.pt.map(
-                pm,
-                base,
-                PhysAddr::from_pfn(frame),
-                PageSize::Size4K,
-                PteFlags::WRITABLE | PteFlags::USER,
-            )?;
-            self.reverse.insert(frame.0, (base, PageSize::Size4K));
-        }
-        self.faults += 1;
-        Ok(true)
+        Ok(self.populate_pages(pm, [va])? == 1)
     }
 
-    /// Populate every page in `[base, base+len)`.
+    /// Demand-page every page of `pages`, in order, and return the
+    /// faults served. A page already present costs nothing; a new one
+    /// gets a 4 KiB frame, or under [`ThpMode::Always`] a 2 MiB page
+    /// where its whole aligned 2 MiB region lies inside its VMA. The
+    /// batch shares one [`SpanCursor`], so of a sorted page list only
+    /// the first page of each leaf table's span (2 MiB for 4 KiB leaves,
+    /// 1 GiB for 2 MiB ones) descends from the root, and it remembers
+    /// the last VMA a page fell in. Frames and missing tables are
+    /// allocated exactly as page-at-a-time population would.
     ///
     /// # Errors
     ///
-    /// See [`populate`](Self::populate).
+    /// Stops at the first page outside every VMA
+    /// ([`OsError::NotInVma`]) or allocation failure; the pages before it
+    /// stay populated.
+    pub fn populate_pages(
+        &mut self,
+        pm: &mut PhysMemory,
+        pages: impl IntoIterator<Item = VirtAddr>,
+    ) -> Result<u64, OsError> {
+        let mut batch = Batch::default();
+        let mut faults = 0;
+        for va in pages {
+            faults += u64::from(self.populate_at(pm, va, &mut batch)?.0);
+        }
+        Ok(faults)
+    }
+
+    /// Populate every page in `[base, base+len)`, stepping by the size
+    /// that maps each one.
+    ///
+    /// # Errors
+    ///
+    /// See [`populate_pages`](Self::populate_pages).
     pub fn populate_range(
         &mut self,
         pm: &mut PhysMemory,
         base: VirtAddr,
         len: u64,
     ) -> Result<u64, OsError> {
+        let mut batch = Batch::default();
         let mut faults = 0;
         let mut va = base;
         while va.raw() < base.raw() + len {
-            if self.populate(pm, va)? {
-                faults += 1;
-            }
-            // Skip by the size that actually got mapped.
-            let size = self
-                .pt
-                .translate(pm, va)
-                .map(|(_, s)| s)
-                .unwrap_or(PageSize::Size4K);
+            let (fault, size) = self.populate_at(pm, va, &mut batch)?;
+            faults += u64::from(fault);
             va = VirtAddr(va.align_down(size).raw() + size.bytes());
         }
         Ok(faults)
+    }
+
+    /// One page of a population batch: whether a fault was served, and
+    /// the size of the page that now maps `va`.
+    fn populate_at(
+        &mut self,
+        pm: &mut PhysMemory,
+        va: VirtAddr,
+        batch: &mut Batch,
+    ) -> Result<(bool, PageSize), OsError> {
+        let vma = match batch.vma.filter(|v| v.contains(va)) {
+            Some(vma) => vma,
+            None => *batch.vma.insert(
+                *self
+                    .aspace
+                    .find(va)
+                    .ok_or(OsError::NotInVma { va: va.raw() })?,
+            ),
+        };
+        let hbase = va.align_down(PageSize::Size2M);
+        let size = if self.thp == ThpMode::Always
+            && hbase >= vma.base
+            && hbase.raw() + PageSize::Size2M.bytes() <= vma.end().raw()
+        {
+            PageSize::Size2M
+        } else {
+            PageSize::Size4K
+        };
+        let at = self.pt.slot(pm, va, size.leaf_level(), &mut batch.cursor);
+        if let Some((_, mapped, _)) = at.translate(pm) {
+            return Ok((false, mapped));
+        }
+        let frame = match size {
+            // 2 MiB of naturally aligned frames (order 9).
+            PageSize::Size2M => pm.buddy_mut().alloc_order(9, FrameKind::HugeData)?,
+            _ => pm.alloc_frame(FrameKind::Data)?,
+        };
+        // A 2 MiB leaf replaces a pointer to an (empty) TEA-L1 table, as
+        // the kernel replaces a PMD entry for THP.
+        self.pt.fill(
+            pm,
+            at,
+            Pte::page_leaf(frame, size, PteFlags::WRITABLE | PteFlags::USER),
+            &mut batch.cursor,
+        )?;
+        self.reverse.insert(frame.0, (va.align_down(size), size));
+        self.faults += 1;
+        Ok((true, size))
     }
 
     /// Promote the 2 MiB region containing `va` to a huge page (THP
@@ -383,13 +430,15 @@ impl Process {
             let page = VirtAddr(hbase.raw() + i * 4096);
             self.pt.unmap(pm, page, PageSize::Size4K)?;
         }
-        // Overwrite the L2 slot with a huge leaf.
-        self.pt.map_thp(
+        // Overwrite the L2 slot (the pointer to the TEA-L1 page, which
+        // stays allocated for demotion) with a huge leaf.
+        let mut cursor = SpanCursor::default();
+        let at = self.pt.slot(pm, hbase, 2, &mut cursor);
+        self.pt.fill(
             pm,
-            hbase,
-            PhysAddr::from_pfn(huge),
-            PageSize::Size2M,
-            PteFlags::WRITABLE | PteFlags::USER,
+            at,
+            Pte::huge_leaf(huge, PteFlags::WRITABLE | PteFlags::USER),
+            &mut cursor,
         )?;
         // Release the old 4 KiB frames.
         for f in old_frames {
@@ -641,6 +690,7 @@ mod tests {
     use dmt_core::fetcher;
     use dmt_mem::addr::{ENTRIES_PER_TABLE, PTE_SIZE};
     use dmt_mem::buddy::FrameState;
+    use dmt_mem::PhysAddr;
 
     #[test]
     fn mmap_populate_translate() {

@@ -8,7 +8,7 @@
 //! and dirty bits behave identically under every translation design.
 
 use core::fmt;
-use dmt_mem::{Pfn, PhysAddr};
+use dmt_mem::{PageSize, Pfn, PhysAddr};
 
 /// Flag bits of a PTE (a subset of the x86-64 layout).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -94,6 +94,16 @@ impl Pte {
     #[inline]
     pub const fn huge_leaf(pfn: Pfn, flags: PteFlags) -> Pte {
         Pte(Pte::leaf(pfn, flags).0 | PteFlags::HUGE.0)
+    }
+
+    /// The leaf mapping a `size` page at `pfn`: [`Pte::leaf`] for a
+    /// 4 KiB page, [`Pte::huge_leaf`] for a larger one.
+    #[inline]
+    pub const fn page_leaf(pfn: Pfn, size: PageSize, flags: PteFlags) -> Pte {
+        match size {
+            PageSize::Size4K => Pte::leaf(pfn, flags),
+            _ => Pte::huge_leaf(pfn, flags),
+        }
     }
 
     /// Raw bits.

@@ -12,6 +12,13 @@
 //! last-level PTEs physically live inside the contiguous TEA while the
 //! ordinary x86 walker still finds them through the tree — DMT keeps a
 //! single copy of every PTE (paper §3).
+//!
+//! Every write that may need new tables goes through one slot lookup,
+//! [`slot`](RadixPageTable::slot), and one write,
+//! [`fill`](RadixPageTable::fill). A batch of writes (demand-paging a
+//! sorted page list) shares one [`SpanCursor`]: consecutive pages served
+//! by the same leaf table reach their slot without a root-to-leaf
+//! descent.
 
 use crate::pte::{Pte, PteFlags};
 use crate::walk::leaf_size;
@@ -42,6 +49,68 @@ use dmt_mem::{MemoryOps, PageSize, Pfn, PhysAddr, VirtAddr};
 pub struct RadixPageTable {
     root: Pfn,
     levels: u8,
+}
+
+/// The table one batch of [`RadixPageTable::slot`] lookups last
+/// reached: the table at some level and the VA span it serves (512
+/// entries of that level). A lookup in the same span at the same level
+/// starts there instead of at the root.
+///
+/// Make one per batch call and drop it with the batch. It stays right
+/// while every write to that table's tree goes through
+/// [`RadixPageTable::fill`] with the same cursor: a lookup that descends
+/// moves the cursor to the table holding the slot it found, so an entry
+/// a fill overwrites is never the pointer to the table the cursor
+/// names.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SpanCursor(Option<(u8, u64, Pfn)>);
+
+impl SpanCursor {
+    /// The span key of `va` for tables at `level`.
+    fn span(va: VirtAddr, level: u8) -> u64 {
+        va.raw() >> (PAGE_SHIFT + LEVEL_BITS * u32::from(level))
+    }
+}
+
+/// An entry slot as [`RadixPageTable::slot`] found it: the entry for
+/// `va` at the requested level, or the first entry above it that holds
+/// no table pointer (absent, or a huge leaf).
+#[derive(Debug, Clone, Copy)]
+pub struct Slot {
+    va: VirtAddr,
+    pa: PhysAddr,
+    level: u8,
+    target: u8,
+    entry: Pte,
+}
+
+impl Slot {
+    /// The entry read at `level`, if the lookup reached that level.
+    pub fn entry_at(&self, level: u8) -> Option<Pte> {
+        (self.level == level).then_some(self.entry)
+    }
+
+    /// The software translation of `va` from this slot on, as
+    /// [`RadixPageTable::translate_entry`] gives it: the entry read, and
+    /// below a table pointer the entries under it.
+    pub fn translate<M: MemoryOps>(&self, pm: &M) -> Option<(PhysAddr, PageSize, PteFlags)> {
+        let (mut entry, mut l) = (self.entry, self.level);
+        loop {
+            if !entry.present() {
+                return None;
+            }
+            if entry.is_leaf_at(l) {
+                // PS at L4/L5 is not architectural.
+                let size = leaf_size(l)?;
+                let pa = PhysAddr(entry.phys_addr().raw() + self.va.offset_in(size));
+                return Some((pa, size, entry.flags()));
+            }
+            l -= 1;
+            entry = Pte(
+                pm.read_word(PhysAddr::from_pfn(entry.pfn()) + self.va.level_index(l) * PTE_SIZE)
+            );
+        }
+    }
 }
 
 impl RadixPageTable {
@@ -126,48 +195,12 @@ impl RadixPageTable {
         if !va.is_aligned(size) || !pa.is_aligned(size) {
             return Err(PtError::Unaligned { addr: va.raw() });
         }
-        let leaf_level = size.leaf_level();
-        let slot = self.walk_to_slot(pm, va, leaf_level)?;
-        let existing = Pte(pm.read_word(slot));
-        if existing.present() {
+        let mut cursor = SpanCursor::default();
+        let at = self.slot(pm, va, size.leaf_level(), &mut cursor);
+        if at.level == at.target && at.entry.present() {
             return Err(PtError::AlreadyMapped { va: va.raw() });
         }
-        let pte = if leaf_level == 1 {
-            Pte::leaf(pa.pfn(), flags)
-        } else {
-            Pte::huge_leaf(pa.pfn(), flags)
-        };
-        pm.write_word(slot, pte.raw());
-        Ok(())
-    }
-
-    /// [`map`](Self::map), except that a 2 MiB leaf replaces a present
-    /// L1-table pointer in its L2 slot, the way the kernel replaces a PMD
-    /// entry for THP. The L1 table it pointed to (a TEA-L1 page) stays
-    /// allocated and owned by its TEA, ready for demotion.
-    ///
-    /// # Errors
-    ///
-    /// As [`map`](Self::map) wherever no table pointer is replaced.
-    pub fn map_thp<M: MemoryOps>(
-        &mut self,
-        pm: &mut M,
-        va: VirtAddr,
-        pa: PhysAddr,
-        size: PageSize,
-        flags: PteFlags,
-    ) -> Result<(), PtError> {
-        if size == PageSize::Size2M {
-            let table_ptr = self.entry_pa(pm, va, 2).filter(|&slot| {
-                let pte = Pte(pm.read_word(slot));
-                pte.present() && !pte.huge()
-            });
-            if let Some(slot) = table_ptr {
-                pm.write_word(slot, Pte::huge_leaf(pa.pfn(), flags).raw());
-                return Ok(());
-            }
-        }
-        self.map(pm, va, pa, size, flags)
+        self.fill(pm, at, Pte::page_leaf(pa.pfn(), size, flags), &mut cursor)
     }
 
     /// Remove the mapping of `va` at the given page size.
@@ -227,20 +260,105 @@ impl RadixPageTable {
         pm: &M,
         va: VirtAddr,
     ) -> Option<(PhysAddr, PageSize, PteFlags)> {
-        let mut table = self.root;
-        let mut l = self.levels;
+        self.walk(pm, self.root, self.levels, va, 1).translate(pm)
+    }
+
+    /// The slot of `va`'s entry at `level`, or the first entry above it
+    /// that holds no table pointer, with the entry read: one
+    /// root-to-`level` descent, or none when `cursor` already names the
+    /// table serving `va` at `level`. A descent that reaches `level`
+    /// moves the cursor to that table. Nothing is written.
+    pub fn slot<M: MemoryOps>(
+        &self,
+        pm: &M,
+        va: VirtAddr,
+        level: u8,
+        cursor: &mut SpanCursor,
+    ) -> Slot {
+        let span = SpanCursor::span(va, level);
+        if let Some((l, s, table)) = cursor.0 {
+            if (l, s) == (level, span) {
+                let pa = PhysAddr::from_pfn(table) + va.level_index(level) * PTE_SIZE;
+                let entry = Pte(pm.read_word(pa));
+                return Slot {
+                    va,
+                    pa,
+                    level,
+                    target: level,
+                    entry,
+                };
+            }
+        }
+        let at = self.walk(pm, self.root, self.levels, va, level);
+        if at.level == level {
+            cursor.0 = Some((level, span, at.pa.pfn()));
+        }
+        at
+    }
+
+    /// Write `pte` as `va`'s entry at the level `at` was looked up for,
+    /// replacing whatever entry is there. Where the lookup stopped above
+    /// that level, the missing tables are allocated first, top-down and
+    /// zeroed, exactly as a descent from the root would allocate them,
+    /// and the cursor moves to the new leaf table.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PtError::HugeConflict`] if a huge leaf sits above the
+    /// level, or a memory error if a table allocation fails.
+    pub fn fill<M: MemoryOps>(
+        &mut self,
+        pm: &mut M,
+        at: Slot,
+        pte: Pte,
+        cursor: &mut SpanCursor,
+    ) -> Result<(), PtError> {
+        let Slot {
+            va,
+            mut pa,
+            mut level,
+            target,
+            entry,
+        } = at;
+        if level > target {
+            if entry.present() {
+                return Err(PtError::HugeConflict { va: va.raw() });
+            }
+            while level > target {
+                let fresh = pm.alloc_zeroed_frame(FrameKind::PageTable)?;
+                pm.write_word(pa, Pte::table(fresh).raw());
+                level -= 1;
+                pa = PhysAddr::from_pfn(fresh) + va.level_index(level) * PTE_SIZE;
+            }
+            cursor.0 = Some((target, SpanCursor::span(va, target), pa.pfn()));
+        }
+        pm.write_word(pa, pte.raw());
+        Ok(())
+    }
+
+    /// Descend from `table` at level `l` toward `target`, stopping early
+    /// at an entry that holds no table pointer.
+    fn walk<M: MemoryOps>(
+        &self,
+        pm: &M,
+        mut table: Pfn,
+        mut l: u8,
+        va: VirtAddr,
+        target: u8,
+    ) -> Slot {
         loop {
-            let pte = Pte(pm.read_word(PhysAddr::from_pfn(table) + va.level_index(l) * PTE_SIZE));
-            if !pte.present() {
-                return None;
+            let pa = PhysAddr::from_pfn(table) + va.level_index(l) * PTE_SIZE;
+            let entry = Pte(pm.read_word(pa));
+            if l == target || !entry.present() || entry.is_leaf_at(l) {
+                return Slot {
+                    va,
+                    pa,
+                    level: l,
+                    target,
+                    entry,
+                };
             }
-            if pte.is_leaf_at(l) {
-                // PS at L4/L5 is not architectural.
-                let size = leaf_size(l)?;
-                let pa = PhysAddr(pte.phys_addr().raw() + va.offset_in(size));
-                return Some((pa, size, pte.flags()));
-            }
-            table = pte.pfn();
+            table = entry.pfn();
             l -= 1;
         }
     }
@@ -268,34 +386,36 @@ impl RadixPageTable {
             level >= 1 && level < self.levels,
             "cannot install a table at the root level"
         );
-        let slot = self.walk_to_slot(pm, va, level + 1)?;
-        let existing = Pte(pm.read_word(slot));
-        if existing.present() {
-            if existing.huge() {
+        let mut cursor = SpanCursor::default();
+        let at = self.slot(pm, va, level + 1, &mut cursor);
+        if at.level == at.target && at.entry.present() {
+            if at.entry.huge() {
                 return Err(PtError::HugeConflict { va: va.raw() });
             }
-            let old = existing.pfn();
+            let old = at.entry.pfn();
             if old == table_pfn {
                 return Ok(());
             }
             pm.copy_frame(old, table_pfn);
-            pm.write_word(slot, Pte::table(table_pfn).raw());
+            pm.write_word(at.pa, Pte::table(table_pfn).raw());
             pm.free_frame(old)?;
-        } else {
-            pm.write_word(slot, Pte::table(table_pfn).raw());
+            return Ok(());
         }
-        Ok(())
+        self.fill(pm, at, Pte::table(table_pfn), &mut cursor)
     }
 
     /// Install pages `frames` of a TEA based at `tea_base` as the leaf
     /// tables of the region from `base` mapped at `size`: TEA page `i`
     /// serves the `512 × size` span starting at `base + i` spans, through
     /// one [`install_table`](Self::install_table) per page, in order. A
-    /// page already in place is left as it is.
+    /// page already in place is left as it is, and a span a huge leaf
+    /// maps keeps its leaf: its TEA page stays unlinked, as after a THP
+    /// fault replaced the pointer to it.
     ///
     /// # Errors
     ///
-    /// As [`install_table`](Self::install_table).
+    /// As [`install_table`](Self::install_table), except that a huge
+    /// leaf is no conflict.
     pub fn install_tea<M: MemoryOps>(
         &mut self,
         pm: &mut M,
@@ -306,12 +426,15 @@ impl RadixPageTable {
     ) -> Result<(), PtError> {
         let span = ENTRIES_PER_TABLE << size.shift();
         for i in frames {
-            self.install_table(
+            match self.install_table(
                 pm,
                 VirtAddr(base.raw() + i * span),
                 size.leaf_level(),
                 Pfn(tea_base.0 + i),
-            )?;
+            ) {
+                Ok(()) | Err(PtError::HugeConflict { .. }) => {}
+                Err(e) => return Err(e),
+            }
         }
         Ok(())
     }
@@ -372,36 +495,6 @@ impl RadixPageTable {
             count
         }
         rec(pm, self.root, self.levels)
-    }
-
-    /// Walk to the entry slot for `va` at `target_level`, allocating
-    /// intermediate tables as needed.
-    fn walk_to_slot<M: MemoryOps>(
-        &mut self,
-        pm: &mut M,
-        va: VirtAddr,
-        target_level: u8,
-    ) -> Result<PhysAddr, PtError> {
-        let mut table = self.root;
-        let mut l = self.levels;
-        loop {
-            let slot = PhysAddr::from_pfn(table) + va.level_index(l) * PTE_SIZE;
-            if l == target_level {
-                return Ok(slot);
-            }
-            let pte = Pte(pm.read_word(slot));
-            if pte.present() {
-                if pte.huge() {
-                    return Err(PtError::HugeConflict { va: va.raw() });
-                }
-                table = pte.pfn();
-            } else {
-                let fresh = pm.alloc_zeroed_frame(FrameKind::PageTable)?;
-                pm.write_word(slot, Pte::table(fresh).raw());
-                table = fresh;
-            }
-            l -= 1;
-        }
     }
 }
 
@@ -801,5 +894,66 @@ mod tests {
         assert!(pt.translate(&pm, VirtAddr(t + 0x8000)).is_some());
         assert!(pt.translate(&pm, VirtAddr(giant)).is_none());
         assert_eq!(unmap(&mut pt, &mut pm, x, giant + (1 << 30)).len(), 1);
+    }
+
+    /// Physical memory that counts the table words read through it.
+    struct CountingReads {
+        pm: PhysMemory,
+        reads: core::cell::Cell<u64>,
+    }
+
+    impl MemoryOps for CountingReads {
+        fn read_word(&self, addr: PhysAddr) -> u64 {
+            self.reads.set(self.reads.get() + 1);
+            self.pm.read_word(addr)
+        }
+        fn write_word(&mut self, addr: PhysAddr, value: u64) {
+            self.pm.write_word(addr, value)
+        }
+        fn alloc_zeroed_frame(&mut self, kind: FrameKind) -> dmt_mem::Result<Pfn> {
+            self.pm.alloc_zeroed_frame(kind)
+        }
+        fn free_frame(&mut self, pfn: Pfn) -> dmt_mem::Result<()> {
+            self.pm.free_frame(pfn)
+        }
+        fn copy_frame(&mut self, src: Pfn, dst: Pfn) {
+            self.pm.copy_frame(src, dst)
+        }
+    }
+
+    #[test]
+    fn one_descent_per_leaf_table_span() {
+        let (pm, mut pt) = setup();
+        let mut m = CountingReads {
+            pm,
+            reads: core::cell::Cell::new(0),
+        };
+        // Two 2 MiB spans, 512 pages each, filled as one batch.
+        let base = 0x7f00_0000_0000u64;
+        let pages: Vec<VirtAddr> = (0..1024).map(|i| VirtAddr(base + i * 4096)).collect();
+        let mut cursor = SpanCursor::default();
+        for (i, &va) in pages.iter().enumerate() {
+            let at = pt.slot(&m, va, 1, &mut cursor);
+            assert!(at.translate(&m).is_none());
+            let pte = Pte::leaf(Pfn(0x100 + i as u64), PteFlags::WRITABLE);
+            pt.fill(&mut m, at, pte, &mut cursor).unwrap();
+        }
+        // The first page reads the absent root entry; the first page of
+        // the second span descends three levels; every other page reads
+        // only its own slot.
+        assert_eq!(m.reads.get(), 1 + 3 + 1022);
+        // Looked up again, each span costs one four-level descent.
+        m.reads.set(0);
+        let mut cursor = SpanCursor::default();
+        for (i, &va) in pages.iter().enumerate() {
+            let at = pt.slot(&m, va, 1, &mut cursor);
+            assert_eq!(at.entry_at(1).map(Pte::pfn), Some(Pfn(0x100 + i as u64)));
+        }
+        assert_eq!(m.reads.get(), 2 * 4 + 1022);
+        // Every page agrees with a fresh descent from the root.
+        for (i, &va) in pages.iter().enumerate() {
+            let (pa, size) = pt.translate(&m.pm, va).unwrap();
+            assert_eq!((pa.pfn(), size), (Pfn(0x100 + i as u64), PageSize::Size4K));
+        }
     }
 }

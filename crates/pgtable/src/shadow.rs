@@ -9,8 +9,8 @@
 //! `dmt-virt`, which also uses these counters to estimate nested
 //! virtualization's shadow overhead (§5: scaled by the VM-exit ratio).
 
-use crate::pte::PteFlags;
-use crate::radix::RadixPageTable;
+use crate::pte::{Pte, PteFlags};
+use crate::radix::{RadixPageTable, SpanCursor};
 use crate::PtError;
 use dmt_mem::{MemoryOps, PageSize, PhysAddr, VirtAddr};
 
@@ -39,14 +39,19 @@ impl ShadowPageTable {
         &self.spt
     }
 
-    /// Reflect a guest mapping `gva -> hpa` into the shadow table.
+    /// Reflect a guest mapping `gva -> hpa` into the shadow table: a
+    /// leaf already there (the guest remapped the page) is replaced.
+    /// `cursor` is the batch's (see [`SpanCursor`]): syncs of pages that
+    /// share a leaf table skip the descent.
     ///
     /// Each call models one intercepted guest page-table update (one VM
     /// exit); the event counter feeds the §5 shadow-overhead estimate.
     ///
     /// # Errors
     ///
-    /// Propagates mapping errors.
+    /// Returns [`PtError::Unaligned`] for a misaligned `gva` or `hpa`,
+    /// [`PtError::NotMapped`] where a table pointer holds the leaf's
+    /// slot, and otherwise propagates mapping errors.
     pub fn sync_mapping<M: MemoryOps>(
         &mut self,
         pm: &mut M,
@@ -54,17 +59,20 @@ impl ShadowPageTable {
         hpa: PhysAddr,
         size: PageSize,
         flags: PteFlags,
+        cursor: &mut SpanCursor,
     ) -> Result<(), PtError> {
         self.sync_events += 1;
-        match self.spt.map(pm, gva, hpa, size, flags) {
-            Ok(()) => Ok(()),
-            Err(PtError::AlreadyMapped { .. }) => {
-                // Guest remapped a page: invalidate then re-map.
-                self.spt.unmap(pm, gva, size)?;
-                self.spt.map(pm, gva, hpa, size, flags)
-            }
-            Err(e) => Err(e),
+        if !gva.is_aligned(size) || !hpa.is_aligned(size) {
+            return Err(PtError::Unaligned { addr: gva.raw() });
         }
+        let level = size.leaf_level();
+        let at = self.spt.slot(pm, gva, level, cursor);
+        let existing = at.entry_at(level);
+        if existing.is_some_and(|e| e.present() && !e.is_leaf_at(level)) {
+            return Err(PtError::NotMapped { va: gva.raw() });
+        }
+        self.spt
+            .fill(pm, at, Pte::page_leaf(hpa.pfn(), size, flags), cursor)
     }
 
     /// Reflect a guest unmap into the shadow table.
@@ -112,6 +120,7 @@ mod tests {
             PhysAddr(0x8000),
             PageSize::Size4K,
             PteFlags::WRITABLE,
+            &mut SpanCursor::default(),
         )
         .unwrap();
         let mut hier = MemoryHierarchy::default();
@@ -140,6 +149,7 @@ mod tests {
                 PhysAddr((100 + i) << 12),
                 PageSize::Size4K,
                 PteFlags::default(),
+                &mut SpanCursor::default(),
             )
             .unwrap();
         }
@@ -161,6 +171,7 @@ mod tests {
             PhysAddr(0x2000),
             PageSize::Size4K,
             PteFlags::default(),
+            &mut SpanCursor::default(),
         )
         .unwrap();
         spt.sync_mapping(
@@ -169,6 +180,7 @@ mod tests {
             PhysAddr(0x3000),
             PageSize::Size4K,
             PteFlags::default(),
+            &mut SpanCursor::default(),
         )
         .unwrap();
         assert_eq!(

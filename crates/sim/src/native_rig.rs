@@ -64,11 +64,9 @@ fn build(
             .mmap(&mut pm, r.base, r.len, VmaKind::Heap)
             .map_err(|e| SimError::Setup(format!("mmap {}: {e}", r.label)))?;
     }
-    for &va in &setup.pages {
-        proc_
-            .populate(&mut pm, va)
-            .map_err(|e| SimError::Setup(format!("populate {va}: {e}")))?;
-    }
+    proc_
+        .populate_pages(&mut pm, setup.pages.iter().copied())
+        .map_err(|e| SimError::Setup(format!("populate: {e}")))?;
     let mut regs = DmtRegisterFile::new();
     if spec.dmt_managed {
         proc_.load_registers(&mut regs);

@@ -40,9 +40,8 @@ impl Machine for NestedMachine {
                 m.l2_mmap(base, len).map_err(SimError::setup)?;
             }
         }
-        for &va in &setup.pages {
-            m.l2_populate(va).map_err(SimError::setup)?;
-        }
+        m.l2_populate_pages(setup.pages.iter().copied())
+            .map_err(SimError::setup)?;
         let backend = (spec.build)(&mut m, setup)?;
         Ok((m, backend))
     }

@@ -61,9 +61,8 @@ impl Machine for VirtMachine {
         for (base, len) in crate::rig::cluster_regions(&setup.regions, thp) {
             m.guest_mmap(base, len).map_err(SimError::setup)?;
         }
-        for &va in &setup.pages {
-            m.guest_populate(va).map_err(SimError::setup)?;
-        }
+        m.guest_populate_pages(setup.pages.iter().copied())
+            .map_err(SimError::setup)?;
         let backend = (spec.build)(&mut m, setup, arena)?;
         Ok((m, backend))
     }

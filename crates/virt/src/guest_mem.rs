@@ -99,6 +99,12 @@ impl GuestMemory {
         self.backing.len()
     }
 
+    /// The frame allocator's state hash
+    /// ([`BuddyAllocator::state_hash`]).
+    pub(crate) fn state_hash(&self) -> u64 {
+        self.buddy.state_hash()
+    }
+
     /// The lower-level address backing `gpa`, if any (software, no
     /// cycles).
     pub(crate) fn lookup(&self, gpa: PhysAddr) -> Option<PhysAddr> {

@@ -75,27 +75,17 @@ fn tea_sizes(thp: bool) -> &'static [PageSize] {
     }
 }
 
-/// Demand-populate `[base, base + len)` one page at a time through
-/// `populate`, stepping by the page size the guest maps (2 MiB with
-/// THP). Returns the number of faults served.
-fn populate_range(
-    base: VirtAddr,
-    len: u64,
-    thp: bool,
-    mut populate: impl FnMut(VirtAddr) -> Result<bool, VirtError>,
-) -> Result<u64, VirtError> {
+/// The pages of `[base, base + len)` a guest maps, one address per
+/// page, stepping by the page size the guest maps (2 MiB with THP) from
+/// `base` and then page-aligned, so an unaligned region's tail is
+/// covered too.
+fn range_pages(base: VirtAddr, len: u64, thp: bool) -> impl Iterator<Item = VirtAddr> {
     let step = page_size(thp);
-    let mut faults = 0;
-    let mut va = base;
-    while va.raw() < base.raw() + len {
-        if populate(va)? {
-            faults += 1;
-        }
-        // Advance chunk-aligned so unaligned regions' tails are covered
-        // too.
-        va = VirtAddr(va.align_down(step).raw() + step.bytes());
-    }
-    Ok(faults)
+    let end = base.raw() + len;
+    core::iter::successors(Some(base), move |va| {
+        Some(VirtAddr(va.align_down(step).raw() + step.bytes()))
+    })
+    .take_while(move |va| va.raw() < end)
 }
 
 /// Errors from the virtualization layer.

@@ -30,7 +30,8 @@ use dmt_core::DmtError;
 use dmt_mem::buddy::FrameKind;
 use dmt_mem::{PageSize, Pfn, PhysAddr, PhysMemory, VirtAddr};
 use dmt_pgtable::nested::{nested_walk, NestedCaches};
-use dmt_pgtable::pte::PteFlags;
+use dmt_pgtable::pte::{Pte, PteFlags};
+use dmt_pgtable::radix::SpanCursor;
 use dmt_pgtable::shadow::ShadowPageTable;
 use dmt_pgtable::walk::{walk_dimension, StepSink, WalkDim, WalkOutcome, WalkStep};
 use dmt_pgtable::RadixPageTable;
@@ -216,61 +217,92 @@ impl VirtMachine {
     }
 
     /// Guest demand paging: make the page containing `gva` present,
-    /// syncing the shadow table (one modeled VM exit per fault).
+    /// syncing the shadow table (one modeled VM exit per fault): a batch
+    /// of one [`guest_populate_pages`](Self::guest_populate_pages).
     /// Returns `true` when a fault was served.
     ///
     /// # Errors
     ///
     /// Propagates allocation failures.
     pub fn guest_populate(&mut self, gva: VirtAddr) -> Result<bool, VirtError> {
-        {
-            let view = self.vm.guest_view(&mut self.pm);
-            if self.gpt.translate(&view, gva).is_some() {
-                return Ok(false);
-            }
-        }
-        let (gbase, gframe, size) = if self.guest_thp {
-            let g = self
-                .vm
-                .alloc_guest_huge(&mut self.pm, FrameKind::HugeData)?;
-            (gva.align_down(PageSize::Size2M), g, PageSize::Size2M)
-        } else {
-            let g = self.vm.alloc_guest_frame(&mut self.pm, FrameKind::Data)?;
-            (gva.align_down(PageSize::Size4K), g, PageSize::Size4K)
-        };
-        // A 2 MiB page replaces the pointer to the (empty) TEA-L1 table.
-        self.gpt.map_thp(
-            &mut self.vm.guest_view(&mut self.pm),
-            gbase,
-            PhysAddr::from_pfn(gframe),
-            size,
-            PteFlags::WRITABLE | PteFlags::USER,
-        )?;
-        // Shadow sync: gVA -> hPA (one VM exit). With a 2 MiB guest page
-        // over 2 MiB host backing the shadow entry is huge as well.
-        let hpa = self
-            .vm
-            .gpa_to_hpa(PhysAddr::from_pfn(gframe))
-            .expect("guest frame must be backed");
-        self.spt.sync_mapping(
-            &mut self.pm,
-            gbase,
-            hpa,
-            size,
-            PteFlags::WRITABLE | PteFlags::USER,
-        )?;
-        self.faults += 1;
-        Ok(true)
+        Ok(self.guest_populate_pages([gva])? == 1)
     }
 
-    /// Populate a whole range.
+    /// Guest demand paging of every page of `pages`, in order; returns
+    /// the faults served. Each fault maps a fresh guest page (2 MiB
+    /// under THP) in the guest table and syncs its gVA → hPA leaf into
+    /// the shadow table. The guest table and the sPT each keep one
+    /// [`SpanCursor`] for the batch, so of a sorted page list only the
+    /// first page of each leaf table's span descends from the root (in
+    /// the guest table, each entry read also costs a backing lookup).
+    /// Frames and tables are allocated exactly as page-at-a-time
+    /// population would.
     ///
     /// # Errors
     ///
-    /// See [`guest_populate`](Self::guest_populate).
+    /// Propagates allocation failures; the pages before the failing one
+    /// stay populated.
+    pub fn guest_populate_pages(
+        &mut self,
+        pages: impl IntoIterator<Item = VirtAddr>,
+    ) -> Result<u64, VirtError> {
+        let size = crate::page_size(self.guest_thp);
+        let flags = PteFlags::WRITABLE | PteFlags::USER;
+        let (mut gpt_cursor, mut spt_cursor) = (SpanCursor::default(), SpanCursor::default());
+        let mut faults = 0;
+        for gva in pages {
+            let at = {
+                let view = self.vm.guest_view_ref(&self.pm);
+                let at = self
+                    .gpt
+                    .slot(&view, gva, size.leaf_level(), &mut gpt_cursor);
+                if at.translate(&view).is_some() {
+                    continue;
+                }
+                at
+            };
+            let gframe = if self.guest_thp {
+                self.vm
+                    .alloc_guest_huge(&mut self.pm, FrameKind::HugeData)?
+            } else {
+                self.vm.alloc_guest_frame(&mut self.pm, FrameKind::Data)?
+            };
+            // A 2 MiB page replaces the pointer to the (empty) TEA-L1
+            // table.
+            self.gpt.fill(
+                &mut self.vm.guest_view(&mut self.pm),
+                at,
+                Pte::page_leaf(gframe, size, flags),
+                &mut gpt_cursor,
+            )?;
+            // Shadow sync: gVA -> hPA (one VM exit). With a 2 MiB guest
+            // page over 2 MiB host backing the shadow entry is huge as
+            // well.
+            let hpa = self
+                .vm
+                .gpa_to_hpa(PhysAddr::from_pfn(gframe))
+                .expect("guest frame must be backed");
+            self.spt.sync_mapping(
+                &mut self.pm,
+                gva.align_down(size),
+                hpa,
+                size,
+                flags,
+                &mut spt_cursor,
+            )?;
+            self.faults += 1;
+            faults += 1;
+        }
+        Ok(faults)
+    }
+
+    /// Populate a whole range: one batch over its pages.
+    ///
+    /// # Errors
+    ///
+    /// See [`guest_populate_pages`](Self::guest_populate_pages).
     pub fn guest_populate_range(&mut self, base: VirtAddr, len: u64) -> Result<u64, VirtError> {
-        let thp = self.guest_thp;
-        crate::populate_range(base, len, thp, |va| self.guest_populate(va))
+        self.guest_populate_pages(crate::range_pages(base, len, self.guest_thp))
     }
 
     /// Software ground-truth translation gVA → hPA (no cycles charged):

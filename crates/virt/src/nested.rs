@@ -27,6 +27,7 @@ use dmt_mem::buddy::FrameKind;
 use dmt_mem::{PageSize, Pfn, PhysAddr, PhysMemory, VirtAddr};
 use dmt_pgtable::nested::{nested_walk, NestedCaches};
 use dmt_pgtable::pte::{Pte, PteFlags};
+use dmt_pgtable::radix::SpanCursor;
 use dmt_pgtable::shadow::ShadowPageTable;
 use dmt_pgtable::walk::{StepSink, WalkOutcome, WalkStep};
 use dmt_pgtable::RadixPageTable;
@@ -69,6 +70,10 @@ pub struct NestedMachine {
 /// and mirrored by the sPT. A new L2 page is an L1 allocation whose L1
 /// TEA PTE is written and whose L2PA → L0PA entry is synced into the
 /// sPT; the lower→host step is L1's gPA → L0PA lookup.
+///
+/// The backing's sPT syncs share one [`SpanCursor`]: it lives as long as
+/// the view, which holds the only mutable borrow of the sPT, so no other
+/// write can move a table out from under it.
 #[derive(Debug)]
 pub struct L1Backing<'a> {
     vm1: &'a mut Vm,
@@ -76,6 +81,7 @@ pub struct L1Backing<'a> {
     mapping: VmaTeaMapping,
     gtea: &'a GteaTable,
     spt: &'a mut ShadowPageTable,
+    spt_cursor: SpanCursor,
 }
 
 impl Lower for L1Backing<'_> {
@@ -105,11 +111,7 @@ impl Backer for L1Backing<'_> {
                 .pte_offset(VirtAddr(gpa.raw()))
                 .expect("within L2 space"),
         )?;
-        let pte = if huge {
-            Pte::huge_leaf(l1, PteFlags::WRITABLE | PteFlags::USER)
-        } else {
-            Pte::leaf(l1, PteFlags::WRITABLE | PteFlags::USER)
-        };
+        let pte = Pte::page_leaf(l1, size, PteFlags::WRITABLE | PteFlags::USER);
         self.pm.write_word(slot, pte.raw());
         // sPT identity entry for the new page.
         let l0 = self
@@ -122,6 +124,7 @@ impl Backer for L1Backing<'_> {
             l0,
             size,
             PteFlags::WRITABLE | PteFlags::USER,
+            &mut self.spt_cursor,
         )?;
         Ok(l1)
     }
@@ -205,6 +208,7 @@ impl NestedMachine {
                 mapping: self.l1_mapping,
                 gtea: &self.l1_gtea,
                 spt: &mut self.spt,
+                spt_cursor: SpanCursor::default(),
             },
         };
         (&mut self.l2pt, view)
@@ -232,6 +236,23 @@ impl NestedMachine {
     /// L2 pages recorded for L2 RAM: one per backed L2 page.
     pub fn backed_l2_pages(&self) -> usize {
         self.l2.backed_pages()
+    }
+
+    /// The backed L2-physical chunks `(L2PA, L1PA, size)` in L2PA order,
+    /// as [`Vm::backed_chunks`] lists a guest's.
+    pub fn l2_backed_chunks(&self) -> Vec<(PhysAddr, PhysAddr, PageSize)> {
+        self.l2.chunks()
+    }
+
+    /// The state hash of L2's frame allocator.
+    pub fn l2_state_hash(&self) -> u64 {
+        self.l2.state_hash()
+    }
+
+    /// L1: its physical memory backed in L0, and the L1 page table
+    /// (L1PA → L0PA).
+    pub fn l1(&self) -> &Vm {
+        &self.vm1
     }
 
     /// Translate L2PA → L0PA (software, no cycles).
@@ -290,6 +311,7 @@ impl NestedMachine {
         // The inserted TEA pages are new L2PAs: the vanilla baseline's
         // sPT must know them (its 2D walker fetches L2PT tables by L2PA).
         // Each one's L0PA is its own L0 TEA frame.
+        let mut cursor = SpanCursor::default();
         for i in 0..frames {
             self.spt.sync_mapping(
                 &mut self.pm,
@@ -297,6 +319,7 @@ impl NestedMachine {
                 PhysAddr::from_pfn(Pfn(host_base.0 + i)),
                 PageSize::Size4K,
                 PteFlags::WRITABLE | PteFlags::USER,
+                &mut cursor,
             )?;
         }
         let mapping = VmaTeaMapping::new(proto.base(), proto.covered_bytes(), size, l2_base.pfn())
@@ -308,47 +331,83 @@ impl NestedMachine {
         Ok(())
     }
 
-    /// L2 demand paging. Each fault costs one (modeled) VM exit for the
-    /// sPT sync in the vanilla regime.
+    /// L2 demand paging: make the page containing `l2va` present, a
+    /// batch of one [`l2_populate_pages`](Self::l2_populate_pages).
+    /// Returns `true` when a fault was served.
     ///
     /// # Errors
     ///
     /// Propagates allocation failures.
     pub fn l2_populate(&mut self, l2va: VirtAddr) -> Result<bool, VirtError> {
-        if self.l2pt.translate(&self.l2_view_ref(), l2va).is_some() {
-            return Ok(false);
-        }
+        Ok(self.l2_populate_pages([l2va])? == 1)
+    }
+
+    /// L2 demand paging of every page of `pages`, in order; returns the
+    /// faults served. Each fault takes a fresh L2 page (2 MiB under THP)
+    /// and maps it in the L2 table.
+    ///
+    /// A fault costs an sPT sync (one modeled VM exit in the vanilla
+    /// regime) only when it backs new L2 memory: the sync happens where
+    /// an L2 page is first backed by L1 memory ([`L1Backing`]), for the
+    /// data page and for any L2 table the fault allocates. A fault whose
+    /// page reuses an already-backed L2 page (one an earlier, since
+    /// freed, L2 table occupied) charges no sync.
+    ///
+    /// The L2 table and the sPT each keep one [`SpanCursor`] for the
+    /// batch, so of a sorted page list only the first page of each leaf
+    /// table's span descends from the root. Frames and tables are
+    /// allocated exactly as page-at-a-time population would.
+    ///
+    /// # Errors
+    ///
+    /// Propagates allocation failures; the pages before the failing one
+    /// stay populated.
+    pub fn l2_populate_pages(
+        &mut self,
+        pages: impl IntoIterator<Item = VirtAddr>,
+    ) -> Result<u64, VirtError> {
         let (order, kind) = if self.thp {
             (9, FrameKind::HugeData)
         } else {
             (0, FrameKind::Data)
         };
-        let (l2pt, mut view) = self.l2pt_and_view();
-        let size = view.mem.page_size();
-        // `frame` heads one whole L2 page, so this backs all of it (and
-        // syncs the sPT: one VM exit per fault in the cost model), then
-        // zeroes it: the block may hold a freed L2 table's old entries.
-        let frame = view.alloc(order, kind)?;
-        // A 2 MiB page replaces the pointer to the (empty) L1 table.
-        l2pt.map_thp(
-            &mut view,
-            l2va.align_down(size),
-            PhysAddr::from_pfn(frame),
-            size,
-            PteFlags::WRITABLE | PteFlags::USER,
-        )?;
-        self.faults += 1;
-        Ok(true)
+        let mut faults = 0;
+        let done = {
+            let (l2pt, mut view) = self.l2pt_and_view();
+            let size = view.mem.page_size();
+            let mut cursor = SpanCursor::default();
+            pages.into_iter().try_for_each(|l2va| {
+                let at = l2pt.slot(&view, l2va, size.leaf_level(), &mut cursor);
+                if at.translate(&view).is_some() {
+                    return Ok(());
+                }
+                // `frame` heads one whole L2 page, so this backs all of
+                // it (syncing the sPT where the page is new), then zeroes
+                // it: the block may hold a freed L2 table's old entries.
+                let frame = view.alloc(order, kind)?;
+                // A 2 MiB page replaces the pointer to the (empty) L1
+                // table.
+                l2pt.fill(
+                    &mut view,
+                    at,
+                    Pte::page_leaf(frame, size, PteFlags::WRITABLE | PteFlags::USER),
+                    &mut cursor,
+                )?;
+                faults += 1;
+                Ok::<_, VirtError>(())
+            })
+        };
+        self.faults += faults;
+        done.map(|()| faults)
     }
 
-    /// Populate a range of L2 virtual memory.
+    /// Populate a range of L2 virtual memory: one batch over its pages.
     ///
     /// # Errors
     ///
-    /// See [`l2_populate`](Self::l2_populate).
+    /// See [`l2_populate_pages`](Self::l2_populate_pages).
     pub fn l2_populate_range(&mut self, base: VirtAddr, len: u64) -> Result<u64, VirtError> {
-        let thp = self.thp;
-        crate::populate_range(base, len, thp, |va| self.l2_populate(va))
+        self.l2_populate_pages(crate::range_pages(base, len, self.thp))
     }
 
     /// Vanilla nested KVM: 2D walk over L2PT × sPT.

@@ -126,6 +126,12 @@ impl Vm {
         self.mem.backed_pages()
     }
 
+    /// The state hash of the guest-frame allocator (what is allocated,
+    /// as what kind, and what is free).
+    pub fn guest_state_hash(&self) -> u64 {
+        self.mem.state_hash()
+    }
+
     /// The host page table (for hardware 2D walks).
     pub fn hpt(&self) -> &RadixPageTable {
         &self.hpt
