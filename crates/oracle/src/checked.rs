@@ -389,6 +389,7 @@ impl<R: Rig> Rig for BitFlip<R> {
 mod tests {
     use super::*;
     use dmt_mem::PageSize;
+    use dmt_sim::backends::NativeBackend;
     use dmt_sim::native_rig::NativeRig;
     use dmt_sim::rig::Setup;
     use dmt_workloads::gen::{Access, Region};
@@ -408,20 +409,9 @@ mod tests {
         (Setup::new(vec![region], &trace), vas)
     }
 
-    const NATIVE_DESIGNS: [Design; 8] = [
-        Design::Vanilla,
-        Design::Fpt,
-        Design::Ecpt,
-        Design::Asap,
-        Design::Dmt,
-        Design::PvDmt,
-        Design::Vbi,
-        Design::Seg,
-    ];
-
     #[test]
     fn clean_rigs_have_no_divergences() {
-        for design in NATIVE_DESIGNS {
+        for &design in NativeBackend::DESIGNS {
             let (setup, vas) = tiny_setup(16);
             let rig = NativeRig::with_setup(design, false, &setup).unwrap();
             let mut checked = Checked::collecting(rig);
@@ -440,7 +430,7 @@ mod tests {
 
     #[test]
     fn bit_flip_is_caught_at_the_exact_access() {
-        for design in NATIVE_DESIGNS {
+        for &design in NativeBackend::DESIGNS {
             let (setup, vas) = tiny_setup(16);
             let rig = NativeRig::with_setup(design, false, &setup).unwrap();
             let mut checked = Checked::collecting(BitFlip::new(rig, 5, 12));

@@ -2,9 +2,9 @@
 //! levels nested — a walk starts in the shadow table and switches to 2D
 //! at the configured level (virtualized only).
 
-use super::{Translator, VirtBackend};
-use crate::registry::{Registration, VirtSpec};
-use crate::rig::{Design, Setup, Translation};
+use super::{Arena, Translator, VirtSpec};
+use crate::error::SimError;
+use crate::rig::{Setup, Translation};
 use dmt_baselines::agile::{agile_sync_events, agile_walk, guest_entry_chain};
 use dmt_cache::hierarchy::MemoryHierarchy;
 use dmt_mem::VirtAddr;
@@ -13,29 +13,25 @@ use dmt_virt::machine::{GuestTeaMode, VirtMachine};
 /// Agile paging's switch point: L4 and L3 shadowed, L2/L1 nested.
 const AGILE_SHADOW_LEVELS: u8 = 2;
 
-pub(crate) const REGISTRATION: Registration = Registration {
-    design: Design::Agile,
-    native: None,
-    virt: Some(VirtSpec {
+/// Shadow-then-nested hybrid walk.
+pub struct VirtAgile;
+
+impl VirtAgile {
+    /// A plain guest: agile paging needs no TEAs and no arena.
+    pub const SPEC: VirtSpec = VirtSpec {
         tea_mode: GuestTeaMode::None,
         arena_frames: None,
         pinned_exit_ratio: None,
-        build: build_virt,
-    }),
-    nested: None,
-    tiers: None,
-};
+    };
 
-fn build_virt(
-    _m: &mut VirtMachine,
-    _setup: &Setup,
-    _arena: Option<crate::registry::Arena>,
-) -> Result<VirtBackend, crate::error::SimError> {
-    Ok(VirtBackend::Agile(VirtAgile))
+    pub(crate) fn build(
+        _m: &mut VirtMachine,
+        _setup: &Setup,
+        _arena: Option<Arena>,
+    ) -> Result<Self, SimError> {
+        Ok(VirtAgile)
+    }
 }
-
-/// Shadow-then-nested hybrid walk.
-pub struct VirtAgile;
 
 impl Translator<VirtMachine> for VirtAgile {
     fn translate(

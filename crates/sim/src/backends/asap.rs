@@ -2,82 +2,46 @@
 //! over the unchanged radix walk, with the timeliness-limited overlap
 //! applied to the leaf fetch.
 
-use super::{NativeBackend, NativeMachine, Translator, VirtBackend};
+use super::{Arena, NativeMachine, NativeSpec, Translator, VirtSpec};
 use crate::error::SimError;
-use crate::registry::{Arena, NativeSpec, Registration, VirtSpec};
-use crate::rig::{Design, Setup, Translation};
+use crate::rig::{Setup, Translation};
 use dmt_baselines::asap::{AsapPrefetcher, AsapStats, LeafTiming};
 use dmt_cache::hierarchy::MemoryHierarchy;
 use dmt_mem::{PageSize, VirtAddr};
 use dmt_pgtable::walk::{walk_dimension, WalkDim};
 use dmt_virt::machine::{GuestTeaMode, VirtMachine};
 
-pub(crate) const REGISTRATION: Registration = Registration {
-    design: Design::Asap,
-    // ASAP's per-VMA contiguous PTE arrays are the same layout contract
-    // TEAs satisfy, so the DMT-managed process provides them.
-    native: Some(NativeSpec {
-        dmt_managed: true,
-        build: build_native,
-    }),
-    virt: Some(VirtSpec {
-        tea_mode: GuestTeaMode::Unpv,
-        arena_frames: None,
-        pinned_exit_ratio: None,
-        build: build_virt,
-    }),
-    nested: None,
-    tiers: None,
-};
-
-fn build_native(m: &mut NativeMachine, _setup: &Setup) -> Result<NativeBackend, SimError> {
-    let l1: Vec<_> = m
-        .proc_
-        .mappings()
-        .iter()
-        .filter(|v| v.mapping.page_size() == PageSize::Size4K)
-        .map(|v| v.mapping)
-        .collect();
-    let l2: Vec<_> = m
-        .proc_
-        .mappings()
-        .iter()
-        .filter(|v| v.mapping.page_size() == PageSize::Size2M)
-        .map(|v| v.mapping)
-        .collect();
-    Ok(NativeBackend::Asap(NativeAsap {
-        asap: AsapPrefetcher::new(l1, l2),
-        stats: AsapStats::default(),
-    }))
-}
-
-fn build_virt(
-    m: &mut VirtMachine,
-    _setup: &Setup,
-    _arena: Option<Arena>,
-) -> Result<VirtBackend, SimError> {
-    let l1: Vec<_> = m
-        .guest_mappings()
-        .iter()
-        .filter(|g| g.page_size() == PageSize::Size4K)
-        .copied()
-        .collect();
-    let l2: Vec<_> = m
-        .guest_mappings()
-        .iter()
-        .filter(|g| g.page_size() == PageSize::Size2M)
-        .copied()
-        .collect();
-    Ok(VirtBackend::Asap(VirtAsap {
-        asap: AsapPrefetcher::new(l1, l2),
-        stats: AsapStats::default(),
-    }))
-}
-
 /// Radix walk with perfectly timely prefetches into L2.
 pub struct NativeAsap {
     asap: AsapPrefetcher,
     stats: AsapStats,
+}
+
+impl NativeAsap {
+    /// ASAP's per-VMA contiguous PTE arrays are the same layout
+    /// contract TEAs satisfy, so the DMT-managed process provides them.
+    pub const SPEC: NativeSpec = NativeSpec { dmt_managed: true };
+
+    pub(crate) fn build(m: &mut NativeMachine, _setup: &Setup) -> Result<Self, SimError> {
+        let l1: Vec<_> = m
+            .proc_
+            .mappings()
+            .iter()
+            .filter(|v| v.mapping.page_size() == PageSize::Size4K)
+            .map(|v| v.mapping)
+            .collect();
+        let l2: Vec<_> = m
+            .proc_
+            .mappings()
+            .iter()
+            .filter(|v| v.mapping.page_size() == PageSize::Size2M)
+            .map(|v| v.mapping)
+            .collect();
+        Ok(NativeAsap {
+            asap: AsapPrefetcher::new(l1, l2),
+            stats: AsapStats::default(),
+        })
+    }
 }
 
 impl Translator<NativeMachine> for NativeAsap {
@@ -117,6 +81,38 @@ impl Translator<NativeMachine> for NativeAsap {
 pub struct VirtAsap {
     asap: AsapPrefetcher,
     stats: AsapStats,
+}
+
+impl VirtAsap {
+    /// Guest TEAs provide the contiguous guest PTE arrays.
+    pub const SPEC: VirtSpec = VirtSpec {
+        tea_mode: GuestTeaMode::Unpv,
+        arena_frames: None,
+        pinned_exit_ratio: None,
+    };
+
+    pub(crate) fn build(
+        m: &mut VirtMachine,
+        _setup: &Setup,
+        _arena: Option<Arena>,
+    ) -> Result<Self, SimError> {
+        let l1: Vec<_> = m
+            .guest_mappings()
+            .iter()
+            .filter(|g| g.page_size() == PageSize::Size4K)
+            .copied()
+            .collect();
+        let l2: Vec<_> = m
+            .guest_mappings()
+            .iter()
+            .filter(|g| g.page_size() == PageSize::Size2M)
+            .copied()
+            .collect();
+        Ok(VirtAsap {
+            asap: AsapPrefetcher::new(l1, l2),
+            stats: AsapStats::default(),
+        })
+    }
 }
 
 impl Translator<VirtMachine> for VirtAsap {

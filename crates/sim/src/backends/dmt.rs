@@ -1,7 +1,8 @@
 //! DMT: direct memory translation via register-file-resident TEA
 //! mappings, falling back to the hardware walker for uncovered VAs.
-//! Natively pvDMT is identical to DMT, so [`pvdmt`](super::pvdmt)
-//! wraps the same [`NativeDmt`] state in its own enum variant.
+//! Natively pvDMT is identical to DMT, so the native enum's `PvDmt`
+//! arm holds the same [`NativeDmt`] state in its own variant. The
+//! family's tiered-DRAM split, [`tier_spec`], is data here too.
 //!
 //! Every DMT and pvDMT backend serves a miss through one body,
 //! `FetchOrWalk::fetch_or_walk`: the allocation-free fetcher (or, for
@@ -9,9 +10,8 @@
 //! step sink. The translation's PA is the data PA the default engine
 //! charges (DESIGN.md §13).
 
-use super::{NativeBackend, NativeMachine, Translator, VirtBackend};
+use super::{Arena, NativeMachine, NativeSpec, Translator, VirtSpec};
 use crate::error::SimError;
-use crate::registry::{Arena, NativeSpec, Registration, TierSpec, VirtSpec};
 use crate::rig::{Design, Setup, Translation};
 use dmt_cache::hierarchy::MemoryHierarchy;
 use dmt_core::{fetcher, DmtError};
@@ -19,36 +19,27 @@ use dmt_mem::VirtAddr;
 use dmt_pgtable::walk::{walk_dimension, WalkDim, WalkOutcome};
 use dmt_virt::machine::{GuestTeaMode, VirtMachine};
 
-pub(crate) const REGISTRATION: Registration = Registration {
-    design: Design::Dmt,
-    native: Some(NativeSpec {
-        dmt_managed: true,
-        build: build_native,
-    }),
-    virt: Some(VirtSpec {
-        tea_mode: GuestTeaMode::Unpv,
-        arena_frames: None,
-        pinned_exit_ratio: None,
-        build: build_virt,
-    }),
-    nested: None,
-    tiers: Some(TierSpec {
-        fast_bytes: 32 << 20,
-        slow_latency: 350,
-    }),
-};
-
-/// The stock native DMT backend (PWC-assisted fallback walks).
-fn build_native(_m: &mut NativeMachine, _setup: &Setup) -> Result<NativeBackend, SimError> {
-    Ok(NativeBackend::Dmt(NativeDmt::default()))
+/// A two-tier DRAM split for a design that manages physical placement
+/// (DMT's TEA migrations): PAs below `fast_bytes` are near-tier DRAM at
+/// the hierarchy's configured latency, PAs at or above it pay
+/// `slow_latency`. Opt-in via `RunnerBuilder::tiered`; a design without
+/// a spec always runs flat.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TierSpec {
+    /// Bytes of fast-tier DRAM, from PA 0.
+    pub fast_bytes: u64,
+    /// Cycles charged per access landing in the slow tier.
+    pub slow_latency: u64,
 }
 
-fn build_virt(
-    _m: &mut VirtMachine,
-    _setup: &Setup,
-    _arena: Option<Arena>,
-) -> Result<VirtBackend, SimError> {
-    Ok(VirtBackend::Dmt(VirtDmt::default()))
+/// The tiered-DRAM split for `design`: DMT and pvDMT, whose TEA
+/// migrations can steer hot pages into the fast tier, carry one; every
+/// other design runs flat.
+pub fn tier_spec(design: Design) -> Option<TierSpec> {
+    matches!(design, Design::Dmt | Design::PvDmt).then_some(TierSpec {
+        fast_bytes: 32 << 20,
+        slow_latency: 350,
+    })
 }
 
 /// The DMT family's miss path and its coverage counters: a
@@ -99,9 +90,19 @@ impl FetchOrWalk {
     }
 }
 
-/// Register-file fetch with hardware-walk fallback.
+/// Register-file fetch with hardware-walk fallback. Natively pvDMT
+/// *is* DMT: both designs' arms hold this type.
 #[derive(Default)]
 pub struct NativeDmt(FetchOrWalk);
+
+impl NativeDmt {
+    /// The TEA-aware process with its register file loaded.
+    pub const SPEC: NativeSpec = NativeSpec { dmt_managed: true };
+
+    pub(crate) fn build(_m: &mut NativeMachine, _setup: &Setup) -> Result<Self, SimError> {
+        Ok(NativeDmt::default())
+    }
+}
 
 impl Translator<NativeMachine> for NativeDmt {
     fn translate(
@@ -138,6 +139,23 @@ impl Translator<NativeMachine> for NativeDmt {
 /// TEAs are contiguous only in guest physical memory).
 #[derive(Default)]
 pub struct VirtDmt(FetchOrWalk);
+
+impl VirtDmt {
+    /// Guest TEAs placed by the unmodified guest.
+    pub const SPEC: VirtSpec = VirtSpec {
+        tea_mode: GuestTeaMode::Unpv,
+        arena_frames: None,
+        pinned_exit_ratio: None,
+    };
+
+    pub(crate) fn build(
+        _m: &mut VirtMachine,
+        _setup: &Setup,
+        _arena: Option<Arena>,
+    ) -> Result<Self, SimError> {
+        Ok(VirtDmt::default())
+    }
+}
 
 impl Translator<VirtMachine> for VirtDmt {
     fn translate(

@@ -2,10 +2,9 @@
 //! place of the radix walk. Virtualized, guest and host each get an
 //! ECPT; guest tables come from the boot-time contiguous arena.
 
-use super::{collect_mappings, NativeBackend, NativeMachine, Translator, VirtBackend};
+use super::{collect_mappings, Arena, NativeMachine, NativeSpec, Translator, VirtSpec};
 use crate::error::SimError;
-use crate::registry::{Arena, NativeSpec, Registration, VirtSpec};
-use crate::rig::{Design, Setup, Translation};
+use crate::rig::{Setup, Translation};
 use dmt_baselines::ecpt::{Ecpt, NestedEcpt};
 use dmt_cache::hierarchy::MemoryHierarchy;
 use dmt_mem::buddy::FrameKind;
@@ -14,56 +13,10 @@ use dmt_virt::machine::{GuestTeaMode, VirtMachine};
 use dmt_virt::vm::HostBacking;
 use dmt_virt::GuestView;
 
-pub(crate) const REGISTRATION: Registration = Registration {
-    design: Design::Ecpt,
-    native: Some(NativeSpec {
-        dmt_managed: false,
-        build: build_native,
-    }),
-    virt: Some(VirtSpec {
-        tea_mode: GuestTeaMode::None,
-        arena_frames: Some(arena_frames),
-        pinned_exit_ratio: None,
-        build: build_virt,
-    }),
-    nested: None,
-    tiers: None,
-};
-
 /// Sized from the touched pages: 3 ways × 16-byte entries × 3× slack,
 /// in frames, plus fixed headroom.
 fn arena_frames(setup: &Setup) -> u64 {
     (((setup.pages.len() as u64) * 3 * 16 * 3) >> 12) + 1024
-}
-
-fn build_native(m: &mut NativeMachine, setup: &Setup) -> Result<NativeBackend, SimError> {
-    let mappings = collect_mappings(&setup.pages, |va| m.proc_.page_table().translate(&m.pm, va))?;
-    let n2m = mappings
-        .iter()
-        .filter(|(_, _, s)| *s == PageSize::Size2M)
-        .count() as u64;
-    let n4k = mappings.len() as u64 - n2m;
-    let mut t = Ecpt::new_sized(
-        &mut m.pm,
-        &mut |pm, frames| pm.alloc_contig(frames, FrameKind::PageTable),
-        (n4k * 3).max(64),
-        (n2m * 3).max(8),
-    )
-    .map_err(SimError::setup)?;
-    for (va, pa, size) in mappings {
-        t.map(&mut m.pm, va, pa, size).map_err(SimError::setup)?;
-    }
-    Ok(NativeBackend::Ecpt(NativeEcpt { ecpt: t }))
-}
-
-fn build_virt(
-    m: &mut VirtMachine,
-    setup: &Setup,
-    arena: Option<Arena>,
-) -> Result<VirtBackend, SimError> {
-    let arena = arena.expect("registry carves an ECPT arena");
-    let necpt = build_ecpts(m, &setup.pages, arena.base, arena.frames)?;
-    Ok(VirtBackend::Ecpt(VirtEcpt { necpt }))
 }
 
 /// Build guest + host ECPTs.
@@ -128,6 +81,32 @@ pub struct NativeEcpt {
     ecpt: Ecpt,
 }
 
+impl NativeEcpt {
+    /// A plain (non-TEA) process.
+    pub const SPEC: NativeSpec = NativeSpec { dmt_managed: false };
+
+    pub(crate) fn build(m: &mut NativeMachine, setup: &Setup) -> Result<Self, SimError> {
+        let mappings =
+            collect_mappings(&setup.pages, |va| m.proc_.page_table().translate(&m.pm, va))?;
+        let n2m = mappings
+            .iter()
+            .filter(|(_, _, s)| *s == PageSize::Size2M)
+            .count() as u64;
+        let n4k = mappings.len() as u64 - n2m;
+        let mut t = Ecpt::new_sized(
+            &mut m.pm,
+            &mut |pm, frames| pm.alloc_contig(frames, FrameKind::PageTable),
+            (n4k * 3).max(64),
+            (n2m * 3).max(8),
+        )
+        .map_err(SimError::setup)?;
+        for (va, pa, size) in mappings {
+            t.map(&mut m.pm, va, pa, size).map_err(SimError::setup)?;
+        }
+        Ok(NativeEcpt { ecpt: t })
+    }
+}
+
 impl Translator<NativeMachine> for NativeEcpt {
     fn translate(
         &mut self,
@@ -155,6 +134,25 @@ impl Translator<NativeMachine> for NativeEcpt {
 /// ECPT.
 pub struct VirtEcpt {
     necpt: NestedEcpt,
+}
+
+impl VirtEcpt {
+    /// A plain guest with a boot-time arena for the guest ECPT.
+    pub const SPEC: VirtSpec = VirtSpec {
+        tea_mode: GuestTeaMode::None,
+        arena_frames: Some(arena_frames),
+        pinned_exit_ratio: None,
+    };
+
+    pub(crate) fn build(
+        m: &mut VirtMachine,
+        setup: &Setup,
+        arena: Option<Arena>,
+    ) -> Result<Self, SimError> {
+        let arena = arena.expect("the ECPT spec carves an arena");
+        let necpt = build_ecpts(m, &setup.pages, arena.base, arena.frames)?;
+        Ok(VirtEcpt { necpt })
+    }
 }
 
 impl Translator<VirtMachine> for VirtEcpt {
@@ -189,6 +187,7 @@ impl Translator<VirtMachine> for VirtEcpt {
 mod tests {
     use super::*;
     use crate::experiments::{scaled_benchmark, Scale};
+    use crate::rig::Design;
     use crate::virt_rig::VirtRig;
 
     #[test]

@@ -1,60 +1,20 @@
 //! Flattened page tables (FPT): two radix levels merged into one
 //! 512²-entry table, shrinking the walk to 2 steps natively and the 2D
 //! grid to ~8 virtualized. The guest tables live in a contiguous arena
-//! carved at boot (the registry's `arena_frames` hook).
+//! carved at boot (the [`VirtSpec::arena_frames`] hook).
 
-use super::{collect_mappings, NativeBackend, NativeMachine, Translator, VirtBackend};
+use super::{collect_mappings, Arena, NativeMachine, NativeSpec, Translator, VirtSpec};
 use crate::error::SimError;
-use crate::registry::{Arena, NativeSpec, Registration, VirtSpec};
-use crate::rig::{Design, Setup, Translation};
+use crate::rig::{Setup, Translation};
 use dmt_baselines::fpt::{nested_translate as fpt_nested, FlatPageTable};
 use dmt_cache::hierarchy::MemoryHierarchy;
 use dmt_mem::buddy::FrameKind;
 use dmt_mem::{MemError, Pfn, VirtAddr};
 use dmt_virt::machine::{GuestTeaMode, VirtMachine};
 
-pub(crate) const REGISTRATION: Registration = Registration {
-    design: Design::Fpt,
-    native: Some(NativeSpec {
-        dmt_managed: false,
-        build: build_native,
-    }),
-    virt: Some(VirtSpec {
-        tea_mode: GuestTeaMode::None,
-        arena_frames: Some(arena_frames),
-        pinned_exit_ratio: None,
-        build: build_virt,
-    }),
-    nested: None,
-    tiers: None,
-};
-
 /// 25 flattened tables' worth of contiguous guest frames.
 fn arena_frames(_setup: &Setup) -> u64 {
     25 * 512
-}
-
-fn build_native(m: &mut NativeMachine, setup: &Setup) -> Result<NativeBackend, SimError> {
-    let mut t = FlatPageTable::new_host(&mut m.pm).map_err(SimError::setup)?;
-    for (va, pa, size) in
-        collect_mappings(&setup.pages, |va| m.proc_.page_table().translate(&m.pm, va))?
-    {
-        t.map(&mut m.pm, va, pa, size, |pm, frames| {
-            pm.alloc_contig(frames, FrameKind::PageTable)
-        })
-        .map_err(SimError::setup)?;
-    }
-    Ok(NativeBackend::Fpt(NativeFpt { fpt: t }))
-}
-
-fn build_virt(
-    m: &mut VirtMachine,
-    setup: &Setup,
-    arena: Option<Arena>,
-) -> Result<VirtBackend, SimError> {
-    let arena = arena.expect("registry carves an FPT arena");
-    let (gfpt, hfpt) = build_fpts(m, &setup.pages, arena.base, arena.frames)?;
-    Ok(VirtBackend::Fpt(VirtFpt { gfpt, hfpt }))
 }
 
 /// Build the guest FPT (tables in guest physical memory, from a
@@ -102,6 +62,24 @@ pub struct NativeFpt {
     fpt: FlatPageTable,
 }
 
+impl NativeFpt {
+    /// A plain (non-TEA) process.
+    pub const SPEC: NativeSpec = NativeSpec { dmt_managed: false };
+
+    pub(crate) fn build(m: &mut NativeMachine, setup: &Setup) -> Result<Self, SimError> {
+        let mut t = FlatPageTable::new_host(&mut m.pm).map_err(SimError::setup)?;
+        for (va, pa, size) in
+            collect_mappings(&setup.pages, |va| m.proc_.page_table().translate(&m.pm, va))?
+        {
+            t.map(&mut m.pm, va, pa, size, |pm, frames| {
+                pm.alloc_contig(frames, FrameKind::PageTable)
+            })
+            .map_err(SimError::setup)?;
+        }
+        Ok(NativeFpt { fpt: t })
+    }
+}
+
 impl Translator<NativeMachine> for NativeFpt {
     fn translate(
         &mut self,
@@ -125,6 +103,25 @@ impl Translator<NativeMachine> for NativeFpt {
 pub struct VirtFpt {
     gfpt: FlatPageTable,
     hfpt: FlatPageTable,
+}
+
+impl VirtFpt {
+    /// A plain guest with a boot-time arena for the guest FPT.
+    pub const SPEC: VirtSpec = VirtSpec {
+        tea_mode: GuestTeaMode::None,
+        arena_frames: Some(arena_frames),
+        pinned_exit_ratio: None,
+    };
+
+    pub(crate) fn build(
+        m: &mut VirtMachine,
+        setup: &Setup,
+        arena: Option<Arena>,
+    ) -> Result<Self, SimError> {
+        let arena = arena.expect("the FPT spec carves an arena");
+        let (gfpt, hfpt) = build_fpts(m, &setup.pages, arena.base, arena.frames)?;
+        Ok(VirtFpt { gfpt, hfpt })
+    }
 }
 
 impl Translator<VirtMachine> for VirtFpt {

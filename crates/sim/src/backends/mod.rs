@@ -1,29 +1,34 @@
-//! Design backends: the pluggable [`Translator`] layer behind the rigs.
+//! Design backends: the pluggable [`Translator`] layer behind the rigs,
+//! and the one record of which design exists in which environment.
 //!
 //! Each translation design's auxiliary-structure setup and per-access
-//! translate path live in **one module per design** here, registered
-//! in [`crate::registry`] keyed by (design, environment); the software
+//! translate path live in **one module per design** here; the software
 //! ground truth is the machine's ([`Machine::ref_entry`]), never the
 //! design's. An environment is a [`Machine`] —
 //! [`NativeMachine`], [`VirtMachine`] or [`NestedMachine`] — and one
 //! generic shell, [`MachineRig`](crate::rig::MachineRig), owns a machine plus that
 //! environment's backend enum ([`NativeBackend`], [`VirtBackend`],
-//! [`NestedBackend`]) built by the registry, and delegates every
-//! design-specific decision to it. A design implements
-//! [`Translator<M>`](Translator) once per machine it runs on. The enums
-//! are generated by `backend_enum!` as exhaustive matches over concrete
-//! backend types, so the per-access dispatch is monomorphic (no vtable
-//! on the hot path); an ablation is a design with its own registry
-//! row. Nothing outside this directory and the registry matches on
-//! [`Design`] to dispatch a translation;
+//! [`NestedBackend`]) and delegates every design-specific decision to
+//! it. A design implements [`Translator<M>`](Translator) once per
+//! machine it runs on. The enums are generated by `backend_enum!` as
+//! exhaustive matches over concrete backend types, so the per-access
+//! dispatch is monomorphic (no vtable on the hot path).
+//!
+//! The `backend_enum!` arms below are Table 6: a design exists in an
+//! environment iff it has an arm there, and each backend type carries
+//! that environment's machine knobs as an inherent `const SPEC`
+//! ([`NativeSpec`], [`VirtSpec`], [`NestedSpec`]) and its factory as an
+//! inherent `fn build`. Every enum's `spec`/`build` answer a design
+//! without an arm with the typed [`SimError::Unavailable`]. An ablation
+//! is a design with its own arms. Nothing outside this directory
+//! matches on [`Design`] to dispatch a translation;
 //! `tests/design_dispatch_sites.rs` enforces that.
 //!
-//! Adding a design variant is one new module implementing
-//! `Translator<M>` for each machine it supports, one arm per supported
-//! environment in the `backend_enum!` invocations below, plus one
-//! [`Registration`](crate::registry::Registration) row — see DESIGN.md
-//! §11 for the worked example. Registry/enum drift fails the `registry`
-//! tests and the CI grep lint.
+//! Adding a design is two steps: a [`Design`] variant (listed in
+//! [`Design::ALL`]), then one new module here whose backend types
+//! implement `Translator<M>` and carry `SPEC` and `build`, plus one arm
+//! per supported environment in the `backend_enum!` invocations below
+//! — see DESIGN.md §11 for the worked example.
 
 pub mod agile;
 pub mod asap;
@@ -41,10 +46,10 @@ use crate::rig::{Design, Env, RefEntry, Setup, Translation};
 use dmt_cache::hierarchy::MemoryHierarchy;
 use dmt_cache::pwc::PageWalkCache;
 use dmt_core::regfile::DmtRegisterFile;
-use dmt_mem::{PageSize, PhysAddr, PhysMemory, TransUnit, VirtAddr};
+use dmt_mem::{PageSize, Pfn, PhysAddr, PhysMemory, TransUnit, VirtAddr};
 use dmt_os::proc::Process;
 use dmt_telemetry::ComponentCounters;
-use dmt_virt::machine::VirtMachine;
+use dmt_virt::machine::{GuestTeaMode, VirtMachine};
 use dmt_virt::nested::NestedMachine;
 
 /// The machine state a native rig owns, independent of the design under
@@ -59,6 +64,48 @@ pub struct NativeMachine {
     pub regs: DmtRegisterFile,
     /// The page-walk cache the radix fallback/baseline walks share.
     pub pwc: PageWalkCache,
+}
+
+/// How a native backend type wants its machine stood up: its
+/// inherent `SPEC`, read before the machine is built.
+pub struct NativeSpec {
+    /// Build the TEA-aware process and load the DMT register file.
+    pub dmt_managed: bool,
+}
+
+/// How a virtualized backend type wants its machine stood up.
+pub struct VirtSpec {
+    /// Guest TEA placement the machine boots with.
+    pub tea_mode: GuestTeaMode,
+    /// When `Some`, the rig carves this many contiguous guest frames at
+    /// boot and hands them to `build` as an [`Arena`].
+    pub arena_frames: Option<fn(&Setup) -> u64>,
+    /// When `Some`, the §5 perf model charges this exit ratio instead
+    /// of the measured one — the design *is* the environment's
+    /// normalization baseline (vanilla virt runs exit-free nested
+    /// paging, ratio 0).
+    pub pinned_exit_ratio: Option<f64>,
+}
+
+/// How a nested backend type wants its machine stood up.
+pub struct NestedSpec {
+    /// Pre-announce the workload VMAs to L2 via `l2_mmap` (the
+    /// paravirtualized TEA-creation path).
+    pub pv_mmap: bool,
+    /// When `Some`, the §5 perf model charges this exit ratio instead
+    /// of the measured one — vanilla nested carries the full shadow
+    /// synchronization cost by definition (ratio 1).
+    pub pinned_exit_ratio: Option<f64>,
+}
+
+/// A boot-time contiguous guest-frame arena, carved before data
+/// allocations fragment guest physical memory (FPT/ECPT guest tables
+/// need contiguity, like TEAs).
+pub struct Arena {
+    /// First frame of the carved range.
+    pub base: Pfn,
+    /// Frames in the range.
+    pub frames: u64,
 }
 
 /// The touched page mappings `(page base VA, frame base PA, size)`,
@@ -159,7 +206,7 @@ pub trait Machine: Sized {
     /// The environment this machine models.
     const ENV: Env;
 
-    /// The environment's registry-built backend enum.
+    /// The environment's backend enum.
     type Backend: Translator<Self>;
 
     /// Bytes of host physical memory a standalone machine provisions
@@ -173,8 +220,8 @@ pub trait Machine: Sized {
     /// # Errors
     ///
     /// Propagates setup failures as typed [`SimError`]s;
-    /// [`SimError::Unavailable`] if the registry has no backend for
-    /// `design` in this environment.
+    /// [`SimError::Unavailable`] if the environment's backend enum has
+    /// no arm for `design`.
     fn build(
         pm: PhysMemory,
         design: Design,
@@ -252,20 +299,34 @@ pub trait Translator<M: Machine> {
     fn flush_caches(&mut self) {}
 }
 
-/// Generate one per-environment backend enum: a variant per registered
-/// design holding the concrete backend type, and its
-/// `Translator<$machine>` impl. Every method is an exhaustive match
-/// calling the concrete type's trait method, so the hot path is
+/// Generate one per-environment backend enum: a variant per design
+/// the environment has, holding the concrete backend type, its
+/// `Translator<$machine>` impl, and the `spec`/`build` pair the rig
+/// stands the cell up with. Every method is an exhaustive match
+/// calling the concrete type's own item, so the hot path is
 /// monomorphic — the compiler sees through the variant to the concrete
-/// `translate` body.
+/// `translate` body — and a factory can only build its own variant.
 ///
-/// Adding a design = one arm here + one registry row; a missing arm is
-/// a compile error in the registry's build fn, and registry/enum drift
-/// fails the `DESIGNS`-vs-availability test in [`crate::registry`].
+/// A design without an arm here is a Table 6 N/A cell: `spec` and
+/// `build` return [`SimError::Unavailable`] for it.
 macro_rules! backend_enum {
+    // The `build` fn: its call arguments travel as one token tree so
+    // every arm can repeat them.
+    (@build $machine:ty, ($($param:tt)*), $args:tt, $($design:ident => $ty:ty),+) => {
+        /// Build `design`'s backend over the populated machine with its
+        /// backend type's `build`, in the design's own variant, or the
+        /// typed [`SimError::Unavailable`] if `design` has no arm here.
+        #[allow(unreachable_patterns)]
+        pub fn build(design: Design, $($param)*) -> Result<Self, SimError> {
+            match design {
+                $( Design::$design => <$ty>::build $args .map(Self::$design), )+
+                _ => Err(SimError::Unavailable { design, env: <$machine as Machine>::ENV }),
+            }
+        }
+    };
     (
         $(#[$meta:meta])*
-        $name:ident over $machine:ty {
+        $name:ident over $machine:ty, $spec:ty, build($($arg:ident: $argty:ty),*) {
             $( $design:ident => $ty:ty ),+ $(,)?
         }
     ) => {
@@ -278,9 +339,8 @@ macro_rules! backend_enum {
         }
 
         impl $name {
-            /// Every design this environment's enum has a variant for —
-            /// by construction the registry's availability column;
-            /// `crate::registry` tests assert they agree.
+            /// Every design this environment has an arm for: Table 6's
+            /// availability column.
             pub const DESIGNS: &'static [Design] = &[ $( Design::$design, )+ ];
 
             /// The design of the active variant.
@@ -289,6 +349,19 @@ macro_rules! backend_enum {
                     $( Self::$design(_) => Design::$design, )+
                 }
             }
+
+            /// `design`'s machine knobs in this environment (its backend
+            /// type's `SPEC`), or the typed [`SimError::Unavailable`] if
+            /// `design` has no arm here.
+            #[allow(unreachable_patterns)]
+            pub fn spec(design: Design) -> Result<$spec, SimError> {
+                match design {
+                    $( Design::$design => Ok(<$ty>::SPEC), )+
+                    _ => Err(SimError::Unavailable { design, env: <$machine as Machine>::ENV }),
+                }
+            }
+
+            backend_enum!(@build $machine, ($($arg: $argty),*), ($($arg),*), $($design => $ty),+);
         }
 
         impl Translator<$machine> for $name {
@@ -356,7 +429,8 @@ backend_enum! {
     /// The native-environment backend: one monomorphic variant per
     /// design Table 6 lists as available natively (Shadow and Agile
     /// are virtualization-only).
-    NativeBackend over NativeMachine {
+    NativeBackend over NativeMachine, NativeSpec,
+    build(m: &mut NativeMachine, setup: &Setup) {
         Vanilla => vanilla::NativeVanilla,
         Fpt => fpt::NativeFpt,
         Ecpt => ecpt::NativeEcpt,
@@ -371,7 +445,8 @@ backend_enum! {
 backend_enum! {
     /// The virtualized-environment backend: every design exists here
     /// (Table 6's full column).
-    VirtBackend over VirtMachine {
+    VirtBackend over VirtMachine, VirtSpec,
+    build(m: &mut VirtMachine, setup: &Setup, arena: Option<Arena>) {
         Vanilla => vanilla::VirtVanilla,
         Shadow => shadow::VirtShadow,
         Fpt => fpt::VirtFpt,
@@ -388,8 +463,124 @@ backend_enum! {
 backend_enum! {
     /// The nested-environment backend: only Vanilla (KVM-style nested
     /// paging) and pvDMT reach L2 (Figure 17).
-    NestedBackend over NestedMachine {
+    NestedBackend over NestedMachine, NestedSpec,
+    build(m: &mut NestedMachine, setup: &Setup) {
         Vanilla => vanilla::NestedVanilla,
         PvDmt => pvdmt::NestedPvDmt,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_design_has_at_least_one_arm() {
+        for d in Design::ALL {
+            assert!(
+                [
+                    NativeBackend::DESIGNS,
+                    VirtBackend::DESIGNS,
+                    NestedBackend::DESIGNS
+                ]
+                .iter()
+                .any(|arms| arms.contains(&d)),
+                "{d:?} has no backend_enum! arm in any environment"
+            );
+        }
+    }
+
+    #[test]
+    fn table6_availability_matrix() {
+        // The paper's Table 6: Shadow and Agile are virt-only; nested
+        // virtualization evaluates only the baseline and pvDMT.
+        for d in Design::ALL {
+            assert_eq!(
+                d.available_in(Env::Native),
+                !matches!(d, Design::Shadow | Design::Agile)
+            );
+            assert!(d.available_in(Env::Virt));
+            assert_eq!(
+                d.available_in(Env::Nested),
+                matches!(d, Design::Vanilla | Design::PvDmt)
+            );
+        }
+    }
+
+    #[test]
+    fn specs_type_the_na_cells() {
+        assert!(matches!(
+            NativeBackend::spec(Design::Shadow),
+            Err(SimError::Unavailable {
+                design: Design::Shadow,
+                env: Env::Native
+            })
+        ));
+        assert!(matches!(
+            NestedBackend::spec(Design::Ecpt),
+            Err(SimError::Unavailable {
+                design: Design::Ecpt,
+                env: Env::Nested
+            })
+        ));
+        assert!(NativeBackend::spec(Design::Dmt).is_ok());
+        assert!(VirtBackend::spec(Design::Shadow).is_ok());
+        assert!(NestedBackend::spec(Design::PvDmt).is_ok());
+    }
+
+    #[test]
+    fn tier_specs_mark_exactly_the_tea_migrating_designs() {
+        for d in Design::ALL {
+            let spec = dmt::tier_spec(d);
+            assert_eq!(
+                spec.is_some(),
+                matches!(d, Design::Dmt | Design::PvDmt),
+                "{d:?}"
+            );
+            if let Some(t) = spec {
+                assert!(t.fast_bytes > 0);
+                assert!(t.slow_latency > 0);
+            }
+        }
+    }
+
+    #[test]
+    fn dmt_managed_designs_are_the_tea_users() {
+        for d in Design::ALL {
+            if let Ok(s) = NativeBackend::spec(d) {
+                assert_eq!(
+                    s.dmt_managed,
+                    matches!(d, Design::Dmt | Design::PvDmt | Design::Asap),
+                    "{d:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn built_backends_report_their_own_design() {
+        let setup = Setup {
+            regions: vec![dmt_workloads::gen::Region {
+                base: VirtAddr(0x10_0000),
+                len: 1 << 20,
+                label: "t",
+            }],
+            pages: vec![VirtAddr(0x10_0000)],
+        };
+        for &d in NativeBackend::DESIGNS {
+            let pm = PhysMemory::new_bytes(NativeMachine::host_bytes(false, &setup));
+            let (_, b) = NativeMachine::build(pm, d, false, &setup).expect("backend");
+            assert_eq!(b.design(), d, "{d:?} native variant");
+        }
+        for &d in VirtBackend::DESIGNS {
+            let pm = PhysMemory::new_bytes(VirtMachine::host_bytes(false, &setup));
+            let (_, b) = VirtMachine::build(pm, d, false, &setup).expect("backend");
+            assert_eq!(b.design(), d, "{d:?} virt variant");
+        }
+        for &d in NestedBackend::DESIGNS {
+            let pm = PhysMemory::new_bytes(NestedMachine::host_bytes(false, &setup));
+            let (_, b) = NestedMachine::build(pm, d, false, &setup).expect("backend");
+            assert_eq!(b.design(), d, "{d:?} nested variant");
+        }
     }
 }

@@ -1,65 +1,39 @@
 //! pvDMT: DMT with paravirtualized TEA placement — host-allocated,
 //! host-contiguous arrays mediated by hypercalls. Native mode is
-//! identical to plain DMT (the factory wraps the same
-//! [`NativeDmt`](super::dmt::NativeDmt) state in the `PvDmt` variant);
-//! the virtualized and nested modes add the hypercall-based exit
-//! accounting. All three serve misses through DMT's shared
-//! `FetchOrWalk` body.
+//! identical to plain DMT (the native `PvDmt` arm holds
+//! [`NativeDmt`](super::dmt::NativeDmt) itself); the virtualized and
+//! nested modes add the hypercall-based exit accounting. All three
+//! serve misses through DMT's shared `FetchOrWalk` body.
 
 use super::dmt::FetchOrWalk;
-use super::{NativeBackend, NativeMachine, NestedBackend, Translator, VirtBackend};
+use super::{Arena, NestedSpec, Translator, VirtSpec};
 use crate::error::SimError;
-use crate::registry::{Arena, NativeSpec, NestedSpec, Registration, TierSpec, VirtSpec};
-use crate::rig::{Design, Setup, Translation};
+use crate::rig::{Setup, Translation};
 use dmt_cache::hierarchy::MemoryHierarchy;
 use dmt_mem::VirtAddr;
 use dmt_virt::machine::{GuestTeaMode, VirtMachine};
 use dmt_virt::nested::NestedMachine;
 
-pub(crate) const REGISTRATION: Registration = Registration {
-    design: Design::PvDmt,
-    // Identical to DMT on bare metal (no hypervisor to paravirtualize).
-    native: Some(NativeSpec {
-        dmt_managed: true,
-        build: build_native,
-    }),
-    virt: Some(VirtSpec {
-        tea_mode: GuestTeaMode::Pv,
-        arena_frames: None,
-        pinned_exit_ratio: None,
-        build: build_virt,
-    }),
-    nested: Some(NestedSpec {
-        pv_mmap: true,
-        pinned_exit_ratio: None,
-        build: build_nested,
-    }),
-    tiers: Some(TierSpec {
-        fast_bytes: 32 << 20,
-        slow_latency: 350,
-    }),
-};
-
-/// Natively pvDMT *is* DMT: same state, its own enum variant.
-fn build_native(_m: &mut NativeMachine, _setup: &Setup) -> Result<NativeBackend, SimError> {
-    Ok(NativeBackend::PvDmt(super::dmt::NativeDmt::default()))
-}
-
-fn build_virt(
-    _m: &mut VirtMachine,
-    _setup: &Setup,
-    _arena: Option<Arena>,
-) -> Result<VirtBackend, SimError> {
-    Ok(VirtBackend::PvDmt(VirtPvDmt::default()))
-}
-
-fn build_nested(_m: &mut NestedMachine, _setup: &Setup) -> Result<NestedBackend, SimError> {
-    Ok(NestedBackend::PvDmt(NestedPvDmt::default()))
-}
-
 /// Host-contiguous guest-TEA fetch with 2D-walk fallback.
 #[derive(Default)]
 pub struct VirtPvDmt(FetchOrWalk);
+
+impl VirtPvDmt {
+    /// Guest TEAs placed by the host through hypercalls.
+    pub const SPEC: VirtSpec = VirtSpec {
+        tea_mode: GuestTeaMode::Pv,
+        arena_frames: None,
+        pinned_exit_ratio: None,
+    };
+
+    pub(crate) fn build(
+        _m: &mut VirtMachine,
+        _setup: &Setup,
+        _arena: Option<Arena>,
+    ) -> Result<Self, SimError> {
+        Ok(VirtPvDmt::default())
+    }
+}
 
 impl Translator<VirtMachine> for VirtPvDmt {
     fn translate(
@@ -88,6 +62,19 @@ impl Translator<VirtMachine> for VirtPvDmt {
 /// Cascaded pvDMT through both hypervisor levels.
 #[derive(Default)]
 pub struct NestedPvDmt(FetchOrWalk);
+
+impl NestedPvDmt {
+    /// The workload VMAs are pre-announced to L2 (the paravirtualized
+    /// TEA-creation path).
+    pub const SPEC: NestedSpec = NestedSpec {
+        pv_mmap: true,
+        pinned_exit_ratio: None,
+    };
+
+    pub(crate) fn build(_m: &mut NestedMachine, _setup: &Setup) -> Result<Self, SimError> {
+        Ok(NestedPvDmt::default())
+    }
+}
 
 impl Translator<NestedMachine> for NestedPvDmt {
     fn translate(

@@ -16,32 +16,15 @@
 //! (DESIGN.md §13); a miss allocates nothing.
 
 use super::{
-    collect_mappings, merge_contiguous_runs, ContigRun, NativeBackend, NativeMachine, Translator,
-    VirtBackend,
+    collect_mappings, merge_contiguous_runs, Arena, ContigRun, NativeMachine, NativeSpec,
+    Translator, VirtSpec,
 };
 use crate::backends::vbi::{build_virt_tables, host_resolve, BlockTable};
 use crate::error::SimError;
-use crate::registry::{Arena, NativeSpec, Registration, VirtSpec};
-use crate::rig::{Design, Setup, Translation};
+use crate::rig::{Setup, Translation};
 use dmt_cache::hierarchy::MemoryHierarchy;
 use dmt_mem::VirtAddr;
 use dmt_virt::machine::{GuestTeaMode, VirtMachine};
-
-pub(crate) const REGISTRATION: Registration = Registration {
-    design: Design::Seg,
-    native: Some(NativeSpec {
-        dmt_managed: false,
-        build: build_native,
-    }),
-    virt: Some(VirtSpec {
-        tea_mode: GuestTeaMode::None,
-        arena_frames: None,
-        pinned_exit_ratio: None,
-        build: build_virt,
-    }),
-    nested: None,
-    tiers: None,
-};
 
 /// Segment-cache ways (a segment-register file's worth).
 const SEG_CACHE_WAYS: usize = 8;
@@ -98,31 +81,24 @@ impl SegTable {
     }
 }
 
-fn build_native(m: &mut NativeMachine, setup: &Setup) -> Result<NativeBackend, SimError> {
-    let runs = merge_contiguous_runs(collect_mappings(&setup.pages, |va| {
-        m.proc_.page_table().translate(&m.pm, va)
-    })?);
-    let table = BlockTable::new(&mut m.pm, runs)?;
-    Ok(NativeBackend::Seg(NativeSeg {
-        seg: SegTable::new(table),
-    }))
-}
-
-fn build_virt(
-    m: &mut VirtMachine,
-    setup: &Setup,
-    _arena: Option<Arena>,
-) -> Result<VirtBackend, SimError> {
-    let (guest, host) = build_virt_tables(m, setup)?;
-    Ok(VirtBackend::Seg(VirtSeg {
-        seg: SegTable::new(guest),
-        host,
-    }))
-}
-
 /// Segment-cache probe, then a charged base+bound table search.
 pub struct NativeSeg {
     seg: SegTable,
+}
+
+impl NativeSeg {
+    /// A plain (non-TEA) process.
+    pub const SPEC: NativeSpec = NativeSpec { dmt_managed: false };
+
+    pub(crate) fn build(m: &mut NativeMachine, setup: &Setup) -> Result<Self, SimError> {
+        let runs = merge_contiguous_runs(collect_mappings(&setup.pages, |va| {
+            m.proc_.page_table().translate(&m.pm, va)
+        })?);
+        let table = BlockTable::new(&mut m.pm, runs)?;
+        Ok(NativeSeg {
+            seg: SegTable::new(table),
+        })
+    }
 }
 
 impl Translator<NativeMachine> for NativeSeg {
@@ -152,6 +128,27 @@ impl Translator<NativeMachine> for NativeSeg {
 pub struct VirtSeg {
     seg: SegTable,
     host: BlockTable,
+}
+
+impl VirtSeg {
+    /// A plain guest: segment tables need no TEAs and no arena.
+    pub const SPEC: VirtSpec = VirtSpec {
+        tea_mode: GuestTeaMode::None,
+        arena_frames: None,
+        pinned_exit_ratio: None,
+    };
+
+    pub(crate) fn build(
+        m: &mut VirtMachine,
+        setup: &Setup,
+        _arena: Option<Arena>,
+    ) -> Result<Self, SimError> {
+        let (guest, host) = build_virt_tables(m, setup)?;
+        Ok(VirtSeg {
+            seg: SegTable::new(guest),
+            host,
+        })
+    }
 }
 
 impl Translator<VirtMachine> for VirtSeg {

@@ -2,36 +2,32 @@
 //! TLB miss costs one native-length walk — but every guest page-table
 //! update exits to resync (virtualized only; Table 6 N/A elsewhere).
 
-use super::{Translator, VirtBackend};
-use crate::registry::{Registration, VirtSpec};
-use crate::rig::{Design, Setup, Translation};
+use super::{Arena, Translator, VirtSpec};
+use crate::error::SimError;
+use crate::rig::{Setup, Translation};
 use dmt_cache::hierarchy::MemoryHierarchy;
 use dmt_mem::VirtAddr;
 use dmt_virt::machine::{GuestTeaMode, VirtMachine};
 
-pub(crate) const REGISTRATION: Registration = Registration {
-    design: Design::Shadow,
-    native: None,
-    virt: Some(VirtSpec {
+/// One-dimensional walk of the hypervisor-maintained shadow table.
+pub struct VirtShadow;
+
+impl VirtShadow {
+    /// A plain guest: shadow paging needs no TEAs and no arena.
+    pub const SPEC: VirtSpec = VirtSpec {
         tea_mode: GuestTeaMode::None,
         arena_frames: None,
         pinned_exit_ratio: None,
-        build: build_virt,
-    }),
-    nested: None,
-    tiers: None,
-};
+    };
 
-fn build_virt(
-    _m: &mut VirtMachine,
-    _setup: &Setup,
-    _arena: Option<crate::registry::Arena>,
-) -> Result<VirtBackend, crate::error::SimError> {
-    Ok(VirtBackend::Shadow(VirtShadow))
+    pub(crate) fn build(
+        _m: &mut VirtMachine,
+        _setup: &Setup,
+        _arena: Option<Arena>,
+    ) -> Result<Self, SimError> {
+        Ok(VirtShadow)
+    }
 }
-
-/// One-dimensional walk of the hypervisor-maintained shadow table.
-pub struct VirtShadow;
 
 impl Translator<VirtMachine> for VirtShadow {
     fn translate(

@@ -6,61 +6,26 @@
 //! allocates nothing, and the walk's own PA is the data PA the default
 //! engine charges (DESIGN.md §13).
 
-use super::{NativeBackend, NativeMachine, NestedBackend, Translator, VirtBackend};
-use crate::registry::{NativeSpec, NestedSpec, Registration, VirtSpec};
-use crate::rig::{Design, Setup, Translation};
+use super::{Arena, NativeMachine, NativeSpec, NestedSpec, Translator, VirtSpec};
+use crate::error::SimError;
+use crate::rig::{Setup, Translation};
 use dmt_cache::hierarchy::MemoryHierarchy;
 use dmt_mem::VirtAddr;
 use dmt_pgtable::walk::{walk_dimension, WalkDim};
 use dmt_virt::machine::{GuestTeaMode, VirtMachine};
 use dmt_virt::nested::NestedMachine;
 
-pub(crate) const REGISTRATION: Registration = Registration {
-    design: Design::Vanilla,
-    native: Some(NativeSpec {
-        dmt_managed: false,
-        build: build_native,
-    }),
-    virt: Some(VirtSpec {
-        tea_mode: GuestTeaMode::None,
-        arena_frames: None,
-        // Exit-free nested paging: the virt normalization baseline.
-        pinned_exit_ratio: Some(0.0),
-        build: build_virt,
-    }),
-    nested: Some(NestedSpec {
-        pv_mmap: false,
-        // Full shadow synchronization cost: the nested baseline.
-        pinned_exit_ratio: Some(1.0),
-        build: build_nested,
-    }),
-    tiers: None,
-};
-
-fn build_native(
-    _m: &mut NativeMachine,
-    _setup: &Setup,
-) -> Result<NativeBackend, crate::error::SimError> {
-    Ok(NativeBackend::Vanilla(NativeVanilla))
-}
-
-fn build_virt(
-    _m: &mut VirtMachine,
-    _setup: &Setup,
-    _arena: Option<crate::registry::Arena>,
-) -> Result<VirtBackend, crate::error::SimError> {
-    Ok(VirtBackend::Vanilla(VirtVanilla))
-}
-
-fn build_nested(
-    _m: &mut NestedMachine,
-    _setup: &Setup,
-) -> Result<NestedBackend, crate::error::SimError> {
-    Ok(NestedBackend::Vanilla(NestedVanilla))
-}
-
 /// The hardware radix walk through the machine's PWC.
 pub struct NativeVanilla;
+
+impl NativeVanilla {
+    /// A plain (non-TEA) process.
+    pub const SPEC: NativeSpec = NativeSpec { dmt_managed: false };
+
+    pub(crate) fn build(_m: &mut NativeMachine, _setup: &Setup) -> Result<Self, SimError> {
+        Ok(NativeVanilla)
+    }
+}
 
 impl Translator<NativeMachine> for NativeVanilla {
     fn translate(
@@ -87,6 +52,23 @@ impl Translator<NativeMachine> for NativeVanilla {
 #[derive(Default)]
 pub struct VirtVanilla;
 
+impl VirtVanilla {
+    /// Exit-free nested paging: the virt normalization baseline.
+    pub const SPEC: VirtSpec = VirtSpec {
+        tea_mode: GuestTeaMode::None,
+        arena_frames: None,
+        pinned_exit_ratio: Some(0.0),
+    };
+
+    pub(crate) fn build(
+        _m: &mut VirtMachine,
+        _setup: &Setup,
+        _arena: Option<Arena>,
+    ) -> Result<Self, SimError> {
+        Ok(VirtVanilla)
+    }
+}
+
 impl Translator<VirtMachine> for VirtVanilla {
     fn translate(
         &mut self,
@@ -102,6 +84,18 @@ impl Translator<VirtMachine> for VirtVanilla {
 
 /// The cascaded L2PT × sPT baseline walk.
 pub struct NestedVanilla;
+
+impl NestedVanilla {
+    /// Full shadow synchronization cost: the nested baseline.
+    pub const SPEC: NestedSpec = NestedSpec {
+        pv_mmap: false,
+        pinned_exit_ratio: Some(1.0),
+    };
+
+    pub(crate) fn build(_m: &mut NestedMachine, _setup: &Setup) -> Result<Self, SimError> {
+        Ok(NestedVanilla)
+    }
+}
 
 impl Translator<NestedMachine> for NestedVanilla {
     fn translate(

@@ -15,32 +15,15 @@
 //! (DESIGN.md §13); a miss allocates nothing.
 
 use super::{
-    collect_mappings, find_run, merge_contiguous_runs, ContigRun, NativeBackend, NativeMachine,
-    Translator, VirtBackend,
+    collect_mappings, find_run, merge_contiguous_runs, Arena, ContigRun, NativeMachine, NativeSpec,
+    Translator, VirtSpec,
 };
 use crate::error::SimError;
-use crate::registry::{Arena, NativeSpec, Registration, VirtSpec};
-use crate::rig::{Design, Setup, Translation};
+use crate::rig::{Setup, Translation};
 use dmt_cache::hierarchy::MemoryHierarchy;
 use dmt_mem::buddy::FrameKind;
 use dmt_mem::{PhysAddr, PhysMemory, VirtAddr};
 use dmt_virt::machine::{GuestTeaMode, VirtMachine};
-
-pub(crate) const REGISTRATION: Registration = Registration {
-    design: Design::Vbi,
-    native: Some(NativeSpec {
-        dmt_managed: false,
-        build: build_native,
-    }),
-    virt: Some(VirtSpec {
-        tea_mode: GuestTeaMode::None,
-        arena_frames: None,
-        pinned_exit_ratio: None,
-        build: build_virt,
-    }),
-    nested: None,
-    tiers: None,
-};
 
 /// Bytes per block descriptor (base, bound, target — one line fetch).
 const DESC_BYTES: u64 = 16;
@@ -82,23 +65,6 @@ impl BlockTable {
     }
 }
 
-fn build_native(m: &mut NativeMachine, setup: &Setup) -> Result<NativeBackend, SimError> {
-    let runs = merge_contiguous_runs(collect_mappings(&setup.pages, |va| {
-        m.proc_.page_table().translate(&m.pm, va)
-    })?);
-    let table = BlockTable::new(&mut m.pm, runs)?;
-    Ok(NativeBackend::Vbi(NativeVbi { table }))
-}
-
-fn build_virt(
-    m: &mut VirtMachine,
-    setup: &Setup,
-    _arena: Option<Arena>,
-) -> Result<VirtBackend, SimError> {
-    let (guest, host) = build_virt_tables(m, setup)?;
-    Ok(VirtBackend::Vbi(VirtVbi { guest, host }))
-}
-
 /// Guest-dimension (gVA→gPA) and host-dimension (gPA→hPA) block
 /// tables for a virtualized machine — shared with the Seg backend's
 /// host dimension.
@@ -137,6 +103,19 @@ pub struct NativeVbi {
     table: BlockTable,
 }
 
+impl NativeVbi {
+    /// A plain (non-TEA) process.
+    pub const SPEC: NativeSpec = NativeSpec { dmt_managed: false };
+
+    pub(crate) fn build(m: &mut NativeMachine, setup: &Setup) -> Result<Self, SimError> {
+        let runs = merge_contiguous_runs(collect_mappings(&setup.pages, |va| {
+            m.proc_.page_table().translate(&m.pm, va)
+        })?);
+        let table = BlockTable::new(&mut m.pm, runs)?;
+        Ok(NativeVbi { table })
+    }
+}
+
 impl Translator<NativeMachine> for NativeVbi {
     fn translate(
         &mut self,
@@ -161,6 +140,24 @@ impl Translator<NativeMachine> for NativeVbi {
 pub struct VirtVbi {
     guest: BlockTable,
     host: BlockTable,
+}
+
+impl VirtVbi {
+    /// A plain guest: block tables need no TEAs and no arena.
+    pub const SPEC: VirtSpec = VirtSpec {
+        tea_mode: GuestTeaMode::None,
+        arena_frames: None,
+        pinned_exit_ratio: None,
+    };
+
+    pub(crate) fn build(
+        m: &mut VirtMachine,
+        setup: &Setup,
+        _arena: Option<Arena>,
+    ) -> Result<Self, SimError> {
+        let (guest, host) = build_virt_tables(m, setup)?;
+        Ok(VirtVbi { guest, host })
+    }
 }
 
 impl Translator<VirtMachine> for VirtVbi {

@@ -22,8 +22,8 @@ pub enum SimError {
     /// Rig / process / machine construction failed (mmap, populate,
     /// register load, ...). Carries the underlying message verbatim.
     Setup(String),
-    /// A design was requested in an environment where the registry has
-    /// no backend (one of Table 6's N/A cells).
+    /// A design was requested in an environment whose backend enum has
+    /// no arm for it (one of Table 6's N/A cells).
     Unavailable {
         /// The design asked for.
         design: Design,

@@ -8,6 +8,7 @@
 //! [`Runner::sweep`] each: every design row is paired with the vanilla
 //! row of the same (benchmark, THP), which replayed the same trace.
 
+use crate::backends::{NestedBackend, VirtBackend};
 use crate::cloudnode::{NodeConfig, NodeStats};
 use crate::error::SimError;
 use crate::native_rig::NativeRig;
@@ -106,9 +107,18 @@ pub fn speedup_row(base: &SweepRow, m: &SweepRow) -> SpeedupRow {
         1.0
     };
     let er = exit_ratio(m.design, m.stats.exits, m.stats.faults.max(1));
-    // The environments' baselines pin their own ratio in the registry
-    // (vanilla virt exit-free, vanilla nested full shadow cost).
-    let er = crate::registry::pinned_exit_ratio(m.design, m.env).unwrap_or(er);
+    // The environments' baselines pin their own ratio in their backend
+    // spec (vanilla virt exit-free, vanilla nested full shadow cost).
+    let pinned = match m.env {
+        Env::Native => None,
+        Env::Virt => VirtBackend::spec(m.design)
+            .ok()
+            .and_then(|s| s.pinned_exit_ratio),
+        Env::Nested => NestedBackend::spec(m.design)
+            .ok()
+            .and_then(|s| s.pinned_exit_ratio),
+    };
+    let er = pinned.unwrap_or(er);
     SpeedupRow {
         workload: m.workload.clone(),
         design: m.design,
@@ -499,16 +509,16 @@ pub type Table6Row = (Design, Option<u64>, Option<u64>, Option<u64>);
 
 /// Table 6: sequential memory references per design per environment
 /// (analytic worst case, matching the paper's table). The N/A cells are
-/// *derived* from the registry — a cell shows its analytic count iff
-/// the design has a backend registered for that environment, so
-/// registering a new environment for a design surfaces its column here
-/// with no table edit.
+/// *derived* from the backend enums — a cell shows its analytic count
+/// iff the design has an arm in that environment's enum, so giving a
+/// design a new environment's arm surfaces its column here with no
+/// table edit.
 pub fn table6() -> Vec<Table6Row> {
-    // Analytic worst-case counts per design; cells the registry has no
-    // backend for (e.g. Agile's native column) carry the count the
-    // design *would* have, and stay hidden until someone registers one.
-    // Row order is the registry's presentation order — a new design
-    // lands here by adding its registry row plus one match arm.
+    // Analytic worst-case counts per design; cells without an enum arm
+    // (e.g. Agile's native column) carry the count the design *would*
+    // have, and stay hidden until someone adds the arm. Row order is
+    // `Design::ALL` — a new design lands here by its variant plus one
+    // match arm.
     let counts = |d: Design| match d {
         Design::Vanilla => (4, 24, 24),
         Design::Shadow => (4, 4, 24),
@@ -524,7 +534,8 @@ pub fn table6() -> Vec<Table6Row> {
         Design::Vbi => (1, 2, 3),
         Design::Seg => (1, 2, 3),
     };
-    crate::registry::designs()
+    Design::ALL
+        .into_iter()
         .map(|d| {
             let (native, virt, nested) = counts(d);
             (
@@ -556,8 +567,8 @@ pub struct Table7Row {
 }
 
 /// The nodes Table 7 runs, in row order: environments in `Native,
-/// Virt, Nested` order, designs in registry presentation order
-/// ([`crate::registry::designs`]) with unavailable cells skipped —
+/// Virt, Nested` order, designs in [`Design::ALL`] order with
+/// unavailable cells skipped —
 /// vanilla first in each environment, so the baseline row precedes the
 /// rows it normalizes. Every node is `n` tenants cycling through the
 /// bench7 suite with skewed weights, tagged translation caches and mild
@@ -568,7 +579,7 @@ pub fn table7_nodes(scale: Scale, n: usize) -> Vec<NodeConfig> {
     let kills = n.div_ceil(2).min(4);
     let mut nodes = Vec::new();
     for env in [Env::Native, Env::Virt, Env::Nested] {
-        for design in crate::registry::designs().filter(|d| d.available_in(env)) {
+        for design in Design::ALL.into_iter().filter(|d| d.available_in(env)) {
             nodes
                 .push(NodeConfig::uniform(design, env, false, scale, n).churn(2 * n.max(2), kills));
         }
@@ -610,8 +621,8 @@ pub fn table7(runner: &Runner, scale: Scale, n: usize) -> Result<Vec<Table7Row>,
 /// `(vanilla_4lvl, vanilla_5lvl, dmt_5lvl)` average walk latencies for a
 /// GUPS-style uniform workload — the radix baseline gets *slower* with
 /// the fifth level while DMT's single fetch is depth-independent. Each
-/// cell is a registry rig built at the given radix depth and replayed
-/// by `runner` (its wrapper, telemetry and engine apply).
+/// cell is an ordinary native rig built at the given radix depth and
+/// replayed by `runner` (its wrapper, telemetry and engine apply).
 ///
 /// # Errors
 ///

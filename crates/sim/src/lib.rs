@@ -4,11 +4,11 @@
 //!
 //! * [`rig`] — the [`rig::Rig`] trait, [`rig::Design`], [`rig::Env`]
 //!   and [`rig::MachineRig`], the one rig shell: a machine plus its
-//!   registry-built backend.
-//! * [`backends`] — one module per design: its auxiliary-structure
-//!   setup, translate path, and reference ground truth.
-//! * [`registry`] — the (design × environment) table the rigs and
-//!   `Design::available_in` query; Table 6's N/A cells live here.
+//!   backend.
+//! * [`backends`] — one module per design (its auxiliary-structure
+//!   setup, factory, machine knobs and translate path) and the
+//!   per-environment backend enums, whose arms are the (design ×
+//!   environment) table: Table 6's N/A cells are the missing arms.
 //! * [`native_rig`] / [`virt_rig`] / [`nested_rig`] — each
 //!   environment's [`backends::Machine`] impl (machine build, host
 //!   sizing, ground truth) and its alias of the shell.
@@ -60,7 +60,6 @@ pub mod native_rig;
 pub mod nested_rig;
 pub mod overheads;
 pub mod perfmodel;
-pub mod registry;
 pub mod report;
 pub mod rig;
 pub mod runner;

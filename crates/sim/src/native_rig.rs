@@ -1,8 +1,7 @@
 //! The native environment: [`NativeMachine`] (physical memory,
 //! process, register file, PWC) as a [`Machine`], and [`NativeRig`],
 //! the generic shell over it, which delegates every design-specific
-//! decision to the registry-built [`NativeBackend`] enum (monomorphic
-//! dispatch).
+//! decision to the [`NativeBackend`] enum (monomorphic dispatch).
 
 use crate::backends::{Machine, NativeBackend, NativeMachine};
 use crate::error::SimError;
@@ -20,7 +19,7 @@ pub type NativeRig = MachineRig<NativeMachine>;
 
 impl NativeRig {
     /// [`with_setup`](Self::with_setup) over a `levels`-deep radix
-    /// table: the five-level extension replays the registry's own
+    /// table: the five-level extension replays the designs' own
     /// backends at depth 4 and 5.
     pub(crate) fn with_levels(design: Design, setup: &Setup, levels: u8) -> Result<Self, SimError> {
         let pm = PhysMemory::new_bytes(NativeMachine::host_bytes(false, setup));
@@ -39,9 +38,9 @@ impl NativeRig {
 
 /// Map and fully populate the setup's regions over a `levels`-deep
 /// radix table (4, or 5 for the §2.1.1 five-level extension), then
-/// build `design`'s backend with the registry's factory. The spec's
-/// `dmt_managed` knob selects the TEA-aware process and loads the
-/// register file.
+/// build `design`'s backend with its backend type's factory. The
+/// spec's `dmt_managed` knob selects the TEA-aware process and loads
+/// the register file.
 fn build(
     mut pm: PhysMemory,
     design: Design,
@@ -49,7 +48,7 @@ fn build(
     setup: &Setup,
     levels: u8,
 ) -> Result<(NativeMachine, NativeBackend), SimError> {
-    let spec = crate::registry::native_spec(design)?;
+    let spec = NativeBackend::spec(design)?;
     let thp_mode = if thp { ThpMode::Always } else { ThpMode::Never };
     let mut proc_ = Process::custom(
         &mut pm,
@@ -77,7 +76,7 @@ fn build(
         regs,
         pwc: PageWalkCache::default(),
     };
-    let backend = (spec.build)(&mut m, setup)?;
+    let backend = NativeBackend::build(design, &mut m, setup)?;
     Ok((m, backend))
 }
 

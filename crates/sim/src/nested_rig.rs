@@ -1,7 +1,7 @@
 //! The nested-virtualization environment: the L0/L1/L2
 //! [`NestedMachine`] stack as a [`Machine`], and [`NestedRig`], the
 //! generic shell over it, which delegates every design-specific
-//! decision to the registry-built [`NestedBackend`] enum (Figure 17).
+//! decision to the [`NestedBackend`] enum (Figure 17).
 
 use crate::backends::{Machine, NestedBackend};
 use crate::error::SimError;
@@ -30,7 +30,7 @@ impl Machine for NestedMachine {
         thp: bool,
         setup: &Setup,
     ) -> Result<(Self, NestedBackend), SimError> {
-        let spec = crate::registry::nested_spec(design)?;
+        let spec = NestedBackend::spec(design)?;
         let l2_bytes = setup.footprint() + (96 << 20);
         let l1_bytes = l2_bytes + (64 << 20);
         let mut m =
@@ -42,7 +42,7 @@ impl Machine for NestedMachine {
         }
         m.l2_populate_pages(setup.pages.iter().copied())
             .map_err(SimError::setup)?;
-        let backend = (spec.build)(&mut m, setup)?;
+        let backend = NestedBackend::build(design, &mut m, setup)?;
         Ok((m, backend))
     }
 

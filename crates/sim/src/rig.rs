@@ -2,7 +2,9 @@
 //! designs, the [`Rig`] trait the engine drives, and [`MachineRig`],
 //! the one rig shell every environment instantiates.
 
-use crate::backends::{Machine, NativeMachine, Translator};
+use crate::backends::{
+    Machine, NativeBackend, NativeMachine, NestedBackend, Translator, VirtBackend,
+};
 use crate::error::SimError;
 use crate::native_rig::NativeRig;
 use crate::nested_rig::NestedRig;
@@ -70,7 +72,11 @@ pub enum Design {
 
 impl Design {
     /// Every design, in the paper's comparison order — the canonical
-    /// iteration set for whole-matrix sweeps (Tables 6 and 7).
+    /// iteration set for whole-matrix sweeps and the row order of
+    /// Tables 6 and 7. It is every variant in declaration order: a
+    /// new variant does not compile until `is_last`'s exhaustive match
+    /// names it, and a const check holds this list to the order that
+    /// match declares last.
     pub const ALL: [Design; 10] = [
         Design::Vanilla,
         Design::Shadow,
@@ -101,13 +107,41 @@ impl Design {
     }
 
     /// Whether the design exists in the given environment (Table 6's
-    /// N/A cells) — a query against [`crate::registry`], so the answer
-    /// is data (which specs a design registered), not a hand-maintained
-    /// match.
+    /// N/A cells): whether that environment's backend enum has an arm
+    /// for it, so the answer is the enums' `DESIGNS`, not a
+    /// hand-maintained match.
     pub fn available_in(self, env: Env) -> bool {
-        crate::registry::available(self, env)
+        let arms = match env {
+            Env::Native => NativeBackend::DESIGNS,
+            Env::Virt => VirtBackend::DESIGNS,
+            Env::Nested => NestedBackend::DESIGNS,
+        };
+        arms.contains(&self)
+    }
+
+    /// Whether `self` is the last-declared variant. The match is
+    /// exhaustive, so a new variant does not compile until it is named
+    /// here; named as the new last variant, it then fails the const
+    /// check below until [`Design::ALL`] ends with it.
+    const fn is_last(self) -> bool {
+        match self {
+            Design::Seg => true,
+            Design::Vanilla | Design::Shadow | Design::Fpt | Design::Ecpt | Design::Agile => false,
+            Design::Asap | Design::Dmt | Design::PvDmt | Design::Vbi => false,
+        }
     }
 }
+
+// `Design::ALL` is every variant in declaration order: slot `i` holds
+// the variant with discriminant `i`, and the last slot the last variant.
+const _: () = {
+    let mut i = 0;
+    while i < Design::ALL.len() {
+        assert!(Design::ALL[i] as usize == i, "Design::ALL out of order");
+        i += 1;
+    }
+    assert!(Design::ALL[Design::ALL.len() - 1].is_last());
+};
 
 /// One completed translation, as the engine sees it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -340,8 +374,8 @@ impl Rig for Box<dyn Rig> {
     }
 }
 
-/// The one rig shell: a [`Machine`] (the environment), its
-/// registry-built backend enum (the design) and the cell's identity.
+/// The one rig shell: a [`Machine`] (the environment), its backend
+/// enum (the design) and the cell's identity.
 /// `NativeRig`, `VirtRig` and `NestedRig` are this type over
 /// [`NativeMachine`], [`VirtMachine`] and [`NestedMachine`]; every
 /// environment-level call is served by the machine and every
@@ -362,8 +396,8 @@ impl<M: Machine> MachineRig<M> {
     /// # Errors
     ///
     /// Propagates setup failures as typed [`SimError`]s;
-    /// [`SimError::Unavailable`] if the registry has no backend for
-    /// `design` in this environment.
+    /// [`SimError::Unavailable`] if the environment's backend enum has
+    /// no arm for `design`.
     pub fn new(
         design: Design,
         thp: bool,

@@ -138,12 +138,13 @@ impl RunnerBuilder {
         self
     }
 
-    /// Run replays over tiered DRAM: designs whose registry row carries
-    /// a [`TierSpec`](crate::registry::TierSpec) get a two-tier memory
-    /// hierarchy (fast tier below `fast_bytes`, `slow_latency` above —
-    /// where DMT's TEA migrations physically steer pages); rows without
-    /// one, and the default `false`, run the flat hierarchy,
-    /// bit-identically to a runner without this knob.
+    /// Run replays over tiered DRAM: designs with a
+    /// [`TierSpec`](crate::backends::dmt::TierSpec) (the DMT family)
+    /// get a two-tier memory hierarchy (fast tier below `fast_bytes`,
+    /// `slow_latency` above — where DMT's TEA migrations physically
+    /// steer pages); designs without one, and the default `false`, run
+    /// the flat hierarchy, bit-identically to a runner without this
+    /// knob.
     pub fn tiered(mut self, on: bool) -> Self {
         self.runner.tiered = on;
         self
@@ -194,12 +195,12 @@ impl Runner {
     }
 
     /// The memory hierarchy a replay of `design` runs over: tiered
-    /// DRAM iff the runner opted in *and* the design's registry row
-    /// carries a tier spec; the flat default otherwise. Every replay
+    /// DRAM iff the runner opted in *and* the design has a tier spec;
+    /// the flat default otherwise. Every replay
     /// path — single-rig, sharded epochs, cloud-node quanta — takes its
     /// hierarchy from here.
     pub(crate) fn hierarchy_for(&self, design: Design) -> MemoryHierarchy {
-        let spec = crate::registry::tier_spec(design).filter(|_| self.tiered);
+        let spec = crate::backends::dmt::tier_spec(design).filter(|_| self.tiered);
         match spec {
             Some(t) => MemoryHierarchy::new(HierarchyConfig::default().with_tiers(DramTiers {
                 fast_bytes: t.fast_bytes,

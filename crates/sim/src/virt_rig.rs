@@ -1,11 +1,10 @@
 //! The virtualized environment: the shared [`VirtMachine`] as a
 //! [`Machine`], and [`VirtRig`], the generic shell over it, which
-//! delegates every design-specific decision to the registry-built
-//! [`VirtBackend`] enum (monomorphic dispatch).
+//! delegates every design-specific decision to the [`VirtBackend`] enum
+//! (monomorphic dispatch).
 
-use crate::backends::{Machine, VirtBackend};
+use crate::backends::{Arena, Machine, VirtBackend};
 use crate::error::SimError;
-use crate::registry::Arena;
 use crate::rig::{Design, Env, MachineRig, RefEntry, Setup};
 use dmt_cache::PageWalkCache;
 use dmt_mem::buddy::FrameKind;
@@ -34,7 +33,7 @@ impl Machine for VirtMachine {
         thp: bool,
         setup: &Setup,
     ) -> Result<(Self, VirtBackend), SimError> {
-        let spec = crate::registry::virt_spec(design)?;
+        let spec = VirtBackend::spec(design)?;
         // Guest physical space spans the footprint (TEAs are eager) but
         // only touched pages get backed.
         let guest_bytes = setup.footprint() + (160 << 20);
@@ -63,7 +62,7 @@ impl Machine for VirtMachine {
         }
         m.guest_populate_pages(setup.pages.iter().copied())
             .map_err(SimError::setup)?;
-        let backend = (spec.build)(&mut m, setup, arena)?;
+        let backend = VirtBackend::build(design, &mut m, setup, arena)?;
         Ok((m, backend))
     }
 

@@ -47,8 +47,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // The tier split: same trace, same design, but DRAM beyond 32 MiB
-    // now costs 350 cycles instead of 200 (DMT's registry row carries
-    // the TierSpec; the knob is a no-op for designs without one).
+    // now costs 350 cycles instead of 200 (the DMT family carries a
+    // TierSpec; the knob is a no-op for designs without one).
     let trace = w.trace(10_000, 0xD317 ^ Design::Dmt as u64);
     let flat = {
         let mut rig = NativeRig::new(Design::Dmt, false, &w, &trace)?;

@@ -4,7 +4,7 @@
 //! differential oracle wrapped around every rig — and the deterministic
 //! outcome (`RunStats`, coverage bits, telemetry) is pinned against a
 //! golden snapshot generated *before* the rigs were split into
-//! registry-dispatched backends. Any behavioural drift in a backend's
+//! per-design backends. Any behavioural drift in a backend's
 //! setup order, translate path, or exit accounting shows up as a byte
 //! diff here.
 //!
@@ -20,25 +20,12 @@ use dmt::sim::report::{telemetry_json, Json};
 use dmt::sim::{Design, Engine, Env, Runner, SweepConfig};
 use dmt::sim::{Setup, SimError};
 
-const ALL_DESIGNS: [Design; 10] = [
-    Design::Vanilla,
-    Design::Shadow,
-    Design::Fpt,
-    Design::Ecpt,
-    Design::Agile,
-    Design::Asap,
-    Design::Dmt,
-    Design::PvDmt,
-    Design::Vbi,
-    Design::Seg,
-];
-
 /// The full availability matrix over one benchmark (GUPS), both THP
 /// modes, at test scale.
 fn cells() -> SweepConfig {
     SweepConfig {
         envs: vec![Env::Native, Env::Virt, Env::Nested],
-        designs: ALL_DESIGNS.to_vec(),
+        designs: Design::ALL.to_vec(),
         thp: vec![false, true],
         benchmarks: vec![2], // GUPS
         ..SweepConfig::test()
@@ -171,9 +158,9 @@ fn tiny_setup() -> Setup {
     Setup::new(regions, &trace)
 }
 
-/// Every `(Design, Env)` cell constructs iff the registry (and therefore
-/// `Design::available_in`) says it exists; unavailable cells fail with
-/// the *typed* N/A error, not a panic or a stringly message.
+/// Every `(Design, Env)` cell constructs iff the backend enums (and
+/// therefore `Design::available_in`) say it exists; unavailable cells
+/// fail with the *typed* N/A error, not a panic or a stringly message.
 #[test]
 fn registry_cells_construct_iff_available() {
     use dmt::sim::native_rig::NativeRig;
@@ -181,7 +168,7 @@ fn registry_cells_construct_iff_available() {
     use dmt::sim::virt_rig::VirtRig;
 
     let setup = tiny_setup();
-    for design in ALL_DESIGNS {
+    for design in Design::ALL {
         for env in [Env::Native, Env::Virt, Env::Nested] {
             let available = design.available_in(env);
             let result: Result<Box<dyn dmt::sim::Rig>, SimError> = match env {

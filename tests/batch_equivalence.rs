@@ -26,19 +26,6 @@ use dmt::sim::{Design, Engine, Env, Runner};
 use dmt::workloads::gen::{Access, Region};
 use proptest::prelude::*;
 
-const ALL_DESIGNS: [Design; 10] = [
-    Design::Vanilla,
-    Design::Shadow,
-    Design::Fpt,
-    Design::Ecpt,
-    Design::Agile,
-    Design::Asap,
-    Design::Dmt,
-    Design::PvDmt,
-    Design::Vbi,
-    Design::Seg,
-];
-
 const ENVS: [Env; 3] = [Env::Native, Env::Virt, Env::Nested];
 
 /// Series sampling interval: prime and far below the 256-access span,
@@ -121,7 +108,7 @@ fn assert_all_cells(trace_ops: &[(u8, u16, u16)], warmup: usize) -> Result<(), S
     let (setup, trace) = build(trace_ops);
     let warmup = warmup % trace.len().max(1);
     for env in ENVS {
-        for design in ALL_DESIGNS {
+        for design in Design::ALL {
             if !design.available_in(env) {
                 continue;
             }
@@ -191,7 +178,7 @@ fn block_boundary_lengths_agree() {
     }
 }
 
-/// The per-miss contract, call by call: for every registered (env,
+/// The per-miss contract, call by call: for every available (env,
 /// design) cell, both THP modes, and every VA of the trace in order,
 /// `translate`'s PA is exactly `data_pa(va)` — the address the default
 /// engine charges a miss's data access at, where the scalar reference
@@ -202,7 +189,7 @@ fn translate_pa_equals_data_pa() {
     let (setup, trace) = build(&fixed_ops(513));
     let runner = Runner::builder().build();
     for env in ENVS {
-        for design in ALL_DESIGNS {
+        for design in Design::ALL {
             if !design.available_in(env) {
                 continue;
             }

@@ -19,19 +19,6 @@ use dmt::sim::{Design, Env, Rig};
 use dmt::workloads::gen::{Access, Region};
 use proptest::prelude::*;
 
-const ALL_DESIGNS: [Design; 10] = [
-    Design::Vanilla,
-    Design::Shadow,
-    Design::Fpt,
-    Design::Ecpt,
-    Design::Agile,
-    Design::Asap,
-    Design::Dmt,
-    Design::PvDmt,
-    Design::Vbi,
-    Design::Seg,
-];
-
 /// Three fixed, table-span-aligned VMA slots: conformance inputs pick a
 /// region and a page offset, so sequences exercise multi-VMA register
 /// files without ever generating an invalid layout.
@@ -89,7 +76,7 @@ proptest! {
         thp in any::<bool>(),
     ) {
         let (setup, vas) = build(&ops);
-        for design in ALL_DESIGNS {
+        for design in Design::ALL {
             if !design.available_in(Env::Native) {
                 continue;
             }
@@ -111,7 +98,7 @@ proptest! {
         thp in any::<bool>(),
     ) {
         let (setup, vas) = build(&ops);
-        for design in ALL_DESIGNS {
+        for design in Design::ALL {
             if !design.available_in(Env::Virt) {
                 continue;
             }
@@ -133,7 +120,7 @@ proptest! {
         thp in any::<bool>(),
     ) {
         let (setup, vas) = build(&ops);
-        for design in ALL_DESIGNS {
+        for design in Design::ALL {
             if !design.available_in(Env::Nested) {
                 continue;
             }

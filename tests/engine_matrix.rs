@@ -1,6 +1,6 @@
 //! The default engine against the scalar reference over the whole
 //! `Scale::test()` matrix: every bench7 workload, both THP modes, every
-//! registered (env, design) cell — 7 × 2 × 20 = 280 cells. A miss is
+//! available (env, design) cell — 7 × 2 × 20 = 280 cells. A miss is
 //! one `Rig::translate` on both engines; the default engine charges the
 //! miss's data access at the translation's PA, the scalar reference at
 //! the ground truth `Rig::data_pa`. Wherever a design's translation is

@@ -3,7 +3,7 @@
 //! path, so heap traffic during a replay does not grow with its length.
 //!
 //! A counting global allocator keeps one count per thread. For every
-//! registered (env, design) cell under both THP modes, a freshly built
+//! available (env, design) cell under both THP modes, a freshly built
 //! rig replays the first N accesses of a walk-bound trace (GUPS, at a
 //! footprint well past the TLB's reach for the page size, so most
 //! accesses miss) and a second fresh rig replays all 2N. The longer
@@ -121,6 +121,6 @@ fn replay_allocations_do_not_grow_with_trace_length() {
     assert_eq!(
         cells,
         2 * (8 + 10 + 2),
-        "every registered cell, both THP modes"
+        "every available cell, both THP modes"
     );
 }

@@ -73,7 +73,7 @@ fn tiered_dram_is_off_by_default_and_flat_runs_ignore_the_knob() {
         builder.build().replay(&mut rig, &trace, 1_000).0
     };
     // Off by default: nobody pays for the tier model unless asked. DMT
-    // carries a registry TierSpec, so only the runner knob keeps it flat.
+    // carries a TierSpec, so only the runner knob keeps it flat.
     let default = replay(Design::Dmt, Runner::builder());
     assert_eq!(
         default,
@@ -82,14 +82,14 @@ fn tiered_dram_is_off_by_default_and_flat_runs_ignore_the_knob() {
     assert_ne!(
         default,
         replay(Design::Dmt, Runner::builder().tiered(true)),
-        "the knob must reach a tier-registered design"
+        "the knob must reach a design with a TierSpec"
     );
-    // Designs without a registry TierSpec are bit-identical under the
-    // knob — tiering is opt-in at *both* the runner and registry level.
+    // Designs without a TierSpec are bit-identical under the knob —
+    // tiering is opt-in at *both* the runner and the design level.
     assert_eq!(
         replay(Design::Vanilla, Runner::builder()),
         replay(Design::Vanilla, Runner::builder().tiered(true)),
-        "no TierSpec row => tiered knob is a no-op"
+        "no TierSpec => tiered knob is a no-op"
     );
 }
 

@@ -331,18 +331,7 @@ fn zero_epoch_length_is_a_typed_error() {
 #[ignore = "full shard-equivalence matrix; run explicitly (CI shards job)"]
 fn full_matrix_is_bit_identical_for_every_k() {
     for env in [Env::Native, Env::Virt, Env::Nested] {
-        for design in [
-            Design::Vanilla,
-            Design::Shadow,
-            Design::Fpt,
-            Design::Ecpt,
-            Design::Agile,
-            Design::Asap,
-            Design::Dmt,
-            Design::PvDmt,
-            Design::Vbi,
-            Design::Seg,
-        ] {
+        for design in Design::ALL {
             if !design.available_in(env) {
                 continue;
             }

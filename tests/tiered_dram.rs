@@ -1,6 +1,7 @@
 //! Tiered-DRAM acceptance (DESIGN.md §15): the fast/slow tier split is
 //! opt-in at two levels — the runner's `tiered(true)` knob *and* a
-//! `TierSpec` on the design's registry row — and must change outcomes
+//! `TierSpec` for the design (the DMT family's data in
+//! `sim::backends::dmt`) — and must change outcomes
 //! measurably for the TEA-migrating designs (DMT, pvDMT) while leaving
 //! every flat-mode run bit-identical (the backend goldens pin that
 //! side).
@@ -83,12 +84,12 @@ fn tiered_runs_are_engine_agnostic_and_deterministic() {
 
 #[test]
 fn tiering_is_gated_on_the_registry_row() {
-    // Vbi has no TierSpec row: the knob must be a no-op even though the
-    // design is brand new (gating comes from the registry, not from a
-    // hard-coded design list).
+    // Vbi has no TierSpec: the knob must be a no-op even though the
+    // design is brand new (gating comes from the DMT family's tier
+    // data, not from the runner).
     let (flat, _) = replay_native(Design::Vbi, false, Engine::Batched);
     let (tiered, _) = replay_native(Design::Vbi, true, Engine::Batched);
-    assert_eq!(flat, tiered, "no TierSpec row => tiered knob is a no-op");
+    assert_eq!(flat, tiered, "no TierSpec => tiered knob is a no-op");
 }
 
 #[test]
